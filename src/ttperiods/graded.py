@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, failure
-from .spaces import ALL, FiniteSpectralModel, divides
+from .spaces import ALL, FiniteSpectralModel, divides, is_prime
 
 
 class GradedError(Exception):
@@ -123,18 +123,12 @@ def make_ring(
     return GradedRingPresentation(char, gens, tuple(rels), constraint)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(n**0.5) + 1))
-
-
 def validate_presentation(ring: GradedRingPresentation) -> Diagnosis:
     """Homogeneity, transposition axioms, and the odd-unit constraint."""
     names = ring.names()
     if len(set(names)) != len(names):
         return failure("duplicate-generator", names)
-    if ring.char != 0 and not _is_prime(ring.char):
+    if ring.char != 0 and not is_prime(ring.char):
         return failure("char-not-prime", ring.char)
     for g in ring.generators:
         if g.nilpotent and g.invertible:
@@ -249,13 +243,9 @@ def _build_spech(ring, pats: list[tuple[PrimePattern, str]]) -> SpechModel:
         if name in names and names[name][0] != pattern:
             raise InvalidPattern(name, "duplicate name")
         names[name] = (pattern, cert)
-    edges = [
-        (a, b)
-        for a in names
-        for b in names
-        if a != b and names[a][0].contains < names[b][0].contains
-    ]
-    space = FiniteSpectralModel(names, edges)
+    space = FiniteSpectralModel.from_inclusions(
+        {n: pat.contains for n, (pat, _) in names.items()}
+    )
     full = frozenset(g.name for g in ring.generators if not g.invertible)
     return SpechModel(
         ring=ring,

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .spaces import is_prime
+
 DEFAULT_ORDER_BOUND = 384
 
 Perm = tuple[int, ...]
@@ -372,13 +374,9 @@ def name_for_key(key: "tuple | None") -> "str | None":
 
 # -- Sylow theory and the p-subconjugacy order --------------------------
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % k for k in range(2, int(p**0.5) + 1))
-
-
 def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
     """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     els = H.elements if isinstance(H, FiniteGroup) else frozenset(H)
     degree = len(next(iter(els)))
@@ -518,7 +516,7 @@ def quaternion(order: int) -> FiniteGroup:
 
 
 def elementary_abelian(p: int, r: int) -> FiniteGroup:
-    if not _is_prime(p) or r < 1:
+    if not is_prime(p) or r < 1:
         raise GroupError("need a prime and a positive rank")
     gens = []
     for k in range(r):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, failure
-from .spaces import FiniteSpectralModel
+from .spaces import FiniteSpectralModel, is_prime
 
 MAX_COMPONENT_DIM = 3
 
@@ -159,9 +159,6 @@ class MultigradedRing:
     tau: dict
     one: tuple[int, ...]
 
-    def degree_dim(self, x) -> int:
-        return self.dims.get(tuple(x), 0)
-
     def is_zero_ring(self) -> bool:
         return all(d == 0 for d in self.dims.values())
 
@@ -171,6 +168,13 @@ class MultigradedRing:
             for vec in all_vectors(self.char, self.dims[x]):
                 if include_zero or any(vec):
                     yield (x, vec)
+
+    def basis_elements(self):
+        """The basis vectors of every component, as (degree, vector) pairs."""
+        for x in self.group.elements():
+            d = self.dims[x]
+            for i in range(d):
+                yield (x, tuple(1 if k == i else 0 for k in range(d)))
 
     def render(self, elt) -> str:
         x, vec = elt
@@ -195,11 +199,6 @@ def mg_mul(ring: MultigradedRing, a, b):
                 for k in range(len(out)):
                     out[k] = (out[k] + ci * cj * w[k]) % p
     return (z, tuple(out))
-
-
-def mg_scale(ring: MultigradedRing, c: int, a):
-    x, u = a
-    return (x, vec_scale(ring.char, c, u))
 
 
 def _tau_scalar_mul(ring: MultigradedRing, t, a):
@@ -341,12 +340,6 @@ def make_multigraded(
 # -- validation -------------------------------------------------------
 
 
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def degree_zero_units(ring: MultigradedRing) -> list:
     """Invertible elements of the degree-zero component."""
     z = ring.group.zero
@@ -368,7 +361,7 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
     on every homogeneous pair.  Components are already additive by
     construction, so bilinearity of the product tables is free.
     """
-    if not _is_prime_int(ring.char):
+    if not is_prime(ring.char):
         return failure("char_not_prime", ring.char)
     z = ring.group.zero
     if len(ring.one) != ring.dims[z]:
@@ -382,10 +375,7 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
         if mg_mul(ring, one, e) != e or mg_mul(ring, e, one) != e:
             return failure("identity_fails_on", ring.render(e))
 
-    basis = []
-    for x in ring.group.elements():
-        for i in range(ring.dims[x]):
-            basis.append((x, tuple(1 if k == i else 0 for k in range(ring.dims[x]))))
+    basis = list(ring.basis_elements())
     for a in basis:
         for b in basis:
             for c in basis:
@@ -419,42 +409,45 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
     return PASS
 
 
-# -- homogeneous ideals -----------------------------------------------
+# -- the ideal engine -------------------------------------------------
 #
-# An ideal is stored as the frozenset of its nonzero homogeneous
-# members (degree, vector); componentwise these are subspaces closed
-# under multiplication by every homogeneous element.
+# One implementation serves graded rings and 2-rings.  A member is a
+# component key followed by a coefficient vector: (degree, vec) in a
+# ring, (src, dst, vec) in a 2-ring.  An ideal is stored as the frozenset
+# of its nonzero members; componentwise these are subspaces closed under
+# the products the caller supplies.  Callers say only how members
+# multiply, how they sort and how they render.
 
 
-def ideal_generated_ring(ring: MultigradedRing, gens: Iterable) -> frozenset:
-    by_degree: dict = {x: set() for x in ring.group.elements()}
-    for (x, vec) in gens:
-        if any(vec):
-            by_degree[tuple(x)].add(tuple(vec))
-    basis = list(ring.homogeneous_elements())
+def close_ideal(char: int, dims: Mapping, gens: Iterable, products) -> frozenset:
+    """Smallest ideal containing gens.
+
+    dims maps each component key (a member without its vector) to the
+    component dimension.  products(m) lists the members reached from m by
+    one multiplication with a basis element on either side; closing
+    under sums makes that enough.
+    """
+    by_comp: dict = {key: set() for key in dims}
+    for m in gens:
+        if any(m[-1]):
+            by_comp[m[:-1]].add(tuple(m[-1]))
     changed = True
     while changed:
         changed = False
-        for x in ring.group.elements():
-            spanned = additive_span(ring.char, by_degree[x], ring.dims[x])
+        for key, vecs in by_comp.items():
+            spanned = additive_span(char, vecs, dims[key])
             nonzero = {v for v in spanned if any(v)}
-            if nonzero != by_degree[x]:
-                by_degree[x] = set(nonzero)
+            if nonzero != vecs:
+                by_comp[key] = nonzero
                 changed = True
-        for x in list(ring.group.elements()):
-            for vec in list(by_degree[x]):
-                m = (x, vec)
-                for b in basis:
-                    for prod in (mg_mul(ring, b, m), mg_mul(ring, m, b)):
-                        (y, w) = prod
-                        if any(w) and w not in by_degree[y]:
-                            by_degree[y].add(w)
-                            changed = True
-    return frozenset((x, v) for x, vs in by_degree.items() for v in vs)
-
-
-def _ideal_sort_key(ideal: frozenset):
-    return (len(ideal), sorted(ideal))
+        for key, vecs in list(by_comp.items()):
+            for vec in list(vecs):
+                for prod in products((*key, vec)):
+                    w = prod[-1]
+                    if any(w) and w not in by_comp[prod[:-1]]:
+                        by_comp[prod[:-1]].add(w)
+                        changed = True
+    return frozenset((*key, v) for key, vs in by_comp.items() for v in vs)
 
 
 @dataclass(frozen=True)
@@ -480,38 +473,113 @@ class IdealLattice:
     def top(self) -> frozenset:
         return self.ideals[-1]
 
-    def leq_pairs(self) -> list:
-        out = []
-        for a in self.ideals:
-            for b in self.ideals:
-                if a <= b:
-                    out.append((a, b))
-        return out
-
     def maximal_proper(self) -> list:
         top = self.top()
         proper = [i for i in self.ideals if i != top]
         return [i for i in proper if not any(i < j for j in proper)]
 
 
-def ring_ideals(ring: MultigradedRing) -> IdealLattice:
-    """Every homogeneous ideal, as joins of principal ideals."""
-    if any(d > MAX_COMPONENT_DIM for d in ring.dims.values()):
-        raise SizeBound("component dimension above the configured cap")
+def ideal_lattice(members: Iterable, generate) -> IdealLattice:
+    """Every ideal, as joins of the principal ideals of the members.
+
+    generate maps a collection of members to the ideal they generate.
+    The join of two comparable ideals is the larger one, so only
+    incomparable pairs are joined.
+    """
     ideals = {frozenset()}
-    for e in ring.homogeneous_elements():
-        ideals.add(ideal_generated_ring(ring, [e]))
+    ideals.update(generate([m]) for m in members)
     changed = True
     while changed:
         changed = False
         current = list(ideals)
-        for a in current:
-            for b in current:
-                j = ideal_generated_ring(ring, a | b)
+        for k, a in enumerate(current):
+            for b in current[k + 1:]:
+                if a <= b or b <= a:
+                    continue
+                j = generate(a | b)
                 if j not in ideals:
                     ideals.add(j)
                     changed = True
-    return IdealLattice(tuple(sorted(ideals, key=_ideal_sort_key)))
+    return IdealLattice(tuple(sorted(ideals, key=lambda i: (len(i), sorted(i)))))
+
+
+def is_prime_ideal(ideal: frozenset, members: Iterable, product) -> bool:
+    """Some member lies outside, and a product of two members outside is
+    a nonzero member outside.
+
+    members are all nonzero members; product(r, s) is None for a pair
+    that does not compose.
+    """
+    outside = [m for m in members if m not in ideal]
+    if not outside:
+        return False
+    for r in outside:
+        for s in outside:
+            prod = product(r, s)
+            if prod is not None and (not any(prod[-1]) or prod in ideal):
+                return False
+    return True
+
+
+def ideal_name(ideal: frozenset, generate, sort_key, render) -> str:
+    """Name from a deterministic small generating set: members are scanned
+    in sort_key order and kept when not generated by those before."""
+    gens: list = []
+    have: frozenset = frozenset()
+    for m in sorted(ideal, key=sort_key):
+        if m not in have:
+            gens.append(m)
+            have = generate(gens)
+    return "⟨" + ",".join(render(g) for g in gens) + "⟩"
+
+
+def prime_spectrum(primes: Sequence, name):
+    """Finite spectral model on the named primes, plus the name-to-ideal
+    mapping.  An edge p -> q means q lies in the closure of p, which for
+    primes is the inclusion p inside q."""
+    names = {name(i): i for i in primes}
+    if len(names) != len(primes):
+        raise RingShapeError("prime naming collision")
+    return FiniteSpectralModel.from_inclusions(names), names
+
+
+def equivalence_classes(items: Iterable, pairs: Iterable) -> list:
+    """Classes of the equivalence relation on items generated by pairs,
+    ordered by their sorted members."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    classes: dict = {}
+    for x in parent:
+        classes.setdefault(find(x), set()).add(x)
+    return sorted((frozenset(c) for c in classes.values()), key=sorted)
+
+
+# -- homogeneous ideals -----------------------------------------------
+
+
+def ideal_generated_ring(ring: MultigradedRing, gens: Iterable) -> frozenset:
+    dims = {(x,): d for x, d in ring.dims.items()}
+    basis = list(ring.basis_elements())
+
+    def products(m):
+        return [mg_mul(ring, b, m) for b in basis] + [mg_mul(ring, m, b) for b in basis]
+
+    return close_ideal(ring.char, dims, gens, products)
+
+
+def ring_ideals(ring: MultigradedRing) -> IdealLattice:
+    """Every homogeneous ideal, as joins of principal ideals."""
+    if any(d > MAX_COMPONENT_DIM for d in ring.dims.values()):
+        raise SizeBound("component dimension above the configured cap")
+    return ideal_lattice(ring.homogeneous_elements(), lambda gens: ideal_generated_ring(ring, gens))
 
 
 def ring_total_ideal(ring: MultigradedRing) -> frozenset:
@@ -520,58 +588,21 @@ def ring_total_ideal(ring: MultigradedRing) -> frozenset:
 
 def is_ring_prime(ring: MultigradedRing, ideal: frozenset) -> bool:
     """Proper, and rs inside forces r or s inside (homogeneous pairs)."""
-    if ideal == ring_total_ideal(ring):
-        return False
-    for r in ring.homogeneous_elements():
-        if r in ideal:
-            continue
-        for s in ring.homogeneous_elements():
-            if s in ideal:
-                continue
-            prod = mg_mul(ring, r, s)
-            if (not any(prod[1])) or prod in ideal:
-                return False
-    return True
+    return is_prime_ideal(ideal, ring.homogeneous_elements(), lambda r, s: mg_mul(ring, r, s))
 
 
 def ring_primes(ring: MultigradedRing) -> list:
     return [i for i in ring_ideals(ring) if is_ring_prime(ring, i)]
 
 
-def canonical_generators_ring(ring: MultigradedRing, ideal: frozenset) -> list:
-    """Deterministic small generating set, scanned in element order."""
-    gens: list = []
-    have: frozenset = frozenset()
-    for e in sorted(ideal):
-        if e not in have:
-            gens.append(e)
-            have = ideal_generated_ring(ring, gens)
-    return gens
-
-
 def ideal_name_ring(ring: MultigradedRing, ideal: frozenset) -> str:
-    gens = canonical_generators_ring(ring, ideal)
-    return "⟨" + ",".join(ring.render(g) for g in gens) + "⟩"
+    return ideal_name(ideal, lambda gens: ideal_generated_ring(ring, gens), None, ring.render)
 
 
 def spech_multigraded(ring: MultigradedRing):
-    """Homogeneous prime spectrum as a finite spectral model.
-
-    Returns the model plus the point-name-to-ideal mapping.  An edge
-    p -> q means q lies in the closure of p, which for primes is the
-    inclusion p inside q.
-    """
-    primes = ring_primes(ring)
-    names = {ideal_name_ring(ring, i): i for i in primes}
-    if len(names) != len(primes):
-        raise RingShapeError("prime naming collision")
-    edges = [
-        (a, b)
-        for a, i in names.items()
-        for b, j in names.items()
-        if a != b and i < j
-    ]
-    return FiniteSpectralModel(names, edges), names
+    """Homogeneous prime spectrum as a finite spectral model, plus the
+    point-name-to-ideal mapping."""
+    return prime_spectrum(ring_primes(ring), lambda i: ideal_name_ring(ring, i))
 
 
 # -- multiplicative systems and fractions -----------------------------
@@ -654,51 +685,25 @@ class RingFractions:
 
 
 def ring_fractions(ring: MultigradedRing, system: frozenset, max_pairs: int = 20000) -> RingFractions:
-    fractions = []
-    for s in system:
-        for x in ring.group.elements():
-            for vec in all_vectors(ring.char, ring.dims[x]):
-                fractions.append(((x, vec), s))
+    fractions = [(r, s) for s in system for r in ring.homogeneous_elements(include_zero=True)]
     if len(fractions) > max_pairs:
         raise SizeBound("too many fraction pairs")
-
-    index = {f: k for k, f in enumerate(fractions)}
-    parent = list(range(len(fractions)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    elements = list(ring.homogeneous_elements())
 
     # Elementary dilation: (r, s) ~ (r t, s t) whenever s t stays in
-    # the system; the union-find closure is the full equivalence.
-    for (r, s) in fractions:
-        for t in ring.homogeneous_elements():
-            st = mg_mul(ring, s, t)
-            if st in system:
-                rt = mg_mul(ring, r, t)
-                union(index[(r, s)], index[(rt, st)])
+    # the system; the equivalence they generate is the full one.
+    def dilations():
+        for r, s in fractions:
+            for t in elements:
+                st = mg_mul(ring, s, t)
+                if st in system:
+                    yield (r, s), (mg_mul(ring, r, t), st)
 
-    groups: dict = {}
-    for f, k in index.items():
-        groups.setdefault(find(k), set()).add(f)
     classes: dict = {x: [] for x in ring.group.elements()}
-    seen = set()
-    for members in groups.values():
-        cls = frozenset(members)
+    for cls in equivalence_classes(fractions, dilations()):
         rep = min(cls)
         deg = ring.group.sub(rep[0][0], rep[1][0])
         # One orbit can only mix fractions of a single degree.
         assert all(ring.group.sub(r[0], s[0]) == deg for (r, s) in cls)
-        if cls not in seen:
-            classes[deg].append(cls)
-            seen.add(cls)
-    for x in classes:
-        classes[x].sort(key=lambda c: sorted(c))
+        classes[deg].append(cls)
     return RingFractions(ring=ring, system=frozenset(system), classes=classes)

@@ -12,6 +12,7 @@ means "not periodic at all", which is why it has to dominate everything.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +47,11 @@ def divides(a: int, b: int) -> bool:
     if a == 0:
         return False
     return b % a == 0
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime number."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def is_alexandrov_open(ds) -> bool:
@@ -105,6 +111,12 @@ class FiniteSpectralModel:
             p: frozenset(q for q in self.points if p in self._down[q])
             for p in self.points
         }
+
+    @classmethod
+    def from_inclusions(cls, named_sets: Mapping[str, frozenset]) -> "FiniteSpectralModel":
+        """One point per name; p -> q when the set of p lies strictly inside that of q."""
+        pairs = [(a, b) for a, i in named_sets.items() for b, j in named_sets.items() if i < j]
+        return cls(named_sets, pairs)
 
     # -- order ---------------------------------------------------------
 

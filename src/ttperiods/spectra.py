@@ -151,6 +151,12 @@ def _is_p_subgroup(cls: SubgroupClass, p: int) -> bool:
     return set(_prime_factors(cls.order)) <= {p}
 
 
+def _label_suffix(k: int) -> str:
+    """a, ..., z, aa, ab, ...: distinct for distinct k.  Subgroup names end
+    in a digit, so no two (name, suffix) pairs give the same label."""
+    return (_label_suffix(k // 26 - 1) if k >= 26 else "") + chr(ord("a") + k % 26)
+
+
 def _stratum_labels(G: FiniteGroup, classes: list[SubgroupClass]) -> list[str]:
     base = []
     for cls in classes:
@@ -163,7 +169,7 @@ def _stratum_labels(G: FiniteGroup, classes: list[SubgroupClass]) -> list[str]:
         if counts[b] == 1:
             out.append(b)
         else:
-            suffix = "abcdefgh"[seen.get(b, 0)]
+            suffix = _label_suffix(seen.get(b, 0))
             seen[b] = seen.get(b, 0) + 1
             out.append(b + suffix)
     return out

@@ -26,20 +26,26 @@ from .multigraded import (
     MultigradedRing,
     RingShapeError,
     SizeBound,
-    additive_span,
     all_vectors,
+    close_ideal,
+    equivalence_classes,
+    ideal_lattice,
+    ideal_name,
+    ideal_name_ring,
+    is_prime_ideal,
+    is_ring_prime,
     mg_mul,
     mult_system_ring,
+    prime_spectrum,
     render_combo,
+    ring_fractions,
     ring_ideals,
-    is_ring_prime,
-    spech_multigraded,
     validate_multigraded,
     vec_add,
     vec_scale,
     vec_zero,
 )
-from .spaces import FiniteSpectralModel
+from .spaces import FiniteSpectralModel, is_prime
 
 MAX_OBJECTS = 12
 
@@ -344,9 +350,8 @@ def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
     Unit behavior of the tensor is required only up to isomorphism, so
     duplicate objects with chosen isomorphisms are allowed.
     """
-    p = R2.char
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
-        return failure("characteristic_not_prime", p)
+    if not is_prime(R2.char):
+        return failure("characteristic_not_prime", R2.char)
     # shapes
     for a in R2.objects:
         if a not in R2.labels:
@@ -551,56 +556,24 @@ def _guard_size(R2: TwoRingDatum) -> None:
 def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> frozenset:
     """Smallest morphism class closed under sums, composition with
     anything on either side, and twists by every object."""
-    by_comp: dict = {(a, b): set() for a in R2.objects for b in R2.objects}
-    for (a, b, vec) in gens:
-        if any(vec):
-            by_comp[(a, b)].add(tuple(vec))
     basis = list(R2.basis_morphisms())
-    changed = True
-    while changed:
-        changed = False
-        for comp in by_comp:
-            spanned = additive_span(R2.char, by_comp[comp], R2.dims[comp])
-            nonzero = {v for v in spanned if any(v)}
-            if nonzero != by_comp[comp]:
-                by_comp[comp] = set(nonzero)
-                changed = True
-        for (a, b) in list(by_comp):
-            for vec in list(by_comp[(a, b)]):
-                m = (a, b, vec)
-                produced = []
-                for f in basis:
-                    if f[0] == b:
-                        produced.append(compose(R2, f, m))
-                    if f[1] == a:
-                        produced.append(compose(R2, m, f))
-                for g in R2.objects:
-                    produced.append(tensor(R2, R2.identity(g), m))
-                    produced.append(tensor(R2, m, R2.identity(g)))
-                for (x, y, w) in produced:
-                    if any(w) and w not in by_comp[(x, y)]:
-                        by_comp[(x, y)].add(w)
-                        changed = True
-    return frozenset((a, b, v) for (a, b), vs in by_comp.items() for v in vs)
+    identities = [R2.identity(g) for g in R2.objects]
+
+    def products(m):
+        a, b, _ = m
+        out = [compose(R2, f, m) for f in basis if f[0] == b]
+        out += [compose(R2, m, f) for f in basis if f[1] == a]
+        out += [tensor(R2, i, m) for i in identities]
+        out += [tensor(R2, m, i) for i in identities]
+        return out
+
+    return close_ideal(R2.char, R2.dims, gens, products)
 
 
 def homogeneous_ideals(R2: TwoRingDatum) -> IdealLattice:
     """Every categorical ideal, generated as joins of principal ones."""
     _guard_size(R2)
-    ideals = {frozenset()}
-    for m in R2.morphisms():
-        ideals.add(ideal_generated_two(R2, [m]))
-    changed = True
-    while changed:
-        changed = False
-        current = list(ideals)
-        for a in current:
-            for b in current:
-                j = ideal_generated_two(R2, a | b)
-                if j not in ideals:
-                    ideals.add(j)
-                    changed = True
-    return IdealLattice(tuple(sorted(ideals, key=lambda i: (len(i), sorted(i)))))
+    return ideal_lattice(R2.morphisms(), lambda gens: ideal_generated_two(R2, gens))
 
 
 def total_ideal_two(R2: TwoRingDatum) -> frozenset:
@@ -609,54 +582,26 @@ def total_ideal_two(R2: TwoRingDatum) -> frozenset:
 
 def is_prime_two(R2: TwoRingDatum, ideal: frozenset) -> bool:
     """Proper, and a composite inside forces a factor inside."""
-    if ideal == total_ideal_two(R2):
-        return False
-    for r in R2.morphisms():
-        if r in ideal:
-            continue
-        for s in R2.morphisms():
-            if s in ideal or s[0] != r[1]:
-                continue
-            sr = compose(R2, s, r)
-            if (not any(sr[2])) or sr in ideal:
-                return False
-    return True
-
-
-def _mor_sort_key(R2: TwoRingDatum, m):
-    a, b, vec = m
-    oi = {o: k for k, o in enumerate(R2.objects)}
-    return (0 if a == R2.unit else 1, oi[a], oi[b], vec)
-
-
-def canonical_generators_two(R2: TwoRingDatum, ideal: frozenset) -> list:
-    gens: list = []
-    have: frozenset = frozenset()
-    for m in sorted(ideal, key=lambda m: _mor_sort_key(R2, m)):
-        if m not in have:
-            gens.append(m)
-            have = ideal_generated_two(R2, gens)
-    return gens
+    return is_prime_ideal(
+        ideal, R2.morphisms(), lambda r, s: compose(R2, s, r) if s[0] == r[1] else None
+    )
 
 
 def ideal_name_two(R2: TwoRingDatum, ideal: frozenset) -> str:
-    gens = canonical_generators_two(R2, ideal)
-    return "⟨" + ",".join(R2.render(g) for g in gens) + "⟩"
+    """Generators scan unit-sourced morphisms first, then by object order."""
+    order = {o: k for k, o in enumerate(R2.objects)}
+    return ideal_name(
+        ideal,
+        lambda gens: ideal_generated_two(R2, gens),
+        lambda m: (m[0] != R2.unit, order[m[0]], order[m[1]], m[2]),
+        R2.render,
+    )
 
 
 def spc_with_primes(R2: TwoRingDatum):
     """Prime spectrum with the name-to-ideal mapping."""
     primes = [i for i in homogeneous_ideals(R2) if is_prime_two(R2, i)]
-    names = {ideal_name_two(R2, i): i for i in primes}
-    if len(names) != len(primes):
-        raise RingShapeError("prime naming collision")
-    edges = [
-        (a, b)
-        for a, i in names.items()
-        for b, j in names.items()
-        if a != b and i < j
-    ]
-    return FiniteSpectralModel(names, edges), names
+    return prime_spectrum(primes, lambda i: ideal_name_two(R2, i))
 
 
 def spc(R2: TwoRingDatum) -> FiniteSpectralModel:
@@ -865,12 +810,14 @@ def agreement(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
         for i2 in lattice_r.ideals:
             if (i1 <= i2) != (ext[i1] <= ext[i2]):
                 return failure("inclusion_not_preserved", sorted(i1), sorted(i2))
+    primes_r = [i for i in lattice_r.ideals if is_ring_prime(ring, i)]
+    primes_2 = [j for j in lattice_2.ideals if is_prime_two(R2, j)]
     for i in lattice_r.ideals:
-        if is_ring_prime(ring, i) != is_prime_two(R2, ext[i]):
+        if (i in primes_r) != (ext[i] in primes_2):
             return failure("prime_not_preserved", sorted(i))
 
-    model_r, names_r = spech_multigraded(ring)
-    model_2, names_2 = spc_with_primes(R2)
+    model_r, names_r = prime_spectrum(primes_r, lambda i: ideal_name_ring(ring, i))
+    model_2, names_2 = prime_spectrum(primes_2, lambda j: ideal_name_two(R2, j))
     back_2 = {ideal: nm for nm, ideal in names_2.items()}
     point_map = {}
     for nm, ideal in names_r.items():
@@ -932,10 +879,7 @@ class LocalizedTwoRing:
     coords: dict
 
     def class_of_span(self, comp, span):
-        for cls in self.classes[comp]:
-            if span in cls:
-                return cls
-        raise RingShapeError("span not found in any class")
+        return _find_class(self.classes, comp, span)
 
     def embed(self, mor):
         a, b, _ = mor
@@ -944,52 +888,23 @@ class LocalizedTwoRing:
 
 def _span_classes(R2: TwoRingDatum, system: frozenset, max_spans: int):
     """Group spans by the dilation equivalence, per component."""
-    spans = []
-    for s in system:
-        k, a, _ = s
-        for b in R2.objects:
-            for f in R2.homs(k, b, include_zero=True):
-                spans.append(((a, b), (s, f)))
+    spans = [(s, f) for s in system for f in R2.morphisms(include_zero=True) if f[0] == s[0]]
     if len(spans) > max_spans:
         raise SizeBound("too many spans")
 
-    index = {}
-    comp_spans: dict = {}
-    for comp, sp in spans:
-        comp_spans.setdefault(comp, []).append(sp)
-        index[sp] = len(index)
-    parent = list(range(len(index)))
+    def dilations():
+        for s, f in spans:
+            for k2 in R2.objects:
+                for u in R2.homs(k2, s[0], include_zero=True):
+                    su = compose(R2, s, u)
+                    if su in system:
+                        yield (s, f), (su, compose(R2, f, u))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for comp, sp in spans:
-        s, f = sp
-        k = s[0]
-        for k2 in R2.objects:
-            for u in R2.homs(k2, k, include_zero=True):
-                su = compose(R2, s, u)
-                if su in system:
-                    union(index[sp], index[(su, compose(R2, f, u))])
-
-    classes: dict = {}
-    for comp, sps in comp_spans.items():
-        groups: dict = {}
-        for sp in sps:
-            groups.setdefault(find(index[sp]), set()).add(sp)
-        ordered = sorted((frozenset(g) for g in groups.values()), key=lambda c: sorted(c))
-        classes[comp] = ordered
-    for a in R2.objects:
-        for b in R2.objects:
-            classes.setdefault((a, b), [])
+    # A dilation keeps both targets, so each class sits in one component.
+    classes: dict = {(a, b): [] for a in R2.objects for b in R2.objects}
+    for cls in equivalence_classes(spans, dilations()):
+        s, f = next(iter(cls))
+        classes[(s[1], f[1])].append(cls)
     return classes
 
 
@@ -1215,8 +1130,6 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     d = validate_tightening(T, R2)
     if not d:
         return d
-    from .multigraded import ring_fractions  # local import to keep the top tidy
-
     ring = T.ring
     Sr = mult_system_ring(ring, S)
     e_gen = extend_system(T, R2, Sr)

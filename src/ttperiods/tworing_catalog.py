@@ -13,9 +13,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
-from .multigraded import MultigradedRing, RingShapeError, make_multigraded
+from .multigraded import AbelianGroup, MultigradedRing, RingShapeError, make_multigraded
 from .tworing import (
     Tightening,
     TwoRingDatum,
@@ -272,56 +270,60 @@ def build_tightening(name: str) -> tuple[Tightening, TwoRingDatum]:
 
 # -- JSON serialization -----------------------------------------------
 
-_VEC = {"type": "array", "items": {"type": "integer", "minimum": 0}}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _VEC}}
+# Checks on the JSON values of a 2-ring record.  Integers are JSON
+# integers: a float such as 2.0 or a boolean is refused, never coerced.
 
+
+def _int(least: int):
+    return lambda v: type(v) is int and v >= least
+
+
+def _str(least: int = 0):
+    return lambda v: isinstance(v, str) and len(v) >= least
+
+
+def _list(ok, least: int = 0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(ok(x) for x in v)
+
+
+def _map(ok):
+    return lambda v: isinstance(v, dict) and all(ok(x) for x in v.values())
+
+
+_VEC = _list(_int(0))
+_MATRIX = _list(_list(_VEC))
+
+# Every field of a record, each with the check its value must pass.
 TWO_RING_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "format", "name", "group_orders", "char", "objects", "labels",
-        "unit", "support", "dims", "basis_names", "compose",
-        "tensor_obj", "tensor", "identities", "symmetry",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "format": {"const": 1},
-        "name": {"type": "string", "minLength": 1},
-        "group_orders": {
-            "type": "array", "minItems": 1,
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "char": {"type": "integer", "minimum": 2},
-        "objects": {
-            "type": "array", "minItems": 1,
-            "items": {"type": "string", "minLength": 1},
-        },
-        "labels": {
-            "type": "object",
-            "additionalProperties": _VEC,
-        },
-        "unit": {"type": "string"},
-        "support": {"type": "array", "items": _VEC},
-        "dims": {
-            "type": "object",
-            "additionalProperties": {"type": "integer", "minimum": 0},
-        },
-        "basis_names": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array", "items": {"type": "string"},
-            },
-        },
-        "compose": {"type": "object", "additionalProperties": _MATRIX},
-        "tensor_obj": {
-            "type": "object",
-            "additionalProperties": {"type": "string"},
-        },
-        "tensor": {"type": "object", "additionalProperties": _MATRIX},
-        "identities": {"type": "object", "additionalProperties": _VEC},
-        "symmetry": {"type": "object", "additionalProperties": _VEC},
-    },
+    "format": lambda v: type(v) is int and v == 1,
+    "name": _str(1),
+    "group_orders": _list(_int(1), 1),
+    "char": _int(2),
+    "objects": _list(_str(1), 1),
+    "labels": _map(_VEC),
+    "unit": _str(),
+    "support": _list(_VEC),
+    "dims": _map(_int(0)),
+    "basis_names": _map(_list(_str())),
+    "compose": _map(_MATRIX),
+    "tensor_obj": _map(_str()),
+    "tensor": _map(_MATRIX),
+    "identities": _map(_VEC),
+    "symmetry": _map(_VEC),
 }
+
+
+def _check_fields(obj) -> None:
+    if not isinstance(obj, dict):
+        raise RingShapeError("malformed 2-ring record: not a JSON object")
+    extra = sorted(obj.keys() - TWO_RING_SCHEMA.keys())
+    if extra:
+        raise RingShapeError(f"malformed 2-ring record: unexpected fields {extra}")
+    for key, ok in TWO_RING_SCHEMA.items():
+        if key not in obj:
+            raise RingShapeError(f"malformed 2-ring record: missing field {key!r}")
+        if not ok(obj[key]):
+            raise RingShapeError(f"malformed 2-ring record: bad value for {key!r}")
 
 
 def two_ring_to_obj(R2: TwoRingDatum) -> dict:
@@ -366,17 +368,12 @@ def _split(key: str, sep: str, parts: int, what: str) -> tuple:
 
 
 def two_ring_from_obj(obj: dict) -> TwoRingDatum:
-    """Schema-check a parsed JSON object and build the datum.
+    """Check the fields of a parsed JSON object and build the datum.
 
     Shape errors surface as RingShapeError before any algebra runs; the
     axioms themselves are a separate validate_two_ring pass.
     """
-    from .multigraded import AbelianGroup
-
-    try:
-        jsonschema.validate(obj, TWO_RING_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise RingShapeError(f"malformed 2-ring record: {exc.message}")
+    _check_fields(obj)
     group = AbelianGroup(tuple(obj["group_orders"]))
     objects = tuple(obj["objects"])
     oset = set(objects)
@@ -402,29 +399,30 @@ def two_ring_from_obj(obj: dict) -> TwoRingDatum:
     basis_names = {}
     for key, ns in obj["basis_names"].items():
         a, b = _split(key, "->", 2, "basis_names")
+        if a not in oset or b not in oset:
+            raise RingShapeError(f"basis_names key {key!r} names unknown objects")
         basis_names[(a, b)] = tuple(ns)
     for comp, d in dims.items():
         names = basis_names.setdefault(comp, ())
         if len(names) != d:
             raise RingShapeError(f"basis names for {comp} do not match its dimension")
 
-    def check_table(table, rows, cols, width, key):
+    def mod(v):
+        return tuple(x % obj["char"] for x in v)
+
+    def read_table(table, rows, cols, width, key):
         if len(table) != rows or any(len(r) != cols for r in table):
             raise RingShapeError(f"table {key!r} has the wrong shape")
-        for r in table:
-            for v in r:
-                if len(v) != width:
-                    raise RingShapeError(f"table {key!r} has a wrong-width vector")
+        if any(len(v) != width for r in table for v in r):
+            raise RingShapeError(f"table {key!r} has a wrong-width vector")
+        return tuple(tuple(mod(v) for v in row) for row in table)
 
     compose_tables = {}
     for key, table in obj["compose"].items():
         a, b, c = _split(key, "->", 3, "compose")
         if {a, b, c} - oset:
             raise RingShapeError(f"compose key {key!r} names unknown objects")
-        check_table(table, dims[(a, b)], dims[(b, c)], dims[(a, c)], key)
-        compose_tables[(a, b, c)] = tuple(
-            tuple(tuple(x % obj["char"] for x in v) for v in row) for row in table
-        )
+        compose_tables[(a, b, c)] = read_table(table, dims[(a, b)], dims[(b, c)], dims[(a, c)], key)
 
     tensor_obj = {}
     for key, t in obj["tensor_obj"].items():
@@ -446,16 +444,15 @@ def two_ring_from_obj(obj: dict) -> TwoRingDatum:
             raise RingShapeError(f"tensor key {key!r} names unknown objects")
         src = tensor_obj[(a, c)]
         dst = tensor_obj[(b, d)]
-        check_table(table, dims[(a, b)], dims[(c, d)], dims[(src, dst)], key)
-        tensor_tables[(a, b, c, d)] = tuple(
-            tuple(tuple(x % obj["char"] for x in v) for v in row) for row in table
+        tensor_tables[(a, b, c, d)] = read_table(
+            table, dims[(a, b)], dims[(c, d)], dims[(src, dst)], key
         )
 
     identities = {}
     for o, v in obj["identities"].items():
         if len(v) != dims[(o, o)]:
             raise RingShapeError(f"identity of {o!r} has the wrong shape")
-        identities[o] = tuple(x % obj["char"] for x in v)
+        identities[o] = mod(v)
 
     symmetry = {}
     for key, v in obj["symmetry"].items():
@@ -466,7 +463,7 @@ def two_ring_from_obj(obj: dict) -> TwoRingDatum:
         ba = tensor_obj[(b, a)]
         if len(v) != dims[(ab, ba)]:
             raise RingShapeError(f"symmetry entry {key!r} has the wrong shape")
-        symmetry[(a, b)] = tuple(x % obj["char"] for x in v)
+        symmetry[(a, b)] = mod(v)
     for a in objects:
         for b in objects:
             if (a, b) not in symmetry:
@@ -523,7 +520,7 @@ def write_all(directory: "str | Path | None" = None) -> list[Path]:
     for name in TWO_RING_NAMES:
         R2 = build_two_ring(name)
         obj = two_ring_to_obj(R2)
-        jsonschema.validate(obj, TWO_RING_SCHEMA)
+        _check_fields(obj)
         path = out_dir / f"{name}.json"
         path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         written.append(path)

@@ -1,10 +1,15 @@
 """Front-end behavior: exit codes, report shapes, DOT output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import ttperiods
 from ttperiods.cli import main
 from ttperiods.graded import make_ring, ring_to_obj
 from ttperiods.groups import dihedral, group_to_obj
@@ -266,6 +271,15 @@ class TestTworing:
         code, _, err = run(capsys, "tworing", "spc", "--input", "missing.json")
         assert code == 2
 
+    def test_float_char_is_input_error(self, capsys, tmp_path):
+        obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
+        obj["char"] = 2.0
+        path = write_json(tmp_path, "float_char.json", obj)
+        code, out, err = run(capsys, "tworing", "ideals", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
 
 class TestCompare:
     @pytest.fixture
@@ -360,6 +374,16 @@ class TestUsage:
 
     def test_bad_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_import_loads_no_jsonschema(self):
+        src = str(Path(ttperiods.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, ttperiods.cli; print('jsonschema' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_schema_hint_in_help(self, capsys):
         code, out, _ = run(capsys, "ring", "--help")

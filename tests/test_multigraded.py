@@ -12,6 +12,7 @@ from ttperiods.multigraded import (
     additive_span,
     all_vectors,
     degree_zero_units,
+    equivalence_classes,
     homogeneous_units,
     ideal_generated_ring,
     ideal_name_ring,
@@ -334,6 +335,36 @@ class TestSystemsAndFractions:
         e = ((0,), (0, 1))
         one = ((0,), (1, 0))
         assert fr.class_of((e, one)) != fr.zero_class((0,))
+
+
+class TestEquivalenceClasses:
+    def test_classes_of_the_generated_relation_in_sorted_order(self):
+        classes = equivalence_classes("fedcba", [("a", "b"), ("c", "b"), ("e", "f"), ("f", "e")])
+        assert [sorted(c) for c in classes] == [["a", "b", "c"], ["d"], ["e", "f"]]
+
+    def test_no_pairs_gives_singletons(self):
+        assert equivalence_classes([3, 1, 2], []) == [{1}, {2}, {3}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12))
+def test_equivalence_classes_match_reachability(pairs):
+    # Oracle: x and y share a class when y is reachable from x along
+    # pairs taken in either direction.
+    edges = pairs + [(v, u) for u, v in pairs]
+
+    def reach(x):
+        seen, todo = {x}, [x]
+        while todo:
+            a = todo.pop()
+            for u, v in edges:
+                if u == a and v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return frozenset(seen)
+
+    classes = equivalence_classes(range(10), pairs)
+    assert set(classes) == {reach(x) for x in range(10)}
 
 
 @settings(max_examples=40, deadline=None)

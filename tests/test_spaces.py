@@ -15,6 +15,7 @@ from ttperiods.spaces import (
     check_period_map,
     divides,
     is_alexandrov_open,
+    is_prime,
     model_from_obj,
     model_to_obj,
     restrict_to_open,
@@ -42,6 +43,10 @@ class TestDivides:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             divides(-1, 2)
+
+
+def test_is_prime():
+    assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class TestAlexandrovOpen:
@@ -102,6 +107,17 @@ class TestModel:
     def test_cover_pairs_drop_transitive_edges(self):
         m = FiniteSpectralModel(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         assert m.cover_pairs() == [("a", "b"), ("b", "c")]
+
+    def test_from_inclusions_orders_by_strict_subset(self):
+        m = FiniteSpectralModel.from_inclusions(
+            {"d": frozenset({1, 2}), "b": frozenset({1}), "c": frozenset({2}), "a": frozenset()}
+        )
+        assert m.points == ("a", "b", "c", "d")
+        assert m.cover_pairs() == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        assert not m.specializes("b", "c") and not m.specializes("d", "a")
+
+    def test_from_inclusions_of_nothing_is_empty(self):
+        assert FiniteSpectralModel.from_inclusions({}).points == ()
 
     def test_roundtrip(self):
         m = FiniteSpectralModel(["a", "b", "c"], [("a", "b"), ("a", "c")])

@@ -207,6 +207,14 @@ class TestDPermStrata:
         assert len(strata) == 1
         assert strata[0].subgroup_class.order == 1
 
+    def test_labels_stay_distinct_past_eight_repeats(self):
+        # C2^4 has 15 subgroups C2 and 35 subgroups C2^2, all normal.
+        asm = dperm_period_map(elementary_abelian(2, 4), 2)
+        labels = [s.label for s in asm.strata]
+        assert len(labels) == len(set(labels)) == 67
+        assert labels[1:10] == ["C2a", "C2b", "C2c", "C2d", "C2e", "C2f", "C2g", "C2h", "C2i"]
+        assert "C2^2aa" in labels
+
     def test_normality_flags(self):
         by_label = {s.label: s.normal for s in dperm_strata(dihedral(8), 2)}
         assert by_label["C2a"] is False

@@ -12,8 +12,11 @@ from ttperiods.multigraded import (
     SizeBound,
     all_vectors,
     additive_span,
+    ideal_name_ring,
+    is_ring_prime,
     make_multigraded,
     mult_system_ring,
+    ring_ideals,
 )
 from ttperiods.tworing import (
     BadShapes,
@@ -46,6 +49,7 @@ from ttperiods.tworing import (
     validate_two_ring,
 )
 from ttperiods.tworing_catalog import (
+    RING_NAMES,
     TIGHTENING_NAMES,
     TWO_RING_NAMES,
     TWO_RING_SCHEMA,
@@ -144,6 +148,44 @@ class TestValidateNegatives:
         assert validate_two_ring(bad).reason == "characteristic_not_prime"
 
 
+# One violation per field rule of TWO_RING_SCHEMA: (field, entry key or
+# None for the whole field, bad value).
+FIELD_VIOLATIONS = [
+    ("format", None, 2),
+    ("name", None, ""),
+    ("group_orders", None, [0]),
+    ("char", None, 1),
+    ("objects", None, []),
+    ("labels", "1", [-1]),
+    ("unit", None, None),
+    ("support", None, [[0], "1"]),
+    ("dims", "0->1", -1),
+    ("basis_names", "0->1", [7]),
+    ("compose", "0->0->0", [[1]]),
+    ("tensor_obj", "0|1", 1),
+    ("tensor", "0->0|0->0", [[[1.5]]]),
+    ("identities", "1", ["1"]),
+    ("symmetry", "0|1", {"0": 1}),
+]
+
+# Values that look like integers but are not JSON integers.
+INTEGER_LOOKALIKES = [
+    ("char", None, 2.0),
+    ("group_orders", None, [2.0]),
+    ("dims", "0->1", 1.0),
+    ("identities", "1", [True]),
+]
+
+
+def laurent_record_with(field, key, bad):
+    obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
+    if key is None:
+        obj[field] = bad
+    else:
+        obj[field][key] = bad
+    return obj
+
+
 class TestSerialization:
     def test_round_trip_all(self):
         for name in TWO_RING_NAMES:
@@ -179,6 +221,12 @@ class TestSerialization:
         with pytest.raises(RingShapeError, match="unknown"):
             two_ring_from_obj(obj)
 
+    def test_unknown_object_in_basis_names_rejected(self):
+        obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
+        obj["basis_names"]["0->9"] = ["z"]
+        with pytest.raises(RingShapeError, match="unknown"):
+            two_ring_from_obj(obj)
+
     def test_missing_tensor_pair_rejected(self):
         obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
         del obj["tensor_obj"]["1|1"]
@@ -194,6 +242,25 @@ class TestSerialization:
         obj["identities"]["1"] = [0]
         R2 = two_ring_from_obj(obj)   # shapes are fine
         assert not validate_two_ring(R2).ok
+
+    @pytest.mark.parametrize("field, key, bad", FIELD_VIOLATIONS, ids=[c[0] for c in FIELD_VIOLATIONS])
+    def test_field_rule_violation_rejected(self, field, key, bad):
+        with pytest.raises(RingShapeError, match="malformed"):
+            two_ring_from_obj(laurent_record_with(field, key, bad))
+
+    @pytest.mark.parametrize("field, key, bad", INTEGER_LOOKALIKES)
+    def test_integral_float_or_bool_rejected(self, field, key, bad):
+        with pytest.raises(RingShapeError, match="malformed"):
+            two_ring_from_obj(laurent_record_with(field, key, bad))
+
+    def test_non_object_record_rejected(self):
+        with pytest.raises(RingShapeError, match="malformed"):
+            two_ring_from_obj([two_ring_to_obj(build_two_ring("laurent_f2_z2"))])
+
+    def test_every_field_has_a_rule(self):
+        obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
+        assert set(TWO_RING_SCHEMA) == set(obj)
+        assert {c[0] for c in FIELD_VIOLATIONS} == set(obj)
 
 
 def component_subspaces(p, dim):
@@ -318,6 +385,71 @@ class TestIdealsAndSpectrum:
             lat = homogeneous_ideals(R2)
             primes = {i for i in lat if is_prime_two(R2, i)}
             assert set(lat.maximal_proper()) <= primes, name
+
+
+def exterior_f2_z2():
+    """F2[x, y]/(x^2, y^2) graded by Z/2: seven ideals, one prime."""
+    return make_multigraded(
+        "exterior_f2_z2", (2,), 2,
+        components={0: ("1", "xy"), 1: ("x", "y")},
+        products={
+            ("x", "x"): None, ("y", "y"): None, ("x", "y"): "xy",
+            ("x", "xy"): None, ("y", "xy"): None, ("xy", "xy"): None,
+        },
+    )
+
+
+# Sorted names of all ideals, the primes and the maximal proper ideals,
+# captured before rings and 2-rings shared one ideal engine.  Each ring
+# and the 2-ring built from it agree entry for entry.
+PINNED_IDEAL_NAMES = {
+    "zero": (["⟨⟩"], [], []),
+    "laurent_f2_z2": (["⟨1⟩", "⟨⟩"], ["⟨⟩"], ["⟨⟩"]),
+    "laurent_f2_z4": (["⟨1⟩", "⟨⟩"], ["⟨⟩"], ["⟨⟩"]),
+    "laurent_f3_z4": (["⟨1⟩", "⟨⟩"], ["⟨⟩"], ["⟨⟩"]),
+    "nilpotent_f2_z2": (["⟨1⟩", "⟨x⟩", "⟨⟩"], ["⟨x⟩"], ["⟨x⟩"]),
+    "dual_laurent_f2_z2": (["⟨e,1⟩", "⟨e⟩", "⟨⟩"], ["⟨e⟩"], ["⟨e⟩"]),
+    "koszul_f3_z2": (["⟨1⟩", "⟨th⟩", "⟨⟩"], ["⟨th⟩"], ["⟨th⟩"]),
+    "doubled_laurent_f2_z2": (["⟨1⟩", "⟨⟩"], ["⟨⟩"], ["⟨⟩"]),
+    "exterior_f2_z2": (
+        ["⟨xy,1⟩", "⟨xy,x+y⟩", "⟨xy,x⟩", "⟨xy,y,x⟩", "⟨xy,y⟩", "⟨xy⟩", "⟨⟩"],
+        ["⟨xy,y,x⟩"],
+        ["⟨xy,y,x⟩"],
+    ),
+}
+
+
+def lattice_names(lattice, is_prime, name):
+    return (
+        sorted(name(i) for i in lattice),
+        sorted(name(i) for i in lattice if is_prime(i)),
+        sorted(name(i) for i in lattice.maximal_proper()),
+    )
+
+
+class TestPinnedIdealNames:
+    @pytest.mark.parametrize("name", [*RING_NAMES, "exterior_f2_z2"])
+    def test_ring_side(self, name):
+        ring = exterior_f2_z2() if name == "exterior_f2_z2" else build_ring(name)
+        got = lattice_names(
+            ring_ideals(ring),
+            lambda i: is_ring_prime(ring, i),
+            lambda i: ideal_name_ring(ring, i),
+        )
+        assert got == PINNED_IDEAL_NAMES[name]
+
+    @pytest.mark.parametrize("name", [*TWO_RING_NAMES, "exterior_f2_z2"])
+    def test_two_ring_side(self, name):
+        if name == "exterior_f2_z2":
+            R2 = two_ring_from_multigraded(exterior_f2_z2())
+        else:
+            R2 = load_two_ring(name)
+        got = lattice_names(
+            homogeneous_ideals(R2),
+            lambda i: is_prime_two(R2, i),
+            lambda i: ideal_name_two(R2, i),
+        )
+        assert got == PINNED_IDEAL_NAMES[name]
 
 
 class TestTranslates:
