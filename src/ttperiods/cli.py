@@ -70,8 +70,7 @@ from .tworing import (
     agreement,
     homogeneous_ideals,
     ideal_name_two,
-    localize,
-    mult_closure_two,
+    localize_with_classes,
     spc,
     validate_tightening,
     validate_two_ring,
@@ -373,12 +372,11 @@ def _cmd_tworing(args) -> int:
     if args.format == "dot":
         raise InputError("localize has no dot form")
     gens = _parse_system(args.system, inputs)
-    system = mult_closure_two(R2, gens)
-    loc = localize(R2, system)
-    diag = validate_two_ring(loc)
+    loc = localize_with_classes(R2, gens)
+    diag = validate_two_ring(loc.datum)
     result = {
-        "system_size": len(system),
-        "localized": two_ring_to_obj(loc),
+        "system_size": len(loc.system),
+        "localized": two_ring_to_obj(loc.datum),
         "diagnosis": _diag_obj(diag),
     }
     _emit(args, inputs, result)

@@ -42,14 +42,11 @@ class CatalogEntry:
         return enumerate_patterns(self.presentation, self.witnesses)
 
 
-def catalog_key(group: "FiniteGroup | str | tuple") -> tuple:
+def catalog_key(group: "FiniteGroup | str | tuple") -> "tuple | None":
+    """The catalog key of a group, name or key; None for a group whose
+    isomorphism type identify does not recognize."""
     if isinstance(group, FiniteGroup):
-        key = identify(group)
-        if key is None:
-            raise GroupNotInCatalog(
-                f"unidentified isomorphism type (order {group.order})"
-            )
-        return key
+        return identify(group)
     if isinstance(group, str):
         return (group,)
     return tuple(group)
@@ -89,7 +86,8 @@ def _p_part(n: int, p: int) -> int:
 
 def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
-    if isinstance(group, FiniteGroup) and identify(group) is None:
+    key = catalog_key(group)
+    if key is None:
         # Unknown isomorphism type: still fine when p is coprime to the
         # order, because then the reduced cohomology is just the field.
         if group.order % p != 0:
@@ -102,7 +100,6 @@ def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry
         raise GroupNotInCatalog(
             f"unidentified isomorphism type (order {group.order}) at p={p}"
         )
-    key = catalog_key(group)
     order = _key_order(key)
     kind = key[0]
     if order % p != 0:

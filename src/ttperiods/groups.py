@@ -1,16 +1,20 @@
 """Small permutation groups: subgroup lattices, Weyl groups, Sylow theory.
 
 Everything here is exhaustive search over explicitly enumerated elements,
-guarded by an order bound.  Subgroups are plain frozensets of permutations
-inside an ambient FiniteGroup; permutations are tuples of 0-based images.
-The p-subconjugacy order ships with two independent criteria (Sylow
-containment and Mackey index) that are always cross-checked.
+guarded by an order bound.  The public functions speak permutations: tuples
+of 0-based images, and subgroups as plain frozensets of them inside an
+ambient FiniteGroup.  Underneath, each group builds one GroupIndex on first
+use (elements numbered in sorted order, a multiplication table, subgroups as
+int bitmasks), and every function converts at its boundary.  The
+p-subconjugacy order ships with two independent criteria (Sylow containment
+and Mackey index) that are always cross-checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .spaces import is_prime
@@ -38,7 +42,9 @@ def identity(degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q."""
-    return tuple(p[j] for j in q)
+    if len(q) == 1:
+        return (p[q[0]],)
+    return itemgetter(*q)(p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -61,17 +67,6 @@ def perm_order(p: Perm) -> int:
             length += 1
         order = math.lcm(order, length)
     return order
-
-
-def perm_power(p: Perm, n: int) -> Perm:
-    result = identity(len(p))
-    base = p
-    while n:
-        if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
-    return result
 
 
 def mulclose(gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND) -> frozenset[Perm]:
@@ -144,20 +139,25 @@ class FiniteGroup:
         self.generators = tuple(gens)
         self.name = name
         self.elements = mulclose(gens or [identity(degree)], order_bound)
+        self._index: "GroupIndex | None" = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def index(self) -> "GroupIndex":
+        """The group's regular representation, built on first use."""
+        if self._index is None:
+            self._index = GroupIndex(self)
+        return self._index
+
     def has_subgroup(self, H: frozenset[Perm]) -> bool:
-        if not H <= self.elements or identity(self.degree) not in H:
-            return False
-        return all(compose(a, b) in H for a in H for b in H)
+        return self.index.subgroup(H) is not None
 
     def require_subgroup(self, H: frozenset[Perm]) -> frozenset[Perm]:
         H = frozenset(H)
-        if not self.has_subgroup(H):
-            raise NotSubgroup(sorted(H)[:3])
+        self.index.require(H)
         return H
 
     def __eq__(self, other) -> bool:
@@ -175,34 +175,257 @@ class FiniteGroup:
         return f"<{tag}: order {self.order} on {self.degree} points>"
 
 
+# -- the indexed kernel ------------------------------------------------
+
+class Sub:
+    """A subgroup inside a GroupIndex: bitmask over element numbers, its
+    elements, and a generating set."""
+
+    __slots__ = ("mask", "elems", "gens")
+
+    def __init__(self, mask: int, elems: tuple[int, ...], gens: tuple[int, ...]):
+        self.mask = mask
+        self.elems = elems
+        self.gens = gens
+
+    def __contains__(self, x: int) -> bool:
+        return bool(self.mask >> x & 1)
+
+    @property
+    def order(self) -> int:
+        return len(self.elems)
+
+
+def _mask(elems: Iterable[int]) -> int:
+    m = 0
+    for x in elems:
+        m |= 1 << x
+    return m
+
+
+def _canon(sub: Sub):
+    """Sort key matching (order, sorted permutations) on frozensets."""
+    return (len(sub.elems), sorted(sub.elems))
+
+
+class GroupIndex:
+    """Regular representation of a FiniteGroup (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005).
+
+    Elements are numbered 0..n-1 in sorted order, so the identity is 0 and
+    the least permutation of a set is its least number.  table[a][b] is the
+    number of a after b; inv and orders are per element; cyclic lists one
+    Sub per cyclic subgroup, generated by its least generator.  The table is
+    filled along the breadth-first tree of the generators, so it costs one
+    composition per element and generator; everything else is lookups.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        perms = sorted(G.elements)
+        n = len(perms)
+        pos = {x: i for i, x in enumerate(perms)}
+        gens = sorted({pos[g] for g in G.generators} - {0})
+        # right[g][x] is x after g; parent[y] = (x, g) with y = x after g.
+        right = {g: [0] * n for g in gens}
+        parent: dict[int, tuple[int, int]] = {}
+        tree = [0]
+        for x in tree:
+            px = perms[x]
+            for g in gens:
+                y = pos[compose(px, perms[g])]
+                right[g][x] = y
+                if y and y not in parent:
+                    parent[y] = (x, g)
+                    tree.append(y)
+        # Column b lists a after b for every a; b = x after g gives
+        # a after b = (a after x) after g.
+        cols: list = [None] * n
+        cols[0] = list(range(n))
+        for b in tree[1:]:
+            x, g = parent[b]
+            rg = right[g]
+            cols[b] = [rg[v] for v in cols[x]]
+        self.perms = perms
+        self.pos = pos
+        self.gens = tuple(gens)
+        self.table = list(zip(*cols))
+        self.inv = [row.index(0) for row in self.table]
+        self.orders, self.cyclic = self._cyclic_subgroups()
+        self._conj: "list | None" = None
+
+    @property
+    def n(self) -> int:
+        return len(self.perms)
+
+    def _cyclic_subgroups(self) -> tuple[list[int], list[Sub]]:
+        n, table = self.n, self.table
+        orders = [1] * n
+        covered = [False] * n
+        covered[0] = True
+        cyclic = []
+        for x in range(n):
+            if covered[x]:
+                continue
+            powers, y = [x], x
+            while y:
+                y = table[y][x]
+                powers.append(y)
+            m = len(powers)
+            for k, z in enumerate(powers, 1):
+                d = math.gcd(k, m)
+                orders[z] = m // d
+                if d == 1:
+                    covered[z] = True
+            cyclic.append(Sub(_mask(powers), tuple(powers), (x,)))
+        return orders, cyclic
+
+    # -- conversion at the permutation boundary --
+
+    def frozen(self, sub: Sub) -> frozenset[Perm]:
+        perms = self.perms
+        return frozenset(perms[i] for i in sub.elems)
+
+    def subgroup(self, H: Iterable[Perm]) -> "Sub | None":
+        """The Sub on the given permutations, or None if they are not a
+        subgroup of the group (closure is checked on every call)."""
+        try:
+            target = _mask(self.pos[x] for x in H)
+        except KeyError:
+            return None
+        sub = self.span(target)
+        return sub if sub.mask == target else None
+
+    def require(self, H: Iterable[Perm]) -> Sub:
+        H = frozenset(H)
+        sub = self.subgroup(H)
+        if sub is None:
+            raise NotSubgroup(sorted(H)[:3])
+        return sub
+
+    # -- closures --
+
+    def trivial(self) -> Sub:
+        return Sub(1, (0,), ())
+
+    def whole(self) -> Sub:
+        return Sub((1 << self.n) - 1, tuple(range(self.n)), self.gens)
+
+    def extend(self, H: Sub, x: int) -> Sub:
+        """The subgroup generated by H and x, one left coset of H at a
+        time (Dimino's algorithm)."""
+        if H.mask >> x & 1:
+            return H
+        table = self.table
+        gens = H.gens + (x,)
+        mask, elems, reps = H.mask, list(H.elems), [0]
+        for r in reps:
+            for t in gens:
+                y = table[t][r]
+                if not mask >> y & 1:
+                    row = table[y]
+                    for h in H.elems:
+                        z = row[h]
+                        mask |= 1 << z
+                        elems.append(z)
+                    reps.append(y)
+        return Sub(mask, tuple(elems), gens)
+
+    def span(self, target: int) -> Sub:
+        """Greedy closure of the elements of a mask, in increasing order.
+
+        Stops as soon as the closure leaves the mask, so the result equals
+        the mask exactly when the mask is a subgroup; its generators are
+        the elements that enlarged it.
+        """
+        sub = self.trivial()
+        rest = target & ~1
+        while rest:
+            low = rest & -rest
+            sub = self.extend(sub, low.bit_length() - 1)
+            if sub.mask & ~target:
+                return sub
+            rest &= ~sub.mask
+        return sub
+
+    # -- conjugation --
+
+    def conj(self) -> list:
+        """conj()[g][x] is g x g^-1, built on first use."""
+        if self._conj is None:
+            table, inv = self.table, self.inv
+            self._conj = [
+                [table[y][gi] for y in table[g]]
+                for g, gi in enumerate(inv)
+            ]
+        return self._conj
+
+    def conjugate(self, g: int, H: Sub) -> Sub:
+        table, gi = self.table, self.inv[g]
+        row = table[g]
+        elems = tuple(table[row[h]][gi] for h in H.elems)
+        gens = tuple(table[row[h]][gi] for h in H.gens)
+        return Sub(_mask(elems), elems, gens)
+
+    def normalizer(self, H: Sub) -> list[int]:
+        """Elements g with g H g^-1 = H; checking H's generators suffices."""
+        table, inv, mask = self.table, self.inv, H.mask
+        out = []
+        for g in range(self.n):
+            row, gi = table[g], inv[g]
+            if all(mask >> table[row[h]][gi] & 1 for h in H.gens):
+                out.append(g)
+        return out
+
+    def subgroups(self) -> list[Sub]:
+        """Every subgroup: each one is a join of cyclic subgroups, so
+        extending by one cyclic generator at a time reaches them all."""
+        found = {1: self.trivial()}
+        for c in self.cyclic:
+            found.setdefault(c.mask, c)
+        work = list(found.values())
+        for H in work:
+            for c in self.cyclic:
+                J = self.extend(H, c.gens[0])
+                if J.mask not in found:
+                    found[J.mask] = J
+                    work.append(J)
+        return sorted(found.values(), key=_canon)
+
+    def sylow(self, H: Sub, p: int) -> Sub:
+        """A Sylow p-subgroup of H, grown greedily over H's p-elements in
+        increasing order; maximal p-subgroups are Sylow."""
+        orders = self.orders
+        P = self.trivial()
+        for x in sorted(H.elems):
+            if x in P or not _is_p_power(orders[x], p):
+                continue
+            Q = self.extend(P, x)
+            if _is_p_power(Q.order, p):
+                P = Q
+        return P
+
+
+def _is_p_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def conjugate_subgroup(g: Perm, H: frozenset[Perm]) -> frozenset[Perm]:
     gi = inverse(g)
     return frozenset(compose(g, compose(h, gi)) for h in H)
 
 
-def _canon(H: frozenset[Perm]):
-    return (len(H), tuple(sorted(H)))
-
-
 def subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
-    """Every subgroup, via cyclic subgroups and pairwise joins."""
-    bound = G.order
-    found: set[frozenset[Perm]] = {frozenset({identity(G.degree)})}
-    for x in G.elements:
-        found.add(mulclose([x], bound))
-    while True:
-        fresh: set[frozenset[Perm]] = set()
-        pool = sorted(found, key=_canon)
-        for i, A in enumerate(pool):
-            for B in pool[i + 1 :]:
-                if A <= B or B <= A:
-                    continue
-                J = mulclose(list(A | B), bound)
-                if J not in found:
-                    fresh.add(J)
-        if not fresh:
-            return sorted(found, key=_canon)
-        found |= fresh
+    """Every subgroup, ordered by (order, sorted elements)."""
+    ix = G.index
+    return [ix.frozen(H) for H in ix.subgroups()]
+
+
+def small_generators(G: FiniteGroup, H: frozenset[Perm]) -> list[Perm]:
+    """A generating set of the subgroup H, chosen greedily in sorted order."""
+    ix = G.index
+    return [ix.perms[x] for x in ix.require(H).gens]
 
 
 @dataclass(frozen=True)
@@ -217,23 +440,36 @@ class SubgroupClass:
 
 def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
     """Conjugacy classes of subgroups, deterministically ordered."""
-    remaining = set(subgroups(G))
+    ix = G.index
+    subs = ix.subgroups()
+    remaining = {H.mask for H in subs}
     classes = []
-    while remaining:
-        H = min(remaining, key=_canon)
-        orbit = {conjugate_subgroup(g, H) for g in G.elements}
-        if not orbit <= remaining:
+    for H in subs:
+        if H.mask not in remaining:
+            continue
+        # Orbit under conjugation by the generators of G.
+        orbit = {H.mask: H}
+        work = [H]
+        for K in work:
+            for g in ix.gens:
+                L = ix.conjugate(g, K)
+                if L.mask not in orbit:
+                    orbit[L.mask] = L
+                    work.append(L)
+        if not orbit.keys() <= remaining:
             raise GroupError("conjugation left the subgroup lattice")
-        remaining -= orbit
-        ordered = tuple(sorted(orbit, key=_canon))
-        classes.append(SubgroupClass(min(orbit, key=_canon), ordered))
-    classes.sort(key=lambda c: _canon(c.representative))
+        remaining -= orbit.keys()
+        ordered = sorted(orbit.values(), key=_canon)
+        classes.append(
+            SubgroupClass(ix.frozen(ordered[0]), tuple(ix.frozen(K) for K in ordered))
+        )
     return classes
 
 
 def normalizer(G: FiniteGroup, H: frozenset[Perm]) -> frozenset[Perm]:
-    H = G.require_subgroup(H)
-    return frozenset(g for g in G.elements if conjugate_subgroup(g, H) == H)
+    ix = G.index
+    perms = ix.perms
+    return frozenset(perms[g] for g in ix.normalizer(ix.require(H)))
 
 
 def is_normal(G: FiniteGroup, H: frozenset[Perm]) -> bool:
@@ -245,25 +481,31 @@ def is_dedekind(G: FiniteGroup) -> bool:
 
 
 def weyl_group(G: FiniteGroup, H: frozenset[Perm]) -> FiniteGroup:
-    """N_G(H)/H acting on the left cosets of H inside the normalizer."""
-    H = G.require_subgroup(H)
-    N = normalizer(G, H)
-    cosets: list[frozenset[Perm]] = []
-    for n in sorted(N):
-        coset = frozenset(compose(n, h) for h in H)
-        if coset not in cosets:
-            cosets.append(coset)
-    cosets.sort(key=lambda c: min(c))
-    index = {c: i for i, c in enumerate(cosets)}
-    reps = [min(c) for c in cosets]
+    """N_G(H)/H acting on the left cosets of H inside the normalizer.
 
-    def image(n: Perm) -> Perm:
-        return tuple(
-            index[frozenset(compose(compose(n, r), h) for h in H)] for r in reps
-        )
-
-    gens = sorted({image(n) for n in N})
-    W = FiniteGroup(max(len(cosets), 1), gens or [identity(len(cosets))])
+    Cosets are numbered by their least element.  W is generated by the
+    images of a greedy generating set of N modulo H.
+    """
+    ix = G.index
+    table = ix.table
+    sub = ix.require(H)
+    N = ix.normalizer(sub)
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for x in N:
+        if x not in coset_of:
+            row = table[x]
+            for h in sub.elems:
+                coset_of[row[h]] = len(reps)
+            reps.append(x)
+    gens = []
+    grown = sub
+    for x in N:
+        if x not in grown:
+            grown = ix.extend(grown, x)
+            row = table[x]
+            gens.append(tuple(coset_of[row[r]] for r in reps))
+    W = FiniteGroup(len(reps), gens)
     W.name = name_for_key(identify(W))
     return W
 
@@ -284,11 +526,11 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_abelian(G: FiniteGroup) -> bool:
-    els = sorted(G.elements)
+    """Generators commute pairwise."""
+    ix = G.index
+    table, gens = ix.table, ix.gens
     return all(
-        compose(a, b) == compose(b, a)
-        for i, a in enumerate(els)
-        for b in els[i + 1 :]
+        table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
     )
 
 
@@ -296,7 +538,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     """Invariant factor chain d1 | d2 | ... for an abelian group."""
     if not is_abelian(G):
         raise GroupError("abelian invariants of a nonabelian group")
-    e = identity(G.degree)
+    orders = G.index.orders
     primary: dict[int, list[int]] = {}
     for p in _prime_factors(G.order):
         # Count solutions of x^(p^j) = 1; the p-adic valuations of the
@@ -304,7 +546,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
         valuations = [0]
         j = 1
         while True:
-            c = sum(1 for x in G.elements if perm_power(x, p**j) == e)
+            c = sum(1 for o in orders if p**j % o == 0)
             v = 0
             while c % p == 0:
                 c //= p
@@ -341,12 +583,12 @@ def identify(G: FiniteGroup) -> "tuple | None":
         if len(inv) == 1:
             return ("cyclic", inv[0])
         p = inv[0]
-        if all(d == p for d in inv) and len(_prime_factors(p)) == 1:
+        if all(d == p for d in inv) and is_prime(p):
             return ("elem_abelian", p, len(inv))
         return ("abelian", inv)
-    involutions = sum(1 for x in G.elements if perm_order(x) == 2)
-    if involutions == 1 and n % 4 == 0 and n >= 8:
-        if any(perm_order(x) == n // 2 for x in G.elements):
+    orders = G.index.orders
+    if orders.count(2) == 1 and n % 4 == 0 and n >= 8:
+        if n // 2 in orders:
             return ("quaternion", n)
     if n == 8:
         return ("dihedral", 8)
@@ -374,45 +616,47 @@ def name_for_key(key: "tuple | None") -> "str | None":
 
 # -- Sylow theory and the p-subconjugacy order --------------------------
 
-def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
-    """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow."""
+def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    els = H.elements if isinstance(H, FiniteGroup) else frozenset(H)
-    degree = len(next(iter(els)))
-    P = frozenset({identity(degree)})
-    p_elements = sorted(x for x in els if set(_prime_factors(perm_order(x))) <= {p})
-    grown = True
-    while grown:
-        grown = False
-        for x in p_elements:
-            if x in P:
-                continue
-            Q = mulclose(list(P) + [x], len(els))
-            if set(_prime_factors(len(Q))) <= {p} and Q <= els:
-                P = Q
-                grown = True
-                break
-    return P
+
+
+def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
+    """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow."""
+    _require_prime(p)
+    if not isinstance(H, FiniteGroup):
+        els = sorted(H)
+        H = FiniteGroup(len(els[0]), els)
+    ix = H.index
+    return ix.frozen(ix.sylow(ix.whole(), p))
 
 
 def p_subconjugate_sylow(
     G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
 ) -> bool:
     """Some conjugate of a Sylow p-subgroup of H lies in the second group."""
-    H, Hp = G.require_subgroup(H), G.require_subgroup(Hp)
-    S = sylow(H, p)
-    return any(conjugate_subgroup(g, S) <= Hp for g in sorted(G.elements))
+    _require_prime(p)
+    ix = G.index
+    sub, target = ix.require(H), ix.require(Hp).mask
+    S = ix.sylow(sub, p)
+    # g S g^-1 lies in the subgroup Hp once S's generators land there.
+    return any(
+        all(target >> row[s] & 1 for s in S.gens) for row in ix.conj()
+    )
 
 
 def p_subconjugate_mackey(
     G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
 ) -> bool:
     """Some double-coset intersection has index in H prime to p."""
-    H, Hp = G.require_subgroup(H), G.require_subgroup(Hp)
-    for g in sorted(G.elements):
-        K = H & conjugate_subgroup(g, Hp)
-        if (len(H) // len(K)) % p != 0:
+    ix = G.index
+    sub, target = ix.require(H), ix.require(Hp).mask
+    conj, inv = ix.conj(), ix.inv
+    for g in range(ix.n):
+        # H meets g Hp g^-1 in the h with g^-1 h g in Hp.
+        row = conj[inv[g]]
+        k = sum(1 for h in sub.elems if target >> row[h] & 1)
+        if (sub.order // k) % p != 0:
             return True
     return False
 
@@ -435,6 +679,7 @@ def p_equivalence_classes(
     Also certifies the bijection with conjugacy classes of p-subgroups
     that sends a block to the class of its members' Sylow p-subgroups.
     """
+    ix = G.index
     classes = subgroup_classes(G)
     n = len(classes)
     le = [[False] * n for _ in range(n)]
@@ -450,12 +695,12 @@ def p_equivalence_classes(
         for j in block:
             assigned[j] = True
         blocks.append(block)
-    p_classes = [c for c in classes if set(_prime_factors(c.order)) <= {p}]
+    p_classes = [c for c in classes if _is_p_power(c.order, p)]
     sylow_class: list[int] = []
     for block in blocks:
         hits = set()
         for j in block:
-            S = sylow(classes[j].representative, p)
+            S = ix.frozen(ix.sylow(ix.require(classes[j].representative), p))
             for k, c in enumerate(p_classes):
                 if S in c.conjugates:
                     hits.add(k)

@@ -32,6 +32,7 @@ from .groups import (
     identify,
     name_for_key,
     p_subconjugate,
+    small_generators,
     subgroup_classes,
     weyl_group,
     _prime_factors,
@@ -113,13 +114,14 @@ def stmod_discrepancies(
     disagree, and each one maps to (derived, stated) in the result
     instead of being silently adopted or dropped.
     """
-    if isinstance(group, FiniteGroup) and identify(group) is None:
+    key = catalog_key(group)
+    if key is None:
         return {}
-    stated = STATED_STMOD.get((catalog_key(group), p))
+    stated = STATED_STMOD.get((key, p))
     if stated is None:
         return {}
     named, default = stated
-    model, per = stmod_period_map(group, p)
+    model, per = stmod_period_map(key, p)
     out = {}
     for q in model.space.points:
         want = named.get(q, default)
@@ -160,7 +162,7 @@ def _label_suffix(k: int) -> str:
 def _stratum_labels(G: FiniteGroup, classes: list[SubgroupClass]) -> list[str]:
     base = []
     for cls in classes:
-        sub = FiniteGroup(G.degree, sorted(cls.representative))
+        sub = FiniteGroup(G.degree, small_generators(G, cls.representative))
         base.append(name_for_key(identify(sub)) or f"H{cls.order}")
     counts = {b: base.count(b) for b in base}
     seen: dict[str, int] = {}
@@ -227,10 +229,11 @@ def dperm_period_map(
     (tagged paper-dataset); otherwise the Weyl value is only an upper
     divisor bound and is tagged as such, never asserted as the period.
     """
+    group_name = name_for_key(identify(G))
     if overrides is None:
         from .datasets import dperm_overrides
 
-        overrides = dperm_overrides(name_for_key(identify(G)), p)
+        overrides = dperm_overrides(group_name, p)
     strata = dperm_strata(G, p)
     points: dict[str, tuple[str, str]] = {}
     edges = []
@@ -270,7 +273,7 @@ def dperm_period_map(
             if name not in closed and v == 0:
                 raise ModelError(f"non-closed point {name} not periodic in a p-group")
     return DPermAssembly(
-        group_name=name_for_key(identify(G)) or f"order{G.order}",
+        group_name=group_name or f"order{G.order}",
         prime=p,
         strata=tuple(strata),
         space=space,

@@ -178,6 +178,14 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["result"]["group"] == "D8"
 
+    def test_c4_squared_is_refused_not_read_as_elementary(self, capsys, tmp_path):
+        obj = {"degree": 8, "generators": [[[1, 2, 3, 4]], [[5, 6, 7, 8]]]}
+        path = write_json(tmp_path, "c4xc4.json", obj)
+        code, out, err = run(capsys, "group", "stmod", "--group", path, "--prime", "2")
+        assert code == 2
+        assert out == ""
+        assert "(4, 4)" in err
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "group", "dperm", "--group", "X99", "--prime", "2")
         assert code == 2
@@ -266,6 +274,24 @@ class TestTworing:
         )
         assert code == 0
         assert json.loads(out)["result"]["diagnosis"]["ok"] is True
+
+    def test_localize_closes_the_system_once(self, capsys, monkeypatch):
+        from ttperiods import tworing
+
+        calls = []
+        original = tworing.mult_closure_two
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tworing, "mult_closure_two", counted)
+        code, out, _ = run(
+            capsys, "tworing", "localize", "--input", "laurent_f2_z2"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["result"]["system_size"] > 0
 
     def test_unknown_input_file(self, capsys):
         code, _, err = run(capsys, "tworing", "spc", "--input", "missing.json")

@@ -1,7 +1,10 @@
 """Permutation-group machinery and the p-subconjugacy order."""
 
+import hashlib
+
 import pytest
 
+from ttperiods.cohomology import GroupNotInCatalog, cohomology_entry
 from ttperiods.groups import (
     FiniteGroup,
     GroupError,
@@ -29,12 +32,15 @@ from ttperiods.groups import (
     perm_order,
     perm_to_cycles,
     quaternion,
+    small_generators,
     subgroup_classes,
     subgroups,
     sylow,
     symmetric,
     weyl_group,
+    _prime_factors,
 )
+from ttperiods.spectra import artin_tower
 
 
 def cyc(degree, *cycles):
@@ -280,6 +286,14 @@ class TestIdentify:
         G = FiniteGroup(6, [two, four])
         assert identify(G) == ("abelian", (2, 4))
 
+    def test_c4_squared_is_not_elementary_abelian(self):
+        G = FiniteGroup(8, [cyc(8, [1, 2, 3, 4]), cyc(8, [5, 6, 7, 8])])
+        assert abelian_invariants(G) == (4, 4)
+        assert identify(G) == ("abelian", (4, 4))
+        assert name_for_key(identify(G)) == "C4xC4"
+        with pytest.raises(GroupNotInCatalog):
+            cohomology_entry(G, 2)
+
     def test_unidentified_returns_none(self):
         assert identify(symmetric(4)) is None
         assert identify(symmetric(3)) is None
@@ -321,3 +335,304 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(GroupError):
             group_from_obj({"generators": [[[1, 2]]]})
+
+
+# -- pinned kernel results ---------------------------------------------
+#
+# Captured from the tuple-by-tuple kernel over the order-<=24 catalog.  Per
+# group: identify key, number of subgroups, and per conjugacy class of
+# subgroups (in subgroup_classes order) "order/class size/normalizer
+# order/Weyl name", runs of equal rows written "row*k".  The verdict digest
+# hashes the Sylow route's verdicts over all ordered subgroup pairs at each
+# prime dividing the order (the Mackey route must agree pair by pair).
+
+
+def _catalog_order_24():
+    out = [cyclic(n) for n in range(1, 25)]
+    out += [dihedral(n) for n in range(4, 25, 2)]
+    out += [quaternion(n) for n in range(8, 25, 4)]
+    out += [elementary_abelian(2, r) for r in (2, 3, 4)]
+    out += [elementary_abelian(3, 2), symmetric(3), symmetric(4)]
+    return out
+
+
+def _class_rows(G):
+    rows = []
+    for c in subgroup_classes(G):
+        H = c.representative
+        row = f"{c.order}/{len(c.conjugates)}/{len(normalizer(G, H))}"
+        row += f"/{weyl_group(G, H).name}"
+        if rows and rows[-1][0] == row:
+            rows[-1][1] += 1
+        else:
+            rows.append([row, 1])
+    return " ".join(r if k == 1 else f"{r}*{k}" for r, k in rows)
+
+
+def _verdict_digest(G):
+    subs = subgroups(G)
+    h = hashlib.sha256()
+    for p in _prime_factors(G.order):
+        bits = []
+        for H in subs:
+            for K in subs:
+                a = p_subconjugate_sylow(G, H, K, p)
+                assert a == p_subconjugate_mackey(G, H, K, p), (G.name, p)
+                bits.append("1" if a else "0")
+        h.update(f"{p}:{''.join(bits)};".encode())
+    return h.hexdigest()[:16]
+
+
+PINNED_LATTICES = {
+    'C1': (('trivial',), 1, '1/1/1/1'),
+    'C2': (('cyclic', 2), 2, '1/1/2/C2 2/1/2/1'),
+    'C3': (('cyclic', 3), 2, '1/1/3/C3 3/1/3/1'),
+    'C4': (('cyclic', 4), 3, '1/1/4/C4 2/1/4/C2 4/1/4/1'),
+    'C5': (('cyclic', 5), 2, '1/1/5/C5 5/1/5/1'),
+    'C6': (('cyclic', 6), 4, '1/1/6/C6 2/1/6/C3 3/1/6/C2 6/1/6/1'),
+    'C7': (('cyclic', 7), 2, '1/1/7/C7 7/1/7/1'),
+    'C8': (('cyclic', 8), 4, '1/1/8/C8 2/1/8/C4 4/1/8/C2 8/1/8/1'),
+    'C9': (('cyclic', 9), 3, '1/1/9/C9 3/1/9/C3 9/1/9/1'),
+    'C10': (('cyclic', 10), 4, '1/1/10/C10 2/1/10/C5 5/1/10/C2 10/1/10/1'),
+    'C11': (('cyclic', 11), 2, '1/1/11/C11 11/1/11/1'),
+    'C12': (
+        ('cyclic', 12),
+        6,
+        '1/1/12/C12 2/1/12/C6 3/1/12/C4 4/1/12/C3 6/1/12/C2 12/1/12/1',
+    ),
+    'C13': (('cyclic', 13), 2, '1/1/13/C13 13/1/13/1'),
+    'C14': (('cyclic', 14), 4, '1/1/14/C14 2/1/14/C7 7/1/14/C2 14/1/14/1'),
+    'C15': (('cyclic', 15), 4, '1/1/15/C15 3/1/15/C5 5/1/15/C3 15/1/15/1'),
+    'C16': (('cyclic', 16), 5, '1/1/16/C16 2/1/16/C8 4/1/16/C4 8/1/16/C2 16/1/16/1'),
+    'C17': (('cyclic', 17), 2, '1/1/17/C17 17/1/17/1'),
+    'C18': (
+        ('cyclic', 18),
+        6,
+        '1/1/18/C18 2/1/18/C9 3/1/18/C6 6/1/18/C3 9/1/18/C2 18/1/18/1',
+    ),
+    'C19': (('cyclic', 19), 2, '1/1/19/C19 19/1/19/1'),
+    'C20': (
+        ('cyclic', 20),
+        6,
+        '1/1/20/C20 2/1/20/C10 4/1/20/C5 5/1/20/C4 10/1/20/C2 20/1/20/1',
+    ),
+    'C21': (('cyclic', 21), 4, '1/1/21/C21 3/1/21/C7 7/1/21/C3 21/1/21/1'),
+    'C22': (('cyclic', 22), 4, '1/1/22/C22 2/1/22/C11 11/1/22/C2 22/1/22/1'),
+    'C23': (('cyclic', 23), 2, '1/1/23/C23 23/1/23/1'),
+    'C24': (
+        ('cyclic', 24),
+        8,
+        '1/1/24/C24 2/1/24/C12 3/1/24/C8 4/1/24/C6 6/1/24/C4 8/1/24/C3 12/1/24/C2 24/1/24/1',
+    ),
+    'D4': (('cyclic', 2), 2, '1/1/2/C2 2/1/2/1'),
+    'D6': (None, 6, '1/1/6/None 2/3/2/1 3/1/6/C2 6/1/6/1'),
+    'D8': (('dihedral', 8), 10, '1/1/8/D8 2/2/4/C2*2 2/1/8/C2^2 4/1/8/C2*3 8/1/8/1'),
+    'D10': (None, 8, '1/1/10/None 2/5/2/1 5/1/10/C2 10/1/10/1'),
+    'D12': (
+        None,
+        16,
+        '1/1/12/None 2/3/4/C2*2 2/1/12/None 3/1/12/C2^2 4/3/4/1 6/1/12/C2*3 12/1/12/1',
+    ),
+    'D14': (None, 10, '1/1/14/None 2/7/2/1 7/1/14/C2 14/1/14/1'),
+    'D16': (
+        None,
+        19,
+        '1/1/16/None 2/4/4/C2*2 2/1/16/D8 4/2/8/C2*2 4/1/16/C2^2 8/1/16/C2*3 16/1/16/1',
+    ),
+    'D18': (None, 16, '1/1/18/None 2/9/2/1 3/1/18/None 6/3/6/1 9/1/18/C2 18/1/18/1'),
+    'D20': (
+        None,
+        22,
+        '1/1/20/None 2/5/4/C2*2 2/1/20/None 4/5/4/1 5/1/20/C2^2 10/1/20/C2*3 20/1/20/1',
+    ),
+    'D22': (None, 14, '1/1/22/None 2/11/2/1 11/1/22/C2 22/1/22/1'),
+    'D24': (
+        None,
+        34,
+        '1/1/24/None 2/6/4/C2*2 2/1/24/None 3/1/24/D8 4/3/8/C2*2 4/1/24/None 6/2/12/C2*2 6/1/24/C2^2 8/3/8/1 12/1/24/C2*3 24/1/24/1',
+    ),
+    'Q8': (('quaternion', 8), 6, '1/1/8/Q8 2/1/8/C2^2 4/1/8/C2*3 8/1/8/1'),
+    'Q12': (
+        ('quaternion', 12),
+        8,
+        '1/1/12/Q12 2/1/12/None 3/1/12/C4 4/3/4/1 6/1/12/C2 12/1/12/1',
+    ),
+    'Q16': (
+        ('quaternion', 16),
+        11,
+        '1/1/16/Q16 2/1/16/D8 4/1/16/C2^2 4/2/8/C2*2 8/1/16/C2*3 16/1/16/1',
+    ),
+    'Q20': (
+        ('quaternion', 20),
+        10,
+        '1/1/20/Q20 2/1/20/None 4/5/4/1 5/1/20/C4 10/1/20/C2 20/1/20/1',
+    ),
+    'Q24': (
+        ('quaternion', 24),
+        18,
+        '1/1/24/Q24 2/1/24/None 3/1/24/Q8 4/1/24/None 4/3/8/C2*2 6/1/24/C2^2 8/3/8/1 12/1/24/C2*3 24/1/24/1',
+    ),
+    'C2^2': (('elem_abelian', 2, 2), 5, '1/1/4/C2^2 2/1/4/C2*3 4/1/4/1'),
+    'C2^3': (('elem_abelian', 2, 3), 16, '1/1/8/C2^3 2/1/8/C2^2*7 4/1/8/C2*7 8/1/8/1'),
+    'C2^4': (
+        ('elem_abelian', 2, 4),
+        67,
+        '1/1/16/C2^4 2/1/16/C2^3*15 4/1/16/C2^2*35 8/1/16/C2*15 16/1/16/1',
+    ),
+    'C3^2': (('elem_abelian', 3, 2), 6, '1/1/9/C3^2 3/1/9/C3*4 9/1/9/1'),
+    'S3': (None, 6, '1/1/6/None 2/3/2/1 3/1/6/C2 6/1/6/1'),
+    'S4': (
+        None,
+        30,
+        '1/1/24/None 2/6/4/C2 2/3/8/C2^2 3/4/6/C2 4/3/8/C2 4/1/24/None 4/3/8/C2 6/4/6/1 8/3/8/1 12/1/24/C2 24/1/24/1',
+    ),
+}
+PINNED_VERDICT_DIGESTS = {
+    'C1': 'e3b0c44298fc1c14',
+    'C2': 'f5b754c9803cf746',
+    'C3': '911d791da6168732',
+    'C4': '82a613edcf29fdf8',
+    'C5': '536862cfa0466435',
+    'C6': '4d7336e582362a41',
+    'C7': 'afb5782393c12e97',
+    'C8': '864a206bf7a42b7f',
+    'C9': '21af23ebcc9b9078',
+    'C10': '67e73c216477cacf',
+    'C11': '1107a78e92a73372',
+    'C12': '22b0df491688fed0',
+    'C13': '007361c30d8a4a29',
+    'C14': '0624703e9f38273e',
+    'C15': 'c5cbf3822f86b359',
+    'C16': '2b24760d33defb5b',
+    'C17': 'f9465efaa2a8c6d3',
+    'C18': 'a62b7d30a41f3ee3',
+    'C19': '538a26eee7d73758',
+    'C20': '8b5c91e2eb053d21',
+    'C21': 'a6d3a3e2bb68ccb3',
+    'C22': '5c02ec73d4fee459',
+    'C23': '1b6d7cbe67a3d113',
+    'C24': 'f75bd8606b8981a2',
+    'D4': 'f5b754c9803cf746',
+    'D6': '76c9f59529f884d6',
+    'D8': '773cfa61d0b5e657',
+    'D10': '145ed3590bd7cc72',
+    'D12': '2ba3c0a5bf945182',
+    'D14': 'ee3c17986a7e5f26',
+    'D16': '5705e983ab34c11b',
+    'D18': 'd6585e484c2066c3',
+    'D20': 'bc3a86be6c5dedd1',
+    'D22': 'f5f8c0f8961e1450',
+    'D24': '53c39214f59b0aa6',
+    'Q8': '78cad670f6c8bf7b',
+    'Q12': 'ad37b092f8cd993f',
+    'Q16': '8922294dd9dac505',
+    'Q20': '7b67edd4bc99b074',
+    'Q24': '7b41b1756d744591',
+    'C2^2': '375730d5e5a6799e',
+    'C2^3': '1ea5521a52c3482c',
+    'C2^4': '8980761efe0ffbce',
+    'C3^2': 'ef05bad5dd1c22f1',
+    'S3': '76c9f59529f884d6',
+    'S4': 'be5ccb3c521ef46a',
+}
+
+
+CATALOG_24 = _catalog_order_24()
+
+
+class TestPinnedKernel:
+    def test_catalog_names_are_pinned(self):
+        assert [G.name for G in CATALOG_24] == list(PINNED_LATTICES)
+
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_lattice(self, G):
+        key, count, rows = PINNED_LATTICES[G.name]
+        assert identify(G) == key
+        assert len(subgroups(G)) == count
+        assert _class_rows(G) == rows
+
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_verdict_digest(self, G):
+        assert _verdict_digest(G) == PINNED_VERDICT_DIGESTS[G.name]
+
+    @pytest.mark.parametrize("p,depth", [(3, 5), (7, 3)])
+    def test_deep_towers_match_closed_form(self, p, depth):
+        rep = artin_tower(p, depth)
+        want = {f"m{j}": 0 for j in range(depth + 1)}
+        want.update({f"s{j}": 2 for j in range(1, depth + 1)})
+        assert dict(rep.chain_periods.values) == want
+
+
+class TestIndex:
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_table_axioms(self, G):
+        ix = G.index
+        n, table, inv = G.order, ix.table, ix.inv
+        assert ix.perms == sorted(G.elements)
+        assert ix.perms[0] == identity(G.degree)
+        assert list(table[0]) == list(range(n))
+        assert [row[0] for row in table] == list(range(n))
+        for x in range(n):
+            assert table[x][inv[x]] == 0 == table[inv[x]][x]
+        for a in range(n):
+            ra = table[a]
+            for b in range(n):
+                ab, rb = ra[b], table[b]
+                for c in range(n):
+                    assert table[ab][c] == ra[rb[c]]
+
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_table_matches_tuples(self, G):
+        ix = G.index
+        for a, pa in enumerate(ix.perms):
+            for b, pb in enumerate(ix.perms):
+                assert ix.perms[ix.table[a][b]] == compose(pa, pb)
+        assert ix.orders == [perm_order(x) for x in ix.perms]
+        assert [ix.perms[i] for i in ix.inv] == [inverse(x) for x in ix.perms]
+
+    def test_index_is_built_once_per_group(self):
+        G = dihedral(8)
+        assert G.index is G.index
+        assert dihedral(8).index is not G.index
+
+    def test_subgroup_check_on_every_call(self):
+        G = symmetric(3)
+        assert G.has_subgroup(mulclose([cyc(3, [1, 2])]))
+        assert not G.has_subgroup(frozenset({cyc(3, [1, 2])}))
+        assert not G.has_subgroup(frozenset({identity(3), cyc(3, [1, 2]), cyc(3, [2, 3])}))
+        assert not G.has_subgroup(frozenset())
+        assert not G.has_subgroup(frozenset({identity(4)}))
+        with pytest.raises(NotSubgroup):
+            G.require_subgroup(frozenset({cyc(3, [1, 2, 3])}))
+
+    @pytest.mark.parametrize("G", [symmetric(4), dihedral(24), elementary_abelian(2, 4)])
+    def test_small_generators(self, G):
+        for H in subgroups(G):
+            gens = small_generators(G, H)
+            assert mulclose(gens or [identity(G.degree)]) == H
+            assert 2 ** len(gens) <= len(H)
+
+    def test_weyl_group_has_few_generators(self):
+        G = cyclic(125)
+        W = weyl_group(G, frozenset({identity(125)}))
+        assert W.order == 125 and W.name == "C125"
+        assert len(W.generators) == 1
+
+
+class TestWorkCount:
+    """Compositions of permutation tuples, counted rather than timed."""
+
+    def test_tower_compositions(self, monkeypatch):
+        import ttperiods.groups as groups_module
+
+        count = [0]
+        original = groups_module.compose
+
+        def counted(p, q):
+            count[0] += 1
+            return original(p, q)
+
+        monkeypatch.setattr(groups_module, "compose", counted)
+        rep = artin_tower(5, 3)
+        assert dict(rep.chain_periods.values)["s3"] == 2
+        assert 0 < count[0] < 5000

@@ -295,6 +295,46 @@ class TestDPermPeriodMap:
         assert named == sorted(asm.space.points)
 
 
+class TestOneIdentifyPerCall:
+    """Each entry point identifies its own group once and passes the key on."""
+
+    @staticmethod
+    def _count(monkeypatch, G):
+        from ttperiods import cohomology, groups, spectra
+
+        calls = []
+
+        def counted(H):
+            if H is G:
+                calls.append(1)
+            return groups.identify(H)
+
+        monkeypatch.setattr(cohomology, "identify", counted)
+        monkeypatch.setattr(spectra, "identify", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "G,p", [(dihedral(8), 2), (symmetric(3), 5), (quaternion(8), 2)]
+    )
+    def test_cohomology_entry(self, monkeypatch, G, p):
+        calls = self._count(monkeypatch, G)
+        cohomology_entry(G, p)
+        assert len(calls) == 1
+
+    def test_dperm_period_map(self, monkeypatch):
+        G = dihedral(8)
+        calls = self._count(monkeypatch, G)
+        asm = dperm_period_map(G, 2)
+        assert asm.group_name == "D8"
+        assert len(calls) == 1
+
+    def test_stmod_discrepancies(self, monkeypatch):
+        G = cyclic(8)
+        calls = self._count(monkeypatch, G)
+        assert stmod_discrepancies(G, 2) == {}
+        assert len(calls) == 1
+
+
 class TestClosedPointMembership:
     def test_q8_c4_in_very_closed(self):
         G = quaternion(8)
