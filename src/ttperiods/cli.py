@@ -3,7 +3,9 @@
 Reports are canonical JSON (sorted keys, fixed layout), so identical
 inputs give byte-identical output.  Exit code 0 means every executed
 check passed, 1 means some diagnosis failed, 2 means the input itself
-was unusable.
+was unusable: the library raised a UsageError, or this module an
+InputError.  Each handler imports the layers it runs, so a command loads
+only those.
 """
 
 from __future__ import annotations
@@ -15,95 +17,31 @@ import re
 import sys
 from pathlib import Path
 
-from .cohomology import GroupNotInCatalog
-from .comparison import (
-    ComparisonError,
-    central_loc_pullback,
-    central_localization,
-    comp_map,
-    divisor_constraint,
-    homeo_onto_image,
-    is_ample,
-    table_from_obj,
-    transfer_periods,
-)
-from .datasets import UnknownDataset, load_figure_dataset, load_figure_record
-from .diagnostics import Diagnosis
-from .graded import (
-    GradedError,
-    PrimePattern,
-    enumerate_patterns,
-    local_period,
-    ring_from_obj,
-    spech_to_obj,
-    validate_presentation,
-)
-from .groups import (
-    FiniteGroup,
-    GroupError,
-    cyclic,
-    dihedral,
-    elementary_abelian,
-    group_from_obj,
-    quaternion,
-    symmetric,
-)
-from .multigraded import RingShapeError, SizeBound
+from .diagnostics import Diagnosis, UsageError
 from .spaces import (
-    ModelError,
+    TAG_COMPUTED,
     dumps_canonical,
     model_from_obj,
     model_to_dot,
     model_to_obj,
 )
-from .spectra import (
-    TAG_COMPUTED,
-    artin_tower,
-    dperm_period_map,
-    stmod_discrepancies,
-    stmod_period_map,
-)
-from .tworing import (
-    BadShapes,
-    NotSubmonoid,
-    ShapeMismatch,
-    agreement,
-    homogeneous_ideals,
-    ideal_name_two,
-    localize_with_classes,
-    spc,
-    validate_tightening,
-    validate_two_ring,
-)
-from .tworing_catalog import (
-    TIGHTENING_NAMES,
-    TWO_RING_NAMES,
-    build_tightening,
-    load_two_ring,
-    two_ring_from_obj,
-    two_ring_to_obj,
-)
+
+
+def __getattr__(name: str):
+    """The shipped 2-ring and tightening names, read from the catalog only
+    when asked for, so that commands which never use it do not load it."""
+    if name in ("TWO_RING_NAMES", "TIGHTENING_NAMES"):
+        from . import tworing_catalog
+
+        return getattr(tworing_catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InputError(Exception):
     pass
 
 
-_MODULE_ERRORS = (
-    GradedError,
-    ModelError,
-    GroupError,
-    GroupNotInCatalog,
-    RingShapeError,
-    SizeBound,
-    BadShapes,
-    ShapeMismatch,
-    NotSubmonoid,
-    ComparisonError,
-    UnknownDataset,
-    ValueError,
-    KeyError,
-)
+_MODULE_ERRORS = (UsageError, ValueError, KeyError)
 
 
 # -- input plumbing ----------------------------------------------------
@@ -164,6 +102,8 @@ def _stem(spec: str, fallback: str) -> str:
 # -- ring --------------------------------------------------------------
 
 def _parse_witnesses(obj):
+    from .graded import PrimePattern
+
     if not isinstance(obj, dict) or "witnesses" not in obj:
         return None
     out = []
@@ -176,6 +116,9 @@ def _parse_witnesses(obj):
 
 
 def _cmd_ring(args) -> int:
+    from .graded import enumerate_patterns, local_period, ring_from_obj, spech_to_obj
+    from .graded import validate_presentation
+
     obj, digest = _load_json_source(args.input)
     inputs = {args.input: digest}
     ring = ring_from_obj(obj)
@@ -207,31 +150,35 @@ def _cmd_ring(args) -> int:
 
 # -- group -------------------------------------------------------------
 
-_NAME_FORMS = (
-    (re.compile(r"C(\d+)\^(\d+)\Z"), lambda m: elementary_abelian(int(m[1]), int(m[2]))),
-    (re.compile(r"C(\d+)\Z"), lambda m: cyclic(int(m[1]))),
-    (re.compile(r"D(\d+)\Z"), lambda m: dihedral(int(m[1]))),
-    (re.compile(r"Q(\d+)\Z"), lambda m: quaternion(int(m[1]))),
-    (re.compile(r"S(\d+)\Z"), lambda m: symmetric(int(m[1]))),
-)
-
-
 def _resolve_group(text: str, inputs: dict):
     """A constructible group, or the bare name for catalog lookup."""
+    from .groups import cyclic, dihedral, elementary_abelian, group_from_obj
+    from .groups import quaternion, symmetric
+
     if text == "-" or text.endswith(".json"):
         obj, digest = _load_json_source(text)
         inputs[text] = digest
         return group_from_obj(obj)
     if text == "1":
         return cyclic(1)
-    for pattern, build in _NAME_FORMS:
-        m = pattern.match(text)
+    for pattern, build in (
+        (r"C(\d+)\^(\d+)", elementary_abelian),
+        (r"C(\d+)", cyclic),
+        (r"D(\d+)", dihedral),
+        (r"Q(\d+)", quaternion),
+        (r"S(\d+)", symmetric),
+    ):
+        m = re.fullmatch(pattern, text)
         if m:
-            return build(m)
+            return build(*(int(n) for n in m.groups()))
     return text
 
 
 def _cmd_group(args) -> int:
+    from .graded import spech_to_obj
+    from .groups import FiniteGroup
+    from .spectra import dperm_period_map, stmod_discrepancies, stmod_period_map
+
     inputs: dict = {}
     G = _resolve_group(args.group, inputs)
     if args.action == "dperm":
@@ -275,6 +222,8 @@ def _cmd_group(args) -> int:
 # -- tower -------------------------------------------------------------
 
 def _cmd_tower(args) -> int:
+    from .spectra import artin_tower
+
     rep = artin_tower(args.prime, args.depth)
     name = f"tower_{args.prime}_{args.depth}"
     if args.format == "dot":
@@ -303,6 +252,9 @@ def _cmd_tower(args) -> int:
 # -- tworing -----------------------------------------------------------
 
 def _load_two_ring_arg(spec: str, inputs: dict):
+    from .tworing_catalog import TWO_RING_NAMES, load_two_ring, two_ring_from_obj
+    from .tworing_catalog import two_ring_to_obj
+
     if spec != "-" and spec in TWO_RING_NAMES and not Path(spec).exists():
         R2 = load_two_ring(spec)
         inputs[spec] = _digest_of(two_ring_to_obj(R2))
@@ -327,6 +279,10 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
 
 
 def _cmd_tworing(args) -> int:
+    from .tworing import agreement, homogeneous_ideals, ideal_name_two, localize_with_classes
+    from .tworing import spc, validate_tightening, validate_two_ring
+    from .tworing_catalog import TIGHTENING_NAMES, build_tightening, two_ring_to_obj
+
     inputs: dict = {}
     if args.action == "agree":
         if args.input not in TIGHTENING_NAMES:
@@ -386,6 +342,11 @@ def _cmd_tworing(args) -> int:
 # -- compare -----------------------------------------------------------
 
 def _cmd_compare(args) -> int:
+    from .comparison import central_loc_pullback, central_localization, comp_map
+    from .comparison import divisor_constraint, homeo_onto_image, is_ample
+    from .comparison import table_from_obj, transfer_periods
+    from .graded import ring_from_obj
+
     sobj, sdig = _load_json_source(args.space)
     robj, rdig = _load_json_source(args.ring)
     tobj, tdig = _load_json_source(args.sections)
@@ -430,6 +391,8 @@ def _cmd_compare(args) -> int:
 # -- figure ------------------------------------------------------------
 
 def _cmd_figure(args) -> int:
+    from .datasets import load_figure_dataset, load_figure_record
+
     rec = load_figure_record(args.name)
     model, per = load_figure_dataset(args.name)
     if args.format == "json":

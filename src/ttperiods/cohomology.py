@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagnostics import UsageError
 from .graded import (
     GradedRingPresentation,
     PrimePattern,
@@ -18,10 +19,10 @@ from .graded import (
     enumerate_patterns,
     make_ring,
 )
-from .groups import FiniteGroup, identify
+from .groups import FiniteGroup, identify, require_prime
 
 
-class GroupNotInCatalog(Exception):
+class GroupNotInCatalog(UsageError):
     """No cohomology entry for this group type at this prime."""
 
 
@@ -86,6 +87,7 @@ def _p_part(n: int, p: int) -> int:
 
 def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
+    require_prime(p)
     key = catalog_key(group)
     if key is None:
         # Unknown isomorphism type: still fine when p is coprime to the

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnosis, PASS, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure
 from .graded import GradedRingPresentation, PrimePattern, SpechModel, local_period
 from .spaces import FiniteSpectralModel, PeriodAssignment, _values, divides
 
 MAX_POINTS = 16
 
 
-class ComparisonError(Exception):
+class ComparisonError(UsageError):
     pass
 
 

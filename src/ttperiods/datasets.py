@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
+from .diagnostics import UsageError
 from .spaces import (
     FiniteSpectralModel,
     ModelError,
@@ -46,7 +47,7 @@ DATASET_NAMES = ("stmod_d8", "dperm_q8", "dperm_d8", "ratm_r")
 OVERRIDES_FILE = "dperm_overrides.json"
 
 
-class UnknownDataset(KeyError):
+class UnknownDataset(UsageError, KeyError):
     pass
 
 

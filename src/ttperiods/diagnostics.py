@@ -1,9 +1,18 @@
-"""Shared diagnosis value for validators that report rather than raise."""
+"""Shared diagnosis value for validators that report rather than raise,
+and the one base class of the errors that mean the input was unusable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+
+class UsageError(Exception):
+    """The input cannot be used: the command line exits 2, not 1.
+
+    Every error class the package defines derives from this one, so a
+    new error cannot fall through to a traceback by accident.
+    """
 
 
 @dataclass(frozen=True)

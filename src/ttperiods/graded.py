@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure
 from .spaces import ALL, FiniteSpectralModel, divides, is_prime
 
 
-class GradedError(Exception):
+class GradedError(UsageError):
     """Malformed ring or pattern data."""
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from .diagnostics import UsageError
 from .spaces import is_prime
 
 DEFAULT_ORDER_BOUND = 384
@@ -24,7 +25,7 @@ DEFAULT_ORDER_BOUND = 384
 Perm = tuple[int, ...]
 
 
-class GroupError(Exception):
+class GroupError(UsageError):
     """Malformed group data or failed internal cross-check."""
 
 
@@ -120,7 +121,13 @@ def perm_to_cycles(p: Perm) -> list[list[int]]:
 
 
 class FiniteGroup:
-    """Permutation group on {0..degree-1}, closed on construction."""
+    """Permutation group on {0..degree-1}, closed on construction.
+
+    ``name`` is a display name and ``key`` the catalog key of the
+    isomorphism type, each set by whoever built the group and knows it
+    (weyl_group identifies W once and sets both); ``key`` stays None
+    otherwise.
+    """
 
     def __init__(
         self,
@@ -138,6 +145,7 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
+        self.key: "tuple | None" = None
         self.elements = mulclose(gens or [identity(degree)], order_bound)
         self._index: "GroupIndex | None" = None
 
@@ -484,7 +492,8 @@ def weyl_group(G: FiniteGroup, H: frozenset[Perm]) -> FiniteGroup:
     """N_G(H)/H acting on the left cosets of H inside the normalizer.
 
     Cosets are numbered by their least element.  W is generated by the
-    images of a greedy generating set of N modulo H.
+    images of a greedy generating set of N modulo H.  W.key and W.name
+    come from one identify call.
     """
     ix = G.index
     table = ix.table
@@ -506,7 +515,8 @@ def weyl_group(G: FiniteGroup, H: frozenset[Perm]) -> FiniteGroup:
             row = table[x]
             gens.append(tuple(coset_of[row[r]] for r in reps))
     W = FiniteGroup(len(reps), gens)
-    W.name = name_for_key(identify(W))
+    W.key = identify(W)
+    W.name = name_for_key(W.key)
     return W
 
 
@@ -616,14 +626,15 @@ def name_for_key(key: "tuple | None") -> "str | None":
 
 # -- Sylow theory and the p-subconjugacy order --------------------------
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
+    """Refuse a modulus that is not prime, naming it."""
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
 
 
 def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
     """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow."""
-    _require_prime(p)
+    require_prime(p)
     if not isinstance(H, FiniteGroup):
         els = sorted(H)
         H = FiniteGroup(len(els[0]), els)
@@ -635,7 +646,7 @@ def p_subconjugate_sylow(
     G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
 ) -> bool:
     """Some conjugate of a Sylow p-subgroup of H lies in the second group."""
-    _require_prime(p)
+    require_prime(p)
     ix = G.index
     sub, target = ix.require(H), ix.require(Hp).mask
     S = ix.sylow(sub, p)

@@ -15,17 +15,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure
 from .spaces import FiniteSpectralModel, is_prime
 
 MAX_COMPONENT_DIM = 3
 
 
-class SizeBound(Exception):
+class SizeBound(UsageError):
     """Enumeration would exceed the configured finite limits."""
 
 
-class RingShapeError(Exception):
+class RingShapeError(UsageError):
     """Structurally malformed ring data (bad tables, unknown names)."""
 
 

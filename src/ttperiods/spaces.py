@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure
 
 # Sentinel for "every nonnegative integer", the one infinite open we need.
 ALL = "all"
 
 
-class ModelError(Exception):
+class ModelError(UsageError):
     """Malformed model or assignment data."""
 
 
@@ -199,6 +199,10 @@ class FiniteSpectralModel:
 
     def __repr__(self) -> str:
         return f"FiniteSpectralModel({len(self.points)} points)"
+
+
+# Provenance tag of a period derived by the engine itself.
+TAG_COMPUTED = "computed"
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,14 @@ from .groups import (
     identify,
     name_for_key,
     p_subconjugate,
+    require_prime,
     small_generators,
     subgroup_classes,
     weyl_group,
     _prime_factors,
 )
 from .spaces import (
+    TAG_COMPUTED,
     FiniteSpectralModel,
     ModelError,
     PeriodAssignment,
@@ -46,7 +48,6 @@ from .spaces import (
     tower_period,
 )
 
-TAG_COMPUTED = "computed"
 TAG_DATASET = "paper-dataset"
 TAG_BOUND = "bound"
 
@@ -185,7 +186,8 @@ def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
     for cls, label in zip(classes, labels):
         W = weyl_group(G, cls.representative)
         try:
-            variety, rep = rep_period_map(W, p)
+            # The key weyl_group found; an unidentified W goes by itself.
+            variety, rep = rep_period_map(W.key or W, p)
         except GroupNotInCatalog as exc:
             raise WeylNotInCatalog(f"stratum {label}: {exc}") from exc
         strata.append(
@@ -229,6 +231,7 @@ def dperm_period_map(
     (tagged paper-dataset); otherwise the Weyl value is only an upper
     divisor bound and is tagged as such, never asserted as the period.
     """
+    require_prime(p)
     group_name = name_for_key(identify(G))
     if overrides is None:
         from .datasets import dperm_overrides
@@ -337,6 +340,7 @@ def artin_tower(p: int, N: int) -> TowerReport:
     Weyl group grows through the whole tower.  Every matched sequence is
     certified by the eventual-value check before it is reported.
     """
+    require_prime(p)
     if not 0 <= N <= 6:
         raise ValueError("tower height must be between 0 and 6")
     levels = _cyclic_tower_levels(p, N)

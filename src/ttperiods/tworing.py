@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .diagnostics import Diagnosis, PASS, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure
 from .multigraded import (
     MAX_COMPONENT_DIM,
     AbelianGroup,
@@ -50,15 +50,15 @@ from .spaces import FiniteSpectralModel, is_prime
 MAX_OBJECTS = 12
 
 
-class BadShapes(Exception):
+class BadShapes(UsageError):
     """Morphism endpoints do not fit the requested operation."""
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(UsageError):
     """Tightening data whose shapes do not match the 2-ring."""
 
 
-class NotSubmonoid(Exception):
+class NotSubmonoid(UsageError):
     """Restriction set is not a submonoid of the grading group."""
 
 

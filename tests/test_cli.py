@@ -1,7 +1,11 @@
 """Front-end behavior: exit codes, report shapes, DOT output, determinism."""
 
+import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import resources
@@ -10,13 +14,17 @@ from pathlib import Path
 import pytest
 
 import ttperiods
+from ttperiods import cli, tworing_catalog
 from ttperiods.cli import main
+from ttperiods.diagnostics import UsageError
 from ttperiods.graded import make_ring, ring_to_obj
 from ttperiods.groups import dihedral, group_to_obj
 from ttperiods.sections_catalog import write_all as write_section_files
 from ttperiods.spaces import dumps_canonical
 from ttperiods.tworing_catalog import build_two_ring, two_ring_to_obj
 
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "perfbench" / "golden_cli.json").read_text(encoding="utf-8"))
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -186,6 +194,16 @@ class TestGroup:
         assert out == ""
         assert "(4, 4)" in err
 
+    @pytest.mark.parametrize(
+        "action,group,prime",
+        [("stmod", "C8", "4"), ("stmod", "C6", "9"), ("stmod", "C8", "0"), ("dperm", "D8", "4")],
+    )
+    def test_non_prime_is_refused(self, capsys, action, group, prime):
+        code, out, err = run(capsys, "group", action, "--group", group, "--prime", prime)
+        assert code == 2
+        assert out == ""
+        assert f"{prime} is not prime" in err
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "group", "dperm", "--group", "X99", "--prime", "2")
         assert code == 2
@@ -208,6 +226,12 @@ class TestTower:
         code, _, err = run(capsys, "tower", "--prime", "2", "--depth", "9")
         assert code == 2
         assert "ValueError" in err
+
+    def test_non_prime_is_refused(self, capsys):
+        code, out, err = run(capsys, "tower", "--prime", "4", "--depth", "2")
+        assert code == 2
+        assert out == ""
+        assert "4 is not prime" in err
 
 
 class TestTworing:
@@ -402,14 +426,61 @@ class TestUsage:
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_import_loads_no_jsonschema(self):
+        """A fresh process loads only the layers its command runs."""
         src = str(Path(ttperiods.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
-        probe = "import sys, ttperiods.cli; print('jsonschema' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        probe = (
+            "import contextlib, io, json, sys, ttperiods.cli\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ttperiods.cli.main(argv) if argv else 0\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+
+        def loaded(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, json.dumps(argv)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, modules = json.loads(proc.stdout)
+            assert code == 0, proc.stderr
+            assert "jsonschema" not in modules
+            return {m.split(".", 1)[1] for m in modules if m.startswith("ttperiods.")}
+
+        assert loaded() == {"cli", "diagnostics", "spaces"}
+        ring = resources.files("ttperiods").joinpath("data", "sections", "d8_ring.json")
+        layers = loaded("ring", "periods", "--input", str(ring))
+        assert not layers & {"groups", "spectra", "tworing", "multigraded", "comparison"}
+        layers = loaded("tworing", "ideals", "--input", "zero")
+        assert not layers & {"groups", "graded"}
+        assert cli.TWO_RING_NAMES == tworing_catalog.TWO_RING_NAMES
+        assert cli.TIGHTENING_NAMES == tworing_catalog.TIGHTENING_NAMES
+
+    def test_every_package_error_is_a_usage_error(self):
+        """Each error class the package defines exits 2, never as a traceback."""
+        found = []
+        for info in pkgutil.iter_modules(ttperiods.__path__):
+            module = importlib.import_module(f"ttperiods.{info.name}")
+            for cls in vars(module).values():
+                if (
+                    inspect.isclass(cls)
+                    and issubclass(cls, Exception)
+                    and cls.__module__ == module.__name__
+                    and cls is not cli.InputError
+                ):
+                    found.append(cls)
+                    assert issubclass(cls, UsageError), cls.__qualname__
+        assert len(found) >= 20
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_golden_report(self, capsys, monkeypatch, key):
+        """Each benchmark command keeps its exit code and stdout bytes."""
+        monkeypatch.chdir(ROOT)
+        code, out, err = run(capsys, *key.split(" "))
+        want = GOLDEN[key]
+        assert code == want["exit"], err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["stdout_sha256"]
 
     def test_schema_hint_in_help(self, capsys):
         code, out, _ = run(capsys, "ring", "--help")

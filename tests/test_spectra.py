@@ -334,6 +334,25 @@ class TestOneIdentifyPerCall:
         assert stmod_discrepancies(G, 2) == {}
         assert len(calls) == 1
 
+    def test_each_weyl_group_once(self, monkeypatch):
+        from ttperiods import cohomology, groups, spectra
+
+        seen = []
+        real = groups.identify
+
+        def counted(H):
+            seen.append(H)
+            return real(H)
+
+        for module in (groups, cohomology, spectra):
+            monkeypatch.setattr(module, "identify", counted)
+        asm = dperm_period_map(dihedral(8), 2)
+        weyls = [s.weyl for s in asm.strata]
+        assert len(weyls) == 8
+        for W in weyls:
+            assert W.name is not None
+            assert sum(H is W for H in seen) == 1, W.name
+
 
 class TestClosedPointMembership:
     def test_q8_c4_in_very_closed(self):
