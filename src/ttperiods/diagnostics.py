@@ -15,6 +15,10 @@ class UsageError(Exception):
     """
 
 
+class SizeBound(UsageError):
+    """Enumeration would exceed the configured finite limits."""
+
+
 @dataclass(frozen=True)
 class Diagnosis:
     """Outcome of a structural check.

@@ -15,14 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure
+from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure
 from .spaces import FiniteSpectralModel, is_prime
 
 MAX_COMPONENT_DIM = 3
-
-
-class SizeBound(UsageError):
-    """Enumeration would exceed the configured finite limits."""
 
 
 class RingShapeError(UsageError):
@@ -341,10 +337,16 @@ def make_multigraded(
 
 
 def degree_zero_units(ring: MultigradedRing) -> list:
-    """Invertible elements of the degree-zero component."""
+    """Invertible elements of the degree-zero component.
+
+    The zero ring has none by convention, as for homogeneous_units: its one
+    element is both 0 and 1, but it is never listed as a unit.
+    """
     z = ring.group.zero
     one = (z, ring.one)
     out = []
+    if ring.is_zero_ring():
+        return out
     for u in all_vectors(ring.char, ring.dims[z]):
         for v in all_vectors(ring.char, ring.dims[z]):
             if mg_mul(ring, (z, u), (z, v)) == one:
@@ -609,6 +611,11 @@ def spech_multigraded(ring: MultigradedRing):
 
 
 def homogeneous_units(ring: MultigradedRing) -> list:
+    """Homogeneous elements with a two-sided inverse.
+
+    The zero ring has none by convention: its one element is both 0 and 1,
+    but it is never listed as a unit (degree_zero_units agrees).
+    """
     z = ring.group.zero
     one = (z, ring.one)
     out = []

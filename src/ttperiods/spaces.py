@@ -72,120 +72,199 @@ def is_alexandrov_open(ds) -> bool:
     )
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending.
+
+    Scans the binary digits as text, least significant first, so each bit
+    costs one str.find instead of a big-int operation.
+    """
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 class FiniteSpectralModel:
     """Finite poset of named points under specialization.
 
     specializes(p, q) holds when q lies in the closure of {p}; the stored
     relation is the reflexive-transitive closure of the input pairs and
     must be antisymmetric.
+
+    Points are numbered 0..N-1 in sorted order and the relation is kept as
+    one int bitmask per point: bit j of _down[i] is set when i -> j, and bit
+    i of _up[j] likewise.  Public methods take and return point names.
     """
 
     def __init__(self, points: Iterable[str], specializes: Iterable[tuple[str, str]] = ()):
         pts = list(points)
         if len(set(pts)) != len(pts):
             raise ModelError("duplicate point names")
-        self.points: tuple[str, ...] = tuple(sorted(pts))
-        index = set(self.points)
-        down: dict[str, set[str]] = {p: {p} for p in self.points}
+        names = tuple(sorted(pts))
+        index = {p: i for i, p in enumerate(names)}
+        succ: list[set[int]] = [set() for _ in names]
         for a, b in specializes:
             if a not in index or b not in index:
                 raise ModelError(f"edge ({a!r}, {b!r}) mentions an unknown point")
-            down[a].add(b)
-        # Transitive closure; n is tiny so the repeated sweep is fine.
-        changed = True
-        while changed:
-            changed = False
-            for p in self.points:
-                extra = set()
-                for q in down[p]:
-                    extra |= down[q]
-                if not extra <= down[p]:
-                    down[p] |= extra
-                    changed = True
-        for p in self.points:
-            for q in down[p]:
-                if p != q and p in down[q]:
-                    raise ModelError(f"specialization cycle through {p!r} and {q!r}")
-        self._down = {p: frozenset(qs) for p, qs in down.items()}
-        self._up = {
-            p: frozenset(q for q in self.points if p in self._down[q])
-            for p in self.points
-        }
+            if a != b:
+                succ[index[a]].add(index[b])
+        self._set(names, *_close(names, succ))
+
+    def _set(self, names: tuple[str, ...], down: Sequence[int], up: Sequence[int]) -> None:
+        """Install closed down- and up-masks over the sorted point names."""
+        self.points: tuple[str, ...] = names
+        self._index = {p: i for i, p in enumerate(names)}
+        self._down = tuple(down)
+        self._up = tuple(up)
+
+    @classmethod
+    def _from_masks(cls, names, down, up) -> "FiniteSpectralModel":
+        model = cls.__new__(cls)
+        model._set(names, down, up)
+        return model
 
     @classmethod
     def from_inclusions(cls, named_sets: Mapping[str, frozenset]) -> "FiniteSpectralModel":
-        """One point per name; p -> q when the set of p lies strictly inside that of q."""
-        pairs = [(a, b) for a, i in named_sets.items() for b, j in named_sets.items() if i < j]
-        return cls(named_sets, pairs)
+        """One point per name; p -> q when the set of p lies strictly inside that of q.
+
+        Each element's "holder" mask marks the sets containing it.  The sets
+        containing that of p are the AND of the holders of its elements; the
+        sets inside it are those holding no element outside it.  A set equal
+        to that of p under another name lies in both, and stays incomparable.
+        """
+        names = tuple(sorted(named_sets))
+        holders: dict = {}
+        for i, p in enumerate(names):
+            bit = 1 << i
+            for e in named_sets[p]:
+                holders[e] = holders.get(e, 0) | bit
+        full = (1 << len(names)) - 1
+        down, up = [], []
+        for i, p in enumerate(names):
+            s = named_sets[p]
+            supersets = full
+            for e in s:
+                supersets &= holders[e]
+            outside = 0
+            for e, held in holders.items():
+                if e not in s:
+                    outside |= held
+            subsets = full & ~outside
+            bit = 1 << i
+            down.append(supersets & ~subsets | bit)
+            up.append(subsets & ~supersets | bit)
+        return cls._from_masks(names, down, up)
+
+    # -- name <-> mask boundary ----------------------------------------
+
+    def _mask(self, subset: Iterable[str]) -> int:
+        """Mask of a subset of points; ModelError on an unknown name."""
+        index = self._index
+        mask = 0
+        for p in subset:
+            i = index.get(p)
+            if i is None:
+                raise ModelError("subset mentions unknown points")
+            mask |= 1 << i
+        return mask
+
+    def _names(self, mask: int) -> frozenset[str]:
+        points = self.points
+        return frozenset(points[i] for i in _bits(mask))
 
     # -- order ---------------------------------------------------------
 
     def specializes(self, p: str, q: str) -> bool:
-        return q in self._down[p]
+        j = self._index.get(q)
+        return j is not None and bool(self._down[self._index[p]] >> j & 1)
 
     def specializations(self, p: str) -> frozenset[str]:
         """All q with p -> q, i.e. the closure of {p}."""
-        return self._down[p]
+        return self._names(self._down[self._index[p]])
 
     def generalizations(self, p: str) -> frozenset[str]:
         """All q with q -> p; this is the minimal open neighborhood of p."""
-        return self._up[p]
+        return self._names(self._up[self._index[p]])
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
+        down, index = self._down, self._index
+        out = 0
         for p in subset:
-            out |= self._down[p]
-        return frozenset(out)
+            out |= down[index[p]]
+        return self._names(out)
 
     def generalization_closure(self, subset: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
+        up, index = self._up, self._index
+        out = 0
         for p in subset:
-            out |= self._up[p]
-        return frozenset(out)
+            out |= up[index[p]]
+        return self._names(out)
 
     def is_open(self, subset: Iterable[str]) -> bool:
-        sub = frozenset(subset)
-        if not sub <= set(self.points):
-            raise ModelError("subset mentions unknown points")
-        return all(self._up[p] <= sub for p in sub)
+        sub = self._mask(subset)
+        up = self._up
+        return not any(up[i] & ~sub for i in _bits(sub))
 
     def is_closed(self, subset: Iterable[str]) -> bool:
-        sub = frozenset(subset)
-        if not sub <= set(self.points):
-            raise ModelError("subset mentions unknown points")
-        return all(self._down[p] <= sub for p in sub)
+        sub = self._mask(subset)
+        down = self._down
+        return not any(down[i] & ~sub for i in _bits(sub))
 
     def closed_points(self) -> frozenset[str]:
         """Closed points of a finite spectral space: the maximal elements."""
-        return frozenset(p for p in self.points if self._down[p] == frozenset({p}))
+        return frozenset(p for i, p in enumerate(self.points) if self._down[i] == 1 << i)
 
     def open_sets(self) -> list[frozenset[str]]:
         """Every open subset, as unions of minimal open neighborhoods."""
-        opens = {frozenset()}
-        for p in self.points:
-            opens |= {u | self._up[p] for u in opens}
-        return sorted(opens, key=lambda u: (len(u), tuple(sorted(u))))
+        opens = {0}
+        for u_p in self._up:
+            opens |= {u | u_p for u in opens}
+        ordered = sorted(opens, key=lambda u: (u.bit_count(), tuple(_bits(u))))
+        return [self._names(u) for u in ordered]
 
     def cover_pairs(self) -> list[tuple[str, str]]:
-        """Transitive reduction, for emission: p covers q when nothing sits between."""
+        """Transitive reduction, for emission: p covers q when nothing sits between.
+
+        The covers of p are its strict specializations less the OR of the
+        strict specializations of those.  A q already known to lie below
+        adds nothing to that OR and is skipped.  Taking the highest index
+        first only makes skips more likely (pattern names sort a set before
+        the shorter name it extends); the result does not depend on it.
+        Pairs come p ascending, then q ascending.
+        """
+        points, down = self.points, self._down
+        strict = [m ^ (1 << i) for i, m in enumerate(down)]
+        outside = [~m for m in down]
         out = []
-        for p in self.points:
-            for q in sorted(self._down[p] - {p}):
-                if not any(
-                    r != p and r != q and q in self._down[r]
-                    for r in self._down[p] - {p, q}
-                ):
-                    out.append((p, q))
+        for i, s in enumerate(strict):
+            below = 0
+            rest = s
+            while rest:
+                j = rest.bit_length() - 1
+                below |= strict[j]
+                rest &= outside[j]
+            p = points[i]
+            out.extend((p, points[j]) for j in _bits(s & ~below))
         return out
 
     def restrict(self, subset: Iterable[str]) -> "FiniteSpectralModel":
-        sub = frozenset(subset)
-        if not sub <= set(self.points):
-            raise ModelError("subset mentions unknown points")
-        pairs = [
-            (p, q) for p in sub for q in self._down[p] if q != p and q in sub
-        ]
-        return FiniteSpectralModel(sub, pairs)
+        """Induced order on a subset: the closed relation, masked and renumbered."""
+        sub = self._mask(subset)
+        kept = list(_bits(sub))
+        renumber = {i: k for k, i in enumerate(kept)}
+
+        def moved(mask: int) -> int:
+            out = 0
+            for i in _bits(mask & sub):
+                out |= 1 << renumber[i]
+            return out
+
+        return FiniteSpectralModel._from_masks(
+            tuple(self.points[i] for i in kept),
+            [moved(self._down[i]) for i in kept],
+            [moved(self._up[i]) for i in kept],
+        )
 
     # -- equality ------------------------------------------------------
 
@@ -195,10 +274,56 @@ class FiniteSpectralModel:
         return self.points == other.points and self._down == other._down
 
     def __hash__(self) -> int:
-        return hash((self.points, tuple(sorted(self._down.items()))))
+        return hash((self.points, self._down))
 
     def __repr__(self) -> str:
         return f"FiniteSpectralModel({len(self.points)} points)"
+
+
+def _close(names: Sequence[str], succ: list[set[int]]) -> tuple[list[int], list[int]]:
+    """Down- and up-masks of the reflexive-transitive closure of succ.
+
+    succ[i] holds the direct successors of point i.  One topological pass
+    (Kahn's algorithm, sinks first) ORs each point's successors' down-masks
+    into its own, and the reverse pass does the same for up-masks: one OR
+    per edge each way.  Points left over lie on or above a cycle.
+    """
+    n = len(succ)
+    succs = [sorted(js) for js in succ]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for i, js in enumerate(succs):
+        for j in js:
+            preds[j].append(i)
+    pending = [len(js) for js in succs]
+    order = [i for i in range(n) if not pending[i]]
+    for j in order:
+        for i in preds[j]:
+            pending[i] -= 1
+            if not pending[i]:
+                order.append(i)
+    if len(order) < n:
+        # Every point left has a successor left, so walking to the least one
+        # must come round to a point already seen.
+        seen = set()
+        p = next(i for i, c in enumerate(pending) if c)
+        while p not in seen:
+            seen.add(p)
+            p = next(j for j in succs[p] if pending[j])
+        q = next(j for j in succs[p] if pending[j])
+        raise ModelError(f"specialization cycle through {names[p]!r} and {names[q]!r}")
+    down = [0] * n
+    for j in order:
+        m = 1 << j
+        for k in succs[j]:
+            m |= down[k]
+        down[j] = m
+    up = [0] * n
+    for j in reversed(order):
+        m = 1 << j
+        for i in preds[j]:
+            m |= up[i]
+        up[j] = m
+    return down, up
 
 
 # Provenance tag of a period derived by the engine itself.
@@ -235,32 +360,44 @@ def check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
     Both are checked, independently, even though they agree on finite models.
     """
     vals = _values(per)
+    labels = []
     for p in model.points:
         if p not in vals:
             raise MissingLabel(p)
         if vals[p] < 0:
             raise ModelError(f"negative period at {p!r}")
+        labels.append(vals[p])
+    # Points per label value, as masks.
+    level: dict[int, int] = {}
+    for i, v in enumerate(labels):
+        level[v] = level.get(v, 0) | 1 << i
     open_fail = None
-    for d in sorted(v for v in set(vals.values()) if v > 0):
-        sub = {p for p in model.points if divides(vals[p], d)}
-        if not model.is_open(sub):
-            p = next(p for p in sub if not model.generalizations(p) <= sub)
-            g = next(g for g in model.generalizations(p) if g not in sub)
-            open_fail = failure("sublevel-not-open", g, p)
+    for d in sorted(v for v in level if v > 0):
+        sub = 0
+        for v, mask in level.items():
+            if divides(v, d):
+                sub |= mask
+        bad = next((i for i in _bits(sub) if model._up[i] & ~sub), None)
+        if bad is not None:
+            g = next(_bits(model._up[bad] & ~sub))
+            open_fail = failure("sublevel-not-open", model.points[g], model.points[bad])
             break
-    monotone_fail = None
-    for p in model.points:
-        for q in model.specializations(p):
-            if not divides(vals[p], vals[q]):
-                monotone_fail = failure("not-monotone", p, q)
-                break
-        if monotone_fail:
-            break
-    if monotone_fail is not None:
-        return monotone_fail
-    if open_fail is not None:
-        return open_fail
-    return PASS
+    # Per label value v: everything its points specialize to, and the points
+    # whose label v divides; the first must lie inside the second.
+    reach: dict[int, int] = {}
+    for i, v in enumerate(labels):
+        reach[v] = reach.get(v, 0) | model._down[i]
+    allowed: dict[int, int] = {}
+    for v in level:
+        allowed[v] = 0
+        for w, mask in level.items():
+            if divides(v, w):
+                allowed[v] |= mask
+    if any(reach[v] & ~allowed[v] for v in reach):
+        i = next(i for i, v in enumerate(labels) if model._down[i] & ~allowed[v])
+        j = next(_bits(model._down[i] & ~allowed[labels[i]]))
+        return failure("not-monotone", model.points[i], model.points[j])
+    return PASS if open_fail is None else open_fail
 
 
 @dataclass(frozen=True)

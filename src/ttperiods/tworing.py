@@ -18,14 +18,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure
+from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure
 from .multigraded import (
     MAX_COMPONENT_DIM,
     AbelianGroup,
     IdealLattice,
     MultigradedRing,
     RingShapeError,
-    SizeBound,
     all_vectors,
     close_ideal,
     equivalence_classes,

@@ -137,6 +137,40 @@ class TestRing:
         assert {q: per[q] for q in model.points} == obj["periods"]
 
 
+    @staticmethod
+    def monomial_ring_file(n_free):
+        """x0..x{n-1} of degrees 2, 4, 6, a unit u, and the relation x0*x1^2."""
+        ring = make_ring(
+            3,
+            [(f"x{i}", 2 * (i % 3) + 2) for i in range(n_free)] + [("u", 2, True)],
+            [[(1, {"x0": 1, "x1": 2})]],
+        )
+        name = f"free{n_free}.json"
+        Path(name).write_text(dumps_canonical(ring_to_obj(ring)), encoding="utf-8")
+        return name
+
+    def test_large_spectrum_emission_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # 768 patterns; the report names the input path, so it is relative.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "ring", "patterns", "--input", self.monomial_ring_file(10))
+        assert code == 0, err
+        assert len(out) == 447078
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f68d67b1774b793b2c51876a55715cde7c50182c67702a9c11dc7d1efc65a004"
+        )
+
+    def test_pattern_enumeration_is_capped(self, capsys, tmp_path, monkeypatch):
+        from ttperiods.graded import MAX_FREE_GENERATORS
+
+        monkeypatch.chdir(tmp_path)
+        path = self.monomial_ring_file(MAX_FREE_GENERATORS + 1)
+        code, out, err = run(capsys, "ring", "patterns", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("SizeBound: ")
+        assert f"MAX_FREE_GENERATORS = {MAX_FREE_GENERATORS}" in err
+
+
 class TestGroup:
     def test_dperm_q8_dot_colors(self, capsys):
         code, out, _ = run(

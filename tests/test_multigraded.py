@@ -298,6 +298,12 @@ class TestSystemsAndFractions:
         assert units == {"1", "1+e", "u", "u+eu"}
         assert {ring.render(u) for u in degree_zero_units(ring)} == {"1", "1+e"}
 
+    def test_zero_ring_has_no_units(self):
+        # The one element of the zero ring is 1 = 0; neither search lists it.
+        ring = build_ring("zero")
+        assert homogeneous_units(ring) == []
+        assert degree_zero_units(ring) == []
+
     def test_system_closes_units(self):
         ring = build_ring("laurent_f2_z4")
         sys = mult_system_ring(ring)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -299,3 +300,214 @@ def test_strata_locally_closed(mv):
     model, vals = mv
     for d in set(vals.values()):
         assert strata(model, vals, d).locally_closed
+
+
+# -- the frozenset order the bitmask kernel replaced, kept as its oracle ---
+
+class RefModel:
+    """Sweep closure, pairwise inclusions and triple-loop covers, on frozensets."""
+
+    def __init__(self, points, specializes=()):
+        self.points = tuple(sorted(points))
+        down = {p: {p} for p in self.points}
+        for a, b in specializes:
+            down[a].add(b)
+        changed = True
+        while changed:
+            changed = False
+            for p in self.points:
+                extra = set()
+                for q in down[p]:
+                    extra |= down[q]
+                if not extra <= down[p]:
+                    down[p] |= extra
+                    changed = True
+        self.down = {p: frozenset(qs) for p, qs in down.items()}
+        self.up = {p: frozenset(q for q in self.points if p in self.down[q]) for p in self.points}
+        self.acyclic = all(p == q or p not in self.down[q] for p in self.points for q in self.down[p])
+
+    @classmethod
+    def from_inclusions(cls, named_sets):
+        items = named_sets.items()
+        return cls(named_sets, [(a, b) for a, i in items for b, j in items if i < j])
+
+    def cover_pairs(self):
+        out = []
+        for p in self.points:
+            for q in sorted(self.down[p] - {p}):
+                if not any(r != p and r != q and q in self.down[r] for r in self.down[p] - {p, q}):
+                    out.append((p, q))
+        return out
+
+
+def subsets(points):
+    return [frozenset(c) for r in range(len(points) + 1) for c in combinations(points, r)]
+
+
+def assert_agrees(model, ref):
+    assert model.points == ref.points
+    for p in ref.points:
+        assert model.specializations(p) == ref.down[p]
+        assert model.generalizations(p) == ref.up[p]
+        for q in ref.points:
+            assert model.specializes(p, q) == (q in ref.down[p])
+    assert model.cover_pairs() == ref.cover_pairs()
+    assert model.closed_points() == {p for p in ref.points if ref.down[p] == {p}}
+    opens = [u for u in subsets(ref.points) if all(ref.up[p] <= u for p in u)]
+    assert model.open_sets() == sorted(opens, key=lambda u: (len(u), tuple(sorted(u))))
+    for u in subsets(ref.points):
+        assert model.is_open(u) == (u in opens)
+        assert model.is_closed(u) == all(ref.down[p] <= u for p in u)
+        assert model.closure(u) == frozenset().union(*(ref.down[p] for p in u))
+        assert model.generalization_closure(u) == frozenset().union(*(ref.up[p] for p in u))
+        sub = model.restrict(u)
+        sub_ref = RefModel(u, [(p, q) for p in u for q in ref.down[p] if q in u])
+        assert sub.points == sub_ref.points
+        assert all(sub.specializations(p) == sub_ref.down[p] for p in u)
+        assert all(sub.generalizations(p) == sub_ref.up[p] for p in u)
+    same = FiniteSpectralModel(ref.points, [(p, q) for p in ref.points for q in ref.down[p]])
+    assert model == same and hash(model) == hash(same)
+
+
+def assert_verdict_agrees(model, ref, vals):
+    pairs = [(p, q) for p in ref.points for q in ref.down[p]]
+    monotone = all(divides(vals[p], vals[q]) for p, q in pairs)
+    sublevel_open = all(
+        all(ref.up[p] <= sub for p in sub)
+        for d in set(vals.values()) - {0}
+        for sub in [{p for p in ref.points if divides(vals[p], d)}]
+    )
+    diag = check_period_map(model, vals)
+    assert bool(diag) == (monotone and sublevel_open)
+    if not monotone:
+        p, q = diag.detail
+        assert diag.reason == "not-monotone"
+        assert q in ref.down[p] and not divides(vals[p], vals[q])
+    elif not sublevel_open:
+        g, p = diag.detail
+        assert diag.reason == "sublevel-not-open" and g in ref.up[p]
+
+
+NAMES = st.lists(
+    st.text(alphabet="abcxyz⟨⟩,", min_size=1, max_size=3), unique=True, max_size=6
+)
+
+
+@st.composite
+def edge_lists(draw):
+    """Point names in shuffled order and edges along it, sometimes one back."""
+    names = draw(NAMES)
+    order = draw(st.permutations(names))
+    edges = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(i, len(order))
+        if draw(st.integers(0, 2)) == 0
+    ]
+    if len(order) > 1 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.sampled_from(range(len(order))), min_size=2, max_size=2)))
+        edges.append((order[j], order[i]))
+    return names, draw(st.permutations(edges))
+
+
+@st.composite
+def named_families(draw):
+    """Named subsets of a four-element set, duplicates and the empty set allowed."""
+    names = draw(NAMES)
+    pool = subsets(range(4))
+    return {n: draw(st.sampled_from(pool)) for n in names}
+
+
+LABELS = st.sampled_from([0, 1, 2, 3, 4, 6])
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_edge_lists(self, case, data):
+        names, edges = case
+        ref = RefModel(names, edges)
+        if not ref.acyclic:
+            with pytest.raises(ModelError, match="cycle"):
+                FiniteSpectralModel(names, edges)
+            return
+        model = FiniteSpectralModel(names, edges)
+        assert_agrees(model, ref)
+        vals = {p: data.draw(LABELS) for p in names}
+        assert_verdict_agrees(model, ref, vals)
+
+    @settings(max_examples=150, deadline=None)
+    @given(named_families(), st.data())
+    def test_named_families(self, family, data):
+        ref = RefModel.from_inclusions(family)
+        model = FiniteSpectralModel.from_inclusions(family)
+        assert_agrees(model, ref)
+        vals = {p: data.draw(LABELS) for p in family}
+        assert_verdict_agrees(model, ref, vals)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {},
+            {"only": frozenset()},
+            {"a": frozenset({1}), "b": frozenset({1}), "c": frozenset({1, 2}), "e": frozenset()},
+        ],
+        ids=["empty-family", "single-point", "duplicate-sets"],
+    )
+    def test_edge_cases(self, family):
+        assert_agrees(
+            FiniteSpectralModel.from_inclusions(family), RefModel.from_inclusions(family)
+        )
+
+    def test_duplicate_sets_stay_incomparable(self):
+        m = FiniteSpectralModel.from_inclusions({"a": frozenset({1}), "b": frozenset({1})})
+        assert not m.specializes("a", "b") and not m.specializes("b", "a")
+        assert m.cover_pairs() == []
+
+    def test_longer_cycle_and_unknown_point(self):
+        with pytest.raises(ModelError, match="cycle"):
+            FiniteSpectralModel(["a", "b", "c", "d"], [("d", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
+        with pytest.raises(ModelError, match="unknown point"):
+            FiniteSpectralModel(["a", "b"], [("a", "b"), ("b", "z")])
+        with pytest.raises(ModelError, match="unknown points"):
+            chain("a", "b").is_open({"c"})
+
+
+class TestWorkCount:
+    """Set comparisons in from_inclusions, counted rather than timed."""
+
+    def test_from_inclusions_makes_no_set_comparisons(self):
+        count = [0]
+
+        class Counted(frozenset):
+            def __lt__(self, other):
+                count[0] += 1
+                return frozenset.__lt__(self, other)
+
+            def __le__(self, other):
+                count[0] += 1
+                return frozenset.__le__(self, other)
+
+            def issubset(self, other):
+                count[0] += 1
+                return frozenset.issubset(self, other)
+
+        assert Counted({1}) < Counted({1, 2}) and Counted({1}) <= Counted({1})
+        assert Counted({1}).issubset({1}) and count[0] == 3
+        count[0] = 0
+        # The pattern family of x0*x1*x2, x3*x4 and x5*x6*x7*x8 among 11
+        # generators: every set meeting each support, 7 * 3 * 15 * 4 of them.
+        names = [f"x{i}" for i in range(11)]
+        supports = [{"x0", "x1", "x2"}, {"x3", "x4"}, {"x5", "x6", "x7", "x8"}]
+        family = {
+            "⟨" + ",".join(combo) + "⟩": Counted(combo)
+            for r in range(12)
+            for combo in combinations(names, r)
+            if all(support & set(combo) for support in supports)
+        }
+        model = FiniteSpectralModel.from_inclusions(family)
+        assert count[0] == 0
+        assert len(model.points) == 1260
+        # An up-set of the Boolean lattice: the covers of a set add one element.
+        assert len(model.cover_pairs()) == sum(11 - len(s) for s in family.values())
+        assert model.closed_points() == {"⟨" + ",".join(names) + "⟩"}
