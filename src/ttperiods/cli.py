@@ -252,11 +252,11 @@ def _cmd_tower(args) -> int:
 # -- tworing -----------------------------------------------------------
 
 def _load_two_ring_arg(spec: str, inputs: dict):
-    from .tworing_catalog import TWO_RING_NAMES, load_two_ring, two_ring_from_obj
+    from .tworing_catalog import TWO_RING_NAMES, build_two_ring, two_ring_from_obj
     from .tworing_catalog import two_ring_to_obj
 
     if spec != "-" and spec in TWO_RING_NAMES and not Path(spec).exists():
-        R2 = load_two_ring(spec)
+        R2 = build_two_ring(spec)
         inputs[spec] = _digest_of(two_ring_to_obj(R2))
         return R2
     obj, digest = _load_json_source(spec)

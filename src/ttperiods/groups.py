@@ -70,25 +70,36 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def mulclose(gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND) -> frozenset[Perm]:
+def _closure_walk(gens: Iterable[Perm], bound: int) -> tuple[list, dict]:
+    """Breadth-first walk from the identity by right multiplication.
+
+    Returns the elements in the order found, identity first, and right,
+    where right[g][i] is the position in that order of (element i) after g
+    for every generator g other than the identity: one composition per
+    element and generator, and no other.
+    """
     gens = list(gens)
     if not gens:
         raise GroupError("need at least one permutation to close over")
-    degree = len(gens[0])
-    elements = {identity(degree)}
-    frontier = [identity(degree)]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    if len(elements) > bound:
-                        raise OrderBound(bound)
-                    new.append(y)
-        frontier = new
-    return frozenset(elements)
+    e = identity(len(gens[0]))
+    gens = [g for g in dict.fromkeys(gens) if g != e]
+    order = [e]
+    where = {e: 0}
+    cols: list = [(g, []) for g in gens]
+    for x in order:
+        for g, col in cols:
+            y = compose(x, g)
+            j = where.setdefault(y, len(order))
+            if j == len(order):
+                if j == bound:
+                    raise OrderBound(bound)
+                order.append(y)
+            col.append(j)
+    return order, dict(cols)
+
+
+def mulclose(gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND) -> frozenset[Perm]:
+    return frozenset(_closure_walk(gens, bound)[0])
 
 
 def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
@@ -146,7 +157,8 @@ class FiniteGroup:
         self.generators = tuple(gens)
         self.name = name
         self.key: "tuple | None" = None
-        self.elements = mulclose(gens or [identity(degree)], order_bound)
+        self._walk = _closure_walk(gens or [identity(degree)], order_bound)
+        self.elements = frozenset(self._walk[0])
         self._index: "GroupIndex | None" = None
 
     @property
@@ -224,24 +236,28 @@ class GroupIndex:
     the least permutation of a set is its least number.  table[a][b] is the
     number of a after b; inv and orders are per element; cyclic lists one
     Sub per cyclic subgroup, generated by its least generator.  The table is
-    filled along the breadth-first tree of the generators, so it costs one
-    composition per element and generator; everything else is lookups.
+    filled along the breadth-first tree of the generators from the products
+    the group's closure walk already made, so it composes nothing itself.
     """
 
     def __init__(self, G: FiniteGroup):
-        perms = sorted(G.elements)
+        walk, steps = G._walk
+        perms = sorted(walk)
         n = len(perms)
         pos = {x: i for i, x in enumerate(perms)}
-        gens = sorted({pos[g] for g in G.generators} - {0})
+        num = [pos[x] for x in walk]
+        gens = sorted(pos[g] for g in steps)
         # right[g][x] is x after g; parent[y] = (x, g) with y = x after g.
         right = {g: [0] * n for g in gens}
+        for g, col in steps.items():
+            rg = right[pos[g]]
+            for i, j in enumerate(col):
+                rg[num[i]] = num[j]
         parent: dict[int, tuple[int, int]] = {}
         tree = [0]
         for x in tree:
-            px = perms[x]
             for g in gens:
-                y = pos[compose(px, perms[g])]
-                right[g][x] = y
+                y = right[g][x]
                 if y and y not in parent:
                     parent[y] = (x, g)
                     tree.append(y)

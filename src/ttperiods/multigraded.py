@@ -336,25 +336,6 @@ def make_multigraded(
 # -- validation -------------------------------------------------------
 
 
-def degree_zero_units(ring: MultigradedRing) -> list:
-    """Invertible elements of the degree-zero component.
-
-    The zero ring has none by convention, as for homogeneous_units: its one
-    element is both 0 and 1, but it is never listed as a unit.
-    """
-    z = ring.group.zero
-    one = (z, ring.one)
-    out = []
-    if ring.is_zero_ring():
-        return out
-    for u in all_vectors(ring.char, ring.dims[z]):
-        for v in all_vectors(ring.char, ring.dims[z]):
-            if mg_mul(ring, (z, u), (z, v)) == one:
-                out.append((z, u))
-                break
-    return out
-
-
 def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
     """Exhaustive structural check of the ring tables.
 
@@ -384,7 +365,8 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
                 if mg_mul(ring, mg_mul(ring, a, b), c) != mg_mul(ring, a, mg_mul(ring, b, c)):
                     return failure("not_associative", ring.render(a), ring.render(b), ring.render(c))
 
-    units = {e for e in degree_zero_units(ring)}
+    # The associativity above makes a one-sided inverse in R_0 two-sided.
+    units = {u for u in homogeneous_units(ring) if u[0] == z}
     for x in ring.group.elements():
         for y in ring.group.elements():
             t = ring.tau[(x, y)]
@@ -418,7 +400,8 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
 # ring, (src, dst, vec) in a 2-ring.  An ideal is stored as the frozenset
 # of its nonzero members; componentwise these are subspaces closed under
 # the products the caller supplies.  Callers say only how members
-# multiply, how they sort and how they render.
+# multiply, how they sort and how they render.  Multiplicative systems
+# of both kinds are closed here too, by close_multiplicative.
 
 
 def close_ideal(char: int, dims: Mapping, gens: Iterable, products) -> frozenset:
@@ -450,6 +433,28 @@ def close_ideal(char: int, dims: Mapping, gens: Iterable, products) -> frozenset
                         by_comp[prod[:-1]].add(w)
                         changed = True
     return frozenset((*key, v) for key, vs in by_comp.items() for v in vs)
+
+
+def close_multiplicative(gens: Iterable, product, twists=lambda m: ()) -> frozenset:
+    """Smallest set containing gens and closed under product and twists.
+
+    product(a, b) is the product of two members, or None where they do
+    not multiply; twists(m) lists the members reached from m by one unary
+    step.  Each member is taken from the worklist once and combined, in
+    both orders, with every member found before it and with itself, so
+    no pair is multiplied twice.
+    """
+    members = list(dict.fromkeys(gens))
+    seen = set(members)
+    for i, m in enumerate(members):
+        found = [product(m, other) for other in members[: i + 1]]
+        found += [product(other, m) for other in members[:i]]
+        found += twists(m)
+        for c in found:
+            if c is not None and c not in seen:
+                seen.add(c)
+                members.append(c)
+    return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -613,17 +618,19 @@ def spech_multigraded(ring: MultigradedRing):
 def homogeneous_units(ring: MultigradedRing) -> list:
     """Homogeneous elements with a two-sided inverse.
 
-    The zero ring has none by convention: its one element is both 0 and 1,
-    but it is never listed as a unit (degree_zero_units agrees).
+    An inverse of an element of degree x has degree -x, so only partners
+    of that degree are tried.  The zero ring has none by convention: its
+    one element is both 0 and 1, but it is never listed as a unit.
     """
-    z = ring.group.zero
-    one = (z, ring.one)
+    one = (ring.group.zero, ring.one)
     out = []
     if ring.is_zero_ring():
         return out
     for u in ring.homogeneous_elements():
-        for v in ring.homogeneous_elements():
-            if mg_mul(ring, u, v) == one and mg_mul(ring, v, u) == one:
+        x = ring.group.neg(u[0])
+        for vec in all_vectors(ring.char, ring.dims[x]):
+            v = (x, vec)
+            if any(vec) and mg_mul(ring, u, v) == one and mg_mul(ring, v, u) == one:
                 out.append(u)
                 break
     return out
@@ -631,18 +638,8 @@ def homogeneous_units(ring: MultigradedRing) -> list:
 
 def mult_system_ring(ring: MultigradedRing, gens: Iterable = ()) -> frozenset:
     """Close the generators and all homogeneous units under products."""
-    members = set(homogeneous_units(ring))
-    members.update((tuple(x), tuple(v)) for x, v in gens)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                c = mg_mul(ring, a, b)
-                if c not in members:
-                    members.add(c)
-                    changed = True
-    return frozenset(members)
+    members = homogeneous_units(ring) + [(tuple(x), tuple(v)) for x, v in gens]
+    return close_multiplicative(members, lambda a, b: mg_mul(ring, a, b))
 
 
 @dataclass

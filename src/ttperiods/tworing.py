@@ -27,6 +27,7 @@ from .multigraded import (
     RingShapeError,
     all_vectors,
     close_ideal,
+    close_multiplicative,
     equivalence_classes,
     ideal_lattice,
     ideal_name,
@@ -179,8 +180,9 @@ def mor_scale(R2: TwoRingDatum, c: int, f):
     return (f[0], f[1], vec_scale(R2.char, c, f[2]))
 
 
-def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
-    """All invertible morphisms from a to b, cached per datum."""
+def iso_pairs(R2: TwoRingDatum, a, b) -> tuple:
+    """Every invertible morphism from a to b with its inverse, as
+    (f, inverse) pairs, cached per datum."""
     key = ("isos", a, b)
     if key in R2._cache:
         return R2._cache[key]
@@ -189,19 +191,16 @@ def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
     for f in R2.homs(a, b, include_zero=True):
         for g in R2.homs(b, a, include_zero=True):
             if compose(R2, g, f) == ida and compose(R2, f, g) == idb:
-                out.append(f)
+                out.append((f, g))
                 break
     out = tuple(out)
     R2._cache[key] = out
     return out
 
 
-def inverse_of(R2: TwoRingDatum, f):
-    a, b, _ = f
-    for g in R2.homs(b, a, include_zero=True):
-        if compose(R2, g, f) == R2.identity(a) and compose(R2, f, g) == R2.identity(b):
-            return g
-    raise BadShapes(f"{R2.render(f)} is not invertible")
+def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
+    """All invertible morphisms from a to b."""
+    return tuple(f for f, _ in iso_pairs(R2, a, b))
 
 
 def has_iso(R2: TwoRingDatum, a, b) -> bool:
@@ -537,8 +536,8 @@ def lemma_magic_check(R2: TwoRingDatum, a, b, w) -> bool:
     if tw[0] == R2.unit:
         w_unit = tw
     else:
-        e = isomorphisms(R2, tw[0], R2.unit)[0]
-        w_unit = compose(R2, e, compose(R2, tw, inverse_of(R2, e)))
+        e, e_inv = iso_pairs(R2, tw[0], R2.unit)[0]
+        w_unit = compose(R2, e, compose(R2, tw, e_inv))
     return (compose(R2, w, a) == b) == (compose(R2, a, w_unit) == b)
 
 
@@ -839,27 +838,16 @@ def agreement(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
 def mult_closure_two(R2: TwoRingDatum, gens: Iterable = ()) -> frozenset:
     """Smallest morphism class with all isomorphisms, closed under
     composition and twists by every object."""
-    members = set()
-    for a in R2.objects:
-        for b in R2.objects:
-            members.update(isomorphisms(R2, a, b))
-    members.update(tuple(m) for m in gens)
-    changed = True
-    while changed:
-        changed = False
-        for f in list(members):
-            for g in list(members):
-                if g[0] == f[1]:
-                    c = compose(R2, g, f)
-                    if c not in members:
-                        members.add(c)
-                        changed = True
-            for obj in R2.objects:
-                for t in (tensor(R2, R2.identity(obj), f), tensor(R2, f, R2.identity(obj))):
-                    if t not in members:
-                        members.add(t)
-                        changed = True
-    return frozenset(members)
+    members = [f for a in R2.objects for b in R2.objects for f in isomorphisms(R2, a, b)]
+    members += [tuple(m) for m in gens]
+    identities = [R2.identity(o) for o in R2.objects]
+
+    def twists(f):
+        return [tensor(R2, i, f) for i in identities] + [tensor(R2, f, i) for i in identities]
+
+    return close_multiplicative(
+        members, lambda f, g: compose(R2, g, f) if g[0] == f[1] else None, twists
+    )
 
 
 @dataclass
@@ -1183,13 +1171,10 @@ def _identify_fraction(T: Tightening, R2: TwoRingDatum, loc: LocalizedTwoRing, n
     r_leg = tensor(R2, R2.identity(gzinv), phi_apply(T, R2, num))
     gx = T.representatives[T.projection[x]]
     if r_leg[1] != gx:
-        key = ("mediator", r_leg[1], gx)
-        if key not in R2._cache:
-            isos = isomorphisms(R2, r_leg[1], gx)
-            if not isos:
-                raise ShapeMismatch(f"no isomorphism from {r_leg[1]!r} to {gx!r}")
-            R2._cache[key] = isos[0]
-        r_leg = compose(R2, R2._cache[key], r_leg)
+        isos = iso_pairs(R2, r_leg[1], gx)
+        if not isos:
+            raise ShapeMismatch(f"no isomorphism from {r_leg[1]!r} to {gx!r}")
+        r_leg = compose(R2, isos[0][0], r_leg)
     if s_leg not in loc.system:
         raise RingShapeError("identified denominator left the system")
     return loc.class_of_span((R2.unit, gx), (s_leg, r_leg))

@@ -2,24 +2,16 @@
 
 The catalog holds small graded rings over prime fields, the tabulated
 2-rings built from them, and tightening data connecting the two sides.
-Each instance exists both as code (the builders below) and as a checked
-JSON file under data/tworing, so the serialization round trip is part
-of the test surface.
+Every instance is built from code by the builders below; nothing is
+stored on disk.  The JSON record format (two_ring_to_obj and
+two_ring_from_obj, checked field by field against TWO_RING_SCHEMA) is
+how user-supplied 2-rings come in and how reports print them.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-from pathlib import Path
-
 from .multigraded import AbelianGroup, MultigradedRing, RingShapeError, make_multigraded
-from .tworing import (
-    Tightening,
-    TwoRingDatum,
-    two_ring_from_multigraded,
-    validate_two_ring,
-)
+from .tworing import Tightening, TwoRingDatum, two_ring_from_multigraded
 
 __all__ = [
     "RING_NAMES",
@@ -31,8 +23,6 @@ __all__ = [
     "TWO_RING_SCHEMA",
     "two_ring_to_obj",
     "two_ring_from_obj",
-    "load_two_ring",
-    "write_all",
 ]
 
 
@@ -140,7 +130,7 @@ def build_ring(name: str) -> MultigradedRing:
 
 
 def build_two_ring(name: str) -> TwoRingDatum:
-    """Catalog 2-ring rebuilt from code; see load_two_ring for JSON."""
+    """Catalog 2-ring built from code."""
     if name == "doubled_laurent_f2_z2":
         return two_ring_from_multigraded(
             build_ring("laurent_f2_z2"),
@@ -485,48 +475,3 @@ def two_ring_from_obj(obj: dict) -> TwoRingDatum:
         identities=identities,
         symmetry=symmetry,
     )
-
-
-def _data_dir():
-    return resources.files("ttperiods").joinpath("data").joinpath("tworing")
-
-
-def load_two_ring(name: str, check: bool = True) -> TwoRingDatum:
-    """Load a catalog 2-ring from its JSON file and re-validate it."""
-    path = _data_dir().joinpath(f"{name}.json")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise RingShapeError(f"no stored 2-ring named {name!r}")
-    R2 = two_ring_from_obj(json.loads(text))
-    if R2.name != name:
-        raise RingShapeError(f"file {name} declares name {R2.name!r}")
-    if check:
-        diag = validate_two_ring(R2)
-        if not diag:
-            raise RingShapeError(f"stored 2-ring {name}: {diag.describe()}")
-    return R2
-
-
-def write_all(directory: "str | Path | None" = None) -> list[Path]:
-    """Regenerate every catalog JSON file; returns the paths written."""
-    out_dir = (
-        Path(directory)
-        if directory is not None
-        else Path(__file__).parent / "data" / "tworing"
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in TWO_RING_NAMES:
-        R2 = build_two_ring(name)
-        obj = two_ring_to_obj(R2)
-        _check_fields(obj)
-        path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for p in write_all():
-        print(p)

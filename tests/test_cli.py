@@ -351,6 +351,31 @@ class TestTworing:
         assert len(calls) == 1
         assert json.loads(out)["result"]["system_size"] > 0
 
+    @pytest.mark.parametrize(
+        "action, calls", [("ideals", 1), ("spc", 1), ("localize", 2)]
+    )
+    def test_catalog_input_is_validated_once(self, capsys, monkeypatch, action, calls):
+        # localize validates its input and then its result.  Every module
+        # that binds the validator gets the counter, so no call hides.
+        from ttperiods import tworing
+
+        seen = []
+        original = tworing.validate_two_ring
+
+        def counted(R2):
+            seen.append(R2.name)
+            return original(R2)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("ttperiods") and (
+                getattr(module, "validate_two_ring", None) is original
+            ):
+                monkeypatch.setattr(module, "validate_two_ring", counted)
+        code, _, _ = run(capsys, "tworing", action, "--input", "laurent_f3_z4")
+        assert code == 0
+        assert len(seen) == calls
+        assert seen[0] == "laurent_f3_z4"
+
     def test_unknown_input_file(self, capsys):
         code, _, err = run(capsys, "tworing", "spc", "--input", "missing.json")
         assert code == 2
@@ -506,6 +531,20 @@ class TestUsage:
                     found.append(cls)
                     assert issubclass(cls, UsageError), cls.__qualname__
         assert len(found) >= 20
+
+    def test_package_data_globs_match_the_data_files(self):
+        """No dead package-data glob and no data file left out of the wheel."""
+        tomllib = pytest.importorskip("tomllib")
+        config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        globs = config["tool"]["setuptools"]["package-data"]["ttperiods"]
+        package = ROOT / "src" / "ttperiods"
+        shipped = set()
+        for pattern in globs:
+            matched = {p for p in package.glob(pattern) if p.is_file()}
+            assert matched, f"package-data glob {pattern!r} matches no file"
+            shipped |= matched
+        data = {p for p in (package / "data").rglob("*") if p.is_file()}
+        assert sorted(p.relative_to(package) for p in data - shipped) == []
 
     @pytest.mark.parametrize("key", sorted(GOLDEN))
     def test_golden_report(self, capsys, monkeypatch, key):

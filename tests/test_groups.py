@@ -635,4 +635,4 @@ class TestWorkCount:
         monkeypatch.setattr(groups_module, "compose", counted)
         rep = artin_tower(5, 3)
         assert dict(rep.chain_periods.values)["s3"] == 2
-        assert 0 < count[0] < 5000
+        assert 0 < count[0] < 600

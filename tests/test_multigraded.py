@@ -11,7 +11,7 @@ from ttperiods.multigraded import (
     SizeBound,
     additive_span,
     all_vectors,
-    degree_zero_units,
+    close_multiplicative,
     equivalence_classes,
     homogeneous_units,
     ideal_generated_ring,
@@ -291,18 +291,94 @@ class TestIdeals:
         assert ideal_generated_ring(ring, once) == once
 
 
+def exterior_f2_z2():
+    """F2[x, y]/(x^2, y^2) graded by Z/2: degree zero is F2[xy]/(xy)^2."""
+    return make_multigraded(
+        "exterior_f2_z2", (2,), 2,
+        components={0: ("1", "xy"), 1: ("x", "y")},
+        products={
+            ("x", "x"): None, ("y", "y"): None, ("x", "y"): "xy",
+            ("x", "xy"): None, ("y", "xy"): None, ("xy", "xy"): None,
+        },
+    )
+
+
+def reference_degree_zero_units(ring):
+    """Brute-force one-sided inverse search over the degree-zero component,
+    the unit search validate_multigraded once ran on its own."""
+    z = ring.group.zero
+    one = (z, ring.one)
+    out = []
+    if ring.is_zero_ring():
+        return out
+    for u in all_vectors(ring.char, ring.dims[z]):
+        for v in all_vectors(ring.char, ring.dims[z]):
+            if mg_mul(ring, (z, u), (z, v)) == one:
+                out.append((z, u))
+                break
+    return out
+
+
+def reference_closure(members, product):
+    """Naive fixpoint: multiply every pair again until nothing is new."""
+    members = set(members)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(members):
+            for b in list(members):
+                c = product(a, b)
+                if c is not None and c not in members:
+                    members.add(c)
+                    changed = True
+    return frozenset(members)
+
+
+def ring_or_exterior(name):
+    return exterior_f2_z2() if name == "exterior_f2_z2" else build_ring(name)
+
+
 class TestSystemsAndFractions:
     def test_units(self):
         ring = build_ring("dual_laurent_f2_z2")
         units = {ring.render(u) for u in homogeneous_units(ring)}
         assert units == {"1", "1+e", "u", "u+eu"}
-        assert {ring.render(u) for u in degree_zero_units(ring)} == {"1", "1+e"}
+        degree_zero = {ring.render(u) for u in homogeneous_units(ring) if u[0] == (0,)}
+        assert degree_zero == {"1", "1+e"}
 
     def test_zero_ring_has_no_units(self):
-        # The one element of the zero ring is 1 = 0; neither search lists it.
+        # The one element of the zero ring is 1 = 0; the search never lists it.
         ring = build_ring("zero")
         assert homogeneous_units(ring) == []
-        assert degree_zero_units(ring) == []
+
+    @pytest.mark.parametrize("name", [*RING_NAMES, "exterior_f2_z2"])
+    def test_degree_zero_units_match_the_one_sided_search(self, name):
+        ring = ring_or_exterior(name)
+        z = ring.group.zero
+        got = {u for u in homogeneous_units(ring) if u[0] == z}
+        assert got == set(reference_degree_zero_units(ring))
+
+    @pytest.mark.parametrize("name", [*RING_NAMES, "exterior_f2_z2"])
+    def test_system_matches_the_naive_fixpoint(self, name):
+        ring = ring_or_exterior(name)
+        mul = lambda a, b: mg_mul(ring, a, b)
+        units = homogeneous_units(ring)
+        assert mult_system_ring(ring) == reference_closure(units, mul)
+        for e in ring.homogeneous_elements():
+            assert mult_system_ring(ring, [e]) == reference_closure([*units, e], mul)
+
+    def test_closure_multiplies_each_ordered_pair_once(self):
+        ring = build_ring("laurent_f3_z4")
+        calls = []
+
+        def product(a, b):
+            calls.append((a, b))
+            return mg_mul(ring, a, b)
+
+        # t1 and -1 generate the eight elements +-t^k.
+        system = close_multiplicative([((1,), (1,)), ((0,), (2,))], product)
+        assert len(system) == 8
+        assert sorted(calls) == sorted(itertools.product(system, repeat=2))
 
     def test_system_closes_units(self):
         ring = build_ring("laurent_f2_z4")
