@@ -41,7 +41,7 @@ class InputError(Exception):
     pass
 
 
-_MODULE_ERRORS = (UsageError, ValueError, KeyError)
+_MODULE_ERRORS = (UsageError,)
 
 
 # -- input plumbing ----------------------------------------------------

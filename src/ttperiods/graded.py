@@ -467,7 +467,7 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
         return make_ring(
             int(obj["char"]), gens, rels, obj.get("constraint", "koszul")
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GradedError(f"malformed ring object: {exc}") from exc
 
 

@@ -825,6 +825,6 @@ def group_from_obj(obj: Mapping, order_bound: int = DEFAULT_ORDER_BOUND) -> Fini
     try:
         degree = int(obj["degree"])
         gens = [perm_from_cycles(degree, cycles) for cycles in obj["generators"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GroupError(f"malformed group object: {exc}") from exc
     return FiniteGroup(degree, gens, name=obj.get("name"), order_bound=order_bound)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .comparison import SectionTable, make_table, table_to_obj
+from .diagnostics import UsageError
 from .graded import (
     GradedRingPresentation,
     SpechModel,
@@ -37,6 +38,10 @@ __all__ = [
     "stmod_d8_fixture",
     "write_all",
 ]
+
+
+class UnknownFixture(UsageError, KeyError):
+    """No comparison fixture has the given name."""
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURE_BUILDERS))
 
 def build_fixture(name: str) -> ComparisonFixture:
     if name not in _FIXTURE_BUILDERS:
-        raise KeyError(f"unknown comparison fixture {name!r}")
+        raise UnknownFixture(f"unknown comparison fixture {name!r}")
     return _FIXTURE_BUILDERS[name]()
 
 

@@ -38,10 +38,14 @@ class NotStable(ModelError):
     """A tower sequence is not eventually constant in the required form."""
 
 
+class NegativePeriod(ModelError, ValueError):
+    """A period below zero: periods are nonnegative."""
+
+
 def divides(a: int, b: int) -> bool:
     """Divisibility with 0 on top: everything divides 0, 0 divides only 0."""
     if a < 0 or b < 0:
-        raise ValueError("periods are nonnegative")
+        raise NegativePeriod("periods are nonnegative")
     if b == 0:
         return True
     if a == 0:
@@ -64,7 +68,7 @@ def is_alexandrov_open(ds) -> bool:
         return True
     values = set(ds)
     if any(d < 0 for d in values):
-        raise ValueError("periods are nonnegative")
+        raise NegativePeriod("periods are nonnegative")
     if 0 in values:
         return False
     return all(
@@ -457,7 +461,7 @@ def tower_period(point_systems: Sequence[int]) -> int:
     if not seq:
         raise NotStable("empty sequence")
     if any(v < 0 for v in seq):
-        raise ValueError("periods are nonnegative")
+        raise NegativePeriod("periods are nonnegative")
     d = seq[-1]
     if d == 0:
         if any(v != 0 for v in seq):
@@ -495,7 +499,10 @@ def model_from_obj(obj: Mapping) -> tuple[FiniteSpectralModel, PeriodAssignment 
         missing = set(model.points) - set(raw)
         if missing:
             raise MissingLabel(sorted(missing)[0])
-        per = PeriodAssignment({p: int(raw[p]) for p in model.points})
+        try:
+            per = PeriodAssignment({p: int(raw[p]) for p in model.points})
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"malformed periods: {exc}") from exc
     return model, per
 
 

@@ -24,7 +24,7 @@ from .cohomology import (
     catalog_key,
     cohomology_entry,
 )
-from .diagnostics import Diagnosis, PASS, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure
 from .graded import SpechModel, local_period, pattern_name
 from .groups import (
     FiniteGroup,
@@ -50,6 +50,10 @@ from .spaces import (
 
 TAG_DATASET = "paper-dataset"
 TAG_BOUND = "bound"
+
+
+class TowerHeightValueError(UsageError, ValueError):
+    """A tower height outside the supported range."""
 
 
 def rep_period_map(
@@ -342,7 +346,7 @@ def artin_tower(p: int, N: int) -> TowerReport:
     """
     require_prime(p)
     if not 0 <= N <= 6:
-        raise ValueError("tower height must be between 0 and 6")
+        raise TowerHeightValueError("tower height must be between 0 and 6")
     levels = _cyclic_tower_levels(p, N)
     strata: list[TowerStratum] = []
     for j in range(N + 1):

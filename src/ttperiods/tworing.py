@@ -9,7 +9,9 @@ ideals and their primes, a Zariski-style spectrum, twisted-commutation
 oracles, tightening validation against a graded ring, the executable
 ideal correspondence between the two sides, localization by a two-sided
 calculus of fractions, and restriction to a support submonoid.
-Everything is decided by exhaustive enumeration over the finite tables.
+Ideals, primes and inverses are linear algebra on the AlgebraIndex the
+datum shares with graded rings; everything else is decided by
+exhaustive enumeration over the finite tables.
 """
 
 from __future__ import annotations
@@ -22,24 +24,23 @@ from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure
 from .multigraded import (
     MAX_COMPONENT_DIM,
     AbelianGroup,
+    AlgebraIndex,
     IdealLattice,
     MultigradedRing,
     RingShapeError,
     all_vectors,
-    close_ideal,
     close_multiplicative,
     equivalence_classes,
-    ideal_lattice,
-    ideal_name,
     ideal_name_ring,
-    is_prime_ideal,
     is_ring_prime,
+    matrix_invertible,
     mg_mul,
     mult_system_ring,
     prime_spectrum,
     render_combo,
     ring_fractions,
     ring_ideals,
+    solutions,
     validate_multigraded,
     vec_add,
     vec_scale,
@@ -68,7 +69,9 @@ class NotSubmonoid(UsageError):
 # maps basis index i of Hom(a, b) and j of Hom(b, c) to the vector of
 # basis_j composed after basis_i.  tensor_tables[(a, b, c, d)] maps
 # basis i of Hom(a, b) and j of Hom(c, d) to the vector of their tensor
-# inside Hom(a tensor c, b tensor d).
+# inside Hom(a tensor c, b tensor d).  The tables are read into the
+# datum's AlgebraIndex (kept in _cache) on first use; a modified copy
+# made with dataclasses.replace passes _cache={} to get its own.
 
 
 @dataclass
@@ -88,6 +91,13 @@ class TwoRingDatum:
     identities: dict
     symmetry: dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def index(self) -> AlgebraIndex:
+        """Structure constants on numbered bases, built on first use."""
+        if "index" not in self._cache:
+            self._cache["index"] = two_ring_index(self)
+        return self._cache["index"]
 
     def hom_dim(self, a, b) -> int:
         return self.dims.get((a, b), 0)
@@ -132,42 +142,41 @@ def compose(R2: TwoRingDatum, g, f):
     b2, c, v = g
     if b != b2:
         raise BadShapes(f"cannot compose {R2.render(g)} after {R2.render(f)}")
-    p = R2.char
-    out = [0] * R2.hom_dim(a, c)
-    table = R2.compose_tables.get((a, b, c))
-    if table is not None:
-        for i, ci in enumerate(u):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(v):
-                if cj == 0:
-                    continue
-                w = table[i][j]
-                for k in range(len(out)):
-                    out[k] = (out[k] + ci * cj * w[k]) % p
-    return (a, c, tuple(out))
+    found = R2.index.multiply((a, b), (b, c), u, v)
+    return (a, c, found[1] if found else vec_zero(R2.hom_dim(a, c)))
 
 
 def tensor(R2: TwoRingDatum, f, g):
     """Tensor product of two morphisms."""
     a, b, u = f
     c, d, v = g
-    src = R2.tensor_obj[(a, c)]
-    dst = R2.tensor_obj[(b, d)]
-    p = R2.char
-    out = [0] * R2.hom_dim(src, dst)
-    table = R2.tensor_tables.get((a, b, c, d))
-    if table is not None:
-        for i, ci in enumerate(u):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(v):
-                if cj == 0:
-                    continue
-                w = table[i][j]
-                for k in range(len(out)):
-                    out[k] = (out[k] + ci * cj * w[k]) % p
-    return (src, dst, tuple(out))
+    found = R2.index.tensor((a, b), (c, d), u, v)
+    if found is None:
+        src = R2.tensor_obj[(a, c)]
+        dst = R2.tensor_obj[(b, d)]
+        return (src, dst, vec_zero(R2.hom_dim(src, dst)))
+    (src, dst), vec = found
+    return (src, dst, vec)
+
+
+def two_ring_index(R2: TwoRingDatum) -> AlgebraIndex:
+    """Index of a 2-ring: components are hom spaces keyed (src, dst), the
+    product is composition, and an ideal also absorbs the tensor with
+    every object's identity on either side."""
+    objs = R2.objects
+    dims = {(a, b): R2.hom_dim(a, b) for a in objs for b in objs}
+    products = {
+        ((a, b), (b, c)): ((a, c), R2.compose_tables.get((a, b, c)))
+        for a in objs for b in objs for c in objs
+        if dims[(a, b)] and dims[(b, c)]
+    }
+    tensors = {}
+    for (a, b, c, d), table in R2.tensor_tables.items():
+        t = (R2.tensor_obj.get((a, c)), R2.tensor_obj.get((b, d)))
+        if dims.get((a, b)) and dims.get((c, d)) and t in dims:
+            tensors[(a, b, c, d)] = (t, table)
+    twists = [((g, g), R2.identities.get(g, ())) for g in objs]
+    return AlgebraIndex(R2.char, dims, products, tensors, twists)
 
 
 def mor_add(R2: TwoRingDatum, f, g):
@@ -182,17 +191,24 @@ def mor_scale(R2: TwoRingDatum, c: int, f):
 
 def iso_pairs(R2: TwoRingDatum, a, b) -> tuple:
     """Every invertible morphism from a to b with its inverse, as
-    (f, inverse) pairs, cached per datum."""
+    (f, inverse) pairs, cached per datum.
+
+    An inverse g of f solves the linear system g f = 1, f g = 1, which
+    elimination decides; the least solution is kept.
+    """
     key = ("isos", a, b)
     if key in R2._cache:
         return R2._cache[key]
     out = []
-    ida, idb = R2.identity(a), R2.identity(b)
-    for f in R2.homs(a, b, include_zero=True):
-        for g in R2.homs(b, a, include_zero=True):
-            if compose(R2, g, f) == ida and compose(R2, f, g) == idb:
-                out.append((f, g))
-                break
+    ida, idb = R2.identities[a], R2.identities[b]
+    d = R2.hom_dim(b, a)
+    basis = [(b, a, tuple(1 if k == i else 0 for k in range(d))) for i in range(d)]
+    shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
+    for f in R2.homs(a, b, include_zero=True) if shaped else ():
+        rows = [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis]
+        found = solutions(R2.char, rows, ida + idb)
+        if found:
+            out.append((f, (b, a, min(found))))
     out = tuple(out)
     R2._cache[key] = out
     return out
@@ -378,17 +394,14 @@ def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
     for f in basis:
         if compose(R2, R2.identity(f[1]), f) != f or compose(R2, f, R2.identity(f[0])) != f:
             return failure("composition_not_unital", R2.render(f))
-    for f in basis:
-        for g in basis:
-            if g[0] != f[1]:
-                continue
-            gf = compose(R2, g, f)
-            for h in basis:
-                if h[0] != g[1]:
-                    continue
-                if compose(R2, h, gf) != compose(R2, compose(R2, h, g), f):
-                    return failure("composition_not_associative",
-                                   R2.render(f), R2.render(g), R2.render(h))
+    # Each composite, and below each tensor, of two basis morphisms is
+    # formed once.
+    composites = {(f, g): compose(R2, g, f) for f in basis for g in basis if g[0] == f[1]}
+    for (f, g), gf in composites.items():
+        for h in basis:
+            if h[0] == g[1] and compose(R2, h, gf) != compose(R2, composites[(g, h)], f):
+                return failure("composition_not_associative",
+                               R2.render(f), R2.render(g), R2.render(h))
 
     # object-level tensor
     for a in R2.objects:
@@ -410,19 +423,13 @@ def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
             ab = R2.tensor_obj[(a, b)]
             if tensor(R2, R2.identity(a), R2.identity(b)) != R2.identity(ab):
                 return failure("tensor_of_identities", a, b)
-    for f in basis:
-        for f2 in basis:
-            if f2[0] != f[1]:
-                continue
-            for g in basis:
-                for g2 in basis:
-                    if g2[0] != g[1]:
-                        continue
-                    lhs = compose(R2, tensor(R2, f2, g2), tensor(R2, f, g))
-                    rhs = tensor(R2, compose(R2, f2, f), compose(R2, g2, g))
-                    if lhs != rhs:
-                        return failure("interchange_fails",
-                                       R2.render(f), R2.render(f2), R2.render(g), R2.render(g2))
+    tensors = {(f, g): tensor(R2, f, g) for f in basis for g in basis}
+    for (f, f2), f2f in composites.items():
+        for (g, g2), g2g in composites.items():
+            lhs = compose(R2, tensors[(f2, g2)], tensors[(f, g)])
+            if lhs != tensor(R2, f2f, g2g):
+                return failure("interchange_fails",
+                               R2.render(f), R2.render(f2), R2.render(g), R2.render(g2))
 
     # invertibility of objects, including unit coherence up to iso
     for a in R2.objects:
@@ -450,7 +457,7 @@ def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
             b, b2 = g[0], g[1]
             s1 = (R2.tensor_obj[(a, b)], R2.tensor_obj[(b, a)], R2.symmetry[(a, b)])
             s2 = (R2.tensor_obj[(a2, b2)], R2.tensor_obj[(b2, a2)], R2.symmetry[(a2, b2)])
-            if compose(R2, s2, tensor(R2, f, g)) != compose(R2, tensor(R2, g, f), s1):
+            if compose(R2, s2, tensors[(f, g)]) != compose(R2, tensors[(g, f)], s1):
                 return failure("symmetry_not_natural", R2.render(f), R2.render(g))
     for a in R2.objects:
         for b in R2.objects:
@@ -486,13 +493,14 @@ def is_translate(R2: TwoRingDatum, r, s) -> bool:
 
 
 def translate_closure(R2: TwoRingDatum, base: Iterable) -> frozenset:
-    """All morphisms that are translates of some member of base."""
-    base = list(base)
-    out = set()
-    for m in R2.morphisms(include_zero=True):
-        if any(is_translate(R2, b, m) for b in base):
-            out.add(m)
-    return frozenset(out)
+    """All morphisms that are translates of some member of base: every
+    v after (g tensor b) after u with u, v invertible, each stage
+    deduplicated before the next."""
+    twisted = {tensor(R2, R2.identity(g), b) for b in base for g in R2.objects}
+    framed = {compose(R2, t, u) for t in twisted for k in R2.objects
+              for u in isomorphisms(R2, k, t[0])}
+    return frozenset(compose(R2, v, m) for m in framed for k in R2.objects
+                     for v in isomorphisms(R2, m[1], k))
 
 
 def commutes_up_to_translate(R2: TwoRingDatum, r, s) -> bool:
@@ -554,24 +562,13 @@ def _guard_size(R2: TwoRingDatum) -> None:
 def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> frozenset:
     """Smallest morphism class closed under sums, composition with
     anything on either side, and twists by every object."""
-    basis = list(R2.basis_morphisms())
-    identities = [R2.identity(g) for g in R2.objects]
-
-    def products(m):
-        a, b, _ = m
-        out = [compose(R2, f, m) for f in basis if f[0] == b]
-        out += [compose(R2, m, f) for f in basis if f[1] == a]
-        out += [tensor(R2, i, m) for i in identities]
-        out += [tensor(R2, m, i) for i in identities]
-        return out
-
-    return close_ideal(R2.char, R2.dims, gens, products)
+    return R2.index.members(R2.index.generate(gens))
 
 
 def homogeneous_ideals(R2: TwoRingDatum) -> IdealLattice:
     """Every categorical ideal, generated as joins of principal ones."""
     _guard_size(R2)
-    return ideal_lattice(R2.morphisms(), lambda gens: ideal_generated_two(R2, gens))
+    return R2.index.lattice()
 
 
 def total_ideal_two(R2: TwoRingDatum) -> frozenset:
@@ -580,17 +577,14 @@ def total_ideal_two(R2: TwoRingDatum) -> frozenset:
 
 def is_prime_two(R2: TwoRingDatum, ideal: frozenset) -> bool:
     """Proper, and a composite inside forces a factor inside."""
-    return is_prime_ideal(
-        ideal, R2.morphisms(), lambda r, s: compose(R2, s, r) if s[0] == r[1] else None
-    )
+    return R2.index.is_prime(ideal)
 
 
 def ideal_name_two(R2: TwoRingDatum, ideal: frozenset) -> str:
     """Generators scan unit-sourced morphisms first, then by object order."""
     order = {o: k for k, o in enumerate(R2.objects)}
-    return ideal_name(
+    return R2.index.name(
         ideal,
-        lambda gens: ideal_generated_two(R2, gens),
         lambda m: (m[0] != R2.unit, order[m[0]], order[m[1]], m[2]),
         R2.render,
     )
@@ -628,25 +622,6 @@ class Tightening:
     projection: dict
     representatives: dict
     phi: dict
-
-
-def _matrix_invertible(p: int, rows: Sequence[Sequence[int]]) -> bool:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    m = [list(r) for r in rows]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
-        if pivot is None:
-            return False
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], p - 2, p)
-        m[col] = [(inv * v) % p for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                c = m[r][col]
-                m[r] = [(v - c * w) % p for v, w in zip(m[r], m[col])]
-    return True
 
 
 def phi_apply(T: Tightening, R2: TwoRingDatum, elt):
@@ -692,7 +667,7 @@ def _check_tightening_shapes(T: Tightening, R2: TwoRingDatum) -> None:
         if len(rows) != ring.dims[x] or any(len(r) != want for r in rows):
             raise ShapeMismatch(f"identification at degree {x} has wrong shape")
         if ring.dims[x] != want or not (
-            ring.dims[x] == 0 or _matrix_invertible(R2.char, rows)
+            ring.dims[x] == 0 or matrix_invertible(R2.char, rows)
         ):
             raise ShapeMismatch(f"identification at degree {x} is not bijective")
 
@@ -875,17 +850,22 @@ class LocalizedTwoRing:
 
 def _span_classes(R2: TwoRingDatum, system: frozenset, max_spans: int):
     """Group spans by the dilation equivalence, per component."""
-    spans = [(s, f) for s in system for f in R2.morphisms(include_zero=True) if f[0] == s[0]]
+    sources = {a: [f for b in R2.objects for f in R2.homs(a, b, include_zero=True)]
+               for a in R2.objects}
+    spans = [(s, f) for s in system for f in sources[s[0]]]
     if len(spans) > max_spans:
         raise SizeBound("too many spans")
 
+    # (s, f) ~ (s u, f u) whenever s u stays in the system; s u does not
+    # depend on f, so each (s, u) is composed once.
     def dilations():
-        for s, f in spans:
+        for s in system:
             for k2 in R2.objects:
                 for u in R2.homs(k2, s[0], include_zero=True):
                     su = compose(R2, s, u)
                     if su in system:
-                        yield (s, f), (su, compose(R2, f, u))
+                        for f in sources[s[0]]:
+                            yield (s, f), (su, compose(R2, f, u))
 
     # A dilation keeps both targets, so each class sits in one component.
     classes: dict = {(a, b): [] for a in R2.objects for b in R2.objects}
@@ -949,6 +929,11 @@ def _span_compose(R2: TwoRingDatum, system: frozenset, classes, first, second):
 def localize_with_classes(R2: TwoRingDatum, S: Iterable, max_spans: int = 20000) -> LocalizedTwoRing:
     """Fraction 2-ring at the closure of S, with bookkeeping retained."""
     _guard_size(R2)
+    S = [tuple(m) for m in S]
+    objects = set(R2.objects)
+    for a, b, vec in S:
+        if a not in objects or b not in objects or len(vec) != R2.hom_dim(a, b):
+            raise BadShapes(f"system generator {(a, b, vec)!r} is not a morphism of {R2.name}")
     system = mult_closure_two(R2, S)
     classes = _span_classes(R2, system, max_spans)
 

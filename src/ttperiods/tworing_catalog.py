@@ -159,7 +159,7 @@ TWO_RING_NAMES = (
 
 def _identity_tightening(ring_name: str) -> tuple[Tightening, TwoRingDatum]:
     ring = build_ring(ring_name)
-    R2 = build_two_ring(ring_name)
+    R2 = two_ring_from_multigraded(ring, name=ring_name)
     group = ring.group
     from .tworing import object_name
 

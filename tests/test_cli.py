@@ -389,6 +389,30 @@ class TestTworing:
         assert out == ""
         assert "malformed" in err
 
+    @pytest.mark.parametrize("row", [
+        {"src": "zz", "dst": "0", "vec": [1]},
+        {"src": "0", "dst": "1", "vec": [1, 1]},
+    ])
+    def test_system_generator_outside_the_two_ring_is_refused(self, capsys, tmp_path, row):
+        path = write_json(tmp_path, "system.json", {"generators": [row]})
+        code, out, err = run(capsys, "tworing", "localize", "--input", "laurent_f2_z2",
+                             "--system", path)
+        assert code == 2
+        assert out == ""
+        assert "BadShapes" in err
+
+    def test_kernel_bug_is_a_traceback_not_a_usage_error(self, capsys, monkeypatch):
+        """A KeyError raised inside the ideal kernel is a bug: it propagates
+        out of main instead of exiting 2."""
+        from ttperiods.multigraded import AlgebraIndex
+
+        def broken(self):
+            raise KeyError("kernel bug")
+
+        monkeypatch.setattr(AlgebraIndex, "lattice", broken)
+        with pytest.raises(KeyError, match="kernel bug"):
+            main(["tworing", "ideals", "--input", "laurent_f2_z2"])
+
 
 class TestCompare:
     @pytest.fixture
@@ -554,6 +578,30 @@ class TestUsage:
         want = GOLDEN[key]
         assert code == want["exit"], err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["stdout_sha256"]
+
+    @pytest.mark.parametrize("argv, obj", [
+        (("ring", "periods", "--input"),
+         {"char": 2, "generators": [{"name": "x", "degree": "one"}]}),
+        (("ring", "periods", "--input"), {"char": "two", "generators": []}),
+        (("group", "stmod", "--prime", "2", "--group"), {"degree": "x", "generators": []}),
+    ])
+    def test_non_integer_field_is_a_usage_error(self, capsys, tmp_path, argv, obj):
+        path = write_json(tmp_path, "bad.json", obj)
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
+    def test_non_integer_period_is_a_usage_error(self, capsys, tmp_path):
+        paths = {p.stem: str(p) for p in write_section_files(tmp_path)}
+        space = json.loads(Path(paths["stmod_d8_space"]).read_text(encoding="utf-8"))
+        space["periods"] = {q: "x" for q in space["points"]}
+        bad = write_json(tmp_path, "bad_space.json", space)
+        code, out, err = run(capsys, "compare", "--space", bad, "--ring", paths["d8_ring"],
+                             "--sections", paths["stmod_d8_sections"])
+        assert code == 2
+        assert out == ""
+        assert "malformed periods" in err
 
     def test_schema_hint_in_help(self, capsys):
         code, out, _ = run(capsys, "ring", "--help")

@@ -9,7 +9,6 @@ from ttperiods.multigraded import (
     AbelianGroup,
     RingShapeError,
     SizeBound,
-    additive_span,
     all_vectors,
     close_multiplicative,
     equivalence_classes,
@@ -18,16 +17,20 @@ from ttperiods.multigraded import (
     ideal_name_ring,
     is_ring_prime,
     make_multigraded,
+    matrix_invertible,
     mg_mul,
     mult_system_ring,
     ring_fractions,
     ring_ideals,
     ring_primes,
     ring_total_ideal,
+    solutions,
     spech_multigraded,
     validate_multigraded,
 )
 from ttperiods.tworing_catalog import RING_NAMES, build_ring
+
+from oracles import oracle_ring_ideals, oracle_ring_prime
 
 
 class TestAbelianGroup:
@@ -187,47 +190,6 @@ class TestValidateMultigraded:
         assert not diag.ok
 
 
-def subspaces(p, dim):
-    """Every additive subspace, as a frozenset including zero."""
-    vecs = [v for v in all_vectors(p, dim) if any(v)]
-    out = set()
-    for r in range(3):
-        for gens in itertools.combinations(vecs, r):
-            out.add(additive_span(p, gens, dim))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def oracle_ring_ideals(ring):
-    """Brute force over componentwise subspace families.
-
-    Independent of the principal-join route: a family is an ideal
-    exactly when it absorbs multiplication by every homogeneous
-    element.  Only viable for tiny instances.
-    """
-    degrees = ring.group.elements()
-    per_degree = [subspaces(ring.char, ring.dims[x]) for x in degrees]
-    elements = list(ring.homogeneous_elements())
-    found = set()
-    for choice in itertools.product(*per_degree):
-        members = {
-            (x, v) for x, sub in zip(degrees, choice) for v in sub if any(v)
-        }
-        ok = True
-        for m in members:
-            for b in elements:
-                for prod in (mg_mul(ring, b, m), mg_mul(ring, m, b)):
-                    if any(prod[1]) and prod not in members:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            found.add(frozenset(members))
-    return found
-
-
 class TestIdeals:
     def test_lattice_sizes(self):
         expected = {
@@ -243,10 +205,11 @@ class TestIdeals:
             assert len(ring_ideals(build_ring(name))) == n, name
 
     def test_lattice_matches_brute_force(self):
-        for name in ("laurent_f2_z2", "nilpotent_f2_z2", "dual_laurent_f2_z2",
-                     "koszul_f3_z2", "laurent_f2_z4"):
-            ring = build_ring(name)
-            assert set(ring_ideals(ring).ideals) == oracle_ring_ideals(ring), name
+        for ring in [*map(build_ring, RING_NAMES), exterior_f2_z2()]:
+            ideals = oracle_ring_ideals(ring)
+            assert set(ring_ideals(ring).ideals) == ideals, ring.name
+            for ideal in ideals:
+                assert is_ring_prime(ring, ideal) == oracle_ring_prime(ring, ideal), sorted(ideal)
 
     def test_bottom_and_top(self):
         lat = ring_ideals(build_ring("nilpotent_f2_z2"))
@@ -474,3 +437,26 @@ def test_join_is_commutative(a_picks, b_picks):
     ia = ideal_generated_ring(ring, ga)
     ib = ideal_generated_ring(ring, gb)
     assert ideal_generated_ring(ring, ia | ib) == ideal_generated_ring(ring, ib | ia)
+
+
+small_systems = st.sampled_from((2, 3)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.lists(st.integers(0, p - 1), min_size=2, max_size=2), max_size=3),
+    st.lists(st.integers(0, p - 1), min_size=2, max_size=2),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems)
+def test_elimination_finds_exactly_the_brute_force_solutions(system):
+    p, rows, target = system
+    brute = [
+        c for c in all_vectors(p, len(rows))
+        if tuple(sum(cj * r[k] for cj, r in zip(c, rows)) % p for k in range(2)) == tuple(target)
+    ]
+    assert sorted(solutions(p, rows, target)) == brute
+    if len(rows) == 2:
+        # Square: invertible exactly when only the zero combination vanishes.
+        kernel = [c for c in all_vectors(p, 2) if not any(
+            sum(cj * r[k] for cj, r in zip(c, rows)) % p for k in range(2))]
+        assert matrix_invertible(p, rows) == (kernel == [(0, 0)])

@@ -2,17 +2,17 @@
 
 import dataclasses
 import hashlib
-import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttperiods import multigraded, tworing
+
 from ttperiods.multigraded import (
+    AlgebraIndex,
     RingShapeError,
     SizeBound,
-    all_vectors,
-    additive_span,
     ideal_name_ring,
     is_ring_prime,
     make_multigraded,
@@ -63,6 +63,33 @@ from ttperiods.tworing_catalog import (
     two_ring_to_obj,
 )
 
+from oracles import (
+    MAX_FAMILIES,
+    family_count,
+    oracle_two_ring_ideals,
+    oracle_two_ring_prime,
+    reference_iso_pairs,
+)
+
+
+def within_oracle_limit(R2):
+    return family_count(R2.char, R2.dims.values()) <= MAX_FAMILIES
+
+
+def assert_matches_oracles(R2):
+    """The lattice equals the brute-force ideal families, and each
+    family's primality agrees with the literal definition."""
+    ideals = oracle_two_ring_ideals(R2)
+    assert set(homogeneous_ideals(R2).ideals) == ideals
+    for ideal in ideals:
+        assert is_prime_two(R2, ideal) == oracle_two_ring_prime(R2, ideal), sorted(ideal)
+
+
+ORACLE_TWO_RINGS = [n for n in TWO_RING_NAMES if within_oracle_limit(build_two_ring(n))]
+ORACLE_TIGHTENINGS = [
+    n for n in TIGHTENING_NAMES if within_oracle_limit(build_tightening(n)[1])
+]
+
 
 class TestConstruction:
     def test_catalog_two_rings_validate(self):
@@ -112,6 +139,7 @@ class TestConstruction:
         for a in R2.objects:
             for b in R2.objects:
                 pairs = iso_pairs(R2, a, b)
+                assert pairs == reference_iso_pairs(R2, a, b)
                 assert [f for f, _ in pairs] == list(isomorphisms(R2, a, b))
                 for f, g in pairs:
                     assert compose(R2, g, f) == R2.identity(a)
@@ -121,6 +149,41 @@ class TestConstruction:
         R2 = build_two_ring("zero")
         assert R2.is_zero()
         assert validate_two_ring(R2).ok
+
+
+class TestKernelWork:
+    @pytest.mark.parametrize("name", TWO_RING_NAMES)
+    def test_closure_applies_each_map_once_per_added_row(self, monkeypatch, name):
+        R2 = build_two_ring(name)
+        index = R2.index
+        applied = []
+        real = multigraded._apply
+        monkeypatch.setattr(multigraded, "_apply",
+                            lambda *args: applied.append(1) or real(*args))
+        for m in R2.basis_morphisms():
+            applied.clear()
+            ideal = index.generate([m])
+            bound = sum(len(rows) * len(maps) for rows, maps in zip(ideal, index.maps))
+            assert 0 < len(applied) <= bound
+
+    @pytest.mark.parametrize("name", TWO_RING_NAMES)
+    def test_lattice_joins_never_close(self, monkeypatch, name):
+        R2 = build_two_ring(name)
+        closes = []
+        real = AlgebraIndex.close
+        monkeypatch.setattr(AlgebraIndex, "close",
+                            lambda self, *args: closes.append(1) or real(self, *args))
+        homogeneous_ideals(R2)
+        # One closure per principal ideal, that is per line; none per join.
+        assert len(closes) == sum(len(lines) for lines in R2.index.lines)
+
+    def test_lattice_makes_few_products(self, monkeypatch):
+        calls = []
+        for fn in ("compose", "tensor"):
+            real = getattr(tworing, fn)
+            monkeypatch.setattr(tworing, fn, lambda *a, real=real: calls.append(1) or real(*a))
+        homogeneous_ideals(build_two_ring("laurent_f3_z4"))
+        assert len(calls) <= 1000
 
 
 class TestValidateNegatives:
@@ -295,56 +358,6 @@ class TestSerialization:
         assert {c[0] for c in FIELD_VIOLATIONS} == set(obj)
 
 
-def component_subspaces(p, dim):
-    vecs = [v for v in all_vectors(p, dim) if any(v)]
-    out = set()
-    for r in range(3):
-        for gens in itertools.combinations(vecs, r):
-            out.add(additive_span(p, gens, dim))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def oracle_two_ring_ideals(R2):
-    """Brute force over componentwise subspace families.
-
-    A family is a categorical ideal exactly when it absorbs composition
-    with every morphism on both sides and twisting by every object.
-    Kept deliberately independent of the principal-join route.
-    """
-    comps = [(a, b) for a in R2.objects for b in R2.objects]
-    per_comp = [component_subspaces(R2.char, R2.dims[c]) for c in comps]
-    families = 1
-    for options in per_comp:
-        families *= len(options)
-    assert families <= 1024, "oracle reserved for tiny instances"
-    morphisms = list(R2.morphisms())
-    found = set()
-    for choice in itertools.product(*per_comp):
-        members = {
-            (a, b, v)
-            for (a, b), sub in zip(comps, choice)
-            for v in sub
-            if any(v)
-        }
-        ok = True
-        for m in members:
-            produced = []
-            for f in morphisms:
-                if f[0] == m[1]:
-                    produced.append(compose(R2, f, m))
-                if f[1] == m[0]:
-                    produced.append(compose(R2, m, f))
-            for g in R2.objects:
-                produced.append(tensor(R2, R2.identity(g), m))
-                produced.append(tensor(R2, m, R2.identity(g)))
-            if any(any(p[2]) and p not in members for p in produced):
-                ok = False
-                break
-        if ok:
-            found.add(frozenset(members))
-    return found
-
-
 class TestIdealsAndSpectrum:
     def test_lattice_sizes(self):
         expected = {
@@ -361,10 +374,19 @@ class TestIdealsAndSpectrum:
             assert len(homogeneous_ideals(build_two_ring(name))) == n, name
 
     def test_lattice_matches_brute_force(self):
-        for name in ("laurent_f2_z2", "nilpotent_f2_z2", "koszul_f3_z2",
-                     "dual_laurent_f2_z2", "doubled_laurent_f2_z2"):
-            R2 = build_two_ring(name)
-            assert set(homogeneous_ideals(R2).ideals) == oracle_two_ring_ideals(R2), name
+        for name in ORACLE_TWO_RINGS:
+            assert_matches_oracles(build_two_ring(name))
+
+    @pytest.mark.parametrize("name", ORACLE_TIGHTENINGS)
+    def test_tightening_lattice_and_primes_match_the_oracle(self, name):
+        assert_matches_oracles(build_tightening(name)[1])
+
+    def test_oracle_runs_on_every_instance_within_its_limit(self):
+        # The two Z/4 instances have 2^16 subspace families each.
+        assert set(TWO_RING_NAMES) - set(ORACLE_TWO_RINGS) == {"laurent_f2_z4", "laurent_f3_z4"}
+        assert set(TIGHTENING_NAMES) - set(ORACLE_TIGHTENINGS) == {
+            "identity_laurent_f2_z4", "identity_laurent_f3_z4",
+        }
 
     def test_zero_spectrum_is_empty(self):
         assert spc(build_two_ring("zero")).points == ()
@@ -587,6 +609,19 @@ class TestExchangeLemma:
 
 
 class TestTightenings:
+    @pytest.mark.parametrize("name", [n for n in TIGHTENING_NAMES if n.startswith("identity_")])
+    def test_identity_tightening_builds_its_ring_once(self, monkeypatch, name):
+        import ttperiods.tworing_catalog as cat
+
+        built = []
+        real = cat.make_multigraded
+        monkeypatch.setattr(cat, "make_multigraded",
+                            lambda *a, **k: built.append(a[0]) or real(*a, **k))
+        T, R2 = build_tightening(name)
+        assert built == [name.removeprefix("identity_")]
+        monkeypatch.undo()
+        assert two_ring_to_obj(R2) == two_ring_to_obj(build_two_ring(R2.name))
+
     def test_catalog_verdicts(self):
         for name in TIGHTENING_NAMES:
             T, R2 = build_tightening(name)
@@ -726,6 +761,17 @@ class TestLocalize:
                      "dual_laurent_f2_z2", "doubled_laurent_f2_z2"):
             L = localize(build_two_ring(name), [])
             assert validate_two_ring(L).ok, name
+
+    @pytest.mark.parametrize("name, system", [
+        ("nilpotent_f2_z2", [("0", "1", (1,))]),
+        ("dual_laurent_f2_z2", [("0", "0", (0, 1))]),
+        *((name, []) for name in ("laurent_f2_z2", "nilpotent_f2_z2", "koszul_f3_z2",
+                                  "dual_laurent_f2_z2", "doubled_laurent_f2_z2")),
+    ])
+    def test_localized_lattice_and_primes_match_the_oracle(self, name, system):
+        L = localize(build_two_ring(name), system)
+        assert within_oracle_limit(L)
+        assert_matches_oracles(L)
 
     @pytest.mark.parametrize("name", TWO_RING_NAMES)
     def test_system_closure_matches_the_naive_fixpoint(self, name):
