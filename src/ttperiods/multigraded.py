@@ -535,14 +535,11 @@ class AlgebraIndex:
         self.tensors = {k: (t, dims[t], _structure_terms(table))
                         for k, (t, table) in tensors.items()}
         self.products = {}
-        self.pairs = []
         maps: list = [{} for _ in self.keys]
         for (c, e), (t, table) in products.items():
             n = dims[t]
-            terms = _structure_terms(table)
-            self.products[(c, e)] = (t, n, terms)
+            self.products[(c, e)] = (t, n, _structure_terms(table))
             ci, ce, ct = self.number[c], self.number[e], self.number[t]
-            self.pairs.append((ci, ce, ct, terms))
             if n == 0 or table is None:
                 continue
             for j in range(dims[e]):
@@ -682,11 +679,11 @@ class AlgebraIndex:
         ]
         if not any(outside):
             return False
-        for c, e, t, terms in self.pairs:
-            n = self.dims[t]
-            for r in outside[c]:
-                for s in outside[e]:
-                    if not any(_reduce(p, ideal[t], _bilinear(p, n, terms, r, s))):
+        for (c, e), (t, n, terms) in self.products.items():
+            rows = ideal[self.number[t]]
+            for r in outside[self.number[c]]:
+                for s in outside[self.number[e]]:
+                    if not any(_reduce(p, rows, _bilinear(p, n, terms, r, s))):
                         return False
         return True
 
