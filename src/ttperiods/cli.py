@@ -274,13 +274,13 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
             (row["src"], row["dst"], tuple(int(x) for x in row["vec"]))
             for row in obj["generators"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system: {exc}") from exc
 
 
 def _cmd_tworing(args) -> int:
-    from .tworing import agreement, homogeneous_ideals, ideal_name_two, localize_with_classes
-    from .tworing import spc, validate_tightening, validate_two_ring
+    from .tworing import homogeneous_ideals, ideal_correspondence, ideal_name_two
+    from .tworing import localize_with_classes, spc, validate_tightening, validate_two_ring
     from .tworing_catalog import TIGHTENING_NAMES, build_tightening, two_ring_to_obj
 
     inputs: dict = {}
@@ -292,7 +292,7 @@ def _cmd_tworing(args) -> int:
             )
         T, R2 = build_tightening(args.input)
         tdiag = validate_tightening(T, R2)
-        adiag = agreement(T, R2)
+        adiag = ideal_correspondence(T, R2) if tdiag else tdiag
         _emit(
             args,
             inputs,

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
 from .graded import GradedRingPresentation, PrimePattern, SpechModel, local_period
 from .spaces import FiniteSpectralModel, PeriodAssignment, _values, divides
-
-MAX_POINTS = 16
 
 
 class ComparisonError(UsageError):
@@ -55,6 +53,9 @@ class SectionTable:
     bundles: Mapping[str, int]
     sections: tuple[Section, ...]
     products: Mapping[tuple[str, str], str]
+
+    def __post_init__(self):
+        require_within("MAX_POINTS", len(self.space.points))
 
     def section(self, name: str) -> Section:
         for s in self.sections:
@@ -114,8 +115,6 @@ def _require_valid(table: SectionTable) -> None:
     diag = validate_section_table(table)
     if not diag:
         raise ComparisonError(f"invalid section table: {diag.describe()}")
-    if len(table.space.points) > MAX_POINTS:
-        raise ComparisonError("space too large for open-set enumeration")
 
 
 def comp_map(table: SectionTable) -> dict[str, PrimePattern]:
@@ -387,13 +386,11 @@ def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
             for row in obj["sections"]
         ]
         products = [tuple(entry) for entry in obj.get("products", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ComparisonError(f"malformed section table: {exc}") from exc
     for entry in products:
         if len(entry) != 3:
             raise ComparisonError(f"malformed product entry {entry!r}")
     table = make_table(space, bundles, sections, products)
-    diag = validate_section_table(table)
-    if not diag:
-        raise ComparisonError(f"invalid section table: {diag.describe()}")
+    _require_valid(table)
     return table

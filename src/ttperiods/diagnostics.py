@@ -1,10 +1,10 @@
-"""Shared diagnosis value for validators that report rather than raise,
-and the one base class of the errors that mean the input was unusable."""
+"""Shared diagnosis value for validators that report rather than raise, the
+base class of the errors that mean the input was unusable, and LIMITS."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 
 class UsageError(Exception):
@@ -16,7 +16,43 @@ class UsageError(Exception):
 
 
 class SizeBound(UsageError):
-    """Enumeration would exceed the configured finite limits."""
+    """An input past a row of LIMITS; raised only by require_within."""
+
+
+class Limit(NamedTuple):
+    """A row of the size budget: value bounds what; seconds is the cost at
+    the limit, rounded up (the README's Limits table says what was timed)."""
+
+    name: str
+    value: int
+    what: str
+    seconds: float
+
+
+LIMITS = {row.name: row for row in (
+    Limit("MAX_PRIME", 2**31 - 1, "the number tested for primality", 0.05),
+    Limit("MAX_GROUP_ORDER", 384, "the order of a permutation group", 0.5),
+    Limit("MAX_DEGREE", 4096, "the number of points of a permutation group", 0.5),
+    Limit("MAX_FREE_GENERATORS", 13, "the number of non-invertible generators", 2.0),
+    Limit("MAX_POINTS", 16, "the number of points of a section table", 2.0),
+    Limit("MAX_COMPONENT_DIM", 3, "the dimension of a ring or 2-ring component", 3.0),
+    Limit("MAX_COMPONENT_SIZE", 125, "the element count p^d of a ring or 2-ring component", 1.0),
+    Limit("MAX_OBJECTS", 12, "the number of objects of a 2-ring", 30.0),
+    Limit("MAX_FRACTION_PAIRS", 20000, "the number of fraction pairs of a localization", 30.0),
+    Limit("MAX_SPANS", 20000, "the number of spans of a 2-ring localization", 30.0),
+)}
+
+
+def require_within(name: str, seen: int, at_least: bool = False) -> None:
+    """Raise SizeBound "<NAME> = <value>: <what> is <seen>" when seen is past
+    the named row; at_least marks seen as a lower bound, as is any seen past
+    2^64, which is shown as 2^64 since its digits can be too many to print."""
+    row = LIMITS[name]
+    if seen <= row.value:
+        return
+    if seen.bit_length() > 64:
+        seen, at_least = 2**64, True
+    raise SizeBound(f"{name} = {row.value}: {row.what} is {'at least ' if at_least else ''}{seen}")
 
 
 @dataclass(frozen=True)

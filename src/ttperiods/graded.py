@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
 from .spaces import ALL, FiniteSpectralModel, divides, is_prime
-
-# Monomial pattern enumeration walks all 2^n subsets of the n non-invertible
-# generators.  `ring patterns` on a free ring takes about 0.8 s at n = 13 and
-# 2.2 s at n = 14 (2-vCPU VM, Python 3.11), so 13 is the last n under a second.
-MAX_FREE_GENERATORS = 13
 
 
 class GradedError(UsageError):
@@ -290,11 +285,7 @@ def enumerate_patterns(
             "non-monomial relations need witness patterns"
         )
     free = [g.name for g in ring.generators if not g.invertible]
-    if len(free) > MAX_FREE_GENERATORS:
-        raise SizeBound(
-            f"{len(free)} non-invertible generators; pattern enumeration is "
-            f"capped at MAX_FREE_GENERATORS = {MAX_FREE_GENERATORS}"
-        )
+    require_within("MAX_FREE_GENERATORS", len(free))
     forced = frozenset(g.name for g in ring.generators if g.nilpotent)
     hitting = [rel[0].variables() for rel in ring.relations]
     pats = []
@@ -467,7 +458,7 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
         return make_ring(
             int(obj["char"]), gens, rels, obj.get("constraint", "koszul")
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise GradedError(f"malformed ring object: {exc}") from exc
 
 

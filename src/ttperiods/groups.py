@@ -1,7 +1,7 @@
 """Small permutation groups: subgroup lattices, Weyl groups, Sylow theory.
 
 Everything here is exhaustive search over explicitly enumerated elements,
-guarded by an order bound.  The public functions speak permutations: tuples
+guarded by diagnostics.LIMITS.  The public functions speak permutations: tuples
 of 0-based images, and subgroups as plain frozensets of them inside an
 ambient FiniteGroup.  Underneath, each group builds one GroupIndex on first
 use (elements numbered in sorted order, a multiplication table, subgroups as
@@ -17,20 +17,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import UsageError
+from .diagnostics import UsageError, require_within
 from .spaces import is_prime
-
-DEFAULT_ORDER_BOUND = 384
 
 Perm = tuple[int, ...]
 
 
 class GroupError(UsageError):
     """Malformed group data or failed internal cross-check."""
-
-
-class OrderBound(GroupError):
-    """Closure exceeded the configured order bound."""
 
 
 class NotSubgroup(GroupError):
@@ -70,7 +64,7 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def _closure_walk(gens: Iterable[Perm], bound: int) -> tuple[list, dict]:
+def _closure_walk(gens: Iterable[Perm]) -> tuple[list, dict]:
     """Breadth-first walk from the identity by right multiplication.
 
     Returns the elements in the order found, identity first, and right,
@@ -91,15 +85,14 @@ def _closure_walk(gens: Iterable[Perm], bound: int) -> tuple[list, dict]:
             y = compose(x, g)
             j = where.setdefault(y, len(order))
             if j == len(order):
-                if j == bound:
-                    raise OrderBound(bound)
+                require_within("MAX_GROUP_ORDER", j + 1, at_least=True)
                 order.append(y)
             col.append(j)
     return order, dict(cols)
 
 
-def mulclose(gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND) -> frozenset[Perm]:
-    return frozenset(_closure_walk(gens, bound)[0])
+def mulclose(gens: Iterable[Perm]) -> frozenset[Perm]:
+    return frozenset(_closure_walk(gens)[0])
 
 
 def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
@@ -140,13 +133,7 @@ class FiniteGroup:
     otherwise.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Perm],
-        name: "str | None" = None,
-        order_bound: int = DEFAULT_ORDER_BOUND,
-    ):
+    def __init__(self, degree: int, generators: Iterable[Perm], name: "str | None" = None):
         if degree < 1:
             raise GroupError("degree must be positive")
         gens = [tuple(g) for g in generators]
@@ -157,7 +144,7 @@ class FiniteGroup:
         self.generators = tuple(gens)
         self.name = name
         self.key: "tuple | None" = None
-        self._walk = _closure_walk(gens or [identity(degree)], order_bound)
+        self._walk = _closure_walk(gens or [identity(degree)])
         self.elements = frozenset(self._walk[0])
         self._index: "GroupIndex | None" = None
 
@@ -744,6 +731,7 @@ def p_equivalence_classes(
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("order must be positive")
+    require_within("MAX_GROUP_ORDER", n)
     if n == 1:
         return FiniteGroup(1, [], name="C1")
     gen = tuple((i + 1) % n for i in range(n))
@@ -753,6 +741,7 @@ def cyclic(n: int) -> FiniteGroup:
 def dihedral(order: int) -> FiniteGroup:
     if order < 4 or order % 2:
         raise GroupError("dihedral order must be an even number >= 4")
+    require_within("MAX_GROUP_ORDER", order)
     m = order // 2
     rot = tuple((i + 1) % m for i in range(m))
     flip = tuple((m - i) % m for i in range(m))
@@ -763,6 +752,7 @@ def quaternion(order: int) -> FiniteGroup:
     """Dicyclic group of the given order, as its left-regular action."""
     if order % 4 or order < 8:
         raise GroupError("dicyclic order must be a multiple of 4, at least 8")
+    require_within("MAX_GROUP_ORDER", order)
     m = order // 2
 
     def idx(i: int, e: int) -> int:
@@ -790,6 +780,8 @@ def quaternion(order: int) -> FiniteGroup:
 def elementary_abelian(p: int, r: int) -> FiniteGroup:
     if not is_prime(p) or r < 1:
         raise GroupError("need a prime and a positive rank")
+    # p^64 is past 2^64, where require_within stops showing sizes exactly.
+    require_within("MAX_GROUP_ORDER", p ** min(r, 64))
     gens = []
     for k in range(r):
         g = list(range(p * r))
@@ -821,10 +813,11 @@ def group_to_obj(G: FiniteGroup) -> dict:
     return obj
 
 
-def group_from_obj(obj: Mapping, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
+def group_from_obj(obj: Mapping) -> FiniteGroup:
     try:
         degree = int(obj["degree"])
+        require_within("MAX_DEGREE", degree)
         gens = [perm_from_cycles(degree, cycles) for cycles in obj["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GroupError(f"malformed group object: {exc}") from exc
-    return FiniteGroup(degree, gens, name=obj.get("name"), order_bound=order_bound)
+    return FiniteGroup(degree, gens, name=obj.get("name"))

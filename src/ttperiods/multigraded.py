@@ -7,7 +7,7 @@ symmetric bilinear transposition table valued in the units of the
 degree-zero component.  Ideal lattices, primes and spectra are linear
 algebra on an AlgebraIndex (structure constants on numbered bases, shared
 with 2-rings); fraction localization still enumerates elements, so
-component dimensions are capped.
+components are bounded by diagnostics.LIMITS.
 """
 
 from __future__ import annotations
@@ -16,17 +16,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure
+from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure, require_within
 from .spaces import FiniteSpectralModel, is_prime
-
-# Ideal lattices no longer enumerate the p^d vectors of a component, so
-# the cap can rise.  Measured on a 2-vCPU VM, Python 3.11, for the Z/2-graded
-# probe 2-ring R_0 = F_p + V with V^2 = 0 and R_1 = u R_0 (two objects,
-# every component of dimension d), homogeneous_ideals takes 3.8 ms at p = 2,
-# d = 3 and 15 ms at d = 4 (79 ms and 1.0 s with the member-set engine it
-# replaced); at p = 3, 8 ms at d = 3 and 46 ms at d = 4 (1.5 s and 33 s).
-# Fraction localization still enumerates elements.
-MAX_COMPONENT_DIM = 3
 
 
 class RingShapeError(UsageError):
@@ -98,6 +89,13 @@ class AbelianGroup:
 
 
 # -- vectors over the prime field -------------------------------------
+
+
+def check_components(char: int, dims: Iterable[int]) -> None:
+    """Refuse components past MAX_COMPONENT_DIM or MAX_COMPONENT_SIZE."""
+    for d in dims:
+        require_within("MAX_COMPONENT_DIM", d)
+        require_within("MAX_COMPONENT_SIZE", char**d)
 
 
 def vec_zero(dim: int) -> tuple[int, ...]:
@@ -223,8 +221,7 @@ def make_multigraded(
         comp[d] = tuple(names)
     dims = {x: len(comp.get(x, ())) for x in group.elements()}
     basis_names = {x: comp.get(x, ()) for x in group.elements()}
-    if any(d > MAX_COMPONENT_DIM for d in dims.values()):
-        raise SizeBound("component dimension above the configured cap")
+    check_components(char, dims.values())
 
     where = {}
     for x, names in basis_names.items():
@@ -527,6 +524,7 @@ class AlgebraIndex:
 
     def __init__(self, char: int, dims: Mapping, products: Mapping,
                  tensors: Mapping = {}, twists: Iterable = ()):
+        check_components(char, dims.values())
         self.char = char
         self.keys = tuple(dims)
         self.number = {key: k for k, key in enumerate(self.keys)}
@@ -801,8 +799,6 @@ def ideal_generated_ring(ring: MultigradedRing, gens: Iterable) -> frozenset:
 
 def ring_ideals(ring: MultigradedRing) -> IdealLattice:
     """Every homogeneous ideal, as joins of principal ideals."""
-    if any(d > MAX_COMPONENT_DIM for d in ring.dims.values()):
-        raise SizeBound("component dimension above the configured cap")
     return ring.index.lattice()
 
 
@@ -905,11 +901,10 @@ class RingFractions:
         raise RingShapeError("no common denominator found")
 
 
-def ring_fractions(ring: MultigradedRing, system: frozenset, max_pairs: int = 20000) -> RingFractions:
+def ring_fractions(ring: MultigradedRing, system: frozenset) -> RingFractions:
+    require_within("MAX_FRACTION_PAIRS", len(system) * sum(ring.char**d for d in ring.dims.values()))
     numerators = list(ring.homogeneous_elements(include_zero=True))
     fractions = [(r, s) for s in system for r in numerators]
-    if len(fractions) > max_pairs:
-        raise SizeBound("too many fraction pairs")
     elements = list(ring.homogeneous_elements())
 
     # Elementary dilation: (r, s) ~ (r t, s t) whenever s t stays in

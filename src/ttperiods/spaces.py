@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
 
 # Sentinel for "every nonnegative integer", the one infinite open we need.
 ALL = "all"
@@ -55,6 +55,7 @@ def divides(a: int, b: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Whether n is a prime number."""
+    require_within("MAX_PRIME", n)
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 

@@ -20,9 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
 from .multigraded import (
-    MAX_COMPONENT_DIM,
     AbelianGroup,
     AlgebraIndex,
     IdealLattice,
@@ -47,8 +46,6 @@ from .multigraded import (
     vec_zero,
 )
 from .spaces import FiniteSpectralModel, is_prime
-
-MAX_OBJECTS = 12
 
 
 class BadShapes(UsageError):
@@ -249,6 +246,7 @@ def two_ring_from_multigraded(
     always lands on the original representative of the sum label.
     """
     group = ring.group
+    require_within("MAX_OBJECTS", group.order() + len(extra_objects))
     zero = group.zero
     one = (zero, ring.one)
     for x in group.elements():
@@ -264,8 +262,6 @@ def two_ring_from_multigraded(
             raise RingShapeError(f"duplicate object name {nm!r}")
         labels[nm] = group.canon(lab)
         objects.append(nm)
-    if len(objects) > MAX_OBJECTS:
-        raise SizeBound("too many objects")
     unit = object_name(group, zero)
     if support is None:
         supp = frozenset(group.elements())
@@ -552,13 +548,6 @@ def lemma_magic_check(R2: TwoRingDatum, a, b, w) -> bool:
 # -- categorical ideals and the spectrum ------------------------------
 
 
-def _guard_size(R2: TwoRingDatum) -> None:
-    if len(R2.objects) > MAX_OBJECTS:
-        raise SizeBound("too many objects")
-    if any(d > MAX_COMPONENT_DIM for d in R2.dims.values()):
-        raise SizeBound("component dimension above the configured cap")
-
-
 def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> frozenset:
     """Smallest morphism class closed under sums, composition with
     anything on either side, and twists by every object."""
@@ -567,7 +556,6 @@ def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> frozenset:
 
 def homogeneous_ideals(R2: TwoRingDatum) -> IdealLattice:
     """Every categorical ideal, generated as joins of principal ones."""
-    _guard_size(R2)
     return R2.index.lattice()
 
 
@@ -750,16 +738,22 @@ def restrict_ideal(T: Tightening, R2: TwoRingDatum, two_ideal: frozenset) -> fro
 
 
 def agreement(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
-    """Executable two-way ideal correspondence.
+    """ideal_correspondence of a tightening that validate_tightening passes;
+    otherwise the validation's failure."""
+    d = validate_tightening(T, R2)
+    if not d:
+        return d
+    return ideal_correspondence(T, R2)
+
+
+def ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
+    """Executable two-way ideal correspondence of a valid tightening.
 
     Extension and restriction must be mutually inverse inclusion
     preserving bijections between the homogeneous ideal lattices, match
     primes with primes, and induce an order isomorphism of the two
     spectra, which for finite spectral models is a homeomorphism.
     """
-    d = validate_tightening(T, R2)
-    if not d:
-        return d
     ring = T.ring
     lattice_r = ring_ideals(ring)
     lattice_2 = homogeneous_ideals(R2)
@@ -848,13 +842,13 @@ class LocalizedTwoRing:
         return self.class_of_span((a, b), ((a, a, self.datum.identities[a]), mor))
 
 
-def _span_classes(R2: TwoRingDatum, system: frozenset, max_spans: int):
+def _span_classes(R2: TwoRingDatum, system: frozenset):
     """Group spans by the dilation equivalence, per component."""
+    counts = {a: sum(R2.char ** R2.hom_dim(a, b) for b in R2.objects) for a in R2.objects}
+    require_within("MAX_SPANS", sum(counts[s[0]] for s in system))
     sources = {a: [f for b in R2.objects for f in R2.homs(a, b, include_zero=True)]
                for a in R2.objects}
     spans = [(s, f) for s in system for f in sources[s[0]]]
-    if len(spans) > max_spans:
-        raise SizeBound("too many spans")
 
     # (s, f) ~ (s u, f u) whenever s u stays in the system; s u does not
     # depend on f, so each (s, u) is composed once.
@@ -926,16 +920,15 @@ def _span_compose(R2: TwoRingDatum, system: frozenset, classes, first, second):
     raise RingShapeError("no exchange square for span composition")
 
 
-def localize_with_classes(R2: TwoRingDatum, S: Iterable, max_spans: int = 20000) -> LocalizedTwoRing:
+def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
     """Fraction 2-ring at the closure of S, with bookkeeping retained."""
-    _guard_size(R2)
     S = [tuple(m) for m in S]
     objects = set(R2.objects)
     for a, b, vec in S:
         if a not in objects or b not in objects or len(vec) != R2.hom_dim(a, b):
             raise BadShapes(f"system generator {(a, b, vec)!r} is not a morphism of {R2.name}")
     system = mult_closure_two(R2, S)
-    classes = _span_classes(R2, system, max_spans)
+    classes = _span_classes(R2, system)
 
     p = R2.char
     dims = {}
@@ -1064,13 +1057,13 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable, max_spans: int = 20000)
     return LocalizedTwoRing(datum=datum, system=system, classes=classes, coords=coords)
 
 
-def localize(R2: TwoRingDatum, S: Iterable, max_spans: int = 20000) -> TwoRingDatum:
+def localize(R2: TwoRingDatum, S: Iterable) -> TwoRingDatum:
     """Fraction 2-ring of R2 at the multiplicative closure of S.
 
     Homs are dilation classes of spans with the backward leg in the
     closed system; the result is returned as a plain datum.
     """
-    return localize_with_classes(R2, S, max_spans).datum
+    return localize_with_classes(R2, S).datum
 
 
 # -- localization against the ring side -------------------------------

@@ -10,7 +10,9 @@ how user-supplied 2-rings come in and how reports print them.
 
 from __future__ import annotations
 
-from .multigraded import AbelianGroup, MultigradedRing, RingShapeError, make_multigraded
+from .diagnostics import require_within
+from .multigraded import AbelianGroup, MultigradedRing, RingShapeError, check_components
+from .multigraded import make_multigraded
 from .tworing import Tightening, TwoRingDatum, two_ring_from_multigraded
 
 __all__ = [
@@ -360,10 +362,12 @@ def _split(key: str, sep: str, parts: int, what: str) -> tuple:
 def two_ring_from_obj(obj: dict) -> TwoRingDatum:
     """Check the fields of a parsed JSON object and build the datum.
 
-    Shape errors surface as RingShapeError before any algebra runs; the
-    axioms themselves are a separate validate_two_ring pass.
+    Shape errors (RingShapeError) and sizes past LIMITS (SizeBound) are
+    refused before any algebra runs; the axioms are validate_two_ring's.
     """
     _check_fields(obj)
+    require_within("MAX_OBJECTS", len(obj["objects"]))
+    check_components(obj["char"], obj["dims"].values())
     group = AbelianGroup(tuple(obj["group_orders"]))
     objects = tuple(obj["objects"])
     oset = set(objects)

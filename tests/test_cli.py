@@ -16,7 +16,7 @@ import pytest
 import ttperiods
 from ttperiods import cli, tworing_catalog
 from ttperiods.cli import main
-from ttperiods.diagnostics import UsageError
+from ttperiods.diagnostics import LIMITS, UsageError
 from ttperiods.graded import make_ring, ring_to_obj
 from ttperiods.groups import dihedral, group_to_obj
 from ttperiods.sections_catalog import write_all as write_section_files
@@ -160,7 +160,7 @@ class TestRing:
         )
 
     def test_pattern_enumeration_is_capped(self, capsys, tmp_path, monkeypatch):
-        from ttperiods.graded import MAX_FREE_GENERATORS
+        MAX_FREE_GENERATORS = LIMITS["MAX_FREE_GENERATORS"].value
 
         monkeypatch.chdir(tmp_path)
         path = self.monomial_ring_file(MAX_FREE_GENERATORS + 1)
@@ -304,6 +304,25 @@ class TestTworing:
         )
         assert code == 1
         assert json.loads(out)["result"]["tightening"]["ok"] is False
+
+    @pytest.mark.parametrize("name", ["identity_laurent_f3_z4", "broken_dual_laurent"])
+    def test_agree_validates_the_tightening_once(self, capsys, monkeypatch, name):
+        from ttperiods import tworing
+
+        calls = []
+        validate = tworing.validate_tightening
+
+        def counted(T, R2):
+            calls.append(T.name)
+            return validate(T, R2)
+
+        monkeypatch.setattr(tworing, "validate_tightening", counted)
+        code, out, _ = run(capsys, "tworing", "agree", "--input", name)
+        assert calls == [name]
+        result = json.loads(out)["result"]
+        assert code == (0 if result["tightening"]["ok"] else 1)
+        if not result["tightening"]["ok"]:
+            assert result["agreement"] == result["tightening"]
 
     def test_agree_needs_catalog_name(self, capsys):
         code, _, err = run(capsys, "tworing", "agree", "--input", "nope")
@@ -449,7 +468,7 @@ class TestCompare:
         assert inverted["region"] == ["⟨α0,α1⟩", "⟨α0⟩", "⟨α1⟩"]
 
     def test_shifted_period_fails(self, capsys, demo, tmp_path):
-        obj = json.loads(open(demo["stmod_d8_space"], encoding="utf-8").read())
+        obj = json.loads(Path(demo["stmod_d8_space"]).read_text(encoding="utf-8"))
         obj["periods"]["⟨α0⟩"] = 2
         bad = write_json(tmp_path, "shifted.json", obj)
         code, out, _ = run(

@@ -24,6 +24,7 @@ from ttperiods.comparison import (
     validate_section_table,
     ample_homeo_consistency,
 )
+from ttperiods.diagnostics import SizeBound
 from ttperiods.graded import enumerate_patterns, local_period, make_ring, ring_from_obj
 from ttperiods.sections_catalog import (
     FIXTURE_NAMES,
@@ -131,9 +132,8 @@ class TestValidation:
 
     def test_point_cap(self):
         space = FiniteSpectralModel([f"p{i}" for i in range(17)])
-        table = make_table(space, {"L0": 0}, [("u", "L0", 0, space.points)])
-        with pytest.raises(ComparisonError):
-            is_ample(table)
+        with pytest.raises(SizeBound, match="MAX_POINTS = 16: .* is 17$"):
+            make_table(space, {"L0": 0}, [("u", "L0", 0, space.points)])
 
 
 class TestCompMap:

@@ -5,11 +5,11 @@ import hashlib
 import pytest
 
 from ttperiods.cohomology import GroupNotInCatalog, cohomology_entry
+from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.groups import (
     FiniteGroup,
     GroupError,
     NotSubgroup,
-    OrderBound,
     abelian_invariants,
     compose,
     cyclic,
@@ -90,8 +90,13 @@ class TestConstructors:
             elementary_abelian(4, 2)
 
     def test_order_bound_enforced(self):
-        with pytest.raises(OrderBound):
-            FiniteGroup(5, [cyc(5, [1, 2, 3, 4, 5])], order_bound=3)
+        limit = LIMITS["MAX_GROUP_ORDER"].value
+        with pytest.raises(SizeBound, match=f"MAX_GROUP_ORDER = {limit}: .* is {limit + 1}$"):
+            cyclic(limit + 1)
+        # C2 x C193 has order 386: only its closure passes the limit.
+        gens = [cyc(195, [1, 2]), cyc(195, list(range(3, 196)))]
+        with pytest.raises(SizeBound, match=f"MAX_GROUP_ORDER = {limit}: .* is at least {limit + 1}$"):
+            FiniteGroup(195, gens)
 
     def test_non_permutation_rejected(self):
         with pytest.raises(GroupError):
