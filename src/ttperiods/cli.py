@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnosis, UsageError
+from .diagnostics import Diagnosis, UsageError, require_within
 from .spaces import (
     TAG_COMPUTED,
     dumps_canonical,
@@ -170,8 +170,18 @@ def _resolve_group(text: str, inputs: dict):
     ):
         m = re.fullmatch(pattern, text)
         if m:
-            return build(*(int(n) for n in m.groups()))
+            return build(*(_name_number(n) for n in m.groups()))
     return text
+
+
+def _name_number(digits: str) -> int:
+    """A number in a group name.  Each one bounds the named group's order
+    from below, so one of more than 20 digits (past 2^64) is refused from
+    its length before int(), which rejects strings of more than 4300."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 20:
+        require_within("MAX_GROUP_ORDER", 10**20, at_least=True)
+    return int(digits)
 
 
 def _cmd_group(args) -> int:

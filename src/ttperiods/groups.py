@@ -225,6 +225,14 @@ class GroupIndex:
     Sub per cyclic subgroup, generated by its least generator.  The table is
     filled along the breadth-first tree of the generators from the products
     the group's closure walk already made, so it composes nothing itself.
+
+    Besides the table and conj(), the index keeps for its own lifetime,
+    which is the group's: the Sub of every permutation set that require
+    verified as a subgroup (a set that fails is never stored, and
+    subgroup() checks closure on every call), the Sylow p-subgroup that
+    sylow found per subgroup mask and p, and per conjugacy class the
+    classes that orbit and conjugate_masks found, each under the mask of
+    every member.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -263,6 +271,10 @@ class GroupIndex:
         self.inv = [row.index(0) for row in self.table]
         self.orders, self.cyclic = self._cyclic_subgroups()
         self._conj: "list | None" = None
+        self._subs: dict[frozenset, Sub] = {}
+        self._sylows: dict[tuple[int, int], Sub] = {}
+        self._orbits: dict[int, dict[int, Sub]] = {}
+        self._swept: dict[int, frozenset[int]] = {}
 
     @property
     def n(self) -> int:
@@ -307,10 +319,14 @@ class GroupIndex:
         return sub if sub.mask == target else None
 
     def require(self, H: Iterable[Perm]) -> Sub:
+        """The Sub on the given permutations, checked once per set."""
         H = frozenset(H)
-        sub = self.subgroup(H)
+        sub = self._subs.get(H)
         if sub is None:
-            raise NotSubgroup(sorted(H)[:3])
+            sub = self.subgroup(H)
+            if sub is None:
+                raise NotSubgroup(sorted(H)[:3])
+            self._subs[H] = sub
         return sub
 
     # -- closures --
@@ -377,6 +393,32 @@ class GroupIndex:
         gens = tuple(table[row[h]][gi] for h in H.gens)
         return Sub(_mask(elems), elems, gens)
 
+    def orbit(self, H: Sub) -> dict[int, Sub]:
+        """The conjugacy class of H, mask to Sub, grown from H by conjugating
+        with the generators of the group until nothing new appears."""
+        found = self._orbits.get(H.mask)
+        if found is None:
+            found = {H.mask: H}
+            work = [H]
+            for K in work:
+                for g in self.gens:
+                    L = self.conjugate(g, K)
+                    if L.mask not in found:
+                        found[L.mask] = L
+                        work.append(L)
+            self._orbits.update(dict.fromkeys(found, found))
+        return found
+
+    def conjugate_masks(self, H: Sub) -> frozenset[int]:
+        """The masks of g H g^-1 over every element g: the conjugacy class
+        of H found by sweeping the whole conjugation table, independently
+        of orbit."""
+        found = self._swept.get(H.mask)
+        if found is None:
+            found = frozenset(_mask(row[h] for h in H.elems) for row in self.conj())
+            self._swept.update(dict.fromkeys(found, found))
+        return found
+
     def normalizer(self, H: Sub) -> list[int]:
         """Elements g with g H g^-1 = H; checking H's generators suffices."""
         table, inv, mask = self.table, self.inv, H.mask
@@ -404,15 +446,19 @@ class GroupIndex:
 
     def sylow(self, H: Sub, p: int) -> Sub:
         """A Sylow p-subgroup of H, grown greedily over H's p-elements in
-        increasing order; maximal p-subgroups are Sylow."""
-        orders = self.orders
-        P = self.trivial()
-        for x in sorted(H.elems):
-            if x in P or not _is_p_power(orders[x], p):
-                continue
-            Q = self.extend(P, x)
-            if _is_p_power(Q.order, p):
-                P = Q
+        increasing order; maximal p-subgroups are Sylow.  One search per
+        subgroup and prime."""
+        P = self._sylows.get((H.mask, p))
+        if P is None:
+            orders = self.orders
+            P = self.trivial()
+            for x in sorted(H.elems):
+                if x in P or not _is_p_power(orders[x], p):
+                    continue
+                Q = self.extend(P, x)
+                if _is_p_power(Q.order, p):
+                    P = Q
+            self._sylows[H.mask, p] = P
         return P
 
 
@@ -458,15 +504,7 @@ def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
     for H in subs:
         if H.mask not in remaining:
             continue
-        # Orbit under conjugation by the generators of G.
-        orbit = {H.mask: H}
-        work = [H]
-        for K in work:
-            for g in ix.gens:
-                L = ix.conjugate(g, K)
-                if L.mask not in orbit:
-                    orbit[L.mask] = L
-                    work.append(L)
+        orbit = ix.orbit(H)
         if not orbit.keys() <= remaining:
             raise GroupError("conjugation left the subgroup lattice")
         remaining -= orbit.keys()
@@ -652,27 +690,22 @@ def p_subconjugate_sylow(
     require_prime(p)
     ix = G.index
     sub, target = ix.require(H), ix.require(Hp).mask
-    S = ix.sylow(sub, p)
-    # g S g^-1 lies in the subgroup Hp once S's generators land there.
-    return any(
-        all(target >> row[s] & 1 for s in S.gens) for row in ix.conj()
-    )
+    return any(not C & ~target for C in ix.orbit(ix.sylow(sub, p)))
 
 
 def p_subconjugate_mackey(
     G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
 ) -> bool:
     """Some double-coset intersection has index in H prime to p."""
+    require_prime(p)
     ix = G.index
-    sub, target = ix.require(H), ix.require(Hp).mask
-    conj, inv = ix.conj(), ix.inv
-    for g in range(ix.n):
-        # H meets g Hp g^-1 in the h with g^-1 h g in Hp.
-        row = conj[inv[g]]
-        k = sum(1 for h in sub.elems if target >> row[h] & 1)
-        if (sub.order // k) % p != 0:
-            return True
-    return False
+    sub, other = ix.require(H), ix.require(Hp)
+    # H meets g Hp g^-1 in the bits its mask shares with that conjugate's.
+    order, mask = sub.order, sub.mask
+    return any(
+        (order // (mask & C).bit_count()) % p
+        for C in ix.conjugate_masks(other)
+    )
 
 
 def p_subconjugate(
@@ -709,15 +742,16 @@ def p_equivalence_classes(
         for j in block:
             assigned[j] = True
         blocks.append(block)
-    p_classes = [c for c in classes if _is_p_power(c.order, p)]
+    subs = [ix.require(c.representative) for c in classes]
+    p_classes = [H.mask for H in subs if _is_p_power(H.order, p)]
     sylow_class: list[int] = []
     for block in blocks:
         hits = set()
         for j in block:
-            S = ix.frozen(ix.sylow(ix.require(classes[j].representative), p))
-            for k, c in enumerate(p_classes):
-                if S in c.conjugates:
-                    hits.add(k)
+            # The Sylow route above stored each representative's Sylow
+            # subgroup and its class, so this reads them without a search.
+            orbit = ix.orbit(ix.sylow(subs[j], p))
+            hits.update(k for k, mask in enumerate(p_classes) if mask in orbit)
         if len(hits) != 1:
             raise GroupError("equivalence block without a single Sylow class")
         sylow_class.append(hits.pop())

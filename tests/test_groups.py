@@ -225,6 +225,14 @@ class TestPSubconjugate:
                     if le[i][j] and le[j][k]:
                         assert le[i][k]
 
+    @pytest.mark.parametrize("p", [4, 1])
+    @pytest.mark.parametrize("route", [p_subconjugate_sylow, p_subconjugate_mackey])
+    def test_non_prime_refused(self, route, p):
+        G = dihedral(8)
+        H = frozenset({identity(4)})
+        with pytest.raises(GroupError, match=f"^{p} is not prime$"):
+            route(G, H, G.elements, p)
+
     def test_conjugation_invariance(self):
         from ttperiods.groups import conjugate_subgroup
 
@@ -609,6 +617,24 @@ class TestIndex:
         assert not G.has_subgroup(frozenset({identity(4)}))
         with pytest.raises(NotSubgroup):
             G.require_subgroup(frozenset({cyc(3, [1, 2, 3])}))
+        # Stored subgroups do not let a non-subgroup through, however often
+        # it is asked for.
+        for H in subgroups(G):
+            G.require_subgroup(H)
+        bad = frozenset({identity(3), cyc(3, [1, 2]), cyc(3, [2, 3])})
+        for _ in range(2):
+            assert not G.has_subgroup(bad)
+            with pytest.raises(NotSubgroup):
+                G.require_subgroup(bad)
+
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_class_derivations_agree(self, G):
+        ix = G.index
+        for H in subgroups(G):
+            sub = ix.require(H)
+            by_generators = set(ix.orbit(sub))
+            assert by_generators == set(ix.conjugate_masks(sub))
+            assert len(by_generators) == G.order // len(normalizer(G, H))
 
     @pytest.mark.parametrize("G", [symmetric(4), dihedral(24), elementary_abelian(2, 4)])
     def test_small_generators(self, G):
@@ -641,3 +667,23 @@ class TestWorkCount:
         rep = artin_tower(5, 3)
         assert dict(rep.chain_periods.values)["s3"] == 2
         assert 0 < count[0] < 600
+
+    def test_each_subgroup_resolved_once(self, monkeypatch):
+        from ttperiods.groups import GroupIndex
+
+        count = [0]
+        original = GroupIndex.span
+
+        def counted(self, target):
+            count[0] += 1
+            return original(self, target)
+
+        monkeypatch.setattr(GroupIndex, "span", counted)
+        G = elementary_abelian(2, 4)
+        subs = subgroups(G)
+        assert len(subs) == 67
+        for route in (p_subconjugate_sylow, p_subconjugate_mackey):
+            for H in subs:
+                for K in subs:
+                    route(G, H, K, 2)
+        assert 0 < count[0] <= len(subs)

@@ -182,6 +182,21 @@ def ring_at_char(tmp_path, char):
     (lambda tmp: ["group", "stmod", "--group", "D8", "--prime", "10000000000000061"], "MAX_PRIME"),
     (lambda tmp: ["tworing", "ideals", "--input", laurent_at_char(tmp, 100003)], "MAX_COMPONENT_SIZE"),
     (lambda tmp: ["ring", "validate", "--input", ring_at_char(tmp, 10000000000000061)], "MAX_PRIME"),
+    # Names whose numbers int() cannot read (past 4300 digits).
+    *(
+        pytest.param(
+            lambda tmp, name=name: ["group", "stmod", "--group", name, "--prime", "2"],
+            "MAX_GROUP_ORDER", id=f"long-{kind}",
+        )
+        for kind, name in [
+            ("C", "C" + "9" * 5000),
+            ("D", "D" + "8" * 5000),
+            ("Q", "Q" + "8" * 5000),
+            ("S", "S" + "9" * 5000),
+            ("p^r-prime", "C" + "9" * 5000 + "^2"),
+            ("p^r-rank", "C2^" + "9" * 5000),
+        ]
+    ),
 ])
 def test_oversized_command_exits_2_within_a_second(capsys, tmp_path, argv, row):
     args = argv(tmp_path)
