@@ -431,17 +431,22 @@ class GroupIndex:
 
     def subgroups(self) -> list[Sub]:
         """Every subgroup: each one is a join of cyclic subgroups, so
-        extending by one cyclic generator at a time reaches them all."""
+        extending by one cyclic generator at a time reaches them all.  The
+        table lookups, counted as the order of every extension, are bounded
+        by MAX_SUBGROUP_LOOKUPS, checked after each subgroup's extensions."""
         found = {1: self.trivial()}
         for c in self.cyclic:
             found.setdefault(c.mask, c)
         work = list(found.values())
+        lookups = 0
         for H in work:
             for c in self.cyclic:
                 J = self.extend(H, c.gens[0])
+                lookups += len(J.elems)
                 if J.mask not in found:
                     found[J.mask] = J
                     work.append(J)
+            require_within("MAX_SUBGROUP_LOOKUPS", lookups)
         return sorted(found.values(), key=_canon)
 
     def sylow(self, H: Sub, p: int) -> Sub:

@@ -6,8 +6,10 @@ given by structure constants, and commutativity is twisted by a
 symmetric bilinear transposition table valued in the units of the
 degree-zero component.  Ideal lattices, primes and spectra are linear
 algebra on an AlgebraIndex (structure constants on numbered bases, shared
-with 2-rings); fraction localization still enumerates elements, so
-components are bounded by diagnostics.LIMITS.
+with 2-rings), and so is fraction localization of rings and 2-rings: the
+fraction classes of a component are the quotient of one block per
+denominator by the dilation relations.  Components are bounded by
+diagnostics.LIMITS.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ def vec_scale(p: int, c: int, u: Sequence[int]) -> tuple[int, ...]:
 def all_vectors(p: int, dim: int):
     return itertools.product(range(p), repeat=dim)
 
+def basis_vectors(dim: int) -> list:
+    return [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+
 
 def render_combo(names: Sequence[str], vec: Sequence[int]) -> str:
     """Linear combination as a short string: "x", "2y", "x+2y", "0"."""
@@ -167,9 +172,8 @@ class MultigradedRing:
     def basis_elements(self):
         """The basis vectors of every component, as (degree, vector) pairs."""
         for x in self.group.elements():
-            d = self.dims[x]
-            for i in range(d):
-                yield (x, tuple(1 if k == i else 0 for k in range(d)))
+            for f in basis_vectors(self.dims[x]):
+                yield (x, f)
 
     def render(self, elt) -> str:
         x, vec = elt
@@ -439,13 +443,19 @@ def _line(p: int, v) -> tuple[int, ...]:
 
 
 def _reduce(p: int, basis, v) -> tuple[int, ...]:
-    """v less its part along an echelon basis of (pivot, row) pairs: zero
-    exactly when v lies in the span."""
+    """v less its part along a reduced echelon basis of (pivot, row)
+    pairs: zero exactly when v lies in the span.  No row has a nonzero
+    entry at another row's pivot, so each coefficient is read off v."""
+    out = None
     for piv, row in basis:
         c = v[piv]
         if c:
-            v = tuple((a - c * b) % p for a, b in zip(v, row))
-    return v
+            if out is None:
+                out = list(v)
+            for k, b in enumerate(row):
+                if b:
+                    out[k] -= c * b
+    return v if out is None else tuple(a % p for a in out)
 
 
 def _insert(p: int, basis, v) -> tuple:
@@ -496,10 +506,15 @@ def solutions(p: int, rows: Sequence, target: Sequence[int]) -> list:
     return out
 
 
+def rank(p: int, vectors: Iterable) -> int:
+    """Dimension of the span of vectors over F_p."""
+    return len(_echelon(p, vectors))
+
+
 def matrix_invertible(p: int, rows: Sequence[Sequence[int]]) -> bool:
     """Whether a square matrix over F_p has full rank."""
     n = len(rows)
-    return all(len(r) == n for r in rows) and len(_echelon(p, rows)) == n
+    return all(len(r) == n for r in rows) and rank(p, rows) == n
 
 
 class AlgebraIndex:
@@ -546,7 +561,7 @@ class AlgebraIndex:
                 maps[ce][(ct, tuple(tuple(table[i][j]) for j in range(dims[e])))] = None
         for g, ident in twists:
             for c, d in zip(self.keys, self.dims):
-                basis = [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]
+                basis = basis_vectors(d)
                 for entry, rows in (
                     (self.tensors.get((*g, *c)), [(ident, e) for e in basis]),
                     (self.tensors.get((*c, *g)), [(e, ident) for e in basis]),
@@ -721,6 +736,82 @@ def close_multiplicative(gens: Iterable, product, twists=lambda m: ()) -> frozen
     return frozenset(members)
 
 
+class FractionQuotient:
+    """The fraction classes of one target component of a localization:
+    the one engine of ring and 2-ring fractions (Gabriel and Zisman,
+    Calculus of Fractions and Homotopy Theory, 1967).
+
+    blocks lists each denominator s with the dimension of its numerators,
+    in scan order; their direct sum has one coordinate per basis
+    numerator.  dilations lists (s, su, rows), rows[i] being basis
+    numerator i times u, in the block of su.  (s, f) ~ (su, f u) is
+    linear in f, so the relations e_s(f) - e_su(f u) over basis f span
+    them all; the classes are the quotient by that span, a filtered
+    colimit of vector spaces, whose elements are the classes of single
+    fractions, and relations is its reduced echelon basis.  basis lists
+    the fractions (s, f) scanned first whose classes are independent of
+    those before, and a class is given by its coordinates in that basis,
+    dim of them.
+    """
+
+    def __init__(self, p: int, blocks: Iterable, dilations: Iterable):
+        self.p = p
+        self.blocks = tuple(blocks)
+        self.dilations = tuple(dilations)
+        self.offsets = {}
+        n = 0
+        for s, d in self.blocks:
+            self.offsets[s] = (n, d)
+            n += d
+        self.length = n
+        relations: tuple = ()
+        for s, su, rows in self.dilations:
+            if len(relations) == n:
+                break
+            i0, _ = self.offsets[s]
+            j0, d = self.offsets[su]
+            for i, row in enumerate(rows):
+                v = [0] * n
+                v[j0:j0 + d] = [-c % p for c in row]
+                v[i0 + i] = (v[i0 + i] + 1) % p
+                v = _reduce(p, relations, tuple(v))
+                if any(v):
+                    relations = _insert(p, relations, v)
+        self.relations = relations
+        self.dim = n - len(relations)
+        # Fractions are scanned in order of denominator, then numerator;
+        # the lexicographically least vector outside a subspace is the
+        # basis vector of largest index outside it, so each block is
+        # scanned from its last basis vector.  A fraction kept joins the
+        # relations tagged with its own unit vector, so reducing a fraction
+        # against them leaves minus its coordinates in the tag, as in
+        # solutions.
+        self.basis: list = []
+        self._tagged = tuple((piv, row + (0,) * self.dim) for piv, row in relations)
+        tags = basis_vectors(self.dim)
+        for s, d in self.blocks:
+            for f in reversed(basis_vectors(d)):
+                if len(self.basis) == self.dim:
+                    break
+                v = _reduce(p, self._tagged, self._embed(s, f) + tags[len(self.basis)])
+                if any(v[:n]):
+                    self._tagged = _insert(p, self._tagged, v)
+                    self.basis.append((s, f))
+
+    def _embed(self, s, vec) -> tuple:
+        if s not in self.offsets or len(vec) != self.offsets[s][1]:
+            raise RingShapeError(f"no block for the fraction {(s, vec)!r}")
+        i0, d = self.offsets[s]
+        v = [0] * self.length
+        v[i0:i0 + d] = vec
+        return tuple(v)
+
+    def class_of(self, s, vec) -> tuple:
+        """Coordinates in the basis of the class of the fraction (s, vec)."""
+        v = _reduce(self.p, self._tagged, self._embed(s, vec) + (0,) * self.dim)
+        return tuple(-c % self.p for c in v[self.length:])
+
+
 @dataclass(frozen=True)
 class IdealLattice:
     """All ideals of a finite tabulated ring or 2-ring, ordered by size.
@@ -758,25 +849,6 @@ def prime_spectrum(primes: Sequence, name):
     if len(names) != len(primes):
         raise RingShapeError("prime naming collision")
     return FiniteSpectralModel.from_inclusions(names), names
-
-
-def equivalence_classes(items: Iterable, pairs: Iterable) -> list:
-    """Classes of the equivalence relation on items generated by pairs,
-    ordered by their sorted members."""
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        parent[find(x)] = find(y)
-    classes: dict = {}
-    for x in parent:
-        classes.setdefault(find(x), set()).add(x)
-    return sorted((frozenset(c) for c in classes.values()), key=sorted)
 
 
 # -- homogeneous ideals -----------------------------------------------
@@ -841,8 +913,7 @@ def homogeneous_units(ring: MultigradedRing) -> list:
         return out
     for u in ring.homogeneous_elements():
         x = ring.group.neg(u[0])
-        basis = [(x, tuple(1 if k == i else 0 for k in range(ring.dims[x])))
-                 for i in range(ring.dims[x])]
+        basis = [(x, f) for f in basis_vectors(ring.dims[x])]
         rows = [mg_mul(ring, u, e)[1] + mg_mul(ring, e, u)[1] for e in basis]
         if any(any(v) for v in solutions(ring.char, rows, ring.one + ring.one)):
             out.append(u)
@@ -861,68 +932,49 @@ class RingFractions:
 
     A fraction is a pair (numerator, denominator) of homogeneous
     elements with the denominator in the system; its degree is the
-    difference.  Two fractions are identified when a chain of common
-    dilations connects them.  classes maps each degree to the list of
-    classes, each class a frozenset of fraction pairs.
+    difference.  quotients maps each degree x to the FractionQuotient
+    whose denominators are the system, each with numerators in degree x
+    plus its own.  A class is (degree, coordinates), so addition is a
+    vector sum.
     """
 
     ring: MultigradedRing
     system: frozenset
-    classes: dict
+    quotients: dict
 
     def class_of(self, frac):
-        x = self.ring.group.sub(frac[0][0], frac[1][0])
-        for cls in self.classes[x]:
-            if frac in cls:
-                return cls
-        raise RingShapeError(f"fraction {frac!r} not found")
+        (y, r), s = frac
+        x = self.ring.group.sub(y, s[0])
+        return (x, self.quotients[x].class_of(s, r))
 
     def zero_class(self, degree):
-        s = min(self.system)
-        num_deg = self.ring.group.add(tuple(degree), s[0])
-        return self.class_of(((num_deg, vec_zero(self.ring.dims[num_deg])), s))
+        degree = tuple(degree)
+        return (degree, vec_zero(self.quotients[degree].dim))
 
     def add(self, cls_a, cls_b):
-        """Class addition via an exhaustively found common denominator."""
-        ra, sa = min(cls_a)
-        rb, sb = min(cls_b)
-        for t in self.ring.homogeneous_elements(include_zero=True):
-            for t2 in self.ring.homogeneous_elements(include_zero=True):
-                da = mg_mul(self.ring, sa, t)
-                if da not in self.system:
-                    continue
-                if mg_mul(self.ring, sb, t2) != da:
-                    continue
-                na = mg_mul(self.ring, ra, t)
-                nb = mg_mul(self.ring, rb, t2)
-                if na[0] != nb[0]:
-                    continue
-                return self.class_of(((na[0], vec_add(self.ring.char, na[1], nb[1])), da))
-        raise RingShapeError("no common denominator found")
+        if cls_a[0] != cls_b[0]:
+            raise RingShapeError(f"fraction classes of degrees {cls_a[0]} and {cls_b[0]}")
+        return (cls_a[0], vec_add(self.ring.char, cls_a[1], cls_b[1]))
 
 
 def ring_fractions(ring: MultigradedRing, system: frozenset) -> RingFractions:
+    """Fraction classes, with the dilations (r, s) ~ (r t, s t) for every
+    nonzero homogeneous t with s t in the system."""
     require_within("MAX_FRACTION_PAIRS", len(system) * sum(ring.char**d for d in ring.dims.values()))
-    numerators = list(ring.homogeneous_elements(include_zero=True))
-    fractions = [(r, s) for s in system for r in numerators]
-    elements = list(ring.homogeneous_elements())
-
-    # Elementary dilation: (r, s) ~ (r t, s t) whenever s t stays in
-    # the system; the equivalence they generate is the full one.  s t
-    # does not depend on r, so each (s, t) is multiplied once.
-    def dilations():
-        for s in system:
-            for t in elements:
-                st = mg_mul(ring, s, t)
-                if st in system:
-                    for r in numerators:
-                        yield (r, s), (mg_mul(ring, r, t), st)
-
-    classes: dict = {x: [] for x in ring.group.elements()}
-    for cls in equivalence_classes(fractions, dilations()):
-        rep = min(cls)
-        deg = ring.group.sub(rep[0][0], rep[1][0])
-        # One orbit can only mix fractions of a single degree.
-        assert all(ring.group.sub(r[0], s[0]) == deg for (r, s) in cls)
-        classes[deg].append(cls)
-    return RingFractions(ring=ring, system=frozenset(system), classes=classes)
+    group = ring.group
+    denominators = sorted(system)
+    # s t does not depend on the numerator, so each (s, t) is multiplied once.
+    dilations = [(s, t, st) for s in denominators for t in ring.homogeneous_elements()
+                 if (st := mg_mul(ring, s, t)) in system]
+    # r -> r t depends on t and the degree of r alone.
+    times = {(t, y): [mg_mul(ring, (y, f), t)[1] for f in basis_vectors(ring.dims[y])]
+             for t in {t for _, t, _ in dilations} for y in group.elements()}
+    quotients = {}
+    for x in group.elements():
+        numerators = {s: group.add(x, s[0]) for s in denominators}
+        quotients[x] = FractionQuotient(
+            ring.char,
+            [(s, ring.dims[numerators[s]]) for s in denominators],
+            [(s, st, times[(t, numerators[s])]) for s, t, st in dilations],
+        )
+    return RingFractions(ring=ring, system=frozenset(system), quotients=quotients)

@@ -9,14 +9,15 @@ ideals and their primes, a Zariski-style spectrum, twisted-commutation
 oracles, tightening validation against a graded ring, the executable
 ideal correspondence between the two sides, localization by a two-sided
 calculus of fractions, and restriction to a support submonoid.
-Ideals, primes and inverses are linear algebra on the AlgebraIndex the
-datum shares with graded rings; everything else is decided by
-exhaustive enumeration over the finite tables.
+Ideals, primes, inverses and the span classes of a localization are
+linear algebra on the AlgebraIndex the datum shares with graded rings
+(span classes through the fraction engine ring fractions use too);
+everything else, such as the exchange squares that compose span
+classes, is decided by exhaustive enumeration over the finite tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,18 +25,20 @@ from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
 from .multigraded import (
     AbelianGroup,
     AlgebraIndex,
+    FractionQuotient,
     IdealLattice,
     MultigradedRing,
     RingShapeError,
     all_vectors,
+    basis_vectors,
     close_multiplicative,
-    equivalence_classes,
     ideal_name_ring,
     is_ring_prime,
     matrix_invertible,
     mg_mul,
     mult_system_ring,
     prime_spectrum,
+    rank,
     render_combo,
     ring_fractions,
     ring_ideals,
@@ -99,9 +102,6 @@ class TwoRingDatum:
     def hom_dim(self, a, b) -> int:
         return self.dims.get((a, b), 0)
 
-    def zero_mor(self, a, b):
-        return (a, b, vec_zero(self.hom_dim(a, b)))
-
     def identity(self, a):
         return (a, a, self.identities[a])
 
@@ -118,9 +118,8 @@ class TwoRingDatum:
     def basis_morphisms(self):
         for a in self.objects:
             for b in self.objects:
-                d = self.hom_dim(a, b)
-                for i in range(d):
-                    yield (a, b, tuple(1 if k == i else 0 for k in range(d)))
+                for f in basis_vectors(self.hom_dim(a, b)):
+                    yield (a, b, f)
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
@@ -176,16 +175,6 @@ def two_ring_index(R2: TwoRingDatum) -> AlgebraIndex:
     return AlgebraIndex(R2.char, dims, products, tensors, twists)
 
 
-def mor_add(R2: TwoRingDatum, f, g):
-    if (f[0], f[1]) != (g[0], g[1]):
-        raise BadShapes("cannot add morphisms with different endpoints")
-    return (f[0], f[1], vec_add(R2.char, f[2], g[2]))
-
-
-def mor_scale(R2: TwoRingDatum, c: int, f):
-    return (f[0], f[1], vec_scale(R2.char, c, f[2]))
-
-
 def iso_pairs(R2: TwoRingDatum, a, b) -> tuple:
     """Every invertible morphism from a to b with its inverse, as
     (f, inverse) pairs, cached per datum.
@@ -199,7 +188,7 @@ def iso_pairs(R2: TwoRingDatum, a, b) -> tuple:
     out = []
     ida, idb = R2.identities[a], R2.identities[b]
     d = R2.hom_dim(b, a)
-    basis = [(b, a, tuple(1 if k == i else 0 for k in range(d))) for i in range(d)]
+    basis = [(b, a, f) for f in basis_vectors(d)]
     shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
     for f in R2.homs(a, b, include_zero=True) if shaped else ():
         rows = [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis]
@@ -279,9 +268,6 @@ def two_ring_from_multigraded(
             n = ring.dims[d] if d in supp else 0
             dims[(a, b)] = n
             basis_names[(a, b)] = ring.basis_names[d][:n]
-
-    def ring_vec(a, b, vec):
-        return (deg(a, b), vec)
 
     compose_tables = {}
     for a in objects:
@@ -823,84 +809,73 @@ def mult_closure_two(R2: TwoRingDatum, gens: Iterable = ()) -> frozenset:
 class LocalizedTwoRing:
     """Fraction 2-ring together with its bookkeeping.
 
-    datum is the resulting tabulated 2-ring.  classes maps a component
-    to the ordered list of span classes; coords maps a component to a
-    dict from class to coefficient tuple in the chosen basis; embed
-    sends an original morphism to its class.
+    datum is the resulting tabulated 2-ring, base the 2-ring localized
+    and system the closed system.  quotients maps each component (a, b)
+    to the FractionQuotient of its spans (s, f), s: k -> a in the system
+    and f: k -> b; the basis fractions of each quotient are the basis of
+    the datum's hom space, so the class of a span is a morphism of the
+    datum.
     """
 
     datum: TwoRingDatum
+    base: TwoRingDatum
     system: frozenset
-    classes: dict
-    coords: dict
+    quotients: dict
 
-    def class_of_span(self, comp, span):
-        return _find_class(self.classes, comp, span)
+    def class_of_span(self, span):
+        s, f = span
+        return (s[1], f[1], _span_class(self.quotients, span))
 
     def embed(self, mor):
-        a, b, _ = mor
-        return self.class_of_span((a, b), ((a, a, self.datum.identities[a]), mor))
+        """An original morphism f: a -> b as the class of (1_a, f)."""
+        return self.class_of_span((self.base.identity(mor[0]), mor))
 
 
-def _span_classes(R2: TwoRingDatum, system: frozenset):
-    """Group spans by the dilation equivalence, per component."""
+def _span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
+    """The FractionQuotient of every component: the spans into (a, b) have
+    the members s: k -> a of the system as denominators and Hom(k, b) as
+    numerators, and (s, f) ~ (s u, f u) whenever s u stays in the system."""
     counts = {a: sum(R2.char ** R2.hom_dim(a, b) for b in R2.objects) for a in R2.objects}
     require_within("MAX_SPANS", sum(counts[s[0]] for s in system))
-    sources = {a: [f for b in R2.objects for f in R2.homs(a, b, include_zero=True)]
-               for a in R2.objects}
-    spans = [(s, f) for s in system for f in sources[s[0]]]
-
-    # (s, f) ~ (s u, f u) whenever s u stays in the system; s u does not
-    # depend on f, so each (s, u) is composed once.
-    def dilations():
-        for s in system:
-            for k2 in R2.objects:
-                for u in R2.homs(k2, s[0], include_zero=True):
-                    su = compose(R2, s, u)
-                    if su in system:
-                        for f in sources[s[0]]:
-                            yield (s, f), (su, compose(R2, f, u))
-
-    # A dilation keeps both targets, so each class sits in one component.
-    classes: dict = {(a, b): [] for a in R2.objects for b in R2.objects}
-    for cls in equivalence_classes(spans, dilations()):
-        s, f = next(iter(cls))
-        classes[(s[1], f[1])].append(cls)
-    return classes
-
-
-def _find_class(classes, comp, span):
-    for cls in classes[comp]:
-        if span in cls:
-            return cls
-    raise RingShapeError(f"span {span!r} missing from component {comp}")
+    # s u does not depend on f, so each (s, u) is composed once.
+    dilations = [(s, u, su) for s in sorted(system) for m in R2.objects
+                 for u in R2.homs(m, s[0], include_zero=True)
+                 if (su := compose(R2, s, u)) in system]
+    reach: dict = {}
+    for s, _, su in dilations:
+        reach.setdefault(s, set()).add(su)
+    # f -> f u depends on u and the target of f alone.
+    times = {(u, b): [compose(R2, (u[1], b, f), u)[2] for f in basis_vectors(R2.hom_dim(u[1], b))]
+             for u in {u for _, u, _ in dilations} for b in R2.objects}
+    out = {}
+    for a in R2.objects:
+        denominators = [s for s in sorted(system) if s[1] == a]
+        # Spans are added through a common dilation of their denominators.
+        for i, s in enumerate(denominators):
+            for t in denominators[:i]:
+                if reach.get(s, set()).isdisjoint(reach.get(t, ())):
+                    raise RingShapeError(
+                        f"no common dilation for {R2.render(t)} and {R2.render(s)}")
+        for b in R2.objects:
+            out[(a, b)] = FractionQuotient(
+                R2.char,
+                [(s, R2.hom_dim(s[0], b)) for s in denominators],
+                [(s, su, times[(u, b)]) for s, u, su in dilations if s[1] == a],
+            )
+    return out
 
 
-def _span_add(R2: TwoRingDatum, system: frozenset, classes, comp, cls_a, cls_b):
-    """Add two span classes via an exhaustively found common dilation."""
-    (s, f) = min(cls_a)
-    (t, g) = min(cls_b)
-    k, l = s[0], t[0]
-    for m in R2.objects:
-        for u in R2.homs(m, k, include_zero=True):
-            su = compose(R2, s, u)
-            if su not in system:
-                continue
-            for v in R2.homs(m, l, include_zero=True):
-                if compose(R2, t, v) != su:
-                    continue
-                summed = (su, mor_add(R2, compose(R2, f, u), compose(R2, g, v)))
-                return _find_class(classes, comp, summed)
-    raise RingShapeError("no common dilation for span addition")
+def _span_class(quotients: dict, span) -> tuple:
+    s, f = span
+    return quotients[(s[1], f[1])].class_of(s, f[2])
 
 
-def _span_scale(R2: TwoRingDatum, classes, comp, c: int, cls):
-    (s, f) = min(cls)
-    return _find_class(classes, comp, (s, mor_scale(R2, c, f)))
+def _basis_spans(quotients: dict, comp) -> list:
+    return [(s, (s[0], comp[1], f)) for s, f in quotients[comp].basis]
 
 
-def _span_compose(R2: TwoRingDatum, system: frozenset, classes, first, second):
-    """Composite of spans (second after first) via an exchange square."""
+def _span_compose(R2: TwoRingDatum, system: frozenset, first, second):
+    """Composite span (second after first) via an exchange square."""
     (s, f) = first    # from a: s: k -> a, f: k -> b
     (t, g) = second   # from b: t: l -> b, g: l -> c
     k, l = s[0], t[0]
@@ -915,8 +890,7 @@ def _span_compose(R2: TwoRingDatum, system: frozenset, classes, first, second):
             for f2 in R2.homs(m, l, include_zero=True):
                 if compose(R2, t, f2) != ft2:
                     continue
-                comp = (st2[1], compose(R2, g, f2)[1])
-                return _find_class(classes, comp, (st2, compose(R2, g, f2)))
+                return (st2, compose(R2, g, f2))
     raise RingShapeError("no exchange square for span composition")
 
 
@@ -928,52 +902,9 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
         if a not in objects or b not in objects or len(vec) != R2.hom_dim(a, b):
             raise BadShapes(f"system generator {(a, b, vec)!r} is not a morphism of {R2.name}")
     system = mult_closure_two(R2, S)
-    classes = _span_classes(R2, system)
-
-    p = R2.char
-    dims = {}
-    coords: dict = {}
-    basis_classes: dict = {}
-    for comp, cls_list in classes.items():
-        a, b = comp
-        zero_cls = _find_class(classes, comp, (R2.identity(a), R2.zero_mor(a, b))) if cls_list else None
-        n = len(cls_list)
-        d = 0
-        while p ** d < n:
-            d += 1
-        if n and p ** d != n:
-            raise RingShapeError(f"component {comp} has {n} classes, not a power of {p}")
-        chosen: list = []
-        span_map = {(): zero_cls} if cls_list else {}
-        for cls in cls_list:
-            if len(chosen) == d:
-                break
-            if cls in span_map.values():
-                continue
-            trial = chosen + [cls]
-            new_map = {}
-            ok = True
-            for coeffs in itertools.product(range(p), repeat=len(trial)):
-                acc = zero_cls
-                for c, bc in zip(coeffs, trial):
-                    if c:
-                        acc = _span_add(R2, system, classes, comp, acc,
-                                        _span_scale(R2, classes, comp, c, bc))
-                if acc in new_map.values():
-                    ok = False
-                    break
-                new_map[coeffs] = acc
-            if ok:
-                chosen = trial
-                span_map = new_map
-        if len(chosen) != d:
-            raise RingShapeError(f"no basis found for component {comp}")
-        dims[comp] = d
-        basis_classes[comp] = chosen
-        coords[comp] = {cls: coeffs for coeffs, cls in span_map.items()}
-
-    def coords_of(comp, cls):
-        return coords[comp][cls]
+    quotients = _span_quotients(R2, system)
+    dims = {comp: q.dim for comp, q in quotients.items()}
+    basis = {comp: _basis_spans(quotients, comp) for comp in quotients}
 
     objects = R2.objects
     compose_tables = {}
@@ -982,14 +913,17 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
             for c in objects:
                 if dims[(a, b)] == 0 or dims[(b, c)] == 0:
                     continue
-                rows = []
-                for cls_f in basis_classes[(a, b)]:
-                    row = []
-                    for cls_g in basis_classes[(b, c)]:
-                        out = _span_compose(R2, system, classes, min(cls_f), min(cls_g))
-                        row.append(coords_of((a, c), out))
-                    rows.append(tuple(row))
-                compose_tables[(a, b, c)] = tuple(rows)
+                compose_tables[(a, b, c)] = tuple(
+                    tuple(_span_class(quotients, _span_compose(R2, system, first, second))
+                          for second in basis[(b, c)])
+                    for first in basis[(a, b)]
+                )
+
+    def tensor_class(first, second):
+        (s, f), (t, g) = first, second
+        if tensor(R2, s, t) not in system:
+            raise RingShapeError("tensor of denominators left the system")
+        return _span_class(quotients, (tensor(R2, s, t), tensor(R2, f, g)))
 
     tensor_tables = {}
     for a in objects:
@@ -998,34 +932,18 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
                 for d_ in objects:
                     if dims[(a, b)] == 0 or dims[(c, d_)] == 0:
                         continue
-                    src = R2.tensor_obj[(a, c)]
-                    dst = R2.tensor_obj[(b, d_)]
-                    rows = []
-                    for cls_f in basis_classes[(a, b)]:
-                        (s, f) = min(cls_f)
-                        row = []
-                        for cls_g in basis_classes[(c, d_)]:
-                            (t, g) = min(cls_g)
-                            sp = (tensor(R2, s, t), tensor(R2, f, g))
-                            if sp[0] not in system:
-                                raise RingShapeError("tensor of denominators left the system")
-                            out = _find_class(classes, (src, dst), sp)
-                            row.append(coords_of((src, dst), out))
-                        rows.append(tuple(row))
-                    tensor_tables[(a, b, c, d_)] = tuple(rows)
+                    tensor_tables[(a, b, c, d_)] = tuple(
+                        tuple(tensor_class(first, second) for second in basis[(c, d_)])
+                        for first in basis[(a, b)]
+                    )
 
-    identities = {}
-    for a in objects:
-        cls = _find_class(classes, (a, a), (R2.identity(a), R2.identity(a)))
-        identities[a] = coords_of((a, a), cls)
+    identities = {a: _span_class(quotients, (R2.identity(a), R2.identity(a))) for a in objects}
     symmetry = {}
     for a in objects:
         for b in objects:
             ab = R2.tensor_obj[(a, b)]
             ba = R2.tensor_obj[(b, a)]
-            s_old = (ab, ba, R2.symmetry[(a, b)])
-            cls = _find_class(classes, (ab, ba), (R2.identity(ab), s_old))
-            symmetry[(a, b)] = coords_of((ab, ba), cls)
+            symmetry[(a, b)] = _span_class(quotients, (R2.identity(ab), (ab, ba, R2.symmetry[(a, b)])))
 
     realized = {
         R2.group.sub(R2.labels[b], R2.labels[a])
@@ -1054,7 +972,7 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
         identities=identities,
         symmetry=symmetry,
     )
-    return LocalizedTwoRing(datum=datum, system=system, classes=classes, coords=coords)
+    return LocalizedTwoRing(datum=datum, base=R2, system=system, quotients=quotients)
 
 
 def localize(R2: TwoRingDatum, S: Iterable) -> TwoRingDatum:
@@ -1090,7 +1008,10 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     translate closure of the identified generators; restriction after
     extension recovers the ring system; and for every degree the
     identification carries ring fraction classes bijectively and
-    additively onto the localized unit-sourced homs.
+    additively onto the localized unit-sourced homs.  The last is linear
+    algebra: the identification is additive in the numerator of each
+    denominator, agrees on both sides of every dilation that generates
+    the ring-side relations, and its rank is both dimensions.
     """
     d = validate_tightening(T, R2)
     if not d:
@@ -1107,33 +1028,39 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
 
     loc = localize_with_classes(R2, e_gen)
     fr = ring_fractions(ring, Sr)
-
+    p = R2.char
     for x in ring.group.elements():
         gx = T.representatives[T.projection[x]]
-        comp = (R2.unit, gx)
-        mapped: dict = {}
-        for cls in fr.classes[x]:
-            images = set()
-            for (num, den) in cls:
-                images.add(_identify_fraction(T, R2, loc, num, den))
-            if len(images) != 1:
-                return failure("identification_not_well_defined", x)
-            mapped[cls] = images.pop()
-        if len(set(mapped.values())) != len(mapped):
-            return failure("identification_not_injective", x)
-        if set(mapped.values()) != set(loc.classes[comp]):
-            return failure("identification_not_surjective", x)
-        for c1 in fr.classes[x]:
-            for c2 in fr.classes[x]:
-                lhs = mapped[fr.add(c1, c2)]
-                rhs = _span_add(R2, loc.system, loc.classes, comp, mapped[c1], mapped[c2])
-                if lhs != rhs:
+        width = loc.datum.hom_dim(R2.unit, gx)
+
+        def combine(coeffs, vectors):
+            return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % p for k in range(width))
+
+        q = fr.quotients[x]
+        numerators = {s: ring.group.add(x, s[0]) for s, _ in q.blocks}
+        image = {s: [_identify_fraction(T, R2, loc, (numerators[s], f), s) for f in basis_vectors(d)]
+                 for s, d in q.blocks}
+        # Where it is linear in the numerator, the identification is given
+        # by image; the dilations generate the ring-side relations.
+        for s, d in q.blocks:
+            for f in all_vectors(p, d):
+                if _identify_fraction(T, R2, loc, (numerators[s], f), s) != combine(f, image[s]):
                     return failure("identification_not_additive", x)
+        for s, su, rows in q.dilations:
+            for mine, row in zip(image[s], rows):
+                if mine != combine(row, image[su]):
+                    return failure("identification_not_well_defined", x)
+        found = rank(p, [v for vs in image.values() for v in vs])
+        if found != q.dim:
+            return failure("identification_not_injective", x)
+        if found != width:
+            return failure("identification_not_surjective", x)
     return PASS
 
 
 def _identify_fraction(T: Tightening, R2: TwoRingDatum, loc: LocalizedTwoRing, num, den):
-    """Span class of a ring fraction under the tightened identification."""
+    """Coordinates of the localized morphism a ring fraction is sent to by
+    the tightened identification."""
     ring = T.ring
     y, z = num[0], den[0]
     x = ring.group.sub(y, z)
@@ -1155,7 +1082,7 @@ def _identify_fraction(T: Tightening, R2: TwoRingDatum, loc: LocalizedTwoRing, n
         r_leg = compose(R2, isos[0][0], r_leg)
     if s_leg not in loc.system:
         raise RingShapeError("identified denominator left the system")
-    return loc.class_of_span((R2.unit, gx), (s_leg, r_leg))
+    return _span_class(loc.quotients, (s_leg, r_leg))
 
 
 # -- restriction to a support submonoid -------------------------------
@@ -1230,15 +1157,13 @@ def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -
     loc_full = localize_with_classes(R2, S)
     for a in restricted.objects:
         for b in restricted.objects:
-            sub_classes = loc_res.classes[(a, b)]
-            full_classes = loc_full.classes[(a, b)]
-            image = []
-            for cls in sub_classes:
-                rep = min(cls)
-                image.append(_find_class(loc_full.classes, (a, b), rep))
-            if len(set(image)) != len(sub_classes):
+            # The comparison is linear, so it is injective when the images
+            # of a basis are independent.
+            images = [_span_class(loc_full.quotients, span)
+                      for span in _basis_spans(loc_res.quotients, (a, b))]
+            if rank(R2.char, images) != len(images):
                 return failure("restricted_localization_not_injective", a, b)
-            if len(sub_classes) != len(full_classes):
-                return failure("restricted_localization_dims", a, b,
-                               len(sub_classes), len(full_classes))
+            sub_count, full_count = (R2.char ** L.datum.hom_dim(a, b) for L in (loc_res, loc_full))
+            if sub_count != full_count:
+                return failure("restricted_localization_dims", a, b, sub_count, full_count)
     return PASS

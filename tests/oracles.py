@@ -1,18 +1,30 @@
-"""Brute-force references for the ring and 2-ring ideal engine.
+"""Brute-force references for the ring and 2-ring ideal and fraction
+engines.
 
 Each oracle works on explicit member sets: it enumerates vectors and
 multiplies them with mg_mul, compose and tensor, so it shares none of the
-closure, join, naming or prime code of the echelon engine it checks.
-Only viable for tiny instances.
+closure, join, naming, prime or quotient code of the echelon engine it
+checks.  Only viable for tiny instances.  square_zero builds the small
+rings with few units that several test files share.
 """
 
 import itertools
 
-from ttperiods.multigraded import all_vectors, mg_mul, vec_add, vec_zero
+from ttperiods.multigraded import all_vectors, make_multigraded, mg_mul, vec_add, vec_zero
 from ttperiods.tworing import compose, tensor
 
 # Largest number of componentwise subspace families an oracle enumerates.
 MAX_FAMILIES = 1024
+
+
+def square_zero(p, dims):
+    """Z/len(dims)-graded F_p + V with V^2 = 0, V of dimension dims[x] in
+    degree x > 0: the only units lie in degree zero."""
+    comps = {0: ("1",)}
+    comps.update({x: tuple(f"v{x}_{i}" for i in range(d)) for x, d in enumerate(dims) if x and d})
+    names = [nm for x in comps if x for nm in comps[x]]
+    prods = {(a, b): None for i, a in enumerate(names) for b in names[i:]}
+    return make_multigraded("square_zero", (len(dims),), p, components=comps, products=prods)
 
 
 def additive_span(p, vectors, dim):
@@ -141,3 +153,56 @@ def reference_iso_pairs(R2, a, b):
                 out.append((f, g))
                 break
     return tuple(out)
+
+
+def partition(class_of, items):
+    """The items grouped by the class class_of gives them."""
+    groups = {}
+    for item in items:
+        groups.setdefault(class_of(item), set()).add(item)
+    return {frozenset(g) for g in groups.values()}
+
+
+def equivalence_classes(items, pairs):
+    """Classes of the equivalence relation on items generated by pairs,
+    ordered by their sorted members (union-find)."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), set()).add(x)
+    return sorted((frozenset(c) for c in classes.values()), key=sorted)
+
+
+def reference_fraction_classes(ring, system):
+    """Every fraction (numerator, denominator) grouped by the equivalence
+    the dilations (r, s) ~ (r t, s t) generate, t nonzero homogeneous with
+    s t in the system."""
+    numerators = list(ring.homogeneous_elements(include_zero=True))
+    fractions = [(r, s) for s in system for r in numerators]
+    pairs = [((r, s), (mg_mul(ring, r, t), mg_mul(ring, s, t)))
+             for s in system for t in ring.homogeneous_elements()
+             if mg_mul(ring, s, t) in system for r in numerators]
+    return equivalence_classes(fractions, pairs)
+
+
+def reference_span_classes(R2, system):
+    """Every span (s, f), s in the system and f out of the source of s,
+    grouped by the equivalence the dilations (s, f) ~ (s u, f u) generate,
+    u any morphism into the source of s with s u in the system."""
+    sources = {a: [f for b in R2.objects for f in R2.homs(a, b, include_zero=True)]
+               for a in R2.objects}
+    spans = [(s, f) for s in system for f in sources[s[0]]]
+    pairs = [((s, f), (compose(R2, s, u), compose(R2, f, u)))
+             for s in system for m in R2.objects
+             for u in R2.homs(m, s[0], include_zero=True)
+             if compose(R2, s, u) in system for f in sources[s[0]]]
+    return equivalence_classes(spans, pairs)

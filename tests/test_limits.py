@@ -14,12 +14,14 @@ from ttperiods.cli import main
 from ttperiods.comparison import is_ample, make_table
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.graded import enumerate_patterns, make_ring
-from ttperiods.groups import cyclic, group_from_obj
+from ttperiods.groups import cyclic, dihedral, elementary_abelian, group_from_obj, subgroups
 from ttperiods.multigraded import make_multigraded, mult_system_ring, ring_fractions
 from ttperiods.spaces import FiniteSpectralModel, is_prime
 from ttperiods.tworing import homogeneous_ideals, localize_with_classes
 from ttperiods.tworing import two_ring_from_multigraded
 from ttperiods.tworing_catalog import build_two_ring, two_ring_to_obj
+
+from oracles import square_zero
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,16 +43,6 @@ def unit_ring(p, d, n):
     return make_multigraded(f"unit_{p}_{d}_{n}", (n,), p, components=comps, products=prods)
 
 
-def square_zero(p, dims):
-    """Z/len(dims)-graded F_p + V with V^2 = 0, V of dimension dims[x] in
-    degree x > 0: the only units lie in degree zero."""
-    comps = {0: ("1",)}
-    comps.update({x: tuple(f"v{x}_{i}" for i in range(d)) for x, d in enumerate(dims) if x and d})
-    names = [nm for x in comps if x for nm in comps[x]]
-    prods = {(a, b): None for i, a in enumerate(names) for b in names[i:]}
-    return make_multigraded("square_zero", (len(dims),), p, components=comps, products=prods)
-
-
 def sections_on(points):
     space = FiniteSpectralModel([f"p{i}" for i in range(points)])
     return make_table(space, {"L0": 0}, [("u", "L0", 0, space.points)])
@@ -68,6 +60,8 @@ def fractions(R):
 # just above it with the size it must report.  The fraction pairs of the
 # square-zero rings are 4 units times 5 + 39 * 125 + 24 * 5 (+ 1) numerators;
 # its 2-ring has 40 units and 5 + 3 * 125 + 5 * 25 + 1 homs out of each object.
+# The subgroup lattice of D108 takes 491 044 lookups; the search in C2^8 is
+# checked past the limit after the extensions of one subgroup of order 4.
 PROBES = {
     "MAX_PRIME": (
         lambda: is_prime(2**31 - 1),
@@ -76,6 +70,10 @@ PROBES = {
     "MAX_GROUP_ORDER": (
         lambda: cyclic(384).order == 384,
         lambda: cyclic(385), 385,
+    ),
+    "MAX_SUBGROUP_LOOKUPS": (
+        lambda: len(subgroups(dihedral(108))) == 128,
+        lambda: subgroups(elementary_abelian(2, 8)), 501432,
     ),
     "MAX_DEGREE": (
         lambda: cycle_group(4096).order == 384,
@@ -102,11 +100,11 @@ PROBES = {
         lambda: two_ring_from_multigraded(unit_ring(2, 1, 13)), 13,
     ),
     "MAX_FRACTION_PAIRS": (
-        lambda: fractions(square_zero(5, [1] + [3] * 39 + [1] * 24)).classes,
+        lambda: fractions(square_zero(5, [1] + [3] * 39 + [1] * 24)).quotients,
         lambda: fractions(square_zero(5, [1] + [3] * 39 + [1] * 24 + [0])), 20004,
     ),
     "MAX_SPANS": (
-        lambda: localize_with_classes(two_ring_from_multigraded(unit_ring(5, 1, 10)), []).classes,
+        lambda: localize_with_classes(two_ring_from_multigraded(unit_ring(5, 1, 10)), []).quotients,
         lambda: localize_with_classes(
             two_ring_from_multigraded(square_zero(5, [1, 3, 3, 3, 2, 2, 2, 2, 2, 0])), []
         ),
@@ -180,6 +178,7 @@ def ring_at_char(tmp_path, char):
 @pytest.mark.parametrize("argv, row", [
     (lambda tmp: ["group", "stmod", "--group", "C10000000", "--prime", "2"], "MAX_GROUP_ORDER"),
     (lambda tmp: ["group", "stmod", "--group", "D8", "--prime", "10000000000000061"], "MAX_PRIME"),
+    (lambda tmp: ["group", "dperm", "--group", "C2^8", "--prime", "2"], "MAX_SUBGROUP_LOOKUPS"),
     (lambda tmp: ["tworing", "ideals", "--input", laurent_at_char(tmp, 100003)], "MAX_COMPONENT_SIZE"),
     (lambda tmp: ["ring", "validate", "--input", ring_at_char(tmp, 10000000000000061)], "MAX_PRIME"),
     # Names whose numbers int() cannot read (past 4300 digits).

@@ -11,7 +11,6 @@ from ttperiods.multigraded import (
     SizeBound,
     all_vectors,
     close_multiplicative,
-    equivalence_classes,
     homogeneous_units,
     ideal_generated_ring,
     ideal_name_ring,
@@ -30,7 +29,8 @@ from ttperiods.multigraded import (
 )
 from ttperiods.tworing_catalog import RING_NAMES, build_ring
 
-from oracles import oracle_ring_ideals, oracle_ring_prime
+from oracles import equivalence_classes, oracle_ring_ideals, oracle_ring_prime
+from oracles import partition, reference_fraction_classes, square_zero
 
 
 class TestAbelianGroup:
@@ -356,7 +356,7 @@ class TestSystemsAndFractions:
     def test_fraction_classes_at_units(self):
         ring = build_ring("laurent_f2_z2")
         fr = ring_fractions(ring, mult_system_ring(ring))
-        assert all(len(fr.classes[x]) == 2 for x in ring.group.elements())
+        assert all(ring.char ** fr.quotients[x].dim == 2 for x in ring.group.elements())
 
     def test_fraction_addition(self):
         ring = build_ring("laurent_f2_z2")
@@ -371,7 +371,7 @@ class TestSystemsAndFractions:
         ring = build_ring("nilpotent_f2_z2")
         sys = mult_system_ring(ring, [((1,), (1,))])
         fr = ring_fractions(ring, sys)
-        assert all(len(fr.classes[x]) == 1 for x in ring.group.elements())
+        assert all(ring.char ** fr.quotients[x].dim == 1 for x in ring.group.elements())
 
     def test_fractions_separate_what_units_cannot_merge(self):
         ring = build_ring("dual_laurent_f2_z2")
@@ -380,6 +380,21 @@ class TestSystemsAndFractions:
         e = ((0,), (0, 1))
         one = ((0,), (1, 0))
         assert fr.class_of((e, one)) != fr.zero_class((0,))
+
+
+# The square-zero rings have components of dimension 2 with few units.
+@pytest.mark.parametrize("ring", [
+    *(pytest.param(name, id=name) for name in RING_NAMES),
+    *(pytest.param((p, [1, 2]), id=f"square_zero_f{p}") for p in (2, 3)),
+])
+def test_fraction_classes_match_the_union_find(ring):
+    ring = build_ring(ring) if isinstance(ring, str) else square_zero(*ring)
+    numerators = list(ring.homogeneous_elements(include_zero=True))
+    for gens in [[], *([e] for e in ring.homogeneous_elements())]:
+        system = mult_system_ring(ring, gens)
+        fr = ring_fractions(ring, system)
+        fractions = [(r, s) for s in system for r in numerators]
+        assert partition(fr.class_of, fractions) == set(reference_fraction_classes(ring, system)), gens
 
 
 class TestEquivalenceClasses:

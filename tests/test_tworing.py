@@ -68,7 +68,10 @@ from oracles import (
     family_count,
     oracle_two_ring_ideals,
     oracle_two_ring_prime,
+    partition,
     reference_iso_pairs,
+    reference_span_classes,
+    square_zero,
 )
 
 
@@ -702,6 +705,62 @@ class TestAgreement:
             assert restrict_ideal(T, R2, j) == i
 
 
+# sha256 of the canonical record of localize(R2, S), with S = [] and then
+# each basis morphism in basis_morphisms() order, captured before the
+# linear fraction engine replaced the union-find over every span.
+LOCALIZED_DIGESTS = {
+    "zero": ["fc8cd8fa6e2488ce8ad089fdec0148c69ea56ab8464c28bb318a4ba74ac6dffd"] * 1,
+    "laurent_f2_z2": ["d89a46d46a34fa92fb5d561e1e5b5f02f10b77c93e1c2b47ba9dcb88b7f5f930"] * 5,
+    "laurent_f2_z4": ["d79ab3e2c9b4bafb89ecde779c369d3e5f59df6487a404540268edfbc3741b66"] * 17,
+    "laurent_f3_z4": ["6aa4f66068d7178a9e554ac3a8f360fa3325b4dc7a26bc73647a754068b033db"] * 17,
+    "nilpotent_f2_z2": [
+        "9df0e65f6ac2f48115b6b38cebd98c9f4637f1bef51f3b7d3ce3bdc8fa244ace",
+        "9df0e65f6ac2f48115b6b38cebd98c9f4637f1bef51f3b7d3ce3bdc8fa244ace",
+        "465893b9102c2784e83ba5c4c9b6b77f15e8086272d0804ad7e19072fbfe02fb",
+        "465893b9102c2784e83ba5c4c9b6b77f15e8086272d0804ad7e19072fbfe02fb",
+        "9df0e65f6ac2f48115b6b38cebd98c9f4637f1bef51f3b7d3ce3bdc8fa244ace",
+    ],
+    "dual_laurent_f2_z2": [
+        "980d073808558430c141ed35a37a70e07ac3b4bc1f557aa6f8d5d072890ad66d",
+        "980d073808558430c141ed35a37a70e07ac3b4bc1f557aa6f8d5d072890ad66d",
+        "c5e0b49f925fafddecbdbc9554ca07451439ff8655f5b44b9aab65ad072e3ca8",
+        "980d073808558430c141ed35a37a70e07ac3b4bc1f557aa6f8d5d072890ad66d",
+        "c5e0b49f925fafddecbdbc9554ca07451439ff8655f5b44b9aab65ad072e3ca8",
+        "980d073808558430c141ed35a37a70e07ac3b4bc1f557aa6f8d5d072890ad66d",
+        "c5e0b49f925fafddecbdbc9554ca07451439ff8655f5b44b9aab65ad072e3ca8",
+        "980d073808558430c141ed35a37a70e07ac3b4bc1f557aa6f8d5d072890ad66d",
+        "c5e0b49f925fafddecbdbc9554ca07451439ff8655f5b44b9aab65ad072e3ca8",
+    ],
+    "koszul_f3_z2": [
+        "037af6907f09f36955201ae03de47db376faad6d3a63bc40f47de2e181156ed4",
+        "037af6907f09f36955201ae03de47db376faad6d3a63bc40f47de2e181156ed4",
+        "0fc8f5618b0434edab179812ff75f2a72a593776420e56449e8284c9fbc1e3d7",
+        "0fc8f5618b0434edab179812ff75f2a72a593776420e56449e8284c9fbc1e3d7",
+        "037af6907f09f36955201ae03de47db376faad6d3a63bc40f47de2e181156ed4",
+    ],
+    "doubled_laurent_f2_z2": ["2916771ec24b119e50b2c00b500e2e3ceb016235635e946f3011588eb4203819"] * 10,
+}
+
+# localization_agreement(T, R2, S).describe(), with S = [] and then each
+# basis element of the ring in basis_elements() order, captured likewise.
+AGREEMENT_VERDICTS = {
+    "broken_dual_laurent": ["FAIL(axiom1: (1,), 'eu', 'e')"] * 5,
+    "doubled_laurent_f2_z2": ['PASS'] * 3,
+    "folded_laurent_f2_z4": ['PASS'] * 5,
+    "identity_dual_laurent_f2_z2": ['PASS'] * 5,
+    "identity_koszul_f3_z2": ['PASS'] * 3,
+    "identity_laurent_f2_z2": ['PASS'] * 3,
+    "identity_laurent_f2_z4": ['PASS'] * 5,
+    "identity_laurent_f3_z4": ['PASS'] * 5,
+    "identity_nilpotent_f2_z2": ['PASS'] * 3,
+}
+
+
+def systems_of(R2):
+    """The empty system and each basis morphism on its own."""
+    return [[], *([m] for m in R2.basis_morphisms())]
+
+
 def naive_mult_closure(R2, members):
     """Fixpoint that recomposes and retwists every member on every pass."""
     members = set(members)
@@ -735,6 +794,37 @@ class TestLocalize:
             for b in R2.objects:
                 images = {loc.embed(m) for m in R2.homs(a, b, include_zero=True)}
                 assert len(images) == 2 ** R2.dims[(a, b)]
+
+    @pytest.mark.parametrize("name", TWO_RING_NAMES)
+    def test_localized_data_match_the_pinned_digests(self, name):
+        R2 = build_two_ring(name)
+        got = [hashlib.sha256(dumps_canonical(two_ring_to_obj(localize(R2, S))).encode()).hexdigest()
+               for S in systems_of(R2)]
+        assert got == LOCALIZED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", [
+        *TWO_RING_NAMES,
+        *(pytest.param((p, [1, 2]), id=f"square_zero_f{p}") for p in (2, 3)),
+    ])
+    def test_span_classes_match_the_union_find(self, name):
+        R2 = build_two_ring(name) if isinstance(name, str) else two_ring_from_multigraded(square_zero(*name))
+        for S in systems_of(R2):
+            loc = localize_with_classes(R2, S)
+            spans = [(s, f) for s in loc.system for b in R2.objects
+                     for f in R2.homs(s[0], b, include_zero=True)]
+            assert partition(loc.class_of_span, spans) == set(
+                reference_span_classes(R2, loc.system)), S
+
+    @pytest.mark.parametrize("name", TWO_RING_NAMES)
+    def test_every_morphism_embeds_and_identities_stay_identities(self, name):
+        R2 = build_two_ring(name)
+        for S in systems_of(R2):
+            loc = localize_with_classes(R2, S)
+            for m in R2.morphisms(include_zero=True):
+                a, b, vec = loc.embed(m)
+                assert (a, b) == m[:2] and len(vec) == loc.datum.hom_dim(a, b)
+            for a in R2.objects:
+                assert loc.embed(R2.identity(a)) == loc.datum.identity(a), S
 
     def test_unit_localization_of_the_dual_instance(self):
         R2 = build_two_ring("dual_laurent_f2_z2")
@@ -797,6 +887,13 @@ class TestLocalizationAgreement:
                      "folded_laurent_f2_z4", "doubled_laurent_f2_z2"):
             T, R2 = build_tightening(name)
             assert localization_agreement(T, R2, []).ok, name
+
+    @pytest.mark.parametrize("name", TIGHTENING_NAMES)
+    def test_verdicts_match_the_pinned_table(self, name):
+        T, R2 = build_tightening(name)
+        got = [localization_agreement(T, R2, S).describe()
+               for S in [[], *([e] for e in T.ring.basis_elements())]]
+        assert got == AGREEMENT_VERDICTS[name]
 
     def test_inverting_the_nilpotent_on_both_sides(self):
         T, R2 = build_tightening("identity_nilpotent_f2_z2")
