@@ -9,6 +9,7 @@ so a corrupted file can never masquerade as a verified space.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from pathlib import Path
@@ -89,14 +90,20 @@ def dperm_overrides(group_name: "str | None", p: int) -> dict[str, int]:
     """
     if group_name is None:
         return {}
+    raw = _override_table().get(group_name, {}).get(str(p), {})
+    return {point: int(v) for point, v in raw.items()}
+
+
+@functools.cache
+def _override_table() -> dict:
+    """The shipped override table, read and parsed once per process; callers
+    only read it."""
     path = _data_dir().joinpath(OVERRIDES_FILE)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         return {}
-    table = json.loads(text).get("overrides", {})
-    raw = table.get(group_name, {}).get(str(p), {})
-    return {point: int(v) for point, v in raw.items()}
+    return json.loads(text).get("overrides", {})
 
 
 # -- builders ----------------------------------------------------------

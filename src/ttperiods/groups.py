@@ -5,7 +5,9 @@ guarded by diagnostics.LIMITS.  The public functions speak permutations: tuples
 of 0-based images, and subgroups as plain frozensets of them inside an
 ambient FiniteGroup.  Underneath, each group builds one GroupIndex on first
 use (elements numbered in sorted order, a multiplication table, subgroups as
-int bitmasks), and every function converts at its boundary.  The
+int bitmasks), and every function converts at its boundary; the functions
+that take a subgroup also take a Sub of the group's index, which callers
+already holding one (the dperm assembly) pass to skip the conversion.  The
 p-subconjugacy order ships with two independent criteria (Sylow containment
 and Mackey index) that are always cross-checked.
 """
@@ -13,7 +15,6 @@ and Mackey index) that are always cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -49,21 +50,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(p: Perm) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
 def _closure_walk(gens: Iterable[Perm]) -> tuple[list, dict]:
     """Breadth-first walk from the identity by right multiplication.
 
@@ -89,10 +75,6 @@ def _closure_walk(gens: Iterable[Perm]) -> tuple[list, dict]:
                 order.append(y)
             col.append(j)
     return order, dict(cols)
-
-
-def mulclose(gens: Iterable[Perm]) -> frozenset[Perm]:
-    return frozenset(_closure_walk(gens)[0])
 
 
 def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
@@ -129,8 +111,8 @@ class FiniteGroup:
 
     ``name`` is a display name and ``key`` the catalog key of the
     isomorphism type, each set by whoever built the group and knows it
-    (weyl_group identifies W once and sets both); ``key`` stays None
-    otherwise.
+    (weyl_group reads W's key from the parent's table and sets both);
+    ``key`` stays None otherwise.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm], name: "str | None" = None):
@@ -230,9 +212,11 @@ class GroupIndex:
     which is the group's: the Sub of every permutation set that require
     verified as a subgroup (a set that fails is never stored, and
     subgroup() checks closure on every call), the Sylow p-subgroup that
-    sylow found per subgroup mask and p, and per conjugacy class the
-    classes that orbit and conjugate_masks found, each under the mask of
-    every member.
+    sylow found per subgroup mask and p, per conjugacy class the classes
+    that orbit and conjugate_masks found, each under the mask of every
+    member, the subgroup lattice and its classes, the classes of
+    p-subgroups per prime, the Weyl group and the identify key per
+    subgroup mask, and the primes check_prime has accepted.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -275,6 +259,12 @@ class GroupIndex:
         self._sylows: dict[tuple[int, int], Sub] = {}
         self._orbits: dict[int, dict[int, Sub]] = {}
         self._swept: dict[int, frozenset[int]] = {}
+        self._lattice: "list[Sub] | None" = None
+        self._classes: "list[SubgroupClass] | None" = None
+        self._p_classes: dict[int, list[SubgroupClass]] = {}
+        self._weyls: dict[int, FiniteGroup] = {}
+        self._keys: dict[int, "tuple | None"] = {}
+        self._primes: set[int] = set()
 
     @property
     def n(self) -> int:
@@ -429,18 +419,20 @@ class GroupIndex:
                 out.append(g)
         return out
 
-    def subgroups(self) -> list[Sub]:
-        """Every subgroup: each one is a join of cyclic subgroups, so
-        extending by one cyclic generator at a time reaches them all.  The
-        table lookups, counted as the order of every extension, are bounded
-        by MAX_SUBGROUP_LOOKUPS, checked after each subgroup's extensions."""
+    def _search(self, K: Sub) -> list[Sub]:
+        """Every subgroup of K, by (order, sorted elements): each one is a
+        join of cyclic subgroups of K, so extending by one cyclic generator
+        at a time reaches them all.  The table lookups, counted as the order
+        of every extension, are bounded by MAX_SUBGROUP_LOOKUPS, checked
+        after each subgroup's extensions."""
+        cyclic = [c for c in self.cyclic if not c.mask & ~K.mask]
         found = {1: self.trivial()}
-        for c in self.cyclic:
+        for c in cyclic:
             found.setdefault(c.mask, c)
         work = list(found.values())
         lookups = 0
         for H in work:
-            for c in self.cyclic:
+            for c in cyclic:
                 J = self.extend(H, c.gens[0])
                 lookups += len(J.elems)
                 if J.mask not in found:
@@ -448,6 +440,55 @@ class GroupIndex:
                     work.append(J)
             require_within("MAX_SUBGROUP_LOOKUPS", lookups)
         return sorted(found.values(), key=_canon)
+
+    def subgroups(self) -> list[Sub]:
+        """Every subgroup, by (order, sorted elements); searched once."""
+        if self._lattice is None:
+            self._lattice = self._search(self.whole())
+        return self._lattice
+
+    def _fuse(self, subs: list[Sub]) -> list["SubgroupClass"]:
+        """The conjugacy classes of the given subgroups, whole: each class
+        holds every conjugate, least first, and the classes are ordered by
+        their least members."""
+        seen: set[int] = set()
+        classes = []
+        for H in subs:
+            if H.mask not in seen:
+                orbit = self.orbit(H)
+                seen.update(orbit)
+                classes.append(SubgroupClass(self, tuple(sorted(orbit.values(), key=_canon))))
+        classes.sort(key=lambda c: _canon(c.sub))
+        return classes
+
+    def classes(self) -> list["SubgroupClass"]:
+        """The subgroup lattice partitioned into conjugacy classes; once."""
+        if self._classes is None:
+            subs = self.subgroups()
+            classes = self._fuse(subs)
+            if sum(len(c.members) for c in classes) != len(subs):
+                raise GroupError("conjugation left the subgroup lattice")
+            self._classes = classes
+        return self._classes
+
+    def p_classes(self, p: int) -> list["SubgroupClass"]:
+        """The conjugacy classes of p-subgroups, once per prime.  Every
+        p-subgroup is conjugate into the stored Sylow p-subgroup P (Sylow's
+        theorem), so only P's lattice is searched, and conjugation fuses
+        it."""
+        found = self._p_classes.get(p)
+        if found is None:
+            P = self.sylow(self.whole(), p)
+            found = self._fuse(self.subgroups() if P.order == self.n else self._search(P))
+            self._p_classes[p] = found
+        return found
+
+    def check_prime(self, p: int) -> None:
+        """require_prime, remembering the primes it accepted; a number that
+        is not prime is refused on every call."""
+        if p not in self._primes:
+            require_prime(p)
+            self._primes.add(p)
 
     def sylow(self, H: Sub, p: int) -> Sub:
         """A Sylow p-subgroup of H, grown greedily over H's p-elements in
@@ -466,6 +507,46 @@ class GroupIndex:
             self._sylows[H.mask, p] = P
         return P
 
+    # -- structure read from the table --
+
+    def is_abelian(self, sub: Sub) -> bool:
+        """The subgroup's generators commute pairwise."""
+        table, gens = self.table, sub.gens
+        return all(
+            table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
+        )
+
+    def identify(self, sub: Sub) -> "tuple | None":
+        """Catalog key of the subgroup's isomorphism type, or None when
+        unrecognized, read from the table (generator commutation and the
+        orders of its elements) once per subgroup mask."""
+        key = self._keys.get(sub.mask, False)
+        if key is False:
+            orders = [self.orders[x] for x in sub.elems]
+            key = self._keys[sub.mask] = _structure_key(orders, self.is_abelian(sub))
+        return key
+
+
+def _structure_key(orders: list[int], abelian: bool) -> "tuple | None":
+    """Catalog key of a group whose elements have the given orders."""
+    n = len(orders)
+    if n == 1:
+        return ("trivial",)
+    if abelian:
+        inv = _abelian_invariants(orders)
+        if len(inv) == 1:
+            return ("cyclic", inv[0])
+        p = inv[0]
+        if all(d == p for d in inv) and is_prime(p):
+            return ("elem_abelian", p, len(inv))
+        return ("abelian", inv)
+    if orders.count(2) == 1 and n % 4 == 0 and n >= 8:
+        if n // 2 in orders:
+            return ("quaternion", n)
+    if n == 8:
+        return ("dihedral", 8)
+    return None
+
 
 def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
@@ -473,9 +554,10 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def conjugate_subgroup(g: Perm, H: frozenset[Perm]) -> frozenset[Perm]:
-    gi = inverse(g)
-    return frozenset(compose(g, compose(h, gi)) for h in H)
+def _resolve(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> Sub:
+    """H as a Sub of G's index: a Sub passes through, and a permutation set
+    is checked once by require."""
+    return H if isinstance(H, Sub) else G.index.require(H)
 
 
 def subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
@@ -484,66 +566,61 @@ def subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
     return [ix.frozen(H) for H in ix.subgroups()]
 
 
-def small_generators(G: FiniteGroup, H: frozenset[Perm]) -> list[Perm]:
-    """A generating set of the subgroup H, chosen greedily in sorted order."""
-    ix = G.index
-    return [ix.perms[x] for x in ix.require(H).gens]
-
-
-@dataclass(frozen=True)
 class SubgroupClass:
-    representative: frozenset[Perm]
-    conjugates: tuple[frozenset[Perm], ...]
+    """A conjugacy class of subgroups of a GroupIndex, kept as the Subs of
+    its members, least first; the permutation sets are made when read."""
+
+    __slots__ = ("index", "members")
+
+    def __init__(self, index: GroupIndex, members: tuple[Sub, ...]):
+        self.index = index
+        self.members = members
+
+    @property
+    def sub(self) -> Sub:
+        """The representative: the least member."""
+        return self.members[0]
 
     @property
     def order(self) -> int:
-        return len(self.representative)
+        return self.members[0].order
+
+    @property
+    def representative(self) -> frozenset[Perm]:
+        return self.index.frozen(self.members[0])
+
+    @property
+    def conjugates(self) -> tuple[frozenset[Perm], ...]:
+        return tuple(self.index.frozen(K) for K in self.members)
 
 
 def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
-    """Conjugacy classes of subgroups, deterministically ordered."""
-    ix = G.index
-    subs = ix.subgroups()
-    remaining = {H.mask for H in subs}
-    classes = []
-    for H in subs:
-        if H.mask not in remaining:
-            continue
-        orbit = ix.orbit(H)
-        if not orbit.keys() <= remaining:
-            raise GroupError("conjugation left the subgroup lattice")
-        remaining -= orbit.keys()
-        ordered = sorted(orbit.values(), key=_canon)
-        classes.append(
-            SubgroupClass(ix.frozen(ordered[0]), tuple(ix.frozen(K) for K in ordered))
-        )
-    return classes
+    """Conjugacy classes of subgroups, ordered by their least members."""
+    return list(G.index.classes())
 
 
-def normalizer(G: FiniteGroup, H: frozenset[Perm]) -> frozenset[Perm]:
+def normalizer(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> frozenset[Perm]:
     ix = G.index
     perms = ix.perms
-    return frozenset(perms[g] for g in ix.normalizer(ix.require(H)))
+    return frozenset(perms[g] for g in ix.normalizer(_resolve(G, H)))
 
 
-def is_normal(G: FiniteGroup, H: frozenset[Perm]) -> bool:
-    return normalizer(G, H) == G.elements
-
-
-def is_dedekind(G: FiniteGroup) -> bool:
-    return all(is_normal(G, H) for H in subgroups(G))
-
-
-def weyl_group(G: FiniteGroup, H: frozenset[Perm]) -> FiniteGroup:
+def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
     """N_G(H)/H acting on the left cosets of H inside the normalizer.
 
     Cosets are numbered by their least element.  W is generated by the
-    images of a greedy generating set of N modulo H.  W.key and W.name
-    come from one identify call.
+    images of a greedy generating set of N modulo H.  W.key and W.name are
+    read from G's table as identify reads a subgroup's: xH has the order of
+    the least power of x in H, and W is abelian when the lifts of its
+    generators commute modulo H.  W is formed once per subgroup mask, and
+    the group's index keeps it.
     """
     ix = G.index
-    table = ix.table
-    sub = ix.require(H)
+    sub = _resolve(G, H)
+    W = ix._weyls.get(sub.mask)
+    if W is not None:
+        return W
+    table, mask = ix.table, sub.mask
     N = ix.normalizer(sub)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
@@ -553,16 +630,28 @@ def weyl_group(G: FiniteGroup, H: frozenset[Perm]) -> FiniteGroup:
             for h in sub.elems:
                 coset_of[row[h]] = len(reps)
             reps.append(x)
-    gens = []
+    lifts, gens = [], []
     grown = sub
     for x in N:
         if x not in grown:
             grown = ix.extend(grown, x)
             row = table[x]
+            lifts.append(x)
             gens.append(tuple(coset_of[row[r]] for r in reps))
+    orders = []
+    for x in reps:
+        k, y = 1, x
+        while not mask >> y & 1:
+            k, y = k + 1, table[y][x]
+        orders.append(k)
+    abelian = all(
+        coset_of[table[a][b]] == coset_of[table[b][a]]
+        for i, a in enumerate(lifts) for b in lifts[i + 1 :]
+    )
     W = FiniteGroup(len(reps), gens)
-    W.key = identify(W)
+    W.key = _structure_key(orders, abelian)
     W.name = name_for_key(W.key)
+    ix._weyls[sub.mask] = W
     return W
 
 
@@ -581,22 +670,11 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def is_abelian(G: FiniteGroup) -> bool:
-    """Generators commute pairwise."""
-    ix = G.index
-    table, gens = ix.table, ix.gens
-    return all(
-        table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
-    )
-
-
-def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factor chain d1 | d2 | ... for an abelian group."""
-    if not is_abelian(G):
-        raise GroupError("abelian invariants of a nonabelian group")
-    orders = G.index.orders
+def _abelian_invariants(orders: list[int]) -> tuple[int, ...]:
+    """Invariant factor chain d1 | d2 | ... of an abelian group whose
+    elements have the given orders."""
     primary: dict[int, list[int]] = {}
-    for p in _prime_factors(G.order):
+    for p in _prime_factors(len(orders)):
         # Count solutions of x^(p^j) = 1; the p-adic valuations of the
         # counts are the partial sums of the conjugate partition.
         valuations = [0]
@@ -629,26 +707,18 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
+def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
+    """Invariant factor chain d1 | d2 | ... for an abelian group."""
+    ix = G.index
+    if not ix.is_abelian(ix.whole()):
+        raise GroupError("abelian invariants of a nonabelian group")
+    return _abelian_invariants(ix.orders)
+
+
 def identify(G: FiniteGroup) -> "tuple | None":
     """Catalog key of the isomorphism type, or None when unrecognized."""
-    n = G.order
-    if n == 1:
-        return ("trivial",)
-    if is_abelian(G):
-        inv = abelian_invariants(G)
-        if len(inv) == 1:
-            return ("cyclic", inv[0])
-        p = inv[0]
-        if all(d == p for d in inv) and is_prime(p):
-            return ("elem_abelian", p, len(inv))
-        return ("abelian", inv)
-    orders = G.index.orders
-    if orders.count(2) == 1 and n % 4 == 0 and n >= 8:
-        if n // 2 in orders:
-            return ("quaternion", n)
-    if n == 8:
-        return ("dihedral", 8)
-    return None
+    ix = G.index
+    return ix.identify(ix.whole())
 
 
 def name_for_key(key: "tuple | None") -> "str | None":
@@ -689,22 +759,22 @@ def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
 
 
 def p_subconjugate_sylow(
-    G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
+    G: FiniteGroup, H: "frozenset[Perm] | Sub", Hp: "frozenset[Perm] | Sub", p: int
 ) -> bool:
     """Some conjugate of a Sylow p-subgroup of H lies in the second group."""
-    require_prime(p)
     ix = G.index
-    sub, target = ix.require(H), ix.require(Hp).mask
+    ix.check_prime(p)
+    sub, target = _resolve(G, H), _resolve(G, Hp).mask
     return any(not C & ~target for C in ix.orbit(ix.sylow(sub, p)))
 
 
 def p_subconjugate_mackey(
-    G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
+    G: FiniteGroup, H: "frozenset[Perm] | Sub", Hp: "frozenset[Perm] | Sub", p: int
 ) -> bool:
     """Some double-coset intersection has index in H prime to p."""
-    require_prime(p)
     ix = G.index
-    sub, other = ix.require(H), ix.require(Hp)
+    ix.check_prime(p)
+    sub, other = _resolve(G, H), _resolve(G, Hp)
     # H meets g Hp g^-1 in the bits its mask shares with that conjugate's.
     order, mask = sub.order, sub.mask
     return any(
@@ -714,7 +784,7 @@ def p_subconjugate_mackey(
 
 
 def p_subconjugate(
-    G: FiniteGroup, H: frozenset[Perm], Hp: frozenset[Perm], p: int
+    G: FiniteGroup, H: "frozenset[Perm] | Sub", Hp: "frozenset[Perm] | Sub", p: int
 ) -> bool:
     a = p_subconjugate_sylow(G, H, Hp, p)
     b = p_subconjugate_mackey(G, H, Hp, p)
@@ -728,16 +798,15 @@ def p_equivalence_classes(
 ) -> list[list[SubgroupClass]]:
     """Blocks of mutually p-subconjugate subgroup classes.
 
-    Also certifies the bijection with conjugacy classes of p-subgroups
-    that sends a block to the class of its members' Sylow p-subgroups.
+    Also certifies the bijection with the classes of p-subgroups that
+    GroupIndex.p_classes finds inside the Sylow subgroup, which sends a
+    block to the class of its members' Sylow p-subgroups.
     """
     ix = G.index
-    classes = subgroup_classes(G)
+    classes = ix.classes()
+    subs = [c.sub for c in classes]
     n = len(classes)
-    le = [[False] * n for _ in range(n)]
-    for i, a in enumerate(classes):
-        for j, b in enumerate(classes):
-            le[i][j] = p_subconjugate(G, a.representative, b.representative, p)
+    le = [[p_subconjugate(G, a, b, p) for b in subs] for a in subs]
     blocks: list[list[int]] = []
     assigned = [False] * n
     for i in range(n):
@@ -747,8 +816,7 @@ def p_equivalence_classes(
         for j in block:
             assigned[j] = True
         blocks.append(block)
-    subs = [ix.require(c.representative) for c in classes]
-    p_classes = [H.mask for H in subs if _is_p_power(H.order, p)]
+    p_classes = [c.sub.mask for c in ix.p_classes(p)]
     sylow_class: list[int] = []
     for block in blocks:
         hits = set()

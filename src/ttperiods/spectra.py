@@ -28,13 +28,13 @@ from .diagnostics import Diagnosis, PASS, UsageError, failure
 from .graded import SpechModel, local_period, pattern_name
 from .groups import (
     FiniteGroup,
+    GroupIndex,
+    Sub,
     SubgroupClass,
     identify,
     name_for_key,
     p_subconjugate,
     require_prime,
-    small_generators,
-    subgroup_classes,
     weyl_group,
     _prime_factors,
 )
@@ -154,21 +154,14 @@ class DPermStratum:
         return f"{self.label}:{pattern_point}"
 
 
-def _is_p_subgroup(cls: SubgroupClass, p: int) -> bool:
-    return set(_prime_factors(cls.order)) <= {p}
-
-
 def _label_suffix(k: int) -> str:
     """a, ..., z, aa, ab, ...: distinct for distinct k.  Subgroup names end
     in a digit, so no two (name, suffix) pairs give the same label."""
     return (_label_suffix(k // 26 - 1) if k >= 26 else "") + chr(ord("a") + k % 26)
 
 
-def _stratum_labels(G: FiniteGroup, classes: list[SubgroupClass]) -> list[str]:
-    base = []
-    for cls in classes:
-        sub = FiniteGroup(G.degree, small_generators(G, cls.representative))
-        base.append(name_for_key(identify(sub)) or f"H{cls.order}")
+def _stratum_labels(ix: GroupIndex, classes: list[SubgroupClass]) -> list[str]:
+    base = [name_for_key(ix.identify(cls.sub)) or f"H{cls.order}" for cls in classes]
     counts = {b: base.count(b) for b in base}
     seen: dict[str, int] = {}
     out = []
@@ -183,12 +176,14 @@ def _stratum_labels(G: FiniteGroup, classes: list[SubgroupClass]) -> list[str]:
 
 
 def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
-    """One stratum per conjugacy class of p-subgroups."""
-    classes = [c for c in subgroup_classes(G) if _is_p_subgroup(c, p)]
-    labels = _stratum_labels(G, classes)
+    """One stratum per conjugacy class of p-subgroups, read from the
+    classes, Weyl groups and table the group's index keeps."""
+    ix = G.index
+    classes = ix.p_classes(p)
+    labels = _stratum_labels(ix, classes)
     strata = []
     for cls, label in zip(classes, labels):
-        W = weyl_group(G, cls.representative)
+        W = weyl_group(G, cls.sub)
         try:
             # The key weyl_group found; an unidentified W goes by itself.
             variety, rep = rep_period_map(W.key or W, p)
@@ -201,7 +196,7 @@ def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
                 weyl=W,
                 variety=variety,
                 rep_periods=rep,
-                normal=len(cls.conjugates) == 1,
+                normal=len(cls.members) == 1,
                 irrelevant=_irrelevant_point(variety),
             )
         )
@@ -291,7 +286,7 @@ def dperm_period_map(
 
 
 def perm_module_in_closed_point(
-    G: FiniteGroup, p: int, Hprime: frozenset, H: frozenset
+    G: FiniteGroup, p: int, Hprime: "frozenset | Sub", H: "frozenset | Sub"
 ) -> bool:
     """Whether the permutation object on G/H' lies in the closed point of
     the H-stratum; equivalent to H not being p-subconjugate into H'."""
@@ -299,14 +294,15 @@ def perm_module_in_closed_point(
 
 
 def very_closed_point_check(G: FiniteGroup, p: int) -> Diagnosis:
-    """Membership in m(G) must match divisibility of the index by p."""
-    from .groups import subgroups
-
-    for Hp in subgroups(G):
-        index = G.order // len(Hp)
-        member = perm_module_in_closed_point(G, p, Hp, G.elements)
+    """Membership in m(G) must match divisibility of the index by p, for
+    every subgroup of the lattice the group's index keeps."""
+    ix = G.index
+    whole = ix.whole()
+    for Hp in ix.subgroups():
+        index = G.order // Hp.order
+        member = perm_module_in_closed_point(G, p, Hp, whole)
         if member != (index % p == 0):
-            return failure("index-criterion", len(Hp), index, member)
+            return failure("index-criterion", Hp.order, index, member)
     return PASS
 
 

@@ -1,16 +1,23 @@
 """Brute-force references for the ring and 2-ring ideal and fraction
-engines.
+engines, and for the permutation-group kernel.
 
-Each oracle works on explicit member sets: it enumerates vectors and
+Each ring oracle works on explicit member sets: it enumerates vectors and
 multiplies them with mg_mul, compose and tensor, so it shares none of the
 closure, join, naming, prime or quotient code of the echelon engine it
-checks.  Only viable for tiny instances.  square_zero builds the small
-rings with few units that several test files share.
+checks.  The group oracles compose permutation tuples and close them by
+breadth-first search, without the multiplication table, bitmasks or
+cached classes of GroupIndex.  Only viable for tiny instances.
+square_zero builds the small rings with few units that several test files
+share.
 """
 
 import itertools
+import math
 
+from ttperiods import groups
+from ttperiods.groups import FiniteGroup, identify, name_for_key
 from ttperiods.multigraded import all_vectors, make_multigraded, mg_mul, vec_add, vec_zero
+from ttperiods.spectra import _label_suffix
 from ttperiods.tworing import compose, tensor
 
 # Largest number of componentwise subspace families an oracle enumerates.
@@ -206,3 +213,104 @@ def reference_span_classes(R2, system):
              for u in R2.homs(m, s[0], include_zero=True)
              if compose(R2, s, u) in system for f in sources[s[0]]]
     return equivalence_classes(spans, pairs)
+
+
+# -- permutation groups ------------------------------------------------
+
+def perm_order(p):
+    """The least common multiple of the cycle lengths."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        order = math.lcm(order, length)
+    return order
+
+
+def mulclose(gens):
+    """Every product of the given permutations, found breadth first."""
+    gens = list(gens)
+    out = {groups.identity(len(gens[0]))}
+    frontier = list(out)
+    while frontier:
+        found = []
+        for x in frontier:
+            for g in gens:
+                y = groups.compose(x, g)
+                if y not in out:
+                    out.add(y)
+                    found.append(y)
+        frontier = found
+    return frozenset(out)
+
+
+def conjugate_subgroup(g, H):
+    gi = groups.inverse(g)
+    return frozenset(groups.compose(g, groups.compose(h, gi)) for h in H)
+
+
+def is_dedekind(G):
+    """Every subgroup equals each of its conjugates."""
+    return all(conjugate_subgroup(g, H) == H for H in groups.subgroups(G) for g in G.elements)
+
+
+def small_generators(G, H):
+    """The generating set the group's index keeps for the subgroup H:
+    chosen greedily in sorted order."""
+    ix = G.index
+    return [ix.perms[x] for x in ix.require(H).gens]
+
+
+def _canon(H):
+    return (len(H), sorted(H))
+
+
+def reference_p_subgroup_classes(G, p):
+    """Conjugacy classes of the p-subgroups of the whole lattice, each
+    conjugated by every element, least members first; each class is
+    listed least member first."""
+    left = {H for H in groups.subgroups(G) if p ** round(math.log(len(H), p)) == len(H)}
+    classes = []
+    while left:
+        H = min(left, key=_canon)
+        cls = {conjugate_subgroup(g, H) for g in G.elements}
+        left -= cls
+        classes.append(sorted(cls, key=_canon))
+    return classes
+
+
+def reference_weyl_key(G, H):
+    """identify of N_G(H)/H, acting on the left cosets of H in a normalizer
+    found by conjugating H with every element."""
+    N = [g for g in sorted(G.elements) if conjugate_subgroup(g, H) == H]
+    cosets = sorted({frozenset(groups.compose(n, h) for h in H) for n in N}, key=sorted)
+    where = {x: i for i, c in enumerate(cosets) for x in c}
+    gens = [tuple(where[groups.compose(n, min(c))] for c in cosets) for n in N]
+    return identify(FiniteGroup(len(cosets), gens))
+
+
+def reference_dperm_strata(G, p):
+    """The dperm strata as the full-lattice path finds them, one row per
+    class of p-subgroups in order: (representative, conjugates, label,
+    Weyl key, Weyl name, normal).  A label is the name of the class's
+    isomorphism type, identified on a group built from its elements, with
+    a, b, c, ... appended in class order where names repeat."""
+    classes = reference_p_subgroup_classes(G, p)
+    names = [name_for_key(identify(FiniteGroup(G.degree, sorted(c[0])))) or f"H{len(c[0])}"
+             for c in classes]
+    seen = {}
+    rows = []
+    for c, name in zip(classes, names):
+        label = name
+        if names.count(name) > 1:
+            label += _label_suffix(seen.get(name, 0))
+            seen[name] = seen.get(name, 0) + 1
+        key = reference_weyl_key(G, c[0])
+        rows.append((c[0], frozenset(c), label, key, name_for_key(key), len(c) == 1))
+    return rows

@@ -20,8 +20,6 @@ from ttperiods.groups import (
     identify,
     identity,
     inverse,
-    is_dedekind,
-    mulclose,
     name_for_key,
     normalizer,
     p_equivalence_classes,
@@ -29,10 +27,8 @@ from ttperiods.groups import (
     p_subconjugate_mackey,
     p_subconjugate_sylow,
     perm_from_cycles,
-    perm_order,
     perm_to_cycles,
     quaternion,
-    small_generators,
     subgroup_classes,
     subgroups,
     sylow,
@@ -41,6 +37,8 @@ from ttperiods.groups import (
     _prime_factors,
 )
 from ttperiods.spectra import artin_tower
+
+from oracles import conjugate_subgroup, is_dedekind, mulclose, perm_order, small_generators
 
 
 def cyc(degree, *cycles):
@@ -234,8 +232,6 @@ class TestPSubconjugate:
             route(G, H, G.elements, p)
 
     def test_conjugation_invariance(self):
-        from ttperiods.groups import conjugate_subgroup
-
         G = symmetric(4)
         classes = subgroup_classes(G)
         H = classes[2].representative
@@ -635,6 +631,13 @@ class TestIndex:
             by_generators = set(ix.orbit(sub))
             assert by_generators == set(ix.conjugate_masks(sub))
             assert len(by_generators) == G.order // len(normalizer(G, H))
+
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_identify_from_masks_matches_a_built_group(self, G):
+        ix = G.index
+        for sub in ix.subgroups():
+            built = FiniteGroup(G.degree, sorted(ix.frozen(sub)))
+            assert ix.identify(sub) == identify(built)
 
     @pytest.mark.parametrize("G", [symmetric(4), dihedral(24), elementary_abelian(2, 4)])
     def test_small_generators(self, G):

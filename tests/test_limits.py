@@ -209,6 +209,20 @@ def test_oversized_command_exits_2_within_a_second(capsys, tmp_path, argv, row):
     assert seconds < 1.0
 
 
+def test_dperm_searches_only_the_sylow_subgroup(capsys):
+    # D384's whole lattice is past MAX_SUBGROUP_LOOKUPS, its Sylow
+    # 3-subgroup is C3; the stratum of the trivial subgroup has Weyl group
+    # D384, which the cohomology catalog does not hold.
+    start = time.perf_counter()
+    code = main(["group", "dperm", "--group", "D384", "--prime", "3"])
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("WeylNotInCatalog: stratum 1: ")
+    assert seconds < 1.0
+
+
 # -- size fuzzing ------------------------------------------------------
 #
 # The size-carrying fields of ring, group and 2-ring JSON are either kept or

@@ -1,7 +1,10 @@
 """Group spectra assembly: catalog, strata, towers, shipped figures."""
 
+import random
+
 import pytest
 
+from ttperiods import spectra
 from ttperiods.cohomology import (
     CatalogEntry,
     GroupNotInCatalog,
@@ -22,12 +25,17 @@ from ttperiods.datasets import (
 from ttperiods.graded import validate_presentation
 from ttperiods.groups import (
     FiniteGroup,
+    GroupIndex,
+    compose,
     cyclic,
     dihedral,
     elementary_abelian,
+    inverse,
     quaternion,
     subgroups,
     symmetric,
+    weyl_group,
+    _prime_factors,
 )
 from ttperiods.spaces import check_period_map, model_from_obj
 from ttperiods.spectra import (
@@ -43,6 +51,9 @@ from ttperiods.spectra import (
     stmod_period_map,
     very_closed_point_check,
 )
+
+from oracles import reference_dperm_strata
+from test_groups import CATALOG_24
 
 
 class TestCatalog:
@@ -351,7 +362,96 @@ class TestOneIdentifyPerCall:
         assert len(weyls) == 8
         for W in weyls:
             assert W.name is not None
-            assert sum(H is W for H in seen) == 1, W.name
+            # weyl_group reads W's key from D8's table once, so nothing
+            # identifies W as a group of its own; the key is still right.
+            assert not any(H is W for H in seen), W.name
+            assert W.key == real(W), W.name
+
+
+def _relabel(G, seed):
+    """The same group with its points renamed by a seeded permutation."""
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    sigma = tuple(sigma)
+    gens = [compose(sigma, compose(g, inverse(sigma))) for g in G.generators]
+    return FiniteGroup(G.degree, gens, name=f"{G.name}~{seed}")
+
+
+# Seeds whose permutation moves the group's elements (seed 2 fixes D8's).
+# In the two relabelled dihedral groups of order 12 and 24, the Sylow search
+# meets the classes of 2-subgroups in another order than their least
+# members give.
+RELABEL_CASES = [
+    (G, seed)
+    for G in (dihedral(8), quaternion(8), elementary_abelian(2, 3), quaternion(16))
+    for seed in (1, 3, 4)
+] + [(dihedral(12), 3), (dihedral(24), 1)]
+RELABELLED = [_relabel(G, seed) for G, seed in RELABEL_CASES]
+
+
+def _stratum_rows(strata):
+    return [
+        (s.subgroup_class.representative, frozenset(s.subgroup_class.conjugates),
+         s.label, s.weyl.key, s.weyl.name, s.normal)
+        for s in strata
+    ]
+
+
+class TestDPermSecondRoute:
+    """The p-local strata against the full-lattice path of tests/oracles.py."""
+
+    @pytest.mark.parametrize("G", CATALOG_24 + RELABELLED, ids=lambda G: G.name)
+    def test_strata_match_the_full_lattice_path(self, G):
+        for p in _prime_factors(G.order):
+            want = reference_dperm_strata(G, p)
+            # A fresh copy, so the classes come from the Sylow search alone.
+            fresh = FiniteGroup(G.degree, G.generators)
+            ix = fresh.index
+            classes = ix.p_classes(p)
+            labels = spectra._stratum_labels(ix, classes)
+            got = []
+            for cls, label in zip(classes, labels):
+                W = weyl_group(fresh, cls.sub)
+                got.append((cls.representative, frozenset(cls.conjugates),
+                            label, W.key, W.name, len(cls.members) == 1))
+            assert got == want, p
+            try:
+                strata = dperm_strata(fresh, p)
+            except WeylNotInCatalog:
+                continue
+            assert _stratum_rows(strata) == want, p
+
+
+class TestDPermWorkCount:
+    """A second assembly on the same group reads what the index kept."""
+
+    @pytest.mark.parametrize("G,p", [
+        (dihedral(8), 2), (quaternion(16), 2), (elementary_abelian(2, 4), 2),
+        (cyclic(12), 3), (elementary_abelian(3, 2), 3),
+    ], ids=lambda x: getattr(x, "name", str(x)))
+    def test_second_dperm_searches_and_builds_nothing(self, monkeypatch, G, p):
+        G = FiniteGroup(G.degree, G.generators, name=G.name)
+        counts = {"extend": 0, "groups": 0}
+        extend, init = GroupIndex.extend, FiniteGroup.__init__
+
+        def counted_extend(self, H, x):
+            counts["extend"] += 1
+            return extend(self, H, x)
+
+        def counted_init(self, *args, **kwargs):
+            counts["groups"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupIndex, "extend", counted_extend)
+        monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
+        first = dperm_period_map(G, p)
+        assert counts["extend"] > 0 and counts["groups"] > 0
+        counts.update(extend=0, groups=0)
+        second = dperm_period_map(G, p)
+        assert counts == {"extend": 0, "groups": 0}
+        assert _stratum_rows(second.strata) == _stratum_rows(first.strata)
+        assert dict(second.periods.values) == dict(first.periods.values)
+        assert second.tags == first.tags
 
 
 class TestClosedPointMembership:
@@ -504,3 +604,9 @@ class TestDatasets:
         assert dperm_overrides("D8", 3) == {}
         assert dperm_overrides("Q8", 2) == {}
         assert dperm_overrides(None, 2) == {}
+
+    def test_overrides_mutated_by_a_caller_stay_shipped(self):
+        got = dperm_overrides("D8", 2)
+        got["C2a:⟨⟩"] = 7
+        got["C4:⟨⟩"] = 3
+        assert dperm_overrides("D8", 2) == {"C2a:⟨⟩": 1, "C2b:⟨⟩": 1}
