@@ -4,7 +4,8 @@ Keyed by isomorphism-type keys from groups.identify, plus a few named
 entries for groups too large to enumerate.  Each entry ships the reduced
 presentation over the working prime, together with certified witness
 patterns whenever the relations are not monomial.  Unrecognized types
-are refused loudly; the catalog never guesses a ring.
+are refused loudly; the catalog never guesses a ring.  The extended variety
+of each (key, prime) and its periods are built once per process and shared.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from .graded import (
     PrimePattern,
     SpechModel,
     enumerate_patterns,
+    local_period,
     make_ring,
 )
 from .groups import FiniteGroup, identify, require_prime
+from .spaces import PeriodAssignment
 
 
 class GroupNotInCatalog(UsageError):
@@ -88,7 +91,10 @@ def _p_part(n: int, p: int) -> int:
 def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
     require_prime(p)
-    key = catalog_key(group)
+    return _entry(group, catalog_key(group), p)
+
+
+def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> CatalogEntry:
     if key is None:
         # Unknown isomorphism type: still fine when p is coprime to the
         # order, because then the reduced cohomology is just the field.
@@ -150,3 +156,34 @@ def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry
     else:
         raise GroupNotInCatalog(f"{key!r} at p={p}")
     return CatalogEntry(key, order, p, ring, wits, note)
+
+
+# (catalog key, p) to its extended variety and periods.  Only identified
+# types are kept: a refusal raises before anything is stored.
+_VARIETIES: dict[tuple[tuple, int], "tuple[SpechModel, PeriodAssignment]"] = {}
+
+
+def rep_period_map(
+    group: "FiniteGroup | str | tuple", p: int
+) -> tuple[SpechModel, PeriodAssignment]:
+    """Extended variety of the group's reduced cohomology, with periods.
+
+    The irrelevant pattern (all generators) is the unique closed point
+    and carries period 0 through the usual empty-gcd convention.  Built
+    once per (catalog key, p) and shared by every caller, which must not
+    change it; a non-prime p is refused on every call.
+    """
+    require_prime(p)
+    key = catalog_key(group)
+    found = _VARIETIES.get((key, p))
+    if found is None:
+        entry = _entry(group, key, p)
+        model = entry.spech()
+        values = {
+            point: local_period(entry.presentation, model.patterns[point])
+            for point in model.space.points
+        }
+        found = model, PeriodAssignment(values)
+        if key is not None:
+            _VARIETIES[key, p] = found
+    return found

@@ -31,7 +31,7 @@ class Limit(NamedTuple):
 
 LIMITS = {row.name: row for row in (
     Limit("MAX_PRIME", 2**31 - 1, "the number tested for primality", 0.05),
-    Limit("MAX_GROUP_ORDER", 384, "the order of a permutation group", 0.5),
+    Limit("MAX_GROUP_ORDER", 729, "the order of a permutation group", 0.5),
     Limit("MAX_SUBGROUP_LOOKUPS", 500_000, "the table lookups of a subgroup lattice search", 1.0),
     Limit("MAX_DEGREE", 4096, "the number of points of a permutation group", 0.5),
     Limit("MAX_FREE_GENERATORS", 13, "the number of non-invertible generators", 2.0),

@@ -209,9 +209,10 @@ class GroupIndex:
     the group's closure walk already made, so it composes nothing itself.
 
     Besides the table and conj(), the index keeps for its own lifetime,
-    which is the group's: the Sub of every permutation set that require
-    verified as a subgroup (a set that fails is never stored, and
-    subgroup() checks closure on every call), the Sylow p-subgroup that
+    which is the group's: the one frozenset per subgroup mask that frozen
+    hands out, the Sub of every permutation set that require verified as a
+    subgroup (a set that fails is never stored, and subgroup() checks
+    closure on every call), the Sylow p-subgroup that
     sylow found per subgroup mask and p, per conjugacy class the classes
     that orbit and conjugate_masks found, each under the mask of every
     member, the subgroup lattice and its classes, the classes of
@@ -220,7 +221,8 @@ class GroupIndex:
     """
 
     def __init__(self, G: FiniteGroup):
-        walk, steps = G._walk
+        # The closure walk has no other reader: release it with the index built.
+        (walk, steps), G._walk = G._walk, None
         perms = sorted(walk)
         n = len(perms)
         pos = {x: i for i, x in enumerate(perms)}
@@ -255,6 +257,7 @@ class GroupIndex:
         self.inv = [row.index(0) for row in self.table]
         self.orders, self.cyclic = self._cyclic_subgroups()
         self._conj: "list | None" = None
+        self._frozen: dict[int, frozenset[Perm]] = {}
         self._subs: dict[frozenset, Sub] = {}
         self._sylows: dict[tuple[int, int], Sub] = {}
         self._orbits: dict[int, dict[int, Sub]] = {}
@@ -295,8 +298,13 @@ class GroupIndex:
     # -- conversion at the permutation boundary --
 
     def frozen(self, sub: Sub) -> frozenset[Perm]:
-        perms = self.perms
-        return frozenset(perms[i] for i in sub.elems)
+        """The subgroup's permutations, one frozenset per mask for the
+        index's lifetime, so a set handed out before is found by identity."""
+        H = self._frozen.get(sub.mask)
+        if H is None:
+            perms = self.perms
+            H = self._frozen[sub.mask] = frozenset(perms[i] for i in sub.elems)
+        return H
 
     def subgroup(self, H: Iterable[Perm]) -> "Sub | None":
         """The Sub on the given permutations, or None if they are not a
@@ -318,6 +326,15 @@ class GroupIndex:
                 raise NotSubgroup(sorted(H)[:3])
             self._subs[H] = sub
         return sub
+
+    def resolve(self, H: "frozenset[Perm] | Sub") -> Sub:
+        """H as a Sub: a Sub passes through, a frozenset require has checked
+        is one dict hit (by identity for the sets frozen hands out), and
+        anything else goes through require."""
+        if isinstance(H, Sub):
+            return H
+        sub = self._subs.get(H) if isinstance(H, frozenset) else None
+        return sub if sub is not None else self.require(H)
 
     # -- closures --
 
@@ -554,12 +571,6 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _resolve(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> Sub:
-    """H as a Sub of G's index: a Sub passes through, and a permutation set
-    is checked once by require."""
-    return H if isinstance(H, Sub) else G.index.require(H)
-
-
 def subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
     """Every subgroup, ordered by (order, sorted elements)."""
     ix = G.index
@@ -602,7 +613,7 @@ def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
 def normalizer(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> frozenset[Perm]:
     ix = G.index
     perms = ix.perms
-    return frozenset(perms[g] for g in ix.normalizer(_resolve(G, H)))
+    return frozenset(perms[g] for g in ix.normalizer(ix.resolve(H)))
 
 
 def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
@@ -616,7 +627,7 @@ def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
     the group's index keeps it.
     """
     ix = G.index
-    sub = _resolve(G, H)
+    sub = ix.resolve(H)
     W = ix._weyls.get(sub.mask)
     if W is not None:
         return W
@@ -764,7 +775,7 @@ def p_subconjugate_sylow(
     """Some conjugate of a Sylow p-subgroup of H lies in the second group."""
     ix = G.index
     ix.check_prime(p)
-    sub, target = _resolve(G, H), _resolve(G, Hp).mask
+    sub, target = ix.resolve(H), ix.resolve(Hp).mask
     return any(not C & ~target for C in ix.orbit(ix.sylow(sub, p)))
 
 
@@ -774,7 +785,7 @@ def p_subconjugate_mackey(
     """Some double-coset intersection has index in H prime to p."""
     ix = G.index
     ix.check_prime(p)
-    sub, other = _resolve(G, H), _resolve(G, Hp)
+    sub, other = ix.resolve(H), ix.resolve(Hp)
     # H meets g Hp g^-1 in the bits its mask shares with that conjugate's.
     order, mask = sub.order, sub.mask
     return any(
@@ -791,46 +802,6 @@ def p_subconjugate(
     if a != b:
         raise GroupError(f"subconjugacy criteria disagree: sylow={a} mackey={b}")
     return a
-
-
-def p_equivalence_classes(
-    G: FiniteGroup, p: int
-) -> list[list[SubgroupClass]]:
-    """Blocks of mutually p-subconjugate subgroup classes.
-
-    Also certifies the bijection with the classes of p-subgroups that
-    GroupIndex.p_classes finds inside the Sylow subgroup, which sends a
-    block to the class of its members' Sylow p-subgroups.
-    """
-    ix = G.index
-    classes = ix.classes()
-    subs = [c.sub for c in classes]
-    n = len(classes)
-    le = [[p_subconjugate(G, a, b, p) for b in subs] for a in subs]
-    blocks: list[list[int]] = []
-    assigned = [False] * n
-    for i in range(n):
-        if assigned[i]:
-            continue
-        block = [j for j in range(n) if le[i][j] and le[j][i]]
-        for j in block:
-            assigned[j] = True
-        blocks.append(block)
-    p_classes = [c.sub.mask for c in ix.p_classes(p)]
-    sylow_class: list[int] = []
-    for block in blocks:
-        hits = set()
-        for j in block:
-            # The Sylow route above stored each representative's Sylow
-            # subgroup and its class, so this reads them without a search.
-            orbit = ix.orbit(ix.sylow(subs[j], p))
-            hits.update(k for k, mask in enumerate(p_classes) if mask in orbit)
-        if len(hits) != 1:
-            raise GroupError("equivalence block without a single Sylow class")
-        sylow_class.append(hits.pop())
-    if sorted(sylow_class) != list(range(len(p_classes))):
-        raise GroupError("blocks do not biject with p-subgroup classes")
-    return [[classes[j] for j in block] for block in blocks]
 
 
 # -- catalog constructors ----------------------------------------------

@@ -2,8 +2,9 @@
 
 Three layers of assembly over the cohomology catalog:
 
-* pointwise period maps on one extended variety (rep_period_map), and the
-  same with the irrelevant point removed (stmod_period_map);
+* pointwise period maps on one extended variety (rep_period_map, which the
+  catalog keeps per key and prime), and the same with the irrelevant point
+  removed (stmod_period_map);
 * the stratification of the derived-permutation-module spectrum, one
   stratum per conjugacy class of p-subgroups, with period labels that are
   exact for normal subgroups and explicit divisor bounds otherwise unless
@@ -22,10 +23,10 @@ from .cohomology import (
     GroupNotInCatalog,
     WeylNotInCatalog,
     catalog_key,
-    cohomology_entry,
+    rep_period_map,
 )
 from .diagnostics import Diagnosis, PASS, UsageError, failure
-from .graded import SpechModel, local_period, pattern_name
+from .graded import SpechModel, pattern_name
 from .groups import (
     FiniteGroup,
     GroupIndex,
@@ -54,23 +55,6 @@ TAG_BOUND = "bound"
 
 class TowerHeightValueError(UsageError, ValueError):
     """A tower height outside the supported range."""
-
-
-def rep_period_map(
-    group: "FiniteGroup | str | tuple", p: int
-) -> tuple[SpechModel, PeriodAssignment]:
-    """Extended variety of the group's reduced cohomology, with periods.
-
-    The irrelevant pattern (all generators) is the unique closed point
-    and carries period 0 through the usual empty-gcd convention.
-    """
-    entry = cohomology_entry(group, p)
-    model = entry.spech()
-    values = {
-        point: local_period(entry.presentation, model.patterns[point])
-        for point in model.space.points
-    }
-    return model, PeriodAssignment(values)
 
 
 def _irrelevant_point(model: SpechModel) -> str:

@@ -6,7 +6,9 @@ multiplies them with mg_mul, compose and tensor, so it shares none of the
 closure, join, naming, prime or quotient code of the echelon engine it
 checks.  The group oracles compose permutation tuples and close them by
 breadth-first search, without the multiplication table, bitmasks or
-cached classes of GroupIndex.  Only viable for tiny instances.
+cached classes of GroupIndex; p_equivalence_classes, the blocks of the
+p-subconjugacy order over the whole lattice, is checked against the classes
+GroupIndex.p_classes finds.  Only viable for tiny instances.
 square_zero builds the small rings with few units that several test files
 share.
 """
@@ -314,3 +316,41 @@ def reference_dperm_strata(G, p):
         key = reference_weyl_key(G, c[0])
         rows.append((c[0], frozenset(c), label, key, name_for_key(key), len(c) == 1))
     return rows
+
+
+def p_equivalence_classes(G, p):
+    """Blocks of mutually p-subconjugate subgroup classes.
+
+    Also certifies the bijection with the classes of p-subgroups that
+    GroupIndex.p_classes finds inside the Sylow subgroup, which sends a
+    block to the class of its members' Sylow p-subgroups.
+    """
+    ix = G.index
+    classes = ix.classes()
+    subs = [c.sub for c in classes]
+    n = len(classes)
+    le = [[groups.p_subconjugate(G, a, b, p) for b in subs] for a in subs]
+    blocks = []
+    assigned = [False] * n
+    for i in range(n):
+        if assigned[i]:
+            continue
+        block = [j for j in range(n) if le[i][j] and le[j][i]]
+        for j in block:
+            assigned[j] = True
+        blocks.append(block)
+    p_classes = [c.sub.mask for c in ix.p_classes(p)]
+    sylow_class = []
+    for block in blocks:
+        hits = set()
+        for j in block:
+            # The Sylow route above stored each representative's Sylow
+            # subgroup and its class, so this reads them without a search.
+            orbit = ix.orbit(ix.sylow(subs[j], p))
+            hits.update(k for k, mask in enumerate(p_classes) if mask in orbit)
+        if len(hits) != 1:
+            raise groups.GroupError("equivalence block without a single Sylow class")
+        sylow_class.append(hits.pop())
+    if sorted(sylow_class) != list(range(len(p_classes))):
+        raise groups.GroupError("blocks do not biject with p-subgroup classes")
+    return [[classes[j] for j in block] for block in blocks]

@@ -22,7 +22,6 @@ from ttperiods.groups import (
     inverse,
     name_for_key,
     normalizer,
-    p_equivalence_classes,
     p_subconjugate,
     p_subconjugate_mackey,
     p_subconjugate_sylow,
@@ -38,7 +37,14 @@ from ttperiods.groups import (
 )
 from ttperiods.spectra import artin_tower
 
-from oracles import conjugate_subgroup, is_dedekind, mulclose, perm_order, small_generators
+from oracles import (
+    conjugate_subgroup,
+    is_dedekind,
+    mulclose,
+    p_equivalence_classes,
+    perm_order,
+    small_generators,
+)
 
 
 def cyc(degree, *cycles):
@@ -91,10 +97,10 @@ class TestConstructors:
         limit = LIMITS["MAX_GROUP_ORDER"].value
         with pytest.raises(SizeBound, match=f"MAX_GROUP_ORDER = {limit}: .* is {limit + 1}$"):
             cyclic(limit + 1)
-        # C2 x C193 has order 386: only its closure passes the limit.
-        gens = [cyc(195, [1, 2]), cyc(195, list(range(3, 196)))]
+        # C2 x C367 has order 734: only its closure passes the limit.
+        gens = [cyc(369, [1, 2]), cyc(369, list(range(3, 370)))]
         with pytest.raises(SizeBound, match=f"MAX_GROUP_ORDER = {limit}: .* is at least {limit + 1}$"):
-            FiniteGroup(195, gens)
+            FiniteGroup(369, gens)
 
     def test_non_permutation_rejected(self):
         with pytest.raises(GroupError):
@@ -564,7 +570,7 @@ class TestPinnedKernel:
     def test_verdict_digest(self, G):
         assert _verdict_digest(G) == PINNED_VERDICT_DIGESTS[G.name]
 
-    @pytest.mark.parametrize("p,depth", [(3, 5), (7, 3)])
+    @pytest.mark.parametrize("p,depth", [(3, 5), (3, 6), (7, 3)])
     def test_deep_towers_match_closed_form(self, p, depth):
         rep = artin_tower(p, depth)
         want = {f"m{j}": 0 for j in range(depth + 1)}
@@ -683,10 +689,22 @@ class TestWorkCount:
 
         monkeypatch.setattr(GroupIndex, "span", counted)
         G = elementary_abelian(2, 4)
-        subs = subgroups(G)
+        subs, again = subgroups(G), subgroups(G)
         assert len(subs) == 67
+        # The index hands out one set object per subgroup, so a second
+        # list, and every class's members, resolve by identity.
+        assert all(H is K for H, K in zip(subs, again))
+        kept = {id(H) for H in subs}
+        for cls in subgroup_classes(G):
+            assert {id(H) for H in cls.conjugates} <= kept
         for route in (p_subconjugate_sylow, p_subconjugate_mackey):
-            for H in subs:
-                for K in subs:
-                    route(G, H, K, 2)
+            for listed in (subs, again):
+                for H in listed:
+                    for K in listed:
+                        route(G, H, K, 2)
         assert 0 < count[0] <= len(subs)
+        # A set that is not a subgroup is refused on every call.
+        bad = frozenset({identity(8), cyc(8, [1, 2]), cyc(8, [3, 4])})
+        for _ in range(2):
+            with pytest.raises(NotSubgroup):
+                p_subconjugate_sylow(G, bad, G.elements, 2)

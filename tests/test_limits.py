@@ -68,8 +68,8 @@ PROBES = {
         lambda: is_prime(2**31), 2**31,
     ),
     "MAX_GROUP_ORDER": (
-        lambda: cyclic(384).order == 384,
-        lambda: cyclic(385), 385,
+        lambda: cyclic(729).order == 729,
+        lambda: cyclic(730), 730,
     ),
     "MAX_SUBGROUP_LOOKUPS": (
         lambda: len(subgroups(dihedral(108))) == 128,
@@ -179,6 +179,13 @@ def ring_at_char(tmp_path, char):
     (lambda tmp: ["group", "stmod", "--group", "C10000000", "--prime", "2"], "MAX_GROUP_ORDER"),
     (lambda tmp: ["group", "stmod", "--group", "D8", "--prime", "10000000000000061"], "MAX_PRIME"),
     (lambda tmp: ["group", "dperm", "--group", "C2^8", "--prime", "2"], "MAX_SUBGROUP_LOOKUPS"),
+    *(
+        pytest.param(
+            lambda tmp, name=name, p=p: ["group", "dperm", "--group", name, "--prime", p],
+            "MAX_SUBGROUP_LOOKUPS", id=f"dperm-{name}",
+        )
+        for name, p in [("C3^6", "3"), ("D512", "2")]
+    ),
     (lambda tmp: ["tworing", "ideals", "--input", laurent_at_char(tmp, 100003)], "MAX_COMPONENT_SIZE"),
     (lambda tmp: ["ring", "validate", "--input", ring_at_char(tmp, 10000000000000061)], "MAX_PRIME"),
     # Names whose numbers int() cannot read (past 4300 digits).

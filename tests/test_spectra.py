@@ -454,6 +454,58 @@ class TestDPermWorkCount:
         assert second.tags == first.tags
 
 
+class TestKeptVarieties:
+    """The catalog builds each (key, p) variety once, and every caller reads
+    the same one without changing it."""
+
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_second_report_enumerates_nothing_and_emits_the_same_bytes(
+        self, monkeypatch, capsys, G
+    ):
+        from ttperiods import cohomology, graded
+        from ttperiods.cli import main
+
+        calls = []
+        real = graded.enumerate_patterns
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graded, "enumerate_patterns", counted)
+        monkeypatch.setattr(cohomology, "enumerate_patterns", counted)
+        # Start cold, so the first report builds what the second reads.
+        monkeypatch.setattr(cohomology, "_VARIETIES", {})
+        for p in _prime_factors(G.order):
+            for action in ("stmod", "dperm"):
+                argv = ["group", action, "--group", G.name, "--prime", str(p)]
+                first = (main(argv), *capsys.readouterr())
+                calls.clear()
+                second = (main(argv), *capsys.readouterr())
+                assert not calls, (action, p)
+                assert second == first, (action, p)
+
+    def test_non_prime_refused_after_the_prime_is_warm(self):
+        from ttperiods.groups import GroupError
+
+        rep_period_map(cyclic(2), 2)
+        for p in (4, 1):
+            for call in (rep_period_map, stmod_period_map):
+                with pytest.raises(GroupError, match=f"^{p} is not prime$"):
+                    call(cyclic(2), p)
+
+    def test_unidentified_and_refused_are_not_kept(self):
+        from ttperiods import cohomology
+
+        before = dict(cohomology._VARIETIES)
+        model, _ = rep_period_map(symmetric(3), 5)
+        assert model.space.points == ("⟨⟩",)
+        for _ in range(2):
+            with pytest.raises(GroupNotInCatalog):
+                rep_period_map(symmetric(4), 2)
+        assert cohomology._VARIETIES == before
+
+
 class TestClosedPointMembership:
     def test_q8_c4_in_very_closed(self):
         G = quaternion(8)
