@@ -401,13 +401,14 @@ def _cmd_compare(args) -> int:
 # -- figure ------------------------------------------------------------
 
 def _cmd_figure(args) -> int:
-    from .datasets import load_figure_dataset, load_figure_record
+    from .datasets import certify_figure, load_figure_dataset, load_figure_record
 
-    rec = load_figure_record(args.name)
-    model, per = load_figure_dataset(args.name)
     if args.format == "json":
+        rec = load_figure_record(args.name)
+        certify_figure(args.name, rec)
         _emit(args, {args.name: _digest_of(rec)}, {"record": rec})
         return 0
+    model, per = load_figure_dataset(args.name)
     sys.stdout.write(model_to_dot(model, per, name=args.name))
     return 0
 

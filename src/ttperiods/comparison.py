@@ -4,8 +4,8 @@ A section table records finitely many sections of invertible objects
 together with the open locus where each section is invertible.  Sending
 a point to the set of sections vanishing there yields a map into the
 pattern model of the section ring; the operations here decide when that
-map is a basis-giving embedding, move period data across it, and cut
-the model into charts along covering sections.
+map is a basis-giving embedding, move period data across it, and cut out
+the open subspace where chosen sections are invertible.
 """
 
 from __future__ import annotations
@@ -14,20 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
-from .graded import GradedRingPresentation, PrimePattern, SpechModel, local_period
-from .spaces import FiniteSpectralModel, PeriodAssignment, _values, divides
+from .graded import GradedRingPresentation, PrimePattern, local_period
+from .spaces import FiniteSpectralModel, _values, divides
 
 
 class ComparisonError(UsageError):
     pass
-
-
-class NotBaseFree(ComparisonError):
-    """No finite set of sections of the bundle covers the space."""
-
-    def __init__(self, bundle: str):
-        self.bundle = bundle
-        super().__init__(f"bundle {bundle!r} has no covering family of sections")
 
 
 @dataclass(frozen=True)
@@ -165,15 +157,6 @@ def homeo_onto_image(table: SectionTable) -> bool:
     return True
 
 
-def ample_homeo_consistency(table: SectionTable) -> Diagnosis:
-    """Cross-check the two independent embedding criteria."""
-    ample = is_ample(table)
-    homeo = homeo_onto_image(table)
-    if ample != homeo:
-        return failure("routes-differ", ample, homeo)
-    return PASS
-
-
 def _period_labels(table: SectionTable, per) -> dict[str, int]:
     vals = _values(per)
     missing = set(table.space.points) - set(vals)
@@ -261,42 +244,6 @@ def restrict_table(table: SectionTable, subset: Iterable[str]) -> SectionTable:
     )
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One covering section's locus with the restricted table."""
-
-    section: str
-    points: frozenset[str]
-    table: SectionTable
-
-
-def base_free_cover(table: SectionTable, bundle: str) -> list[Chart]:
-    """Charts from the sections of one bundle whose loci cover the space.
-
-    Each chart is verified against the pullback description: its points
-    are exactly the points whose pattern omits the chosen section.
-    """
-    _require_valid(table)
-    if bundle not in table.bundles:
-        raise ComparisonError(f"unknown bundle {bundle!r}")
-    chosen = [s for s in table.sections if s.bundle == bundle and s.locus]
-    covered: set[str] = set()
-    for s in chosen:
-        covered |= s.locus
-    if covered != set(table.space.points):
-        raise NotBaseFree(bundle)
-    comp = comp_map(table)
-    charts = []
-    for s in chosen:
-        omits = frozenset(
-            p for p in table.space.points if s.name not in comp[p].contains
-        )
-        if omits != s.locus:
-            raise ComparisonError(f"chart of {s.name!r} fails the pullback check")
-        charts.append(Chart(s.name, s.locus, restrict_table(table, s.locus)))
-    return charts
-
-
 def central_localization(
     table: SectionTable, names: Iterable[str]
 ) -> tuple[frozenset[str], SectionTable]:
@@ -335,24 +282,6 @@ def central_loc_pullback(table: SectionTable, names: Iterable[str]) -> Diagnosis
         if sub[p].contains != comp[p].contains:
             return failure("restriction-mismatch", p)
     return PASS
-
-
-def image_open_in_model(table: SectionTable, model: SpechModel) -> bool:
-    """Is the comparison image open inside an ambient pattern model?
-
-    Reported as a diagnostic only; an embedding needs no open image.
-    Every image pattern must name a point of the ambient model.
-    """
-    _require_valid(table)
-    comp = comp_map(table)
-    by_pattern = {model.patterns[q].contains: q for q in model.space.points}
-    hit = set()
-    for p in table.space.points:
-        key = comp[p].contains
-        if key not in by_pattern:
-            raise ComparisonError(f"image pattern of {p!r} is not an ambient point")
-        hit.add(by_pattern[key])
-    return model.space.is_open(hit)
 
 
 # -- serialization -----------------------------------------------------

@@ -39,10 +39,6 @@ class BoundTooSmall(GradedError):
     """The brute-force degree bound admits no qualifying monomial."""
 
 
-class NotLaurentForm(GradedError):
-    """The presentation is not a degree-0 part extended by one unit."""
-
-
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -218,9 +214,6 @@ class SpechModel:
     certified: Mapping[str, str]
     includes_irrelevant: bool
 
-    def pattern(self, point: str) -> PrimePattern:
-        return self.patterns[point]
-
     def check(self) -> Diagnosis:
         for point in self.space.points:
             diag = pattern_diagnosis(self.ring, self.patterns[point])
@@ -309,21 +302,6 @@ def local_period(ring: GradedRingPresentation, pattern: PrimePattern) -> int:
     return g
 
 
-def ring_period(ring: GradedRingPresentation) -> int:
-    """Smallest positive unit degree, from declared invertible generators only.
-
-    The degrees of units form the subgroup of the integers generated by
-    the invertible generators' degrees, so the gcd is that smallest
-    positive degree; 0 when there are no invertible generators.  Unit
-    detection beyond the declared generators is out of scope by design.
-    """
-    g = 0
-    for gen in ring.generators:
-        if gen.invertible and gen.degree != 0:
-            g = math.gcd(g, abs(gen.degree))
-    return g
-
-
 def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozenset[str]:
     """Points of positive period (d = ALL) or of period dividing d.
 
@@ -388,32 +366,6 @@ def oracle_local_period(
             raise BoundTooSmall(degree_bound)
         return 0
     return math.gcd(*degrees)
-
-
-def degree_zero_reduction_check(ring: GradedRingPresentation) -> Diagnosis:
-    """A Laurent extension R0[u, u^-1] has the same pattern set as R0."""
-    units = [g for g in ring.generators if g.invertible and g.degree != 0]
-    others = [g for g in ring.generators if not (g.invertible and g.degree != 0)]
-    if len(units) != 1 or any(g.degree != 0 for g in others):
-        raise NotLaurentForm("expected exactly one nonzero-degree unit over a degree-0 part")
-    u = units[0]
-    for rel in ring.relations:
-        for term in rel:
-            if u.name in term.variables():
-                raise NotLaurentForm(f"unit {u.name!r} appears in a relation")
-    sub = GradedRingPresentation(
-        ring.char, tuple(others), ring.relations, ring.constraint
-    )
-    big = enumerate_patterns(ring)
-    small = enumerate_patterns(sub)
-    big_set = {big.patterns[p].contains for p in big.space.points}
-    small_set = {small.patterns[p].contains for p in small.space.points}
-    if any(u.name in c for c in big_set):
-        return failure("unit-in-pattern", u.name)
-    if big_set != small_set:
-        return failure("pattern-sets-differ", len(big_set), len(small_set))
-    # Identity on traces is inclusion-preserving both ways by construction.
-    return Diagnosis(True, "bijection", (len(big_set),))
 
 
 # -- serialization -----------------------------------------------------

@@ -141,14 +141,6 @@ class FiniteGroup:
             self._index = GroupIndex(self)
         return self._index
 
-    def has_subgroup(self, H: frozenset[Perm]) -> bool:
-        return self.index.subgroup(H) is not None
-
-    def require_subgroup(self, H: frozenset[Perm]) -> frozenset[Perm]:
-        H = frozenset(H)
-        self.index.require(H)
-        return H
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteGroup)
@@ -716,14 +708,6 @@ def _abelian_invariants(orders: list[int]) -> tuple[int, ...]:
                 d *= p ** parts[i]
         factors.append(d)
     return tuple(sorted(factors))
-
-
-def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factor chain d1 | d2 | ... for an abelian group."""
-    ix = G.index
-    if not ix.is_abelian(ix.whole()):
-        raise GroupError("abelian invariants of a nonabelian group")
-    return _abelian_invariants(ix.orders)
 
 
 def identify(G: FiniteGroup) -> "tuple | None":

@@ -865,17 +865,9 @@ def ring_index(ring: MultigradedRing) -> AlgebraIndex:
     return AlgebraIndex(ring.char, dims, products)
 
 
-def ideal_generated_ring(ring: MultigradedRing, gens: Iterable) -> frozenset:
-    return ring.index.members(ring.index.generate(gens))
-
-
 def ring_ideals(ring: MultigradedRing) -> IdealLattice:
     """Every homogeneous ideal, as joins of principal ideals."""
     return ring.index.lattice()
-
-
-def ring_total_ideal(ring: MultigradedRing) -> frozenset:
-    return frozenset(ring.homogeneous_elements())
 
 
 def is_ring_prime(ring: MultigradedRing, ideal: frozenset) -> bool:
@@ -883,18 +875,8 @@ def is_ring_prime(ring: MultigradedRing, ideal: frozenset) -> bool:
     return ring.index.is_prime(ideal)
 
 
-def ring_primes(ring: MultigradedRing) -> list:
-    return [i for i in ring_ideals(ring) if is_ring_prime(ring, i)]
-
-
 def ideal_name_ring(ring: MultigradedRing, ideal: frozenset) -> str:
     return ring.index.name(ideal, None, ring.render)
-
-
-def spech_multigraded(ring: MultigradedRing):
-    """Homogeneous prime spectrum as a finite spectral model, plus the
-    point-name-to-ideal mapping."""
-    return prime_spectrum(ring_primes(ring), lambda i: ideal_name_ring(ring, i))
 
 
 # -- multiplicative systems and fractions -----------------------------

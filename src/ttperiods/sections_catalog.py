@@ -4,16 +4,16 @@ Registry entries are product complete: every tabulated pair of sections
 with jointly invertible locus has its product tabulated too, which is
 what makes the basis criterion and the direct embedding check agree.
 Generator-only tables truncate the section list and can split the two
-checks, so they live outside the registry and serve the period-transfer
-and chart operations instead.
+checks, so they stay out of the registry: the test suite builds the one
+over the D8 projective model, which also wrote the shipped demo files
+under data/sections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from .comparison import SectionTable, make_table, table_to_obj
+from .comparison import SectionTable, make_table
 from .diagnostics import UsageError
 from .graded import (
     GradedRingPresentation,
@@ -21,22 +21,13 @@ from .graded import (
     enumerate_patterns,
     local_period,
     make_ring,
-    ring_to_obj,
 )
-from .spaces import (
-    FiniteSpectralModel,
-    PeriodAssignment,
-    dumps_canonical,
-    model_to_obj,
-    restrict_to_open,
-)
+from .spaces import FiniteSpectralModel, PeriodAssignment
 
 __all__ = [
     "ComparisonFixture",
     "FIXTURE_NAMES",
     "build_fixture",
-    "stmod_d8_fixture",
-    "write_all",
 ]
 
 
@@ -188,57 +179,3 @@ def build_fixture(name: str) -> ComparisonFixture:
     if name not in _FIXTURE_BUILDERS:
         raise UnknownFixture(f"unknown comparison fixture {name!r}")
     return _FIXTURE_BUILDERS[name]()
-
-
-def stmod_d8_fixture() -> ComparisonFixture:
-    """Generator sections over the five-point projective model.
-
-    Truncated on purpose: the three generators alone are not a basis,
-    but the map is still an embedding, which is all period transfer
-    needs.  The full six-point model is the ambient for the image.
-    """
-    ring = _d8_presentation()
-    full = enumerate_patterns(ring)
-    irrelevant = max(
-        full.space.points, key=lambda q: len(full.patterns[q].contains)
-    )
-    keep = frozenset(q for q in full.space.points if q != irrelevant)
-    space, per = restrict_to_open(full.space, _local_periods(full), keep)
-    sections = []
-    for name, d in (("α0", 1), ("α1", 1), ("β", 2)):
-        locus = frozenset(
-            q for q in space.points if name not in full.patterns[q].contains
-        )
-        sections.append((name, f"L{d}", d, locus))
-    table = make_table(space, {"L1": 1, "L2": 2}, sections)
-    return ComparisonFixture(
-        name="stmod_d8_generators",
-        table=table,
-        ample=False,
-        ring=ring,
-        per=per,
-        image_model=full,
-        image_open=True,
-    )
-
-
-def write_all(directory: "Path | None" = None) -> list[Path]:
-    """Ship the projective model demo as three JSON files."""
-    out = Path(directory) if directory else Path(__file__).parent / "data" / "sections"
-    out.mkdir(parents=True, exist_ok=True)
-    fix = stmod_d8_fixture()
-    written = []
-    for stem, obj in (
-        ("stmod_d8_sections", table_to_obj(fix.table)),
-        ("stmod_d8_space", model_to_obj(fix.table.space, fix.per)),
-        ("d8_ring", ring_to_obj(fix.ring)),
-    ):
-        path = out / f"{stem}.json"
-        path.write_text(dumps_canonical(obj), encoding="utf-8")
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":
-    for path in write_all():
-        print(path)

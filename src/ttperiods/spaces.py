@@ -59,24 +59,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def is_alexandrov_open(ds) -> bool:
-    """True iff the set of periods is divisor-closed.
-
-    Pass ALL for the full poset.  No finite set containing 0 is open,
-    since every integer divides 0.
-    """
-    if ds == ALL:
-        return True
-    values = set(ds)
-    if any(d < 0 for d in values):
-        raise NegativePeriod("periods are nonnegative")
-    if 0 in values:
-        return False
-    return all(
-        e in values for d in values for e in range(1, d + 1) if d % e == 0
-    )
-
-
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending.
 
@@ -343,9 +325,6 @@ class PeriodAssignment:
 
     def __getitem__(self, point: str) -> int:
         return self.values[point]
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.values.values())
 
 
 def _values(per) -> dict[str, int]:

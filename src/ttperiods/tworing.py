@@ -5,10 +5,10 @@ every object tensor-invertible, stored as explicit tables: objects
 labeled by a finite abelian group, hom components as vector spaces over
 a prime field, bilinear composition and tensor tables, and a symmetry
 element for each object pair.  On top of the datum sit categorical
-ideals and their primes, a Zariski-style spectrum, twisted-commutation
-oracles, tightening validation against a graded ring, the executable
-ideal correspondence between the two sides, localization by a two-sided
-calculus of fractions, and restriction to a support submonoid.
+ideals and their primes, a Zariski-style spectrum, the translate oracle,
+tightening validation against a graded ring, the executable ideal
+correspondence between the two sides, and localization by a two-sided
+calculus of fractions.
 Ideals, primes, inverses and the span classes of a localization are
 linear algebra on the AlgebraIndex the datum shares with graded rings
 (span classes through the fraction engine ring fractions use too);
@@ -57,10 +57,6 @@ class BadShapes(UsageError):
 
 class ShapeMismatch(UsageError):
     """Tightening data whose shapes do not match the 2-ring."""
-
-
-class NotSubmonoid(UsageError):
-    """Restriction set is not a submonoid of the grading group."""
 
 
 # -- the datum --------------------------------------------------------
@@ -485,52 +481,6 @@ def translate_closure(R2: TwoRingDatum, base: Iterable) -> frozenset:
                      for v in isomorphisms(R2, m[1], k))
 
 
-def commutes_up_to_translate(R2: TwoRingDatum, r, s) -> bool:
-    """The swapped composite of suitable translates recovers s after r."""
-    target = compose(R2, s, r)
-    for s2 in R2.morphisms(include_zero=True):
-        if s2[0] != target[0] or not is_translate(R2, s, s2):
-            continue
-        for r2 in R2.homs(s2[1], target[1], include_zero=True):
-            if is_translate(R2, r, r2) and compose(R2, r2, s2) == target:
-                return True
-    return False
-
-
-def lemma_magic_check(R2: TwoRingDatum, a, b, w) -> bool:
-    """Two-sided exchange of a unit endomorphism across a twist.
-
-    For a, b from the unit into the same object and w an endomorphism
-    of that object, composing with w on the target side agrees with
-    composing on the source side with the conjugated unit endomorphism.
-    Returns whether the two conditions have the same truth value.
-    """
-    if a[0] != R2.unit or b[0] != R2.unit or a[1] != b[1]:
-        raise BadShapes("need two morphisms from the unit into one object")
-    g = a[1]
-    if w[0] != g or w[1] != g:
-        raise BadShapes("need an endomorphism of the shared target")
-    gi = None
-    for cand in R2.objects:
-        if R2.tensor_obj[(cand, g)] == R2.unit:
-            gi = cand
-            break
-    if gi is None:
-        for cand in R2.objects:
-            if has_iso(R2, R2.tensor_obj[(cand, g)], R2.unit):
-                gi = cand
-                break
-    if gi is None:
-        raise BadShapes("no tensor inverse object found")
-    tw = tensor(R2, R2.identity(gi), w)
-    if tw[0] == R2.unit:
-        w_unit = tw
-    else:
-        e, e_inv = iso_pairs(R2, tw[0], R2.unit)[0]
-        w_unit = compose(R2, e, compose(R2, tw, e_inv))
-    return (compose(R2, w, a) == b) == (compose(R2, a, w_unit) == b)
-
-
 # -- categorical ideals and the spectrum ------------------------------
 
 
@@ -543,10 +493,6 @@ def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> frozenset:
 def homogeneous_ideals(R2: TwoRingDatum) -> IdealLattice:
     """Every categorical ideal, generated as joins of principal ones."""
     return R2.index.lattice()
-
-
-def total_ideal_two(R2: TwoRingDatum) -> frozenset:
-    return frozenset(R2.morphisms())
 
 
 def is_prime_two(R2: TwoRingDatum, ideal: frozenset) -> bool:
@@ -1083,87 +1029,3 @@ def _identify_fraction(T: Tightening, R2: TwoRingDatum, loc: LocalizedTwoRing, n
     if s_leg not in loc.system:
         raise RingShapeError("identified denominator left the system")
     return _span_class(loc.quotients, (s_leg, r_leg))
-
-
-# -- restriction to a support submonoid -------------------------------
-
-
-def restrict_submonoid(R2: TwoRingDatum, M: Iterable):
-    """Sub-2-ring on the objects labeled inside M, with the trace map.
-
-    Returns the restricted datum and the mapping from each spectrum
-    point of the input to the point of the restriction cut out by
-    intersecting the prime with the restricted morphisms.  In a finite
-    grading group every submonoid is a subgroup, so the restriction
-    keeps every hom between the objects it keeps.
-    """
-    try:
-        mset = {R2.group.canon(m) for m in M}
-    except (RingShapeError, TypeError) as exc:
-        raise NotSubmonoid(str(exc))
-    if R2.group.zero not in mset:
-        raise NotSubmonoid("missing the identity label")
-    for a in mset:
-        for b in mset:
-            if R2.group.add(a, b) not in mset:
-                raise NotSubmonoid(f"not closed under addition at {a} + {b}")
-
-    keep = tuple(o for o in R2.objects if R2.labels[o] in mset)
-    keepset = set(keep)
-    restricted = TwoRingDatum(
-        name=f"{R2.name}_res",
-        group=R2.group,
-        char=R2.char,
-        objects=keep,
-        labels={o: R2.labels[o] for o in keep},
-        unit=R2.unit,
-        support=R2.support & frozenset(mset),
-        dims={(a, b): R2.dims[(a, b)] for a in keep for b in keep},
-        basis_names={(a, b): R2.basis_names[(a, b)] for a in keep for b in keep},
-        compose_tables={k: v for k, v in R2.compose_tables.items() if set(k) <= keepset},
-        tensor_obj={k: v for k, v in R2.tensor_obj.items() if set(k) <= keepset},
-        tensor_tables={k: v for k, v in R2.tensor_tables.items() if set(k) <= keepset},
-        identities={o: R2.identities[o] for o in keep},
-        symmetry={k: v for k, v in R2.symmetry.items() if set(k) <= keepset},
-    )
-
-    _, full_primes = spc_with_primes(R2)
-    _, res_primes = spc_with_primes(restricted)
-    back = {ideal: nm for nm, ideal in res_primes.items()}
-    point_map = {}
-    for nm, ideal in full_primes.items():
-        trace = frozenset(m for m in ideal if m[0] in keepset and m[1] in keepset)
-        if trace not in back:
-            raise RingShapeError(f"trace of {nm} is not a prime of the restriction")
-        point_map[nm] = back[trace]
-    return restricted, point_map
-
-
-def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -> Diagnosis:
-    """Restriction commutes with localization on the kept components.
-
-    S must consist of morphisms of the restriction.  Both sides are
-    localized and the canonical span-to-span comparison must be
-    bijective on every kept component; since finite submonoids are
-    subgroups, every kept label difference stays in the localized
-    support, so full components must match exactly.
-    """
-    restricted, _ = restrict_submonoid(R2, M)
-    S = [tuple(m) for m in S]
-    for m in S:
-        if m[0] not in restricted.objects or m[1] not in restricted.objects:
-            return failure("system_outside_restriction", m)
-    loc_res = localize_with_classes(restricted, S)
-    loc_full = localize_with_classes(R2, S)
-    for a in restricted.objects:
-        for b in restricted.objects:
-            # The comparison is linear, so it is injective when the images
-            # of a basis are independent.
-            images = [_span_class(loc_full.quotients, span)
-                      for span in _basis_spans(loc_res.quotients, (a, b))]
-            if rank(R2.char, images) != len(images):
-                return failure("restricted_localization_not_injective", a, b)
-            sub_count, full_count = (R2.char ** L.datum.hom_dim(a, b) for L in (loc_res, loc_full))
-            if sub_count != full_count:
-                return failure("restricted_localization_dims", a, b, sub_count, full_count)
-    return PASS

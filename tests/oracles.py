@@ -1,5 +1,6 @@
 """Brute-force references for the ring and 2-ring ideal and fraction
-engines, and for the permutation-group kernel.
+engines and for the permutation-group kernel, and the checks of side
+statements of the paper that no report shows.
 
 Each ring oracle works on explicit member sets: it enumerates vectors and
 multiplies them with mg_mul, compose and tensor, so it shares none of the
@@ -11,16 +12,56 @@ p-subconjugacy order over the whole lattice, is checked against the classes
 GroupIndex.p_classes finds.  Only viable for tiny instances.
 square_zero builds the small rings with few units that several test files
 share.
+
+The side statements are checked on the package's own engines: the
+degree-zero reduction of Laurent presentations, divisor-closed period sets,
+abelian invariants, the homogeneous spectrum of a multigraded ring,
+commutation up to translates and the two-sided exchange lemma in a 2-ring,
+restriction of a 2-ring to a support submonoid and its commuting with
+localization, base-free charts of a section table and openness of its image
+in an ambient pattern model.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 from ttperiods import groups
-from ttperiods.groups import FiniteGroup, identify, name_for_key
-from ttperiods.multigraded import all_vectors, make_multigraded, mg_mul, vec_add, vec_zero
+from ttperiods.comparison import ComparisonError, SectionTable, _require_valid, comp_map
+from ttperiods.comparison import restrict_table
+from ttperiods.diagnostics import PASS, Diagnosis, UsageError, failure
+from ttperiods.graded import GradedError, GradedRingPresentation, SpechModel, enumerate_patterns
+from ttperiods.groups import FiniteGroup, GroupError, _abelian_invariants, identify, name_for_key
+from ttperiods.multigraded import (
+    MultigradedRing,
+    RingShapeError,
+    all_vectors,
+    ideal_name_ring,
+    is_ring_prime,
+    make_multigraded,
+    mg_mul,
+    prime_spectrum,
+    rank,
+    ring_ideals,
+    vec_add,
+    vec_zero,
+)
+from ttperiods.spaces import ALL, NegativePeriod
 from ttperiods.spectra import _label_suffix
-from ttperiods.tworing import compose, tensor
+from ttperiods.tworing import (
+    BadShapes,
+    TwoRingDatum,
+    _basis_spans,
+    _span_class,
+    compose,
+    has_iso,
+    is_translate,
+    iso_pairs,
+    localize_with_classes,
+    spc_with_primes,
+    tensor,
+)
 
 # Largest number of componentwise subspace families an oracle enumerates.
 MAX_FAMILIES = 1024
@@ -354,3 +395,274 @@ def p_equivalence_classes(G, p):
     if sorted(sylow_class) != list(range(len(p_classes))):
         raise groups.GroupError("blocks do not biject with p-subgroup classes")
     return [[classes[j] for j in block] for block in blocks]
+
+
+# -- graded rings, period sets and abelian groups ----------------------
+
+class NotLaurentForm(GradedError):
+    """The presentation is not a degree-0 part extended by one unit."""
+
+
+def degree_zero_reduction_check(ring: GradedRingPresentation) -> Diagnosis:
+    """A Laurent extension R0[u, u^-1] has the same pattern set as R0."""
+    units = [g for g in ring.generators if g.invertible and g.degree != 0]
+    others = [g for g in ring.generators if not (g.invertible and g.degree != 0)]
+    if len(units) != 1 or any(g.degree != 0 for g in others):
+        raise NotLaurentForm("expected exactly one nonzero-degree unit over a degree-0 part")
+    u = units[0]
+    for rel in ring.relations:
+        for term in rel:
+            if u.name in term.variables():
+                raise NotLaurentForm(f"unit {u.name!r} appears in a relation")
+    sub = GradedRingPresentation(
+        ring.char, tuple(others), ring.relations, ring.constraint
+    )
+    big = enumerate_patterns(ring)
+    small = enumerate_patterns(sub)
+    big_set = {big.patterns[p].contains for p in big.space.points}
+    small_set = {small.patterns[p].contains for p in small.space.points}
+    if any(u.name in c for c in big_set):
+        return failure("unit-in-pattern", u.name)
+    if big_set != small_set:
+        return failure("pattern-sets-differ", len(big_set), len(small_set))
+    # Identity on traces is inclusion-preserving both ways by construction.
+    return Diagnosis(True, "bijection", (len(big_set),))
+
+
+def is_alexandrov_open(ds) -> bool:
+    """True iff the set of periods is divisor-closed.
+
+    Pass ALL for the full poset.  No finite set containing 0 is open,
+    since every integer divides 0.
+    """
+    if ds == ALL:
+        return True
+    values = set(ds)
+    if any(d < 0 for d in values):
+        raise NegativePeriod("periods are nonnegative")
+    if 0 in values:
+        return False
+    return all(
+        e in values for d in values for e in range(1, d + 1) if d % e == 0
+    )
+
+
+def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
+    """Invariant factor chain d1 | d2 | ... for an abelian group."""
+    ix = G.index
+    if not ix.is_abelian(ix.whole()):
+        raise GroupError("abelian invariants of a nonabelian group")
+    return _abelian_invariants(ix.orders)
+
+
+# -- multigraded rings -------------------------------------------------
+
+def ideal_generated_ring(ring: MultigradedRing, gens: Iterable) -> frozenset:
+    return ring.index.members(ring.index.generate(gens))
+
+
+def ring_primes(ring: MultigradedRing) -> list:
+    return [i for i in ring_ideals(ring) if is_ring_prime(ring, i)]
+
+
+def spech_multigraded(ring: MultigradedRing):
+    """Homogeneous prime spectrum as a finite spectral model, plus the
+    point-name-to-ideal mapping."""
+    return prime_spectrum(ring_primes(ring), lambda i: ideal_name_ring(ring, i))
+
+
+# -- 2-rings: translates, the exchange lemma, restriction --------------
+
+class NotSubmonoid(UsageError):
+    """Restriction set is not a submonoid of the grading group."""
+
+
+def commutes_up_to_translate(R2: TwoRingDatum, r, s) -> bool:
+    """The swapped composite of suitable translates recovers s after r."""
+    target = compose(R2, s, r)
+    for s2 in R2.morphisms(include_zero=True):
+        if s2[0] != target[0] or not is_translate(R2, s, s2):
+            continue
+        for r2 in R2.homs(s2[1], target[1], include_zero=True):
+            if is_translate(R2, r, r2) and compose(R2, r2, s2) == target:
+                return True
+    return False
+
+
+def lemma_magic_check(R2: TwoRingDatum, a, b, w) -> bool:
+    """Two-sided exchange of a unit endomorphism across a twist.
+
+    For a, b from the unit into the same object and w an endomorphism
+    of that object, composing with w on the target side agrees with
+    composing on the source side with the conjugated unit endomorphism.
+    Returns whether the two conditions have the same truth value.
+    """
+    if a[0] != R2.unit or b[0] != R2.unit or a[1] != b[1]:
+        raise BadShapes("need two morphisms from the unit into one object")
+    g = a[1]
+    if w[0] != g or w[1] != g:
+        raise BadShapes("need an endomorphism of the shared target")
+    gi = None
+    for cand in R2.objects:
+        if R2.tensor_obj[(cand, g)] == R2.unit:
+            gi = cand
+            break
+    if gi is None:
+        for cand in R2.objects:
+            if has_iso(R2, R2.tensor_obj[(cand, g)], R2.unit):
+                gi = cand
+                break
+    if gi is None:
+        raise BadShapes("no tensor inverse object found")
+    tw = tensor(R2, R2.identity(gi), w)
+    if tw[0] == R2.unit:
+        w_unit = tw
+    else:
+        e, e_inv = iso_pairs(R2, tw[0], R2.unit)[0]
+        w_unit = compose(R2, e, compose(R2, tw, e_inv))
+    return (compose(R2, w, a) == b) == (compose(R2, a, w_unit) == b)
+
+
+def restrict_submonoid(R2: TwoRingDatum, M: Iterable):
+    """Sub-2-ring on the objects labeled inside M, with the trace map.
+
+    Returns the restricted datum and the mapping from each spectrum
+    point of the input to the point of the restriction cut out by
+    intersecting the prime with the restricted morphisms.  In a finite
+    grading group every submonoid is a subgroup, so the restriction
+    keeps every hom between the objects it keeps.
+    """
+    try:
+        mset = {R2.group.canon(m) for m in M}
+    except (RingShapeError, TypeError) as exc:
+        raise NotSubmonoid(str(exc))
+    if R2.group.zero not in mset:
+        raise NotSubmonoid("missing the identity label")
+    for a in mset:
+        for b in mset:
+            if R2.group.add(a, b) not in mset:
+                raise NotSubmonoid(f"not closed under addition at {a} + {b}")
+
+    keep = tuple(o for o in R2.objects if R2.labels[o] in mset)
+    keepset = set(keep)
+    restricted = TwoRingDatum(
+        name=f"{R2.name}_res",
+        group=R2.group,
+        char=R2.char,
+        objects=keep,
+        labels={o: R2.labels[o] for o in keep},
+        unit=R2.unit,
+        support=R2.support & frozenset(mset),
+        dims={(a, b): R2.dims[(a, b)] for a in keep for b in keep},
+        basis_names={(a, b): R2.basis_names[(a, b)] for a in keep for b in keep},
+        compose_tables={k: v for k, v in R2.compose_tables.items() if set(k) <= keepset},
+        tensor_obj={k: v for k, v in R2.tensor_obj.items() if set(k) <= keepset},
+        tensor_tables={k: v for k, v in R2.tensor_tables.items() if set(k) <= keepset},
+        identities={o: R2.identities[o] for o in keep},
+        symmetry={k: v for k, v in R2.symmetry.items() if set(k) <= keepset},
+    )
+
+    _, full_primes = spc_with_primes(R2)
+    _, res_primes = spc_with_primes(restricted)
+    back = {ideal: nm for nm, ideal in res_primes.items()}
+    point_map = {}
+    for nm, ideal in full_primes.items():
+        trace = frozenset(m for m in ideal if m[0] in keepset and m[1] in keepset)
+        if trace not in back:
+            raise RingShapeError(f"trace of {nm} is not a prime of the restriction")
+        point_map[nm] = back[trace]
+    return restricted, point_map
+
+
+def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -> Diagnosis:
+    """Restriction commutes with localization on the kept components.
+
+    S must consist of morphisms of the restriction.  Both sides are
+    localized and the canonical span-to-span comparison must be
+    bijective on every kept component; since finite submonoids are
+    subgroups, every kept label difference stays in the localized
+    support, so full components must match exactly.
+    """
+    restricted, _ = restrict_submonoid(R2, M)
+    S = [tuple(m) for m in S]
+    for m in S:
+        if m[0] not in restricted.objects or m[1] not in restricted.objects:
+            return failure("system_outside_restriction", m)
+    loc_res = localize_with_classes(restricted, S)
+    loc_full = localize_with_classes(R2, S)
+    for a in restricted.objects:
+        for b in restricted.objects:
+            # The comparison is linear, so it is injective when the images
+            # of a basis are independent.
+            images = [_span_class(loc_full.quotients, span)
+                      for span in _basis_spans(loc_res.quotients, (a, b))]
+            if rank(R2.char, images) != len(images):
+                return failure("restricted_localization_not_injective", a, b)
+            sub_count, full_count = (R2.char ** L.datum.hom_dim(a, b) for L in (loc_res, loc_full))
+            if sub_count != full_count:
+                return failure("restricted_localization_dims", a, b, sub_count, full_count)
+    return PASS
+
+
+# -- section tables: charts and the image in an ambient model ----------
+
+class NotBaseFree(ComparisonError):
+    """No finite set of sections of the bundle covers the space."""
+
+    def __init__(self, bundle: str):
+        self.bundle = bundle
+        super().__init__(f"bundle {bundle!r} has no covering family of sections")
+
+
+@dataclass(frozen=True)
+class Chart:
+    """One covering section's locus with the restricted table."""
+
+    section: str
+    points: frozenset[str]
+    table: SectionTable
+
+
+def base_free_cover(table: SectionTable, bundle: str) -> list[Chart]:
+    """Charts from the sections of one bundle whose loci cover the space.
+
+    Each chart is verified against the pullback description: its points
+    are exactly the points whose pattern omits the chosen section.
+    """
+    _require_valid(table)
+    if bundle not in table.bundles:
+        raise ComparisonError(f"unknown bundle {bundle!r}")
+    chosen = [s for s in table.sections if s.bundle == bundle and s.locus]
+    covered: set[str] = set()
+    for s in chosen:
+        covered |= s.locus
+    if covered != set(table.space.points):
+        raise NotBaseFree(bundle)
+    comp = comp_map(table)
+    charts = []
+    for s in chosen:
+        omits = frozenset(
+            p for p in table.space.points if s.name not in comp[p].contains
+        )
+        if omits != s.locus:
+            raise ComparisonError(f"chart of {s.name!r} fails the pullback check")
+        charts.append(Chart(s.name, s.locus, restrict_table(table, s.locus)))
+    return charts
+
+
+def image_open_in_model(table: SectionTable, model: SpechModel) -> bool:
+    """Is the comparison image open inside an ambient pattern model?
+
+    Reported as a diagnostic only; an embedding needs no open image.
+    Every image pattern must name a point of the ambient model.
+    """
+    _require_valid(table)
+    comp = comp_map(table)
+    by_pattern = {model.patterns[q].contains: q for q in model.space.points}
+    hit = set()
+    for p in table.space.points:
+        key = comp[p].contains
+        if key not in by_pattern:
+            raise ComparisonError(f"image pattern of {p!r} is not an ambient point")
+        hit.add(by_pattern[key])
+    return model.space.is_open(hit)

@@ -19,9 +19,10 @@ from ttperiods.cli import main
 from ttperiods.diagnostics import LIMITS, UsageError
 from ttperiods.graded import make_ring, ring_to_obj
 from ttperiods.groups import dihedral, group_to_obj
-from ttperiods.sections_catalog import write_all as write_section_files
 from ttperiods.spaces import dumps_canonical
 from ttperiods.tworing_catalog import build_two_ring, two_ring_to_obj
+
+from builders import write_all as write_section_files
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "perfbench" / "golden_cli.json").read_text(encoding="utf-8"))
@@ -515,6 +516,17 @@ class TestFigure:
     def test_unknown_dataset(self, capsys):
         code, _, err = run(capsys, "figure", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_record_that_is_no_period_map_is_refused(self, capsys, monkeypatch, fmt):
+        from ttperiods import datasets
+
+        rec = datasets.load_figure_record("ratm_r")
+        bad = {**rec, "periods": {**rec["periods"], "bottom": 2}}
+        monkeypatch.setattr(datasets, "load_figure_record", lambda name: bad)
+        code, out, err = run(capsys, "figure", "ratm_r", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "not-monotone" in err
 
 
 class TestUsage:

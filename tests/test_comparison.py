@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from ttperiods.comparison import (
     ComparisonError,
-    NotBaseFree,
     Section,
-    base_free_cover,
     central_loc_pullback,
     central_localization,
     comp_map,
     divisor_constraint,
     homeo_onto_image,
-    image_open_in_model,
     is_ample,
     make_table,
     restrict_table,
@@ -22,22 +19,19 @@ from ttperiods.comparison import (
     table_to_obj,
     transfer_periods,
     validate_section_table,
-    ample_homeo_consistency,
 )
 from ttperiods.diagnostics import SizeBound
 from ttperiods.graded import enumerate_patterns, local_period, make_ring, ring_from_obj
-from ttperiods.sections_catalog import (
-    FIXTURE_NAMES,
-    build_fixture,
-    stmod_d8_fixture,
-    write_all,
-)
+from ttperiods.sections_catalog import FIXTURE_NAMES, build_fixture
 from ttperiods.spaces import (
     FiniteSpectralModel,
     PeriodAssignment,
     divides,
     model_from_obj,
 )
+
+from builders import stmod_d8_fixture, write_all
+from oracles import NotBaseFree, base_free_cover, image_open_in_model
 
 
 def chain_table():
@@ -177,7 +171,7 @@ class TestAmpleHomeo:
         fix = build_fixture(name)
         assert is_ample(fix.table) is fix.ample
         assert homeo_onto_image(fix.table) is fix.ample
-        assert ample_homeo_consistency(fix.table)
+        assert is_ample(fix.table) == homeo_onto_image(fix.table)
 
     def test_truncated_generator_table_splits_routes(self):
         # The generator table embeds but its three loci are no basis;
@@ -185,8 +179,7 @@ class TestAmpleHomeo:
         table = stmod_d8_fixture().table
         assert homeo_onto_image(table)
         assert not is_ample(table)
-        diag = ample_homeo_consistency(table)
-        assert not diag and diag.reason == "routes-differ"
+        assert is_ample(table) != homeo_onto_image(table)
 
     def test_antichain_splits_routes(self):
         table = pairwise_antichain()
@@ -433,8 +426,13 @@ class TestSerialization:
     def test_write_all_round_trips(self, tmp_path):
         import json
 
+        from importlib import resources
+
         paths = {p.stem: p for p in write_all(tmp_path)}
         assert set(paths) == {"stmod_d8_sections", "stmod_d8_space", "d8_ring"}
+        shipped = resources.files("ttperiods") / "data" / "sections"
+        for p in paths.values():
+            assert p.read_text(encoding="utf-8") == (shipped / p.name).read_text(encoding="utf-8")
         space, per = model_from_obj(
             json.loads(paths["stmod_d8_space"].read_text(encoding="utf-8"))
         )

@@ -12,7 +12,6 @@ from ttperiods.multigraded import (
     all_vectors,
     close_multiplicative,
     homogeneous_units,
-    ideal_generated_ring,
     ideal_name_ring,
     is_ring_prime,
     make_multigraded,
@@ -21,16 +20,13 @@ from ttperiods.multigraded import (
     mult_system_ring,
     ring_fractions,
     ring_ideals,
-    ring_primes,
-    ring_total_ideal,
     solutions,
-    spech_multigraded,
     validate_multigraded,
 )
 from ttperiods.tworing_catalog import RING_NAMES, build_ring
 
-from oracles import equivalence_classes, oracle_ring_ideals, oracle_ring_prime
-from oracles import partition, reference_fraction_classes, square_zero
+from oracles import equivalence_classes, ideal_generated_ring, oracle_ring_ideals, oracle_ring_prime
+from oracles import partition, reference_fraction_classes, ring_primes, spech_multigraded, square_zero
 
 
 class TestAbelianGroup:
@@ -214,7 +210,7 @@ class TestIdeals:
     def test_bottom_and_top(self):
         lat = ring_ideals(build_ring("nilpotent_f2_z2"))
         assert lat.bottom() == frozenset()
-        assert lat.top() == ring_total_ideal(build_ring("nilpotent_f2_z2"))
+        assert lat.top() == frozenset(build_ring("nilpotent_f2_z2").homogeneous_elements())
 
     def test_nilpotent_zero_ideal_is_not_prime(self):
         # x*x lands in the zero ideal while x stays outside.

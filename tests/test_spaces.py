@@ -15,7 +15,6 @@ from ttperiods.spaces import (
     PeriodAssignment,
     check_period_map,
     divides,
-    is_alexandrov_open,
     is_prime,
     model_from_obj,
     model_to_obj,
@@ -23,6 +22,8 @@ from ttperiods.spaces import (
     strata,
     tower_period,
 )
+
+from oracles import is_alexandrov_open
 
 
 def chain(*names):

@@ -14,10 +14,6 @@ from ttperiods.cohomology import (
 from ttperiods.datasets import (
     DATASET_NAMES,
     UnknownDataset,
-    build_dperm_d8,
-    build_dperm_q8,
-    build_ratm_r,
-    build_stmod_d8,
     dperm_overrides,
     load_figure_dataset,
     load_figure_record,
@@ -52,6 +48,7 @@ from ttperiods.spectra import (
     very_closed_point_check,
 )
 
+from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
 from oracles import reference_dperm_strata
 from test_groups import CATALOG_24
 
