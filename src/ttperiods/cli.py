@@ -290,7 +290,7 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
 
 def _cmd_tworing(args) -> int:
     from .tworing import homogeneous_ideals, ideal_correspondence, ideal_name_two
-    from .tworing import localize_with_classes, spc, validate_tightening, validate_two_ring
+    from .tworing import localize, spc, validate_tightening, validate_two_ring
     from .tworing_catalog import TIGHTENING_NAMES, build_tightening, two_ring_to_obj
 
     inputs: dict = {}
@@ -338,11 +338,11 @@ def _cmd_tworing(args) -> int:
     if args.format == "dot":
         raise InputError("localize has no dot form")
     gens = _parse_system(args.system, inputs)
-    loc = localize_with_classes(R2, gens)
-    diag = validate_two_ring(loc.datum)
+    system, datum = localize(R2, gens)
+    diag = validate_two_ring(datum)
     result = {
-        "system_size": len(loc.system),
-        "localized": two_ring_to_obj(loc.datum),
+        "system_size": len(system),
+        "localized": two_ring_to_obj(datum),
         "diagnosis": _diag_obj(diag),
     }
     _emit(args, inputs, result)

@@ -38,7 +38,9 @@ class SectionTable:
 
     bundles maps each bundle label to its integer degree; a section's
     degree must agree with its bundle's.  products records those pairs
-    whose product is again a tabulated section.
+    whose product is again a tabulated section.  Every table is checked
+    once, when built: past MAX_POINTS it is refused with SizeBound, and
+    where validate_section_table fails, with ComparisonError.
     """
 
     space: FiniteSpectralModel
@@ -48,6 +50,9 @@ class SectionTable:
 
     def __post_init__(self):
         require_within("MAX_POINTS", len(self.space.points))
+        diag = validate_section_table(self)
+        if not diag:
+            raise ComparisonError(f"invalid section table: {diag.describe()}")
 
     def section(self, name: str) -> Section:
         for s in self.sections:
@@ -103,15 +108,8 @@ def validate_section_table(table: SectionTable) -> Diagnosis:
     return PASS
 
 
-def _require_valid(table: SectionTable) -> None:
-    diag = validate_section_table(table)
-    if not diag:
-        raise ComparisonError(f"invalid section table: {diag.describe()}")
-
-
 def comp_map(table: SectionTable) -> dict[str, PrimePattern]:
     """Point to the pattern of sections vanishing there."""
-    _require_valid(table)
     out = {}
     for p in table.space.points:
         out[p] = PrimePattern(
@@ -126,7 +124,6 @@ def is_ample(table: SectionTable) -> bool:
     Literal finite-model criterion: every point of every open set sits
     inside some locus contained in that open set.
     """
-    _require_valid(table)
     loci = [s.locus for s in table.sections]
     for v in table.space.open_sets():
         for p in v:
@@ -142,7 +139,6 @@ def homeo_onto_image(table: SectionTable) -> bool:
     image carries the pattern-inclusion order, and every open of the
     source must map onto a generalization-closed subset of the image.
     """
-    _require_valid(table)
     comp = comp_map(table)
     patterns = {p: comp[p].contains for p in table.space.points}
     image = set(patterns.values())
@@ -188,7 +184,6 @@ def transfer_periods(
     pointwise equality and, per occurring label, equality of the
     divides-d sublevel set with the preimage of the ring-side one.
     """
-    _require_valid(table)
     if not homeo_onto_image(table):
         raise ComparisonError("comparison map is not an embedding")
     _check_generator_sections(table, ring)
@@ -218,7 +213,6 @@ def divisor_constraint(
     Holds for every table, embedding or not; section names that are not
     ring generators simply never knock a generator out of the gcd.
     """
-    _require_valid(table)
     vals = _period_labels(table, per)
     comp = comp_map(table)
     for p in table.space.points:
@@ -248,7 +242,6 @@ def central_localization(
     table: SectionTable, names: Iterable[str]
 ) -> tuple[frozenset[str], SectionTable]:
     """Open subspace where the given sections are invertible, with its table."""
-    _require_valid(table)
     wanted = frozenset(names)
     known = set(table.names())
     if not wanted <= known:
@@ -320,6 +313,4 @@ def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
     for entry in products:
         if len(entry) != 3:
             raise ComparisonError(f"malformed product entry {entry!r}")
-    table = make_table(space, bundles, sections, products)
-    _require_valid(table)
-    return table
+    return make_table(space, bundles, sections, products)

@@ -27,16 +27,12 @@ from .spaces import (
 
 __all__ = [
     "DATASET_NAMES",
-    "TAG_FIGURE",
     "UnknownDataset",
     "load_figure_record",
     "certify_figure",
     "load_figure_dataset",
     "dperm_overrides",
 ]
-
-# Edge provenance label for specializations copied from published figures.
-TAG_FIGURE = "paper-figure"
 
 DATASET_NAMES = ("stmod_d8", "dperm_q8", "dperm_d8", "ratm_r")
 
@@ -97,11 +93,7 @@ def dperm_overrides(group_name: "str | None", p: int) -> dict[str, int]:
 @functools.cache
 def _override_table() -> dict:
     """The shipped override table, read and parsed once per process; callers
-    only read it."""
-    path = _data_dir().joinpath(OVERRIDES_FILE)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return {}
+    only read it.  A missing file is a broken install and raises."""
+    text = _data_dir().joinpath(OVERRIDES_FILE).read_text(encoding="utf-8")
     return json.loads(text).get("overrides", {})
 

@@ -75,19 +75,7 @@ class AbelianGroup:
 
         In a finite group this is automatically a subgroup.
         """
-        out = {self.zero}
-        frontier = [self.canon(g) for g in gens]
-        out.update(frontier)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(out):
-                for b in list(out):
-                    c = self.add(a, b)
-                    if c not in out:
-                        out.add(c)
-                        changed = True
-        return frozenset(out)
+        return close_multiplicative([self.zero, *map(self.canon, gens)], self.add)
 
 
 # -- vectors over the prime field -------------------------------------
@@ -203,13 +191,13 @@ def make_multigraded(
     components: Mapping = (),
     products: Mapping = (),
     tau_eps=1,
-    one_name: str = "1",
 ) -> MultigradedRing:
     """Build a ring from sparse, human-readable tables.
 
     components maps a degree to its basis names; basis names must be
-    globally unique.  products maps unordered non-identity name pairs to
-    a combination (None for zero, a name, or a name-to-coefficient
+    globally unique, and the identity is the degree-zero basis element
+    named "1".  products maps unordered non-identity name pairs to a
+    combination (None for zero, a name, or a name-to-coefficient
     mapping); products with the identity are filled in automatically and
     the transposed entries come from the transposition table.  tau_eps
     gives the transposition sign on each pair of cyclic generators,
@@ -270,8 +258,8 @@ def make_multigraded(
         return s
 
     zero_deg = group.zero
-    if one_name in where:
-        ox, oi = where[one_name]
+    if "1" in where:
+        ox, oi = where["1"]
         if ox != zero_deg:
             raise RingShapeError("identity must sit in degree zero")
         one = tuple(1 if i == oi else 0 for i in range(dims[zero_deg]))
@@ -299,9 +287,9 @@ def make_multigraded(
         xa, ia = where[na]
         xb, ib = where[nb]
         target = group.add(xa, xb)
-        if na == one_name:
+        if na == "1":
             return tuple(1 if i == ib else 0 for i in range(dims[target]))
-        if nb == one_name:
+        if nb == "1":
             return tuple(1 if i == ia else 0 for i in range(dims[target]))
         if (na, nb) in given:
             return given[(na, nb)]
@@ -908,40 +896,18 @@ def mult_system_ring(ring: MultigradedRing, gens: Iterable = ()) -> frozenset:
     return close_multiplicative(members, lambda a, b: mg_mul(ring, a, b))
 
 
-@dataclass
-class RingFractions:
+def ring_fractions(ring: MultigradedRing, system: frozenset) -> dict:
     """Degreewise fraction classes of a ring at a multiplicative system.
 
-    A fraction is a pair (numerator, denominator) of homogeneous
-    elements with the denominator in the system; its degree is the
-    difference.  quotients maps each degree x to the FractionQuotient
-    whose denominators are the system, each with numerators in degree x
-    plus its own.  A class is (degree, coordinates), so addition is a
-    vector sum.
+    A fraction is a pair (numerator, denominator) of homogeneous elements
+    with the denominator in the system; its degree is the difference.
+    The result maps each degree x to the FractionQuotient whose
+    denominators are the system, each with numerators in degree x plus
+    its own, under the dilations (r, s) ~ (r t, s t) for every nonzero
+    homogeneous t with s t in the system.  The class of (r, s) in degree
+    x is quotients[x].class_of(s, r), a coordinate vector, so addition is
+    a vector sum.
     """
-
-    ring: MultigradedRing
-    system: frozenset
-    quotients: dict
-
-    def class_of(self, frac):
-        (y, r), s = frac
-        x = self.ring.group.sub(y, s[0])
-        return (x, self.quotients[x].class_of(s, r))
-
-    def zero_class(self, degree):
-        degree = tuple(degree)
-        return (degree, vec_zero(self.quotients[degree].dim))
-
-    def add(self, cls_a, cls_b):
-        if cls_a[0] != cls_b[0]:
-            raise RingShapeError(f"fraction classes of degrees {cls_a[0]} and {cls_b[0]}")
-        return (cls_a[0], vec_add(self.ring.char, cls_a[1], cls_b[1]))
-
-
-def ring_fractions(ring: MultigradedRing, system: frozenset) -> RingFractions:
-    """Fraction classes, with the dilations (r, s) ~ (r t, s t) for every
-    nonzero homogeneous t with s t in the system."""
     require_within("MAX_FRACTION_PAIRS", len(system) * sum(ring.char**d for d in ring.dims.values()))
     group = ring.group
     denominators = sorted(system)
@@ -959,4 +925,4 @@ def ring_fractions(ring: MultigradedRing, system: frozenset) -> RingFractions:
             [(s, ring.dims[numerators[s]]) for s in denominators],
             [(s, st, times[(t, numerators[s])]) for s, t, st in dilations],
         )
-    return RingFractions(ring=ring, system=frozenset(system), quotients=quotients)
+    return quotients

@@ -218,7 +218,6 @@ def object_name(group: AbelianGroup, label) -> str:
 def two_ring_from_multigraded(
     ring: MultigradedRing,
     name: str | None = None,
-    support=None,
     extra_objects: Sequence = (),
 ) -> TwoRingDatum:
     """One object per grading element, homs given by degree difference.
@@ -248,10 +247,6 @@ def two_ring_from_multigraded(
         labels[nm] = group.canon(lab)
         objects.append(nm)
     unit = object_name(group, zero)
-    if support is None:
-        supp = frozenset(group.elements())
-    else:
-        supp = group.submonoid_closure(support)
 
     def deg(a, b):
         return group.sub(labels[b], labels[a])
@@ -260,10 +255,8 @@ def two_ring_from_multigraded(
     basis_names = {}
     for a in objects:
         for b in objects:
-            d = deg(a, b)
-            n = ring.dims[d] if d in supp else 0
-            dims[(a, b)] = n
-            basis_names[(a, b)] = ring.basis_names[d][:n]
+            dims[(a, b)] = ring.dims[deg(a, b)]
+            basis_names[(a, b)] = ring.basis_names[deg(a, b)]
 
     compose_tables = {}
     for a in objects:
@@ -277,8 +270,7 @@ def two_ring_from_multigraded(
                     f = (deg(a, b), tuple(1 if k == i else 0 for k in range(dims[(a, b)])))
                     for j in range(dims[(b, c)]):
                         g = (deg(b, c), tuple(1 if k == j else 0 for k in range(dims[(b, c)])))
-                        prod = mg_mul(ring, g, f)
-                        row.append(prod[1][: dims[(a, c)]])
+                        row.append(mg_mul(ring, g, f)[1])
                     rows.append(tuple(row))
                 compose_tables[(a, b, c)] = tuple(rows)
 
@@ -294,8 +286,6 @@ def two_ring_from_multigraded(
                 for d in objects:
                     if dims[(a, b)] == 0 or dims[(c, d)] == 0:
                         continue
-                    src = tensor_obj[(a, c)]
-                    dst = tensor_obj[(b, d)]
                     factor = (zero, ring.tau[(deg(c, d), labels[a])])
                     rows = []
                     for i in range(dims[(a, b)]):
@@ -303,8 +293,7 @@ def two_ring_from_multigraded(
                         row = []
                         for j in range(dims[(c, d)]):
                             g = (deg(c, d), tuple(1 if k == j else 0 for k in range(dims[(c, d)])))
-                            prod = mg_mul(ring, factor, mg_mul(ring, f, g))
-                            row.append(prod[1][: dims[(src, dst)]])
+                            row.append(mg_mul(ring, factor, mg_mul(ring, f, g))[1])
                         rows.append(tuple(row))
                     tensor_tables[(a, b, c, d)] = tuple(rows)
 
@@ -321,7 +310,7 @@ def two_ring_from_multigraded(
         objects=tuple(objects),
         labels=labels,
         unit=unit,
-        support=supp,
+        support=frozenset(group.elements()),
         dims=dims,
         basis_names=basis_names,
         compose_tables=compose_tables,
@@ -751,36 +740,16 @@ def mult_closure_two(R2: TwoRingDatum, gens: Iterable = ()) -> frozenset:
     )
 
 
-@dataclass
-class LocalizedTwoRing:
-    """Fraction 2-ring together with its bookkeeping.
+def span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
+    """The span classes of every component at a closed multiplicative
+    system, as one FractionQuotient per component (a, b).
 
-    datum is the resulting tabulated 2-ring, base the 2-ring localized
-    and system the closed system.  quotients maps each component (a, b)
-    to the FractionQuotient of its spans (s, f), s: k -> a in the system
-    and f: k -> b; the basis fractions of each quotient are the basis of
-    the datum's hom space, so the class of a span is a morphism of the
-    datum.
+    The spans into (a, b) have the members s: k -> a of the system as
+    denominators and Hom(k, b) as numerators, and (s, f) ~ (s u, f u)
+    whenever s u stays in the system.  localize takes the basis
+    fractions of each quotient as the basis of the localized hom space,
+    so the class of a span is a morphism of the fraction 2-ring.
     """
-
-    datum: TwoRingDatum
-    base: TwoRingDatum
-    system: frozenset
-    quotients: dict
-
-    def class_of_span(self, span):
-        s, f = span
-        return (s[1], f[1], _span_class(self.quotients, span))
-
-    def embed(self, mor):
-        """An original morphism f: a -> b as the class of (1_a, f)."""
-        return self.class_of_span((self.base.identity(mor[0]), mor))
-
-
-def _span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
-    """The FractionQuotient of every component: the spans into (a, b) have
-    the members s: k -> a of the system as denominators and Hom(k, b) as
-    numerators, and (s, f) ~ (s u, f u) whenever s u stays in the system."""
     counts = {a: sum(R2.char ** R2.hom_dim(a, b) for b in R2.objects) for a in R2.objects}
     require_within("MAX_SPANS", sum(counts[s[0]] for s in system))
     # s u does not depend on f, so each (s, u) is composed once.
@@ -811,7 +780,9 @@ def _span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
     return out
 
 
-def _span_class(quotients: dict, span) -> tuple:
+def span_class(quotients: dict, span) -> tuple:
+    """Coordinates of the class of the span (s, f) in the basis of its
+    component's quotient."""
     s, f = span
     return quotients[(s[1], f[1])].class_of(s, f[2])
 
@@ -840,15 +811,20 @@ def _span_compose(R2: TwoRingDatum, system: frozenset, first, second):
     raise RingShapeError("no exchange square for span composition")
 
 
-def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
-    """Fraction 2-ring at the closure of S, with bookkeeping retained."""
+def localize(R2: TwoRingDatum, S: Iterable) -> tuple[frozenset, TwoRingDatum]:
+    """Fraction 2-ring of R2 at the multiplicative closure of S, with that
+    closure.
+
+    Homs are dilation classes of spans with the backward leg in the closed
+    system; each hom space has the basis of its span quotient.
+    """
     S = [tuple(m) for m in S]
     objects = set(R2.objects)
     for a, b, vec in S:
         if a not in objects or b not in objects or len(vec) != R2.hom_dim(a, b):
             raise BadShapes(f"system generator {(a, b, vec)!r} is not a morphism of {R2.name}")
     system = mult_closure_two(R2, S)
-    quotients = _span_quotients(R2, system)
+    quotients = span_quotients(R2, system)
     dims = {comp: q.dim for comp, q in quotients.items()}
     basis = {comp: _basis_spans(quotients, comp) for comp in quotients}
 
@@ -860,7 +836,7 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
                 if dims[(a, b)] == 0 or dims[(b, c)] == 0:
                     continue
                 compose_tables[(a, b, c)] = tuple(
-                    tuple(_span_class(quotients, _span_compose(R2, system, first, second))
+                    tuple(span_class(quotients, _span_compose(R2, system, first, second))
                           for second in basis[(b, c)])
                     for first in basis[(a, b)]
                 )
@@ -869,7 +845,7 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
         (s, f), (t, g) = first, second
         if tensor(R2, s, t) not in system:
             raise RingShapeError("tensor of denominators left the system")
-        return _span_class(quotients, (tensor(R2, s, t), tensor(R2, f, g)))
+        return span_class(quotients, (tensor(R2, s, t), tensor(R2, f, g)))
 
     tensor_tables = {}
     for a in objects:
@@ -883,13 +859,13 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
                         for first in basis[(a, b)]
                     )
 
-    identities = {a: _span_class(quotients, (R2.identity(a), R2.identity(a))) for a in objects}
+    identities = {a: span_class(quotients, (R2.identity(a), R2.identity(a))) for a in objects}
     symmetry = {}
     for a in objects:
         for b in objects:
             ab = R2.tensor_obj[(a, b)]
             ba = R2.tensor_obj[(b, a)]
-            symmetry[(a, b)] = _span_class(quotients, (R2.identity(ab), (ab, ba, R2.symmetry[(a, b)])))
+            symmetry[(a, b)] = span_class(quotients, (R2.identity(ab), (ab, ba, R2.symmetry[(a, b)])))
 
     realized = {
         R2.group.sub(R2.labels[b], R2.labels[a])
@@ -918,16 +894,7 @@ def localize_with_classes(R2: TwoRingDatum, S: Iterable) -> LocalizedTwoRing:
         identities=identities,
         symmetry=symmetry,
     )
-    return LocalizedTwoRing(datum=datum, base=R2, system=system, quotients=quotients)
-
-
-def localize(R2: TwoRingDatum, S: Iterable) -> TwoRingDatum:
-    """Fraction 2-ring of R2 at the multiplicative closure of S.
-
-    Homs are dilation classes of spans with the backward leg in the
-    closed system; the result is returned as a plain datum.
-    """
-    return localize_with_classes(R2, S).datum
+    return system, datum
 
 
 # -- localization against the ring side -------------------------------
@@ -972,25 +939,27 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     if restrict_system(T, R2, e_gen) != Sr:
         return failure("system_round_trip")
 
-    loc = localize_with_classes(R2, e_gen)
+    spans = span_quotients(R2, e_gen)
     fr = ring_fractions(ring, Sr)
     p = R2.char
     for x in ring.group.elements():
         gx = T.representatives[T.projection[x]]
-        width = loc.datum.hom_dim(R2.unit, gx)
+        width = spans[(R2.unit, gx)].dim
 
         def combine(coeffs, vectors):
             return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % p for k in range(width))
 
-        q = fr.quotients[x]
+        q = fr[x]
         numerators = {s: ring.group.add(x, s[0]) for s, _ in q.blocks}
-        image = {s: [_identify_fraction(T, R2, loc, (numerators[s], f), s) for f in basis_vectors(d)]
+        image = {s: [_identify_fraction(T, R2, e_gen, spans, (numerators[s], f), s)
+                     for f in basis_vectors(d)]
                  for s, d in q.blocks}
         # Where it is linear in the numerator, the identification is given
         # by image; the dilations generate the ring-side relations.
         for s, d in q.blocks:
             for f in all_vectors(p, d):
-                if _identify_fraction(T, R2, loc, (numerators[s], f), s) != combine(f, image[s]):
+                mine = _identify_fraction(T, R2, e_gen, spans, (numerators[s], f), s)
+                if mine != combine(f, image[s]):
                     return failure("identification_not_additive", x)
         for s, su, rows in q.dilations:
             for mine, row in zip(image[s], rows):
@@ -1004,7 +973,8 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     return PASS
 
 
-def _identify_fraction(T: Tightening, R2: TwoRingDatum, loc: LocalizedTwoRing, num, den):
+def _identify_fraction(T: Tightening, R2: TwoRingDatum, system: frozenset, spans: dict,
+                       num, den):
     """Coordinates of the localized morphism a ring fraction is sent to by
     the tightened identification."""
     ring = T.ring
@@ -1026,6 +996,6 @@ def _identify_fraction(T: Tightening, R2: TwoRingDatum, loc: LocalizedTwoRing, n
         if not isos:
             raise ShapeMismatch(f"no isomorphism from {r_leg[1]!r} to {gx!r}")
         r_leg = compose(R2, isos[0][0], r_leg)
-    if s_leg not in loc.system:
+    if s_leg not in system:
         raise RingShapeError("identified denominator left the system")
-    return _span_class(loc.quotients, (s_leg, r_leg))
+    return span_class(spans, (s_leg, r_leg))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ttperiods import groups
-from ttperiods.comparison import ComparisonError, SectionTable, _require_valid, comp_map
+from ttperiods.comparison import ComparisonError, SectionTable, comp_map
 from ttperiods.comparison import restrict_table
 from ttperiods.diagnostics import PASS, Diagnosis, UsageError, failure
 from ttperiods.graded import GradedError, GradedRingPresentation, SpechModel, enumerate_patterns
@@ -52,13 +52,13 @@ from ttperiods.spectra import _label_suffix
 from ttperiods.tworing import (
     BadShapes,
     TwoRingDatum,
-    _basis_spans,
-    _span_class,
     compose,
     has_iso,
     is_translate,
     iso_pairs,
-    localize_with_classes,
+    mult_closure_two,
+    span_class,
+    span_quotients,
     spc_with_primes,
     tensor,
 )
@@ -588,17 +588,17 @@ def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -
     for m in S:
         if m[0] not in restricted.objects or m[1] not in restricted.objects:
             return failure("system_outside_restriction", m)
-    loc_res = localize_with_classes(restricted, S)
-    loc_full = localize_with_classes(R2, S)
+    res_spans = span_quotients(restricted, mult_closure_two(restricted, S))
+    full_spans = span_quotients(R2, mult_closure_two(R2, S))
     for a in restricted.objects:
         for b in restricted.objects:
             # The comparison is linear, so it is injective when the images
             # of a basis are independent.
-            images = [_span_class(loc_full.quotients, span)
-                      for span in _basis_spans(loc_res.quotients, (a, b))]
+            images = [span_class(full_spans, (s, (s[0], b, f)))
+                      for s, f in res_spans[(a, b)].basis]
             if rank(R2.char, images) != len(images):
                 return failure("restricted_localization_not_injective", a, b)
-            sub_count, full_count = (R2.char ** L.datum.hom_dim(a, b) for L in (loc_res, loc_full))
+            sub_count, full_count = (R2.char ** q[(a, b)].dim for q in (res_spans, full_spans))
             if sub_count != full_count:
                 return failure("restricted_localization_dims", a, b, sub_count, full_count)
     return PASS
@@ -629,7 +629,6 @@ def base_free_cover(table: SectionTable, bundle: str) -> list[Chart]:
     Each chart is verified against the pullback description: its points
     are exactly the points whose pattern omits the chosen section.
     """
-    _require_valid(table)
     if bundle not in table.bundles:
         raise ComparisonError(f"unknown bundle {bundle!r}")
     chosen = [s for s in table.sections if s.bundle == bundle and s.locus]
@@ -656,7 +655,6 @@ def image_open_in_model(table: SectionTable, model: SpechModel) -> bool:
     Reported as a diagnostic only; an embedding needs no open image.
     Every image pattern must name a point of the ambient model.
     """
-    _require_valid(table)
     comp = comp_map(table)
     by_pattern = {model.patterns[q].contains: q for q in model.space.points}
     hit = set()

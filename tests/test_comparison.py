@@ -62,67 +62,62 @@ class TestValidation:
 
     def test_duplicate_section_name(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(
-            space, {"L0": 0}, [("s", "L0", 0, ["pt"]), ("s", "L0", 0, [])]
-        )
-        assert validate_section_table(table).reason == "section-name"
+        with pytest.raises(ComparisonError, match=r"FAIL\(section-name:"):
+            make_table(space, {"L0": 0}, [("s", "L0", 0, ["pt"]), ("s", "L0", 0, [])])
 
     def test_unknown_bundle(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(space, {"L0": 0}, [("s", "L9", 0, ["pt"])])
-        assert validate_section_table(table).reason == "unknown-bundle"
+        with pytest.raises(ComparisonError, match=r"FAIL\(unknown-bundle:"):
+            make_table(space, {"L0": 0}, [("s", "L9", 0, ["pt"])])
 
     def test_degree_vs_bundle(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(space, {"L0": 0}, [("s", "L0", 3, ["pt"])])
-        assert validate_section_table(table).reason == "degree-vs-bundle"
+        with pytest.raises(ComparisonError, match=r"FAIL\(degree-vs-bundle:"):
+            make_table(space, {"L0": 0}, [("s", "L0", 3, ["pt"])])
 
     def test_locus_not_open(self):
         space = FiniteSpectralModel(["g", "s"], [("g", "s")])
-        table = make_table(space, {"L0": 0}, [("u", "L0", 0, ["s"])])
-        assert validate_section_table(table).reason == "locus-not-open"
+        with pytest.raises(ComparisonError, match=r"FAIL\(locus-not-open:"):
+            make_table(space, {"L0": 0}, [("u", "L0", 0, ["s"])])
 
     def test_locus_outside_space(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(space, {"L0": 0}, [("u", "L0", 0, ["zz"])])
-        assert validate_section_table(table).reason == "locus-outside-space"
+        with pytest.raises(ComparisonError, match=r"FAIL\(locus-outside-space:"):
+            make_table(space, {"L0": 0}, [("u", "L0", 0, ["zz"])])
 
     def test_product_degree(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(
-            space,
-            {"L1": 1},
-            [("a", "L1", 1, ["pt"]), ("b", "L1", 1, ["pt"]), ("c", "L1", 1, ["pt"])],
-            [("a", "b", "c")],
-        )
-        assert validate_section_table(table).reason == "product-degree"
+        with pytest.raises(ComparisonError, match=r"FAIL\(product-degree:"):
+            make_table(
+                space,
+                {"L1": 1},
+                [("a", "L1", 1, ["pt"]), ("b", "L1", 1, ["pt"]), ("c", "L1", 1, ["pt"])],
+                [("a", "b", "c")],
+            )
 
     def test_product_locus(self):
         space = FiniteSpectralModel(["g", "s"], [("g", "s")])
-        table = make_table(
-            space,
-            {"L1": 1, "L2": 2},
-            [
-                ("a", "L1", 1, ["g", "s"]),
-                ("b", "L1", 1, ["g", "s"]),
-                ("c", "L2", 2, ["g"]),
-            ],
-            [("a", "b", "c")],
-        )
-        assert validate_section_table(table).reason == "product-locus"
+        with pytest.raises(ComparisonError, match=r"FAIL\(product-locus:"):
+            make_table(
+                space,
+                {"L1": 1, "L2": 2},
+                [
+                    ("a", "L1", 1, ["g", "s"]),
+                    ("b", "L1", 1, ["g", "s"]),
+                    ("c", "L2", 2, ["g"]),
+                ],
+                [("a", "b", "c")],
+            )
 
     def test_product_unknown_section(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(
-            space, {"L0": 0}, [("a", "L0", 0, ["pt"])], [("a", "zz", "a")]
-        )
-        assert validate_section_table(table).reason == "product-unknown-section"
+        with pytest.raises(ComparisonError, match=r"FAIL\(product-unknown-section:"):
+            make_table(space, {"L0": 0}, [("a", "L0", 0, ["pt"])], [("a", "zz", "a")])
 
     def test_invalid_table_raises_in_ops(self):
         space = FiniteSpectralModel(["pt"])
-        table = make_table(space, {"L0": 0}, [("s", "L9", 0, ["pt"])])
-        with pytest.raises(ComparisonError):
-            comp_map(table)
+        with pytest.raises(ComparisonError, match=r"FAIL\(unknown-bundle:"):
+            comp_map(make_table(space, {"L0": 0}, [("s", "L9", 0, ["pt"])]))
 
     def test_point_cap(self):
         space = FiniteSpectralModel([f"p{i}" for i in range(17)])

@@ -17,7 +17,7 @@ from ttperiods.graded import enumerate_patterns, make_ring
 from ttperiods.groups import cyclic, dihedral, elementary_abelian, group_from_obj, subgroups
 from ttperiods.multigraded import make_multigraded, mult_system_ring, ring_fractions
 from ttperiods.spaces import FiniteSpectralModel, is_prime
-from ttperiods.tworing import homogeneous_ideals, localize_with_classes
+from ttperiods.tworing import homogeneous_ideals, localize
 from ttperiods.tworing import two_ring_from_multigraded
 from ttperiods.tworing_catalog import build_two_ring, two_ring_to_obj
 
@@ -100,12 +100,12 @@ PROBES = {
         lambda: two_ring_from_multigraded(unit_ring(2, 1, 13)), 13,
     ),
     "MAX_FRACTION_PAIRS": (
-        lambda: fractions(square_zero(5, [1] + [3] * 39 + [1] * 24)).quotients,
+        lambda: fractions(square_zero(5, [1] + [3] * 39 + [1] * 24)),
         lambda: fractions(square_zero(5, [1] + [3] * 39 + [1] * 24 + [0])), 20004,
     ),
     "MAX_SPANS": (
-        lambda: localize_with_classes(two_ring_from_multigraded(unit_ring(5, 1, 10)), []).quotients,
-        lambda: localize_with_classes(
+        lambda: localize(two_ring_from_multigraded(unit_ring(5, 1, 10)), [])[1].dims,
+        lambda: localize(
             two_ring_from_multigraded(square_zero(5, [1, 3, 3, 3, 2, 2, 2, 2, 2, 0])), []
         ),
         20240,

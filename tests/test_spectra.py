@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ttperiods import spectra
+from ttperiods import datasets, spectra
 from ttperiods.cohomology import (
     CatalogEntry,
     GroupNotInCatalog,
@@ -659,3 +659,14 @@ class TestDatasets:
         got["C2a:⟨⟩"] = 7
         got["C4:⟨⟩"] = 3
         assert dperm_overrides("D8", 2) == {"C2a:⟨⟩": 1, "C2b:⟨⟩": 1}
+
+    def test_missing_override_file_raises(self, monkeypatch, tmp_path):
+        # A package without its shipped table is broken: D8's values must
+        # not quietly turn into divisor bounds.
+        monkeypatch.setattr(datasets, "_data_dir", lambda: tmp_path)
+        datasets._override_table.cache_clear()
+        try:
+            with pytest.raises(FileNotFoundError):
+                dperm_overrides("D8", 2)
+        finally:
+            datasets._override_table.cache_clear()

@@ -35,9 +35,10 @@ from ttperiods.tworing import (
     isomorphisms,
     localization_agreement,
     localize,
-    localize_with_classes,
     mult_closure_two,
     phi_apply,
+    span_class,
+    span_quotients,
     spc,
     spc_with_primes,
     tensor,
@@ -704,9 +705,9 @@ class TestAgreement:
             assert restrict_ideal(T, R2, j) == i
 
 
-# sha256 of the canonical record of localize(R2, S), with S = [] and then
-# each basis morphism in basis_morphisms() order, captured before the
-# linear fraction engine replaced the union-find over every span.
+# sha256 of the canonical record of the datum localize(R2, S) returns, with
+# S = [] and then each basis morphism in basis_morphisms() order, captured
+# before the linear fraction engine replaced the union-find over every span.
 LOCALIZED_DIGESTS = {
     "zero": ["fc8cd8fa6e2488ce8ad089fdec0148c69ea56ab8464c28bb318a4ba74ac6dffd"] * 1,
     "laurent_f2_z2": ["d89a46d46a34fa92fb5d561e1e5b5f02f10b77c93e1c2b47ba9dcb88b7f5f930"] * 5,
@@ -780,25 +781,27 @@ def naive_mult_closure(R2, members):
 class TestLocalize:
     def test_inverting_a_nilpotent_kills_the_category(self):
         R2 = build_two_ring("nilpotent_f2_z2")
-        L = localize(R2, [("0", "1", (1,))])
+        L = localize(R2, [("0", "1", (1,))])[1]
         assert L.is_zero()
         assert validate_two_ring(L).ok
 
     def test_localizing_at_isomorphisms_changes_nothing(self):
         R2 = build_two_ring("laurent_f2_z2")
-        loc = localize_with_classes(R2, [])
-        assert loc.datum.dims == R2.dims
-        assert validate_two_ring(loc.datum).ok
+        system, L = localize(R2, [])
+        assert L.dims == R2.dims
+        assert validate_two_ring(L).ok
+        quotients = span_quotients(R2, system)
         for a in R2.objects:
             for b in R2.objects:
-                images = {loc.embed(m) for m in R2.homs(a, b, include_zero=True)}
+                images = {span_class(quotients, (R2.identity(a), m))
+                          for m in R2.homs(a, b, include_zero=True)}
                 assert len(images) == 2 ** R2.dims[(a, b)]
 
     @pytest.mark.parametrize("name", TWO_RING_NAMES)
     def test_localized_data_match_the_pinned_digests(self, name):
         R2 = build_two_ring(name)
-        got = [hashlib.sha256(dumps_canonical(two_ring_to_obj(localize(R2, S))).encode()).hexdigest()
-               for S in systems_of(R2)]
+        got = [hashlib.sha256(dumps_canonical(two_ring_to_obj(L)).encode()).hexdigest()
+               for _, L in (localize(R2, S) for S in systems_of(R2))]
         assert got == LOCALIZED_DIGESTS[name]
 
     @pytest.mark.parametrize("name", [
@@ -808,39 +811,44 @@ class TestLocalize:
     def test_span_classes_match_the_union_find(self, name):
         R2 = build_two_ring(name) if isinstance(name, str) else two_ring_from_multigraded(square_zero(*name))
         for S in systems_of(R2):
-            loc = localize_with_classes(R2, S)
-            spans = [(s, f) for s in loc.system for b in R2.objects
+            system = mult_closure_two(R2, S)
+            quotients = span_quotients(R2, system)
+            spans = [(s, f) for s in system for b in R2.objects
                      for f in R2.homs(s[0], b, include_zero=True)]
-            assert partition(loc.class_of_span, spans) == set(
-                reference_span_classes(R2, loc.system)), S
+            assert partition(lambda span: (span[0][1], span[1][1], span_class(quotients, span)),
+                             spans) == set(reference_span_classes(R2, system)), S
 
     @pytest.mark.parametrize("name", TWO_RING_NAMES)
     def test_every_morphism_embeds_and_identities_stay_identities(self, name):
         R2 = build_two_ring(name)
         for S in systems_of(R2):
-            loc = localize_with_classes(R2, S)
+            system, L = localize(R2, S)
+            quotients = span_quotients(R2, system)
+
+            def embed(m):
+                return span_class(quotients, (R2.identity(m[0]), m))
+
             for m in R2.morphisms(include_zero=True):
-                a, b, vec = loc.embed(m)
-                assert (a, b) == m[:2] and len(vec) == loc.datum.hom_dim(a, b)
+                assert len(embed(m)) == L.hom_dim(*m[:2])
             for a in R2.objects:
-                assert loc.embed(R2.identity(a)) == loc.datum.identity(a), S
+                assert (a, a, embed(R2.identity(a))) == L.identity(a), S
 
     def test_unit_localization_of_the_dual_instance(self):
         R2 = build_two_ring("dual_laurent_f2_z2")
-        L = localize(R2, [])
+        L = localize(R2, [])[1]
         assert set(L.dims.values()) == {2}
         assert len(spc(L).points) == 1
         assert validate_two_ring(L).ok
 
     def test_inverting_the_square_zero_element(self):
         R2 = build_two_ring("dual_laurent_f2_z2")
-        L = localize(R2, [("0", "0", (0, 1))])
+        L = localize(R2, [("0", "0", (0, 1))])[1]
         assert L.is_zero()
 
     def test_localization_is_idempotent_on_a_saturated_system(self):
         R2 = build_two_ring("laurent_f3_z4")
-        L1 = localize(R2, [])
-        L2 = localize(L1, [])
+        L1 = localize(R2, [])[1]
+        L2 = localize(L1, [])[1]
         assert L1.dims == L2.dims
         assert spc(L1).points == spc(L2).points
         assert validate_two_ring(L2).ok
@@ -848,7 +856,7 @@ class TestLocalize:
     def test_localized_data_validate(self):
         for name in ("laurent_f2_z2", "nilpotent_f2_z2", "koszul_f3_z2",
                      "dual_laurent_f2_z2", "doubled_laurent_f2_z2"):
-            L = localize(build_two_ring(name), [])
+            L = localize(build_two_ring(name), [])[1]
             assert validate_two_ring(L).ok, name
 
     @pytest.mark.parametrize("name, system", [
@@ -858,7 +866,7 @@ class TestLocalize:
                                   "dual_laurent_f2_z2", "doubled_laurent_f2_z2")),
     ])
     def test_localized_lattice_and_primes_match_the_oracle(self, name, system):
-        L = localize(build_two_ring(name), system)
+        L = localize(build_two_ring(name), system)[1]
         assert within_oracle_limit(L)
         assert_matches_oracles(L)
 
@@ -893,6 +901,21 @@ class TestLocalizationAgreement:
         got = [localization_agreement(T, R2, S).describe()
                for S in [[], *([e] for e in T.ring.basis_elements())]]
         assert got == AGREEMENT_VERDICTS[name]
+
+    @pytest.mark.parametrize("name", ["identity_laurent_f2_z4", "identity_dual_laurent_f2_z2"])
+    def test_system_closed_once_and_no_fraction_datum_built(self, name, monkeypatch):
+        # The check reads the span quotients of the system extend_system
+        # closed; it composes no spans, so it builds no fraction 2-ring.
+        calls = {"mult_closure_two": 0, "_span_compose": 0}
+        for fn in calls:
+            def counted(*args, _fn=fn, _original=getattr(tworing, fn)):
+                calls[_fn] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tworing, fn, counted)
+        T, R2 = build_tightening(name)
+        assert localization_agreement(T, R2, []).ok
+        assert calls == {"mult_closure_two": 1, "_span_compose": 0}
 
     def test_inverting_the_nilpotent_on_both_sides(self):
         T, R2 = build_tightening("identity_nilpotent_f2_z2")
