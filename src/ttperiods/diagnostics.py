@@ -1,10 +1,11 @@
 """Shared diagnosis value for validators that report rather than raise, the
-base class of the errors that mean the input was unusable, and LIMITS."""
+base class of the errors that mean the input was unusable, LIMITS, and
+first_failure, which names the failure of an axiom checked on generators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class UsageError(Exception):
@@ -38,7 +39,7 @@ LIMITS = {row.name: row for row in (
     Limit("MAX_POINTS", 16, "the number of points of a section table", 2.0),
     Limit("MAX_COMPONENT_DIM", 3, "the dimension of a ring or 2-ring component", 3.0),
     Limit("MAX_COMPONENT_SIZE", 125, "the element count p^d of a ring or 2-ring component", 1.0),
-    Limit("MAX_OBJECTS", 12, "the number of objects of a 2-ring", 30.0),
+    Limit("MAX_OBJECTS", 12, "the number of objects of a 2-ring", 2.0),
     Limit("MAX_FRACTION_PAIRS", 20000, "the number of fraction pairs of a localization", 5.0),
     Limit("MAX_SPANS", 20000, "the number of spans of a 2-ring localization", 10.0),
 )}
@@ -84,3 +85,20 @@ PASS = Diagnosis(True)
 
 def failure(reason: str, *detail: Any) -> Diagnosis:
     return Diagnosis(False, reason, tuple(detail))
+
+
+def first_failure(fast: Iterable, exhaustive: Callable[[], Iterable]) -> Diagnosis:
+    """PASS when fast yields no failure; otherwise the first failure that
+    exhaustive() yields.
+
+    fast checks an axiom on a generating set, which decides it exactly;
+    exhaustive() scans every case in a fixed order, so the failure it
+    names does not depend on the generators.  A fast failure that the scan
+    cannot find is a bug in the generating-set check, not an input error.
+    """
+    if next(iter(fast), None) is None:
+        return PASS
+    found = next(iter(exhaustive()), None)
+    if found is None:
+        raise RuntimeError("a generating-set check failed where the exhaustive scan passes")
+    return found

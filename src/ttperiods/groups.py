@@ -213,8 +213,10 @@ class GroupIndex:
     """
 
     def __init__(self, G: FiniteGroup):
-        # The closure walk has no other reader: release it with the index built.
-        (walk, steps), G._walk = G._walk, None
+        # The closure walk has no other reader: release it with the index
+        # built.  A group that released it unindexed (weyl_group) walks again.
+        walk, steps = G._walk or _closure_walk(G.generators or [identity(G.degree)])
+        G._walk = None
         perms = sorted(walk)
         n = len(perms)
         pos = {x: i for i, x in enumerate(perms)}
@@ -654,6 +656,11 @@ def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
     W = FiniteGroup(len(reps), gens)
     W.key = _structure_key(orders, abelian)
     W.name = name_for_key(W.key)
+    if W.key is not None:
+        # Named from G's table, W is seldom indexed, while G's index keeps
+        # it: drop its closure walk, which GroupIndex walks again if asked.
+        # An unnamed W is identified, and so indexed, by its callers.
+        W._walk = None
     ix._weyls[sub.mask] = W
     return W
 

@@ -11,9 +11,11 @@ correspondence between the two sides, and localization by a two-sided
 calculus of fractions.
 Ideals, primes, inverses and the span classes of a localization are
 linear algebra on the AlgebraIndex the datum shares with graded rings
-(span classes through the fraction engine ring fractions use too);
-everything else, such as the exchange squares that compose span
-classes, is decided by exhaustive enumeration over the finite tables.
+(span classes through the fraction engine ring fractions use too).  The
+validators check each axiom on generators, bilinear ones on basis
+morphisms, and scan every case only to name a failure; everything else,
+such as the exchange squares that compose span classes, is decided by
+exhaustive enumeration over the finite tables.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, first_failure, require_within
 from .multigraded import (
     AbelianGroup,
     AlgebraIndex,
@@ -29,6 +31,7 @@ from .multigraded import (
     IdealLattice,
     MultigradedRing,
     RingShapeError,
+    _apply,
     all_vectors,
     basis_vectors,
     close_multiplicative,
@@ -44,8 +47,6 @@ from .multigraded import (
     ring_ideals,
     solutions,
     validate_multigraded,
-    vec_add,
-    vec_scale,
     vec_zero,
 )
 from .spaces import FiniteSpectralModel, is_prime
@@ -325,11 +326,21 @@ def two_ring_from_multigraded(
 
 
 def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
-    """Exhaustive check of the category, tensor, and symmetry axioms.
+    """Check of the category, tensor, and symmetry axioms, the bilinear
+    ones on basis morphisms.
 
-    Additivity in each variable is free from the table representation.
-    Unit behavior of the tensor is required only up to isomorphism, so
-    duplicate objects with chosen isomorphisms are allowed.
+    Additivity in each variable is free from the table representation,
+    so unitality, associativity and naturality of the symmetry hold once
+    they hold on basis morphisms.  The interchange law is checked by the
+    bifunctor lemma (Mac Lane, Categories for the Working Mathematician,
+    Prop. II.3.1): it holds exactly when every 1_a tensor - and
+    - tensor 1_a is a functor and f tensor g = (f tensor 1)(1 tensor g)
+    = (1 tensor g)(f tensor 1) for basis morphisms f and g.  That takes
+    composable pairs times objects plus basis pairs, not composable pairs
+    squared; a failure is named by the scan over every pair of
+    composable pairs (first_failure).  Unit behavior of the tensor is
+    required only up to isomorphism, so duplicate objects with chosen
+    isomorphisms are allowed.
     """
     if not is_prime(R2.char):
         return failure("characteristic_not_prime", R2.char)
@@ -391,12 +402,10 @@ def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
             if tensor(R2, R2.identity(a), R2.identity(b)) != R2.identity(ab):
                 return failure("tensor_of_identities", a, b)
     tensors = {(f, g): tensor(R2, f, g) for f in basis for g in basis}
-    for (f, f2), f2f in composites.items():
-        for (g, g2), g2g in composites.items():
-            lhs = compose(R2, tensors[(f2, g2)], tensors[(f, g)])
-            if lhs != tensor(R2, f2f, g2g):
-                return failure("interchange_fails",
-                               R2.render(f), R2.render(f2), R2.render(g), R2.render(g2))
+    d = first_failure(_bifunctor_failures(R2, basis, composites, tensors),
+                      lambda: _interchange_failures(R2, composites, tensors))
+    if not d:
+        return d
 
     # invertibility of objects, including unit coherence up to iso
     for a in R2.objects:
@@ -438,6 +447,35 @@ def validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
                 if compose(R2, second, first) != lhs:
                     return failure("symmetry_not_multiplicative", a, b, c)
     return PASS
+
+
+def _bifunctor_failures(R2: TwoRingDatum, basis: list, composites: dict, tensors: dict):
+    """The failures of the bifunctor lemma's conditions on basis
+    morphisms: functoriality of 1_a tensor - and - tensor 1_a on each
+    composable pair, then both factorizations of each tensor."""
+    ident = {a: R2.identity(a) for a in R2.objects}
+    left = {(a, f): tensor(R2, i, f) for a, i in ident.items() for f in basis}
+    right = {(f, a): tensor(R2, f, i) for a, i in ident.items() for f in basis}
+    for (f, f2), f2f in composites.items():
+        for a, i in ident.items():
+            if (compose(R2, left[(a, f2)], left[(a, f)]) != tensor(R2, i, f2f)
+                    or compose(R2, right[(f2, a)], right[(f, a)]) != tensor(R2, f2f, i)):
+                yield failure("interchange_fails")
+    for (f, g), fg in tensors.items():
+        if (compose(R2, right[(f, g[1])], left[(f[0], g)]) != fg
+                or compose(R2, left[(f[1], g)], right[(f, g[0])]) != fg):
+            yield failure("interchange_fails")
+
+
+def _interchange_failures(R2: TwoRingDatum, composites: dict, tensors: dict):
+    """The failures of the interchange law on every pair of composable
+    pairs of basis morphisms, in scan order."""
+    for (f, f2), f2f in composites.items():
+        for (g, g2), g2g in composites.items():
+            lhs = compose(R2, tensors[(f2, g2)], tensors[(f, g)])
+            if lhs != tensor(R2, f2f, g2g):
+                yield failure("interchange_fails",
+                              R2.render(f), R2.render(f2), R2.render(g), R2.render(g2))
 
 
 # -- translation oracle -----------------------------------------------
@@ -538,9 +576,7 @@ def phi_apply(T: Tightening, R2: TwoRingDatum, elt):
     x, vec = elt
     target = T.representatives[T.projection[x]]
     rows = T.phi[x]
-    out = vec_zero(R2.hom_dim(R2.unit, target))
-    for c, row in zip(vec, rows):
-        out = vec_add(R2.char, out, vec_scale(R2.char, c, row))
+    out = _apply(R2.char, vec, rows) if rows else vec_zero(R2.hom_dim(R2.unit, target))
     return (R2.unit, target, out)
 
 
@@ -593,14 +629,21 @@ def _unit_mediator(R2: TwoRingDatum, g):
 
 
 def validate_tightening(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
-    """Exhaustively check the two compatibility axioms.
+    """Check the two compatibility axioms on generators of the ring.
 
     The first axiom asks the identification to turn products with a
     degree-zero element into composition with its unit endomorphism.
+    Both sides are bilinear, so it is checked on pairs of basis vectors
+    and a failure is named by the scan over every pair (first_failure).
     The second asks the twisted composite of two identified elements to
     be a translate of the identified product; when the chosen
     representative is not strictly unital for the tensor, a canonical
-    mediating isomorphism is inserted first.
+    mediating isomorphism is inserted first.  Scaling r and s by nonzero
+    l and m scales both sides by lm, and being a translate is invariant
+    under a common nonzero scalar, so one vector per line of each
+    component decides it.  The lines come in the order the nonzero
+    vectors are listed, and the first vector of each line is the one the
+    check takes, so the first failure is the first over all pairs.
     """
     d = validate_multigraded(T.ring)
     if not d:
@@ -610,36 +653,38 @@ def validate_tightening(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
     G = ring.group
     zero = G.zero
 
-    for x in G.elements():
-        for r_vec in all_vectors(ring.char, ring.dims[x]):
-            r = (x, r_vec)
-            fr = phi_apply(T, R2, r)
-            for s_vec in all_vectors(ring.char, ring.dims[zero]):
-                s = (zero, s_vec)
-                lhs = phi_apply(T, R2, mg_mul(ring, r, s))
-                rhs = compose(R2, fr, phi_apply(T, R2, s))
-                if lhs != rhs:
-                    return failure("axiom1", x, ring.render(r), ring.render(s))
-
-    for x in G.elements():
-        for y in G.elements():
-            for r_vec in all_vectors(ring.char, ring.dims[x]):
-                if not any(r_vec):
-                    continue
+    def axiom1_failures(vectors):
+        for x in G.elements():
+            for r_vec in vectors(ring.dims[x]):
                 r = (x, r_vec)
                 fr = phi_apply(T, R2, r)
-                g = T.representatives[T.projection[x]]
-                med = _unit_mediator(R2, g)
-                for s_vec in all_vectors(ring.char, ring.dims[y]):
-                    if not any(s_vec):
-                        continue
-                    s = (y, s_vec)
-                    fs = phi_apply(T, R2, s)
-                    lhs = compose(R2, tensor(R2, R2.identity(g), fs),
-                                  compose(R2, med, fr))
-                    rhs = phi_apply(T, R2, mg_mul(ring, r, s))
-                    if not is_translate(R2, lhs, rhs):
-                        return failure("axiom2", x, y, ring.render(r), ring.render(s))
+                for s_vec in vectors(ring.dims[zero]):
+                    s = (zero, s_vec)
+                    if phi_apply(T, R2, mg_mul(ring, r, s)) != compose(R2, fr, phi_apply(T, R2, s)):
+                        yield failure("axiom1", x, ring.render(r), ring.render(s))
+
+    d = first_failure(axiom1_failures(basis_vectors),
+                      lambda: axiom1_failures(lambda n: all_vectors(ring.char, n)))
+    if not d:
+        return d
+
+    ix = ring.index
+    lines = {x: ix.lines[ix.number[(x,)]] for x in G.elements()}
+    images = {x: [phi_apply(T, R2, (x, v)) for v in vs] for x, vs in lines.items()}
+    for x in G.elements():
+        if not lines[x]:
+            continue
+        g = T.representatives[T.projection[x]]
+        med = _unit_mediator(R2, g)
+        framed = [compose(R2, med, fr) for fr in images[x]]
+        for y in G.elements():
+            twisted = [tensor(R2, R2.identity(g), fs) for fs in images[y]]
+            for r_vec, mr in zip(lines[x], framed):
+                for s_vec, tw in zip(lines[y], twisted):
+                    rhs = phi_apply(T, R2, mg_mul(ring, (x, r_vec), (y, s_vec)))
+                    if not is_translate(R2, compose(R2, tw, mr), rhs):
+                        return failure("axiom2", x, y, ring.render((x, r_vec)),
+                                       ring.render((y, s_vec)))
     return PASS
 
 

@@ -5,7 +5,10 @@ statements of the paper that no report shows.
 Each ring oracle works on explicit member sets: it enumerates vectors and
 multiplies them with mg_mul, compose and tensor, so it shares none of the
 closure, join, naming, prime or quotient code of the echelon engine it
-checks.  The group oracles compose permutation tuples and close them by
+checks.  The three oracle_validate_* functions are the axiom validators
+as they were before they checked each axiom on a generating set: every
+case in a fixed order, so their verdicts name the failure the library's
+must name too.  The group oracles compose permutation tuples and close them by
 breadth-first search, without the multiplication table, bitmasks or
 cached classes of GroupIndex; p_equivalence_classes, the blocks of the
 p-subconjugacy order over the whole lattice, is checked against the classes
@@ -47,11 +50,14 @@ from ttperiods.multigraded import (
     vec_add,
     vec_zero,
 )
-from ttperiods.spaces import ALL, NegativePeriod
+from ttperiods.spaces import ALL, NegativePeriod, is_prime
 from ttperiods.spectra import _label_suffix
 from ttperiods.tworing import (
     BadShapes,
+    Tightening,
     TwoRingDatum,
+    _check_tightening_shapes,
+    _unit_mediator,
     compose,
     has_iso,
     is_translate,
@@ -469,6 +475,218 @@ def spech_multigraded(ring: MultigradedRing):
     """Homogeneous prime spectrum as a finite spectral model, plus the
     point-name-to-ideal mapping."""
     return prime_spectrum(ring_primes(ring), lambda i: ideal_name_ring(ring, i))
+
+
+# -- the axioms, case by case -----------------------------------------
+#
+# The validators as they were before they checked each axiom on a
+# generating set: every homogeneous element, every degree triple, every
+# pair of composable basis pairs and every pair of nonzero vectors.  The
+# library's verdicts, reasons and details must equal these.
+
+
+def oracle_validate_multigraded(ring: MultigradedRing) -> Diagnosis:
+    if not is_prime(ring.char):
+        return failure("char_not_prime", ring.char)
+    z = ring.group.zero
+    if len(ring.one) != ring.dims[z]:
+        return failure("bad_identity_shape")
+    if ring.is_zero_ring():
+        return PASS
+
+    one = (z, ring.one)
+    for e in ring.homogeneous_elements():
+        if mg_mul(ring, one, e) != e or mg_mul(ring, e, one) != e:
+            return failure("identity_fails_on", ring.render(e))
+
+    basis = list(ring.basis_elements())
+    for a in basis:
+        for b in basis:
+            for c in basis:
+                if mg_mul(ring, mg_mul(ring, a, b), c) != mg_mul(ring, a, mg_mul(ring, b, c)):
+                    return failure("not_associative", ring.render(a), ring.render(b), ring.render(c))
+
+    zero_part = [(z, v) for v in all_vectors(ring.char, ring.dims[z])]
+    units = {u for u in zero_part if any(
+        mg_mul(ring, u, v) == one and mg_mul(ring, v, u) == one for v in zero_part)}
+    for x in ring.group.elements():
+        for y in ring.group.elements():
+            t = ring.tau[(x, y)]
+            if (z, t) not in units:
+                return failure("transposition_not_unit", x, y)
+            if ring.tau[(y, x)] != t:
+                return failure("transposition_not_symmetric", x, y)
+    for x in ring.group.elements():
+        for y in ring.group.elements():
+            for w in ring.group.elements():
+                lhs = (z, ring.tau[(ring.group.add(x, y), w)])
+                rhs = mg_mul(ring, (z, ring.tau[(x, w)]), (z, ring.tau[(y, w)]))
+                if lhs != rhs:
+                    return failure("transposition_not_bilinear", x, y, w)
+    if ring.tau[(z, z)] != ring.one:
+        return failure("transposition_not_unital")
+
+    for a in basis:
+        for b in basis:
+            lhs = mg_mul(ring, a, b)
+            rhs = mg_mul(ring, (z, ring.tau[(a[0], b[0])]), mg_mul(ring, b, a))
+            if lhs != rhs:
+                return failure("commutation_fails", ring.render(a), ring.render(b))
+    return PASS
+
+
+def oracle_validate_two_ring(R2: TwoRingDatum) -> Diagnosis:
+    if not is_prime(R2.char):
+        return failure("characteristic_not_prime", R2.char)
+    for a in R2.objects:
+        if a not in R2.labels:
+            return failure("object_without_label", a)
+        if len(R2.identities.get(a, ())) != R2.hom_dim(a, a):
+            return failure("bad_identity_shape", a)
+    if R2.labels.get(R2.unit) != R2.group.zero:
+        return failure("unit_not_labeled_zero")
+    zero = R2.group.zero
+    if zero not in R2.support:
+        return failure("support_without_identity")
+    for x in R2.support:
+        for y in R2.support:
+            if R2.group.add(x, y) not in R2.support:
+                return failure("support_not_submonoid", x, y)
+    for a in R2.objects:
+        for b in R2.objects:
+            diff = R2.group.sub(R2.labels[b], R2.labels[a])
+            if R2.hom_dim(a, b) > 0 and diff not in R2.support:
+                return failure("component_outside_support", a, b)
+            if len(R2.basis_names[(a, b)]) != R2.hom_dim(a, b):
+                return failure("bad_basis_names", a, b)
+
+    basis = list(R2.basis_morphisms())
+    for f in basis:
+        if compose(R2, R2.identity(f[1]), f) != f or compose(R2, f, R2.identity(f[0])) != f:
+            return failure("composition_not_unital", R2.render(f))
+    composites = {(f, g): compose(R2, g, f) for f in basis for g in basis if g[0] == f[1]}
+    for (f, g), gf in composites.items():
+        for h in basis:
+            if h[0] == g[1] and compose(R2, h, gf) != compose(R2, composites[(g, h)], f):
+                return failure("composition_not_associative",
+                               R2.render(f), R2.render(g), R2.render(h))
+
+    for a in R2.objects:
+        for b in R2.objects:
+            t = R2.tensor_obj.get((a, b))
+            if t not in R2.labels:
+                return failure("tensor_object_missing", a, b)
+            if R2.labels[t] != R2.group.add(R2.labels[a], R2.labels[b]):
+                return failure("tensor_label_mismatch", a, b)
+    for a in R2.objects:
+        for b in R2.objects:
+            for c in R2.objects:
+                if R2.tensor_obj[(R2.tensor_obj[(a, b)], c)] != R2.tensor_obj[(a, R2.tensor_obj[(b, c)])]:
+                    return failure("tensor_object_not_associative", a, b, c)
+
+    for a in R2.objects:
+        for b in R2.objects:
+            ab = R2.tensor_obj[(a, b)]
+            if tensor(R2, R2.identity(a), R2.identity(b)) != R2.identity(ab):
+                return failure("tensor_of_identities", a, b)
+    tensors = {(f, g): tensor(R2, f, g) for f in basis for g in basis}
+    for (f, f2), f2f in composites.items():
+        for (g, g2), g2g in composites.items():
+            lhs = compose(R2, tensors[(f2, g2)], tensors[(f, g)])
+            if lhs != tensor(R2, f2f, g2g):
+                return failure("interchange_fails",
+                               R2.render(f), R2.render(f2), R2.render(g), R2.render(g2))
+
+    for a in R2.objects:
+        if not any(has_iso(R2, R2.tensor_obj[(a, b)], R2.unit) for b in R2.objects):
+            return failure("object_not_invertible", a)
+        if not has_iso(R2, R2.tensor_obj[(a, R2.unit)], a):
+            return failure("unit_tensor_not_isomorphic", a)
+        if not has_iso(R2, R2.tensor_obj[(R2.unit, a)], a):
+            return failure("unit_tensor_not_isomorphic", a)
+
+    for a in R2.objects:
+        for b in R2.objects:
+            ab = R2.tensor_obj[(a, b)]
+            ba = R2.tensor_obj[(b, a)]
+            s = (ab, ba, R2.symmetry[(a, b)])
+            if len(s[2]) != R2.hom_dim(ab, ba):
+                return failure("symmetry_bad_shape", a, b)
+            sb = (ba, ab, R2.symmetry[(b, a)])
+            if compose(R2, sb, s) != R2.identity(ab):
+                return failure("symmetry_not_involutive", a, b)
+    for f in basis:
+        for g in basis:
+            a, a2 = f[0], f[1]
+            b, b2 = g[0], g[1]
+            s1 = (R2.tensor_obj[(a, b)], R2.tensor_obj[(b, a)], R2.symmetry[(a, b)])
+            s2 = (R2.tensor_obj[(a2, b2)], R2.tensor_obj[(b2, a2)], R2.symmetry[(a2, b2)])
+            if compose(R2, s2, tensors[(f, g)]) != compose(R2, tensors[(g, f)], s1):
+                return failure("symmetry_not_natural", R2.render(f), R2.render(g))
+    for a in R2.objects:
+        for b in R2.objects:
+            for c in R2.objects:
+                bc = R2.tensor_obj[(b, c)]
+                lhs = (R2.tensor_obj[(a, bc)], R2.tensor_obj[(bc, a)], R2.symmetry[(a, bc)])
+                first = tensor(R2, (R2.tensor_obj[(a, b)], R2.tensor_obj[(b, a)], R2.symmetry[(a, b)]),
+                               R2.identity(c))
+                second = tensor(R2, R2.identity(b),
+                                (R2.tensor_obj[(a, c)], R2.tensor_obj[(c, a)], R2.symmetry[(a, c)]))
+                if compose(R2, second, first) != lhs:
+                    return failure("symmetry_not_multiplicative", a, b, c)
+    return PASS
+
+
+def oracle_phi_apply(T: Tightening, R2: TwoRingDatum, elt):
+    """The identification applied coordinate by coordinate."""
+    x, vec = elt
+    target = T.representatives[T.projection[x]]
+    out = vec_zero(R2.hom_dim(R2.unit, target))
+    for c, row in zip(vec, T.phi[x]):
+        out = vec_add(R2.char, out, tuple(c * a % R2.char for a in row))
+    return (R2.unit, target, out)
+
+
+def oracle_validate_tightening(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
+    d = oracle_validate_multigraded(T.ring)
+    if not d:
+        return d
+    _check_tightening_shapes(T, R2)
+    ring = T.ring
+    G = ring.group
+    zero = G.zero
+
+    for x in G.elements():
+        for r_vec in all_vectors(ring.char, ring.dims[x]):
+            r = (x, r_vec)
+            fr = oracle_phi_apply(T, R2, r)
+            for s_vec in all_vectors(ring.char, ring.dims[zero]):
+                s = (zero, s_vec)
+                lhs = oracle_phi_apply(T, R2, mg_mul(ring, r, s))
+                rhs = compose(R2, fr, oracle_phi_apply(T, R2, s))
+                if lhs != rhs:
+                    return failure("axiom1", x, ring.render(r), ring.render(s))
+
+    for x in G.elements():
+        for y in G.elements():
+            for r_vec in all_vectors(ring.char, ring.dims[x]):
+                if not any(r_vec):
+                    continue
+                r = (x, r_vec)
+                fr = oracle_phi_apply(T, R2, r)
+                g = T.representatives[T.projection[x]]
+                med = _unit_mediator(R2, g)
+                for s_vec in all_vectors(ring.char, ring.dims[y]):
+                    if not any(s_vec):
+                        continue
+                    s = (y, s_vec)
+                    fs = oracle_phi_apply(T, R2, s)
+                    lhs = compose(R2, tensor(R2, R2.identity(g), fs),
+                                  compose(R2, med, fr))
+                    rhs = oracle_phi_apply(T, R2, mg_mul(ring, r, s))
+                    if not is_translate(R2, lhs, rhs):
+                        return failure("axiom2", x, y, ring.render(r), ring.render(s))
+    return PASS
 
 
 # -- 2-rings: translates, the exchange lemma, restriction --------------

@@ -170,6 +170,27 @@ class TestWeylGroups:
         with pytest.raises(NotSubgroup):
             weyl_group(G, frozenset({cyc(3, [1, 2])}))
 
+    def test_kept_weyl_groups_hold_no_walk(self):
+        # The parent's index keeps every W.  A W named from the parent's
+        # table drops its closure walk at once; its index, built on first
+        # use, walks the generators again.  An unnamed W is identified, and
+        # so indexed, as rep_period_map does, which drops the walk too.
+        G = symmetric(4)
+        named = 0
+        for c in subgroup_classes(G):
+            W = weyl_group(G, c.representative)
+            if W.key is not None:
+                named += 1
+                assert W._walk is None and W._index is None
+            key = identify(W)
+            assert W._walk is None
+            assert weyl_group(G, c.representative) is W
+            fresh = FiniteGroup(W.degree, W.generators)
+            assert W.index.perms == fresh.index.perms == sorted(W.elements)
+            assert W.index.table == fresh.index.table
+            assert key == identify(fresh) == (W.key or key)
+        assert 0 < named < len(subgroup_classes(G))
+
 
 class TestSylow:
     def test_s3_sylow_two(self):

@@ -18,7 +18,7 @@ from ttperiods.groups import cyclic, dihedral, elementary_abelian, group_from_ob
 from ttperiods.multigraded import make_multigraded, mult_system_ring, ring_fractions
 from ttperiods.spaces import FiniteSpectralModel, is_prime
 from ttperiods.tworing import homogeneous_ideals, localize
-from ttperiods.tworing import two_ring_from_multigraded
+from ttperiods.tworing import two_ring_from_multigraded, validate_two_ring
 from ttperiods.tworing_catalog import build_two_ring, two_ring_to_obj
 
 from oracles import square_zero
@@ -54,6 +54,11 @@ def cycle_group(degree):
 
 def fractions(R):
     return ring_fractions(R, mult_system_ring(R))
+
+
+def validated_ideals(R2):
+    """What tworing ideals computes: the 2-ring's validation, then its ideals."""
+    return validate_two_ring(R2).ok and len(homogeneous_ideals(R2)) > 1
 
 
 # Per row: the probe at the limit, which answers truthily, and the probe
@@ -96,7 +101,7 @@ PROBES = {
         lambda: unit_ring(127, 1, 2), 127,
     ),
     "MAX_OBJECTS": (
-        lambda: len(homogeneous_ideals(two_ring_from_multigraded(unit_ring(2, 1, 12)))) > 1,
+        lambda: validated_ideals(two_ring_from_multigraded(unit_ring(2, 1, 12))),
         lambda: two_ring_from_multigraded(unit_ring(2, 1, 13)), 13,
     ),
     "MAX_FRACTION_PAIRS": (

@@ -1,5 +1,6 @@
 """Group-graded tabulated rings: validation, ideals, primes, fractions."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -28,6 +29,7 @@ from ttperiods.multigraded import (
 from ttperiods.tworing_catalog import RING_NAMES, build_ring
 
 from oracles import equivalence_classes, ideal_generated_ring, oracle_ring_ideals, oracle_ring_prime
+from oracles import oracle_validate_multigraded
 from oracles import partition, reference_fraction_classes, ring_primes, spech_multigraded, square_zero
 
 
@@ -186,6 +188,102 @@ class TestValidateMultigraded:
         ring.products = {k: tuple(tuple(r) for r in v) for k, v in tables.items()}
         diag = validate_multigraded(ring)
         assert not diag.ok
+
+
+def ring_with(name, **fields):
+    """A catalog ring with fields replaced before its index is built."""
+    return dataclasses.replace(build_ring(name), **fields)
+
+
+def edited(mapping, changes):
+    out = dict(mapping)
+    out.update(changes)
+    return out
+
+
+def tau_with(name, pairs):
+    """The catalog ring with tau changed on the given degree pairs and their
+    transposes, symmetric as the unit and symmetry checks want it."""
+    ring = build_ring(name)
+    changes = {}
+    for (x, y), v in pairs.items():
+        changes[(x, y)] = changes[(y, x)] = v
+    return ring_with(name, tau=edited(ring.tau, changes))
+
+
+def products_with(name, key, i, j, vec):
+    ring = build_ring(name)
+    rows = [list(row) for row in ring.products[key]]
+    rows[i][j] = vec
+    table = tuple(tuple(row) for row in rows)
+    return ring_with(name, products=edited(ring.products, {key: table}))
+
+
+# One ring per failure reason validate_multigraded can give.  Where the
+# check runs on generators, the first failure over every case differs from
+# the first on the generators, so the reported detail shows which scan
+# named it.  transposition_not_unital cannot fire: a unit tau(0, 0) with
+# tau(0, 0) = tau(0, 0)^2, which the bilinearity check asks, is one.
+RING_MUTANTS = {
+    "char_not_prime": lambda: ring_with("laurent_f2_z2", char=4),
+    "bad_identity_shape": lambda: ring_with("laurent_f2_z2", one=()),
+    # one = e fails on both basis vectors of R_0; every vector lists e first.
+    "identity_fails_on": lambda: ring_with("dual_laurent_f2_z2", one=(0, 1)),
+    "not_associative": lambda: products_with("laurent_f2_z4", ((1,), (2,)), 0, 0, (0,)),
+    # e is nonzero but squares to zero.
+    "transposition_not_unit": lambda: tau_with("dual_laurent_f2_z2", {((1,), (1,)): (0, 1)}),
+    "transposition_not_symmetric": lambda: ring_with(
+        "laurent_f3_z4", tau=edited(build_ring("laurent_f3_z4").tau, {((1,), (2,)): (2,)})),
+    # tau(3, 1) = 2 first fails at (x, y, w) = (1, 2, 1); with y a generator
+    # of Z/4, at (2, 1, 1).
+    "transposition_not_bilinear": lambda: tau_with("laurent_f3_z4", {((3,), (1,)): (2,)}),
+    # The sign (-1)^(xy) is a bilinear unit table, but t1 t1 = t2 is not -t2.
+    "commutation_fails": lambda: ring_with("laurent_f3_z4", tau={
+        (x, y): ((-1) ** (x[0] * y[0]) % 3,) for x, y in build_ring("laurent_f3_z4").tau
+    }),
+}
+
+
+class TestValidationMatchesTheScan:
+    """validate_multigraded checks on generators; oracle_validate_multigraded
+    checks every case.  Verdict, reason and detail must agree."""
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_catalog_rings(self, name):
+        ring = build_ring(name)
+        assert validate_multigraded(ring).describe() == oracle_validate_multigraded(ring).describe()
+
+    def test_signed_rank_two_ring(self):
+        ring = rank_two_signed()
+        assert validate_multigraded(ring).describe() == oracle_validate_multigraded(ring).describe()
+
+    @pytest.mark.parametrize("reason", sorted(RING_MUTANTS))
+    def test_one_ring_per_reason(self, reason):
+        ring = RING_MUTANTS[reason]()
+        diag = validate_multigraded(ring)
+        assert diag.reason == reason
+        assert diag.describe() == oracle_validate_multigraded(ring).describe()
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from([n for n in RING_NAMES if n != "zero"]), data=st.data())
+    def test_mutated_tables(self, name, data):
+        ring = build_ring(name)
+        if data.draw(st.booleans(), label="tau"):
+            key = data.draw(st.sampled_from(sorted(ring.tau)), label="pair")
+            unit = data.draw(st.integers(0, ring.char - 1), label="value")
+            value = tuple(unit * c % ring.char for c in ring.one)
+            pairs = {key: value}
+            ring = tau_with(name, pairs) if data.draw(st.booleans()) else ring_with(
+                name, tau=edited(ring.tau, pairs))
+        else:
+            key = data.draw(st.sampled_from(sorted(ring.products)), label="degrees")
+            table = ring.products[key]
+            i = data.draw(st.integers(0, len(table) - 1), label="i")
+            j = data.draw(st.integers(0, len(table[i]) - 1), label="j")
+            n = len(table[i][j])
+            vec = data.draw(st.tuples(*[st.integers(0, ring.char - 1)] * n), label="vec")
+            ring = products_with(name, key, i, j, vec)
+        assert validate_multigraded(ring).describe() == oracle_validate_multigraded(ring).describe()
 
 
 class TestIdeals:

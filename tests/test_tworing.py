@@ -18,6 +18,7 @@ from ttperiods.multigraded import (
     make_multigraded,
     mult_system_ring,
     ring_ideals,
+    validate_multigraded,
 )
 from ttperiods.spaces import dumps_canonical
 from ttperiods.tworing import (
@@ -66,6 +67,8 @@ from oracles import (
     lemma_magic_check,
     oracle_two_ring_ideals,
     oracle_two_ring_prime,
+    oracle_validate_tightening,
+    oracle_validate_two_ring,
     partition,
     reference_iso_pairs,
     reference_span_classes,
@@ -225,6 +228,182 @@ class TestValidateNegatives:
         R2 = build_two_ring("laurent_f2_z2")
         bad = dataclasses.replace(R2, char=6, _cache={})
         assert validate_two_ring(bad).reason == "characteristic_not_prime"
+
+
+def edited(mapping, changes):
+    out = dict(mapping)
+    out.update(changes)
+    return out
+
+
+def two_ring_with(name, **fields):
+    """A catalog 2-ring with fields replaced; fields maps a field name to
+    the new value or to a function of the old one."""
+    R2 = build_two_ring(name)
+    new = {k: v(getattr(R2, k)) if callable(v) else v for k, v in fields.items()}
+    return dataclasses.replace(R2, _cache={}, **new)
+
+
+# One 2-ring per failure reason validate_two_ring can give, short of
+# object_not_invertible and unit_tensor_not_isomorphic: a label-zero object
+# not isomorphic to the unit needs composition tables that fail
+# associativity first.
+TWO_RING_MUTANTS = {
+    "characteristic_not_prime": lambda: two_ring_with("laurent_f2_z2", char=6),
+    "object_without_label": lambda: two_ring_with("laurent_f2_z2", objects=lambda o: o + ("z",)),
+    "bad_identity_shape": lambda: two_ring_with(
+        "laurent_f2_z2", identities=lambda i: edited(i, {"1": ()})),
+    "unit_not_labeled_zero": lambda: two_ring_with("laurent_f2_z2", unit="1"),
+    "support_without_identity": lambda: two_ring_with("laurent_f2_z2", support=frozenset({(1,)})),
+    "support_not_submonoid": lambda: two_ring_with(
+        "laurent_f2_z4", support=frozenset({(0,), (1,)})),
+    "component_outside_support": lambda: two_ring_with(
+        "laurent_f2_z2", support=frozenset({(0,)})),
+    "bad_basis_names": lambda: two_ring_with(
+        "laurent_f2_z2", basis_names=lambda b: edited(b, {("0", "1"): ()})),
+    "composition_not_unital": lambda: two_ring_with(
+        "laurent_f2_z2", identities=lambda i: edited(i, {"1": (0,)})),
+    "composition_not_associative": lambda: two_ring_with(
+        "laurent_f2_z4", compose_tables=lambda t: edited(t, {("0", "1", "2"): (((0,),),)})),
+    "tensor_object_missing": lambda: two_ring_with(
+        "laurent_f2_z2", tensor_obj=lambda t: edited(t, {("0", "1"): "z"})),
+    "tensor_label_mismatch": lambda: two_ring_with(
+        "laurent_f2_z2", tensor_obj=lambda t: edited(t, {("0", "1"): "0"})),
+    "tensor_object_not_associative": lambda: two_ring_with(
+        "doubled_laurent_f2_z2", tensor_obj=lambda t: edited(t, {("0", "1"): "1b"})),
+    "tensor_of_identities": lambda: two_ring_with(
+        "laurent_f3_z4", tensor_tables=lambda t: edited(t, {("0", "0", "0", "0"): (((2,),),)})),
+    # t1 tensor t1 doubled, while both its factorizations through
+    # identities keep their tables.
+    "interchange_fails": lambda: two_ring_with(
+        "laurent_f3_z4", tensor_tables=lambda t: edited(t, {("0", "1", "0", "1"): (((2,),),)})),
+    "symmetry_bad_shape": lambda: two_ring_with(
+        "laurent_f2_z2", symmetry=lambda s: edited(s, {("0", "1"): ()})),
+    "symmetry_not_involutive": lambda: two_ring_with(
+        "laurent_f3_z4", symmetry=lambda s: edited(s, {("1", "2"): (2,)})),
+    "symmetry_not_natural": lambda: two_ring_with(
+        "koszul_f3_z2", symmetry=lambda s: edited(s, {("1", "1"): (1,)})),
+    # The constant symmetry -1 is natural and involutive, but
+    # s(a, b tensor c) = -1 is not s(a, b) s(a, c) = 1.
+    "symmetry_not_multiplicative": lambda: two_ring_with(
+        "laurent_f3_z4", symmetry=lambda s: {k: (2,) for k in s}),
+}
+
+
+def misread(ring, other):
+    """ring identified, through identity matrices, with the unit-sourced homs
+    of the 2-ring of other, a ring of the same shape."""
+    G = ring.group
+    T = Tightening(
+        name=f"{ring.name}_as_{other.name}",
+        ring=ring,
+        projection={x: x for x in G.elements()},
+        representatives={x: tworing.object_name(G, x) for x in G.elements()},
+        phi={x: tuple(multigraded.basis_vectors(d)) for x, d in ring.dims.items()},
+    )
+    return T, two_ring_from_multigraded(other)
+
+
+def verdict(validate, *args):
+    """describe() of the verdict, or the class and message of the error."""
+    try:
+        return validate(*args).describe()
+    except Exception as exc:  # the two routes must also raise alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+SMALL_TWO_RINGS = [n for n in TWO_RING_NAMES if n != "zero"]
+
+
+class TestValidationMatchesTheScan:
+    """validate_two_ring and validate_tightening check on generators; the
+    oracles check every case.  Verdict, reason and detail must agree."""
+
+    @pytest.mark.parametrize("name", TWO_RING_NAMES)
+    def test_catalog_two_rings(self, name):
+        R2 = build_two_ring(name)
+        assert validate_two_ring(R2).describe() == oracle_validate_two_ring(R2).describe()
+
+    @pytest.mark.parametrize("name", TIGHTENING_NAMES)
+    def test_catalog_tightenings(self, name):
+        T, R2 = build_tightening(name)
+        assert validate_tightening(T, R2).describe() == oracle_validate_tightening(T, R2).describe()
+
+    @pytest.mark.parametrize("reason", sorted(TWO_RING_MUTANTS))
+    def test_one_two_ring_per_reason(self, reason):
+        R2 = TWO_RING_MUTANTS[reason]()
+        diag = validate_two_ring(R2)
+        assert diag.reason == reason
+        assert diag.describe() == oracle_validate_two_ring(R2).describe()
+
+    def test_axiom1_is_named_by_the_scan(self):
+        # On basis vectors it first fails at u and e; the scan lists eu first.
+        T, R2 = build_tightening("broken_dual_laurent")
+        assert validate_tightening(T, R2).describe() == "FAIL(axiom1: (1,), 'eu', 'e')"
+
+    @pytest.mark.parametrize("ring, other, want", [
+        # Degree zero matches, so axiom 1 holds, but x x = 0 while u u = 1.
+        (lambda: build_ring("nilpotent_f2_z2"), lambda: build_ring("laurent_f2_z2"),
+         "FAIL(axiom2: (1,), (1,), 'x', 'x')"),
+        # Only a squares to nonzero, and the line of b comes first.
+        (lambda: make_multigraded(
+            "a_squared", (3,), 2, components={0: ("1",), 1: ("a", "b"), 2: ("c", "d")},
+            products={**{(m, n): None for m in "abcd" for n in "abcd" if m <= n}, ("a", "a"): "c"}),
+         lambda: square_zero(2, [1, 2, 2]),
+         "FAIL(axiom2: (1,), (1,), 'a', 'a')"),
+    ])
+    def test_axiom2(self, ring, other, want):
+        T, R2 = misread(ring(), other())
+        assert validate_multigraded(T.ring).ok
+        diag = validate_tightening(T, R2)
+        assert diag.describe() == want
+        assert diag.describe() == oracle_validate_tightening(T, R2).describe()
+
+    def test_interchange_needs_functoriality(self):
+        # Every tensor with a morphism of nonzero degree on the right is
+        # doubled.  Both factorizations of f tensor g still agree, since
+        # scalars commute with composition, but 1 tensor - is no functor:
+        # 2 * 2 = 1 is not 2 over F_3.
+        R2 = build_two_ring("laurent_f3_z4")
+        tables = {(a, b, c, d): table if c == d else tuple(
+                      tuple(tuple(2 * v % 3 for v in w) for w in row) for row in table)
+                  for (a, b, c, d), table in R2.tensor_tables.items()}
+        bad = dataclasses.replace(R2, tensor_tables=tables, _cache={})
+        diag = validate_two_ring(bad)
+        assert diag.reason == "interchange_fails"
+        assert diag.describe() == oracle_validate_two_ring(bad).describe()
+
+    def test_lemma_failure_the_scan_cannot_name_is_a_bug(self, monkeypatch):
+        R2 = build_two_ring("laurent_f2_z2")
+        monkeypatch.setattr(tworing, "_bifunctor_failures", lambda *a: iter(["a lemma failure"]))
+        with pytest.raises(RuntimeError):
+            validate_two_ring(R2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(SMALL_TWO_RINGS), data=st.data())
+    def test_mutated_tables(self, name, data):
+        R2 = build_two_ring(name)
+        field = data.draw(st.sampled_from(["compose_tables", "tensor_tables"]), label="field")
+        tables = getattr(R2, field)
+        key = data.draw(st.sampled_from(sorted(tables)), label="key")
+        rows = [list(row) for row in tables[key]]
+        i = data.draw(st.integers(0, len(rows) - 1), label="i")
+        j = data.draw(st.integers(0, len(rows[i]) - 1), label="j")
+        n = len(rows[i][j])
+        rows[i][j] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * n), label="vec")
+        bad = two_ring_with(name, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
+        assert verdict(validate_two_ring, bad) == verdict(oracle_validate_two_ring, bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(TIGHTENING_NAMES), data=st.data())
+    def test_mutated_identifications(self, name, data):
+        T, R2 = build_tightening(name)
+        x = data.draw(st.sampled_from(sorted(x for x, rows in T.phi.items() if rows)), label="x")
+        n = len(T.phi[x][0])
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, R2.char - 1)] * n),
+                                  min_size=len(T.phi[x]), max_size=len(T.phi[x])), label="rows")
+        bad = dataclasses.replace(T, phi=edited(T.phi, {x: tuple(rows)}))
+        assert verdict(validate_tightening, bad, R2) == verdict(oracle_validate_tightening, bad, R2)
 
 
 # One violation per field rule of TWO_RING_SCHEMA: (field, entry key or
