@@ -21,7 +21,7 @@ from .graded import (
     local_period,
     make_ring,
 )
-from .groups import FiniteGroup, identify, require_prime
+from .groups import FiniteGroup, identify, p_part, require_prime
 from .spaces import PeriodAssignment
 
 
@@ -80,14 +80,6 @@ def _field(p: int, note: str) -> "tuple[GradedRingPresentation, None, str]":
     return make_ring(p, []), None, note
 
 
-def _p_part(n: int, p: int) -> int:
-    q = 1
-    while n % p == 0:
-        n //= p
-        q *= p
-    return q
-
-
 def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
     require_prime(p)
@@ -113,7 +105,7 @@ def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> C
     if order % p != 0:
         ring, wits, note = _field(p, "coprime order, reduced cohomology is the base field")
     elif kind == "cyclic":
-        q = _p_part(key[1], p)
+        q = p_part(key[1], p)
         if q == 2:
             ring = make_ring(2, [("x", 1)])
             wits, note = None, "order-two cyclic part, polynomial on one degree-1 class"

@@ -212,7 +212,6 @@ class SpechModel:
     space: FiniteSpectralModel
     patterns: Mapping[str, PrimePattern]
     certified: Mapping[str, str]
-    includes_irrelevant: bool
 
     def check(self) -> Diagnosis:
         for point in self.space.points:
@@ -239,13 +238,11 @@ def _build_spech(ring, pats: list[tuple[PrimePattern, str]]) -> SpechModel:
     space = FiniteSpectralModel.from_inclusions(
         {n: pat.contains for n, (pat, _) in names.items()}
     )
-    full = frozenset(g.name for g in ring.generators if not g.invertible)
     return SpechModel(
         ring=ring,
         space=space,
         patterns={n: names[n][0] for n in space.points},
         certified={n: names[n][1] for n in space.points},
-        includes_irrelevant=any(p.contains == full for p, _ in pats),
     )
 
 

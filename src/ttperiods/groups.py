@@ -510,10 +510,10 @@ class GroupIndex:
             orders = self.orders
             P = self.trivial()
             for x in sorted(H.elems):
-                if x in P or not _is_p_power(orders[x], p):
+                if x in P or p_part(orders[x], p) != orders[x]:
                     continue
                 Q = self.extend(P, x)
-                if _is_p_power(Q.order, p):
+                if p_part(Q.order, p) == Q.order:
                     P = Q
             self._sylows[H.mask, p] = P
         return P
@@ -557,12 +557,6 @@ def _structure_key(orders: list[int], abelian: bool) -> "tuple | None":
     if n == 8:
         return ("dihedral", 8)
     return None
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def subgroups(G: FiniteGroup) -> list[frozenset[Perm]]:
@@ -666,6 +660,16 @@ def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
 
 
 # -- structure identification ------------------------------------------
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n; n is a power of p exactly when
+    this is n."""
+    q = 1
+    while n % p == 0:
+        n //= p
+        q *= p
+    return q
+
 
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2

@@ -34,10 +34,11 @@ from .groups import (
     SubgroupClass,
     identify,
     name_for_key,
+    p_part,
     p_subconjugate,
     require_prime,
     weyl_group,
-    _prime_factors,
+    _prime_factors,  # unused here; perfbench/tests reads spectra._prime_factors
 )
 from .spaces import (
     TAG_COMPUTED,
@@ -79,7 +80,6 @@ def stmod_period_map(
             space=space,
             patterns={q: model.patterns[q] for q in space.points},
             certified={q: model.certified[q] for q in space.points},
-            includes_irrelevant=False,
         ),
         restricted,
     )
@@ -254,7 +254,7 @@ def dperm_period_map(
     diag = check_period_map(space, per)
     if not diag:
         raise ModelError(f"assembled labels are not a period map: {diag.describe()}")
-    if set(_prime_factors(G.order)) <= {p}:
+    if p_part(G.order, p) == G.order:
         for name, v in values.items():
             if name not in closed and v == 0:
                 raise ModelError(f"non-closed point {name} not periodic in a p-group")

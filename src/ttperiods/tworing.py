@@ -66,7 +66,8 @@ class ShapeMismatch(UsageError):
 # maps basis index i of Hom(a, b) and j of Hom(b, c) to the vector of
 # basis_j composed after basis_i.  tensor_tables[(a, b, c, d)] maps
 # basis i of Hom(a, b) and j of Hom(c, d) to the vector of their tensor
-# inside Hom(a tensor c, b tensor d).  The tables are read into the
+# inside Hom(a tensor c, b tensor d).  A table is a tuple of rows, and
+# one tuple may serve several keys.  The tables are read into the
 # datum's AlgebraIndex (kept in _cache) on first use; a modified copy
 # made with dataclasses.replace passes _cache={} to get its own.
 
@@ -216,6 +217,19 @@ def object_name(group: AbelianGroup, label) -> str:
     return ",".join(str(k) for k in label)
 
 
+def _basis_table(ring: MultigradedRing, x, y, factor, reverse: bool) -> tuple:
+    """Row i, column j: basis i of R_x times basis j of R_y (in the other
+    order if reverse), times the degree-zero factor unless it is None."""
+    rows = []
+    for f in basis_vectors(ring.dims[x]):
+        row = []
+        for g in basis_vectors(ring.dims[y]):
+            prod = mg_mul(ring, (y, g), (x, f)) if reverse else mg_mul(ring, (x, f), (y, g))
+            row.append((prod if factor is None else mg_mul(ring, factor, prod))[1])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def two_ring_from_multigraded(
     ring: MultigradedRing,
     name: str | None = None,
@@ -229,16 +243,17 @@ def two_ring_from_multigraded(
     the identity (enforced here).  extra_objects adds duplicate objects
     (name, label) to exercise non-skeletal behavior; object-level tensor
     always lands on the original representative of the sum label.
+    A composition table depends only on the two hom degrees and a tensor
+    table also on its transposition factor, so each is formed once per
+    such key and shared by every object tuple with that key.
     """
     group = ring.group
     require_within("MAX_OBJECTS", group.order() + len(extra_objects))
     zero = group.zero
     one = (zero, ring.one)
-    for x in group.elements():
-        for y in group.elements():
-            t = (zero, ring.tau[(x, y)])
-            if not ring.is_zero_ring() and mg_mul(ring, t, t) != one:
-                raise RingShapeError("transposition value does not square to one")
+    factors = {ring.tau[(x, y)] for x in group.elements() for y in group.elements()}
+    if not ring.is_zero_ring() and any(mg_mul(ring, (zero, t), (zero, t)) != one for t in factors):
+        raise RingShapeError("transposition value does not square to one")
 
     labels = {object_name(group, x): x for x in group.elements()}
     objects = [object_name(group, x) for x in group.elements()]
@@ -247,62 +262,16 @@ def two_ring_from_multigraded(
             raise RingShapeError(f"duplicate object name {nm!r}")
         labels[nm] = group.canon(lab)
         objects.append(nm)
-    unit = object_name(group, zero)
 
-    def deg(a, b):
-        return group.sub(labels[b], labels[a])
+    deg = {(a, b): group.sub(labels[b], labels[a]) for a in objects for b in objects}
+    dims = {ab: ring.dims[x] for ab, x in deg.items()}
+    homs = [ab for ab in deg if dims[ab]]
+    tables = {}
 
-    dims = {}
-    basis_names = {}
-    for a in objects:
-        for b in objects:
-            dims[(a, b)] = ring.dims[deg(a, b)]
-            basis_names[(a, b)] = ring.basis_names[deg(a, b)]
-
-    compose_tables = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                if dims[(a, b)] == 0 or dims[(b, c)] == 0:
-                    continue
-                rows = []
-                for i in range(dims[(a, b)]):
-                    row = []
-                    f = (deg(a, b), tuple(1 if k == i else 0 for k in range(dims[(a, b)])))
-                    for j in range(dims[(b, c)]):
-                        g = (deg(b, c), tuple(1 if k == j else 0 for k in range(dims[(b, c)])))
-                        row.append(mg_mul(ring, g, f)[1])
-                    rows.append(tuple(row))
-                compose_tables[(a, b, c)] = tuple(rows)
-
-    tensor_obj = {}
-    for a in objects:
-        for b in objects:
-            tensor_obj[(a, b)] = object_name(group, group.add(labels[a], labels[b]))
-
-    tensor_tables = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                for d in objects:
-                    if dims[(a, b)] == 0 or dims[(c, d)] == 0:
-                        continue
-                    factor = (zero, ring.tau[(deg(c, d), labels[a])])
-                    rows = []
-                    for i in range(dims[(a, b)]):
-                        f = (deg(a, b), tuple(1 if k == i else 0 for k in range(dims[(a, b)])))
-                        row = []
-                        for j in range(dims[(c, d)]):
-                            g = (deg(c, d), tuple(1 if k == j else 0 for k in range(dims[(c, d)])))
-                            row.append(mg_mul(ring, factor, mg_mul(ring, f, g))[1])
-                        rows.append(tuple(row))
-                    tensor_tables[(a, b, c, d)] = tuple(rows)
-
-    identities = {a: ring.one for a in objects}
-    symmetry = {}
-    for a in objects:
-        for b in objects:
-            symmetry[(a, b)] = ring.tau[(labels[a], labels[b])]
+    def table(*key):
+        if key not in tables:
+            tables[key] = _basis_table(ring, *key)
+        return tables[key]
 
     return TwoRingDatum(
         name=name or ring.name,
@@ -310,15 +279,21 @@ def two_ring_from_multigraded(
         char=ring.char,
         objects=tuple(objects),
         labels=labels,
-        unit=unit,
+        unit=object_name(group, zero),
         support=frozenset(group.elements()),
         dims=dims,
-        basis_names=basis_names,
-        compose_tables=compose_tables,
-        tensor_obj=tensor_obj,
-        tensor_tables=tensor_tables,
-        identities=identities,
-        symmetry=symmetry,
+        basis_names={ab: ring.basis_names[x] for ab, x in deg.items()},
+        compose_tables={
+            (a, b, c): table(deg[a, b], deg[b, c], None, True)
+            for a, b in homs for c in objects if dims[b, c]
+        },
+        tensor_obj={(a, b): object_name(group, group.add(labels[a], labels[b])) for a, b in deg},
+        tensor_tables={
+            (a, b, c, d): table(deg[a, b], deg[c, d], (zero, ring.tau[deg[c, d], labels[a]]), False)
+            for a, b in homs for c, d in homs
+        },
+        identities={a: ring.one for a in objects},
+        symmetry={(a, b): ring.tau[labels[a], labels[b]] for a, b in deg},
     )
 
 

@@ -8,7 +8,9 @@ closure, join, naming, prime or quotient code of the echelon engine it
 checks.  The three oracle_validate_* functions are the axiom validators
 as they were before they checked each axiom on a generating set: every
 case in a fixed order, so their verdicts name the failure the library's
-must name too.  The group oracles compose permutation tuples and close them by
+must name too.  oracle_two_ring_from_multigraded forms every table of a
+2-ring afresh for each object tuple, where the library forms one per
+degree key.  The group oracles compose permutation tuples and close them by
 breadth-first search, without the multiplication table, bitmasks or
 cached classes of GroupIndex; p_equivalence_classes, the blocks of the
 p-subconjugacy order over the whole lattice, is checked against the classes
@@ -63,6 +65,7 @@ from ttperiods.tworing import (
     is_translate,
     iso_pairs,
     mult_closure_two,
+    object_name,
     span_class,
     span_quotients,
     spc_with_primes,
@@ -533,6 +536,104 @@ def oracle_validate_multigraded(ring: MultigradedRing) -> Diagnosis:
             if lhs != rhs:
                 return failure("commutation_fails", ring.render(a), ring.render(b))
     return PASS
+
+
+def oracle_two_ring_from_multigraded(
+    ring: MultigradedRing,
+    name: str | None = None,
+    extra_objects=(),
+) -> TwoRingDatum:
+    """two_ring_from_multigraded as it was before it shared tables: every
+    table formed afresh for each object triple and quadruple."""
+    group = ring.group
+    zero = group.zero
+    one = (zero, ring.one)
+    for x in group.elements():
+        for y in group.elements():
+            t = (zero, ring.tau[(x, y)])
+            if not ring.is_zero_ring() and mg_mul(ring, t, t) != one:
+                raise RingShapeError("transposition value does not square to one")
+
+    labels = {object_name(group, x): x for x in group.elements()}
+    objects = [object_name(group, x) for x in group.elements()]
+    for nm, lab in extra_objects:
+        if nm in labels:
+            raise RingShapeError(f"duplicate object name {nm!r}")
+        labels[nm] = group.canon(lab)
+        objects.append(nm)
+    unit = object_name(group, zero)
+
+    def deg(a, b):
+        return group.sub(labels[b], labels[a])
+
+    dims = {}
+    basis_names = {}
+    for a in objects:
+        for b in objects:
+            dims[(a, b)] = ring.dims[deg(a, b)]
+            basis_names[(a, b)] = ring.basis_names[deg(a, b)]
+
+    compose_tables = {}
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                if dims[(a, b)] == 0 or dims[(b, c)] == 0:
+                    continue
+                rows = []
+                for i in range(dims[(a, b)]):
+                    row = []
+                    f = (deg(a, b), tuple(1 if k == i else 0 for k in range(dims[(a, b)])))
+                    for j in range(dims[(b, c)]):
+                        g = (deg(b, c), tuple(1 if k == j else 0 for k in range(dims[(b, c)])))
+                        row.append(mg_mul(ring, g, f)[1])
+                    rows.append(tuple(row))
+                compose_tables[(a, b, c)] = tuple(rows)
+
+    tensor_obj = {}
+    for a in objects:
+        for b in objects:
+            tensor_obj[(a, b)] = object_name(group, group.add(labels[a], labels[b]))
+
+    tensor_tables = {}
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                for d in objects:
+                    if dims[(a, b)] == 0 or dims[(c, d)] == 0:
+                        continue
+                    factor = (zero, ring.tau[(deg(c, d), labels[a])])
+                    rows = []
+                    for i in range(dims[(a, b)]):
+                        f = (deg(a, b), tuple(1 if k == i else 0 for k in range(dims[(a, b)])))
+                        row = []
+                        for j in range(dims[(c, d)]):
+                            g = (deg(c, d), tuple(1 if k == j else 0 for k in range(dims[(c, d)])))
+                            row.append(mg_mul(ring, factor, mg_mul(ring, f, g))[1])
+                        rows.append(tuple(row))
+                    tensor_tables[(a, b, c, d)] = tuple(rows)
+
+    identities = {a: ring.one for a in objects}
+    symmetry = {}
+    for a in objects:
+        for b in objects:
+            symmetry[(a, b)] = ring.tau[(labels[a], labels[b])]
+
+    return TwoRingDatum(
+        name=name or ring.name,
+        group=group,
+        char=ring.char,
+        objects=tuple(objects),
+        labels=labels,
+        unit=unit,
+        support=frozenset(group.elements()),
+        dims=dims,
+        basis_names=basis_names,
+        compose_tables=compose_tables,
+        tensor_obj=tensor_obj,
+        tensor_tables=tensor_tables,
+        identities=identities,
+        symmetry=symmetry,
+    )
 
 
 def oracle_validate_two_ring(R2: TwoRingDatum) -> Diagnosis:

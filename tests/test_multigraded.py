@@ -222,8 +222,9 @@ def products_with(name, key, i, j, vec):
 # One ring per failure reason validate_multigraded can give.  Where the
 # check runs on generators, the first failure over every case differs from
 # the first on the generators, so the reported detail shows which scan
-# named it.  transposition_not_unital cannot fire: a unit tau(0, 0) with
-# tau(0, 0) = tau(0, 0)^2, which the bilinearity check asks, is one.
+# named it.  A unit tau(0, 0) other than one has no reason of its own:
+# the bilinearity check at (0, 0, 0) asks tau(0, 0) = tau(0, 0)^2, and a
+# unit idempotent is one (test_non_unital_tau_fails_bilinearity).
 RING_MUTANTS = {
     "char_not_prime": lambda: ring_with("laurent_f2_z2", char=4),
     "bad_identity_shape": lambda: ring_with("laurent_f2_z2", one=()),
@@ -262,6 +263,12 @@ class TestValidationMatchesTheScan:
         ring = RING_MUTANTS[reason]()
         diag = validate_multigraded(ring)
         assert diag.reason == reason
+        assert diag.describe() == oracle_validate_multigraded(ring).describe()
+
+    def test_non_unital_tau_fails_bilinearity(self):
+        ring = tau_with("laurent_f3_z4", {((0,), (0,)): (2,)})
+        diag = validate_multigraded(ring)
+        assert diag.describe() == "FAIL(transposition_not_bilinear: (0,), (0,), (0,))"
         assert diag.describe() == oracle_validate_multigraded(ring).describe()
 
     @settings(max_examples=60, deadline=None)

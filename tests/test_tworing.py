@@ -25,6 +25,7 @@ from ttperiods.tworing import (
     BadShapes,
     ShapeMismatch,
     Tightening,
+    TwoRingDatum,
     agreement,
     compose,
     homogeneous_ideals,
@@ -65,6 +66,7 @@ from oracles import (
     commutes_up_to_translate,
     family_count,
     lemma_magic_check,
+    oracle_two_ring_from_multigraded,
     oracle_two_ring_ideals,
     oracle_two_ring_prime,
     oracle_validate_tightening,
@@ -76,6 +78,8 @@ from oracles import (
     restriction_localization_check,
     square_zero,
 )
+from test_limits import unit_ring
+from test_multigraded import rank_two_signed
 
 
 def within_oracle_limit(R2):
@@ -97,7 +101,29 @@ ORACLE_TIGHTENINGS = [
 ]
 
 
+# Rings and extra objects on which two_ring_from_multigraded must equal
+# the per-tuple oracle field for field.
+CONSTRUCTION_INPUTS = {
+    **{name: (lambda name=name: (build_ring(name), ())) for name in RING_NAMES},
+    "doubled_laurent_f2_z2": lambda: (build_ring("laurent_f2_z2"), (("1b", (1,)),)),
+    "rank_two_signed": lambda: (rank_two_signed(), ()),
+    "unit_5_3_2": lambda: (unit_ring(5, 3, 2), ()),
+    "unit_2_1_12": lambda: (unit_ring(2, 1, 12), ()),
+}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTION_INPUTS))
+    def test_tables_match_the_per_tuple_oracle(self, case):
+        ring, extra = CONSTRUCTION_INPUTS[case]()
+        got = two_ring_from_multigraded(ring, extra_objects=extra)
+        want = oracle_two_ring_from_multigraded(ring, extra_objects=extra)
+        for f in dataclasses.fields(TwoRingDatum):
+            value, expected = getattr(got, f.name), getattr(want, f.name)
+            assert value == expected, f.name
+            if isinstance(value, dict):
+                assert list(value) == list(expected), f.name
+
     def test_catalog_two_rings_validate(self):
         for name in TWO_RING_NAMES:
             assert validate_two_ring(build_two_ring(name)).ok, name
@@ -182,6 +208,19 @@ class TestKernelWork:
         homogeneous_ideals(R2)
         # One closure per principal ideal, that is per line; none per join.
         assert len(closes) == sum(len(lines) for lines in R2.index.lines)
+
+    def test_construction_forms_one_table_per_key(self, monkeypatch):
+        ring = unit_ring(2, 1, 12)
+        calls = []
+        real = tworing.mg_mul
+        monkeypatch.setattr(tworing, "mg_mul", lambda *a: calls.append(1) or real(*a))
+        two_ring_from_multigraded(ring)
+        keys = ring.group.order() ** 2
+        factors = len(set(ring.tau.values()))
+        pairs = max(ring.dims.values()) ** 2
+        # One product per basis pair of a composition key, a product and a
+        # factor per basis pair of a tensor key, one square per factor.
+        assert len(calls) <= keys * pairs + 2 * keys * factors * pairs + factors
 
     def test_lattice_makes_few_products(self, monkeypatch):
         calls = []
