@@ -122,10 +122,10 @@ def _cmd_ring(args) -> int:
     obj, digest = _load_json_source(args.input)
     inputs = {args.input: digest}
     ring = ring_from_obj(obj)
-    if args.action == "validate":
-        if args.format == "dot":
-            raise InputError("validate has no dot form")
-        diag = validate_presentation(ring)
+    if args.action == "validate" and args.format == "dot":
+        raise InputError("validate has no dot form")
+    diag = validate_presentation(ring)
+    if args.action == "validate" or not diag:
         _emit(args, inputs, {"diagnosis": _diag_obj(diag)})
         return 0 if diag else 1
     model = enumerate_patterns(ring, _parse_witnesses(obj))

@@ -1,15 +1,19 @@
 """Catalog of group cohomology rings, reduced modulo nilpotents.
 
 Keyed by isomorphism-type keys from groups.identify, plus a few named
-entries for groups too large to enumerate.  Each entry ships the reduced
-presentation over the working prime, together with certified witness
-patterns whenever the relations are not monomial.  Unrecognized types
+entries for groups too large to enumerate.  Every abelian group answers by
+one Künneth rule: a polynomial ring with one class per cyclic factor of its
+Sylow p-subgroup, of degree 1 for a factor C2 and 2 otherwise (Adem and
+Milgram, Cohomology of Finite Groups, 1994).  Each other entry ships the
+reduced presentation over the working prime, together with certified
+witness patterns whenever the relations are not monomial.  Unrecognized types
 are refused loudly; the catalog never guesses a ring.  The extended variety
 of each (key, prime) and its periods are built once per process and shared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .diagnostics import UsageError
@@ -57,22 +61,14 @@ def catalog_key(group: "FiniteGroup | str | tuple") -> "tuple | None":
 
 
 def _key_order(key: tuple) -> int:
-    kind = key[0]
-    if kind == "trivial":
-        return 1
-    if kind == "cyclic":
-        return key[1]
-    if kind == "elem_abelian":
-        return key[1] ** key[2]
-    if kind == "dihedral" or kind == "quaternion":
-        return key[1]
-    if kind == "abelian":
-        n = 1
-        for d in key[1]:
-            n *= d
-        return n
-    if kind == "M11":
+    if key == ("M11",):
         return 7920
+    if len(key) == 2:
+        kind, data = key
+        if kind == "abelian":
+            return math.prod(data)
+        if kind == "dihedral" or kind == "quaternion":
+            return data
     raise GroupNotInCatalog(f"unknown catalog key {key!r}")
 
 
@@ -104,23 +100,13 @@ def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> C
     kind = key[0]
     if order % p != 0:
         ring, wits, note = _field(p, "coprime order, reduced cohomology is the base field")
-    elif kind == "cyclic":
-        q = p_part(key[1], p)
-        if q == 2:
-            ring = make_ring(2, [("x", 1)])
-            wits, note = None, "order-two cyclic part, polynomial on one degree-1 class"
-        else:
-            ring = make_ring(p, [("y", 2)])
-            wits, note = None, "cyclic part of order at least 3, polynomial on one degree-2 class"
-    elif kind == "elem_abelian":
-        r = key[2]
-        if p == 2:
-            names = ["x"] if r == 1 else [f"x{i}" for i in range(1, r + 1)]
-            ring = make_ring(2, [(n, 1) for n in names])
-        else:
-            names = ["y"] if r == 1 else [f"y{i}" for i in range(1, r + 1)]
-            ring = make_ring(p, [(n, 2) for n in names])
-        wits, note = None, f"rank-{r} elementary abelian, polynomial ring"
+    elif kind == "abelian":
+        sylow = [q for q in (p_part(d, p) for d in key[1]) if q > 1]
+        gens = [("x", 1) if q == 2 else ("y", 2) for q in sylow]
+        if len(gens) > 1:
+            gens = [(f"{n}{i}", d) for i, (n, d) in enumerate(gens, 1)]
+        ring = make_ring(p, gens)
+        wits, note = None, "abelian, one polynomial class per cyclic Sylow factor"
     elif kind == "quaternion" and p == 2:
         ring = make_ring(2, [("e", 4)])
         wits, note = None, "generalized quaternion, polynomial on one degree-4 class"

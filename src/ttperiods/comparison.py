@@ -304,13 +304,16 @@ def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
             raise ComparisonError(f"unsupported format {obj.get('format')!r}")
         bundles = {str(b): int(d) for b, d in obj["bundles"].items()}
         sections = [
-            (row["name"], row["bundle"], int(row["degree"]), row["locus"])
+            (row["name"], row["bundle"], int(row["degree"]), tuple(row["locus"]))
             for row in obj["sections"]
         ]
         products = [tuple(entry) for entry in obj.get("products", [])]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ComparisonError(f"malformed section table: {exc}") from exc
     for entry in products:
         if len(entry) != 3:
             raise ComparisonError(f"malformed product entry {entry!r}")
+    named = [x for name, bundle, _, locus in sections for x in (name, bundle, *locus)]
+    if not all(isinstance(x, str) for x in named + [x for e in products for x in e]):
+        raise ComparisonError("malformed section table: a name or point is not a string")
     return make_table(space, bundles, sections, products)

@@ -400,6 +400,8 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
             )
             for g in obj["generators"]
         ]
+        if not all(isinstance(g[0], str) for g in gens):
+            raise GradedError("malformed ring object: a generator name is not a string")
         rels = [
             [(int(t["coeff"]), dict(t["monomial"])) for t in rel]
             for rel in obj.get("relations", [])

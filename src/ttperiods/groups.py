@@ -7,9 +7,12 @@ ambient FiniteGroup.  Underneath, each group builds one GroupIndex on first
 use (elements numbered in sorted order, a multiplication table, subgroups as
 int bitmasks), and every function converts at its boundary; the functions
 that take a subgroup also take a Sub of the group's index, which callers
-already holding one (the dperm assembly) pass to skip the conversion.  The
-p-subconjugacy order ships with two independent criteria (Sylow containment
-and Mackey index) that are always cross-checked.
+already holding one (the dperm assembly) pass to skip the conversion.
+identify reads a catalog key from the table: ("abelian", invariant factors)
+for every abelian group, the trivial one included, ("quaternion", n) or
+("dihedral", 8) for the nonabelian types it recognizes, and None otherwise.
+The p-subconjugacy order ships with two independent criteria (Sylow
+containment and Mackey index) that are always cross-checked.
 """
 
 from __future__ import annotations
@@ -539,18 +542,11 @@ class GroupIndex:
 
 
 def _structure_key(orders: list[int], abelian: bool) -> "tuple | None":
-    """Catalog key of a group whose elements have the given orders."""
-    n = len(orders)
-    if n == 1:
-        return ("trivial",)
+    """Catalog key of a group whose elements have the given orders: an
+    abelian group, the trivial one included, keys by its invariant factors."""
     if abelian:
-        inv = _abelian_invariants(orders)
-        if len(inv) == 1:
-            return ("cyclic", inv[0])
-        p = inv[0]
-        if all(d == p for d in inv) and is_prime(p):
-            return ("elem_abelian", p, len(inv))
-        return ("abelian", inv)
+        return ("abelian", _abelian_invariants(orders))
+    n = len(orders)
     if orders.count(2) == 1 and n % 4 == 0 and n >= 8:
         if n // 2 in orders:
             return ("quaternion", n)
@@ -587,10 +583,6 @@ class SubgroupClass:
     @property
     def representative(self) -> frozenset[Perm]:
         return self.index.frozen(self.members[0])
-
-    @property
-    def conjugates(self) -> tuple[frozenset[Perm], ...]:
-        return tuple(self.index.frozen(K) for K in self.members)
 
 
 def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
@@ -728,21 +720,21 @@ def identify(G: FiniteGroup) -> "tuple | None":
 
 
 def name_for_key(key: "tuple | None") -> "str | None":
+    """Display name of a catalog key: 1, C6, C2^3, C2xC4, D8, Q8."""
     if key is None:
         return None
     kind = key[0]
-    if kind == "trivial":
-        return "1"
-    if kind == "cyclic":
-        return f"C{key[1]}"
-    if kind == "elem_abelian":
-        return f"C{key[1]}^{key[2]}"
+    if kind == "abelian":
+        inv = key[1]
+        if not inv:
+            return "1"
+        if len(inv) > 1 and len(set(inv)) == 1 and is_prime(inv[0]):
+            return f"C{inv[0]}^{len(inv)}"
+        return "x".join(f"C{d}" for d in inv)
     if kind == "dihedral":
         return f"D{key[1]}"
     if kind == "quaternion":
         return f"Q{key[1]}"
-    if kind == "abelian":
-        return "x".join(f"C{d}" for d in key[1])
     return None
 
 

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, SizeBound, UsageError, failure, first_failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure, first_failure
 from .diagnostics import require_within
 from .spaces import FiniteSpectralModel, is_prime
 

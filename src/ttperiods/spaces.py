@@ -170,10 +170,6 @@ class FiniteSpectralModel:
         """All q with p -> q, i.e. the closure of {p}."""
         return self._names(self._down[self._index[p]])
 
-    def generalizations(self, p: str) -> frozenset[str]:
-        """All q with q -> p; this is the minimal open neighborhood of p."""
-        return self._names(self._up[self._index[p]])
-
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
         down, index = self._down, self._index
         out = 0
@@ -192,11 +188,6 @@ class FiniteSpectralModel:
         sub = self._mask(subset)
         up = self._up
         return not any(up[i] & ~sub for i in _bits(sub))
-
-    def is_closed(self, subset: Iterable[str]) -> bool:
-        sub = self._mask(subset)
-        down = self._down
-        return not any(down[i] & ~sub for i in _bits(sub))
 
     def closed_points(self) -> frozenset[str]:
         """Closed points of a finite spectral space: the maximal elements."""
@@ -472,10 +463,16 @@ def model_from_obj(obj: Mapping) -> tuple[FiniteSpectralModel, PeriodAssignment 
         edges = [tuple(e) for e in obj.get("specializes", [])]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model object: {exc}") from exc
+    if not all(isinstance(x, str) for x in points):
+        raise ModelError("malformed model object: a point is not a string")
+    if not all(len(e) == 2 and all(isinstance(x, str) for x in e) for e in edges):
+        raise ModelError("malformed model object: an edge is not a pair of points")
     model = FiniteSpectralModel(points, edges)
     per = None
     if "periods" in obj:
-        raw = dict(obj["periods"])
+        raw = obj["periods"]
+        if not isinstance(raw, Mapping):
+            raise ModelError("malformed periods: not an object")
         missing = set(model.points) - set(raw)
         if missing:
             raise MissingLabel(sorted(missing)[0])

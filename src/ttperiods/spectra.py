@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cohomology import (
-    CatalogEntry,
     GroupNotInCatalog,
     WeylNotInCatalog,
     catalog_key,
     rep_period_map,
 )
 from .diagnostics import Diagnosis, PASS, UsageError, failure
-from .graded import SpechModel, pattern_name
+from .graded import SpechModel
 from .groups import (
     FiniteGroup,
     GroupIndex,

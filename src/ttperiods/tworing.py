@@ -119,9 +119,6 @@ class TwoRingDatum:
                 for f in basis_vectors(self.hom_dim(a, b)):
                     yield (a, b, f)
 
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims.values())
-
     def render(self, mor) -> str:
         a, b, vec = mor
         body = render_combo(self.basis_names[(a, b)], vec)

@@ -76,6 +76,26 @@ class TestRing:
         assert code == 1
         assert json.loads(out)["result"]["diagnosis"]["ok"] is False
 
+    INVALID_RINGS = {
+        "char-not-prime": ring_to_obj(make_ring(4, [("x", 2)])),
+        "duplicate-generator": ring_to_obj(make_ring(2, [("x", 1), ("y", 1), ("x", 1)])),
+        "odd-period": ring_to_obj(make_ring(3, [("u", 1, True), ("y", 2)])),
+        "inhomogeneous": {
+            **ring_to_obj(make_ring(2, [("x", 1), ("y", 2)], [[(1, {"x": 1}), (1, {"y": 1})]])),
+            "witnesses": [[[], "witness"], [["x", "y"], "witness"]],
+        },
+    }
+
+    @pytest.mark.parametrize("reason", sorted(INVALID_RINGS))
+    def test_patterns_and_periods_validate_first(self, capsys, tmp_path, reason):
+        path = write_json(tmp_path, "bad.json", self.INVALID_RINGS[reason])
+        for action in ("patterns", "periods"):
+            for fmt in ("json", "dot"):
+                code, out, _ = run(capsys, "ring", action, "--input", path, "--format", fmt)
+                assert code == 1
+                diagnosis = json.loads(out)["result"]["diagnosis"]
+                assert (diagnosis["ok"], diagnosis["reason"]) == (False, reason)
+
     def test_patterns_dot(self, capsys, d8_ring_file):
         code, out, _ = run(
             capsys, "ring", "patterns", "--input", d8_ring_file, "--format", "dot"
@@ -221,13 +241,14 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["result"]["group"] == "D8"
 
-    def test_c4_squared_is_refused_not_read_as_elementary(self, capsys, tmp_path):
+    def test_c4_squared_answers_not_read_as_elementary(self, capsys, tmp_path):
         obj = {"degree": 8, "generators": [[[1, 2, 3, 4]], [[5, 6, 7, 8]]]}
         path = write_json(tmp_path, "c4xc4.json", obj)
-        code, out, err = run(capsys, "group", "stmod", "--group", path, "--prime", "2")
-        assert code == 2
-        assert out == ""
-        assert "(4, 4)" in err
+        code, out, _ = run(capsys, "group", "stmod", "--group", path, "--prime", "2")
+        assert code == 0
+        model = json.loads(out)["result"]["model"]
+        assert model["periods"] == {"⟨⟩": 2, "⟨y1⟩": 2, "⟨y2⟩": 2}
+        assert model["pattern"] == {"⟨⟩": [], "⟨y1⟩": ["y1"], "⟨y2⟩": ["y2"]}
 
     @pytest.mark.parametrize(
         "action,group,prime",
@@ -238,6 +259,12 @@ class TestGroup:
         assert code == 2
         assert out == ""
         assert f"{prime} is not prime" in err
+
+    @pytest.mark.parametrize("name", ["trivial", "cyclic", "elem_abelian", "abelian", "dihedral"])
+    def test_key_kind_is_not_a_name(self, capsys, name):
+        code, out, err = run(capsys, "group", "stmod", "--group", name, "--prime", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("GroupNotInCatalog: unknown catalog key")
 
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "group", "dperm", "--group", "X99", "--prime", "2")
@@ -638,3 +665,52 @@ class TestUsage:
         code, out, _ = run(capsys, "ring", "--help")
         assert code == 0
         assert "ring JSON" in out
+
+
+def _json_paths(node, at=()):
+    """The path of every node of a JSON document, the root first."""
+    yield at
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _json_paths(v, (*at, k))
+
+
+def _replaced(doc, at, value):
+    if not at:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in at[:-1]:
+        node = node[k]
+    node[at[-1]] = value
+    return doc
+
+
+class TestMalformedJsonSweep:
+    """Every node of a shipped input, replaced by a value of each JSON type,
+    gives an answer or a refusal and never a traceback."""
+
+    VALUES = [None, 2.0, True, "x", [], [1], {}, [[1]]]
+
+    @pytest.mark.parametrize("name", ["stmod_d8_space", "stmod_d8_sections", "d8_ring", "laurent_f2_z2"])
+    def test_every_node_replaced(self, capsys, tmp_path, name):
+        sections = resources.files("ttperiods").joinpath("data", "sections")
+        docs = {
+            stem: json.loads(sections.joinpath(f"{stem}.json").read_text(encoding="utf-8"))
+            for stem in ("stmod_d8_space", "stmod_d8_sections", "d8_ring")
+        }
+        docs["laurent_f2_z2"] = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
+        files = {stem: write_json(tmp_path, f"{stem}.json", doc) for stem, doc in docs.items()}
+        if name == "laurent_f2_z2":
+            commands = [("tworing", "ideals", "--input", files[name])]
+        else:
+            commands = [("compare", "--space", files["stmod_d8_space"], "--ring", files["d8_ring"],
+                         "--sections", files["stmod_d8_sections"], "--invert", "β")]
+            if name == "d8_ring":
+                commands.append(("ring", "periods", "--input", files[name]))
+        doc = docs[name]
+        for at in _json_paths(doc):
+            for value in self.VALUES:
+                write_json(tmp_path, f"{name}.json", _replaced(doc, at, value))
+                for argv in commands:
+                    assert run(capsys, *argv)[0] in (0, 1, 2), (at, value, argv)

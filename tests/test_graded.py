@@ -417,7 +417,7 @@ def test_periodic_locus_is_generalization_closed(ring, d):
     model = enumerate_patterns(ring)
     locus = periodic_locus(ring, model, d)
     for p in locus:
-        assert model.space.generalizations(p) <= locus
+        assert model.space.generalization_closure([p]) <= locus
 
 
 @settings(max_examples=60, deadline=None)

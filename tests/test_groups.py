@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from ttperiods.cohomology import GroupNotInCatalog, cohomology_entry
+from ttperiods.cohomology import cohomology_entry
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.groups import (
     FiniteGroup,
@@ -112,7 +112,7 @@ class TestSubgroups:
         classes = subgroup_classes(quaternion(8))
         assert [c.order for c in classes] == [1, 2, 4, 4, 4, 8]
         # One subgroup per class: Q8 is Dedekind.
-        assert all(len(c.conjugates) == 1 for c in classes)
+        assert all(len(c.members) == 1 for c in classes)
 
     def test_trivial_group_single_class(self):
         assert len(subgroup_classes(cyclic(1))) == 1
@@ -121,7 +121,7 @@ class TestSubgroups:
         classes = subgroup_classes(symmetric(3))
         assert [c.order for c in classes] == [1, 2, 3, 6]
         by_order = {c.order: c for c in classes}
-        assert len(by_order[2].conjugates) == 3
+        assert len(by_order[2].members) == 3
 
     def test_s4_class_count(self):
         assert len(subgroup_classes(symmetric(4))) == 11
@@ -131,7 +131,7 @@ class TestSubgroups:
         G = symmetric(3)
         classes = subgroup_classes(G)
         all_subs = set(subgroups(G))
-        listed = [H for c in classes for H in c.conjugates]
+        listed = [c.index.frozen(K) for c in classes for K in c.members]
         assert len(listed) == len(all_subs) and set(listed) == all_subs
 
 
@@ -140,7 +140,7 @@ class TestWeylGroups:
         G = quaternion(8)
         center = min((c.representative for c in subgroup_classes(G) if c.order == 2), key=sorted)
         W = weyl_group(G, center)
-        assert identify(W) == ("elem_abelian", 2, 2)
+        assert identify(W) == ("abelian", (2, 2))
         assert W.name == "C2^2"
 
     def test_whole_group_gives_trivial_weyl(self):
@@ -152,12 +152,12 @@ class TestWeylGroups:
         non_normal = [
             c
             for c in subgroup_classes(G)
-            if c.order == 2 and len(c.conjugates) > 1
+            if c.order == 2 and len(c.members) > 1
         ]
         assert len(non_normal) == 2
         for c in non_normal:
             W = weyl_group(G, c.representative)
-            assert identify(W) == ("cyclic", 2)
+            assert identify(W) == ("abelian", (2,))
 
     def test_trivial_subgroup_recovers_group(self):
         for G in (cyclic(6), quaternion(8), symmetric(3)):
@@ -307,10 +307,10 @@ class TestDedekind:
 
 class TestIdentify:
     def test_catalog_keys(self):
-        assert identify(cyclic(1)) == ("trivial",)
-        assert identify(cyclic(6)) == ("cyclic", 6)
-        assert identify(elementary_abelian(3, 2)) == ("elem_abelian", 3, 2)
-        assert identify(elementary_abelian(2, 1)) == ("cyclic", 2)
+        assert identify(cyclic(1)) == ("abelian", ())
+        assert identify(cyclic(6)) == ("abelian", (6,))
+        assert identify(elementary_abelian(3, 2)) == ("abelian", (3, 3))
+        assert identify(elementary_abelian(2, 1)) == ("abelian", (2,))
         assert identify(dihedral(8)) == ("dihedral", 8)
         assert identify(quaternion(8)) == ("quaternion", 8)
         assert identify(quaternion(16)) == ("quaternion", 16)
@@ -327,17 +327,17 @@ class TestIdentify:
         assert abelian_invariants(G) == (4, 4)
         assert identify(G) == ("abelian", (4, 4))
         assert name_for_key(identify(G)) == "C4xC4"
-        with pytest.raises(GroupNotInCatalog):
-            cohomology_entry(G, 2)
+        gens = cohomology_entry(G, 2).presentation.generators
+        assert [(g.name, g.degree) for g in gens] == [("y1", 2), ("y2", 2)]
 
     def test_unidentified_returns_none(self):
         assert identify(symmetric(4)) is None
         assert identify(symmetric(3)) is None
 
     def test_names(self):
-        assert name_for_key(("trivial",)) == "1"
-        assert name_for_key(("cyclic", 4)) == "C4"
-        assert name_for_key(("elem_abelian", 2, 2)) == "C2^2"
+        assert name_for_key(("abelian", ())) == "1"
+        assert name_for_key(("abelian", (4,))) == "C4"
+        assert name_for_key(("abelian", (2, 2))) == "C2^2"
         assert name_for_key(("quaternion", 8)) == "Q8"
         assert name_for_key(("abelian", (2, 4))) == "C2xC4"
         assert name_for_key(None) is None
@@ -401,7 +401,7 @@ def _class_rows(G):
     rows = []
     for c in subgroup_classes(G):
         H = c.representative
-        row = f"{c.order}/{len(c.conjugates)}/{len(normalizer(G, H))}"
+        row = f"{c.order}/{len(c.members)}/{len(normalizer(G, H))}"
         row += f"/{weyl_group(G, H).name}"
         if rows and rows[-1][0] == row:
             rows[-1][1] += 1
@@ -425,47 +425,47 @@ def _verdict_digest(G):
 
 
 PINNED_LATTICES = {
-    'C1': (('trivial',), 1, '1/1/1/1'),
-    'C2': (('cyclic', 2), 2, '1/1/2/C2 2/1/2/1'),
-    'C3': (('cyclic', 3), 2, '1/1/3/C3 3/1/3/1'),
-    'C4': (('cyclic', 4), 3, '1/1/4/C4 2/1/4/C2 4/1/4/1'),
-    'C5': (('cyclic', 5), 2, '1/1/5/C5 5/1/5/1'),
-    'C6': (('cyclic', 6), 4, '1/1/6/C6 2/1/6/C3 3/1/6/C2 6/1/6/1'),
-    'C7': (('cyclic', 7), 2, '1/1/7/C7 7/1/7/1'),
-    'C8': (('cyclic', 8), 4, '1/1/8/C8 2/1/8/C4 4/1/8/C2 8/1/8/1'),
-    'C9': (('cyclic', 9), 3, '1/1/9/C9 3/1/9/C3 9/1/9/1'),
-    'C10': (('cyclic', 10), 4, '1/1/10/C10 2/1/10/C5 5/1/10/C2 10/1/10/1'),
-    'C11': (('cyclic', 11), 2, '1/1/11/C11 11/1/11/1'),
+    'C1': (('abelian', ()), 1, '1/1/1/1'),
+    'C2': (('abelian', (2,)), 2, '1/1/2/C2 2/1/2/1'),
+    'C3': (('abelian', (3,)), 2, '1/1/3/C3 3/1/3/1'),
+    'C4': (('abelian', (4,)), 3, '1/1/4/C4 2/1/4/C2 4/1/4/1'),
+    'C5': (('abelian', (5,)), 2, '1/1/5/C5 5/1/5/1'),
+    'C6': (('abelian', (6,)), 4, '1/1/6/C6 2/1/6/C3 3/1/6/C2 6/1/6/1'),
+    'C7': (('abelian', (7,)), 2, '1/1/7/C7 7/1/7/1'),
+    'C8': (('abelian', (8,)), 4, '1/1/8/C8 2/1/8/C4 4/1/8/C2 8/1/8/1'),
+    'C9': (('abelian', (9,)), 3, '1/1/9/C9 3/1/9/C3 9/1/9/1'),
+    'C10': (('abelian', (10,)), 4, '1/1/10/C10 2/1/10/C5 5/1/10/C2 10/1/10/1'),
+    'C11': (('abelian', (11,)), 2, '1/1/11/C11 11/1/11/1'),
     'C12': (
-        ('cyclic', 12),
+        ('abelian', (12,)),
         6,
         '1/1/12/C12 2/1/12/C6 3/1/12/C4 4/1/12/C3 6/1/12/C2 12/1/12/1',
     ),
-    'C13': (('cyclic', 13), 2, '1/1/13/C13 13/1/13/1'),
-    'C14': (('cyclic', 14), 4, '1/1/14/C14 2/1/14/C7 7/1/14/C2 14/1/14/1'),
-    'C15': (('cyclic', 15), 4, '1/1/15/C15 3/1/15/C5 5/1/15/C3 15/1/15/1'),
-    'C16': (('cyclic', 16), 5, '1/1/16/C16 2/1/16/C8 4/1/16/C4 8/1/16/C2 16/1/16/1'),
-    'C17': (('cyclic', 17), 2, '1/1/17/C17 17/1/17/1'),
+    'C13': (('abelian', (13,)), 2, '1/1/13/C13 13/1/13/1'),
+    'C14': (('abelian', (14,)), 4, '1/1/14/C14 2/1/14/C7 7/1/14/C2 14/1/14/1'),
+    'C15': (('abelian', (15,)), 4, '1/1/15/C15 3/1/15/C5 5/1/15/C3 15/1/15/1'),
+    'C16': (('abelian', (16,)), 5, '1/1/16/C16 2/1/16/C8 4/1/16/C4 8/1/16/C2 16/1/16/1'),
+    'C17': (('abelian', (17,)), 2, '1/1/17/C17 17/1/17/1'),
     'C18': (
-        ('cyclic', 18),
+        ('abelian', (18,)),
         6,
         '1/1/18/C18 2/1/18/C9 3/1/18/C6 6/1/18/C3 9/1/18/C2 18/1/18/1',
     ),
-    'C19': (('cyclic', 19), 2, '1/1/19/C19 19/1/19/1'),
+    'C19': (('abelian', (19,)), 2, '1/1/19/C19 19/1/19/1'),
     'C20': (
-        ('cyclic', 20),
+        ('abelian', (20,)),
         6,
         '1/1/20/C20 2/1/20/C10 4/1/20/C5 5/1/20/C4 10/1/20/C2 20/1/20/1',
     ),
-    'C21': (('cyclic', 21), 4, '1/1/21/C21 3/1/21/C7 7/1/21/C3 21/1/21/1'),
-    'C22': (('cyclic', 22), 4, '1/1/22/C22 2/1/22/C11 11/1/22/C2 22/1/22/1'),
-    'C23': (('cyclic', 23), 2, '1/1/23/C23 23/1/23/1'),
+    'C21': (('abelian', (21,)), 4, '1/1/21/C21 3/1/21/C7 7/1/21/C3 21/1/21/1'),
+    'C22': (('abelian', (22,)), 4, '1/1/22/C22 2/1/22/C11 11/1/22/C2 22/1/22/1'),
+    'C23': (('abelian', (23,)), 2, '1/1/23/C23 23/1/23/1'),
     'C24': (
-        ('cyclic', 24),
+        ('abelian', (24,)),
         8,
         '1/1/24/C24 2/1/24/C12 3/1/24/C8 4/1/24/C6 6/1/24/C4 8/1/24/C3 12/1/24/C2 24/1/24/1',
     ),
-    'D4': (('cyclic', 2), 2, '1/1/2/C2 2/1/2/1'),
+    'D4': (('abelian', (2,)), 2, '1/1/2/C2 2/1/2/1'),
     'D6': (None, 6, '1/1/6/None 2/3/2/1 3/1/6/C2 6/1/6/1'),
     'D8': (('dihedral', 8), 10, '1/1/8/D8 2/2/4/C2*2 2/1/8/C2^2 4/1/8/C2*3 8/1/8/1'),
     'D10': (None, 8, '1/1/10/None 2/5/2/1 5/1/10/C2 10/1/10/1'),
@@ -513,14 +513,14 @@ PINNED_LATTICES = {
         18,
         '1/1/24/Q24 2/1/24/None 3/1/24/Q8 4/1/24/None 4/3/8/C2*2 6/1/24/C2^2 8/3/8/1 12/1/24/C2*3 24/1/24/1',
     ),
-    'C2^2': (('elem_abelian', 2, 2), 5, '1/1/4/C2^2 2/1/4/C2*3 4/1/4/1'),
-    'C2^3': (('elem_abelian', 2, 3), 16, '1/1/8/C2^3 2/1/8/C2^2*7 4/1/8/C2*7 8/1/8/1'),
+    'C2^2': (('abelian', (2, 2)), 5, '1/1/4/C2^2 2/1/4/C2*3 4/1/4/1'),
+    'C2^3': (('abelian', (2, 2, 2)), 16, '1/1/8/C2^3 2/1/8/C2^2*7 4/1/8/C2*7 8/1/8/1'),
     'C2^4': (
-        ('elem_abelian', 2, 4),
+        ('abelian', (2, 2, 2, 2)),
         67,
         '1/1/16/C2^4 2/1/16/C2^3*15 4/1/16/C2^2*35 8/1/16/C2*15 16/1/16/1',
     ),
-    'C3^2': (('elem_abelian', 3, 2), 6, '1/1/9/C3^2 3/1/9/C3*4 9/1/9/1'),
+    'C3^2': (('abelian', (3, 3)), 6, '1/1/9/C3^2 3/1/9/C3*4 9/1/9/1'),
     'S3': (None, 6, '1/1/6/None 2/3/2/1 3/1/6/C2 6/1/6/1'),
     'S4': (
         None,
@@ -722,7 +722,7 @@ class TestWorkCount:
         assert all(H is K for H, K in zip(subs, again))
         kept = {id(H) for H in subs}
         for cls in subgroup_classes(G):
-            assert {id(H) for H in cls.conjugates} <= kept
+            assert {id(cls.index.frozen(K)) for K in cls.members} <= kept
         for route in (p_subconjugate_sylow, p_subconjugate_mackey):
             for listed in (subs, again):
                 for H in listed:

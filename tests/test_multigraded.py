@@ -6,10 +6,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttperiods.diagnostics import SizeBound
 from ttperiods.multigraded import (
     AbelianGroup,
     RingShapeError,
-    SizeBound,
     all_vectors,
     close_multiplicative,
     homogeneous_units,

@@ -1,5 +1,7 @@
 """Group spectra assembly: catalog, strata, towers, shipped figures."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -26,7 +28,10 @@ from ttperiods.groups import (
     cyclic,
     dihedral,
     elementary_abelian,
+    identify,
+    identity,
     inverse,
+    name_for_key,
     quaternion,
     subgroups,
     symmetric,
@@ -55,7 +60,7 @@ from test_groups import CATALOG_24
 
 class TestCatalog:
     CASES = [
-        ("trivial", 2),
+        (cyclic(1), 2),
         (cyclic(2), 2),
         (cyclic(4), 2),
         (cyclic(8), 2),
@@ -127,6 +132,104 @@ class TestCatalog:
         assert entry.presentation.generators == ()
 
 
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most most, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _abelian_factor_lists(limit):
+    """Every abelian group of order at most limit, once, as the orders of
+    its cyclic factors of prime-power order, ascending."""
+    out = []
+    for n in range(1, limit + 1):
+        choices = []
+        for p in _prime_factors(n):
+            e, m = 0, n
+            while m % p == 0:
+                e, m = e + 1, m // p
+            choices.append([[p**k for k in part] for part in _partitions(e)])
+        for pick in itertools.product(*choices):
+            out.append(tuple(sorted(q for part in pick for q in part)))
+    return out
+
+
+def _cyclic_product(factors):
+    """C_q1 x C_q2 x ... acting on disjoint blocks of points."""
+    gens, start = [], 0
+    for q in factors:
+        g = list(range(sum(factors)))
+        for i in range(q):
+            g[start + i] = start + (i + 1) % q
+        gens.append(tuple(g))
+        start += q
+    return FiniteGroup(max(start, 1), gens)
+
+
+def _power(x, k):
+    y = x
+    for _ in range(k - 1):
+        y = compose(y, x)
+    return y
+
+
+def _invariant_name(factors):
+    """The catalog name, read from the invariant factors d1 | d2 | ...
+    that the prime-power factors give."""
+    by_prime: dict = {}
+    for q in sorted(factors, reverse=True):
+        by_prime.setdefault(_prime_factors(q)[0], []).append(q)
+    invariants = sorted(
+        math.prod(qs[i] for qs in by_prime.values() if i < len(qs))
+        for i in range(max(map(len, by_prime.values()), default=0))
+    )
+    if not invariants:
+        return "1"
+    d = invariants[0]
+    if len(invariants) > 1 and set(invariants) == {d} and _prime_factors(d) == [d]:
+        return f"C{d}^{len(invariants)}"
+    return "x".join(f"C{e}" for e in invariants)
+
+
+ABELIAN_64 = _abelian_factor_lists(64)
+
+
+class TestAbelianSecondRoute:
+    """Every abelian group of order at most 64, built as a product of cyclic
+    groups of prime-power order, against the one abelian catalog rule.  The
+    Künneth theorem gives one polynomial class per factor whose order is a
+    power of p, of degree 1 for C2 and 2 otherwise; Quillen's stratification
+    gives one component of dimension r, where p^r elements have x^p = 1, so
+    the stmod model has 2^r - 1 points."""
+
+    def test_every_order_is_covered_once(self):
+        assert len(ABELIAN_64) == len(set(ABELIAN_64)) == 117
+        assert {math.prod(f) for f in ABELIAN_64} == set(range(1, 65))
+
+    @pytest.mark.parametrize("factors", ABELIAN_64, ids=lambda f: "x".join(map(str, f)) or "1")
+    def test_catalog_rule_at_every_prime(self, factors):
+        G = _cyclic_product(factors)
+        assert G.order == math.prod(factors)
+        assert G.name is None
+        assert name_for_key(identify(G)) == _invariant_name(factors)
+        for p in _prime_factors(G.order):
+            sylow = [q for q in factors if q % p == 0]
+            gens = cohomology_entry(G, p).presentation.generators
+            assert sorted(g.degree for g in gens) == sorted(1 if q == 2 else 2 for q in sylow)
+            p_torsion = sum(_power(x, p) == identity(G.degree) for x in G.elements)
+            r = 0
+            while p**r < p_torsion:
+                r += 1
+            assert p**r == p_torsion
+            model, per = stmod_period_map(G, p)
+            assert len(model.space.points) == 2**r - 1
+            assert per["⟨⟩"] == (1 if p == 2 and 2 in sylow else 2)
+
+
 class TestRepPeriodMap:
     def test_elementary_rank_two(self):
         model, per = rep_period_map(elementary_abelian(2, 2), 2)
@@ -141,7 +244,7 @@ class TestRepPeriodMap:
         assert {q: per[q] for q in model.space.points} == {"⟨⟩": 4, "⟨e⟩": 0}
 
     def test_trivial_group_single_point_zero(self):
-        model, per = rep_period_map("trivial", 2)
+        model, per = rep_period_map(cyclic(1), 2)
         assert [per[q] for q in model.space.points] == [0]
 
     def test_irrelevant_point_always_zero(self):
@@ -171,7 +274,7 @@ class TestStmodPeriodMap:
         assert [per[q] for q in model.space.points] == [1]
 
     def test_trivial_group_empty(self):
-        model, per = stmod_period_map("trivial", 2)
+        model, per = stmod_period_map(cyclic(1), 2)
         assert model.space.points == ()
 
     def test_restriction_drops_exactly_one_point(self):
@@ -386,9 +489,13 @@ RELABEL_CASES = [
 RELABELLED = [_relabel(G, seed) for G, seed in RELABEL_CASES]
 
 
+def _members(cls):
+    return frozenset(map(cls.index.frozen, cls.members))
+
+
 def _stratum_rows(strata):
     return [
-        (s.subgroup_class.representative, frozenset(s.subgroup_class.conjugates),
+        (s.subgroup_class.representative, _members(s.subgroup_class),
          s.label, s.weyl.key, s.weyl.name, s.normal)
         for s in strata
     ]
@@ -409,7 +516,7 @@ class TestDPermSecondRoute:
             got = []
             for cls, label in zip(classes, labels):
                 W = weyl_group(fresh, cls.sub)
-                got.append((cls.representative, frozenset(cls.conjugates),
+                got.append((cls.representative, _members(cls),
                             label, W.key, W.name, len(cls.members) == 1))
             assert got == want, p
             try:
