@@ -44,7 +44,6 @@ class CatalogEntry:
     prime: int
     presentation: GradedRingPresentation
     witnesses: "tuple[tuple[PrimePattern, str], ...] | None"
-    note: str
 
     def spech(self) -> SpechModel:
         return enumerate_patterns(self.presentation, self.witnesses)
@@ -72,10 +71,6 @@ def _key_order(key: tuple) -> int:
     raise GroupNotInCatalog(f"unknown catalog key {key!r}")
 
 
-def _field(p: int, note: str) -> "tuple[GradedRingPresentation, None, str]":
-    return make_ring(p, []), None, note
-
-
 def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
     require_prime(p)
@@ -87,36 +82,30 @@ def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> C
         # Unknown isomorphism type: still fine when p is coprime to the
         # order, because then the reduced cohomology is just the field.
         if group.order % p != 0:
-            ring, wits, note = _field(
-                p, "coprime order, reduced cohomology is the base field"
-            )
-            return CatalogEntry(
-                ("unidentified", group.order), group.order, p, ring, wits, note
-            )
+            field = make_ring(p, [])
+            return CatalogEntry(("unidentified", group.order), group.order, p, field, None)
         raise GroupNotInCatalog(
             f"unidentified isomorphism type (order {group.order}) at p={p}"
         )
     order = _key_order(key)
     kind = key[0]
+    wits = None
     if order % p != 0:
-        ring, wits, note = _field(p, "coprime order, reduced cohomology is the base field")
+        ring = make_ring(p, [])
     elif kind == "abelian":
         sylow = [q for q in (p_part(d, p) for d in key[1]) if q > 1]
         gens = [("x", 1) if q == 2 else ("y", 2) for q in sylow]
         if len(gens) > 1:
             gens = [(f"{n}{i}", d) for i, (n, d) in enumerate(gens, 1)]
         ring = make_ring(p, gens)
-        wits, note = None, "abelian, one polynomial class per cyclic Sylow factor"
     elif kind == "quaternion" and p == 2:
         ring = make_ring(2, [("e", 4)])
-        wits, note = None, "generalized quaternion, polynomial on one degree-4 class"
     elif kind == "dihedral" and key[1] == 8 and p == 2:
         ring = make_ring(
             2,
             [("α0", 1), ("α1", 1), ("β", 2)],
             [[(1, {"α0": 1, "α1": 1})]],
         )
-        wits, note = None, "order-8 dihedral, two projective lines meeting in a point"
     elif kind == "M11" and p == 3:
         ring = make_ring(
             3,
@@ -130,10 +119,9 @@ def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> C
             (PrimePattern.of("a", "b"), "witness"),
             (PrimePattern.of("a", "b", "c"), "witness"),
         )
-        note = "Mathieu group of order 7920 at 3, reduced to one hypersurface"
     else:
         raise GroupNotInCatalog(f"{key!r} at p={p}")
-    return CatalogEntry(key, order, p, ring, wits, note)
+    return CatalogEntry(key, order, p, ring, wits)
 
 
 # (catalog key, p) to its extended variety and periods.  Only identified

@@ -15,8 +15,8 @@ monomial-enumeration counterpart used to keep that reduction honest.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
@@ -228,21 +228,24 @@ class SpechModel:
 _CERT_TAGS = ("enumerated", "witness", "paper")
 
 
-def _build_spech(ring, pats: list[tuple[PrimePattern, str]]) -> SpechModel:
-    names = {}
-    for pattern, cert in pats:
-        name = pattern_name(ring, pattern)
-        if name in names and names[name][0] != pattern:
-            raise InvalidPattern(name, "duplicate name")
-        names[name] = (pattern, cert)
-    space = FiniteSpectralModel.from_inclusions(
-        {n: pat.contains for n, (pat, _) in names.items()}
-    )
+def _build_spech(ring, width: int, names, masks, patterns, certs) -> SpechModel:
+    """Model on parallel lists of point names, pattern masks over the width
+    non-invertible generators, patterns and tags.
+
+    Two patterns under one name (generator names holding commas or angle
+    brackets can make one) are refused, not merged.
+    """
+    named = dict(zip(names, masks))
+    if len(named) < len(names):
+        duplicate = next(n for n, k in Counter(names).items() if k > 1)
+        raise InvalidPattern(duplicate, "duplicate name")
+    space = FiniteSpectralModel.from_inclusion_masks(named, width)
+    by_name = dict(zip(names, zip(patterns, certs)))
     return SpechModel(
         ring=ring,
         space=space,
-        patterns={n: names[n][0] for n in space.points},
-        certified={n: names[n][1] for n in space.points},
+        patterns={n: by_name[n][0] for n in space.points},
+        certified={n: by_name[n][1] for n in space.points},
     )
 
 
@@ -252,42 +255,65 @@ def enumerate_patterns(
 ) -> SpechModel:
     """Spectrum model: exhaustive for monomial quotients, validated otherwise.
 
-    Monomial mode enumerates every subset of the non-invertible generators
-    that contains the nilpotents and hits each relation monomial; that is
-    the complete list of pattern points.  It refuses more than
-    MAX_FREE_GENERATORS non-invertible generators with SizeBound, before
-    enumerating anything.  With witnesses supplied, the
-    given patterns are validated and used as-is; completeness is then the
+    A pattern is held as a mask with one bit per non-invertible generator,
+    in declaration order.  Monomial mode keeps every mask that contains the
+    nilpotents and meets each relation monomial; that is the complete list
+    of pattern points.  It refuses more than MAX_FREE_GENERATORS
+    non-invertible generators with SizeBound, before enumerating anything.
+    With witnesses supplied, the given patterns are validated and used
+    as-is, and a pattern given twice is refused; completeness is then the
     caller's responsibility.
     """
+    free = [g.name for g in ring.generators if not g.invertible]
+    bit = {n: 1 << i for i, n in enumerate(free)}
     if witnesses is not None:
-        pats = []
+        names, masks, patterns, certs = [], [], [], []
+        seen: set[int] = set()
         for pattern, cert in witnesses:
+            name = pattern_name(ring, pattern)
             if cert not in _CERT_TAGS:
-                raise InvalidPattern(pattern_name(ring, pattern), f"bad tag {cert!r}")
+                raise InvalidPattern(name, f"bad tag {cert!r}")
             diag = pattern_diagnosis(ring, pattern)
             if not diag:
-                raise InvalidPattern(pattern_name(ring, pattern), diag.reason)
-            pats.append((pattern, cert))
-        return _build_spech(ring, pats)
+                raise InvalidPattern(name, diag.reason)
+            mask = sum(bit[n] for n in pattern.contains)
+            if mask in seen:
+                raise InvalidPattern(name, "repeated pattern")
+            seen.add(mask)
+            names.append(name)
+            masks.append(mask)
+            patterns.append(pattern)
+            certs.append(cert)
+        return _build_spech(ring, len(free), names, masks, patterns, certs)
     if any(len(rel) > 1 for rel in ring.relations):
         raise NonMonomialWithoutWitnesses(
             "non-monomial relations need witness patterns"
         )
-    free = [g.name for g in ring.generators if not g.invertible]
-    require_within("MAX_FREE_GENERATORS", len(free))
-    forced = frozenset(g.name for g in ring.generators if g.nilpotent)
-    hitting = [rel[0].variables() for rel in ring.relations]
-    pats = []
-    for r in range(len(free) + 1):
-        for combo in combinations(free, r):
-            chosen = frozenset(combo)
-            if not forced <= chosen:
-                continue
-            if any(not (vs & chosen) for vs in hitting):
-                continue
-            pats.append((PrimePattern(chosen), "enumerated"))
-    return _build_spech(ring, pats)
+    n = len(free)
+    require_within("MAX_FREE_GENERATORS", n)
+    # No pattern holds bit n: it stands for units and names not declared,
+    # so a nilpotent unit admits no pattern and a relation monomial in
+    # units alone is never hit.
+    never = 1 << n
+
+    def mask_of(names: Iterable[str]) -> int:
+        mask = 0
+        for v in names:
+            mask |= bit.get(v, never)
+        return mask
+
+    forced = mask_of(g.name for g in ring.generators if g.nilpotent)
+    masks = [m for m in range(never) if m & forced == forced]
+    for rel in ring.relations:
+        need = mask_of(rel[0].variables())
+        masks = [m for m in masks if m & need]
+    # table[m]: the names of the generators in m, in declaration order.
+    table: list[tuple[str, ...]] = [()]
+    for name in free:
+        table += [t + (name,) for t in table]
+    names = ["⟨" + ",".join(table[m]) + "⟩" for m in masks]
+    patterns = [PrimePattern(frozenset(table[m])) for m in masks]
+    return _build_spech(ring, n, names, masks, patterns, ["enumerated"] * len(masks))
 
 
 def local_period(ring: GradedRingPresentation, pattern: PrimePattern) -> int:
@@ -302,34 +328,51 @@ def local_period(ring: GradedRingPresentation, pattern: PrimePattern) -> int:
 def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozenset[str]:
     """Points of positive period (d = ALL) or of period dividing d.
 
-    Two routes are compared: the gcd formula pointwise, and the union of
-    principal loci D(x) over nonzero-degree generators x.
+    A point's complement is the mask of the non-invertible generators
+    outside its pattern.  Its period is read from a gcd table over
+    complements: the empty one holds the gcd of the nonzero unit degrees,
+    and any other takes one gcd, of the entry without its lowest bit and
+    that bit's degree.  The union of principal loci D(x) over
+    nonzero-degree generators x is the second route: a unit's locus is
+    every point, a generator's the points whose complement meets its bit.
     """
-    periods = {p: local_period(ring, model.patterns[p]) for p in model.space.points}
+    if d != ALL and (not isinstance(d, int) or d < 0):
+        raise GradedError(f"bad period bound {d!r}")
+    free = [g for g in ring.generators if not g.invertible]
+    bit = {g.name: 1 << i for i, g in enumerate(free)}
+    degree = [abs(g.degree) for g in free]
+    units = [abs(g.degree) for g in ring.generators if g.invertible and g.degree]
+    full = (1 << len(free)) - 1
+    gcd = math.gcd
+    table = {0: gcd(*units)}
+    periods, outside = {}, {}
+    for p in model.space.points:
+        c = outside[p] = full ^ sum(map(bit.__getitem__, model.patterns[p].contains))
+        missing = []
+        while c not in table:
+            missing.append(c)
+            c &= c - 1
+        v = table[c]
+        for c in reversed(missing):
+            v = table[c] = gcd(v, degree[(c & -c).bit_length() - 1])
+        periods[p] = v
     if d == ALL:
         via_formula = frozenset(p for p, v in periods.items() if v > 0)
-        via_loci: set[str] = set()
-        for gen in ring.generators:
-            if gen.degree != 0:
-                via_loci |= {
-                    p
-                    for p in model.space.points
-                    if gen.name not in model.patterns[p].contains
-                }
-        if via_formula != frozenset(via_loci):
+        live = sum(1 << i for i, b in enumerate(degree) if b)
+        via_loci = frozenset(p for p, c in outside.items() if units or c & live)
+        if via_formula != via_loci:
             raise GradedError("periodic locus cross-check failed")
         return via_formula
-    if not isinstance(d, int) or d < 0:
-        raise GradedError(f"bad period bound {d!r}")
-    for gen in ring.generators:
-        if gen.degree != 0:
-            locus = {
-                p
-                for p in model.space.points
-                if gen.name not in model.patterns[p].contains
-            }
-            if not all(divides(periods[p], abs(gen.degree)) for p in locus):
-                raise GradedError("principal locus period bound failed")
+    # A principal locus bounds every period in it: per period value, each
+    # generator outside some point of that value must have a multiple of it
+    # as its degree.
+    reach: dict[int, int] = {}
+    for p, c in outside.items():
+        reach[periods[p]] = reach.get(periods[p], 0) | c
+    for v, c in reach.items():
+        bounds = units + [b for i, b in enumerate(degree) if c >> i & 1 and b]
+        if not all(divides(v, b) for b in bounds):
+            raise GradedError("principal locus period bound failed")
     return frozenset(p for p, v in periods.items() if divides(v, d))
 
 

@@ -115,28 +115,48 @@ class FiniteSpectralModel:
     def from_inclusions(cls, named_sets: Mapping[str, frozenset]) -> "FiniteSpectralModel":
         """One point per name; p -> q when the set of p lies strictly inside that of q.
 
-        Each element's "holder" mask marks the sets containing it.  The sets
-        containing that of p are the AND of the holders of its elements; the
-        sets inside it are those holding no element outside it.  A set equal
-        to that of p under another name lies in both, and stays incomparable.
+        Numbers the elements in order of first sight and hands the sets, as
+        masks over those numbers, to from_inclusion_masks.
         """
-        names = tuple(sorted(named_sets))
-        holders: dict = {}
-        for i, p in enumerate(names):
+        index: dict = {}
+        named_masks = {}
+        for p, s in named_sets.items():
+            mask = 0
+            for e in s:
+                mask |= 1 << index.setdefault(e, len(index))
+            named_masks[p] = mask
+        return cls.from_inclusion_masks(named_masks, len(index))
+
+    @classmethod
+    def from_inclusion_masks(
+        cls, named_masks: Mapping[str, int], width: int
+    ) -> "FiniteSpectralModel":
+        """One point per name; p -> q when the mask of p lies strictly inside that of q.
+
+        Masks are sets of element bits below width.  Each element's "holder"
+        mask marks the points whose set contains it.  The sets containing
+        that of p are the AND of the holders of its elements; the sets inside
+        it are those holding no element outside it.  A set equal to that of p
+        under another name lies in both, and stays incomparable.
+        """
+        names = tuple(sorted(named_masks))
+        masks = [named_masks[p] for p in names]
+        elements = range(width)
+        holders = [0] * width
+        for i, m in enumerate(masks):
             bit = 1 << i
-            for e in named_sets[p]:
-                holders[e] = holders.get(e, 0) | bit
+            for e in elements:
+                if m >> e & 1:
+                    holders[e] |= bit
         full = (1 << len(names)) - 1
         down, up = [], []
-        for i, p in enumerate(names):
-            s = named_sets[p]
-            supersets = full
-            for e in s:
-                supersets &= holders[e]
-            outside = 0
-            for e, held in holders.items():
-                if e not in s:
-                    outside |= held
+        for i, m in enumerate(masks):
+            supersets, outside = full, 0
+            for e in elements:
+                if m >> e & 1:
+                    supersets &= holders[e]
+                else:
+                    outside |= holders[e]
             subsets = full & ~outside
             bit = 1 << i
             down.append(supersets & ~subsets | bit)

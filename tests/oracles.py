@@ -10,11 +10,16 @@ as they were before they checked each axiom on a generating set: every
 case in a fixed order, so their verdicts name the failure the library's
 must name too.  oracle_two_ring_from_multigraded forms every table of a
 2-ring afresh for each object tuple, where the library forms one per
-degree key.  The group oracles compose permutation tuples and close them by
-breadth-first search, without the multiplication table, bitmasks or
-cached classes of GroupIndex; p_equivalence_classes, the blocks of the
-p-subconjugacy order over the whole lattice, is checked against the classes
-GroupIndex.p_classes finds.  Only viable for tiny instances.
+degree key.  oracle_enumerate_patterns, oracle_from_inclusions and
+oracle_periodic_locus are the pattern engine before it worked on
+generator bitmasks: frozenset patterns from itertools.combinations, each
+named by pattern_name, a poset from holder dictionaries keyed by
+generator name, and periods from local_period at every point.  The group
+oracles compose permutation tuples and close them by breadth-first
+search, without the multiplication table, bitmasks or cached classes of
+GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
+over the whole lattice, is checked against the classes GroupIndex.p_classes
+finds.  Only viable for tiny instances.
 square_zero builds the small rings with few units that several test files
 share.
 
@@ -36,7 +41,18 @@ from ttperiods import groups
 from ttperiods.comparison import ComparisonError, SectionTable, comp_map
 from ttperiods.comparison import restrict_table
 from ttperiods.diagnostics import PASS, Diagnosis, UsageError, failure
-from ttperiods.graded import GradedError, GradedRingPresentation, SpechModel, enumerate_patterns
+from ttperiods.graded import (
+    GradedError,
+    GradedRingPresentation,
+    InvalidPattern,
+    NonMonomialWithoutWitnesses,
+    PrimePattern,
+    SpechModel,
+    enumerate_patterns,
+    local_period,
+    pattern_diagnosis,
+    pattern_name,
+)
 from ttperiods.groups import FiniteGroup, GroupError, _abelian_invariants, identify, name_for_key
 from ttperiods.multigraded import (
     MultigradedRing,
@@ -52,7 +68,7 @@ from ttperiods.multigraded import (
     vec_add,
     vec_zero,
 )
-from ttperiods.spaces import ALL, NegativePeriod, is_prime
+from ttperiods.spaces import ALL, FiniteSpectralModel, NegativePeriod, divides, is_prime
 from ttperiods.spectra import _label_suffix
 from ttperiods.tworing import (
     BadShapes,
@@ -407,6 +423,99 @@ def p_equivalence_classes(G, p):
 
 
 # -- graded rings, period sets and abelian groups ----------------------
+
+def oracle_from_inclusions(named_sets) -> FiniteSpectralModel:
+    """The poset of named sets under strict inclusion, from holder sets.
+
+    Each element's holder mask marks the sets containing it, kept in a
+    dictionary keyed by the element; the supersets of a set are the AND of
+    its elements' holders, and its subsets those holding nothing outside it.
+    """
+    names = tuple(sorted(named_sets))
+    holders: dict = {}
+    for i, p in enumerate(names):
+        for e in named_sets[p]:
+            holders[e] = holders.get(e, 0) | 1 << i
+    full = (1 << len(names)) - 1
+    down, up = [], []
+    for i, p in enumerate(names):
+        s = named_sets[p]
+        supersets = full
+        for e in s:
+            supersets &= holders[e]
+        outside = 0
+        for e, held in holders.items():
+            if e not in s:
+                outside |= held
+        subsets = full & ~outside
+        down.append(supersets & ~subsets | 1 << i)
+        up.append(subsets & ~supersets | 1 << i)
+    return FiniteSpectralModel._from_masks(names, down, up)
+
+
+def _oracle_spech(ring, pats) -> SpechModel:
+    names = {}
+    for pattern, cert in pats:
+        name = pattern_name(ring, pattern)
+        if name in names and names[name][0] != pattern:
+            raise InvalidPattern(name, "duplicate name")
+        names[name] = (pattern, cert)
+    space = oracle_from_inclusions({n: pat.contains for n, (pat, _) in names.items()})
+    return SpechModel(
+        ring=ring,
+        space=space,
+        patterns={n: names[n][0] for n in space.points},
+        certified={n: names[n][1] for n in space.points},
+    )
+
+
+def oracle_enumerate_patterns(ring: GradedRingPresentation, witnesses=None) -> SpechModel:
+    """Pattern points as frozensets: every combination of the non-invertible
+    generators that holds the nilpotents and meets each relation monomial,
+    named one by one with pattern_name.  Witnesses are diagnosed and kept
+    as given; a repeated one keeps its last tag."""
+    if witnesses is not None:
+        for pattern, cert in witnesses:
+            if cert not in ("enumerated", "witness", "paper"):
+                raise InvalidPattern(pattern_name(ring, pattern), f"bad tag {cert!r}")
+            diag = pattern_diagnosis(ring, pattern)
+            if not diag:
+                raise InvalidPattern(pattern_name(ring, pattern), diag.reason)
+        return _oracle_spech(ring, witnesses)
+    if any(len(rel) > 1 for rel in ring.relations):
+        raise NonMonomialWithoutWitnesses("non-monomial relations need witness patterns")
+    free = [g.name for g in ring.generators if not g.invertible]
+    forced = frozenset(g.name for g in ring.generators if g.nilpotent)
+    hitting = [rel[0].variables() for rel in ring.relations]
+    pats = []
+    for r in range(len(free) + 1):
+        for combo in itertools.combinations(free, r):
+            chosen = frozenset(combo)
+            if forced <= chosen and all(vs & chosen for vs in hitting):
+                pats.append((PrimePattern(chosen), "enumerated"))
+    return _oracle_spech(ring, pats)
+
+
+def oracle_periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozenset:
+    """periodic_locus from local_period at every point, with the principal
+    loci D(x) gathered as name sets, point by point."""
+    periods = {p: local_period(ring, model.patterns[p]) for p in model.space.points}
+    loci = [
+        (abs(gen.degree), {p for p, pat in model.patterns.items() if gen.name not in pat.contains})
+        for gen in ring.generators
+        if gen.degree != 0
+    ]
+    if d == ALL:
+        via_formula = frozenset(p for p, v in periods.items() if v > 0)
+        if via_formula != frozenset().union(*(locus for _, locus in loci)):
+            raise GradedError("periodic locus cross-check failed")
+        return via_formula
+    if not isinstance(d, int) or d < 0:
+        raise GradedError(f"bad period bound {d!r}")
+    if not all(divides(periods[p], degree) for degree, locus in loci for p in locus):
+        raise GradedError("principal locus period bound failed")
+    return frozenset(p for p, v in periods.items() if divides(v, d))
+
 
 class NotLaurentForm(GradedError):
     """The presentation is not a degree-0 part extended by one unit."""

@@ -127,6 +127,15 @@ class TestRing:
         assert periods["⟨⟩"] == 4
         assert periods["⟨a,b⟩"] == 16
 
+    def test_repeated_witness_pattern_is_refused(self, capsys, tmp_path):
+        obj = ring_to_obj(make_ring(2, [("a", 1), ("b", 1)]))
+        obj["witnesses"] = [[["a", "b"], "witness"], [["b", "a"], "paper"]]
+        path = write_json(tmp_path, "repeated.json", obj)
+        for action in ("patterns", "periods"):
+            code, out, err = run(capsys, "ring", action, "--input", path)
+            assert code == 2 and out == ""
+            assert "InvalidPattern" in err and "repeated pattern" in err
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")

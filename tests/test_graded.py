@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttperiods import graded
 from ttperiods.diagnostics import Diagnosis
 from ttperiods.graded import (
     BoundTooSmall,
@@ -22,11 +23,13 @@ from ttperiods.graded import (
     periodic_locus,
     ring_from_obj,
     ring_to_obj,
+    spech_to_obj,
     validate_presentation,
 )
 from ttperiods.spaces import ALL, check_period_map
 
 from oracles import NotLaurentForm, degree_zero_reduction_check
+from oracles import oracle_enumerate_patterns, oracle_periodic_locus
 
 
 def poly_xy():
@@ -183,6 +186,27 @@ class TestEnumeratePatterns:
     def test_witness_mode_rejects_bad_tag(self):
         with pytest.raises(InvalidPattern):
             enumerate_patterns(poly_xy(), witnesses=[(PrimePattern.of(), "guessed")])
+
+    def test_witness_mode_rejects_repeated_pattern(self):
+        # Listed twice under two tags, a pattern has no one certificate.
+        witnesses = [
+            (PrimePattern.of("x", "y"), "witness"),
+            (PrimePattern.of("y", "x"), "paper"),
+        ]
+        with pytest.raises(InvalidPattern) as err:
+            enumerate_patterns(poly_xy(), witnesses=witnesses)
+        assert err.value.args == ("⟨x,y⟩", "repeated pattern")
+
+    def test_two_patterns_under_one_name_are_refused(self):
+        # {a, b} and {"a,b"} are both named ⟨a,b⟩.
+        ring = make_ring(2, [("a", 1), ("b", 1), ("a,b", 1)])
+        with pytest.raises(InvalidPattern) as err:
+            enumerate_patterns(ring)
+        assert err.value.args == ("⟨a,b⟩", "duplicate name")
+        witnesses = [(PrimePattern.of("a", "b"), "witness"), (PrimePattern.of("a,b"), "paper")]
+        with pytest.raises(InvalidPattern) as err:
+            enumerate_patterns(ring, witnesses=witnesses)
+        assert err.value.args == ("⟨a,b⟩", "duplicate name")
 
 
 class TestPatternDiagnosis:
@@ -431,3 +455,116 @@ def test_principal_loci_bound_periods(ring):
             if gen.name not in model.patterns[p].contains:
                 v = local_period(ring, model.patterns[p])
                 assert v != 0 and gen.degree % v == 0
+
+
+# -- bitmask engine against the frozenset oracle -----------------------
+
+DEGREES = (0, 1, 2, 3, 4, 6)
+
+
+@st.composite
+def pattern_rings(draw, max_free=13):
+    """Monomial rings with up to max_free non-invertible generators, some
+    nilpotent, units of zero and nonzero degree declared among them, and
+    relation monomials that may touch units; sometimes no relations."""
+    char = draw(st.sampled_from([2, 3]))
+    free = [f"x{i}" for i in range(draw(st.integers(0, max_free)))]
+    nilpotent = set(draw(st.lists(st.sampled_from(free), max_size=2, unique=True))) if free else set()
+    gens = [(name, draw(st.sampled_from(DEGREES)), False, name in nilpotent) for name in free]
+    # An odd-degree unit needs characteristic 2 under the Koszul sign rule.
+    unit_degrees = DEGREES if char == 2 else (0, 2, 4, 6)
+    units = [f"u{k}" for k in range(draw(st.integers(0, 2)))]
+    gens += [(name, draw(st.sampled_from(unit_degrees)), True) for name in units]
+    gens = draw(st.permutations(gens))
+    rels = []
+    if gens:
+        for _ in range(draw(st.integers(0, 3))):
+            support = draw(st.lists(st.sampled_from(free + units), min_size=1, max_size=3, unique=True))
+            rels.append([(1, {v: draw(st.integers(1, 2)) for v in support})])
+    ring = make_ring(char, gens, rels)
+    assert validate_presentation(ring)
+    return ring
+
+
+def assert_same_spech(ring, new, old):
+    assert new.space.points == old.space.points
+    assert new.space._down == old.space._down
+    assert new.space._up == old.space._up
+    assert list(new.patterns.items()) == list(old.patterns.items())
+    assert list(new.certified.items()) == list(old.certified.items())
+    assert spech_to_obj(new) == spech_to_obj(old)
+    for d in (ALL, 0, 1, 2, 3, 4, 6, 12):
+        assert periodic_locus(ring, new, d) == oracle_periodic_locus(ring, old, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern_rings())
+def test_enumeration_and_loci_match_the_oracle(ring):
+    assert_same_spech(ring, enumerate_patterns(ring), oracle_enumerate_patterns(ring))
+
+
+D8_WITNESSES = [
+    (PrimePattern.of("α0", "α1", "β"), "witness"),
+    (PrimePattern.of("α1"), "paper"),
+    (PrimePattern.of("α0", "β"), "enumerated"),
+    (PrimePattern.of("α0"), "witness"),
+    (PrimePattern.of("α1", "β"), "paper"),
+    (PrimePattern.of("α0", "α1"), "witness"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, witnesses", [(m11_ring(), M11_WITNESSES), (d8_ring(), D8_WITNESSES)], ids=["M11", "D8"]
+)
+def test_witness_mode_matches_the_oracle(ring, witnesses):
+    model = enumerate_patterns(ring, witnesses)
+    assert_same_spech(ring, model, oracle_enumerate_patterns(ring, witnesses))
+    assert {model.certified[pattern_name(ring, pat)] for pat, _ in witnesses} == {
+        tag for _, tag in witnesses
+    }
+
+
+class TestWorkCount:
+    """gcd and naming calls, counted rather than timed."""
+
+    RINGS = {
+        "polynomial": make_ring(2, [(f"x{i}", 2) for i in range(8)]),
+        "relation-and-unit": make_ring(
+            3,
+            [(f"x{i}", 2 + i % 3, False, i == 9) for i in range(10)] + [("u", 4, True)],
+            [[(1, {"x0": 1, "x1": 2})], [(1, {"u": 1, "x2": 1, "x3": 1})]],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_periodic_locus_makes_one_gcd_per_complement(self, monkeypatch, name):
+        # The pointwise formula takes one gcd per generator outside each
+        # point, points times generators in all.
+        ring = self.RINGS[name]
+        model = enumerate_patterns(ring)
+        free = sum(not g.invertible for g in ring.generators)
+        calls = [0]
+        real = math.gcd
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        for d in (ALL, 2):
+            calls[0] = 0
+            periodic_locus(ring, model, d)
+            assert 0 < calls[0] <= 2**free
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_monomial_enumeration_calls_no_pattern_name(self, monkeypatch, name):
+        calls = [0]
+        real = graded.pattern_name
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(graded, "pattern_name", counted)
+        model = enumerate_patterns(self.RINGS[name])
+        assert calls[0] == 0 and model.space.points
