@@ -116,7 +116,7 @@ def _parse_witnesses(obj):
 
 
 def _cmd_ring(args) -> int:
-    from .graded import enumerate_patterns, local_period, ring_from_obj, spech_to_obj
+    from .graded import enumerate_patterns, point_periods, ring_from_obj, spech_to_obj
     from .graded import validate_presentation
 
     obj, digest = _load_json_source(args.input)
@@ -136,7 +136,7 @@ def _cmd_ring(args) -> int:
             return 0
         _emit(args, inputs, {"model": spech_to_obj(model)})
         return 0
-    periods = {q: local_period(ring, model.patterns[q]) for q in model.space.points}
+    periods = point_periods(ring, model)
     if args.format == "dot":
         sys.stdout.write(model_to_dot(model.space, periods, name=name))
         return 0

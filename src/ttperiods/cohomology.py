@@ -22,8 +22,8 @@ from .graded import (
     PrimePattern,
     SpechModel,
     enumerate_patterns,
-    local_period,
     make_ring,
+    point_periods,
 )
 from .groups import FiniteGroup, identify, p_part, require_prime
 from .spaces import PeriodAssignment
@@ -145,11 +145,7 @@ def rep_period_map(
     if found is None:
         entry = _entry(group, key, p)
         model = entry.spech()
-        values = {
-            point: local_period(entry.presentation, model.patterns[point])
-            for point in model.space.points
-        }
-        found = model, PeriodAssignment(values)
+        found = model, PeriodAssignment(point_periods(entry.presentation, model))
         if key is not None:
             _VARIETIES[key, p] = found
     return found

@@ -325,26 +325,18 @@ def local_period(ring: GradedRingPresentation, pattern: PrimePattern) -> int:
     return g
 
 
-def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozenset[str]:
-    """Points of positive period (d = ALL) or of period dividing d.
-
-    A point's complement is the mask of the non-invertible generators
-    outside its pattern.  Its period is read from a gcd table over
-    complements: the empty one holds the gcd of the nonzero unit degrees,
-    and any other takes one gcd, of the entry without its lowest bit and
-    that bit's degree.  The union of principal loci D(x) over
-    nonzero-degree generators x is the second route: a unit's locus is
-    every point, a generator's the points whose complement meets its bit.
-    """
-    if d != ALL and (not isinstance(d, int) or d < 0):
-        raise GradedError(f"bad period bound {d!r}")
+def _periods_and_complements(ring: GradedRingPresentation, model: SpechModel):
+    """Each point's period and complement: the mask of the non-invertible
+    generators outside its pattern.  Periods are read from a gcd table
+    over complements: the empty one holds the gcd of the nonzero unit
+    degrees, and any other takes one gcd, of the entry without its lowest
+    bit and that bit's degree."""
     free = [g for g in ring.generators if not g.invertible]
     bit = {g.name: 1 << i for i, g in enumerate(free)}
     degree = [abs(g.degree) for g in free]
-    units = [abs(g.degree) for g in ring.generators if g.invertible and g.degree]
     full = (1 << len(free)) - 1
     gcd = math.gcd
-    table = {0: gcd(*units)}
+    table = {0: gcd(*(abs(g.degree) for g in ring.generators if g.invertible))}
     periods, outside = {}, {}
     for p in model.space.points:
         c = outside[p] = full ^ sum(map(bit.__getitem__, model.patterns[p].contains))
@@ -356,6 +348,28 @@ def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozen
         for c in reversed(missing):
             v = table[c] = gcd(v, degree[(c & -c).bit_length() - 1])
         periods[p] = v
+    return periods, outside
+
+
+def point_periods(ring: GradedRingPresentation, model: SpechModel) -> dict[str, int]:
+    """local_period at every point of the model, in point order, from one
+    gcd table over complement masks (at most 2^free gcds in all)."""
+    return _periods_and_complements(ring, model)[0]
+
+
+def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozenset[str]:
+    """Points of positive period (d = ALL) or of period dividing d.
+
+    Periods come from point_periods' table.  The union of principal loci
+    D(x) over nonzero-degree generators x is the second route: a unit's
+    locus is every point, a generator's the points whose complement meets
+    its bit.
+    """
+    if d != ALL and (not isinstance(d, int) or d < 0):
+        raise GradedError(f"bad period bound {d!r}")
+    degree = [abs(g.degree) for g in ring.generators if not g.invertible]
+    units = [abs(g.degree) for g in ring.generators if g.invertible and g.degree]
+    periods, outside = _periods_and_complements(ring, model)
     if d == ALL:
         via_formula = frozenset(p for p, v in periods.items() if v > 0)
         live = sum(1 << i for i, b in enumerate(degree) if b)

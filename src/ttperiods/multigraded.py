@@ -616,31 +616,42 @@ class AlgebraIndex:
     def close(self, ideal: tuple, gens: Iterable, known: "Mapping | None" = None) -> tuple:
         """Smallest ideal containing ideal, itself closed, and gens, given
         as (component number, vector) pairs.  Each row added is sent once
-        through every map of its component.  known maps (component
-        number, line) to that line's principal ideal; a row on a known
-        line brings in its ideal at once, which being closed needs no
-        further maps."""
+        through every map of its component, except the maps into a full
+        component, where every image reduces to zero.  known maps
+        (component number, line) to that line's principal ideal q.  A row
+        on a known line lies in the result, so q does too; if q also holds
+        ideal and every generator, the result is q, returned at once.
+        Otherwise q, being closed, is brought in with no further maps."""
         p = self.char
+        dims = self.dims
         rows = list(ideal)
+        gens = list(gens)
+        held = [(c, v) for c, basis in enumerate(ideal) for _, v in basis] + gens
         todo = []
 
         def add(c, v):
+            """Add v to component c; the finished closure if it is known."""
             v = _reduce(p, rows[c], v)
             if not any(v):
-                return
+                return None
             q = known.get((c, _line(p, v))) if known else None
             if q is None:
                 rows[c] = _insert(p, rows[c], v)
                 todo.append((c, v))
+            elif not any(any(_reduce(p, q[h], u)) for h, u in held):
+                return q
             else:
                 _absorb(p, rows, q)
+            return None
 
         for c, v in gens:
-            add(c, v)
+            if (q := add(c, v)) is not None:
+                return q
         while todo:
             c, v = todo.pop()
             for t, matrix in self.maps[c]:
-                add(t, _apply(p, v, matrix))
+                if len(rows[t]) < dims[t] and (q := add(t, _apply(p, v, matrix))) is not None:
+                    return q
         return tuple(rows)
 
     def generate(self, members: Iterable) -> tuple:

@@ -19,8 +19,8 @@ from .graded import (
     GradedRingPresentation,
     SpechModel,
     enumerate_patterns,
-    local_period,
     make_ring,
+    point_periods,
 )
 from .spaces import FiniteSpectralModel, PeriodAssignment
 
@@ -62,9 +62,7 @@ def _monomial_locus(model: SpechModel, variables: frozenset[str]) -> frozenset[s
 
 
 def _local_periods(model: SpechModel) -> PeriodAssignment:
-    return PeriodAssignment(
-        {q: local_period(model.ring, model.patterns[q]) for q in model.space.points}
-    )
+    return PeriodAssignment(point_periods(model.ring, model))
 
 
 def _point_with_unit() -> ComparisonFixture:

@@ -14,7 +14,10 @@ degree key.  oracle_enumerate_patterns, oracle_from_inclusions and
 oracle_periodic_locus are the pattern engine before it worked on
 generator bitmasks: frozenset patterns from itertools.combinations, each
 named by pattern_name, a poset from holder dictionaries keyed by
-generator name, and periods from local_period at every point.  The group
+generator name, and periods from local_period at every point.
+oracle_close, oracle_lattice and oracle_ideal_name are the ideal engine
+before closure stopped at saturation; they share the echelon helpers, not
+the stop rules, with AlgebraIndex.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
@@ -55,8 +58,15 @@ from ttperiods.graded import (
 )
 from ttperiods.groups import FiniteGroup, GroupError, _abelian_invariants, identify, name_for_key
 from ttperiods.multigraded import (
+    AlgebraIndex,
+    IdealLattice,
     MultigradedRing,
     RingShapeError,
+    _absorb,
+    _apply,
+    _insert,
+    _line,
+    _reduce,
     all_vectors,
     ideal_name_ring,
     is_ring_prime,
@@ -587,6 +597,69 @@ def spech_multigraded(ring: MultigradedRing):
     """Homogeneous prime spectrum as a finite spectral model, plus the
     point-name-to-ideal mapping."""
     return prime_spectrum(ring_primes(ring), lambda i: ideal_name_ring(ring, i))
+
+
+# -- the ideal engine without stop rules -------------------------------
+#
+# AlgebraIndex.close, lattice and name as they were before closure stopped
+# at saturation: every added row goes through every map of its component,
+# full target or not, and a principal ideal is closed to the end even
+# after a row lands on a known line whose ideal already holds the
+# generator.  They share the echelon helpers with the library.
+
+
+def oracle_close(index: AlgebraIndex, ideal: tuple, gens: Iterable, known=None) -> tuple:
+    p = index.char
+    rows = list(ideal)
+    todo = []
+
+    def add(c, v):
+        v = _reduce(p, rows[c], v)
+        if not any(v):
+            return
+        q = known.get((c, _line(p, v))) if known else None
+        if q is None:
+            rows[c] = _insert(p, rows[c], v)
+            todo.append((c, v))
+        else:
+            _absorb(p, rows, q)
+
+    for c, v in gens:
+        add(c, v)
+    while todo:
+        c, v = todo.pop()
+        for t, matrix in index.maps[c]:
+            add(t, _apply(p, v, matrix))
+    return tuple(rows)
+
+
+def oracle_lattice(index: AlgebraIndex) -> IdealLattice:
+    zero = index.zero
+    known: dict = {}
+    for c, lines in enumerate(index.lines):
+        for v in lines:
+            known[(c, v)] = oracle_close(index, zero, [(c, v)], known)
+    principal = list(dict.fromkeys(known.values()))
+    found = [zero, *principal]
+    seen = set(found)
+    for ideal in found:
+        for q in principal:
+            j = index.join(ideal, q)
+            if j not in seen:
+                seen.add(j)
+                found.append(j)
+    members = [index.members(i) for i in found]
+    return IdealLattice(tuple(sorted(members, key=lambda i: (len(i), sorted(i)))))
+
+
+def oracle_ideal_name(index: AlgebraIndex, members, sort_key, render) -> str:
+    gens: list = []
+    have = index.zero
+    for m in sorted(members, key=sort_key):
+        if not index.contains(have, m):
+            gens.append(m)
+            have = oracle_close(index, have, [index.split(m)])
+    return "⟨" + ",".join(render(g) for g in gens) + "⟩"
 
 
 # -- the axioms, case by case -----------------------------------------

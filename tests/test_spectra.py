@@ -20,7 +20,7 @@ from ttperiods.datasets import (
     load_figure_dataset,
     load_figure_record,
 )
-from ttperiods.graded import validate_presentation
+from ttperiods.graded import local_period, point_periods, validate_presentation
 from ttperiods.groups import (
     FiniteGroup,
     GroupIndex,
@@ -250,6 +250,25 @@ class TestRepPeriodMap:
     def test_irrelevant_point_always_zero(self):
         model, per = rep_period_map(dihedral(8), 2)
         assert per["⟨α0,α1,β⟩"] == 0
+
+    def test_period_table_matches_local_period_on_every_catalog_model(self):
+        # Every (group, prime) of the order-24 catalog with p dividing the
+        # order that the key catalog answers: point_periods' one gcd table
+        # and the one-pattern formula agree at every point.
+        answered = 0
+        for G in CATALOG_24:
+            for p in _prime_factors(G.order):
+                try:
+                    entry = cohomology_entry(G, p)
+                except GroupNotInCatalog:
+                    continue
+                answered += 1
+                model = entry.spech()
+                table = point_periods(entry.presentation, model)
+                assert list(table) == list(model.space.points)
+                for q in model.space.points:
+                    assert table[q] == local_period(entry.presentation, model.patterns[q]), (G.name, p, q)
+        assert answered == 44
 
 
 class TestStmodPeriodMap:

@@ -66,6 +66,10 @@ from oracles import (
     commutes_up_to_translate,
     family_count,
     lemma_magic_check,
+    oracle_close,
+    oracle_ideal_name,
+    oracle_lattice,
+    oracle_ring_prime,
     oracle_two_ring_from_multigraded,
     oracle_two_ring_ideals,
     oracle_two_ring_prime,
@@ -229,6 +233,136 @@ class TestKernelWork:
             monkeypatch.setattr(tworing, fn, lambda *a, real=real: calls.append(1) or real(*a))
         homogeneous_ideals(build_two_ring("laurent_f3_z4"))
         assert len(calls) <= 1000
+
+    @pytest.mark.parametrize("name", ["laurent_f3_z4", "laurent_f2_z4"])
+    def test_lattice_applies_fewer_maps_than_the_index_has(self, monkeypatch, name):
+        # 16 one-dimensional components and one nonzero ideal: the first
+        # line's closure fills every component, and each later line's first
+        # image lands on a known line whose ideal holds it, which ends that
+        # closure without absorbing the ideal, so only joins absorb.
+        # Without the two stop rules the lattice applies 310 maps.
+        index = build_two_ring(name).index
+        counts = {"_apply": 0, "_absorb": 0, "join": 0}
+        for fn in ("_apply", "_absorb"):
+            real = getattr(multigraded, fn)
+            monkeypatch.setattr(multigraded, fn, lambda *args, fn=fn, real=real:
+                                counts.__setitem__(fn, counts[fn] + 1) or real(*args))
+        join = AlgebraIndex.join
+        monkeypatch.setattr(AlgebraIndex, "join", lambda *args:
+                            counts.__setitem__("join", counts["join"] + 1) or join(*args))
+        lattice = index.lattice()
+        assert len(lattice) == 2
+        assert 0 < counts["_apply"] <= sum(map(len, index.maps)) == 160
+        assert counts["_absorb"] == counts["join"]
+
+
+def _two_ring_name_key(R2):
+    order = {o: k for k, o in enumerate(R2.objects)}
+    return lambda m: (m[0] != R2.unit, order[m[0]], order[m[1]], m[2])
+
+
+@st.composite
+def closure_data(draw):
+    """A ring or 2-ring, as (index, name sort key, render, brute-force
+    prime test): the catalog's, unit_ring, square_zero, rank_two_signed,
+    or one of them with a structure-constant entry changed before its
+    index is built."""
+    kind = draw(st.sampled_from(["ring", "two_ring", "unit_ring", "square_zero", "rank_two_signed"]))
+    if kind == "ring":
+        datum = build_ring(draw(st.sampled_from(RING_NAMES)))
+    elif kind == "two_ring":
+        datum = build_two_ring(draw(st.sampled_from(TWO_RING_NAMES)))
+    elif kind == "unit_ring":
+        datum = unit_ring(draw(st.sampled_from([2, 3])), draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    elif kind == "square_zero":
+        p = draw(st.sampled_from([2, 3]))
+        datum = square_zero(p, draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    else:
+        datum = rank_two_signed()
+    if kind != "two_ring" and draw(st.booleans(), label="as 2-ring"):
+        datum = two_ring_from_multigraded(datum)
+    if draw(st.booleans(), label="mutate"):
+        field = "products" if not isinstance(datum, TwoRingDatum) else draw(
+            st.sampled_from(["compose_tables", "tensor_tables"]))
+        tables = {k: t for k, t in getattr(datum, field).items() if t}
+        if tables:
+            key = draw(st.sampled_from(sorted(tables)), label="key")
+            rows = [list(row) for row in tables[key]]
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = tuple(draw(st.lists(st.integers(0, datum.char - 1),
+                                             min_size=len(rows[i][j]), max_size=len(rows[i][j]))))
+            changes = {field: {**getattr(datum, field), key: tuple(map(tuple, rows))}}
+            if isinstance(datum, TwoRingDatum):
+                changes["_cache"] = {}
+            datum = dataclasses.replace(datum, **changes)
+    if isinstance(datum, TwoRingDatum):
+        return (datum.index, _two_ring_name_key(datum), datum.render,
+                lambda ideal: oracle_two_ring_prime(datum, ideal))
+    return datum.index, None, datum.render, lambda ideal: oracle_ring_prime(datum, ideal)
+
+
+def _lines(index, draw):
+    """A few (component number, vector) pairs of nonzero vectors."""
+    live = [c for c, d in enumerate(index.dims) if d]
+    if not live:
+        return []
+    picks = draw(st.lists(st.sampled_from(live), max_size=3))
+    out = []
+    for c in picks:
+        v = tuple(draw(st.lists(st.integers(0, index.char - 1),
+                                min_size=index.dims[c], max_size=index.dims[c])))
+        if any(v):
+            out.append((c, v))
+    return out
+
+
+class TestClosureMatchesTheOracle:
+    """AlgebraIndex.close and lattice stop at saturation; oracle_close and
+    oracle_lattice, the engine without stop rules, close to the end."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(datum=closure_data(), data=st.data())
+    def test_ideals_names_generators_and_verdicts(self, datum, data):
+        index, key, render, brute_prime = datum
+        lattice = index.lattice().ideals
+        assert lattice == oracle_lattice(index).ideals
+        for ideal in lattice:
+            assert index.name(ideal, key, render) == oracle_ideal_name(index, ideal, key, render)
+        assert [index.is_prime(i) for i in lattice] == [brute_prime(i) for i in lattice]
+        first, second = _lines(index, data.draw), _lines(index, data.draw)
+        members = [(*index.keys[c], v) for c, v in first]
+        start = index.generate(members)
+        assert start == oracle_close(index, index.zero, first)
+        # From a nonzero ideal, with every principal ideal known: a known
+        # ideal that holds the generators but misses the start is no answer.
+        known = {(c, v): oracle_close(index, index.zero, [(c, v)])
+                 for c, lines in enumerate(index.lines) for v in lines}
+        want = oracle_close(index, start, second)
+        assert index.close(start, second) == want
+        assert index.close(start, second, known) == want
+        assert index.join(start, want) == want
+
+    def test_a_known_ideal_missing_the_start_is_not_returned(self):
+        # In F_2 + V with V^2 = 0 and V spanned by v1 in degree 1 and v2 in
+        # degree 2, ⟨v1⟩ and ⟨v2⟩ are incomparable.  Closing ⟨v1⟩ with v2,
+        # the first row lands on v2's known line, whose ideal holds v2 but
+        # not v1; the answer is their join.  The same over every pair of
+        # ideals and every member of the second.
+        ring = square_zero(2, [1, 1, 1])
+        index = ring.index
+        known = {(c, v): oracle_close(index, index.zero, [(c, v)])
+                 for c, lines in enumerate(index.lines) for v in lines}
+        v1, v2 = index.generate([((1,), (1,))]), index.generate([((2,), (1,))])
+        assert index.close(v1, [index.split(((2,), (1,)))], known) == index.join(v1, v2) != v2
+        ideals = ring_ideals(ring).ideals
+        assert len(ideals) == 5
+        for small in ideals:
+            start = index.span(small)
+            for big in ideals:
+                for m in big:
+                    gens = [index.split(m)]
+                    assert index.close(start, gens, known) == oracle_close(index, start, gens)
 
 
 class TestValidateNegatives:
