@@ -561,13 +561,22 @@ class AlgebraIndex:
         self.number = {key: k for k, key in enumerate(self.keys)}
         self.dims = tuple(dims[key] for key in self.keys)
         self.zero = ((),) * len(self.keys)
-        self.tensors = {k: (t, dims[t], _structure_terms(table))
-                        for k, (t, table) in tensors.items()}
+        # A datum may share one table object among many keys, and products
+        # and tensors hold every table while this runs, so the terms are
+        # formed once per table object.
+        found_terms: dict = {}
+
+        def terms(table):
+            if id(table) not in found_terms:
+                found_terms[id(table)] = _structure_terms(table)
+            return found_terms[id(table)]
+
+        self.tensors = {k: (t, dims[t], terms(table)) for k, (t, table) in tensors.items()}
         self.products = {}
         maps: list = [{} for _ in self.keys]
         for (c, e), (t, table) in products.items():
             n = dims[t]
-            self.products[(c, e)] = (t, n, _structure_terms(table))
+            self.products[(c, e)] = (t, n, terms(table))
             ci, ce, ct = self.number[c], self.number[e], self.number[t]
             if n == 0 or table is None:
                 continue

@@ -362,26 +362,32 @@ def check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
         if vals[p] < 0:
             raise ModelError(f"negative period at {p!r}")
         labels.append(vals[p])
-    # Points per label value, as masks.
+    # Per label value: its points, everything they generalize to, and
+    # everything they specialize to, as masks.
     level: dict[int, int] = {}
+    up: dict[int, int] = {}
+    reach: dict[int, int] = {}
     for i, v in enumerate(labels):
         level[v] = level.get(v, 0) | 1 << i
+        up[v] = up.get(v, 0) | model._up[i]
+        reach[v] = reach.get(v, 0) | model._down[i]
+    # A sublevel set is open exactly when the generalizations of its
+    # values' points stay inside it; only a failure scans its points, to
+    # name the first one whose generalizations leave.
     open_fail = None
     for d in sorted(v for v in level if v > 0):
-        sub = 0
+        sub = gen = 0
         for v, mask in level.items():
             if divides(v, d):
                 sub |= mask
-        bad = next((i for i in _bits(sub) if model._up[i] & ~sub), None)
-        if bad is not None:
+                gen |= up[v]
+        if gen & ~sub:
+            bad = next(i for i in _bits(sub) if model._up[i] & ~sub)
             g = next(_bits(model._up[bad] & ~sub))
             open_fail = failure("sublevel-not-open", model.points[g], model.points[bad])
             break
-    # Per label value v: everything its points specialize to, and the points
-    # whose label v divides; the first must lie inside the second.
-    reach: dict[int, int] = {}
-    for i, v in enumerate(labels):
-        reach[v] = reach.get(v, 0) | model._down[i]
+    # Per label value v, what its points specialize to must lie among the
+    # points whose label v divides.
     allowed: dict[int, int] = {}
     for v in level:
         allowed[v] = 0

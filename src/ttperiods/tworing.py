@@ -21,7 +21,7 @@ exhaustive enumeration over the finite tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, first_failure, require_within
 from .multigraded import (
@@ -757,7 +757,28 @@ def mult_closure_two(R2: TwoRingDatum, gens: Iterable = ()) -> frozenset:
     )
 
 
-def span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
+class _BuiltOnRead(Mapping):
+    """A mapping over fixed keys whose value at a key is build(key),
+    formed the first time that key is read."""
+
+    def __init__(self, keys: Iterable, build):
+        self._values = dict.fromkeys(keys)
+        self._build = build
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        if value is None:
+            value = self._values[key] = self._build(key)
+        return value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
+def span_quotients(R2: TwoRingDatum, system: frozenset) -> Mapping:
     """The span classes of every component at a closed multiplicative
     system, as one FractionQuotient per component (a, b).
 
@@ -766,6 +787,10 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
     whenever s u stays in the system.  localize takes the basis
     fractions of each quotient as the basis of the localized hom space,
     so the class of a span is a morphism of the fraction 2-ring.
+    The size limit and the common dilations of every source object are
+    checked here; a component's quotient, and each f -> f u table it
+    reads, is formed the first time the component is looked up, so a
+    caller that reads only the unit-sourced homs forms only those.
     """
     counts = {a: sum(R2.char ** R2.hom_dim(a, b) for b in R2.objects) for a in R2.objects}
     require_within("MAX_SPANS", sum(counts[s[0]] for s in system))
@@ -776,35 +801,43 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
     reach: dict = {}
     for s, _, su in dilations:
         reach.setdefault(s, set()).add(su)
-    # f -> f u depends on u and the target of f alone.
-    times = {(u, b): [compose(R2, (u[1], b, f), u)[2] for f in basis_vectors(R2.hom_dim(u[1], b))]
-             for u in {u for _, u, _ in dilations} for b in R2.objects}
-    out = {}
-    for a in R2.objects:
-        denominators = [s for s in sorted(system) if s[1] == a]
+    denominators = {a: [s for s in sorted(system) if s[1] == a] for a in R2.objects}
+    for dens in denominators.values():
         # Spans are added through a common dilation of their denominators.
-        for i, s in enumerate(denominators):
-            for t in denominators[:i]:
+        for i, s in enumerate(dens):
+            for t in dens[:i]:
                 if reach.get(s, set()).isdisjoint(reach.get(t, ())):
                     raise RingShapeError(
                         f"no common dilation for {R2.render(t)} and {R2.render(s)}")
-        for b in R2.objects:
-            out[(a, b)] = FractionQuotient(
-                R2.char,
-                [(s, R2.hom_dim(s[0], b)) for s in denominators],
-                [(s, su, times[(u, b)]) for s, u, su in dilations if s[1] == a],
-            )
-    return out
+
+    tables: dict = {}
+
+    def times(u, b):
+        # f -> f u depends on u and the target of f alone.
+        if (u, b) not in tables:
+            tables[(u, b)] = [compose(R2, (u[1], b, f), u)[2]
+                              for f in basis_vectors(R2.hom_dim(u[1], b))]
+        return tables[(u, b)]
+
+    def quotient(comp):
+        a, b = comp
+        return FractionQuotient(
+            R2.char,
+            [(s, R2.hom_dim(s[0], b)) for s in denominators[a]],
+            [(s, su, times(u, b)) for s, u, su in dilations if s[1] == a],
+        )
+
+    return _BuiltOnRead(((a, b) for a in R2.objects for b in R2.objects), quotient)
 
 
-def span_class(quotients: dict, span) -> tuple:
+def span_class(quotients: Mapping, span) -> tuple:
     """Coordinates of the class of the span (s, f) in the basis of its
     component's quotient."""
     s, f = span
     return quotients[(s[1], f[1])].class_of(s, f[2])
 
 
-def _basis_spans(quotients: dict, comp) -> list:
+def _basis_spans(quotients: Mapping, comp) -> list:
     return [(s, (s[0], comp[1], f)) for s, f in quotients[comp].basis]
 
 
@@ -959,6 +992,16 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     spans = span_quotients(R2, e_gen)
     fr = ring_fractions(ring, Sr)
     p = R2.char
+    # What does not depend on the numerator is formed once per (numerator
+    # degree, denominator) block, at the block's first fraction, so a
+    # block's failure fires at its first fraction in scan order.
+    identifiers: dict = {}
+
+    def identify(y, s, f):
+        if (y, s) not in identifiers:
+            identifiers[(y, s)] = _fraction_identifier(T, R2, e_gen, spans, y, s)
+        return identifiers[(y, s)](f)
+
     for x in ring.group.elements():
         gx = T.representatives[T.projection[x]]
         width = spans[(R2.unit, gx)].dim
@@ -968,15 +1011,13 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
 
         q = fr[x]
         numerators = {s: ring.group.add(x, s[0]) for s, _ in q.blocks}
-        image = {s: [_identify_fraction(T, R2, e_gen, spans, (numerators[s], f), s)
-                     for f in basis_vectors(d)]
+        image = {s: [identify(numerators[s], s, f) for f in basis_vectors(d)]
                  for s, d in q.blocks}
         # Where it is linear in the numerator, the identification is given
         # by image; the dilations generate the ring-side relations.
         for s, d in q.blocks:
             for f in all_vectors(p, d):
-                mine = _identify_fraction(T, R2, e_gen, spans, (numerators[s], f), s)
-                if mine != combine(f, image[s]):
+                if identify(numerators[s], s, f) != combine(f, image[s]):
                     return failure("identification_not_additive", x)
         for s, su, rows in q.dilations:
             for mine, row in zip(image[s], rows):
@@ -990,12 +1031,19 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     return PASS
 
 
-def _identify_fraction(T: Tightening, R2: TwoRingDatum, system: frozenset, spans: dict,
-                       num, den):
-    """Coordinates of the localized morphism a ring fraction is sent to by
-    the tightened identification."""
+def _fraction_identifier(T: Tightening, R2: TwoRingDatum, system: frozenset, spans: Mapping,
+                         y, den):
+    """The tightened identification on the ring fractions with numerator
+    degree y and denominator den: a function from a numerator vector to
+    the coordinates of the localized morphism its fraction is sent to.
+
+    The fraction r/s goes to the span (gz^-1 s, gz^-1 r) framed into the
+    representative of its degree.  The inverse object, the denominator
+    leg and the framing isomorphism do not depend on r, so they are
+    found, and checked, here.
+    """
     ring = T.ring
-    y, z = num[0], den[0]
+    z = den[0]
     x = ring.group.sub(y, z)
     gz = T.representatives[T.projection[z]]
     gzinv = None
@@ -1005,14 +1053,24 @@ def _identify_fraction(T: Tightening, R2: TwoRingDatum, system: frozenset, spans
             break
     if gzinv is None:
         raise ShapeMismatch(f"no strict tensor inverse for {gz!r}")
-    s_leg = tensor(R2, R2.identity(gzinv), phi_apply(T, R2, den))
-    r_leg = tensor(R2, R2.identity(gzinv), phi_apply(T, R2, num))
+    twist = R2.identity(gzinv)
+    s_leg = tensor(R2, twist, phi_apply(T, R2, den))
+    r_end = R2.tensor_obj[(gzinv, T.representatives[T.projection[y]])]
     gx = T.representatives[T.projection[x]]
-    if r_leg[1] != gx:
-        isos = iso_pairs(R2, r_leg[1], gx)
+    frame = None
+    if r_end != gx:
+        isos = iso_pairs(R2, r_end, gx)
         if not isos:
-            raise ShapeMismatch(f"no isomorphism from {r_leg[1]!r} to {gx!r}")
-        r_leg = compose(R2, isos[0][0], r_leg)
+            raise ShapeMismatch(f"no isomorphism from {r_end!r} to {gx!r}")
+        frame = isos[0][0]
     if s_leg not in system:
         raise RingShapeError("identified denominator left the system")
-    return span_class(spans, (s_leg, r_leg))
+    quotient = spans[(s_leg[1], gx)]
+
+    def identify(vec):
+        r_leg = tensor(R2, twist, phi_apply(T, R2, (y, vec)))
+        if frame is not None:
+            r_leg = compose(R2, frame, r_leg)
+        return quotient.class_of(s_leg, r_leg[2])
+
+    return identify

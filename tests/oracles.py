@@ -17,7 +17,12 @@ named by pattern_name, a poset from holder dictionaries keyed by
 generator name, and periods from local_period at every point.
 oracle_close, oracle_lattice and oracle_ideal_name are the ideal engine
 before closure stopped at saturation; they share the echelon helpers, not
-the stop rules, with AlgebraIndex.  The group
+the stop rules, with AlgebraIndex.  oracle_span_quotients and
+oracle_localization_agreement are the localization check before a span
+quotient was formed on first read: every quotient up front, and each
+fraction identified from scratch by oracle_identify_fraction.
+oracle_check_period_map is the period-map check before openness was
+decided once per period value: a scan of each sublevel set.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
@@ -57,8 +62,10 @@ from ttperiods.graded import (
     pattern_name,
 )
 from ttperiods.groups import FiniteGroup, GroupError, _abelian_invariants, identify, name_for_key
+from ttperiods.diagnostics import require_within
 from ttperiods.multigraded import (
     AlgebraIndex,
+    FractionQuotient,
     IdealLattice,
     MultigradedRing,
     RingShapeError,
@@ -68,34 +75,53 @@ from ttperiods.multigraded import (
     _line,
     _reduce,
     all_vectors,
+    basis_vectors,
     ideal_name_ring,
     is_ring_prime,
     make_multigraded,
     mg_mul,
+    mult_system_ring,
     prime_spectrum,
     rank,
+    ring_fractions,
     ring_ideals,
     vec_add,
     vec_zero,
 )
-from ttperiods.spaces import ALL, FiniteSpectralModel, NegativePeriod, divides, is_prime
+from ttperiods.spaces import (
+    ALL,
+    FiniteSpectralModel,
+    MissingLabel,
+    ModelError,
+    NegativePeriod,
+    _bits,
+    _values,
+    divides,
+    is_prime,
+)
 from ttperiods.spectra import _label_suffix
 from ttperiods.tworing import (
     BadShapes,
+    ShapeMismatch,
     Tightening,
     TwoRingDatum,
     _check_tightening_shapes,
     _unit_mediator,
     compose,
+    extend_system,
     has_iso,
     is_translate,
     iso_pairs,
     mult_closure_two,
     object_name,
+    phi_apply,
+    restrict_system,
     span_class,
     span_quotients,
     spc_with_primes,
     tensor,
+    translate_closure,
+    validate_tightening,
 )
 
 # Largest number of componentwise subspace families an oracle enumerates.
@@ -433,6 +459,48 @@ def p_equivalence_classes(G, p):
 
 
 # -- graded rings, period sets and abelian groups ----------------------
+
+def oracle_check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
+    """check_period_map as it was before openness was decided once per
+    period value: each sublevel set scans its points for one whose
+    generalizations leave it."""
+    vals = _values(per)
+    labels = []
+    for p in model.points:
+        if p not in vals:
+            raise MissingLabel(p)
+        if vals[p] < 0:
+            raise ModelError(f"negative period at {p!r}")
+        labels.append(vals[p])
+    level: dict[int, int] = {}
+    for i, v in enumerate(labels):
+        level[v] = level.get(v, 0) | 1 << i
+    open_fail = None
+    for d in sorted(v for v in level if v > 0):
+        sub = 0
+        for v, mask in level.items():
+            if divides(v, d):
+                sub |= mask
+        bad = next((i for i in _bits(sub) if model._up[i] & ~sub), None)
+        if bad is not None:
+            g = next(_bits(model._up[bad] & ~sub))
+            open_fail = failure("sublevel-not-open", model.points[g], model.points[bad])
+            break
+    reach: dict[int, int] = {}
+    for i, v in enumerate(labels):
+        reach[v] = reach.get(v, 0) | model._down[i]
+    allowed: dict[int, int] = {}
+    for v in level:
+        allowed[v] = 0
+        for w, mask in level.items():
+            if divides(v, w):
+                allowed[v] |= mask
+    if any(reach[v] & ~allowed[v] for v in reach):
+        i = next(i for i, v in enumerate(labels) if model._down[i] & ~allowed[v])
+        j = next(_bits(model._down[i] & ~allowed[labels[i]]))
+        return failure("not-monotone", model.points[i], model.points[j])
+    return PASS if open_fail is None else open_fail
+
 
 def oracle_from_inclusions(named_sets) -> FiniteSpectralModel:
     """The poset of named sets under strict inclusion, from holder sets.
@@ -1102,6 +1170,115 @@ def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -
             sub_count, full_count = (R2.char ** q[(a, b)].dim for q in (res_spans, full_spans))
             if sub_count != full_count:
                 return failure("restricted_localization_dims", a, b, sub_count, full_count)
+    return PASS
+
+
+# -- localization, every quotient formed up front --------------------
+#
+# span_quotients and localization_agreement as they were before a
+# component's quotient was formed on first read and the numerator-free
+# part of each identification once per block: every component's
+# FractionQuotient and every f -> f u table are formed at once, and each
+# fraction is identified from scratch.  They share FractionQuotient and
+# the ring side with the library.
+
+
+def oracle_span_quotients(R2: TwoRingDatum, system: frozenset) -> dict:
+    counts = {a: sum(R2.char ** R2.hom_dim(a, b) for b in R2.objects) for a in R2.objects}
+    require_within("MAX_SPANS", sum(counts[s[0]] for s in system))
+    dilations = [(s, u, su) for s in sorted(system) for m in R2.objects
+                 for u in R2.homs(m, s[0], include_zero=True)
+                 if (su := compose(R2, s, u)) in system]
+    reach: dict = {}
+    for s, _, su in dilations:
+        reach.setdefault(s, set()).add(su)
+    times = {(u, b): [compose(R2, (u[1], b, f), u)[2] for f in basis_vectors(R2.hom_dim(u[1], b))]
+             for u in {u for _, u, _ in dilations} for b in R2.objects}
+    out = {}
+    for a in R2.objects:
+        denominators = [s for s in sorted(system) if s[1] == a]
+        for i, s in enumerate(denominators):
+            for t in denominators[:i]:
+                if reach.get(s, set()).isdisjoint(reach.get(t, ())):
+                    raise RingShapeError(
+                        f"no common dilation for {R2.render(t)} and {R2.render(s)}")
+        for b in R2.objects:
+            out[(a, b)] = FractionQuotient(
+                R2.char,
+                [(s, R2.hom_dim(s[0], b)) for s in denominators],
+                [(s, su, times[(u, b)]) for s, u, su in dilations if s[1] == a],
+            )
+    return out
+
+
+def oracle_identify_fraction(T: Tightening, R2: TwoRingDatum, system: frozenset, spans,
+                             num, den):
+    ring = T.ring
+    y, z = num[0], den[0]
+    x = ring.group.sub(y, z)
+    gz = T.representatives[T.projection[z]]
+    gzinv = None
+    for cand in R2.objects:
+        if R2.tensor_obj[(cand, gz)] == R2.unit:
+            gzinv = cand
+            break
+    if gzinv is None:
+        raise ShapeMismatch(f"no strict tensor inverse for {gz!r}")
+    s_leg = tensor(R2, R2.identity(gzinv), phi_apply(T, R2, den))
+    r_leg = tensor(R2, R2.identity(gzinv), phi_apply(T, R2, num))
+    gx = T.representatives[T.projection[x]]
+    if r_leg[1] != gx:
+        isos = iso_pairs(R2, r_leg[1], gx)
+        if not isos:
+            raise ShapeMismatch(f"no isomorphism from {r_leg[1]!r} to {gx!r}")
+        r_leg = compose(R2, isos[0][0], r_leg)
+    if s_leg not in system:
+        raise RingShapeError("identified denominator left the system")
+    return span_class(spans, (s_leg, r_leg))
+
+
+def oracle_localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diagnosis:
+    d = validate_tightening(T, R2)
+    if not d:
+        return d
+    ring = T.ring
+    Sr = mult_system_ring(ring, S)
+    e_gen = extend_system(T, R2, Sr)
+    e_tr = translate_closure(R2, [phi_apply(T, R2, e) for e in Sr])
+    if e_gen != e_tr:
+        return failure("translate_closure_differs", len(e_gen), len(e_tr))
+    if restrict_system(T, R2, e_gen) != Sr:
+        return failure("system_round_trip")
+
+    spans = oracle_span_quotients(R2, e_gen)
+    fr = ring_fractions(ring, Sr)
+    p = R2.char
+    for x in ring.group.elements():
+        gx = T.representatives[T.projection[x]]
+        width = spans[(R2.unit, gx)].dim
+
+        def combine(coeffs, vectors):
+            return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % p for k in range(width))
+
+        q = fr[x]
+        numerators = {s: ring.group.add(x, s[0]) for s, _ in q.blocks}
+        image = {s: [oracle_identify_fraction(T, R2, e_gen, spans, (numerators[s], f), s)
+                     for f in basis_vectors(d)]
+                 for s, d in q.blocks}
+        for s, d in q.blocks:
+            for f in all_vectors(p, d):
+                mine = oracle_identify_fraction(T, R2, e_gen, spans, (numerators[s], f), s)
+                if mine != combine(f, image[s]):
+                    return failure("identification_not_additive", x)
+        for s, su, rows in q.dilations:
+            for mine, row in zip(image[s], rows):
+                if mine != combine(row, image[su]):
+                    return failure("identification_not_well_defined", x)
+        found = rank(p, [v for vs in image.values() for v in vs])
+        if found != q.dim:
+            return failure("identification_not_injective", x)
+        if found != width:
+            return failure("identification_not_surjective", x)
     return PASS
 
 

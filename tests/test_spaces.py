@@ -23,7 +23,10 @@ from ttperiods.spaces import (
     tower_period,
 )
 
-from oracles import is_alexandrov_open
+from ttperiods import spaces
+from ttperiods.graded import enumerate_patterns, make_ring, point_periods
+
+from oracles import is_alexandrov_open, oracle_check_period_map
 
 
 def chain(*names):
@@ -159,6 +162,38 @@ class TestCheckPeriodMap:
         m = chain("a", "b")
         with pytest.raises(MissingLabel):
             check_period_map(m, {"a": 1})
+
+    def test_passing_check_scans_no_point(self, monkeypatch):
+        # Openness is decided per period value, so a passing check never
+        # lists the points of a sublevel set.
+        gens = [(f"x{i}", 1 + i % 4, False) for i in range(11)]
+        relations = [[(1, {"x0": 1, "x1": 1, "x2": 1})], [(1, {"x3": 1, "x4": 1})],
+                     [(1, {"x5": 1, "x6": 1, "x7": 1, "x8": 1})]]
+        ring = make_ring(2, gens, relations)
+        model = enumerate_patterns(ring)
+        periods = point_periods(ring, model)
+        assert len(set(periods.values())) > 2
+        calls = [0]
+
+        def counted(mask, _original=spaces._bits):
+            calls[0] += 1
+            return _original(mask)
+
+        monkeypatch.setattr(spaces, "_bits", counted)
+        assert check_period_map(model.space, periods)
+        assert calls[0] == 0
+
+    def test_failures_name_the_oracle_points(self):
+        m = FiniteSpectralModel(
+            ["a0", "a1", "cross", "t0", "t1"],
+            [("a0", "cross"), ("a1", "cross"), ("a0", "t0"), ("a1", "t1")],
+        )
+        for per in ({"a0": 2, "a1": 1, "cross": 1, "t0": 2, "t1": 1},
+                    {"a0": 1, "a1": 3, "cross": 6, "t0": 0, "t1": 2},
+                    {"a0": 0, "a1": 1, "cross": 2, "t0": 0, "t1": 1}):
+            diag = check_period_map(m, per)
+            assert not diag
+            assert diag.describe() == oracle_check_period_map(m, per).describe()
 
     def test_both_checks_run_independently(self):
         # Monotone failure caught even on a sublevel-open-passing shape.
@@ -380,6 +415,7 @@ def assert_verdict_agrees(model, ref, vals):
     )
     diag = check_period_map(model, vals)
     assert bool(diag) == (monotone and sublevel_open)
+    assert diag.describe() == oracle_check_period_map(model, vals).describe()
     if not monotone:
         p, q = diag.detail
         assert diag.reason == "not-monotone"

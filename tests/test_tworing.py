@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,7 @@ from oracles import (
     oracle_close,
     oracle_ideal_name,
     oracle_lattice,
+    oracle_localization_agreement,
     oracle_ring_prime,
     oracle_two_ring_from_multigraded,
     oracle_two_ring_ideals,
@@ -225,6 +227,28 @@ class TestKernelWork:
         # One product per basis pair of a composition key, a product and a
         # factor per basis pair of a tensor key, one square per factor.
         assert len(calls) <= keys * pairs + 2 * keys * factors * pairs + factors
+
+    def test_index_forms_terms_once_per_table(self, monkeypatch):
+        # The Z/12 2-ring shares 144 composition and 144 tensor tables among
+        # its 12^3 composition and 12^4 tensor keys.
+        R2 = two_ring_from_multigraded(unit_ring(2, 1, 12))
+        calls = []
+        real = multigraded._structure_terms
+        monkeypatch.setattr(multigraded, "_structure_terms",
+                            lambda table: calls.append(1) or real(table))
+        index = tworing.two_ring_index(R2)
+        assert len(calls) <= 288
+        # An index whose every entry holds its own copy of its table forms
+        # the terms once per entry, and must come out the same.
+        own = dataclasses.replace(
+            R2, _cache={},
+            compose_tables={k: tuple([*t]) for k, t in R2.compose_tables.items()},
+            tensor_tables={k: tuple([*t]) for k, t in R2.tensor_tables.items()})
+        calls.clear()
+        per_entry = tworing.two_ring_index(own)
+        assert len(calls) == len(per_entry.products) + len(per_entry.tensors)
+        for field in ("products", "tensors", "maps", "lines"):
+            assert getattr(index, field) == getattr(per_entry, field), field
 
     def test_lattice_makes_few_products(self, monkeypatch):
         calls = []
@@ -477,6 +501,19 @@ def misread(ring, other):
     return T, two_ring_from_multigraded(other)
 
 
+def one_entry_changed(R2, data):
+    """R2 with one entry of one composition or tensor table redrawn."""
+    field = data.draw(st.sampled_from(["compose_tables", "tensor_tables"]), label="field")
+    tables = getattr(R2, field)
+    key = data.draw(st.sampled_from(sorted(tables)), label="key")
+    rows = [list(row) for row in tables[key]]
+    i = data.draw(st.integers(0, len(rows) - 1), label="i")
+    j = data.draw(st.integers(0, len(rows[i]) - 1), label="j")
+    n = len(rows[i][j])
+    rows[i][j] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * n), label="vec")
+    return dataclasses.replace(R2, _cache={}, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
+
+
 def verdict(validate, *args):
     """describe() of the verdict, or the class and message of the error."""
     try:
@@ -555,16 +592,7 @@ class TestValidationMatchesTheScan:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(SMALL_TWO_RINGS), data=st.data())
     def test_mutated_tables(self, name, data):
-        R2 = build_two_ring(name)
-        field = data.draw(st.sampled_from(["compose_tables", "tensor_tables"]), label="field")
-        tables = getattr(R2, field)
-        key = data.draw(st.sampled_from(sorted(tables)), label="key")
-        rows = [list(row) for row in tables[key]]
-        i = data.draw(st.integers(0, len(rows) - 1), label="i")
-        j = data.draw(st.integers(0, len(rows[i]) - 1), label="j")
-        n = len(rows[i][j])
-        rows[i][j] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * n), label="vec")
-        bad = two_ring_with(name, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
+        bad = one_entry_changed(build_two_ring(name), data)
         assert verdict(validate_two_ring, bad) == verdict(oracle_validate_two_ring, bad)
 
     @settings(max_examples=40, deadline=None)
@@ -1113,6 +1141,11 @@ def systems_of(R2):
     return [[], *([m] for m in R2.basis_morphisms())]
 
 
+def agreement_systems(T):
+    """The empty system and each basis element of the ring on its own."""
+    return [[], *([e] for e in T.ring.basis_elements())]
+
+
 def naive_mult_closure(R2, members):
     """Fixpoint that recomposes and retwists every member on every pass."""
     members = set(members)
@@ -1250,8 +1283,7 @@ class TestLocalizationAgreement:
     @pytest.mark.parametrize("name", TIGHTENING_NAMES)
     def test_verdicts_match_the_pinned_table(self, name):
         T, R2 = build_tightening(name)
-        got = [localization_agreement(T, R2, S).describe()
-               for S in [[], *([e] for e in T.ring.basis_elements())]]
+        got = [localization_agreement(T, R2, S).describe() for S in agreement_systems(T)]
         assert got == AGREEMENT_VERDICTS[name]
 
     @pytest.mark.parametrize("name", ["identity_laurent_f2_z4", "identity_dual_laurent_f2_z2"])
@@ -1285,6 +1317,119 @@ class TestLocalizationAgreement:
         gen = extend_system(T, R2, Sr)
         tr = translate_closure(R2, [phi_apply(T, R2, e) for e in Sr])
         assert gen == tr
+
+
+def seeded_systems(T, seed, count=4):
+    """count systems of one or two nonzero homogeneous ring elements."""
+    rng = random.Random(seed)
+    comps = [(x, d) for x, d in sorted(T.ring.dims.items()) if d]
+    out = []
+    for _ in range(count):
+        system = []
+        for _ in range(rng.randint(1, 2)):
+            x, d = rng.choice(comps)
+            vec = (0,) * d
+            while not any(vec):
+                vec = tuple(rng.randrange(T.ring.char) for _ in range(d))
+            system.append((x, vec))
+        out.append(system)
+    return out
+
+
+class TestLocalizationMatchesTheOracle:
+    """localization_agreement forms only the span quotients it reads and
+    each identification's numerator-free part once per block; the oracle
+    forms every quotient up front and identifies each fraction from
+    scratch.  Verdicts, and raised errors, must agree."""
+
+    @pytest.mark.parametrize("name", TIGHTENING_NAMES)
+    def test_catalog_tightenings(self, name):
+        T, R2 = build_tightening(name)
+        for S in agreement_systems(T) + seeded_systems(T, sum(map(ord, name))):
+            assert (verdict(localization_agreement, T, R2, S)
+                    == verdict(oracle_localization_agreement, T, R2, S)), S
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(TIGHTENING_NAMES), data=st.data())
+    def test_one_identification_row_changed(self, name, data):
+        T, R2 = build_tightening(name)
+        x = data.draw(st.sampled_from(sorted(x for x, rows in T.phi.items() if rows)), label="x")
+        rows = list(T.phi[x])
+        i = data.draw(st.integers(0, len(rows) - 1), label="i")
+        rows[i] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * len(rows[i])), label="row")
+        bad = dataclasses.replace(T, phi=edited(T.phi, {x: tuple(rows)}))
+        S = data.draw(st.sampled_from(agreement_systems(T)), label="S")
+        assert (verdict(localization_agreement, bad, R2, S)
+                == verdict(oracle_localization_agreement, bad, R2, S))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(TIGHTENING_NAMES), data=st.data())
+    def test_one_two_ring_entry_changed(self, name, data):
+        T, R2 = build_tightening(name)
+        bad = one_entry_changed(R2, data)
+        S = data.draw(st.sampled_from(agreement_systems(T)), label="S")
+        assert (verdict(localization_agreement, T, bad, S)
+                == verdict(oracle_localization_agreement, T, bad, S))
+
+    # A catalog tightening with one table entry of its 2-ring changed, and
+    # the first reason localization_agreement gives at S = [], one for each
+    # of its own reasons that some single entry reaches.
+    @pytest.mark.parametrize("reason, name, field, key, i, j, vec", [
+        ("translate_closure_differs", "doubled_laurent_f2_z2", "compose_tables",
+         ("0", "1", "1b"), 0, 0, (0,)),
+        ("system_round_trip", "doubled_laurent_f2_z2", "tensor_tables",
+         ("1", "1", "0", "0"), 0, 0, (0,)),
+        ("identification_not_injective", "identity_dual_laurent_f2_z2", "compose_tables",
+         ("0", "1", "0"), 0, 0, (1, 1)),
+        ("identification_not_well_defined", "identity_dual_laurent_f2_z2", "tensor_tables",
+         ("0", "0", "0", "0"), 0, 0, (1, 1)),
+    ])
+    def test_one_entry_per_reason(self, reason, name, field, key, i, j, vec):
+        T, R2 = build_tightening(name)
+        rows = [list(row) for row in getattr(R2, field)[key]]
+        rows[i][j] = vec
+        bad = dataclasses.replace(
+            R2, _cache={}, **{field: edited(getattr(R2, field), {key: tuple(map(tuple, rows))})})
+        diag = localization_agreement(T, bad, [])
+        assert diag.reason == reason
+        assert diag.describe() == oracle_localization_agreement(T, bad, []).describe()
+
+    def test_a_rescaled_identification_is_not_well_defined(self):
+        # Doubling the degree-one identification keeps both tightening
+        # axioms, which hold up to translates, but not the dilations.
+        T, R2 = build_tightening("identity_laurent_f3_z4")
+        bad = dataclasses.replace(T, phi=edited(T.phi, {(1,): ((2,),)}))
+        assert validate_tightening(bad, R2).ok
+        diag = localization_agreement(bad, R2, [])
+        assert diag.describe() == "FAIL(identification_not_well_defined: (1,))"
+        assert diag.describe() == oracle_localization_agreement(bad, R2, []).describe()
+
+    # Per tightening: the quotients the check forms, one per representative
+    # of an object label, then localize's, one per component.
+    @pytest.mark.parametrize("name, checked, localized", [
+        ("doubled_laurent_f2_z2", 2, 9),
+        ("folded_laurent_f2_z4", 2, 4),
+        ("identity_dual_laurent_f2_z2", 2, 4),
+        ("identity_koszul_f3_z2", 2, 4),
+        ("identity_laurent_f2_z2", 2, 4),
+        ("identity_laurent_f2_z4", 4, 16),
+        ("identity_laurent_f3_z4", 4, 16),
+        ("identity_nilpotent_f2_z2", 2, 4),
+    ])
+    def test_only_the_read_quotients_are_formed(self, name, checked, localized, monkeypatch):
+        built = [0]
+
+        def counted(*args, _original=tworing.FractionQuotient):
+            built[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tworing, "FractionQuotient", counted)
+        T, R2 = build_tightening(name)
+        assert localization_agreement(T, R2, []).ok
+        assert built[0] == checked == len(set(T.representatives.values()))
+        built[0] = 0
+        localize(R2, [])
+        assert built[0] == localized == len(R2.objects) ** 2
 
 
 class TestRestriction:
