@@ -36,7 +36,7 @@ LIMITS = {row.name: row for row in (
     Limit("MAX_SUBGROUP_LOOKUPS", 500_000, "the table lookups of a subgroup lattice search", 1.0),
     Limit("MAX_DEGREE", 4096, "the number of points of a permutation group", 0.5),
     Limit("MAX_FREE_GENERATORS", 13, "the number of non-invertible generators", 2.0),
-    Limit("MAX_POINTS", 16, "the number of points of a section table", 2.0),
+    Limit("MAX_POINTS", 384, "the number of points of a section table", 2.0),
     Limit("MAX_COMPONENT_DIM", 3, "the dimension of a ring or 2-ring component", 3.0),
     Limit("MAX_COMPONENT_SIZE", 125, "the element count p^d of a ring or 2-ring component", 1.0),
     Limit("MAX_OBJECTS", 12, "the number of objects of a 2-ring", 2.0),

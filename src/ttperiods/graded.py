@@ -375,7 +375,7 @@ def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozen
         live = sum(1 << i for i, b in enumerate(degree) if b)
         via_loci = frozenset(p for p, c in outside.items() if units or c & live)
         if via_formula != via_loci:
-            raise GradedError("periodic locus cross-check failed")
+            raise RuntimeError("periodic locus cross-check failed")
         return via_formula
     # A principal locus bounds every period in it: per period value, each
     # generator outside some point of that value must have a multiple of it
@@ -386,7 +386,7 @@ def periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozen
     for v, c in reach.items():
         bounds = units + [b for i, b in enumerate(degree) if c >> i & 1 and b]
         if not all(divides(v, b) for b in bounds):
-            raise GradedError("principal locus period bound failed")
+            raise RuntimeError("principal locus period bound failed")
     return frozenset(p for p, v in periods.items() if divides(v, d))
 
 

@@ -481,7 +481,7 @@ class GroupIndex:
             subs = self.subgroups()
             classes = self._fuse(subs)
             if sum(len(c.members) for c in classes) != len(subs):
-                raise GroupError("conjugation left the subgroup lattice")
+                raise RuntimeError("conjugation left the subgroup lattice")
             self._classes = classes
         return self._classes
 
@@ -784,10 +784,11 @@ def p_subconjugate_mackey(
 def p_subconjugate(
     G: FiniteGroup, H: "frozenset[Perm] | Sub", Hp: "frozenset[Perm] | Sub", p: int
 ) -> bool:
+    """Both routes; their disagreement is a library bug, a RuntimeError."""
     a = p_subconjugate_sylow(G, H, Hp, p)
     b = p_subconjugate_mackey(G, H, Hp, p)
     if a != b:
-        raise GroupError(f"subconjugacy criteria disagree: sylow={a} mackey={b}")
+        raise RuntimeError(f"subconjugacy criteria disagree: sylow={a} mackey={b}")
     return a
 
 

@@ -345,14 +345,14 @@ def _values(per) -> dict[str, int]:
 
 
 def check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
-    """Continuity and monotonicity of a period assignment.
+    """Monotonicity of a period assignment, which is also its continuity.
 
-    (a) for every d > 0 the sublevel set {p : per(p) divides d} is open;
-        checking the d that occur as labels suffices, since for any other
-        d the sublevel set is a union of those.
-    (b) p -> q implies per(p) divides per(q): specialization can only
-        multiply the period, with 0 (non-periodic) as absorbing top.
-    Both are checked, independently, even though they agree on finite models.
+    p -> q must imply per(p) divides per(q): specialization can only
+    multiply the period, with 0 (non-periodic) as absorbing top.  On a
+    finite model this makes every sublevel set {p : per(p) divides d},
+    d > 0, open: if g -> p and per(p) divides d, then per(g) divides
+    per(p), which divides d.  So one check decides both, and a failure is
+    always "not-monotone".
     """
     vals = _values(per)
     labels = []
@@ -362,30 +362,13 @@ def check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
         if vals[p] < 0:
             raise ModelError(f"negative period at {p!r}")
         labels.append(vals[p])
-    # Per label value: its points, everything they generalize to, and
-    # everything they specialize to, as masks.
+    # Per label value: its points, and everything they specialize to, as
+    # masks.
     level: dict[int, int] = {}
-    up: dict[int, int] = {}
     reach: dict[int, int] = {}
     for i, v in enumerate(labels):
         level[v] = level.get(v, 0) | 1 << i
-        up[v] = up.get(v, 0) | model._up[i]
         reach[v] = reach.get(v, 0) | model._down[i]
-    # A sublevel set is open exactly when the generalizations of its
-    # values' points stay inside it; only a failure scans its points, to
-    # name the first one whose generalizations leave.
-    open_fail = None
-    for d in sorted(v for v in level if v > 0):
-        sub = gen = 0
-        for v, mask in level.items():
-            if divides(v, d):
-                sub |= mask
-                gen |= up[v]
-        if gen & ~sub:
-            bad = next(i for i in _bits(sub) if model._up[i] & ~sub)
-            g = next(_bits(model._up[bad] & ~sub))
-            open_fail = failure("sublevel-not-open", model.points[g], model.points[bad])
-            break
     # Per label value v, what its points specialize to must lie among the
     # points whose label v divides.
     allowed: dict[int, int] = {}
@@ -398,7 +381,7 @@ def check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
         i = next(i for i, v in enumerate(labels) if model._down[i] & ~allowed[v])
         j = next(_bits(model._down[i] & ~allowed[labels[i]]))
         return failure("not-monotone", model.points[i], model.points[j])
-    return PASS if open_fail is None else open_fail
+    return PASS
 
 
 @dataclass(frozen=True)

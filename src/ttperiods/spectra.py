@@ -116,7 +116,7 @@ def stmod_discrepancies(
         if per[q] == want:
             continue
         if q in named:
-            raise ModelError(f"stated value broken at {q}: {per[q]} != {want}")
+            raise RuntimeError(f"stated value broken at {q}: {per[q]} != {want}")
         out[q] = (per[q], default)
     return out
 

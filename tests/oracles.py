@@ -22,7 +22,11 @@ oracle_localization_agreement are the localization check before a span
 quotient was formed on first read: every quotient up front, and each
 fraction identified from scratch by oracle_identify_fraction.
 oracle_check_period_map is the period-map check before openness was
-decided once per period value: a scan of each sublevel set.  The group
+decided once per period value: a scan of each sublevel set, kept as the
+second route to the openness that monotonicity implies.
+oracle_is_ample and oracle_homeo_onto_image are the comparison checks
+before they read the minimal open sets: a walk over every open set.  The
+group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
@@ -1283,6 +1287,35 @@ def oracle_localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) 
 
 
 # -- section tables: charts and the image in an ambient model ----------
+
+def oracle_is_ample(table: SectionTable) -> bool:
+    """is_ample by the literal criterion: every point of every open set
+    sits inside some locus contained in that open set."""
+    loci = [s.locus for s in table.sections]
+    for v in table.space.open_sets():
+        for p in v:
+            if not any(p in u and u <= v for u in loci):
+                return False
+    return True
+
+
+def oracle_homeo_onto_image(table: SectionTable) -> bool:
+    """homeo_onto_image from the map itself: injective, and every open set
+    maps onto a generalization-closed subset of the image under the
+    pattern-inclusion order."""
+    comp = comp_map(table)
+    patterns = {p: comp[p].contains for p in table.space.points}
+    image = set(patterns.values())
+    if len(image) != len(table.space.points):
+        return False
+    for v in table.space.open_sets():
+        hit = {patterns[p] for p in v}
+        for a in hit:
+            for b in image:
+                if b <= a and b not in hit:
+                    return False
+    return True
+
 
 class NotBaseFree(ComparisonError):
     """No finite set of sections of the bundle covers the space."""

@@ -32,6 +32,7 @@ from ttperiods.spaces import (
 
 from builders import stmod_d8_fixture, write_all
 from oracles import NotBaseFree, base_free_cover, image_open_in_model
+from oracles import oracle_homeo_onto_image, oracle_is_ample
 
 
 def chain_table():
@@ -120,8 +121,8 @@ class TestValidation:
             comp_map(make_table(space, {"L0": 0}, [("s", "L9", 0, ["pt"])]))
 
     def test_point_cap(self):
-        space = FiniteSpectralModel([f"p{i}" for i in range(17)])
-        with pytest.raises(SizeBound, match="MAX_POINTS = 16: .* is 17$"):
+        space = FiniteSpectralModel([f"p{i}" for i in range(385)])
+        with pytest.raises(SizeBound, match="MAX_POINTS = 384: .* is 385$"):
             make_table(space, {"L0": 0}, [("u", "L0", 0, space.points)])
 
 
@@ -191,6 +192,60 @@ class TestAmpleHomeo:
         fix = build_fixture("whole_space_only")
         assert not homeo_onto_image(fix.table)
         assert not is_ample(fix.table)
+
+
+@st.composite
+def open_loci_table(draw):
+    """A space of up to 7 points with loci drawn from its open sets.  Its
+    minimal open sets join them, every one of them half the time, so that
+    ample tables occur."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    points = [f"p{i}" for i in range(n)]
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    space = FiniteSpectralModel(points, [(points[a], points[b]) for a, b in edges if a < b])
+    minimal = [space.generalization_closure([p]) for p in points]
+    if not draw(st.booleans()):
+        minimal = draw(st.lists(st.sampled_from(minimal), max_size=n))
+    loci = draw(st.permutations(draw(st.lists(st.sampled_from(space.open_sets()), max_size=5)) + minimal))
+    return make_table(space, {"L1": 1}, [(f"s{i}", "L1", 1, u) for i, u in enumerate(loci)])
+
+
+def fixture_cases():
+    return [build_fixture(name) for name in FIXTURE_NAMES] + [stmod_d8_fixture()]
+
+
+def transfer_outcome(fix):
+    """transfer_periods' diagnosis or refusal, where the fixture has periods."""
+    if fix.ring is None or fix.per is None:
+        return None
+    try:
+        return transfer_periods(fix.table, fix.ring, fix.per).describe()
+    except ComparisonError as exc:
+        return str(exc)
+
+
+class TestMinimalOpens:
+    """is_ample and homeo_onto_image read each point's minimal open set;
+    the oracles walk every open set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(open_loci_table())
+    def test_verdicts_match_the_oracles(self, table):
+        assert is_ample(table) == oracle_is_ample(table)
+        assert homeo_onto_image(table) == oracle_homeo_onto_image(table)
+
+    def test_fixtures_match_the_oracles_without_an_open_set_walk(self, monkeypatch):
+        cases = fixture_cases()
+        want = [(oracle_is_ample(f.table), oracle_homeo_onto_image(f.table), transfer_outcome(f))
+                for f in cases]
+
+        def walk(self):
+            raise AssertionError("open_sets called")
+
+        monkeypatch.setattr(FiniteSpectralModel, "open_sets", walk)
+        assert [(is_ample(f.table), homeo_onto_image(f.table), transfer_outcome(f))
+                for f in cases] == want
+        assert "PASS" in [w[2] for w in want]
 
 
 class TestTransfer:

@@ -304,6 +304,24 @@ class TestPeriodicLocus:
         model = enumerate_patterns(ring)
         assert periodic_locus(ring, model, 0) == frozenset(model.space.points)
 
+    @pytest.mark.parametrize("d, period, message", [
+        (ALL, 0, "periodic locus cross-check failed"),
+        (1, 3, "principal locus period bound failed"),
+    ])
+    def test_route_disagreement_is_a_library_bug(self, monkeypatch, d, period, message):
+        # Every period read from the table is replaced, so the principal
+        # loci no longer agree with it.
+        original = graded._periods_and_complements
+
+        def wrong(ring, model):
+            periods, outside = original(ring, model)
+            return {p: period for p in periods}, outside
+
+        monkeypatch.setattr(graded, "_periods_and_complements", wrong)
+        ring = poly_xy()
+        with pytest.raises(RuntimeError, match=message):
+            periodic_locus(ring, enumerate_patterns(ring), d)
+
 
 class TestOracle:
     def test_poly_xy_pattern_x(self):

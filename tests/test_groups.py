@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from ttperiods import groups
 from ttperiods.cohomology import cohomology_entry
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.groups import (
@@ -134,6 +135,12 @@ class TestSubgroups:
         listed = [c.index.frozen(K) for c in classes for K in c.members]
         assert len(listed) == len(all_subs) and set(listed) == all_subs
 
+    def test_lost_class_is_a_library_bug(self, monkeypatch):
+        fuse = groups.GroupIndex._fuse
+        monkeypatch.setattr(groups.GroupIndex, "_fuse", lambda ix, subs: fuse(ix, subs)[:-1])
+        with pytest.raises(RuntimeError, match="conjugation left the subgroup lattice"):
+            subgroup_classes(symmetric(3))
+
 
 class TestWeylGroups:
     def test_q8_center_gives_klein_four(self):
@@ -217,6 +224,13 @@ class TestPSubconjugate:
         assert p_subconjugate_mackey(G, H, Hp, 2) is False
         # The other way: the rotation has trivial Sylow 2-subgroup.
         assert p_subconjugate(G, Hp, H, 2) is True
+
+    def test_route_disagreement_is_a_library_bug(self, monkeypatch):
+        G = symmetric(3)
+        H = mulclose([cyc(3, [1, 2])])
+        monkeypatch.setattr(groups, "p_subconjugate_mackey", lambda *args: not p_subconjugate_sylow(*args))
+        with pytest.raises(RuntimeError, match="subconjugacy criteria disagree"):
+            p_subconjugate(G, H, H, 2)
 
     def test_reflexive(self):
         G = dihedral(8)

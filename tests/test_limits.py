@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from ttperiods.cli import main
-from ttperiods.comparison import is_ample, make_table
+from ttperiods.comparison import central_loc_pullback, divisor_constraint, homeo_onto_image
+from ttperiods.comparison import is_ample, make_table, transfer_periods
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.graded import enumerate_patterns, make_ring
 from ttperiods.groups import cyclic, dihedral, elementary_abelian, group_from_obj, subgroups
@@ -46,6 +47,27 @@ def unit_ring(p, d, n):
 def sections_on(points):
     space = FiniteSpectralModel([f"p{i}" for i in range(points)])
     return make_table(space, {"L0": 0}, [("u", "L0", 0, space.points)])
+
+
+def minimal_open_table(space):
+    """One degree-2 section per point, invertible on its minimal open set."""
+    return make_table(space, {"L2": 2}, [
+        (f"s{i}", "L2", 2, space.generalization_closure([p])) for i, p in enumerate(space.points)
+    ])
+
+
+def compare_path(points):
+    """What compare runs, on a chain with minimal-open sections, each a
+    degree-2 generator of the ring, and every period 2: the table is ample
+    and embeds, so the transfer runs too."""
+    names = [f"p{i:04d}" for i in range(points)]
+    table = minimal_open_table(FiniteSpectralModel(names, zip(names, names[1:])))
+    ring = make_ring(2, [(f"s{i}", 2) for i in range(points)])
+    per = dict.fromkeys(names, 2)
+    return all((
+        is_ample(table), homeo_onto_image(table), transfer_periods(table, ring, per),
+        divisor_constraint(table, ring, per), central_loc_pullback(table, [f"s{points - 1}"]),
+    ))
 
 
 def cycle_group(degree):
@@ -89,8 +111,8 @@ PROBES = {
         lambda: enumerate_patterns(make_ring(2, [(f"x{i}", 2) for i in range(14)])), 14,
     ),
     "MAX_POINTS": (
-        lambda: is_ample(sections_on(16)) in (True, False),
-        lambda: sections_on(17), 17,
+        lambda: compare_path(384),
+        lambda: sections_on(385), 385,
     ),
     "MAX_COMPONENT_DIM": (
         lambda: len(homogeneous_ideals(two_ring_from_multigraded(unit_ring(2, 3, 2)))) > 1,

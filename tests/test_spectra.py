@@ -312,6 +312,11 @@ class TestStatedTable:
         clashes = stmod_discrepancies("M11", 3)
         assert "⟨⟩" not in clashes and "⟨a,b⟩" not in clashes
 
+    def test_named_point_clash_is_a_library_bug(self, monkeypatch):
+        monkeypatch.setitem(spectra.STATED_STMOD, (("M11",), 3), ({"⟨⟩": 8, "⟨a,b⟩": 16}, 4))
+        with pytest.raises(RuntimeError, match="stated value broken at ⟨⟩: 4 != 8"):
+            stmod_discrepancies("M11", 3)
+
     def test_groups_without_a_table_report_nothing(self):
         assert stmod_discrepancies(cyclic(8), 2) == {}
         assert stmod_discrepancies(symmetric(4), 5) == {}
