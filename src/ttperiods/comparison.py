@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, require_within
 from .graded import GradedRingPresentation, PrimePattern, local_period
 from .spaces import FiniteSpectralModel, _values, divides
 
@@ -39,8 +39,8 @@ class SectionTable:
     bundles maps each bundle label to its integer degree; a section's
     degree must agree with its bundle's.  products records those pairs
     whose product is again a tabulated section.  Every table is checked
-    once, when built: past MAX_POINTS it is refused with SizeBound, and
-    where validate_section_table fails, with ComparisonError.
+    once, when built: past MAX_POINTS or MAX_SECTIONS it is refused with
+    SizeBound, and where validate_section_table fails, with ComparisonError.
     """
 
     space: FiniteSpectralModel
@@ -50,6 +50,7 @@ class SectionTable:
 
     def __post_init__(self):
         require_within("MAX_POINTS", len(self.space.points))
+        require_within("MAX_SECTIONS", len(self.sections))
         diag = validate_section_table(self)
         if not diag:
             raise ComparisonError(f"invalid section table: {diag.describe()}")
@@ -236,10 +237,15 @@ def restrict_table(table: SectionTable, subset: Iterable[str]) -> SectionTable:
     )
 
 
-def central_localization(
-    table: SectionTable, names: Iterable[str]
-) -> tuple[frozenset[str], SectionTable]:
-    """Open subspace where the given sections are invertible, with its table."""
+def central_localization(table: SectionTable, names: Iterable[str]) -> frozenset[str]:
+    """Open subspace where the given sections are invertible.
+
+    It is the intersection of their loci, which is open, and by the
+    definition of comp_map it is exactly the set of points whose pattern
+    misses every given name.  Restricting the table to it changes no
+    point's pattern there, since a point p of the region lies in
+    s.locus & region exactly when it lies in s.locus.
+    """
     wanted = frozenset(names)
     known = set(table.names())
     if not wanted <= known:
@@ -248,31 +254,7 @@ def central_localization(
     for s in table.sections:
         if s.name in wanted:
             region &= s.locus
-    return region, restrict_table(table, region)
-
-
-def central_loc_pullback(table: SectionTable, names: Iterable[str]) -> Diagnosis:
-    """Inverting sections cuts out exactly the pattern-avoiding points.
-
-    Two routes to the subspace (locus intersection versus pattern trace)
-    must agree, the subspace must be open, and the comparison map of the
-    restricted table must be the restriction of the full one.
-    """
-    wanted = frozenset(names)
-    region, restricted = central_localization(table, wanted)
-    comp = comp_map(table)
-    via_patterns = frozenset(
-        p for p in table.space.points if not (comp[p].contains & wanted)
-    )
-    if region != via_patterns:
-        return failure("locus-vs-pattern", tuple(sorted(region ^ via_patterns)))
-    if not table.space.is_open(region):
-        return failure("region-not-open", tuple(sorted(region)))
-    sub = comp_map(restricted)
-    for p in restricted.space.points:
-        if sub[p].contains != comp[p].contains:
-            return failure("restriction-mismatch", p)
-    return PASS
+    return region
 
 
 # -- serialization -----------------------------------------------------
@@ -300,9 +282,9 @@ def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
     try:
         if obj.get("format") != 1:
             raise ComparisonError(f"unsupported format {obj.get('format')!r}")
-        bundles = {str(b): int(d) for b, d in obj["bundles"].items()}
+        bundles = {str(b): json_int(d) for b, d in obj["bundles"].items()}
         sections = [
-            (row["name"], row["bundle"], int(row["degree"]), tuple(row["locus"]))
+            (row["name"], row["bundle"], json_int(row["degree"]), tuple(row["locus"]))
             for row in obj["sections"]
         ]
         products = [tuple(entry) for entry in obj.get("products", [])]

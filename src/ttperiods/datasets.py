@@ -16,7 +16,7 @@ import functools
 import json
 from importlib import resources
 
-from .diagnostics import UsageError
+from .diagnostics import UsageError, json_int
 from .spaces import (
     FiniteSpectralModel,
     ModelError,
@@ -87,7 +87,7 @@ def dperm_overrides(group_name: "str | None", p: int) -> dict[str, int]:
     if group_name is None:
         return {}
     raw = _override_table().get(group_name, {}).get(str(p), {})
-    return {point: int(v) for point, v in raw.items()}
+    return {point: json_int(v) for point, v in raw.items()}
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Shared diagnosis value for validators that report rather than raise, the
-base class of the errors that mean the input was unusable, LIMITS, and
-first_failure, which names the failure of an axiom checked on generators."""
+base class of the errors that mean the input was unusable, LIMITS,
+first_failure, which names the failure of an axiom checked on generators,
+and the one rule by which every JSON reader reads integers and flags."""
 
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ LIMITS = {row.name: row for row in (
     Limit("MAX_DEGREE", 4096, "the number of points of a permutation group", 0.5),
     Limit("MAX_FREE_GENERATORS", 13, "the number of non-invertible generators", 2.0),
     Limit("MAX_POINTS", 384, "the number of points of a section table", 2.0),
+    Limit("MAX_SECTIONS", 1500, "the number of sections of a section table", 2.0),
     Limit("MAX_COMPONENT_DIM", 3, "the dimension of a ring or 2-ring component", 3.0),
     Limit("MAX_COMPONENT_SIZE", 125, "the element count p^d of a ring or 2-ring component", 1.0),
     Limit("MAX_OBJECTS", 12, "the number of objects of a 2-ring", 2.0),
@@ -55,6 +57,22 @@ def require_within(name: str, seen: int, at_least: bool = False) -> None:
     if seen.bit_length() > 64:
         seen, at_least = 2**64, True
     raise SizeBound(f"{name} = {row.value}: {row.what} is {'at least ' if at_least else ''}{seen}")
+
+
+def json_int(value: Any) -> int:
+    """value, if it is a JSON integer.  A float (2.0 included), a boolean or
+    a string raises TypeError, never coerced; each reader reports it as
+    malformed input."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def json_flag(value: Any) -> bool:
+    """value, if it is a JSON boolean; anything else raises TypeError."""
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not true or false")
+    return value
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, require_within
 from .spaces import ALL, FiniteSpectralModel, divides, is_prime
 
 
@@ -451,20 +451,21 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
         gens = [
             (
                 g["name"],
-                int(g["degree"]),
-                bool(g.get("invertible", False)),
-                bool(g.get("nilpotent", False)),
+                json_int(g["degree"]),
+                json_flag(g.get("invertible", False)),
+                json_flag(g.get("nilpotent", False)),
             )
             for g in obj["generators"]
         ]
         if not all(isinstance(g[0], str) for g in gens):
             raise GradedError("malformed ring object: a generator name is not a string")
         rels = [
-            [(int(t["coeff"]), dict(t["monomial"])) for t in rel]
+            [(json_int(t["coeff"]), {n: json_int(e) for n, e in t["monomial"].items()})
+             for t in rel]
             for rel in obj.get("relations", [])
         ]
         return make_ring(
-            int(obj["char"]), gens, rels, obj.get("constraint", "koszul")
+            json_int(obj["char"]), gens, rels, obj.get("constraint", "koszul")
         )
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise GradedError(f"malformed ring object: {exc}") from exc

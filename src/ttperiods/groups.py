@@ -21,7 +21,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import UsageError, require_within
+from .diagnostics import UsageError, json_int, require_within
 from .spaces import is_prime
 
 Perm = tuple[int, ...]
@@ -881,9 +881,12 @@ def group_to_obj(G: FiniteGroup) -> dict:
 
 def group_from_obj(obj: Mapping) -> FiniteGroup:
     try:
-        degree = int(obj["degree"])
+        degree = json_int(obj["degree"])
         require_within("MAX_DEGREE", degree)
-        gens = [perm_from_cycles(degree, cycles) for cycles in obj["generators"]]
+        gens = [
+            perm_from_cycles(degree, [[json_int(a) for a in cycle] for cycle in cycles])
+            for cycles in obj["generators"]
+        ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GroupError(f"malformed group object: {exc}") from exc
     return FiniteGroup(degree, gens, name=obj.get("name"))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, require_within
 
 # Sentinel for "every nonnegative integer", the one infinite open we need.
 ALL = "all"
@@ -486,7 +486,7 @@ def model_from_obj(obj: Mapping) -> tuple[FiniteSpectralModel, PeriodAssignment 
         if missing:
             raise MissingLabel(sorted(missing)[0])
         try:
-            per = PeriodAssignment({p: int(raw[p]) for p in model.points})
+            per = PeriodAssignment({p: json_int(raw[p]) for p in model.points})
         except (TypeError, ValueError) as exc:
             raise ModelError(f"malformed periods: {exc}") from exc
     return model, per

@@ -35,7 +35,6 @@ from .multigraded import (
     all_vectors,
     basis_vectors,
     close_multiplicative,
-    ideal_name_ring,
     is_ring_prime,
     matrix_invertible,
     mg_mul,
@@ -687,10 +686,12 @@ def agreement(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
 def ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
     """Executable two-way ideal correspondence of a valid tightening.
 
-    Extension and restriction must be mutually inverse inclusion
-    preserving bijections between the homogeneous ideal lattices, match
-    primes with primes, and induce an order isomorphism of the two
-    spectra, which for finite spectral models is a homeomorphism.
+    Extension and restriction must be mutually inverse bijections between
+    the homogeneous ideal lattices and match primes with primes.  Both are
+    monotone (extension generates, restriction is a preimage), so once the
+    round trips hold, extension is an order isomorphism of the lattices;
+    matching primes, it restricts to an order isomorphism of the prime
+    posets, which for finite spectral models is a homeomorphism of spectra.
     """
     ring = T.ring
     lattice_r = ring_ideals(ring)
@@ -711,31 +712,9 @@ def ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
             return failure("restriction_not_ideal", sorted(j))
         if ext[i] != j:
             return failure("round_trip_two", sorted(j))
-    for i1 in lattice_r.ideals:
-        for i2 in lattice_r.ideals:
-            if (i1 <= i2) != (ext[i1] <= ext[i2]):
-                return failure("inclusion_not_preserved", sorted(i1), sorted(i2))
-    primes_r = [i for i in lattice_r.ideals if is_ring_prime(ring, i)]
-    primes_2 = [j for j in lattice_2.ideals if is_prime_two(R2, j)]
     for i in lattice_r.ideals:
-        if (i in primes_r) != (ext[i] in primes_2):
+        if is_ring_prime(ring, i) != is_prime_two(R2, ext[i]):
             return failure("prime_not_preserved", sorted(i))
-
-    model_r, names_r = prime_spectrum(primes_r, lambda i: ideal_name_ring(ring, i))
-    model_2, names_2 = prime_spectrum(primes_2, lambda j: ideal_name_two(R2, j))
-    back_2 = {ideal: nm for nm, ideal in names_2.items()}
-    point_map = {}
-    for nm, ideal in names_r.items():
-        image = ext[ideal]
-        if image not in back_2:
-            return failure("spectra_mismatch", nm)
-        point_map[nm] = back_2[image]
-    if len(set(point_map.values())) != len(model_2.points) or len(point_map) != len(model_r.points):
-        return failure("spectra_mismatch", "point count")
-    for p in model_r.points:
-        for q in model_r.points:
-            if model_r.specializes(p, q) != model_2.specializes(point_map[p], point_map[q]):
-                return failure("spectra_mismatch", p, q)
     return PASS
 
 

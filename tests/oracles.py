@@ -25,8 +25,12 @@ oracle_check_period_map is the period-map check before openness was
 decided once per period value: a scan of each sublevel set, kept as the
 second route to the openness that monotonicity implies.
 oracle_is_ample and oracle_homeo_onto_image are the comparison checks
-before they read the minimal open sets: a walk over every open set.  The
-group
+before they read the minimal open sets: a walk over every open set.
+oracle_central_loc_pullback, oracle_ideal_correspondence and
+oracle_artin_tower are the library's central localization, ideal
+correspondence and cyclic tower with the checks that no input can fail,
+which the library no longer makes: they confirm those checks pass and
+that the library's answer is theirs.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
@@ -98,12 +102,21 @@ from ttperiods.spaces import (
     MissingLabel,
     ModelError,
     NegativePeriod,
+    PeriodAssignment,
     _bits,
     _values,
+    check_period_map,
     divides,
     is_prime,
+    tower_period,
 )
-from ttperiods.spectra import _label_suffix
+from ttperiods.spectra import (
+    TowerHeightValueError,
+    TowerReport,
+    TowerStratum,
+    _cyclic_tower_levels,
+    _label_suffix,
+)
 from ttperiods.tworing import (
     BadShapes,
     ShapeMismatch,
@@ -112,13 +125,18 @@ from ttperiods.tworing import (
     _check_tightening_shapes,
     _unit_mediator,
     compose,
+    extend_ideal,
     extend_system,
     has_iso,
+    homogeneous_ideals,
+    ideal_name_two,
+    is_prime_two,
     is_translate,
     iso_pairs,
     mult_closure_two,
     object_name,
     phi_apply,
+    restrict_ideal,
     restrict_system,
     span_class,
     span_quotients,
@@ -1375,3 +1393,169 @@ def image_open_in_model(table: SectionTable, model: SpechModel) -> bool:
             raise ComparisonError(f"image pattern of {p!r} is not an ambient point")
         hit.add(by_pattern[key])
     return model.space.is_open(hit)
+
+
+# -- checks no input can fail ------------------------------------------
+#
+# Each function below is a library function as it was while it still made
+# checks that follow from the theorems or from checks made before them.
+
+
+def oracle_central_loc_pullback(table: SectionTable, names: Iterable[str]) -> tuple[frozenset, Diagnosis]:
+    """The region central_localization returns, as the intersection of the
+    wanted loci, and the pullback verdict: the region is the set of points
+    whose pattern avoids the names, it is open, and the comparison map of
+    the table restricted to it is the restriction of the full map."""
+    wanted = frozenset(names)
+    known = set(table.names())
+    if not wanted <= known:
+        raise ComparisonError(f"unknown section {sorted(wanted - known)[0]!r}")
+    region = frozenset(table.space.points)
+    for s in table.sections:
+        if s.name in wanted:
+            region &= s.locus
+    restricted = restrict_table(table, region)
+    comp = comp_map(table)
+    via_patterns = frozenset(
+        p for p in table.space.points if not (comp[p].contains & wanted)
+    )
+    if region != via_patterns:
+        return region, failure("locus-vs-pattern", tuple(sorted(region ^ via_patterns)))
+    if not table.space.is_open(region):
+        return region, failure("region-not-open", tuple(sorted(region)))
+    sub = comp_map(restricted)
+    for p in restricted.space.points:
+        if sub[p].contains != comp[p].contains:
+            return region, failure("restriction-mismatch", p)
+    return region, PASS
+
+
+def oracle_ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
+    """ideal_correspondence with its inclusion check on every pair of ring
+    ideals and its comparison of the two prime spectra point by point."""
+    ring = T.ring
+    lattice_r = ring_ideals(ring)
+    lattice_2 = homogeneous_ideals(R2)
+    set_2 = set(lattice_2.ideals)
+    set_r = set(lattice_r.ideals)
+
+    ext = {i: extend_ideal(T, R2, i) for i in lattice_r.ideals}
+    res = {j: restrict_ideal(T, R2, j) for j in lattice_2.ideals}
+
+    for i, j in ext.items():
+        if j not in set_2:
+            return failure("extension_not_ideal", sorted(i))
+        if res[j] != i:
+            return failure("round_trip_ring", sorted(i))
+    for j, i in res.items():
+        if i not in set_r:
+            return failure("restriction_not_ideal", sorted(j))
+        if ext[i] != j:
+            return failure("round_trip_two", sorted(j))
+    for i1 in lattice_r.ideals:
+        for i2 in lattice_r.ideals:
+            if (i1 <= i2) != (ext[i1] <= ext[i2]):
+                return failure("inclusion_not_preserved", sorted(i1), sorted(i2))
+    primes_r = [i for i in lattice_r.ideals if is_ring_prime(ring, i)]
+    primes_2 = [j for j in lattice_2.ideals if is_prime_two(R2, j)]
+    for i in lattice_r.ideals:
+        if (i in primes_r) != (ext[i] in primes_2):
+            return failure("prime_not_preserved", sorted(i))
+
+    model_r, names_r = prime_spectrum(primes_r, lambda i: ideal_name_ring(ring, i))
+    model_2, names_2 = prime_spectrum(primes_2, lambda j: ideal_name_two(R2, j))
+    back_2 = {ideal: nm for nm, ideal in names_2.items()}
+    point_map = {}
+    for nm, ideal in names_r.items():
+        image = ext[ideal]
+        if image not in back_2:
+            return failure("spectra_mismatch", nm)
+        point_map[nm] = back_2[image]
+    if len(set(point_map.values())) != len(model_2.points) or len(point_map) != len(model_r.points):
+        return failure("spectra_mismatch", "point count")
+    for p in model_r.points:
+        for q in model_r.points:
+            if model_r.specializes(p, q) != model_2.specializes(point_map[p], point_map[q]):
+                return failure("spectra_mismatch", p, q)
+    return PASS
+
+
+def oracle_artin_tower(p: int, N: int) -> TowerReport:
+    """artin_tower with its checks that each level has one subgroup of each
+    order, that closed points stay non-periodic, and that the chain is a
+    period map."""
+    groups.require_prime(p)
+    if not 0 <= N <= 6:
+        raise TowerHeightValueError("tower height must be between 0 and 6")
+    levels = _cyclic_tower_levels(p, N)
+    strata: list[TowerStratum] = []
+    for j in range(N + 1):
+        weyls, proj_seq, closed_seq = [], [], []
+        for n in range(j, N + 1):
+            assembly = levels[n]
+            match = [
+                s
+                for s in assembly.strata
+                if s.subgroup_class.order == p ** (n - j)
+            ]
+            if len(match) != 1:
+                raise ModelError("cyclic group with a non-unique subgroup order")
+            s = match[0]
+            weyls.append(s.weyl.name or "?")
+            closed_seq.append(assembly.periods[s.point_name(s.irrelevant)])
+            non_closed = [
+                q for q in s.variety.space.points if q != s.irrelevant
+            ]
+            if non_closed:
+                (q,) = non_closed
+                proj_seq.append(assembly.periods[s.point_name(q)])
+        strata.append(
+            TowerStratum(
+                index=p**j,
+                weyl_names=tuple(weyls),
+                proj_sequence=tuple(proj_seq),
+                proj_eventual=tower_period(proj_seq) if proj_seq else None,
+                closed_sequence=tuple(closed_seq),
+            )
+        )
+    limit_weyls, limit_seq = [], []
+    for n in range(1, N + 1):
+        assembly = levels[n]
+        match = [s for s in assembly.strata if s.subgroup_class.order == 1]
+        (s,) = match
+        limit_weyls.append(s.weyl.name or "?")
+        (q,) = [q for q in s.variety.space.points if q != s.irrelevant]
+        limit_seq.append(assembly.periods[s.point_name(q)])
+    if limit_seq:
+        strata.append(
+            TowerStratum(
+                index=None,
+                weyl_names=tuple(limit_weyls),
+                proj_sequence=tuple(limit_seq),
+                proj_eventual=tower_period(limit_seq),
+                closed_sequence=(),
+            )
+        )
+    for s in strata:
+        for v in s.closed_sequence:
+            if v != 0:
+                raise ModelError("closed points must stay non-periodic")
+    chain_points = [f"m{j}" for j in range(N + 1)]
+    chain_edges = []
+    chain_values = {f"m{j}": 0 for j in range(N + 1)}
+    for j in range(1, N + 1):
+        split = f"s{j}"
+        chain_points.append(split)
+        chain_edges.append((split, f"m{j-1}"))
+        chain_edges.append((split, f"m{j}"))
+        stratum = strata[j]
+        assert stratum.proj_eventual is not None
+        chain_values[split] = stratum.proj_eventual
+    chain = FiniteSpectralModel(chain_points, chain_edges)
+    per = PeriodAssignment(chain_values)
+    diag = check_period_map(chain, per)
+    if not diag:
+        raise ModelError(f"tower chain is not a period map: {diag.describe()}")
+    return TowerReport(
+        prime=p, height=N, strata=tuple(strata), chain=chain, chain_periods=per
+    )

@@ -519,6 +519,24 @@ class TestCompare:
         assert result["transfer"]["ok"] is False
         assert result["transfer"]["detail"][0] == "⟨α0⟩"
 
+    def test_invalid_ring_is_diagnosed_before_any_comparison(self, capsys, demo, tmp_path):
+        ring = json.loads(Path(demo["d8_ring"]).read_text(encoding="utf-8"))
+        ring["char"] = 4
+        ring["generators"].append(
+            {"name": "u", "degree": 3, "invertible": True, "nilpotent": True})
+        bad = write_json(tmp_path, "bad_ring.json", ring)
+        code, out, _ = run(
+            capsys, "compare",
+            "--space", demo["stmod_d8_space"],
+            "--ring", bad,
+            "--sections", demo["stmod_d8_sections"],
+            "--invert", "β",
+        )
+        assert code == 1
+        result = json.loads(out)["result"]
+        assert result == {"diagnosis": {"ok": False, "reason": "char-not-prime", "detail": [4]}}
+        assert json.loads(run(capsys, "ring", "validate", "--input", bad)[1])["result"] == result
+
     def test_unknown_invert_section(self, capsys, demo):
         code, _, err = run(
             capsys, "compare",
@@ -655,6 +673,49 @@ class TestUsage:
     def test_non_integer_field_is_a_usage_error(self, capsys, tmp_path, argv, obj):
         path = write_json(tmp_path, "bad.json", obj)
         code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
+    # Per reader, a value in an integer or flag position that JSON does not
+    # type as one: a float (2.0 too), a boolean or a string is never coerced.
+    LOOKALIKES = {
+        "ring degree 2.7": ("d8_ring", ("generators", 2, "degree"), 2.7),
+        "ring degree 2.0": ("d8_ring", ("generators", 2, "degree"), 2.0),
+        "ring char true": ("d8_ring", ("char",), True),
+        "ring coeff string": ("d8_ring", ("relations", 0, 0, "coeff"), "1"),
+        "ring exponent 1.0": ("d8_ring", ("relations", 0, 0, "monomial", "α0"), 1.0),
+        "ring flag string": ("d8_ring", ("generators", 0, "invertible"), "no"),
+        "ring flag integer": ("d8_ring", ("generators", 0, "nilpotent"), 0),
+        "period 1.0": ("stmod_d8_space", ("periods", "⟨α0⟩"), 1.0),
+        "period true": ("stmod_d8_space", ("periods", "⟨α0⟩"), True),
+        "bundle degree 1.0": ("stmod_d8_sections", ("bundles", "L1"), 1.0),
+        "section degree true": ("stmod_d8_sections", ("sections", 0, "degree"), True),
+        "group degree 4.0": ("group", ("degree",), 4.0),
+        "cycle entry true": ("group", ("generators", 0, 0, 0), True),
+        "cycle entry 2.0": ("group", ("generators", 0, 0, 1), 2.0),
+        "system entry 1.0": ("system", ("generators", 0, "vec", 0), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOOKALIKES))
+    def test_integer_lookalike_is_malformed(self, capsys, tmp_path, case):
+        name, at, value = self.LOOKALIKES[case]
+        docs = {p.stem: json.loads(p.read_text(encoding="utf-8"))
+                for p in write_section_files(tmp_path)}
+        docs["group"] = {"degree": 4, "generators": [[[1, 2, 3, 4]]]}
+        docs["system"] = {"generators": [{"src": "0", "dst": "1", "vec": [1]}]}
+        files = {stem: write_json(tmp_path, f"{stem}.json", doc) for stem, doc in docs.items()}
+        commands = {
+            "group": ("group", "stmod", "--prime", "2", "--group", files["group"]),
+            "system": ("tworing", "localize", "--input", "laurent_f2_z2",
+                       "--system", files["system"]),
+            "d8_ring": ("ring", "periods", "--input", files["d8_ring"]),
+        }
+        compare = ("compare", "--space", files["stmod_d8_space"], "--ring", files["d8_ring"],
+                   "--sections", files["stmod_d8_sections"])
+        assert run(capsys, *commands.get(name, compare))[0] in (0, 1)
+        write_json(tmp_path, f"{name}.json", _replaced(docs[name], at, value))
+        code, out, err = run(capsys, *commands.get(name, compare))
         assert code == 2
         assert out == ""
         assert "malformed" in err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ttperiods.comparison import (
     ComparisonError,
     Section,
-    central_loc_pullback,
     central_localization,
     comp_map,
     divisor_constraint,
@@ -32,7 +31,15 @@ from ttperiods.spaces import (
 
 from builders import stmod_d8_fixture, write_all
 from oracles import NotBaseFree, base_free_cover, image_open_in_model
-from oracles import oracle_homeo_onto_image, oracle_is_ample
+from oracles import oracle_central_loc_pullback, oracle_homeo_onto_image, oracle_is_ample
+
+
+def pullback_holds(table, names):
+    """The oracle's pullback check passes, and its region is the library's."""
+    region, diag = oracle_central_loc_pullback(table, names)
+    assert diag, diag.describe()
+    assert central_localization(table, names) == region
+    return region
 
 
 def chain_table():
@@ -362,22 +369,20 @@ class TestCentralLocalization:
     def test_empty_set_whole_space(self):
         for name in FIXTURE_NAMES:
             fix = build_fixture(name)
-            region, sub = central_localization(fix.table, [])
+            region = pullback_holds(fix.table, [])
             assert region == frozenset(fix.table.space.points)
-            assert sub.space == fix.table.space
-            assert central_loc_pullback(fix.table, [])
+            assert restrict_table(fix.table, region).space == fix.table.space
 
     def test_globally_invertible_whole_space(self):
         fix = build_fixture("dperm_cover")
-        region, _ = central_localization(fix.table, ["1"])
+        region = central_localization(fix.table, ["1"])
         assert region == frozenset(fix.table.space.points)
 
     def test_stmod_beta_region(self):
         fix = stmod_d8_fixture()
-        region, sub = central_localization(fix.table, ["β"])
+        region = pullback_holds(fix.table, ["β"])
         assert region == frozenset({"⟨α0⟩", "⟨α1⟩", "⟨α0,α1⟩"})
-        assert central_loc_pullback(fix.table, ["β"])
-        comp = comp_map(sub)
+        comp = comp_map(restrict_table(fix.table, region))
         full = comp_map(fix.table)
         for p in region:
             assert comp[p].contains == full[p].contains
@@ -387,7 +392,7 @@ class TestCentralLocalization:
         cases.append(stmod_d8_fixture())
         for fix in cases:
             for s in fix.table.sections:
-                assert central_loc_pullback(fix.table, [s.name]), (fix.name, s.name)
+                pullback_holds(fix.table, [s.name])
 
     def test_unknown_section(self):
         fix = build_fixture("dperm_cover")
@@ -396,7 +401,8 @@ class TestCentralLocalization:
 
     def test_transfer_commutes_with_restriction(self):
         fix = stmod_d8_fixture()
-        region, sub = central_localization(fix.table, ["β"])
+        region = central_localization(fix.table, ["β"])
+        sub = restrict_table(fix.table, region)
         inside = PeriodAssignment({p: fix.per[p] for p in region})
         assert transfer_periods(sub, fix.ring, inside)
         # Shift inside the region: both the full and the restricted
@@ -505,7 +511,8 @@ class TestRestriction:
 
     def test_restriction_keeps_validity(self):
         fix = build_fixture("rep_d8_monomials")
-        region, sub = central_localization(fix.table, ["β"])
+        region = central_localization(fix.table, ["β"])
+        sub = restrict_table(fix.table, region)
         assert validate_section_table(sub)
         assert set(sub.space.points) == set(region)
 
@@ -553,4 +560,4 @@ class TestProperties:
     def test_central_pullback_always_passes(self, table, data):
         names = [s.name for s in table.sections]
         chosen = data.draw(st.sets(st.sampled_from(names), max_size=len(names)))
-        assert central_loc_pullback(table, chosen)
+        pullback_holds(table, chosen)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from ttperiods.cli import main
-from ttperiods.comparison import central_loc_pullback, divisor_constraint, homeo_onto_image
+from ttperiods.comparison import central_localization, divisor_constraint, homeo_onto_image
 from ttperiods.comparison import is_ample, make_table, transfer_periods
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.graded import enumerate_patterns, make_ring
@@ -56,18 +56,32 @@ def minimal_open_table(space):
     ])
 
 
-def compare_path(points):
-    """What compare runs, on a chain with minimal-open sections, each a
-    degree-2 generator of the ring, and every period 2: the table is ample
-    and embeds, so the transfer runs too."""
-    names = [f"p{i:04d}" for i in range(points)]
-    table = minimal_open_table(FiniteSpectralModel(names, zip(names, names[1:])))
-    ring = make_ring(2, [(f"s{i}", 2) for i in range(points)])
-    per = dict.fromkeys(names, 2)
+def compare_path(table, invert):
+    """What compare runs, with every section a degree-2 generator of the
+    ring and every period 2, on a table that is ample and embeds, so the
+    transfer runs too."""
+    ring = make_ring(2, [(s.name, 2) for s in table.sections])
+    per = dict.fromkeys(table.space.points, 2)
     return all((
         is_ample(table), homeo_onto_image(table), transfer_periods(table, ring, per),
-        divisor_constraint(table, ring, per), central_loc_pullback(table, [f"s{points - 1}"]),
+        divisor_constraint(table, ring, per), central_localization(table, invert),
     ))
+
+
+def chain_path(points):
+    """compare_path on a chain with minimal-open sections."""
+    names = [f"p{i:04d}" for i in range(points)]
+    table = minimal_open_table(FiniteSpectralModel(names, zip(names, names[1:])))
+    return compare_path(table, [f"s{points - 1}"])
+
+
+def singleton_sections(points, sections):
+    """An antichain with degree-2 sections invertible at one point each, the
+    points taken in turn: each point's pattern holds all the sections but
+    its own, the largest comparison report for its size."""
+    names = [f"p{i:03d}" for i in range(points)]
+    return make_table(FiniteSpectralModel(names), {"L2": 2},
+                      [(f"s{i}", "L2", 2, [names[i % points]]) for i in range(sections)])
 
 
 def cycle_group(degree):
@@ -111,8 +125,12 @@ PROBES = {
         lambda: enumerate_patterns(make_ring(2, [(f"x{i}", 2) for i in range(14)])), 14,
     ),
     "MAX_POINTS": (
-        lambda: compare_path(384),
+        lambda: chain_path(384),
         lambda: sections_on(385), 385,
+    ),
+    "MAX_SECTIONS": (
+        lambda: compare_path(singleton_sections(384, 1500), []),
+        lambda: singleton_sections(384, 1501), 1501,
     ),
     "MAX_COMPONENT_DIM": (
         lambda: len(homogeneous_ideals(two_ring_from_multigraded(unit_ring(2, 3, 2)))) > 1,

@@ -54,7 +54,7 @@ from ttperiods.spectra import (
 )
 
 from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
-from oracles import reference_dperm_strata
+from oracles import oracle_artin_tower, reference_dperm_strata
 from test_groups import CATALOG_24
 
 
@@ -425,9 +425,13 @@ class TestDPermPeriodMap:
                     assert asm.periods[s.point_name(q)] == stper[q]
 
     def test_stratum_points_partition_space(self):
-        asm = dperm_period_map(quaternion(8), 2)
-        named = sorted(q for pts in asm.stratum_points().values() for q in pts)
-        assert named == sorted(asm.space.points)
+        # No two strata name a point alike, including past 26 repeats of
+        # one subgroup name (C2^4 has 35 subgroups C2^2).
+        for G, p in [(quaternion(8), 2), (dihedral(8), 2), (elementary_abelian(2, 4), 2),
+                     (cyclic(6), 3)]:
+            asm = dperm_period_map(G, p, overrides=dperm_overrides(G.name, p))
+            named = sorted(q for pts in asm.stratum_points().values() for q in pts)
+            assert named == sorted(asm.space.points)
 
 
 class TestOneIdentifyPerCall:
@@ -703,6 +707,12 @@ class TestArtinTower:
     def test_depth_bound(self):
         with pytest.raises(ValueError):
             artin_tower(2, 7)
+
+    @pytest.mark.parametrize("p, depth", [(2, 4), (3, 3), (2, 3), (5, 0), (3, 5), (3, 6), (7, 3)])
+    def test_matches_the_oracle(self, p, depth):
+        # The oracle also checks subgroup orders, closed periods and that
+        # the chain is a period map; it raises if any of them fails.
+        assert artin_tower(p, depth) == oracle_artin_tower(p, depth)
 
 
 class TestDatasets:

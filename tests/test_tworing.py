@@ -30,6 +30,7 @@ from ttperiods.tworing import (
     agreement,
     compose,
     homogeneous_ideals,
+    ideal_correspondence,
     ideal_generated_two,
     ideal_name_two,
     is_prime_two,
@@ -68,6 +69,7 @@ from oracles import (
     family_count,
     lemma_magic_check,
     oracle_close,
+    oracle_ideal_correspondence,
     oracle_ideal_name,
     oracle_lattice,
     oracle_localization_agreement,
@@ -514,6 +516,15 @@ def one_entry_changed(R2, data):
     return dataclasses.replace(R2, _cache={}, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
 
 
+def identification_redrawn(T, R2, data):
+    """T with every row of one identification redrawn."""
+    x = data.draw(st.sampled_from(sorted(x for x, rows in T.phi.items() if rows)), label="x")
+    n = len(T.phi[x][0])
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, R2.char - 1)] * n),
+                              min_size=len(T.phi[x]), max_size=len(T.phi[x])), label="rows")
+    return dataclasses.replace(T, phi=edited(T.phi, {x: tuple(rows)}))
+
+
 def verdict(validate, *args):
     """describe() of the verdict, or the class and message of the error."""
     try:
@@ -599,11 +610,7 @@ class TestValidationMatchesTheScan:
     @given(name=st.sampled_from(TIGHTENING_NAMES), data=st.data())
     def test_mutated_identifications(self, name, data):
         T, R2 = build_tightening(name)
-        x = data.draw(st.sampled_from(sorted(x for x, rows in T.phi.items() if rows)), label="x")
-        n = len(T.phi[x][0])
-        rows = data.draw(st.lists(st.tuples(*[st.integers(0, R2.char - 1)] * n),
-                                  min_size=len(T.phi[x]), max_size=len(T.phi[x])), label="rows")
-        bad = dataclasses.replace(T, phi=edited(T.phi, {x: tuple(rows)}))
+        bad = identification_redrawn(T, R2, data)
         assert verdict(validate_tightening, bad, R2) == verdict(oracle_validate_tightening, bad, R2)
 
 
@@ -1083,6 +1090,32 @@ class TestAgreement:
             j = extend_ideal(T, R2, i)
             assert j in lat2
             assert restrict_ideal(T, R2, j) == i
+
+
+class TestCorrespondenceMatchesTheOracle:
+    """ideal_correspondence stops at the round trips and the prime match;
+    the oracle also compares inclusions pair by pair and the two prime
+    spectra point by point, which those checks imply.  Verdicts, and
+    raised errors, must agree."""
+
+    @pytest.mark.parametrize("name", TIGHTENING_NAMES)
+    def test_catalog_tightenings(self, name):
+        T, R2 = build_tightening(name)
+        assert verdict(ideal_correspondence, T, R2) == verdict(oracle_ideal_correspondence, T, R2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(TIGHTENING_NAMES), data=st.data())
+    def test_mutated_identifications(self, name, data):
+        T, R2 = build_tightening(name)
+        bad = identification_redrawn(T, R2, data)
+        assert verdict(ideal_correspondence, bad, R2) == verdict(oracle_ideal_correspondence, bad, R2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(TIGHTENING_NAMES), data=st.data())
+    def test_one_two_ring_entry_changed(self, name, data):
+        T, R2 = build_tightening(name)
+        bad = one_entry_changed(R2, data)
+        assert verdict(ideal_correspondence, T, bad) == verdict(oracle_ideal_correspondence, T, bad)
 
 
 # sha256 of the canonical record of the datum localize(R2, S) returns, with
