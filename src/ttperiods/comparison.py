@@ -10,7 +10,8 @@ the open subspace where chosen sections are invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, require_within
@@ -41,12 +42,14 @@ class SectionTable:
     whose product is again a tabulated section.  Every table is checked
     once, when built: past MAX_POINTS or MAX_SECTIONS it is refused with
     SizeBound, and where validate_section_table fails, with ComparisonError.
+    Its comparison map is kept in _cache the first time comp_map reads it.
     """
 
     space: FiniteSpectralModel
     bundles: Mapping[str, int]
     sections: tuple[Section, ...]
     products: Mapping[tuple[str, str], str]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_within("MAX_POINTS", len(self.space.points))
@@ -109,14 +112,15 @@ def validate_section_table(table: SectionTable) -> Diagnosis:
     return PASS
 
 
-def comp_map(table: SectionTable) -> dict[str, PrimePattern]:
-    """Point to the pattern of sections vanishing there."""
-    out = {}
-    for p in table.space.points:
-        out[p] = PrimePattern(
-            frozenset(s.name for s in table.sections if p not in s.locus)
-        )
-    return out
+def comp_map(table: SectionTable) -> Mapping[str, PrimePattern]:
+    """Point to the pattern of sections vanishing there, built once per
+    table."""
+    if "comp" not in table._cache:
+        table._cache["comp"] = MappingProxyType({
+            p: PrimePattern(frozenset(s.name for s in table.sections if p not in s.locus))
+            for p in table.space.points
+        })
+    return table._cache["comp"]
 
 
 def _locus_masks(table: SectionTable) -> list[int]:
@@ -160,12 +164,16 @@ def homeo_onto_image(table: SectionTable) -> bool:
     return True
 
 
-def _period_labels(table: SectionTable, per) -> dict[str, int]:
+def _pointwise_periods(table: SectionTable, ring: GradedRingPresentation, per):
+    """Each point with its period and the local period at its image
+    pattern, in point order."""
     vals = _values(per)
     missing = set(table.space.points) - set(vals)
     if missing:
         raise ComparisonError(f"no period for point {sorted(missing)[0]!r}")
-    return vals
+    comp = comp_map(table)
+    for p in table.space.points:
+        yield p, vals[p], local_period(ring, comp[p])
 
 
 def _check_generator_sections(table: SectionTable, ring: GradedRingPresentation):
@@ -195,12 +203,9 @@ def transfer_periods(
     if not homeo_onto_image(table):
         raise ComparisonError("comparison map is not an embedding")
     _check_generator_sections(table, ring)
-    vals = _period_labels(table, per)
-    comp = comp_map(table)
-    for p in table.space.points:
-        want = local_period(ring, comp[p])
-        if vals[p] != want:
-            return failure("period-mismatch", p, vals[p], want)
+    for p, have, want in _pointwise_periods(table, ring, per):
+        if have != want:
+            return failure("period-mismatch", p, have, want)
     return PASS
 
 
@@ -212,29 +217,10 @@ def divisor_constraint(
     Holds for every table, embedding or not; section names that are not
     ring generators simply never knock a generator out of the gcd.
     """
-    vals = _period_labels(table, per)
-    comp = comp_map(table)
-    for p in table.space.points:
-        bound = local_period(ring, comp[p])
-        if not divides(vals[p], bound):
-            return failure("period-not-divisor", p, vals[p], bound)
+    for p, have, bound in _pointwise_periods(table, ring, per):
+        if not divides(have, bound):
+            return failure("period-not-divisor", p, have, bound)
     return PASS
-
-
-def restrict_table(table: SectionTable, subset: Iterable[str]) -> SectionTable:
-    """Induced table on an open subset; loci restrict literally."""
-    sub = frozenset(subset)
-    if not table.space.is_open(sub):
-        raise ComparisonError("restriction target is not open")
-    return SectionTable(
-        space=table.space.restrict(sub),
-        bundles=dict(table.bundles),
-        sections=tuple(
-            Section(s.name, s.bundle, s.degree, s.locus & sub)
-            for s in table.sections
-        ),
-        products=dict(table.products),
-    )
 
 
 def central_localization(table: SectionTable, names: Iterable[str]) -> frozenset[str]:

@@ -681,7 +681,7 @@ def _abelian_invariants(orders: list[int]) -> tuple[int, ...]:
     elements have the given orders."""
     primary: dict[int, list[int]] = {}
     for p in _prime_factors(len(orders)):
-        # Count solutions of x^(p^j) = 1; the p-adic valuations of the
+        # Count the elements with x^(p^j) = 1; the p-adic valuations of the
         # counts are the partial sums of the conjugate partition.
         valuations = [0]
         j = 1

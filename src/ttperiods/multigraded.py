@@ -506,20 +506,9 @@ def _echelon(p: int, vectors: Iterable) -> tuple:
     return basis
 
 
-def solutions(p: int, rows: Sequence, target: Sequence[int]) -> list:
-    """Every coefficient vector c with sum_j c_j rows[j] == target, by
-    elimination on the rows each followed by its unit vector; empty when
-    target is outside the span of the rows."""
-    m, n = len(target), len(rows)
-    tagged = _echelon(p, [(*r, *(int(k == j) for k in range(n))) for j, r in enumerate(rows)])
-    rest = _reduce(p, tagged, (*target, *(0,) * n))
-    if any(rest[:m]):
-        return []
-    out = [tuple(-c % p for c in rest[m:])]
-    for piv, row in tagged:
-        if piv >= m:
-            out = [tuple((a + c * b) % p for a, b in zip(s, row[m:])) for s in out for c in range(p)]
-    return out
+def in_span(p: int, rows: Iterable, target: Sequence[int]) -> bool:
+    """Whether target is a linear combination of rows over F_p."""
+    return not any(_reduce(p, _echelon(p, rows), tuple(target)))
 
 
 def rank(p: int, vectors: Iterable) -> int:
@@ -820,8 +809,7 @@ class FractionQuotient:
         # basis vector of largest index outside it, so each block is
         # scanned from its last basis vector.  A fraction kept joins the
         # relations tagged with its own unit vector, so reducing a fraction
-        # against them leaves minus its coordinates in the tag, as in
-        # solutions.
+        # against them leaves minus its coordinates in the tag.
         self.basis: list = []
         self._tagged = tuple((piv, row + (0,) * self.dim) for piv, row in relations)
         tags = basis_vectors(self.dim)
@@ -922,9 +910,12 @@ def homogeneous_units(ring: MultigradedRing) -> list:
     """Homogeneous elements with a two-sided inverse.
 
     An inverse v of u in degree x has degree -x and solves the linear
-    system uv = 1, vu = 1, which elimination decides.  The zero ring has
-    none by convention: its one element is both 0 and 1, but it is never
-    listed as a unit.
+    system uv = 1, vu = 1: one exists exactly when 1 ‖ 1 lies in the span
+    of u e ‖ e u over a basis e of degree -x.  The zero ring has none by
+    convention: its one element is both 0 and 1, but it is never listed
+    as a unit.  The test takes the one to be nonzero, as it is on every
+    other ring that passes validate_multigraded: a zero one fails there
+    at identity_fails_on.
     """
     if ring.is_zero_ring():
         return []
@@ -936,7 +927,7 @@ def _has_inverse(ring: MultigradedRing, u) -> bool:
     x = ring.group.neg(u[0])
     basis = [(x, f) for f in basis_vectors(ring.dims[x])]
     rows = [mg_mul(ring, u, e)[1] + mg_mul(ring, e, u)[1] for e in basis]
-    return any(any(v) for v in solutions(ring.char, rows, ring.one + ring.one))
+    return in_span(ring.char, rows, ring.one + ring.one)
 
 
 def mult_system_ring(ring: MultigradedRing, gens: Iterable = ()) -> frozenset:

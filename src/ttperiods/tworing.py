@@ -35,6 +35,7 @@ from .multigraded import (
     all_vectors,
     basis_vectors,
     close_multiplicative,
+    in_span,
     is_ring_prime,
     matrix_invertible,
     mg_mul,
@@ -44,7 +45,6 @@ from .multigraded import (
     render_combo,
     ring_fractions,
     ring_ideals,
-    solutions,
     validate_multigraded,
     vec_zero,
 )
@@ -67,8 +67,8 @@ class ShapeMismatch(UsageError):
 # basis i of Hom(a, b) and j of Hom(c, d) to the vector of their tensor
 # inside Hom(a tensor c, b tensor d).  A table is a tuple of rows, and
 # one tuple may serve several keys.  The tables are read into the
-# datum's AlgebraIndex (kept in _cache) on first use; a modified copy
-# made with dataclasses.replace passes _cache={} to get its own.
+# datum's AlgebraIndex (kept in _cache) on first use; a copy made with
+# dataclasses.replace starts with an empty cache of its own.
 
 
 @dataclass
@@ -87,7 +87,7 @@ class TwoRingDatum:
     tensor_tables: dict
     identities: dict
     symmetry: dict
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def index(self) -> AlgebraIndex:
@@ -169,34 +169,22 @@ def two_ring_index(R2: TwoRingDatum) -> AlgebraIndex:
     return AlgebraIndex(R2.char, dims, products, tensors, twists)
 
 
-def iso_pairs(R2: TwoRingDatum, a, b) -> tuple:
-    """Every invertible morphism from a to b with its inverse, as
-    (f, inverse) pairs, cached per datum.
+def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
+    """All invertible morphisms from a to b, cached per datum.
 
-    An inverse g of f solves the linear system g f = 1, f g = 1, which
-    elimination decides; the least solution is kept.
+    An inverse g of f solves the linear system g f = 1, f g = 1: one
+    exists exactly when 1_a ‖ 1_b lies in the span of g f ‖ f g over a
+    basis g of Hom(b, a).
     """
     key = ("isos", a, b)
-    if key in R2._cache:
-        return R2._cache[key]
-    out = []
-    ida, idb = R2.identities[a], R2.identities[b]
-    d = R2.hom_dim(b, a)
-    basis = [(b, a, f) for f in basis_vectors(d)]
-    shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
-    for f in R2.homs(a, b, include_zero=True) if shaped else ():
-        rows = [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis]
-        found = solutions(R2.char, rows, ida + idb)
-        if found:
-            out.append((f, (b, a, min(found))))
-    out = tuple(out)
-    R2._cache[key] = out
-    return out
-
-
-def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
-    """All invertible morphisms from a to b."""
-    return tuple(f for f, _ in iso_pairs(R2, a, b))
+    if key not in R2._cache:
+        ida, idb = R2.identities[a], R2.identities[b]
+        basis = [(b, a, g) for g in basis_vectors(R2.hom_dim(b, a))]
+        shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
+        homs = R2.homs(a, b, include_zero=True) if shaped else ()
+        R2._cache[key] = tuple(f for f in homs if in_span(
+            R2.char, [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis], ida + idb))
+    return R2._cache[key]
 
 
 def has_iso(R2: TwoRingDatum, a, b) -> bool:
@@ -1038,10 +1026,10 @@ def _fraction_identifier(T: Tightening, R2: TwoRingDatum, system: frozenset, spa
     gx = T.representatives[T.projection[x]]
     frame = None
     if r_end != gx:
-        isos = iso_pairs(R2, r_end, gx)
+        isos = isomorphisms(R2, r_end, gx)
         if not isos:
             raise ShapeMismatch(f"no isomorphism from {r_end!r} to {gx!r}")
-        frame = isos[0][0]
+        frame = isos[0]
     if s_leg not in system:
         raise RingShapeError("identified denominator left the system")
     quotient = spans[(s_leg[1], gx)]

@@ -37,7 +37,11 @@ GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
 over the whole lattice, is checked against the classes GroupIndex.p_classes
 finds.  Only viable for tiny instances.
 square_zero builds the small rings with few units that several test files
-share.
+share.  reference_iso_pairs and reference_units find inverses by trying
+every candidate, the second route to the span test that isomorphisms and
+homogeneous_units make.  restrict_table, the induced table on an open
+subset, has no caller in the library; base_free_cover and
+oracle_central_loc_pullback use it.
 
 The side statements are checked on the package's own engines: the
 degree-zero reduction of Laurent presentations, divisor-closed period sets,
@@ -54,8 +58,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ttperiods import groups
-from ttperiods.comparison import ComparisonError, SectionTable, comp_map
-from ttperiods.comparison import restrict_table
+from ttperiods.comparison import ComparisonError, Section, SectionTable, comp_map
 from ttperiods.diagnostics import PASS, Diagnosis, UsageError, failure
 from ttperiods.graded import (
     GradedError,
@@ -132,7 +135,6 @@ from ttperiods.tworing import (
     ideal_name_two,
     is_prime_two,
     is_translate,
-    iso_pairs,
     mult_closure_two,
     object_name,
     phi_apply,
@@ -286,6 +288,22 @@ def reference_iso_pairs(R2, a, b):
                 out.append((f, g))
                 break
     return tuple(out)
+
+
+def reference_units(ring):
+    """Homogeneous elements with a two-sided inverse, by trying every
+    element of the opposite degree."""
+    if ring.is_zero_ring():
+        return []
+    one = (ring.group.zero, ring.one)
+    out = []
+    for u in ring.homogeneous_elements():
+        x = ring.group.neg(u[0])
+        for v in all_vectors(ring.char, ring.dims[x]):
+            if mg_mul(ring, u, (x, v)) == one and mg_mul(ring, (x, v), u) == one:
+                out.append(u)
+                break
+    return out
 
 
 def partition(class_of, items):
@@ -1109,7 +1127,7 @@ def lemma_magic_check(R2: TwoRingDatum, a, b, w) -> bool:
     if tw[0] == R2.unit:
         w_unit = tw
     else:
-        e, e_inv = iso_pairs(R2, tw[0], R2.unit)[0]
+        e, e_inv = reference_iso_pairs(R2, tw[0], R2.unit)[0]
         w_unit = compose(R2, e, compose(R2, tw, e_inv))
     return (compose(R2, w, a) == b) == (compose(R2, a, w_unit) == b)
 
@@ -1250,7 +1268,7 @@ def oracle_identify_fraction(T: Tightening, R2: TwoRingDatum, system: frozenset,
     r_leg = tensor(R2, R2.identity(gzinv), phi_apply(T, R2, num))
     gx = T.representatives[T.projection[x]]
     if r_leg[1] != gx:
-        isos = iso_pairs(R2, r_leg[1], gx)
+        isos = reference_iso_pairs(R2, r_leg[1], gx)
         if not isos:
             raise ShapeMismatch(f"no isomorphism from {r_leg[1]!r} to {gx!r}")
         r_leg = compose(R2, isos[0][0], r_leg)
@@ -1333,6 +1351,22 @@ def oracle_homeo_onto_image(table: SectionTable) -> bool:
                 if b <= a and b not in hit:
                     return False
     return True
+
+
+def restrict_table(table: SectionTable, subset: Iterable[str]) -> SectionTable:
+    """Induced table on an open subset; loci restrict literally."""
+    sub = frozenset(subset)
+    if not table.space.is_open(sub):
+        raise ComparisonError("restriction target is not open")
+    return SectionTable(
+        space=table.space.restrict(sub),
+        bundles=dict(table.bundles),
+        sections=tuple(
+            Section(s.name, s.bundle, s.degree, s.locus & sub)
+            for s in table.sections
+        ),
+        products=dict(table.products),
+    )
 
 
 class NotBaseFree(ComparisonError):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ttperiods
-from ttperiods import cli, tworing_catalog
+from ttperiods import cli, comparison, tworing_catalog
 from ttperiods.cli import main
 from ttperiods.diagnostics import LIMITS, UsageError
 from ttperiods.graded import make_ring, ring_to_obj
@@ -490,6 +490,23 @@ class TestCompare:
         assert result["transfer"]["ok"] is True
         assert result["divisor"]["ok"] is True
         assert result["comparison"]["⟨α0,α1⟩"] == ["α0", "α1"]
+
+    def test_the_comparison_map_is_built_once(self, capsys, demo, monkeypatch):
+        built = []
+        real = comparison.PrimePattern
+        monkeypatch.setattr(comparison, "PrimePattern",
+                            lambda contains: built.append(contains) or real(contains))
+        code, out, _ = run(
+            capsys, "compare",
+            "--space", demo["stmod_d8_space"],
+            "--ring", demo["d8_ring"],
+            "--sections", demo["stmod_d8_sections"],
+            "--invert", "β",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert {"divisor", "transfer", "inverted"} <= result.keys()
+        assert len(built) == len(result["comparison"])
 
     def test_invert_beta(self, capsys, demo):
         code, out, _ = run(

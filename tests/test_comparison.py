@@ -13,7 +13,6 @@ from ttperiods.comparison import (
     homeo_onto_image,
     is_ample,
     make_table,
-    restrict_table,
     table_from_obj,
     table_to_obj,
     transfer_periods,
@@ -32,6 +31,7 @@ from ttperiods.spaces import (
 from builders import stmod_d8_fixture, write_all
 from oracles import NotBaseFree, base_free_cover, image_open_in_model
 from oracles import oracle_central_loc_pullback, oracle_homeo_onto_image, oracle_is_ample
+from oracles import restrict_table
 
 
 def pullback_holds(table, names):

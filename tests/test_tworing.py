@@ -14,6 +14,7 @@ from ttperiods.diagnostics import SizeBound
 from ttperiods.multigraded import (
     AlgebraIndex,
     RingShapeError,
+    homogeneous_units,
     ideal_name_ring,
     is_ring_prime,
     make_multigraded,
@@ -35,7 +36,6 @@ from ttperiods.tworing import (
     ideal_name_two,
     is_prime_two,
     is_translate,
-    iso_pairs,
     isomorphisms,
     localization_agreement,
     localize,
@@ -82,6 +82,7 @@ from oracles import (
     partition,
     reference_iso_pairs,
     reference_span_classes,
+    reference_units,
     restrict_submonoid,
     restriction_localization_check,
     square_zero,
@@ -178,12 +179,21 @@ class TestConstruction:
         R2 = build_two_ring(name)
         for a in R2.objects:
             for b in R2.objects:
-                pairs = iso_pairs(R2, a, b)
-                assert pairs == reference_iso_pairs(R2, a, b)
-                assert [f for f, _ in pairs] == list(isomorphisms(R2, a, b))
-                for f, g in pairs:
-                    assert compose(R2, g, f) == R2.identity(a)
-                    assert compose(R2, f, g) == R2.identity(b)
+                isos = isomorphisms(R2, a, b)
+                assert list(isos) == [f for f, _ in reference_iso_pairs(R2, a, b)]
+                assert isomorphisms(R2, a, b) is isos
+
+    @pytest.mark.parametrize("args, count", [((5, 3, 2), 400), ((2, 1, 12), 144)])
+    def test_isomorphisms_match_the_search_at_the_limits(self, args, count):
+        # (5, 3, 2): hom components of 125 members; (2, 1, 12): 12 objects.
+        R2 = two_ring_from_multigraded(unit_ring(*args))
+        found = 0
+        for a in R2.objects:
+            for b in R2.objects:
+                isos = isomorphisms(R2, a, b)
+                assert list(isos) == [f for f, _ in reference_iso_pairs(R2, a, b)]
+                found += len(isos)
+        assert found == count
 
     def test_zero_two_ring_validates(self):
         R2 = build_two_ring("zero")
@@ -243,7 +253,7 @@ class TestKernelWork:
         # An index whose every entry holds its own copy of its table forms
         # the terms once per entry, and must come out the same.
         own = dataclasses.replace(
-            R2, _cache={},
+            R2,
             compose_tables={k: tuple([*t]) for k, t in R2.compose_tables.items()},
             tensor_tables={k: tuple([*t]) for k, t in R2.tensor_tables.items()})
         calls.clear()
@@ -288,12 +298,15 @@ def _two_ring_name_key(R2):
 
 
 @st.composite
-def closure_data(draw):
-    """A ring or 2-ring, as (index, name sort key, render, brute-force
-    prime test): the catalog's, unit_ring, square_zero, rank_two_signed,
-    or one of them with a structure-constant entry changed before its
-    index is built."""
-    kind = draw(st.sampled_from(["ring", "two_ring", "unit_ring", "square_zero", "rank_two_signed"]))
+def mutated_data(draw, two_ring=None):
+    """A ring or 2-ring: the catalog's, unit_ring, square_zero,
+    rank_two_signed, or one of them with a structure-constant entry
+    changed before its index is built.  two_ring True or False asks for
+    that kind alone."""
+    kinds = ["ring", "two_ring", "unit_ring", "square_zero", "rank_two_signed"]
+    if two_ring is False:
+        kinds.remove("two_ring")
+    kind = draw(st.sampled_from(kinds))
     if kind == "ring":
         datum = build_ring(draw(st.sampled_from(RING_NAMES)))
     elif kind == "two_ring":
@@ -305,8 +318,11 @@ def closure_data(draw):
         datum = square_zero(p, draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
     else:
         datum = rank_two_signed()
-    if kind != "two_ring" and draw(st.booleans(), label="as 2-ring"):
-        datum = two_ring_from_multigraded(datum)
+    if kind != "two_ring":
+        if two_ring is None:
+            two_ring = draw(st.booleans(), label="as 2-ring")
+        if two_ring:
+            datum = two_ring_from_multigraded(datum)
     if draw(st.booleans(), label="mutate"):
         field = "products" if not isinstance(datum, TwoRingDatum) else draw(
             st.sampled_from(["compose_tables", "tensor_tables"]))
@@ -318,10 +334,16 @@ def closure_data(draw):
             j = draw(st.integers(0, len(rows[i]) - 1))
             rows[i][j] = tuple(draw(st.lists(st.integers(0, datum.char - 1),
                                              min_size=len(rows[i][j]), max_size=len(rows[i][j]))))
-            changes = {field: {**getattr(datum, field), key: tuple(map(tuple, rows))}}
-            if isinstance(datum, TwoRingDatum):
-                changes["_cache"] = {}
-            datum = dataclasses.replace(datum, **changes)
+            datum = dataclasses.replace(
+                datum, **{field: {**getattr(datum, field), key: tuple(map(tuple, rows))}})
+    return datum
+
+
+@st.composite
+def closure_data(draw):
+    """A mutated_data datum as (index, name sort key, render, brute-force
+    prime test)."""
+    datum = draw(mutated_data())
     if isinstance(datum, TwoRingDatum):
         return (datum.index, _two_ring_name_key(datum), datum.render,
                 lambda ideal: oracle_two_ring_prime(datum, ideal))
@@ -391,12 +413,39 @@ class TestClosureMatchesTheOracle:
                     assert index.close(start, gens, known) == oracle_close(index, start, gens)
 
 
+class TestInvertibilityMatchesTheSearch:
+    """isomorphisms and homogeneous_units decide invertibility by one span
+    test; reference_iso_pairs and reference_units try every candidate
+    inverse.  The system is linear in the inverse, so the two agree on
+    tables that break the axioms too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_data(two_ring=True))
+    def test_isomorphisms(self, R2):
+        for a in R2.objects:
+            for b in R2.objects:
+                assert list(isomorphisms(R2, a, b)) == [f for f, _ in reference_iso_pairs(R2, a, b)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_data(two_ring=False))
+    def test_homogeneous_units(self, ring):
+        assert homogeneous_units(ring) == reference_units(ring)
+
+
 class TestValidateNegatives:
+    def test_replaced_copy_reads_its_own_tables(self):
+        R2 = build_two_ring("laurent_f2_z2")
+        assert validate_two_ring(R2).ok
+        tables = edited(R2.compose_tables, {("0", "0", "0"): (((0,),),)})
+        bad = dataclasses.replace(R2, compose_tables=tables)
+        assert bad._cache is not R2._cache
+        assert validate_two_ring(bad).describe() == "FAIL(composition_not_unital: '1')"
+
     def test_broken_associativity(self):
         R2 = build_two_ring("laurent_f2_z2")
         tables = dict(R2.compose_tables)
         tables[("0", "1", "0")] = (((0,),),)
-        bad = dataclasses.replace(R2, compose_tables=tables, _cache={})
+        bad = dataclasses.replace(R2, compose_tables=tables)
         diag = validate_two_ring(bad)
         assert not diag.ok
         assert diag.reason in ("composition_not_associative", "interchange_fails",
@@ -406,26 +455,26 @@ class TestValidateNegatives:
         R2 = build_two_ring("laurent_f2_z2")
         ids = dict(R2.identities)
         ids["1"] = (0,)
-        bad = dataclasses.replace(R2, identities=ids, _cache={})
+        bad = dataclasses.replace(R2, identities=ids)
         assert validate_two_ring(bad).reason == "composition_not_unital"
 
     def test_broken_symmetry(self):
         R2 = build_two_ring("koszul_f3_z2")
         sym = dict(R2.symmetry)
         sym[("1", "1")] = (1,)
-        bad = dataclasses.replace(R2, symmetry=sym, _cache={})
+        bad = dataclasses.replace(R2, symmetry=sym)
         diag = validate_two_ring(bad)
         assert not diag.ok
         assert diag.reason.startswith("symmetry")
 
     def test_support_must_cover_components(self):
         R2 = build_two_ring("laurent_f2_z2")
-        bad = dataclasses.replace(R2, support=frozenset({(0,)}), _cache={})
+        bad = dataclasses.replace(R2, support=frozenset({(0,)}))
         assert validate_two_ring(bad).reason == "component_outside_support"
 
     def test_composite_char(self):
         R2 = build_two_ring("laurent_f2_z2")
-        bad = dataclasses.replace(R2, char=6, _cache={})
+        bad = dataclasses.replace(R2, char=6)
         assert validate_two_ring(bad).reason == "characteristic_not_prime"
 
 
@@ -440,7 +489,7 @@ def two_ring_with(name, **fields):
     the new value or to a function of the old one."""
     R2 = build_two_ring(name)
     new = {k: v(getattr(R2, k)) if callable(v) else v for k, v in fields.items()}
-    return dataclasses.replace(R2, _cache={}, **new)
+    return dataclasses.replace(R2, **new)
 
 
 # One 2-ring per failure reason validate_two_ring can give, short of
@@ -513,7 +562,7 @@ def one_entry_changed(R2, data):
     j = data.draw(st.integers(0, len(rows[i]) - 1), label="j")
     n = len(rows[i][j])
     rows[i][j] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * n), label="vec")
-    return dataclasses.replace(R2, _cache={}, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
+    return dataclasses.replace(R2, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
 
 
 def identification_redrawn(T, R2, data):
@@ -589,7 +638,7 @@ class TestValidationMatchesTheScan:
         tables = {(a, b, c, d): table if c == d else tuple(
                       tuple(tuple(2 * v % 3 for v in w) for w in row) for row in table)
                   for (a, b, c, d), table in R2.tensor_tables.items()}
-        bad = dataclasses.replace(R2, tensor_tables=tables, _cache={})
+        bad = dataclasses.replace(R2, tensor_tables=tables)
         diag = validate_two_ring(bad)
         assert diag.reason == "interchange_fails"
         assert diag.describe() == oracle_validate_two_ring(bad).describe()
@@ -819,7 +868,7 @@ class TestIdealsAndSpectrum:
         R2 = build_two_ring("laurent_f2_z2")
         dims = dict(R2.dims)
         dims[("0", "0")] = 4
-        bad = dataclasses.replace(R2, dims=dims, _cache={})
+        bad = dataclasses.replace(R2, dims=dims)
         with pytest.raises(SizeBound):
             homogeneous_ideals(bad)
 
@@ -988,7 +1037,7 @@ class TestExchangeLemma:
             k: tuple(tuple(tuple(v) for v in row) for row in rows)
             for k, rows in tables.items()
         }
-        bad = dataclasses.replace(R2, compose_tables=bad_tables, _cache={})
+        bad = dataclasses.replace(R2, compose_tables=bad_tables)
         assert not validate_two_ring(bad).ok
         results = set()
         for a in bad.homs("0", "1", include_zero=True):
@@ -1422,7 +1471,7 @@ class TestLocalizationMatchesTheOracle:
         rows = [list(row) for row in getattr(R2, field)[key]]
         rows[i][j] = vec
         bad = dataclasses.replace(
-            R2, _cache={}, **{field: edited(getattr(R2, field), {key: tuple(map(tuple, rows))})})
+            R2, **{field: edited(getattr(R2, field), {key: tuple(map(tuple, rows))})})
         diag = localization_agreement(T, bad, [])
         assert diag.reason == reason
         assert diag.describe() == oracle_localization_agreement(T, bad, []).describe()
