@@ -42,7 +42,8 @@ class SectionTable:
     whose product is again a tabulated section.  Every table is checked
     once, when built: past MAX_POINTS or MAX_SECTIONS it is refused with
     SizeBound, and where validate_section_table fails, with ComparisonError.
-    Its comparison map is kept in _cache the first time comp_map reads it.
+    Its comparison map, its locus masks and its embedding verdict are each
+    kept in _cache the first time they are read.
     """
 
     space: FiniteSpectralModel
@@ -112,19 +113,24 @@ def validate_section_table(table: SectionTable) -> Diagnosis:
     return PASS
 
 
+def _cached(table: SectionTable, key: str, build):
+    """build(table), kept in table._cache under key from the first read."""
+    if key not in table._cache:
+        table._cache[key] = build(table)
+    return table._cache[key]
+
+
 def comp_map(table: SectionTable) -> Mapping[str, PrimePattern]:
     """Point to the pattern of sections vanishing there, built once per
     table."""
-    if "comp" not in table._cache:
-        table._cache["comp"] = MappingProxyType({
-            p: PrimePattern(frozenset(s.name for s in table.sections if p not in s.locus))
-            for p in table.space.points
-        })
-    return table._cache["comp"]
+    return _cached(table, "comp", lambda t: MappingProxyType({
+        p: PrimePattern(frozenset(s.name for s in t.sections if p not in s.locus))
+        for p in t.space.points
+    }))
 
 
-def _locus_masks(table: SectionTable) -> list[int]:
-    return [table.space._mask(s.locus) for s in table.sections]
+def _locus_masks(table: SectionTable) -> tuple[int, ...]:
+    return tuple(table.space._mask(s.locus) for s in table.sections)
 
 
 def is_ample(table: SectionTable) -> bool:
@@ -136,7 +142,7 @@ def is_ample(table: SectionTable) -> bool:
     holding p and lying in U_p is U_p itself.  The loci are a basis exactly
     when every U_p is one of them.
     """
-    loci = set(_locus_masks(table))
+    loci = set(_cached(table, "loci", _locus_masks))
     return all(u in loci for u in table.space._up)
 
 
@@ -150,9 +156,14 @@ def homeo_onto_image(table: SectionTable) -> bool:
     p's exactly when q lies in every locus holding p, so the rule asks the
     intersection of the loci holding p to be U_p; it always contains U_p,
     since each locus is open.  Injectivity follows: equal patterns put
-    each point in the other's U, and the order is antisymmetric.
+    each point in the other's U, and the order is antisymmetric.  The
+    verdict is decided once per table.
     """
-    loci = _locus_masks(table)
+    return _cached(table, "embedding", _reflects_specialization)
+
+
+def _reflects_specialization(table: SectionTable) -> bool:
+    loci = _cached(table, "loci", _locus_masks)
     meet_of_none = (1 << len(table.space.points)) - 1
     for i, u in enumerate(table.space._up):
         meet = meet_of_none

@@ -206,12 +206,17 @@ def pattern_diagnosis(ring: GradedRingPresentation, pattern: PrimePattern) -> Di
 
 @dataclass(frozen=True)
 class SpechModel:
-    """Finite poset of named pattern points over one presentation."""
+    """Finite poset of named pattern points over one presentation.
+
+    masks holds each point's pattern as a mask with one bit per
+    non-invertible generator, in declaration order.
+    """
 
     ring: GradedRingPresentation
     space: FiniteSpectralModel
     patterns: Mapping[str, PrimePattern]
     certified: Mapping[str, str]
+    masks: Mapping[str, int]
 
     def check(self) -> Diagnosis:
         for point in self.space.points:
@@ -246,6 +251,7 @@ def _build_spech(ring, width: int, names, masks, patterns, certs) -> SpechModel:
         space=space,
         patterns={n: by_name[n][0] for n in space.points},
         certified={n: by_name[n][1] for n in space.points},
+        masks={n: named[n] for n in space.points},
     )
 
 
@@ -331,15 +337,14 @@ def _periods_and_complements(ring: GradedRingPresentation, model: SpechModel):
     over complements: the empty one holds the gcd of the nonzero unit
     degrees, and any other takes one gcd, of the entry without its lowest
     bit and that bit's degree."""
-    free = [g for g in ring.generators if not g.invertible]
-    bit = {g.name: 1 << i for i, g in enumerate(free)}
-    degree = [abs(g.degree) for g in free]
-    full = (1 << len(free)) - 1
+    degree = [abs(g.degree) for g in ring.generators if not g.invertible]
+    full = (1 << len(degree)) - 1
     gcd = math.gcd
     table = {0: gcd(*(abs(g.degree) for g in ring.generators if g.invertible))}
     periods, outside = {}, {}
+    masks = model.masks
     for p in model.space.points:
-        c = outside[p] = full ^ sum(map(bit.__getitem__, model.patterns[p].contains))
+        c = outside[p] = full ^ masks[p]
         missing = []
         while c not in table:
             missing.append(c)

@@ -72,6 +72,34 @@ def _bits(mask: int):
         i = digits.find("1", i + 1)
 
 
+def _inclusions_by_table(masks, holders, full):
+    """Each mask's supersets and subsets, from two tables over every element
+    set k, doubled once per element: every[k] holds the points holding each
+    element of k, none[k] those holding no element of k."""
+    every, none = [full], [full]
+    for h in holders:
+        every += [s & h for s in every]
+        none += [s & ~h for s in none]
+    top = len(every) - 1
+    return [every[m] for m in masks], [none[top ^ m] for m in masks]
+
+
+def _inclusions_by_point(masks, holders, full):
+    """Each mask's supersets and subsets, one holder AND or OR per
+    (point, element)."""
+    supersets, subsets = [], []
+    for m in masks:
+        every, outside = full, 0
+        for e, h in enumerate(holders):
+            if m >> e & 1:
+                every &= h
+            else:
+                outside |= h
+        supersets.append(every)
+        subsets.append(full & ~outside)
+    return supersets, subsets
+
+
 class FiniteSpectralModel:
     """Finite poset of named points under specialization.
 
@@ -135,32 +163,28 @@ class FiniteSpectralModel:
 
         Masks are sets of element bits below width.  Each element's "holder"
         mask marks the points whose set contains it.  The sets containing
-        that of p are the AND of the holders of its elements; the sets inside
-        it are those holding no element outside it.  A set equal to that of p
-        under another name lies in both, and stays incomparable.
+        that of p hold each of its elements; the sets inside it hold none
+        outside it.  When the 2^width element sets number no more than the
+        (point, element) pairs, both come from two tables over every element
+        set; otherwise each point reads the holders one by one.  A set equal
+        to that of p under another name lies in both, and is taken out of
+        both, so equal sets stay incomparable.
         """
         names = tuple(sorted(named_masks))
         masks = [named_masks[p] for p in names]
-        elements = range(width)
-        holders = [0] * width
-        for i, m in enumerate(masks):
-            bit = 1 << i
-            for e in elements:
-                if m >> e & 1:
-                    holders[e] |= bit
+        # Row i spells mask n-1-i in width digits, most significant first,
+        # so column j, read as a binary number, holds element width-1-j.
+        rows = [bin(m | 1 << width)[3:] for m in reversed(masks)]
+        holders = [int("".join(col), 2) for col in zip(*rows)][::-1]
         full = (1 << len(names)) - 1
-        down, up = [], []
-        for i, m in enumerate(masks):
-            supersets, outside = full, 0
-            for e in elements:
-                if m >> e & 1:
-                    supersets &= holders[e]
-                else:
-                    outside |= holders[e]
-            subsets = full & ~outside
-            bit = 1 << i
-            down.append(supersets & ~subsets | bit)
-            up.append(subsets & ~supersets | bit)
+        if 1 << width <= len(names) * width:
+            supersets, subsets = _inclusions_by_table(masks, holders, full)
+        else:
+            supersets, subsets = _inclusions_by_point(masks, holders, full)
+        if len(set(masks)) == len(masks):
+            return cls._from_masks(names, supersets, subsets)
+        down = [s & ~t | 1 << i for i, (s, t) in enumerate(zip(supersets, subsets))]
+        up = [t & ~s | 1 << i for i, (s, t) in enumerate(zip(supersets, subsets))]
         return cls._from_masks(names, down, up)
 
     # -- name <-> mask boundary ----------------------------------------

@@ -79,6 +79,7 @@ def stmod_period_map(
             space=space,
             patterns={q: model.patterns[q] for q in space.points},
             certified={q: model.certified[q] for q in space.points},
+            masks={q: model.masks[q] for q in space.points},
         ),
         restricted,
     )

@@ -579,11 +579,16 @@ def _oracle_spech(ring, pats) -> SpechModel:
             raise InvalidPattern(name, "duplicate name")
         names[name] = (pattern, cert)
     space = oracle_from_inclusions({n: pat.contains for n, (pat, _) in names.items()})
+    free = [g.name for g in ring.generators if not g.invertible]
     return SpechModel(
         ring=ring,
         space=space,
         patterns={n: names[n][0] for n in space.points},
         certified={n: names[n][1] for n in space.points},
+        masks={
+            n: sum(1 << i for i, g in enumerate(free) if g in names[n][0].contains)
+            for n in space.points
+        },
     )
 
 

@@ -508,6 +508,28 @@ class TestCompare:
         assert {"divisor", "transfer", "inverted"} <= result.keys()
         assert len(built) == len(result["comparison"])
 
+    def test_the_loci_and_the_embedding_are_decided_once(self, capsys, demo, monkeypatch):
+        # is_ample, the report's embedding and transfer_periods' precondition
+        # all read them.
+        calls = dict.fromkeys(["_locus_masks", "_reflects_specialization"], 0)
+        for name in calls:
+            def counted(table, real=getattr(comparison, name), name=name):
+                calls[name] += 1
+                return real(table)
+
+            monkeypatch.setattr(comparison, name, counted)
+        code, out, _ = run(
+            capsys, "compare",
+            "--space", demo["stmod_d8_space"],
+            "--ring", demo["d8_ring"],
+            "--sections", demo["stmod_d8_sections"],
+            "--invert", "β",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["embedding"] and {"ample", "transfer"} <= result.keys()
+        assert calls == {"_locus_masks": 1, "_reflects_specialization": 1}
+
     def test_invert_beta(self, capsys, demo):
         code, out, _ = run(
             capsys, "compare",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ttperiods.comparison import (
     ComparisonError,
-    Section,
     central_localization,
     comp_map,
     divisor_constraint,
@@ -19,12 +18,11 @@ from ttperiods.comparison import (
     validate_section_table,
 )
 from ttperiods.diagnostics import SizeBound
-from ttperiods.graded import enumerate_patterns, local_period, make_ring, ring_from_obj
+from ttperiods.graded import make_ring, ring_from_obj
 from ttperiods.sections_catalog import FIXTURE_NAMES, build_fixture
 from ttperiods.spaces import (
     FiniteSpectralModel,
     PeriodAssignment,
-    divides,
     model_from_obj,
 )
 

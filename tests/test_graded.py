@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttperiods import graded
-from ttperiods.diagnostics import Diagnosis
 from ttperiods.graded import (
     BoundTooSmall,
     GradedError,
@@ -504,7 +503,20 @@ def pattern_rings(draw, max_free=13):
     return ring
 
 
+def assert_masks_match_patterns(model):
+    """Each point's mask has the bits of its pattern's generators, one per
+    non-invertible generator in declaration order."""
+    free = [g.name for g in model.ring.generators if not g.invertible]
+    assert list(model.masks) == list(model.space.points)
+    for p in model.space.points:
+        contains = model.patterns[p].contains
+        assert model.masks[p] == sum(1 << i for i, n in enumerate(free) if n in contains), p
+
+
 def assert_same_spech(ring, new, old):
+    assert_masks_match_patterns(new)
+    assert_masks_match_patterns(old)
+    assert new.masks == old.masks
     assert new.space.points == old.space.points
     assert new.space._down == old.space._down
     assert new.space._up == old.space._up

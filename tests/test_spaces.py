@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from ttperiods.spaces import (
 from ttperiods import spaces
 from ttperiods.graded import enumerate_patterns, make_ring, point_periods
 
-from oracles import is_alexandrov_open, oracle_check_period_map
+from oracles import is_alexandrov_open, oracle_check_period_map, oracle_from_inclusions
 
 
 def chain(*names):
@@ -510,6 +511,64 @@ class TestAgainstReference:
             FiniteSpectralModel(["a", "b"], [("a", "b"), ("b", "z")])
         with pytest.raises(ModelError, match="unknown points"):
             chain("a", "b").is_open({"c"})
+
+
+@st.composite
+def mask_families(draw, dense):
+    """Masks over width elements with the empty set and repeats allowed.
+    Dense families hold at least 2^width / width sets over at most 8
+    elements; sparse ones at most 8 sets over 40 or more, and may be empty."""
+    if dense:
+        width = draw(st.integers(1, 8))
+        least = -(-(1 << width) // width)
+        size = draw(st.integers(least, least + 16))
+    else:
+        width = draw(st.integers(40, 64))
+        size = draw(st.integers(0, 8))
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size))
+    if masks:
+        masks += draw(st.lists(st.sampled_from(masks), max_size=3))
+    return masks, width
+
+
+def assert_inclusions_match(masks, width, route):
+    """from_inclusion_masks takes the named route and builds the poset of
+    oracle_from_inclusions."""
+    named = {f"p{i:03d}": m for i, m in enumerate(masks)}
+    with mock.patch.object(spaces, "_inclusions_by_table", wraps=spaces._inclusions_by_table) as by_table, \
+            mock.patch.object(spaces, "_inclusions_by_point", wraps=spaces._inclusions_by_point) as by_point:
+        model = FiniteSpectralModel.from_inclusion_masks(named, width)
+    taken = {"table": by_table.call_count, "point": by_point.call_count}
+    assert taken == {r: int(r == route) for r in taken}
+    ref = oracle_from_inclusions({p: frozenset(spaces._bits(m)) for p, m in named.items()})
+    assert model.points == ref.points
+    assert model._down == ref._down
+    assert model._up == ref._up
+
+
+class TestInclusionRoutes:
+    """Both sides of from_inclusion_masks' width rule, 2^width against
+    points times width, checked against oracle_from_inclusions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask_families(dense=True))
+    def test_dense_families_take_the_table(self, case):
+        assert_inclusions_match(*case, "table")
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask_families(dense=False))
+    def test_sparse_families_take_the_per_point_loop(self, case):
+        assert_inclusions_match(*case, "point")
+
+    @pytest.mark.parametrize("masks, width, route", [
+        ([], 3, "point"),
+        ([0b01, 0b01, 0b11, 0], 2, "table"),
+        ([0b01, 0b01, 0b11, 0], 5, "point"),
+        (list(range(32)), 8, "table"),
+        (list(range(31)), 8, "point"),
+    ], ids=["empty-family", "duplicates-by-table", "duplicates-by-point", "at-the-rule", "below-it"])
+    def test_routes_at_the_rule(self, masks, width, route):
+        assert_inclusions_match(masks, width, route)
 
 
 class TestWorkCount:

@@ -55,6 +55,7 @@ from ttperiods.spectra import (
 
 from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
 from oracles import oracle_artin_tower, reference_dperm_strata
+from test_graded import assert_masks_match_patterns
 from test_groups import CATALOG_24
 
 
@@ -300,6 +301,22 @@ class TestStmodPeriodMap:
         full, _ = rep_period_map(quaternion(8), 2)
         res, _ = stmod_period_map(quaternion(8), 2)
         assert len(full.space.points) == len(res.space.points) + 1
+
+    def test_restricted_masks_match_the_patterns(self):
+        # Every (group, prime) of the order-24 catalog that the key catalog
+        # answers, before and after the irrelevant point is removed.
+        answered = 0
+        for G in CATALOG_24:
+            for p in _prime_factors(G.order):
+                try:
+                    full, _ = rep_period_map(G, p)
+                except GroupNotInCatalog:
+                    continue
+                answered += 1
+                res, _ = stmod_period_map(G, p)
+                assert_masks_match_patterns(full)
+                assert_masks_match_patterns(res)
+        assert answered == 44
 
 
 class TestStatedTable:
