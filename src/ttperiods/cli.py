@@ -106,13 +106,14 @@ def _parse_witnesses(obj):
 
     if not isinstance(obj, dict) or "witnesses" not in obj:
         return None
-    out = []
-    try:
-        for names, cert in obj["witnesses"]:
-            out.append((PrimePattern.of(*[str(n) for n in names]), str(cert)))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed witnesses: {exc}") from exc
-    return out
+    witnesses = obj["witnesses"]
+    # Each entry is [[generator names], tag], all strings, never coerced.
+    if not (isinstance(witnesses, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], list) and isinstance(e[1], str)
+        and all(isinstance(n, str) for n in e[0]) for e in witnesses
+    )):
+        raise InputError("malformed witnesses: each must be [[generator names], tag], all strings")
+    return [(PrimePattern.of(*names), cert) for names, cert in witnesses]
 
 
 def _cmd_ring(args) -> int:

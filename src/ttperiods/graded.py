@@ -1,10 +1,12 @@
 """Finitely presented graded-commutative rings and their vanishing-pattern spectra.
 
 A homogeneous prime is represented by its trace on the generators: the set
-of generator names it contains.  For monomial quotients that trace data is
-a complete description and the whole spectrum can be enumerated as a
-hitting-set problem; for other presentations, supplied witness patterns
-are validated against sound necessary conditions instead.
+of generator names it contains, held as a mask with one bit per
+non-invertible generator (names and frozensets are views of the mask).  For
+monomial quotients that trace data is a complete description and the whole
+spectrum can be enumerated as a hitting-set problem; for other
+presentations, supplied witness patterns are validated against sound
+necessary conditions instead.
 
 Local periods come from the gcd formula: the period at a pattern is the
 gcd of the degrees of the generators outside it, with gcd of nothing
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, require_within
@@ -204,38 +207,43 @@ def pattern_diagnosis(ring: GradedRingPresentation, pattern: PrimePattern) -> Di
     return PASS
 
 
+def _name_table(ring: GradedRingPresentation) -> list[tuple[str, ...]]:
+    """table[m]: the names of the non-invertible generators in mask m, in
+    declaration order."""
+    table: list[tuple[str, ...]] = [()]
+    for g in ring.generators:
+        if not g.invertible:
+            table += [t + (g.name,) for t in table]
+    return table
+
+
 @dataclass(frozen=True)
 class SpechModel:
     """Finite poset of named pattern points over one presentation.
 
-    masks holds each point's pattern as a mask with one bit per
-    non-invertible generator, in declaration order.
+    masks is the one record of each point's pattern: a mask with one bit
+    per non-invertible generator, in declaration order, keyed in point
+    order.  patterns is a view of the same sets as PrimePattern objects,
+    built on first read.
     """
 
     ring: GradedRingPresentation
     space: FiniteSpectralModel
-    patterns: Mapping[str, PrimePattern]
     certified: Mapping[str, str]
     masks: Mapping[str, int]
 
-    def check(self) -> Diagnosis:
-        for point in self.space.points:
-            diag = pattern_diagnosis(self.ring, self.patterns[point])
-            if not diag:
-                return failure("invalid-pattern", point, diag.reason)
-        for p in self.space.points:
-            for q in self.space.specializations(p):
-                if not self.patterns[p].contains <= self.patterns[q].contains:
-                    return failure("order-vs-inclusion", p, q)
-        return PASS
+    @cached_property
+    def patterns(self) -> Mapping[str, PrimePattern]:
+        table = _name_table(self.ring)
+        return {p: PrimePattern(frozenset(table[m])) for p, m in self.masks.items()}
 
 
 _CERT_TAGS = ("enumerated", "witness", "paper")
 
 
-def _build_spech(ring, width: int, names, masks, patterns, certs) -> SpechModel:
+def _build_spech(ring, width: int, names, masks, certs) -> SpechModel:
     """Model on parallel lists of point names, pattern masks over the width
-    non-invertible generators, patterns and tags.
+    non-invertible generators, and tags.
 
     Two patterns under one name (generator names holding commas or angle
     brackets can make one) are refused, not merged.
@@ -245,12 +253,11 @@ def _build_spech(ring, width: int, names, masks, patterns, certs) -> SpechModel:
         duplicate = next(n for n, k in Counter(names).items() if k > 1)
         raise InvalidPattern(duplicate, "duplicate name")
     space = FiniteSpectralModel.from_inclusion_masks(named, width)
-    by_name = dict(zip(names, zip(patterns, certs)))
+    tag = dict(zip(names, certs))
     return SpechModel(
         ring=ring,
         space=space,
-        patterns={n: by_name[n][0] for n in space.points},
-        certified={n: by_name[n][1] for n in space.points},
+        certified={n: tag[n] for n in space.points},
         masks={n: named[n] for n in space.points},
     )
 
@@ -266,14 +273,14 @@ def enumerate_patterns(
     nilpotents and meets each relation monomial; that is the complete list
     of pattern points.  It refuses more than MAX_FREE_GENERATORS
     non-invertible generators with SizeBound, before enumerating anything.
-    With witnesses supplied, the given patterns are validated and used
-    as-is, and a pattern given twice is refused; completeness is then the
+    With witnesses supplied, each pattern is diagnosed and kept as its
+    mask, and a pattern given twice is refused; completeness is then the
     caller's responsibility.
     """
     free = [g.name for g in ring.generators if not g.invertible]
     bit = {n: 1 << i for i, n in enumerate(free)}
     if witnesses is not None:
-        names, masks, patterns, certs = [], [], [], []
+        names, masks, certs = [], [], []
         seen: set[int] = set()
         for pattern, cert in witnesses:
             name = pattern_name(ring, pattern)
@@ -288,9 +295,8 @@ def enumerate_patterns(
             seen.add(mask)
             names.append(name)
             masks.append(mask)
-            patterns.append(pattern)
             certs.append(cert)
-        return _build_spech(ring, len(free), names, masks, patterns, certs)
+        return _build_spech(ring, len(free), names, masks, certs)
     if any(len(rel) > 1 for rel in ring.relations):
         raise NonMonomialWithoutWitnesses(
             "non-monomial relations need witness patterns"
@@ -313,13 +319,9 @@ def enumerate_patterns(
     for rel in ring.relations:
         need = mask_of(rel[0].variables())
         masks = [m for m in masks if m & need]
-    # table[m]: the names of the generators in m, in declaration order.
-    table: list[tuple[str, ...]] = [()]
-    for name in free:
-        table += [t + (name,) for t in table]
+    table = _name_table(ring)
     names = ["⟨" + ",".join(table[m]) + "⟩" for m in masks]
-    patterns = [PrimePattern(frozenset(table[m])) for m in masks]
-    return _build_spech(ring, n, names, masks, patterns, ["enumerated"] * len(masks))
+    return _build_spech(ring, n, names, masks, ["enumerated"] * len(masks))
 
 
 def local_period(ring: GradedRingPresentation, pattern: PrimePattern) -> int:
@@ -477,13 +479,11 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
 
 
 def spech_to_obj(model: SpechModel, periods: "Mapping[str, int] | None" = None) -> dict:
+    table = _name_table(model.ring)
     obj = {
         "points": list(model.space.points),
         "specializes": [list(e) for e in model.space.cover_pairs()],
-        "pattern": {
-            p: [n for n in model.ring.names() if n in model.patterns[p].contains]
-            for p in model.space.points
-        },
+        "pattern": {p: list(table[model.masks[p]]) for p in model.space.points},
         "certified": {p: model.certified[p] for p in model.space.points},
     }
     if periods is not None:

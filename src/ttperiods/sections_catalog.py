@@ -54,11 +54,9 @@ def _d8_presentation() -> GradedRingPresentation:
 
 
 def _monomial_locus(model: SpechModel, variables: frozenset[str]) -> frozenset[str]:
-    return frozenset(
-        q
-        for q in model.space.points
-        if not (variables & model.patterns[q].contains)
-    )
+    free = [g.name for g in model.ring.generators if not g.invertible]
+    hit = sum(1 << i for i, name in enumerate(free) if name in variables)
+    return frozenset(q for q, mask in model.masks.items() if not mask & hit)
 
 
 def _local_periods(model: SpechModel) -> PeriodAssignment:

@@ -58,9 +58,9 @@ class TowerHeightValueError(UsageError, ValueError):
 
 
 def _irrelevant_point(model: SpechModel) -> str:
-    full = frozenset(g.name for g in model.ring.generators if not g.invertible)
-    for point in model.space.points:
-        if model.patterns[point].contains == full:
+    full = (1 << sum(not g.invertible for g in model.ring.generators)) - 1
+    for point, mask in model.masks.items():
+        if mask == full:
             return point
     raise ModelError("extended variety without its irrelevant point")
 
@@ -77,7 +77,6 @@ def stmod_period_map(
         SpechModel(
             ring=model.ring,
             space=space,
-            patterns={q: model.patterns[q] for q in space.points},
             certified={q: model.certified[q] for q in space.points},
             masks={q: model.masks[q] for q in space.points},
         ),

@@ -13,8 +13,10 @@ must name too.  oracle_two_ring_from_multigraded forms every table of a
 degree key.  oracle_enumerate_patterns, oracle_from_inclusions and
 oracle_periodic_locus are the pattern engine before it worked on
 generator bitmasks: frozenset patterns from itertools.combinations, each
-named by pattern_name, a poset from holder dictionaries keyed by
-generator name, and periods from local_period at every point.
+named by pattern_name and kept as the OracleSpech's own record, a poset
+from holder dictionaries keyed by generator name, and periods from
+local_period at every point.  oracle_check_spech diagnoses every pattern
+of a model and checks its order against pattern inclusion.
 oracle_close, oracle_lattice and oracle_ideal_name are the ideal engine
 before closure stopped at saturation; they share the echelon helpers, not
 the stop rules, with AlgebraIndex.  oracle_span_quotients and
@@ -571,7 +573,20 @@ def oracle_from_inclusions(named_sets) -> FiniteSpectralModel:
     return FiniteSpectralModel._from_masks(names, down, up)
 
 
-def _oracle_spech(ring, pats) -> SpechModel:
+@dataclass(frozen=True)
+class OracleSpech:
+    """The oracle's pattern model.  Its record is the frozenset patterns it
+    enumerated; its masks are computed from them, generator by generator,
+    so neither is a view of the other's engine."""
+
+    ring: GradedRingPresentation
+    space: FiniteSpectralModel
+    patterns: dict
+    certified: dict
+    masks: dict
+
+
+def _oracle_spech(ring, pats) -> OracleSpech:
     names = {}
     for pattern, cert in pats:
         name = pattern_name(ring, pattern)
@@ -580,7 +595,7 @@ def _oracle_spech(ring, pats) -> SpechModel:
         names[name] = (pattern, cert)
     space = oracle_from_inclusions({n: pat.contains for n, (pat, _) in names.items()})
     free = [g.name for g in ring.generators if not g.invertible]
-    return SpechModel(
+    return OracleSpech(
         ring=ring,
         space=space,
         patterns={n: names[n][0] for n in space.points},
@@ -592,7 +607,7 @@ def _oracle_spech(ring, pats) -> SpechModel:
     )
 
 
-def oracle_enumerate_patterns(ring: GradedRingPresentation, witnesses=None) -> SpechModel:
+def oracle_enumerate_patterns(ring: GradedRingPresentation, witnesses=None) -> OracleSpech:
     """Pattern points as frozensets: every combination of the non-invertible
     generators that holds the nilpotents and meets each relation monomial,
     named one by one with pattern_name.  Witnesses are diagnosed and kept
@@ -619,7 +634,23 @@ def oracle_enumerate_patterns(ring: GradedRingPresentation, witnesses=None) -> S
     return _oracle_spech(ring, pats)
 
 
-def oracle_periodic_locus(ring: GradedRingPresentation, model: SpechModel, d) -> frozenset:
+def oracle_check_spech(model: SpechModel) -> Diagnosis:
+    """Every point's pattern passes pattern_diagnosis, and the order is
+    contained in pattern inclusion."""
+    for point in model.space.points:
+        diag = pattern_diagnosis(model.ring, model.patterns[point])
+        if not diag:
+            return failure("invalid-pattern", point, diag.reason)
+    for p in model.space.points:
+        for q in model.space.specializations(p):
+            if not model.patterns[p].contains <= model.patterns[q].contains:
+                return failure("order-vs-inclusion", p, q)
+    return PASS
+
+
+def oracle_periodic_locus(
+    ring: GradedRingPresentation, model: "SpechModel | OracleSpech", d
+) -> frozenset:
     """periodic_locus from local_period at every point, with the principal
     loci D(x) gathered as name sets, point by point."""
     periods = {p: local_period(ring, model.patterns[p]) for p in model.space.points}

@@ -136,6 +136,28 @@ class TestRing:
             assert code == 2 and out == ""
             assert "InvalidPattern" in err and "repeated pattern" in err
 
+    # Each entry must be [[generator names], tag] with every name and the tag
+    # a string.  Each value below was once coerced into a pattern or a tag;
+    # the ring has a generator named "1", so a number name read as a string
+    # would be a valid pattern.
+    MALFORMED_WITNESSES = {
+        "string names": [["ab", "witness"]],
+        "object names": [[{"a": 0}, "witness"]],
+        "number name": [[[1], "witness"]],
+        "number tag": [[["a"], 1]],
+        "object, not a list": {"ab": "witness"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
+    def test_malformed_witnesses_are_refused(self, capsys, tmp_path, case):
+        obj = ring_to_obj(make_ring(2, [("a", 1), ("b", 1), ("1", 1)]))
+        wits = self.MALFORMED_WITNESSES[case]
+        obj["witnesses"] = [[[], "witness"], *wits] if isinstance(wits, list) else wits
+        path = write_json(tmp_path, "bad.json", obj)
+        code, out, err = run(capsys, "ring", "periods", "--input", path)
+        assert (code, out) == (2, "")
+        assert "input error: malformed witnesses" in err
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")

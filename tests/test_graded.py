@@ -1,17 +1,19 @@
 """Graded rings: pattern enumeration, local periods, and the degree oracle."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttperiods import graded
+from ttperiods import cohomology, graded
 from ttperiods.graded import (
     BoundTooSmall,
     GradedError,
     InvalidPattern,
     NonMonomialWithoutWitnesses,
     PrimePattern,
+    SpechModel,
     TauTable,
     enumerate_patterns,
     local_period,
@@ -25,10 +27,12 @@ from ttperiods.graded import (
     spech_to_obj,
     validate_presentation,
 )
+from ttperiods.groups import dihedral, elementary_abelian, quaternion
 from ttperiods.spaces import ALL, check_period_map
+from ttperiods.spectra import stmod_period_map
 
 from oracles import NotLaurentForm, degree_zero_reduction_check
-from oracles import oracle_enumerate_patterns, oracle_periodic_locus
+from oracles import oracle_check_spech, oracle_enumerate_patterns, oracle_periodic_locus
 
 
 def poly_xy():
@@ -132,7 +136,7 @@ class TestEnumeratePatterns:
             frozenset({"x", "y"}),
         }
         assert frozenset({"x", "y"}) in got
-        assert model.check().ok
+        assert oracle_check_spech(model).ok
 
     def test_d8_ring_has_six_patterns(self):
         model = enumerate_patterns(d8_ring())
@@ -175,7 +179,7 @@ class TestEnumeratePatterns:
     def test_witness_mode_accepts_valid_patterns(self):
         model = enumerate_patterns(m11_ring(), witnesses=M11_WITNESSES)
         assert len(model.space.points) == 5
-        assert model.check().ok
+        assert oracle_check_spech(model).ok
         assert model.certified["⟨b⟩"] == "witness"
 
     def test_witness_mode_rejects_invalid_pattern(self):
@@ -514,6 +518,9 @@ def assert_masks_match_patterns(model):
 
 
 def assert_same_spech(ring, new, old):
+    """The library's model against the oracle's, whose frozensets are its
+    own record: the masks, the patterns view and spech_to_obj must each
+    agree with them."""
     assert_masks_match_patterns(new)
     assert_masks_match_patterns(old)
     assert new.masks == old.masks
@@ -522,7 +529,13 @@ def assert_same_spech(ring, new, old):
     assert new.space._up == old.space._up
     assert list(new.patterns.items()) == list(old.patterns.items())
     assert list(new.certified.items()) == list(old.certified.items())
-    assert spech_to_obj(new) == spech_to_obj(old)
+    obj = spech_to_obj(new)
+    assert obj["points"] == list(old.space.points)
+    assert obj["specializes"] == [list(e) for e in old.space.cover_pairs()]
+    assert obj["pattern"] == {
+        p: [n for n in ring.names() if n in pat.contains] for p, pat in old.patterns.items()
+    }
+    assert obj["certified"] == old.certified
     for d in (ALL, 0, 1, 2, 3, 4, 6, 12):
         assert periodic_locus(ring, new, d) == oracle_periodic_locus(ring, old, d)
 
@@ -598,3 +611,29 @@ class TestWorkCount:
         monkeypatch.setattr(graded, "pattern_name", counted)
         model = enumerate_patterns(self.RINGS[name])
         assert calls[0] == 0 and model.space.points
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_monomial_enumeration_builds_no_prime_pattern(self, monkeypatch, name):
+        built = []
+        real = graded.PrimePattern
+        monkeypatch.setattr(graded, "PrimePattern", lambda contains: built.append(contains) or real(contains))
+        model = enumerate_patterns(self.RINGS[name])
+        assert built == [] and model.space.points
+        # The view is built on first read, once.
+        assert model.patterns is model.patterns
+        assert len(built) == len(model.space.points)
+
+    @pytest.mark.parametrize("group, p", [
+        (dihedral(8), 2), (quaternion(8), 2), (elementary_abelian(3, 2), 3), ("M11", 3),
+    ], ids=["D8", "Q8", "C3^2", "M11"])
+    def test_stmod_period_map_builds_no_pattern_view(self, monkeypatch, group, p):
+        # A fresh variety table, so the full model is built here too; the
+        # view, once read, would sit in the model's instance dictionary.
+        monkeypatch.setattr(cohomology, "_VARIETIES", {})
+        full, _ = cohomology.rep_period_map(group, p)
+        model, _ = stmod_period_map(group, p)
+        assert model.space.points
+        assert "patterns" not in vars(full) and "patterns" not in vars(model)
+
+    def test_a_model_holds_masks_not_patterns(self):
+        assert [f.name for f in dataclasses.fields(SpechModel)] == ["ring", "space", "certified", "masks"]

@@ -316,6 +316,7 @@ class TestStmodPeriodMap:
                 res, _ = stmod_period_map(G, p)
                 assert_masks_match_patterns(full)
                 assert_masks_match_patterns(res)
+                assert res.masks == {q: full.masks[q] for q in res.space.points}
         assert answered == 44
 
 
