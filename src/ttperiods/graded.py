@@ -87,6 +87,17 @@ class GradedRingPresentation:
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
+    def free_names(self) -> tuple[str, ...]:
+        """The non-invertible generators, in declaration order: bit i of a
+        pattern mask stands for the i-th."""
+        return tuple(g.name for g in self.generators if not g.invertible)
+
+    def pattern_mask(self, names: Iterable[str]) -> int:
+        """Mask of the non-invertible generators among names; units and
+        undeclared names set no bit (pattern_mask(names()) is all bits)."""
+        chosen = set(names)
+        return sum(1 << i for i, n in enumerate(self.free_names()) if n in chosen)
+
     def term_degree(self, term: Term) -> int:
         return sum(self.generator(n).degree * e for n, e in term.monomial)
 
@@ -207,14 +218,16 @@ def pattern_diagnosis(ring: GradedRingPresentation, pattern: PrimePattern) -> Di
     return PASS
 
 
-def _name_table(ring: GradedRingPresentation) -> list[tuple[str, ...]]:
-    """table[m]: the names of the non-invertible generators in mask m, in
-    declaration order."""
-    table: list[tuple[str, ...]] = [()]
-    for g in ring.generators:
-        if not g.invertible:
-            table += [t + (g.name,) for t in table]
-    return table
+def _mask_decoder(free: Sequence[str]):
+    """decode(mask): the names in free whose bits mask holds, in order, from
+    one table of name tuples per 12 bits of the width, so the tables grow
+    with the width, not with 2^width: witness rings have no width bound."""
+    tables: list[list[tuple[str, ...]]] = [[()] for _ in range(0, max(len(free), 1), 12)]
+    for i, name in enumerate(free):
+        tables[i // 12] += [t + (name,) for t in tables[i // 12]]
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    return lambda mask: sum((t[mask >> 12 * k & 4095] for k, t in enumerate(tables)), ())
 
 
 @dataclass(frozen=True)
@@ -222,9 +235,8 @@ class SpechModel:
     """Finite poset of named pattern points over one presentation.
 
     masks is the one record of each point's pattern: a mask with one bit
-    per non-invertible generator, in declaration order, keyed in point
-    order.  patterns is a view of the same sets as PrimePattern objects,
-    built on first read.
+    per generator of ring.free_names(), keyed in point order.  patterns is
+    a view of the same sets as PrimePattern objects, built on first read.
     """
 
     ring: GradedRingPresentation
@@ -234,8 +246,8 @@ class SpechModel:
 
     @cached_property
     def patterns(self) -> Mapping[str, PrimePattern]:
-        table = _name_table(self.ring)
-        return {p: PrimePattern(frozenset(table[m])) for p, m in self.masks.items()}
+        decode = _mask_decoder(self.ring.free_names())
+        return {p: PrimePattern(frozenset(decode(m))) for p, m in self.masks.items()}
 
 
 _CERT_TAGS = ("enumerated", "witness", "paper")
@@ -277,8 +289,7 @@ def enumerate_patterns(
     mask, and a pattern given twice is refused; completeness is then the
     caller's responsibility.
     """
-    free = [g.name for g in ring.generators if not g.invertible]
-    bit = {n: 1 << i for i, n in enumerate(free)}
+    free = ring.free_names()
     if witnesses is not None:
         names, masks, certs = [], [], []
         seen: set[int] = set()
@@ -289,7 +300,7 @@ def enumerate_patterns(
             diag = pattern_diagnosis(ring, pattern)
             if not diag:
                 raise InvalidPattern(name, diag.reason)
-            mask = sum(bit[n] for n in pattern.contains)
+            mask = ring.pattern_mask(pattern.contains)
             if mask in seen:
                 raise InvalidPattern(name, "repeated pattern")
             seen.add(mask)
@@ -303,24 +314,15 @@ def enumerate_patterns(
         )
     n = len(free)
     require_within("MAX_FREE_GENERATORS", n)
-    # No pattern holds bit n: it stands for units and names not declared,
-    # so a nilpotent unit admits no pattern and a relation monomial in
-    # units alone is never hit.
-    never = 1 << n
-
-    def mask_of(names: Iterable[str]) -> int:
-        mask = 0
-        for v in names:
-            mask |= bit.get(v, never)
-        return mask
-
-    forced = mask_of(g.name for g in ring.generators if g.nilpotent)
-    masks = [m for m in range(never) if m & forced == forced]
+    forced = ring.pattern_mask(g.name for g in ring.generators if g.nilpotent)
+    if any(g.nilpotent and g.invertible for g in ring.generators):
+        forced |= 1 << n  # held by no pattern: a nilpotent unit admits none
+    masks = [m for m in range(1 << n) if m & forced == forced]
     for rel in ring.relations:
-        need = mask_of(rel[0].variables())
+        need = ring.pattern_mask(rel[0].variables())  # 0: never hit
         masks = [m for m in masks if m & need]
-    table = _name_table(ring)
-    names = ["⟨" + ",".join(table[m]) + "⟩" for m in masks]
+    decode = _mask_decoder(free)
+    names = ["⟨" + ",".join(decode(m)) + "⟩" for m in masks]
     return _build_spech(ring, n, names, masks, ["enumerated"] * len(masks))
 
 
@@ -479,11 +481,11 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
 
 
 def spech_to_obj(model: SpechModel, periods: "Mapping[str, int] | None" = None) -> dict:
-    table = _name_table(model.ring)
+    decode = _mask_decoder(model.ring.free_names())
     obj = {
         "points": list(model.space.points),
         "specializes": [list(e) for e in model.space.cover_pairs()],
-        "pattern": {p: list(table[model.masks[p]]) for p in model.space.points},
+        "pattern": {p: list(decode(model.masks[p])) for p in model.space.points},
         "certified": {p: model.certified[p] for p in model.space.points},
     }
     if periods is not None:

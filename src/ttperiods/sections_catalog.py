@@ -54,8 +54,7 @@ def _d8_presentation() -> GradedRingPresentation:
 
 
 def _monomial_locus(model: SpechModel, variables: frozenset[str]) -> frozenset[str]:
-    free = [g.name for g in model.ring.generators if not g.invertible]
-    hit = sum(1 << i for i, name in enumerate(free) if name in variables)
+    hit = model.ring.pattern_mask(variables)
     return frozenset(q for q, mask in model.masks.items() if not mask & hit)
 
 

@@ -58,7 +58,7 @@ class TowerHeightValueError(UsageError, ValueError):
 
 
 def _irrelevant_point(model: SpechModel) -> str:
-    full = (1 << sum(not g.invertible for g in model.ring.generators)) - 1
+    full = model.ring.pattern_mask(model.ring.names())
     for point, mask in model.masks.items():
         if mask == full:
             return point

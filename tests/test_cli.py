@@ -158,6 +158,31 @@ class TestRing:
         assert (code, out) == (2, "")
         assert "input error: malformed witnesses" in err
 
+    def test_wide_witness_ring_answers_at_once(self, tmp_path):
+        # 40 non-invertible generators: each point's generator list must come
+        # from its own mask.  A fresh process under a 1 GiB address-space cap,
+        # so a table over every subset fails here instead of filling memory.
+        ring = make_ring(2, [(f"x{i}", 2) for i in range(40)] + [("u", 4, True)])
+        obj = ring_to_obj(ring)
+        obj["witnesses"] = [[[], "witness"], [["x39", "x0"], "witness"], [["x7"], "paper"]]
+        path = write_json(tmp_path, "wide.json", obj)
+        probe = (
+            "import resource, sys, ttperiods.cli\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.exit(ttperiods.cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ttperiods.__file__).resolve().parent.parent)}
+        for action in ("patterns", "periods"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, "ring", action, "--input", path],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            model = json.loads(proc.stdout)["result"]["model"]
+            assert model["pattern"] == {"⟨⟩": [], "⟨x0,x39⟩": ["x0", "x39"], "⟨x7⟩": ["x7"]}
+            assert model["certified"]["⟨x7⟩"] == "paper"
+        assert model["periods"] == {"⟨⟩": 2, "⟨x0,x39⟩": 2, "⟨x7⟩": 2}
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")

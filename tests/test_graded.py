@@ -1,7 +1,12 @@
 """Graded rings: pattern enumeration, local periods, and the degree oracle."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -634,6 +639,41 @@ class TestWorkCount:
         model, _ = stmod_period_map(group, p)
         assert model.space.points
         assert "patterns" not in vars(full) and "patterns" not in vars(model)
+
+    def test_wide_witness_ring_reads_each_mask(self):
+        # 40 non-invertible generators and a unit among them: a table over
+        # every subset of them would not fit under the 1 GiB address-space
+        # cap, so a view or emitter built from one fails here at once
+        # instead of filling the machine's memory.
+        probe = (
+            "import json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ttperiods.graded import PrimePattern, enumerate_patterns, make_ring\n"
+            "from ttperiods.graded import point_periods, spech_to_obj\n"
+            "gens = [(f'x{i}', 2 + 2 * (i == 39)) for i in range(40)]\n"
+            "ring = make_ring(2, gens[:20] + [('u', 8, True)] + gens[20:])\n"
+            "wits = [[], ['x0'], ['x0', 'x39'], ['x21', 'x20'], [f'x{i}' for i in range(39)]]\n"
+            "model = enumerate_patterns(ring, [(PrimePattern.of(*w), 'witness') for w in wits])\n"
+            "obj = spech_to_obj(model, point_periods(ring, model))\n"
+            "view = {p: sorted(pat.contains) for p, pat in model.patterns.items()}\n"
+            "print(json.dumps([obj['pattern'], obj['periods'], view]))\n"
+        )
+        src = str(Path(graded.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        listed, periods, view = json.loads(proc.stdout)
+        most = [f"x{i}" for i in range(39)]
+        assert listed == {
+            "⟨⟩": [], "⟨x0⟩": ["x0"], "⟨x0,x39⟩": ["x0", "x39"],
+            "⟨x20,x21⟩": ["x20", "x21"], "⟨" + ",".join(most) + "⟩": most,
+        }
+        assert view == {p: sorted(names) for p, names in listed.items()}
+        # The unit's degree 8 takes part in every gcd: 2 while a degree-2
+        # generator is outside, gcd(8, 4) once only x39 is.
+        assert periods == {p: 4 if len(names) == 39 else 2 for p, names in listed.items()}
 
     def test_a_model_holds_masks_not_patterns(self):
         assert [f.name for f in dataclasses.fields(SpechModel)] == ["ring", "space", "certified", "masks"]
