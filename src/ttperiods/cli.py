@@ -281,12 +281,13 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
     obj, digest = _load_json_source(spec)
     inputs[spec] = digest
     try:
-        return tuple(
-            (row["src"], row["dst"], tuple(json_int(x) for x in row["vec"]))
-            for row in obj["generators"]
-        )
+        gens = tuple((row["src"], row["dst"], tuple(json_int(x) for x in row["vec"]))
+                     for row in obj["generators"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system: {exc}") from exc
+    if not all(isinstance(a, str) and isinstance(b, str) for a, b, _ in gens):
+        raise InputError("malformed system: src and dst must be strings")
+    return gens
 
 
 def _cmd_tworing(args) -> int:

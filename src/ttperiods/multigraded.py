@@ -412,11 +412,12 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
 # bilinear product (ring multiplication, or composition in a 2-ring),
 # and for each component the linear maps an ideal must absorb, as small
 # matrices over the prime field.  An ideal is one reduced row-echelon
-# basis per component, which is canonical and hashable.  Closure is a
-# worklist over newly added rows only; the componentwise sum of two
-# ideals is already an ideal, so a join needs no closure.  Members and
-# names are built only at the public boundary.  Multiplicative systems
-# of both kinds are closed here too, by close_multiplicative.
+# basis per component, which is canonical, held by an Ideal.  Closure is
+# a worklist over newly added rows only; the componentwise sum of two
+# ideals is already an ideal, so a join needs no closure.  Order, names,
+# primality and containment are read off the rows; members are listed
+# only to name a failure.  Multiplicative systems of both kinds are
+# closed here too, by close_multiplicative.
 
 
 def _structure_terms(table) -> tuple:
@@ -522,6 +523,22 @@ def matrix_invertible(p: int, rows: Sequence[Sequence[int]]) -> bool:
     return all(len(r) == n for r in rows) and rank(p, rows) == n
 
 
+@dataclass(frozen=True)
+class Ideal:
+    """An ideal of an AlgebraIndex as one reduced echelon basis of (pivot,
+    row) pairs per component number; <= and < are containment."""
+
+    rows: tuple
+    char: int = field(compare=False)
+
+    def __le__(self, other: "Ideal") -> bool:
+        return all(len(a) <= len(b) and not any(any(_reduce(self.char, b, v)) for _, v in a)
+                   for a, b in zip(self.rows, other.rows))
+
+    def __lt__(self, other: "Ideal") -> bool:
+        return self != other and self <= other
+
+
 class AlgebraIndex:
     """Numbered bases and structure constants of a ring or 2-ring.
 
@@ -538,8 +555,8 @@ class AlgebraIndex:
     Per component number, maps lists the distinct nonzero (target
     number, matrix) maps an ideal absorbs: multiplication by each basis
     element on either side, then the twists; lines lists one vector per
-    line (first nonzero coordinate 1).  An ideal is a tuple with one
-    reduced echelon basis per component number.
+    line (first nonzero coordinate 1).  close and join work on the rows of
+    ideals, the other methods on Ideals.
     """
 
     def __init__(self, char: int, dims: Mapping, products: Mapping,
@@ -652,16 +669,8 @@ class AlgebraIndex:
                     return q
         return tuple(rows)
 
-    def generate(self, members: Iterable) -> tuple:
-        return self.close(self.zero, [self.split(m) for m in members])
-
-    def span(self, members: Iterable) -> tuple:
-        """Componentwise span of members, without closing it."""
-        vectors: list = [[] for _ in self.keys]
-        for m in members:
-            c, v = self.split(m)
-            vectors[c].append(v)
-        return tuple(_echelon(self.char, vs) for vs in vectors)
+    def generate(self, members: Iterable) -> Ideal:
+        return Ideal(self.close(self.zero, [self.split(m) for m in members]), self.char)
 
     def join(self, a: tuple, b: tuple) -> tuple:
         """Componentwise sum, which for ideals is again an ideal."""
@@ -669,15 +678,10 @@ class AlgebraIndex:
         _absorb(self.char, out, b)
         return tuple(out)
 
-    def contains(self, ideal: tuple, member) -> bool:
-        c, v = self.split(member)
-        return not any(_reduce(self.char, ideal[c], v))
-
-    def members(self, ideal: tuple) -> frozenset:
+    def members(self, ideal: Ideal) -> frozenset:
         """The nonzero members of an ideal."""
-        p = self.char
-        out = []
-        for key, rows, d in zip(self.keys, ideal, self.dims):
+        p, out = self.char, []
+        for key, rows, d in zip(self.keys, ideal.rows, self.dims):
             vecs = [vec_zero(d)]
             for _, row in rows:
                 vecs = [vec_add(p, v, vec_scale(p, c, row)) for v in vecs for c in range(p)]
@@ -687,7 +691,9 @@ class AlgebraIndex:
     def lattice(self) -> "IdealLattice":
         """Every ideal: the zero ideal and all joins of principal ideals,
         one principal ideal per line, since scalar multiples generate the
-        same ideal."""
+        same ideal.  Ideals come by member count, then by sorted members,
+        which compare as the rows do, components in key order and pivots
+        descending, since a combination of rows orders as its coefficients."""
         zero = self.zero
         known: dict = {}
         for c, lines in enumerate(self.lines):
@@ -702,19 +708,18 @@ class AlgebraIndex:
                 if j not in seen:
                     seen.add(j)
                     found.append(j)
-        members = [self.members(i) for i in found]
-        return IdealLattice(tuple(sorted(members, key=lambda i: (len(i), sorted(i)))))
+        p, order = self.char, sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        found.sort(key=lambda rows: (sum(p ** len(b) - 1 for b in rows), [
+            (*self.keys[c], v) for c in order for _, v in reversed(rows[c])]))
+        return IdealLattice(tuple(Ideal(rows, p) for rows in found))
 
-    def is_prime(self, members: Iterable) -> bool:
-        """The ideal with these nonzero members is proper, and a product of
-        two members outside it is a nonzero member outside it.  Scalars
-        do not change either condition, so one vector per line is tried."""
-        p = self.char
-        ideal = self.span(members)
-        outside = [
-            [v for v in lines if any(_reduce(p, rows, v))]
-            for lines, rows in zip(self.lines, ideal)
-        ]
+    def is_prime(self, ideal: Ideal) -> bool:
+        """The ideal is proper, and a product of two members outside it is
+        a nonzero member outside it.  Scalars do not change either
+        condition, so one vector per line is tried."""
+        p, ideal = self.char, ideal.rows
+        outside = [[v for v in lines if any(_reduce(p, rows, v))]
+                   for lines, rows in zip(self.lines, ideal)]
         if not any(outside):
             return False
         for (c, e), (t, n, terms) in self.products.items():
@@ -725,17 +730,19 @@ class AlgebraIndex:
                         return False
         return True
 
-    def name(self, members: Iterable, sort_key, render) -> str:
-        """Name from a deterministic small generating set: members are
-        scanned in sort_key order and kept when not in the ideal those
-        before them generate; that ideal grows by closing from where it
-        stands, not from scratch."""
-        gens: list = []
-        have = self.zero
-        for m in sorted(members, key=sort_key):
-            if not self.contains(have, m):
-                gens.append(m)
-                have = self.close(have, [self.split(m)])
+    def name(self, ideal: Ideal, component_key, render) -> str:
+        """Name from a deterministic small generating set: members, by
+        component in component_key order and then by vector, each kept when
+        not in the ideal those kept before generate.  In a component that is
+        the row of largest pivot not yet in that ideal, so only rows are
+        scanned; the ideal grows by closing from where it stands."""
+        p, gens, have = self.char, [], self.zero
+        for key in sorted(self.keys, key=component_key):
+            c = self.number[key]
+            for _, v in reversed(ideal.rows[c]):
+                if any(_reduce(p, have[c], v)):
+                    gens.append((*key, v))
+                    have = self.close(have, [(c, v)])
         return "⟨" + ",".join(render(g) for g in gens) + "⟩"
 
 
@@ -838,12 +845,8 @@ class FractionQuotient:
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All ideals of a finite tabulated ring or 2-ring, ordered by size.
-
-    Each ideal is a frozenset of members, so inclusion is subset order;
-    the full lattice structure (joins, covers, maximal elements) is
-    recovered from that.
-    """
+    """All ideals of a finite tabulated ring or 2-ring, as Ideals in
+    lattice order; joins, covers and maximal elements follow from <=."""
 
     ideals: tuple
 
@@ -853,26 +856,27 @@ class IdealLattice:
     def __len__(self):
         return len(self.ideals)
 
-    def bottom(self) -> frozenset:
+    def bottom(self) -> Ideal:
         return self.ideals[0]
 
-    def top(self) -> frozenset:
+    def top(self) -> Ideal:
         return self.ideals[-1]
 
     def maximal_proper(self) -> list:
-        top = self.top()
-        proper = [i for i in self.ideals if i != top]
-        return [i for i in proper if not any(i < j for j in proper)]
+        proper = self.ideals[:-1]  # i < j only for j later in the order
+        return [i for k, i in enumerate(proper) if not any(i < j for j in proper[k + 1:])]
 
 
 def prime_spectrum(primes: Sequence, name):
     """Finite spectral model on the named primes, plus the name-to-ideal
     mapping.  An edge p -> q means q lies in the closure of p, which for
-    primes is the inclusion p inside q."""
+    primes is the inclusion p inside q: each prime is the mask of those
+    inside it."""
     names = {name(i): i for i in primes}
     if len(names) != len(primes):
         raise RingShapeError("prime naming collision")
-    return FiniteSpectralModel.from_inclusions(names), names
+    masks = {nm: sum(1 << k for k, q in enumerate(primes) if q <= i) for nm, i in names.items()}
+    return FiniteSpectralModel.from_inclusion_masks(masks, len(primes)), names
 
 
 # -- homogeneous ideals -----------------------------------------------
@@ -894,12 +898,12 @@ def ring_ideals(ring: MultigradedRing) -> IdealLattice:
     return ring.index.lattice()
 
 
-def is_ring_prime(ring: MultigradedRing, ideal: frozenset) -> bool:
+def is_ring_prime(ring: MultigradedRing, ideal: Ideal) -> bool:
     """Proper, and rs inside forces r or s inside (homogeneous pairs)."""
     return ring.index.is_prime(ideal)
 
 
-def ideal_name_ring(ring: MultigradedRing, ideal: frozenset) -> str:
+def ideal_name_ring(ring: MultigradedRing, ideal: Ideal) -> str:
     return ring.index.name(ideal, None, ring.render)
 
 

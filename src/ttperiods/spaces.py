@@ -140,22 +140,6 @@ class FiniteSpectralModel:
         return model
 
     @classmethod
-    def from_inclusions(cls, named_sets: Mapping[str, frozenset]) -> "FiniteSpectralModel":
-        """One point per name; p -> q when the set of p lies strictly inside that of q.
-
-        Numbers the elements in order of first sight and hands the sets, as
-        masks over those numbers, to from_inclusion_masks.
-        """
-        index: dict = {}
-        named_masks = {}
-        for p, s in named_sets.items():
-            mask = 0
-            for e in s:
-                mask |= 1 << index.setdefault(e, len(index))
-            named_masks[p] = mask
-        return cls.from_inclusion_masks(named_masks, len(index))
-
-    @classmethod
     def from_inclusion_masks(
         cls, named_masks: Mapping[str, int], width: int
     ) -> "FiniteSpectralModel":

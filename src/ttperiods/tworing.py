@@ -28,10 +28,13 @@ from .multigraded import (
     AbelianGroup,
     AlgebraIndex,
     FractionQuotient,
+    Ideal,
     IdealLattice,
     MultigradedRing,
     RingShapeError,
     _apply,
+    _echelon,
+    _reduce,
     all_vectors,
     basis_vectors,
     close_multiplicative,
@@ -470,10 +473,10 @@ def translate_closure(R2: TwoRingDatum, base: Iterable) -> frozenset:
 # -- categorical ideals and the spectrum ------------------------------
 
 
-def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> frozenset:
+def ideal_generated_two(R2: TwoRingDatum, gens: Iterable) -> Ideal:
     """Smallest morphism class closed under sums, composition with
     anything on either side, and twists by every object."""
-    return R2.index.members(R2.index.generate(gens))
+    return R2.index.generate(gens)
 
 
 def homogeneous_ideals(R2: TwoRingDatum) -> IdealLattice:
@@ -481,17 +484,17 @@ def homogeneous_ideals(R2: TwoRingDatum) -> IdealLattice:
     return R2.index.lattice()
 
 
-def is_prime_two(R2: TwoRingDatum, ideal: frozenset) -> bool:
+def is_prime_two(R2: TwoRingDatum, ideal: Ideal) -> bool:
     """Proper, and a composite inside forces a factor inside."""
     return R2.index.is_prime(ideal)
 
 
-def ideal_name_two(R2: TwoRingDatum, ideal: frozenset) -> str:
+def ideal_name_two(R2: TwoRingDatum, ideal: Ideal) -> str:
     """Generators scan unit-sourced morphisms first, then by object order."""
     order = {o: k for k, o in enumerate(R2.objects)}
     return R2.index.name(
         ideal,
-        lambda m: (m[0] != R2.unit, order[m[0]], order[m[1]], m[2]),
+        lambda key: (key[0] != R2.unit, order[key[0]], order[key[1]]),
         R2.render,
     )
 
@@ -505,8 +508,7 @@ def spc_with_primes(R2: TwoRingDatum):
 def spc(R2: TwoRingDatum) -> FiniteSpectralModel:
     """Prime spectrum as a finite spectral model; an edge p -> q means
     q lies in the closure of p, which here is inclusion of ideals."""
-    model, _ = spc_with_primes(R2)
-    return model
+    return spc_with_primes(R2)[0]
 
 
 # -- tightenings ------------------------------------------------------
@@ -650,16 +652,24 @@ def validate_tightening(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
 # -- the ideal correspondence -----------------------------------------
 
 
-def extend_ideal(T: Tightening, R2: TwoRingDatum, ring_ideal: frozenset) -> frozenset:
-    return ideal_generated_two(R2, [phi_apply(T, R2, e) for e in ring_ideal])
+def extend_ideal(T: Tightening, R2: TwoRingDatum, ring_ideal: Ideal) -> Ideal:
+    """The ideal generated by the images of the rows of ring_ideal."""
+    return ideal_generated_two(R2, [phi_apply(T, R2, (x, v)) for (x,), rows in
+                                    zip(T.ring.index.keys, ring_ideal.rows) for _, v in rows])
 
 
-def restrict_ideal(T: Tightening, R2: TwoRingDatum, two_ideal: frozenset) -> frozenset:
-    out = set()
-    for e in T.ring.homogeneous_elements():
-        if phi_apply(T, R2, e) in two_ideal:
-            out.add(e)
-    return frozenset(out)
+def restrict_ideal(T: Tightening, R2: TwoRingDatum, two_ideal: Ideal) -> Ideal:
+    """The preimage of two_ideal, degree by degree: the kernel of v ->
+    reduce(J, v phi_x), J the ideal's rows at the image of degree x, is
+    read off the echelon rows of reduce(J, e phi_x) ‖ e over a basis e."""
+    p, rows = R2.char, []
+    for (x,) in T.ring.index.keys:
+        target = (R2.unit, T.representatives[T.projection[x]])
+        J, n = two_ideal.rows[R2.index.number[target]], R2.hom_dim(*target)
+        tagged = [_reduce(p, J, phi_apply(T, R2, (x, e))[2]) + e
+                  for e in basis_vectors(T.ring.dims[x])]
+        rows.append(tuple((piv - n, v[n:]) for piv, v in _echelon(p, tagged) if piv >= n))
+    return Ideal(tuple(rows), p)
 
 
 def agreement(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
@@ -680,29 +690,29 @@ def ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
     round trips hold, extension is an order isomorphism of the lattices;
     matching primes, it restricts to an order isomorphism of the prime
     posets, which for finite spectral models is a homeomorphism of spectra.
+    A nonzero ring element lies in i exactly when its image is a nonzero
+    member of the extension: with kernel K, the preimage is K where i is
+    zero and i where K is zero.  Failures name sorted members.
     """
     ring = T.ring
-    lattice_r = ring_ideals(ring)
-    lattice_2 = homogeneous_ideals(R2)
-    set_2 = set(lattice_2.ideals)
-    set_r = set(lattice_r.ideals)
+    lattice_r, lattice_2 = ring_ideals(ring), homogeneous_ideals(R2)
 
     ext = {i: extend_ideal(T, R2, i) for i in lattice_r.ideals}
     res = {j: restrict_ideal(T, R2, j) for j in lattice_2.ideals}
+    kernel = res[lattice_2.bottom()].rows
 
     for i, j in ext.items():
-        if j not in set_2:
-            return failure("extension_not_ideal", sorted(i))
-        if res[j] != i:
-            return failure("round_trip_ring", sorted(i))
+        if not all(b == (a or k) and not (a and k)
+                   for a, b, k in zip(i.rows, res[j].rows, kernel)):
+            return failure("round_trip_ring", sorted(ring.index.members(i)))
     for j, i in res.items():
-        if i not in set_r:
-            return failure("restriction_not_ideal", sorted(j))
+        if i not in ext:
+            return failure("restriction_not_ideal", sorted(R2.index.members(j)))
         if ext[i] != j:
-            return failure("round_trip_two", sorted(j))
+            return failure("round_trip_two", sorted(R2.index.members(j)))
     for i in lattice_r.ideals:
         if is_ring_prime(ring, i) != is_prime_two(R2, ext[i]):
-            return failure("prime_not_preserved", sorted(i))
+            return failure("prime_not_preserved", sorted(ring.index.members(i)))
     return PASS
 
 
@@ -838,7 +848,8 @@ def localize(R2: TwoRingDatum, S: Iterable) -> tuple[frozenset, TwoRingDatum]:
     S = [tuple(m) for m in S]
     objects = set(R2.objects)
     for a, b, vec in S:
-        if a not in objects or b not in objects or len(vec) != R2.hom_dim(a, b):
+        if (a not in objects or b not in objects or len(vec) != R2.hom_dim(a, b)
+                or not all(0 <= c < R2.char for c in vec)):
             raise BadShapes(f"system generator {(a, b, vec)!r} is not a morphism of {R2.name}")
     system = mult_closure_two(R2, S)
     quotients = span_quotients(R2, system)

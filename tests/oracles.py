@@ -18,8 +18,10 @@ from holder dictionaries keyed by generator name, and periods from
 local_period at every point.  oracle_check_spech diagnoses every pattern
 of a model and checks its order against pattern inclusion.
 oracle_close, oracle_lattice and oracle_ideal_name are the ideal engine
-before closure stopped at saturation; they share the echelon helpers, not
-the stop rules, with AlgebraIndex.  oracle_span_quotients and
+before closure stopped at saturation and before an ideal was its rows
+alone: ideals as member sets, from oracle_members; they share the echelon
+helpers, not the stop rules, with AlgebraIndex.  ideal_of_members turns a
+member set into the library's Ideal.  oracle_span_quotients and
 oracle_localization_agreement are the localization check before a span
 quotient was formed on first read: every quotient up front, and each
 fraction identified from scratch by oracle_identify_fraction.
@@ -32,7 +34,12 @@ oracle_central_loc_pullback, oracle_ideal_correspondence and
 oracle_artin_tower are the library's central localization, ideal
 correspondence and cyclic tower with the checks that no input can fail,
 which the library no longer makes: they confirm those checks pass and
-that the library's answer is theirs.  The group
+that the library's answer is theirs; the correspondence works on member
+sets, extending and restricting by enumeration.  from_inclusions, the
+poset of named sets under inclusion through
+FiniteSpectralModel.from_inclusion_masks, has no caller in the library.
+heller_period finds the period of the trivial module of a p-group by
+minimal projective resolutions over F_p[P], reading no catalog.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
@@ -79,11 +86,12 @@ from ttperiods.diagnostics import require_within
 from ttperiods.multigraded import (
     AlgebraIndex,
     FractionQuotient,
-    IdealLattice,
+    Ideal,
     MultigradedRing,
     RingShapeError,
     _absorb,
     _apply,
+    _echelon,
     _insert,
     _line,
     _reduce,
@@ -130,17 +138,13 @@ from ttperiods.tworing import (
     _check_tightening_shapes,
     _unit_mediator,
     compose,
-    extend_ideal,
     extend_system,
     has_iso,
-    homogeneous_ideals,
-    ideal_name_two,
     is_prime_two,
     is_translate,
     mult_closure_two,
     object_name,
     phi_apply,
-    restrict_ideal,
     restrict_system,
     span_class,
     span_quotients,
@@ -544,6 +548,20 @@ def oracle_check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
     return PASS if open_fail is None else open_fail
 
 
+def from_inclusions(named_sets) -> FiniteSpectralModel:
+    """One point per name; p -> q when the set of p lies strictly inside
+    that of q: the sets as masks over their elements, numbered in order of
+    first sight, handed to FiniteSpectralModel.from_inclusion_masks."""
+    index: dict = {}
+    named_masks = {}
+    for p, s in named_sets.items():
+        mask = 0
+        for e in s:
+            mask |= 1 << index.setdefault(e, len(index))
+        named_masks[p] = mask
+    return FiniteSpectralModel.from_inclusion_masks(named_masks, len(index))
+
+
 def oracle_from_inclusions(named_sets) -> FiniteSpectralModel:
     """The poset of named sets under strict inclusion, from holder sets.
 
@@ -730,7 +748,8 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 # -- multigraded rings -------------------------------------------------
 
 def ideal_generated_ring(ring: MultigradedRing, gens: Iterable) -> frozenset:
-    return ring.index.members(ring.index.generate(gens))
+    """The members of the ideal the library generates from gens."""
+    return oracle_members(ring.index, ring.index.generate(gens).rows)
 
 
 def ring_primes(ring: MultigradedRing) -> list:
@@ -746,10 +765,38 @@ def spech_multigraded(ring: MultigradedRing):
 # -- the ideal engine without stop rules -------------------------------
 #
 # AlgebraIndex.close, lattice and name as they were before closure stopped
-# at saturation: every added row goes through every map of its component,
-# full target or not, and a principal ideal is closed to the end even
-# after a row lands on a known line whose ideal already holds the
-# generator.  They share the echelon helpers with the library.
+# at saturation and before an ideal was its rows alone: every added row
+# goes through every map of its component, full target or not, a
+# principal ideal is closed to the end even after a row lands on a known
+# line whose ideal already holds the generator, and the lattice and the
+# names are read off member sets, listed here by summing every
+# combination of the rows.  They share the echelon helpers with the
+# library.
+
+
+def oracle_members(index: AlgebraIndex, rows: tuple) -> frozenset:
+    """The nonzero members of the ideal with these rows: every combination
+    of each component's rows."""
+    p = index.char
+    out = set()
+    for key, basis, d in zip(index.keys, rows, index.dims):
+        for coeffs in all_vectors(p, len(basis)):
+            v = vec_zero(d)
+            for c, (_, row) in zip(coeffs, basis):
+                v = vec_add(p, v, tuple(c * a % p for a in row))
+            if any(v):
+                out.add((*key, v))
+    return frozenset(out)
+
+
+def ideal_of_members(index: AlgebraIndex, members: Iterable) -> Ideal:
+    """The Ideal whose rows span the given members component by component,
+    without closing them."""
+    vectors: list = [[] for _ in index.keys]
+    for m in members:
+        c, v = index.split(m)
+        vectors[c].append(v)
+    return Ideal(tuple(_echelon(index.char, vs) for vs in vectors), index.char)
 
 
 def oracle_close(index: AlgebraIndex, ideal: tuple, gens: Iterable, known=None) -> tuple:
@@ -777,7 +824,8 @@ def oracle_close(index: AlgebraIndex, ideal: tuple, gens: Iterable, known=None) 
     return tuple(rows)
 
 
-def oracle_lattice(index: AlgebraIndex) -> IdealLattice:
+def oracle_lattice(index: AlgebraIndex) -> tuple:
+    """Every ideal as its member set, by size and then sorted members."""
     zero = index.zero
     known: dict = {}
     for c, lines in enumerate(index.lines):
@@ -792,18 +840,28 @@ def oracle_lattice(index: AlgebraIndex) -> IdealLattice:
             if j not in seen:
                 seen.add(j)
                 found.append(j)
-    members = [index.members(i) for i in found]
-    return IdealLattice(tuple(sorted(members, key=lambda i: (len(i), sorted(i)))))
+    members = [oracle_members(index, i) for i in found]
+    return tuple(sorted(members, key=lambda i: (len(i), sorted(i))))
 
 
 def oracle_ideal_name(index: AlgebraIndex, members, sort_key, render) -> str:
+    """Members scanned in sort_key order, each kept when not in the ideal
+    those kept before it generate."""
     gens: list = []
     have = index.zero
     for m in sorted(members, key=sort_key):
-        if not index.contains(have, m):
+        c, v = index.split(m)
+        if any(_reduce(index.char, have[c], v)):
             gens.append(m)
-            have = oracle_close(index, have, [index.split(m)])
+            have = oracle_close(index, have, [(c, v)])
     return "⟨" + ",".join(render(g) for g in gens) + "⟩"
+
+
+def two_ring_name_key(R2: TwoRingDatum):
+    """The member order of 2-ring names: unit-sourced morphisms first, then
+    by object order and vector."""
+    order = {o: k for k, o in enumerate(R2.objects)}
+    return lambda m: (m[0] != R2.unit, order[m[0]], order[m[1]], m[2])
 
 
 # -- the axioms, case by case -----------------------------------------
@@ -1212,7 +1270,8 @@ def restrict_submonoid(R2: TwoRingDatum, M: Iterable):
     back = {ideal: nm for nm, ideal in res_primes.items()}
     point_map = {}
     for nm, ideal in full_primes.items():
-        trace = frozenset(m for m in ideal if m[0] in keepset and m[1] in keepset)
+        trace = ideal_of_members(restricted.index, [
+            m for m in oracle_members(R2.index, ideal.rows) if m[0] in keepset and m[1] in keepset])
         if trace not in back:
             raise RingShapeError(f"trace of {nm} is not a prime of the restriction")
         point_map[nm] = back[trace]
@@ -1500,17 +1559,31 @@ def oracle_central_loc_pullback(table: SectionTable, names: Iterable[str]) -> tu
     return region, PASS
 
 
-def oracle_ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
-    """ideal_correspondence with its inclusion check on every pair of ring
-    ideals and its comparison of the two prime spectra point by point."""
-    ring = T.ring
-    lattice_r = ring_ideals(ring)
-    lattice_2 = homogeneous_ideals(R2)
-    set_2 = set(lattice_2.ideals)
-    set_r = set(lattice_r.ideals)
+def oracle_extend_ideal(T: Tightening, R2: TwoRingDatum, ring_ideal: frozenset) -> frozenset:
+    """The members of the ideal generated by the images of every member."""
+    gens = [R2.index.split(phi_apply(T, R2, e)) for e in ring_ideal]
+    return oracle_members(R2.index, oracle_close(R2.index, R2.index.zero, gens))
 
-    ext = {i: extend_ideal(T, R2, i) for i in lattice_r.ideals}
-    res = {j: restrict_ideal(T, R2, j) for j in lattice_2.ideals}
+
+def oracle_restrict_ideal(T: Tightening, R2: TwoRingDatum, two_ideal: frozenset) -> frozenset:
+    """The nonzero ring elements whose image is a member of two_ideal."""
+    return frozenset(e for e in T.ring.homogeneous_elements()
+                     if phi_apply(T, R2, e) in two_ideal)
+
+
+def oracle_ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
+    """ideal_correspondence on member sets: the oracle lattices, extension
+    and restriction by enumeration, its inclusion check on every pair of
+    ring ideals and its comparison of the two prime spectra point by
+    point."""
+    ring = T.ring
+    lattice_r = oracle_lattice(ring.index)
+    lattice_2 = oracle_lattice(R2.index)
+    set_2 = set(lattice_2)
+    set_r = set(lattice_r)
+
+    ext = {i: oracle_extend_ideal(T, R2, i) for i in lattice_r}
+    res = {j: oracle_restrict_ideal(T, R2, j) for j in lattice_2}
 
     for i, j in ext.items():
         if j not in set_2:
@@ -1522,18 +1595,20 @@ def oracle_ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
             return failure("restriction_not_ideal", sorted(j))
         if ext[i] != j:
             return failure("round_trip_two", sorted(j))
-    for i1 in lattice_r.ideals:
-        for i2 in lattice_r.ideals:
+    for i1 in lattice_r:
+        for i2 in lattice_r:
             if (i1 <= i2) != (ext[i1] <= ext[i2]):
                 return failure("inclusion_not_preserved", sorted(i1), sorted(i2))
-    primes_r = [i for i in lattice_r.ideals if is_ring_prime(ring, i)]
-    primes_2 = [j for j in lattice_2.ideals if is_prime_two(R2, j)]
-    for i in lattice_r.ideals:
+    primes_r = [i for i in lattice_r if is_ring_prime(ring, ideal_of_members(ring.index, i))]
+    primes_2 = [j for j in lattice_2 if is_prime_two(R2, ideal_of_members(R2.index, j))]
+    for i in lattice_r:
         if (i in primes_r) != (ext[i] in primes_2):
             return failure("prime_not_preserved", sorted(i))
 
-    model_r, names_r = prime_spectrum(primes_r, lambda i: ideal_name_ring(ring, i))
-    model_2, names_2 = prime_spectrum(primes_2, lambda j: ideal_name_two(R2, j))
+    names_r = {oracle_ideal_name(ring.index, i, None, ring.render): i for i in primes_r}
+    names_2 = {oracle_ideal_name(R2.index, j, two_ring_name_key(R2), R2.render): j
+               for j in primes_2}
+    model_r, model_2 = oracle_from_inclusions(names_r), oracle_from_inclusions(names_2)
     back_2 = {ideal: nm for nm, ideal in names_2.items()}
     point_map = {}
     for nm, ideal in names_r.items():
@@ -1548,6 +1623,63 @@ def oracle_ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
             if model_r.specializes(p, q) != model_2.specializes(point_map[p], point_map[q]):
                 return failure("spectra_mismatch", p, q)
     return PASS
+
+
+# -- Heller shifts -------------------------------------------------------
+#
+# For a p-group P the group algebra F_p[P] is local with the augmentation
+# ideal I as its radical, so the projective cover of a module M is
+# F_p[P]^r with r = dim M/IM, and Omega(M) is its kernel.  A minimal
+# resolution has no projective summands, and the only simple module is
+# the trivial one, so Omega^n(k) is k exactly when it has dimension one.
+# Modules are kept as submodules of free modules F_p[P]^s, as echelon
+# rows over the coordinates (block, element).
+
+
+def heller_period(G: FiniteGroup, p: int) -> "int | None":
+    """The least n > 0 with Omega^n(k) of dimension one, for a p-group G
+    over F_p, by minimal projective resolutions on G's permutation table;
+    None when no n up to 4 at p = 2, or 2(p - 1) at odd p, gives one.  For
+    a p-group of p-rank one this is the period of its one stmod point."""
+    elems = sorted(G.elements)
+    n = len(elems)
+    where = {g: i for i, g in enumerate(elems)}
+    # acts[g][i] is the position of g h_i, h_i the i-th element.
+    acts = [[where[groups.compose(g, h)] for h in elems] for g in elems]
+    gens = [acts[where[g]] for g in G.generators]
+
+    def act(a, v):
+        out = [0] * len(v)
+        for k, c in enumerate(v):
+            if c:
+                block, i = divmod(k, n)
+                out[block * n + a[i]] = c
+        return tuple(out)
+
+    def omega(module):
+        # I = (g - 1) F_p[P] summed over generators g, so IM is spanned by
+        # the (g - 1) m over generators g and a basis m of M.
+        top, basis = [], _echelon(p, [
+            tuple((x - y) % p for x, y in zip(act(a, m), m)) for a in gens for m in module])
+        for m in module:
+            v = _reduce(p, basis, m)
+            if any(v):
+                basis = _insert(p, basis, v)
+                top.append(m)
+        # The cover sends the basis vector (j, h) of F_p[P]^r to h m_j;
+        # its kernel is read off the rows whose image part is zero.
+        width, r = len(module[0]), len(top)
+        tags = basis_vectors(r * n)
+        rows = _echelon(p, [act(a, m) + tags[j * n + i]
+                            for j, m in enumerate(top) for i, a in enumerate(acts)])
+        return [row[width:] for piv, row in rows if piv >= width]
+
+    module = [(1,) * n]  # the norm element spans the trivial module
+    for step in range(1, (4 if p == 2 else 2 * (p - 1)) + 1):
+        module = omega(module)
+        if len(module) == 1:
+            return step
+    return None
 
 
 def oracle_artin_tower(p: int, N: int) -> TowerReport:

@@ -492,17 +492,31 @@ class TestTworing:
         assert out == ""
         assert "malformed" in err
 
-    @pytest.mark.parametrize("row", [
-        {"src": "zz", "dst": "0", "vec": [1]},
-        {"src": "0", "dst": "1", "vec": [1, 1]},
+    @pytest.mark.parametrize("two_ring, row", [
+        ("laurent_f2_z2", {"src": "zz", "dst": "0", "vec": [1]}),
+        ("laurent_f2_z2", {"src": "0", "dst": "1", "vec": [1, 1]}),
+        # Entries outside 0..p-1 were kept unreduced: over F_3, [4] and [-2]
+        # gave a system of 33 members where [1], equal to both, gives 32.
+        ("laurent_f3_z4", {"src": "0", "dst": "0", "vec": [4]}),
+        ("laurent_f3_z4", {"src": "0", "dst": "0", "vec": [-2]}),
     ])
-    def test_system_generator_outside_the_two_ring_is_refused(self, capsys, tmp_path, row):
+    def test_system_generator_outside_the_two_ring_is_refused(self, capsys, tmp_path,
+                                                               two_ring, row):
         path = write_json(tmp_path, "system.json", {"generators": [row]})
-        code, out, err = run(capsys, "tworing", "localize", "--input", "laurent_f2_z2",
+        code, out, err = run(capsys, "tworing", "localize", "--input", two_ring,
                              "--system", path)
         assert code == 2
         assert out == ""
         assert "BadShapes" in err
+
+    def test_system_endpoint_that_is_no_string_is_malformed(self, capsys, tmp_path):
+        path = write_json(tmp_path, "system.json",
+                          {"generators": [{"src": ["0"], "dst": "0", "vec": [1]}]})
+        code, out, err = run(capsys, "tworing", "localize", "--input", "laurent_f3_z4",
+                             "--system", path)
+        assert code == 2
+        assert out == ""
+        assert "input error: malformed system" in err
 
     def test_kernel_bug_is_a_traceback_not_a_usage_error(self, capsys, monkeypatch):
         """A KeyError raised inside the ideal kernel is a bug: it propagates

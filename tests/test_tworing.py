@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st, target
 
 from ttperiods import multigraded, tworing
 from ttperiods.diagnostics import SizeBound
@@ -67,12 +67,14 @@ from oracles import (
     NotSubmonoid,
     commutes_up_to_translate,
     family_count,
+    ideal_of_members,
     lemma_magic_check,
     oracle_close,
     oracle_ideal_correspondence,
     oracle_ideal_name,
     oracle_lattice,
     oracle_localization_agreement,
+    oracle_members,
     oracle_ring_prime,
     oracle_two_ring_from_multigraded,
     oracle_two_ring_ideals,
@@ -86,6 +88,7 @@ from oracles import (
     restrict_submonoid,
     restriction_localization_check,
     square_zero,
+    two_ring_name_key,
 )
 from test_limits import unit_ring
 from test_multigraded import rank_two_signed
@@ -99,9 +102,10 @@ def assert_matches_oracles(R2):
     """The lattice equals the brute-force ideal families, and each
     family's primality agrees with the literal definition."""
     ideals = oracle_two_ring_ideals(R2)
-    assert set(homogeneous_ideals(R2).ideals) == ideals
+    assert {oracle_members(R2.index, i.rows) for i in homogeneous_ideals(R2)} == ideals
     for ideal in ideals:
-        assert is_prime_two(R2, ideal) == oracle_two_ring_prime(R2, ideal), sorted(ideal)
+        assert is_prime_two(R2, ideal_of_members(R2.index, ideal)) == oracle_two_ring_prime(
+            R2, ideal), sorted(ideal)
 
 
 ORACLE_TWO_RINGS = [n for n in TWO_RING_NAMES if within_oracle_limit(build_two_ring(n))]
@@ -213,7 +217,7 @@ class TestKernelWork:
         for m in R2.basis_morphisms():
             applied.clear()
             ideal = index.generate([m])
-            bound = sum(len(rows) * len(maps) for rows, maps in zip(ideal, index.maps))
+            bound = sum(len(rows) * len(maps) for rows, maps in zip(ideal.rows, index.maps))
             assert 0 < len(applied) <= bound
 
     @pytest.mark.parametrize("name", TWO_RING_NAMES)
@@ -292,11 +296,6 @@ class TestKernelWork:
         assert counts["_absorb"] == counts["join"]
 
 
-def _two_ring_name_key(R2):
-    order = {o: k for k, o in enumerate(R2.objects)}
-    return lambda m: (m[0] != R2.unit, order[m[0]], order[m[1]], m[2])
-
-
 @st.composite
 def mutated_data(draw, two_ring=None):
     """A ring or 2-ring: the catalog's, unit_ring, square_zero,
@@ -341,13 +340,18 @@ def mutated_data(draw, two_ring=None):
 
 @st.composite
 def closure_data(draw):
-    """A mutated_data datum as (index, name sort key, render, brute-force
-    prime test)."""
+    """A mutated_data datum as (index, name of an Ideal, oracle name of a
+    member set, brute-force prime test of a member set)."""
     datum = draw(mutated_data())
+    index = datum.index
     if isinstance(datum, TwoRingDatum):
-        return (datum.index, _two_ring_name_key(datum), datum.render,
+        key = two_ring_name_key(datum)
+        return (index, lambda ideal: ideal_name_two(datum, ideal),
+                lambda ideal: oracle_ideal_name(index, ideal, key, datum.render),
                 lambda ideal: oracle_two_ring_prime(datum, ideal))
-    return datum.index, None, datum.render, lambda ideal: oracle_ring_prime(datum, ideal)
+    return (index, lambda ideal: ideal_name_ring(datum, ideal),
+            lambda ideal: oracle_ideal_name(index, ideal, None, datum.render),
+            lambda ideal: oracle_ring_prime(datum, ideal))
 
 
 def _lines(index, draw):
@@ -372,15 +376,14 @@ class TestClosureMatchesTheOracle:
     @settings(max_examples=60, deadline=None)
     @given(datum=closure_data(), data=st.data())
     def test_ideals_names_generators_and_verdicts(self, datum, data):
-        index, key, render, brute_prime = datum
+        index, name, oracle_name, brute_prime = datum
         lattice = index.lattice().ideals
-        assert lattice == oracle_lattice(index).ideals
-        for ideal in lattice:
-            assert index.name(ideal, key, render) == oracle_ideal_name(index, ideal, key, render)
-        assert [index.is_prime(i) for i in lattice] == [brute_prime(i) for i in lattice]
+        members = [oracle_members(index, i.rows) for i in lattice]
+        assert tuple(members) == oracle_lattice(index)
+        assert [name(i) for i in lattice] == [oracle_name(m) for m in members]
+        assert [index.is_prime(i) for i in lattice] == [brute_prime(m) for m in members]
         first, second = _lines(index, data.draw), _lines(index, data.draw)
-        members = [(*index.keys[c], v) for c, v in first]
-        start = index.generate(members)
+        start = index.generate([(*index.keys[c], v) for c, v in first]).rows
         assert start == oracle_close(index, index.zero, first)
         # From a nonzero ideal, with every principal ideal known: a known
         # ideal that holds the generators but misses the start is no answer.
@@ -401,16 +404,99 @@ class TestClosureMatchesTheOracle:
         index = ring.index
         known = {(c, v): oracle_close(index, index.zero, [(c, v)])
                  for c, lines in enumerate(index.lines) for v in lines}
-        v1, v2 = index.generate([((1,), (1,))]), index.generate([((2,), (1,))])
+        v1, v2 = index.generate([((1,), (1,))]).rows, index.generate([((2,), (1,))]).rows
         assert index.close(v1, [index.split(((2,), (1,)))], known) == index.join(v1, v2) != v2
         ideals = ring_ideals(ring).ideals
         assert len(ideals) == 5
         for small in ideals:
-            start = index.span(small)
+            start = small.rows
             for big in ideals:
-                for m in big:
+                for m in oracle_members(index, big.rows):
                     gens = [index.split(m)]
                     assert index.close(start, gens, known) == oracle_close(index, start, gens)
+
+
+def subspace_count(p, d):
+    """Number of subspaces of F_p^d for d <= 3."""
+    return (1, 2, p + 3, 2 * p * p + 2 * p + 4)[d]
+
+
+@st.composite
+def sparse_tables(draw):
+    """An AlgebraIndex on random tables with no axiom assumed: up to four
+    components keyed by object pairs, of random dimensions, and products on
+    some pairs of them whose entries are mostly zero, so that lattices run
+    to hundreds of ideals."""
+    p = draw(st.sampled_from([2, 3, 5]), label="p")
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=2, max_size=4, unique=True), label="keys")
+    dims = {k: draw(st.sampled_from([0, 1, 2, 2, 3, 3]), label="dim") for k in keys}
+    count = 1
+    for d in dims.values():
+        count *= subspace_count(p, d)
+    assume(count <= 1000)
+    entry = st.sampled_from([0, 0, 0, *range(1, p)])
+    products = {}
+    for c in keys:
+        for e in keys:
+            if dims[c] and dims[e] and draw(st.sampled_from([False, False, True]),
+                                             label="multiplies"):
+                t = draw(st.sampled_from(keys), label="target")
+                vec = st.tuples(*[entry] * dims[t])
+                products[(c, e)] = (t, tuple(tuple(draw(vec) for _ in range(dims[e]))
+                                             for _ in range(dims[c])))
+    return AlgebraIndex(p, dims, products)
+
+
+class TestIdealsAreTheirRows:
+    """An ideal is its echelon basis from the lattice through spc and the
+    correspondence: member sets are listed only to name a failure, and
+    order, names and containment read off the rows are those of the
+    member sets."""
+
+    def test_lattice_spc_and_passing_correspondence_list_no_members(self, monkeypatch):
+        listed = []
+        real = AlgebraIndex.members
+        monkeypatch.setattr(AlgebraIndex, "members",
+                            lambda self, ideal: listed.append(1) or real(self, ideal))
+        for name in TWO_RING_NAMES:
+            R2 = build_two_ring(name)
+            homogeneous_ideals(R2)
+            spc(R2)
+        passed = 0
+        for name in TIGHTENING_NAMES:
+            T, R2 = build_tightening(name)
+            if validate_tightening(T, R2):
+                passed += ideal_correspondence(T, R2).ok
+        assert passed == len(TIGHTENING_NAMES) - 1
+        assert listed == []
+
+    @pytest.mark.parametrize("name", TWO_RING_NAMES)
+    def test_containment_is_inclusion_of_members(self, name):
+        R2 = build_two_ring(name)
+        lattice = homogeneous_ideals(R2).ideals
+        members = [oracle_members(R2.index, i.rows) for i in lattice]
+        for i, a in zip(lattice, members):
+            for j, b in zip(lattice, members):
+                assert (i <= j, i < j, i == j) == (a <= b, a < b, a == b)
+
+    @settings(max_examples=40, deadline=None)
+    # Products all zero: every choice of subspaces, 16 * 5 * 5 = 400 ideals.
+    @example(index=AlgebraIndex(2, {(0, 0): 3, (0, 1): 2, (1, 1): 2}, {}))
+    @example(index=AlgebraIndex(3, {(0, 0): 2, (0, 1): 2, (1, 0): 1},
+                                {((0, 0), (0, 1)): ((1, 0), (((1,), (0,)), ((0,), (0,))))}))
+    @given(index=sparse_tables())
+    def test_order_names_and_containment_on_random_tables(self, index):
+        lattice = index.lattice().ideals
+        target(float(len(lattice)))
+        members = [oracle_members(index, i.rows) for i in lattice]
+        assert tuple(members) == oracle_lattice(index)
+        names = [index.name(i, None, str) for i in lattice]
+        assert names == [oracle_ideal_name(index, m, None, str) for m in members]
+        step = len(lattice) // 30 + 1
+        for i, a in zip(lattice[::step], members[::step]):
+            for j, b in zip(lattice[::step], members[::step]):
+                assert (i <= j, i < j) == (a <= b, a < b)
 
 
 class TestInvertibilityMatchesTheSearch:
@@ -838,27 +924,30 @@ class TestIdealsAndSpectrum:
         R2 = build_two_ring("nilpotent_f2_z2")
         model, names = spc_with_primes(R2)
         assert set(names) == {"⟨x⟩"}
-        assert frozenset() not in names.values()
+        assert homogeneous_ideals(R2).bottom() not in names.values()
 
     def test_zero_ideal_not_prime_with_zero_divisors(self):
         R2 = build_two_ring("nilpotent_f2_z2")
-        assert not is_prime_two(R2, frozenset())
-        assert is_prime_two(build_two_ring("laurent_f2_z2"), frozenset())
+        assert not is_prime_two(R2, homogeneous_ideals(R2).bottom())
+        R2 = build_two_ring("laurent_f2_z2")
+        assert is_prime_two(R2, homogeneous_ideals(R2).bottom())
 
     def test_total_ideal_never_prime(self):
         R2 = build_two_ring("laurent_f2_z2")
-        assert not is_prime_two(R2, frozenset(R2.morphisms()))
+        top = homogeneous_ideals(R2).top()
+        assert oracle_members(R2.index, top.rows) == frozenset(R2.morphisms())
+        assert not is_prime_two(R2, top)
 
     def test_principal_closure_idempotent(self):
         R2 = build_two_ring("dual_laurent_f2_z2")
         e = ("0", "0", (0, 1))
         once = ideal_generated_two(R2, [e])
-        assert ideal_generated_two(R2, once) == once
+        assert ideal_generated_two(R2, oracle_members(R2.index, once.rows)) == once
 
     def test_ideal_closed_under_twists(self):
         R2 = build_two_ring("nilpotent_f2_z2")
         x = ("0", "1", (1,))
-        ideal = ideal_generated_two(R2, [x])
+        ideal = oracle_members(R2.index, ideal_generated_two(R2, [x]).rows)
         for m in ideal:
             for g in R2.objects:
                 t = tensor(R2, R2.identity(g), m)
@@ -1574,7 +1663,7 @@ def test_two_ring_closure_idempotent(picks):
     mors = list(R2.morphisms())
     gens = [mors[i % len(mors)] for i in picks]
     once = ideal_generated_two(R2, gens)
-    assert ideal_generated_two(R2, once) == once
+    assert ideal_generated_two(R2, oracle_members(R2.index, once.rows)) == once
     assert once in set(homogeneous_ideals(R2).ideals)
 
 

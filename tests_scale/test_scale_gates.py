@@ -15,6 +15,7 @@ from oracles import (
     oracle_lattice,
     oracle_localization_agreement,
     oracle_validate_two_ring,
+    two_ring_name_key,
 )
 from test_limits import minimal_open_table, sections_on, unit_ring
 from test_tworing import edited, misread, verdict
@@ -61,17 +62,37 @@ def test_ideal_lattices_at_max_objects_and_max_component_size(args):
     # The closure that stops at saturation against the engine without stop
     # rules, on the Z/12 2-ring over F_2 (12 objects) and the Z/2 2-ring
     # over F_5 with components of dimension 3 (125 members each): every
-    # ideal, in lattice order, and every ideal's name must be equal.
+    # ideal's members, in lattice order, and every ideal's name must be
+    # equal.
     R2 = two_ring_from_multigraded(unit_ring(*args))
-    new, old = R2.index.lattice().ideals, oracle_lattice(R2.index).ideals
-    order = {o: k for k, o in enumerate(R2.objects)}
-
-    def key(m):
-        return (m[0] != R2.unit, order[m[0]], order[m[1]], m[2])
-
-    assert new == old
+    new, old = R2.index.lattice().ideals, oracle_lattice(R2.index)
+    assert tuple(R2.index.members(i) for i in new) == old
     names = [ideal_name_two(R2, i) for i in new]
-    assert names == [oracle_ideal_name(R2.index, i, key, R2.render) for i in old]
+    assert names == [oracle_ideal_name(R2.index, i, two_ring_name_key(R2), R2.render) for i in old]
+
+
+@pytest.mark.parametrize("args", [(5, 3, 2), (2, 1, 12)], ids=["Z2 over F5, dim 3", "Z12 over F2"])
+def test_ideal_correspondence_at_max_objects_and_max_component_size(args):
+    # The correspondence on echelon bases against the oracle's on member
+    # sets, on the identity tightening of each ring above, and with one
+    # identification made singular: its first row doubled into its second
+    # over F_5, its one row zero over F_2.
+    ring = unit_ring(*args)
+    T, R2 = misread(ring, ring)
+    x = (1,)
+    rows = T.phi[x]
+    singular = rows[:1] + rows[:1] + rows[2:] if len(rows) > 1 else (tuple(0 for _ in rows[0]),)
+    tightenings = {
+        "identity": T,
+        "singular": dataclasses.replace(T, phi=edited(T.phi, {x: singular})),
+    }
+    verdicts = {
+        name: (verdict(ideal_correspondence, t, R2), verdict(oracle_ideal_correspondence, t, R2))
+        for name, t in tightenings.items()
+    }
+    assert verdicts["identity"][0] == "PASS"
+    assert verdicts["singular"][0].startswith("FAIL(round_trip_ring")
+    assert {name: v for name, v in verdicts.items() if v[0] != v[1]} == {}
 
 
 def test_localization_agreement_at_scale():
