@@ -99,7 +99,10 @@ def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> C
             gens = [(f"{n}{i}", d) for i, (n, d) in enumerate(gens, 1)]
         ring = make_ring(p, gens)
     elif kind == "quaternion" and p == 2:
-        ring = make_ring(2, [("e", 4)])
+        # The odd part of the cyclic subgroup of index 2 is a normal
+        # 2-complement, so G answers as its Sylow 2-subgroup: C4 (Künneth)
+        # when n = 4 mod 8; generalized quaternion for Q_n with 8 | n.
+        ring = make_ring(2, [("y", 2)] if key[1] % 8 == 4 else [("e", 4)])
     elif kind == "dihedral" and key[1] == 8 and p == 2:
         ring = make_ring(
             2,

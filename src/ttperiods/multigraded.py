@@ -366,13 +366,15 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
                     return failure("not_associative", ring.render(a), ring.render(b), ring.render(c))
 
     # The associativity above makes a one-sided inverse in R_0 two-sided.
-    degree_zero = set(all_vectors(ring.char, ring.dims[z]))
+    # A value is a vector of R_0 when its length and entries fit.
     is_unit: dict = {}
     for x in G.elements():
         for y in G.elements():
             t = ring.tau[(x, y)]
             if t not in is_unit:
-                is_unit[t] = any(t) and t in degree_zero and _has_inverse(ring, (z, t))
+                is_unit[t] = (any(t) and isinstance(t, tuple) and len(t) == ring.dims[z]
+                              and all(c in range(ring.char) for c in t)
+                              and _has_inverse(ring, (z, t)))
             if not is_unit[t]:
                 return failure("transposition_not_unit", x, y)
             if ring.tau[(y, x)] != t:

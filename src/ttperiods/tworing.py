@@ -20,6 +20,8 @@ exhaustive enumeration over the finite tables.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -172,8 +174,27 @@ def two_ring_index(R2: TwoRingDatum) -> AlgebraIndex:
     return AlgebraIndex(R2.char, dims, products, tensors, twists)
 
 
-def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
-    """All invertible morphisms from a to b, cached per datum.
+class _Search:
+    """The hits of a lazy search, kept as they are found: first reads up
+    to the first hit, all to the end."""
+
+    def __init__(self, hits: Iterable):
+        self._rest, self._found = iter(hits), []
+
+    def first(self):
+        if not self._found:
+            self._found.extend(itertools.islice(self._rest, 1))
+        return self._found[0] if self._found else None
+
+    @functools.cached_property
+    def all(self) -> tuple:
+        self._found.extend(self._rest)
+        return tuple(self._found)
+
+
+def _iso_search(R2: TwoRingDatum, a, b) -> _Search:
+    """The search for invertible morphisms from a to b in enumeration
+    order, one per datum and pair, so no hom set is tested twice.
 
     An inverse g of f solves the linear system g f = 1, f g = 1: one
     exists exactly when 1_a ‖ 1_b lies in the span of g f ‖ f g over a
@@ -185,23 +206,35 @@ def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
         basis = [(b, a, g) for g in basis_vectors(R2.hom_dim(b, a))]
         shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
         homs = R2.homs(a, b, include_zero=True) if shaped else ()
-        R2._cache[key] = tuple(f for f in homs if in_span(
+        R2._cache[key] = _Search(f for f in homs if in_span(
             R2.char, [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis], ida + idb))
     return R2._cache[key]
 
 
+def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
+    """All invertible morphisms from a to b, in enumeration order."""
+    return _iso_search(R2, a, b).all
+
+
 def has_iso(R2: TwoRingDatum, a, b) -> bool:
-    return bool(isomorphisms(R2, a, b))
+    """Whether a and b are isomorphic; the search stops at the first hit."""
+    return _iso_search(R2, a, b).first() is not None
+
+
+def _first_iso(R2: TwoRingDatum, a, b, target: str):
+    """The first isomorphism from a to b; ShapeMismatch naming the target
+    when there is none."""
+    found = _iso_search(R2, a, b).first()
+    if found is None:
+        raise ShapeMismatch(f"no isomorphism from {a!r} to {target}")
+    return found
 
 
 # -- construction from a graded ring ----------------------------------
 
 
 def object_name(group: AbelianGroup, label) -> str:
-    label = group.canon(label)
-    if len(label) == 1:
-        return str(label[0])
-    return ",".join(str(k) for k in label)
+    return ",".join(str(k) for k in group.canon(label))
 
 
 def _basis_table(ring: MultigradedRing, x, y, factor, reverse: bool) -> tuple:
@@ -583,10 +616,7 @@ def _unit_mediator(R2: TwoRingDatum, g):
     target = R2.tensor_obj[(g, R2.unit)]
     if target == g:
         return R2.identity(g)
-    isos = isomorphisms(R2, g, target)
-    if not isos:
-        raise ShapeMismatch(f"no isomorphism from {g!r} to its unit tensor")
-    return isos[0]
+    return _first_iso(R2, g, target, "its unit tensor")
 
 
 def validate_tightening(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
@@ -857,17 +887,11 @@ def localize(R2: TwoRingDatum, S: Iterable) -> tuple[frozenset, TwoRingDatum]:
     basis = {comp: _basis_spans(quotients, comp) for comp in quotients}
 
     objects = R2.objects
-    compose_tables = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                if dims[(a, b)] == 0 or dims[(b, c)] == 0:
-                    continue
-                compose_tables[(a, b, c)] = tuple(
-                    tuple(span_class(quotients, _span_compose(R2, system, first, second))
-                          for second in basis[(b, c)])
-                    for first in basis[(a, b)]
-                )
+    compose_tables = {
+        (a, b, c): tuple(tuple(span_class(quotients, _span_compose(R2, system, first, second))
+                               for second in basis[(b, c)]) for first in basis[(a, b)])
+        for a in objects for b in objects for c in objects if dims[(a, b)] and dims[(b, c)]
+    }
 
     def tensor_class(first, second):
         (s, f), (t, g) = first, second
@@ -875,37 +899,17 @@ def localize(R2: TwoRingDatum, S: Iterable) -> tuple[frozenset, TwoRingDatum]:
             raise RingShapeError("tensor of denominators left the system")
         return span_class(quotients, (tensor(R2, s, t), tensor(R2, f, g)))
 
-    tensor_tables = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                for d_ in objects:
-                    if dims[(a, b)] == 0 or dims[(c, d_)] == 0:
-                        continue
-                    tensor_tables[(a, b, c, d_)] = tuple(
-                        tuple(tensor_class(first, second) for second in basis[(c, d_)])
-                        for first in basis[(a, b)]
-                    )
-
+    homs = [comp for comp in dims if dims[comp]]
+    tensor_tables = {
+        (a, b, c, d): tuple(tuple(tensor_class(first, second) for second in basis[(c, d)])
+                            for first in basis[(a, b)])
+        for a, b in homs for c, d in homs
+    }
     identities = {a: span_class(quotients, (R2.identity(a), R2.identity(a))) for a in objects}
-    symmetry = {}
-    for a in objects:
-        for b in objects:
-            ab = R2.tensor_obj[(a, b)]
-            ba = R2.tensor_obj[(b, a)]
-            symmetry[(a, b)] = span_class(quotients, (R2.identity(ab), (ab, ba, R2.symmetry[(a, b)])))
-
-    realized = {
-        R2.group.sub(R2.labels[b], R2.labels[a])
-        for (a, b), d in dims.items()
-        if d > 0
-    }
-    support = R2.group.submonoid_closure(realized)
-
-    basis_names = {
-        comp: tuple(f"q{i}" for i in range(dims[comp]))
-        for comp in dims
-    }
+    symmetry = {(a, b): span_class(quotients, (R2.identity(ab), (ab, ba, R2.symmetry[(a, b)])))
+                for a in objects for b in objects
+                for ab, ba in [(R2.tensor_obj[(a, b)], R2.tensor_obj[(b, a)])]}
+    realized = {R2.group.sub(R2.labels[b], R2.labels[a]) for a, b in homs}
     datum = TwoRingDatum(
         name=f"{R2.name}_loc",
         group=R2.group,
@@ -913,9 +917,9 @@ def localize(R2: TwoRingDatum, S: Iterable) -> tuple[frozenset, TwoRingDatum]:
         objects=objects,
         labels=dict(R2.labels),
         unit=R2.unit,
-        support=support,
+        support=R2.group.submonoid_closure(realized),
         dims=dims,
-        basis_names=basis_names,
+        basis_names={comp: tuple(f"q{i}" for i in range(d)) for comp, d in dims.items()},
         compose_tables=compose_tables,
         tensor_obj=dict(R2.tensor_obj),
         tensor_tables=tensor_tables,
@@ -935,11 +939,8 @@ def extend_system(T: Tightening, R2: TwoRingDatum, ring_system: Iterable) -> fro
 def restrict_system(T: Tightening, R2: TwoRingDatum, two_system: frozenset) -> frozenset:
     # Zero elements matter here: a closed system that contains zero
     # (inverting a nilpotent) restricts to one that contains zero too.
-    out = set()
-    for e in T.ring.homogeneous_elements(include_zero=True):
-        if phi_apply(T, R2, e) in two_system:
-            out.add(e)
-    return frozenset(out)
+    return frozenset(e for e in T.ring.homogeneous_elements(include_zero=True)
+                     if phi_apply(T, R2, e) in two_system)
 
 
 def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diagnosis:
@@ -948,11 +949,13 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     Checks three things exhaustively: the generated system equals the
     translate closure of the identified generators; restriction after
     extension recovers the ring system; and for every degree the
-    identification carries ring fraction classes bijectively and
-    additively onto the localized unit-sourced homs.  The last is linear
-    algebra: the identification is additive in the numerator of each
-    denominator, agrees on both sides of every dilation that generates
-    the ring-side relations, and its rank is both dimensions.
+    identification carries ring fraction classes bijectively onto the
+    localized unit-sourced homs.  The last is linear algebra.  The
+    identification is linear in the numerator of each denominator by
+    construction (phi, the twist, the frame and the class map are each
+    linear), so it is given by its images of basis numerators; those
+    must agree on both sides of every dilation that generates the
+    ring-side relations, and their rank must be both dimensions.
     """
     d = validate_tightening(T, R2)
     if not d:
@@ -975,10 +978,10 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     # block's failure fires at its first fraction in scan order.
     identifiers: dict = {}
 
-    def identify(y, s, f):
+    def identifier(y, s):
         if (y, s) not in identifiers:
             identifiers[(y, s)] = _fraction_identifier(T, R2, e_gen, spans, y, s)
-        return identifiers[(y, s)](f)
+        return identifiers[(y, s)]
 
     for x in ring.group.elements():
         gx = T.representatives[T.projection[x]]
@@ -989,14 +992,13 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
 
         q = fr[x]
         numerators = {s: ring.group.add(x, s[0]) for s, _ in q.blocks}
-        image = {s: [identify(numerators[s], s, f) for f in basis_vectors(d)]
+        image = {s: [identifier(numerators[s], s)(f) for f in basis_vectors(d)]
                  for s, d in q.blocks}
-        # Where it is linear in the numerator, the identification is given
-        # by image; the dilations generate the ring-side relations.
-        for s, d in q.blocks:
-            for f in all_vectors(p, d):
-                if identify(numerators[s], s, f) != combine(f, image[s]):
-                    return failure("identification_not_additive", x)
+        # A block of dimension zero has no basis numerator; its identifier,
+        # and the checks made in forming it, come after every image.
+        for s, _ in q.blocks:
+            identifier(numerators[s], s)
+        # The dilations generate the ring-side relations.
         for s, su, rows in q.dilations:
             for mine, row in zip(image[s], rows):
                 if mine != combine(row, image[su]):
@@ -1024,23 +1026,14 @@ def _fraction_identifier(T: Tightening, R2: TwoRingDatum, system: frozenset, spa
     z = den[0]
     x = ring.group.sub(y, z)
     gz = T.representatives[T.projection[z]]
-    gzinv = None
-    for cand in R2.objects:
-        if R2.tensor_obj[(cand, gz)] == R2.unit:
-            gzinv = cand
-            break
+    gzinv = next((c for c in R2.objects if R2.tensor_obj[(c, gz)] == R2.unit), None)
     if gzinv is None:
         raise ShapeMismatch(f"no strict tensor inverse for {gz!r}")
     twist = R2.identity(gzinv)
     s_leg = tensor(R2, twist, phi_apply(T, R2, den))
     r_end = R2.tensor_obj[(gzinv, T.representatives[T.projection[y]])]
     gx = T.representatives[T.projection[x]]
-    frame = None
-    if r_end != gx:
-        isos = isomorphisms(R2, r_end, gx)
-        if not isos:
-            raise ShapeMismatch(f"no isomorphism from {r_end!r} to {gx!r}")
-        frame = isos[0]
+    frame = None if r_end == gx else _first_iso(R2, r_end, gx, repr(gx))
     if s_leg not in system:
         raise RingShapeError("identified denominator left the system")
     quotient = spans[(s_leg[1], gx)]

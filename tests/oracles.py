@@ -38,15 +38,18 @@ that the library's answer is theirs; the correspondence works on member
 sets, extending and restricting by enumeration.  from_inclusions, the
 poset of named sets under inclusion through
 FiniteSpectralModel.from_inclusion_masks, has no caller in the library.
-heller_period finds the period of the trivial module of a p-group by
-minimal projective resolutions over F_p[P], reading no catalog.  The group
+heller_period finds the period of the trivial module of a group with a
+normal p-complement K (p_complement) by minimal projective resolutions
+over F_p[G/K], reading no catalog.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
 over the whole lattice, is checked against the classes GroupIndex.p_classes
 finds.  Only viable for tiny instances.
 square_zero builds the small rings with few units that several test files
-share.  reference_iso_pairs and reference_units find inverses by trying
+share.  oracle_isomorphisms is isomorphisms before it became a search that
+has_iso stops at the first hit: every morphism tested, each call afresh.
+reference_iso_pairs and reference_units find inverses by trying
 every candidate, the second route to the span test that isomorphisms and
 homogeneous_units make.  restrict_table, the induced table on an open
 subset, has no caller in the library; base_free_cover and
@@ -98,6 +101,7 @@ from ttperiods.multigraded import (
     all_vectors,
     basis_vectors,
     ideal_name_ring,
+    in_span,
     is_ring_prime,
     make_multigraded,
     mg_mul,
@@ -282,6 +286,17 @@ def oracle_ring_prime(ring, ideal):
 def oracle_two_ring_prime(R2, ideal):
     return oracle_is_prime(ideal, list(R2.morphisms()),
                            lambda r, s: compose(R2, s, r) if s[0] == r[1] else None)
+
+
+def oracle_isomorphisms(R2, a, b) -> tuple:
+    """isomorphisms as it was before the search stopped at a first hit:
+    one span test per morphism a -> b, every one listed, nothing cached."""
+    ida, idb = R2.identities[a], R2.identities[b]
+    basis = [(b, a, g) for g in basis_vectors(R2.hom_dim(b, a))]
+    shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
+    homs = R2.homs(a, b, include_zero=True) if shaped else ()
+    return tuple(f for f in homs if in_span(
+        R2.char, [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis], ida + idb))
 
 
 def reference_iso_pairs(R2, a, b):
@@ -1634,18 +1649,37 @@ def oracle_ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
 # the trivial one, so Omega^n(k) is k exactly when it has dimension one.
 # Modules are kept as submodules of free modules F_p[P]^s, as echelon
 # rows over the coordinates (block, element).
+#
+# A group G whose p'-elements form a subgroup K (a normal p-complement)
+# reduces to P = G/K: e_K = |K|^-1 sum of K is a central idempotent, and
+# the principal block F_p[G] e_K, which holds k, is F_p[G/K].  A minimal
+# resolution of k over it is one over F_p[G], so Omega^n_G(k) is
+# Omega^n_{G/K}(k) inflated, and the two periods agree.
+
+
+def p_complement(G: FiniteGroup, p: int) -> "frozenset | None":
+    """The p'-elements of G when they are closed under composition, so
+    form a normal subgroup, checked on G's own permutations; else None."""
+    K = frozenset(g for g in G.elements if perm_order(g) % p)
+    return K if all(groups.compose(a, b) in K for a in K for b in K) else None
 
 
 def heller_period(G: FiniteGroup, p: int) -> "int | None":
-    """The least n > 0 with Omega^n(k) of dimension one, for a p-group G
-    over F_p, by minimal projective resolutions on G's permutation table;
+    """The least n > 0 with Omega^n(k) of dimension one, for a group G with
+    a normal p-complement K over F_p (K = 1 for a p-group), by minimal
+    projective resolutions over F_p[G/K] on the table of the cosets of K;
     None when no n up to 4 at p = 2, or 2(p - 1) at odd p, gives one.  For
-    a p-group of p-rank one this is the period of its one stmod point."""
-    elems = sorted(G.elements)
-    n = len(elems)
-    where = {g: i for i, g in enumerate(elems)}
-    # acts[g][i] is the position of g h_i, h_i the i-th element.
-    acts = [[where[groups.compose(g, h)] for h in elems] for g in elems]
+    a Sylow p-subgroup of p-rank one this is the period of stmod's one
+    point.  A G with no normal p-complement raises ValueError."""
+    K = p_complement(G, p)
+    if K is None:
+        raise ValueError(f"{G.name} has no normal {p}-complement")
+    cosets = sorted({min(groups.compose(g, k) for k in K) for g in G.elements})
+    n = len(cosets)
+    where = {g: i for i, c in enumerate(cosets) for g in (groups.compose(c, k) for k in K)}
+    # acts[i][j] is the position of the coset of c_i c_j, c_i the least
+    # member of the i-th coset; K is normal, so any members give it.
+    acts = [[where[groups.compose(g, h)] for h in cosets] for g in cosets]
     gens = [acts[where[g]] for g in G.generators]
 
     def act(a, v):

@@ -97,8 +97,8 @@ def test_02_singleton_and_elementary_period_table():
         singletons = {
             cyclic(2): 1,
             cyclic(4): 2, cyclic(8): 2, cyclic(16): 2,
-            quaternion(8): 4, quaternion(12): 4, quaternion(16): 4,
-            quaternion(20): 4, quaternion(24): 4,
+            quaternion(8): 4, quaternion(12): 2, quaternion(16): 4,
+            quaternion(20): 2, quaternion(24): 4,
         }
         for G, want in singletons.items():
             model, per = stmod_period_map(G, 2)

@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttperiods import multigraded
 from ttperiods.diagnostics import SizeBound
 from ttperiods.multigraded import (
     AbelianGroup,
@@ -271,6 +272,25 @@ class TestValidationMatchesTheScan:
         diag = validate_multigraded(ring)
         assert diag.describe() == "FAIL(transposition_not_bilinear: (0,), (0,), (0,))"
         assert diag.describe() == oracle_validate_multigraded(ring).describe()
+
+    # Values that no vector of R_0 equals: the wrong length, entries outside
+    # 0..p-1 (though equal to a unit mod p), and no tuple at all.
+    @pytest.mark.parametrize("value", [(1, 0), (), (4,), (-2,), "1"], ids=repr)
+    def test_transposition_value_of_the_wrong_shape(self, value):
+        ring = tau_with("laurent_f3_z4", {((1,), (1,)): value})
+        diag = validate_multigraded(ring)
+        assert diag.describe() == "FAIL(transposition_not_unit: (1,), (1,))"
+        assert diag.describe() == oracle_validate_multigraded(ring).describe()
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_a_passing_ring_lists_no_component(self, name, monkeypatch):
+        ring = build_ring(name)
+        ring.index  # lists each component's lines once, before the count
+        listed = []
+        monkeypatch.setattr(multigraded, "all_vectors",
+                            lambda *a: listed.append(a) or all_vectors(*a))
+        assert validate_multigraded(ring).ok
+        assert listed == []
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from([n for n in RING_NAMES if n != "zero"]), data=st.data())

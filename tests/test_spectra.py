@@ -54,7 +54,7 @@ from ttperiods.spectra import (
 )
 
 from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
-from oracles import heller_period, oracle_artin_tower, reference_dperm_strata
+from oracles import heller_period, oracle_artin_tower, p_complement, reference_dperm_strata
 from test_graded import assert_masks_match_patterns
 from test_groups import CATALOG_24
 
@@ -292,6 +292,33 @@ class TestHellerPeriods:
 
     def test_p_rank_two_does_not_return_within_the_bound(self):
         assert heller_period(dihedral(8), 2) is None
+
+    # Every catalog group of order at most 24, and Q28 and Q36, at every
+    # prime dividing the order where stmod answers with one point and the
+    # p'-elements form a subgroup K: 41 (group, prime) pairs, among them
+    # Q12, Q20, Q28 and Q36 at 2, whose Sylow subgroup is C4.
+    NORMAL_COMPLEMENT_GROUPS = CATALOG_24 + [quaternion(28), quaternion(36)]
+
+    def test_normal_p_complement_periods_match_stmod(self):
+        compared = []
+        for G in self.NORMAL_COMPLEMENT_GROUPS:
+            for p in _prime_factors(G.order):
+                try:
+                    model, per = stmod_period_map(G, p)
+                except GroupNotInCatalog:
+                    continue
+                if len(model.space.points) == 1 and p_complement(G, p) is not None:
+                    compared.append((G.name, p, per[model.space.points[0]], heller_period(G, p)))
+        assert [c for c in compared if c[2] != c[3]] == []
+        assert len(compared) == 41
+        assert {c[0] for c in compared} >= {"Q12", "Q20", "Q28", "Q36"}
+
+    def test_no_normal_p_complement_is_refused(self):
+        # S3 at 2: the elements of order 1 and 3 are closed, but at 3 the
+        # identity and the three transpositions are not.
+        assert p_complement(symmetric(3), 2) is not None
+        with pytest.raises(ValueError):
+            heller_period(symmetric(3), 3)
 
 
 class TestStmodPeriodMap:

@@ -12,6 +12,7 @@ from ttperiods import multigraded, tworing
 from ttperiods.diagnostics import SizeBound
 
 from ttperiods.multigraded import (
+    AbelianGroup,
     AlgebraIndex,
     RingShapeError,
     homogeneous_units,
@@ -19,6 +20,7 @@ from ttperiods.multigraded import (
     is_ring_prime,
     make_multigraded,
     mult_system_ring,
+    ring_fractions,
     ring_ideals,
     validate_multigraded,
 )
@@ -72,6 +74,7 @@ from oracles import (
     oracle_close,
     oracle_ideal_correspondence,
     oracle_ideal_name,
+    oracle_isomorphisms,
     oracle_lattice,
     oracle_localization_agreement,
     oracle_members,
@@ -230,6 +233,49 @@ class TestKernelWork:
         homogeneous_ideals(R2)
         # One closure per principal ideal, that is per line; none per join.
         assert len(closes) == sum(len(lines) for lines in R2.index.lines)
+
+    def test_validation_stops_at_the_first_isomorphism(self, monkeypatch):
+        # F_5^3 hom components: listing every morphism of the three hom sets
+        # that validation asks about makes 375 span tests.
+        R2 = two_ring_from_multigraded(unit_ring(5, 3, 2))
+        tests = []
+        real = tworing.in_span
+        monkeypatch.setattr(tworing, "in_span", lambda *a: tests.append(1) or real(*a))
+        assert validate_two_ring(R2).ok
+        searched = [key[1:] for key in R2._cache if key[0] == "isos"]
+        assert len(searched) == 3
+        # One test per morphism up to and including the first isomorphism.
+        firsts = [list(R2.homs(a, b, include_zero=True)).index(oracle_isomorphisms(R2, a, b)[0])
+                  for a, b in searched]
+        assert len(tests) == sum(firsts) + len(firsts) == 78
+
+    def test_a_hom_set_is_searched_once(self, monkeypatch):
+        R2 = build_two_ring("laurent_f3_z4")
+        tests = []
+        real = tworing.in_span
+        monkeypatch.setattr(tworing, "in_span", lambda *a: tests.append(1) or real(*a))
+        assert tworing.has_iso(R2, "0", "1")
+        assert len(tests) == 2  # 0, then t, an isomorphism
+        assert isomorphisms(R2, "0", "1") == oracle_isomorphisms(R2, "0", "1")
+        assert tworing.has_iso(R2, "0", "1")
+        assert isomorphisms(R2, "0", "1") is isomorphisms(R2, "0", "1")
+        assert len(tests) == 3 == R2.char ** R2.hom_dim("0", "1")
+
+    def test_agreement_identifies_basis_numerators_only(self, monkeypatch):
+        T, R2 = build_tightening("identity_dual_laurent_f2_z2")
+        S = [((0,), (0, 1))]
+        calls = []
+        real = tworing._fraction_identifier
+
+        def counted(*args):
+            identify = real(*args)
+            return lambda vec: calls.append(vec) or identify(vec)
+
+        monkeypatch.setattr(tworing, "_fraction_identifier", counted)
+        assert localization_agreement(T, R2, S).ok
+        fractions = ring_fractions(T.ring, mult_system_ring(T.ring, S))
+        assert len(calls) == sum(q.length for q in fractions.values()) > 0
+        assert all(sum(vec) == 1 for vec in calls)
 
     def test_construction_forms_one_table_per_key(self, monkeypatch):
         ring = unit_ring(2, 1, 12)
@@ -578,10 +624,25 @@ def two_ring_with(name, **fields):
     return dataclasses.replace(R2, **new)
 
 
-# One 2-ring per failure reason validate_two_ring can give, short of
-# object_not_invertible and unit_tensor_not_isomorphic: a label-zero object
-# not isomorphic to the unit needs composition tables that fail
-# associativity first.
+def two_unit_objects(z_tensor):
+    """A 2-ring over F_2 with the unit "0" and a second object "z", both
+    labelled 0, End = F_2 on each and no homs between them.  0 tensor 0 is
+    0, and z tensor anything, on either side, is z_tensor."""
+    group, objects = AbelianGroup((2,)), ("0", "z")
+    pairs = [(a, b) for a in objects for b in objects]
+    tensor_obj = {(a, b): "0" if a == b == "0" else z_tensor for a, b in pairs}
+    one = (((1,),),)
+    return TwoRingDatum(
+        name="two_unit_objects", group=group, char=2, objects=objects,
+        labels={a: group.zero for a in objects}, unit="0", support=frozenset({group.zero}),
+        dims={(a, a): 1 for a in objects},
+        basis_names={(a, b): (f"1_{a}",) if a == b else () for a, b in pairs},
+        compose_tables={(a, a, a): one for a in objects}, tensor_obj=tensor_obj,
+        tensor_tables={(a, a, b, b): one for a, b in pairs},
+        identities={a: (1,) for a in objects}, symmetry={ab: (1,) for ab in pairs})
+
+
+# One 2-ring per failure reason validate_two_ring can give.
 TWO_RING_MUTANTS = {
     "characteristic_not_prime": lambda: two_ring_with("laurent_f2_z2", char=6),
     "object_without_label": lambda: two_ring_with("laurent_f2_z2", objects=lambda o: o + ("z",)),
@@ -621,6 +682,10 @@ TWO_RING_MUTANTS = {
     # s(a, b tensor c) = -1 is not s(a, b) s(a, c) = 1.
     "symmetry_not_multiplicative": lambda: two_ring_with(
         "laurent_f3_z4", symmetry=lambda s: {k: (2,) for k in s}),
+    # Nothing tensors z into the unit: z tensor anything is z.
+    "object_not_invertible": lambda: two_unit_objects("z"),
+    # z tensor the unit is the unit, which z is not isomorphic to.
+    "unit_tensor_not_isomorphic": lambda: two_unit_objects("0"),
 }
 
 
@@ -1564,6 +1629,18 @@ class TestLocalizationMatchesTheOracle:
         diag = localization_agreement(T, bad, [])
         assert diag.reason == reason
         assert diag.describe() == oracle_localization_agreement(T, bad, []).describe()
+
+    def test_a_zero_dimensional_block_forms_its_identifier(self):
+        # Z/2-graded F_2 with nothing in degree one: at x = 1 the block of
+        # the denominator 1 has no basis numerator.  With 0 tensor 1 sent to
+        # 0, that block's framing from 0 to 1 does not exist, and forming its
+        # identifier raises, as it did when every numerator was identified.
+        ring = make_multigraded("odd_zero", (2,), 2, components={0: ("1",)})
+        T, R2 = misread(ring, ring)
+        bad = dataclasses.replace(R2, tensor_obj=edited(R2.tensor_obj, {("0", "1"): "0"}))
+        want = "ShapeMismatch: no isomorphism from '0' to '1'"
+        assert verdict(localization_agreement, T, bad, []) == want
+        assert verdict(oracle_localization_agreement, T, bad, []) == want
 
     def test_a_rescaled_identification_is_not_well_defined(self):
         # Doubling the degree-one identification keeps both tightening

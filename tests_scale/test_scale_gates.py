@@ -12,6 +12,7 @@ from oracles import (
     oracle_ideal_correspondence,
     oracle_ideal_name,
     oracle_is_ample,
+    oracle_isomorphisms,
     oracle_lattice,
     oracle_localization_agreement,
     oracle_validate_two_ring,
@@ -25,8 +26,11 @@ from ttperiods.graded import enumerate_patterns, make_ring, spech_to_obj
 from ttperiods.spaces import FiniteSpectralModel
 from ttperiods.spectra import artin_tower
 from ttperiods.tworing import (
+    _iso_search,
+    has_iso,
     ideal_correspondence,
     ideal_name_two,
+    isomorphisms,
     localization_agreement,
     two_ring_from_multigraded,
     validate_two_ring,
@@ -69,6 +73,29 @@ def test_ideal_lattices_at_max_objects_and_max_component_size(args):
     assert tuple(R2.index.members(i) for i in new) == old
     names = [ideal_name_two(R2, i) for i in new]
     assert names == [oracle_ideal_name(R2.index, i, two_ring_name_key(R2), R2.render) for i in old]
+
+
+@pytest.mark.parametrize("args", [(5, 3, 2), (2, 1, 12)], ids=["Z2 over F5, dim 3", "Z12 over F2"])
+@pytest.mark.parametrize("first_read", ["has_iso", "list"])
+def test_isomorphism_search_at_max_objects_and_max_component_size(args, first_read):
+    # The search that has_iso stops at the first hit against the listing
+    # that tests every morphism, on every hom set of the two rings above, on
+    # a fresh datum for each order of reading: has_iso and the first hit
+    # before the list, or the list before both.  The list, its first
+    # element and has_iso must be the listing's.
+    R2 = two_ring_from_multigraded(unit_ring(*args))
+    wrong = []
+    for a in R2.objects:
+        for b in R2.objects:
+            want = oracle_isomorphisms(R2, a, b)
+            if first_read == "list":
+                isos = isomorphisms(R2, a, b)
+            found, first = has_iso(R2, a, b), _iso_search(R2, a, b).first()
+            if first_read == "has_iso":
+                isos = isomorphisms(R2, a, b)
+            if (isos, found, first) != (want, bool(want), want[0] if want else None):
+                wrong.append((a, b))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("args", [(5, 3, 2), (2, 1, 12)], ids=["Z2 over F5, dim 3", "Z12 over F2"])
