@@ -113,13 +113,17 @@ def make_ring(
     generators: (name, degree[, invertible[, nilpotent]]) tuples.
     relations: lists of (coeff, {name: exponent}) terms; like terms are
     merged and coefficients reduced mod char, so formally zero relations
-    vanish here rather than confusing the pattern constraints later.
+    vanish here rather than confusing the pattern constraints later.  An
+    exponent 0 is x^0 = 1; a negative one is refused.
     """
     gens = tuple(Generator(*g) for g in generators)
     rels = []
     for raw in relations:
         acc: dict[tuple[tuple[str, int], ...], int] = {}
         for coeff, mono in raw:
+            for n, e in mono.items():
+                if int(e) < 0:
+                    raise GradedError(f"negative exponent {e} on generator {n!r}")
             key = tuple(sorted((n, int(e)) for n, e in mono.items() if int(e) > 0))
             acc[key] = acc.get(key, 0) + int(coeff)
         terms = []

@@ -547,8 +547,10 @@ def _structure_key(orders: list[int], abelian: bool) -> "tuple | None":
     if abelian:
         return ("abelian", _abelian_invariants(orders))
     n = len(orders)
-    if orders.count(2) == 1 and n % 4 == 0 and n >= 8:
-        if n // 2 in orders:
+    # One involution and a cyclic subgroup of index 2: dicyclic exactly when
+    # the n/2 elements outside it have order 4, two more lying inside if 8 | n.
+    if orders.count(2) == 1 and n % 4 == 0 and n >= 8 and n // 2 in orders:
+        if orders.count(4) == n // 2 + (2 if n % 8 == 0 else 0):
             return ("quaternion", n)
     if n == 8:
         return ("dihedral", 8)

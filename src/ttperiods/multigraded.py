@@ -14,6 +14,7 @@ diagnostics.LIMITS.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -172,11 +173,7 @@ class MultigradedRing:
 def mg_mul(ring: MultigradedRing, a, b):
     """Product of homogeneous elements, as (degree, vector)."""
     (x, u), (y, v) = a, b
-    entry = ring.index.products.get(((x,), (y,)))
-    if entry is None:
-        z = ring.group.add(x, y)
-        return (z, vec_zero(ring.dims[z]))
-    (z,), n, terms = entry
+    (z,), n, terms = ring.index.products[((x,), (y,))]
     return (z, _bilinear(ring.char, n, terms, u, v))
 
 
@@ -374,7 +371,7 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
             if t not in is_unit:
                 is_unit[t] = (any(t) and isinstance(t, tuple) and len(t) == ring.dims[z]
                               and all(c in range(ring.char) for c in t)
-                              and _has_inverse(ring, (z, t)))
+                              and ring.index.is_unit((z,), t))
             if not is_unit[t]:
                 return failure("transposition_not_unit", x, y)
             if ring.tau[(y, x)] != t:
@@ -413,8 +410,10 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
 # numbers the components and keeps the structure constants: the
 # bilinear product (ring multiplication, or composition in a 2-ring),
 # and for each component the linear maps an ideal must absorb, as small
-# matrices over the prime field.  An ideal is one reduced row-echelon
-# basis per component, which is canonical, held by an Ideal.  Closure is
+# matrices over the prime field.  Every composable pair has a product, so
+# units (a ring's, or a 2-ring's isomorphisms) are decided here too, one
+# lazy search per component.  An ideal is one reduced row-echelon basis
+# per component, which is canonical, held by an Ideal.  Closure is
 # a worklist over newly added rows only; the componentwise sum of two
 # ideals is already an ideal, so a join needs no closure.  Order, names,
 # primality and containment are read off the rows; members are listed
@@ -547,22 +546,25 @@ class AlgebraIndex:
     Built once per datum from its raw tables with no axiom assumed, so
     the validators check the tables through it.  dims maps every
     component key to its dimension; products maps each pair (c, e) of
-    nonzero components whose members multiply to (t, table), where
-    table[i][j] is basis i of c times basis j of e (in a 2-ring: basis i
-    of c, then basis j of e) inside component t.  A 2-ring also gives
-    tensors, its tensor tables in the same form keyed by c + e, and
-    twists, the members (key, vector) by whose tensor on either side
-    every ideal is closed: the identities of its objects.
+    components whose members multiply to (t, table), where table[i][j] is
+    basis i of c times basis j of e (in a 2-ring: basis i of c, then basis
+    j of e) inside component t, and table is None, no terms, where a
+    factor is zero.  A 2-ring also gives tensors, its tensor tables in the
+    same form keyed by c + e.  identities lists the identities (key,
+    vector): the one of a ring, the identity of each object of a 2-ring,
+    by whose tensor on either side every ideal is closed.
 
     Per component number, maps lists the distinct nonzero (target
     number, matrix) maps an ideal absorbs: multiplication by each basis
-    element on either side, then the twists; lines lists one vector per
-    line (first nonzero coordinate 1).  close and join work on the rows of
-    ideals, the other methods on Ideals.
+    element on either side, then the tensors with identities; lines lists
+    one vector per line (first nonzero coordinate 1).  inverses maps c to
+    the e whose products with c, in both orders, land on identities of
+    the right shape.  close and join work on the rows of ideals, is_unit
+    on vectors, the other methods on Ideals.
     """
 
     def __init__(self, char: int, dims: Mapping, products: Mapping,
-                 tensors: Mapping = {}, twists: Iterable = ()):
+                 tensors: Mapping = {}, identities: Iterable = ()):
         check_components(char, dims.values())
         self.char = char
         self.keys = tuple(dims)
@@ -592,7 +594,8 @@ class AlgebraIndex:
                 maps[ci][(ct, tuple(tuple(table[i][j]) for i in range(dims[c])))] = None
             for i in range(dims[c]):
                 maps[ce][(ct, tuple(tuple(table[i][j]) for j in range(dims[e])))] = None
-        for g, ident in twists:
+        self.identities = dict(identities)
+        for g, ident in self.identities.items():
             for c, d in zip(self.keys, self.dims):
                 basis = basis_vectors(d)
                 for entry, rows in (
@@ -609,22 +612,47 @@ class AlgebraIndex:
         lines = {d: tuple(v for v in all_vectors(char, d) if any(v) and v[_pivot(v)] == 1)
                  for d in set(self.dims)}
         self.lines = tuple(lines[d] for d in self.dims)
+        shaped = {key for key, v in self.identities.items() if len(v) == dims[key]}
+        ends = {ce: t for ce, (t, _, _) in self.products.items()}
+        self.inverses = {c: e for (c, e), t in ends.items()
+                         if t in shaped and ends.get((e, c)) in shaped}
+        self._searches: dict = {}
 
     def multiply(self, c, e, u, v):
         """Product of u in component c and v in component e, as (target
-        key, vector), or None where the tables give none."""
-        return self._evaluate(self.products.get((c, e)), u, v)
+        key, vector)."""
+        return self._evaluate(self.products[(c, e)], u, v)
 
     def tensor(self, c, e, u, v):
         """Tensor of u in component c and v in component e, as (target
-        key, vector), or None where the tables give none."""
-        return self._evaluate(self.tensors.get((*c, *e)), u, v)
+        key, vector)."""
+        return self._evaluate(self.tensors[(*c, *e)], u, v)
 
     def _evaluate(self, entry, u, v):
-        if entry is None:
-            return None
         t, n, terms = entry
         return t, _bilinear(self.char, n, terms, u, v)
+
+    def is_unit(self, c, u) -> bool:
+        """Whether u in component c has a two-sided inverse: a v in
+        inverses[c] with u v = 1 and v u = 1, which exists exactly when
+        1 ‖ 1 lies in the span of u v ‖ v u over a basis v.  Without such
+        a component, as where an identity has the wrong shape, none."""
+        e = self.inverses.get(c)
+        if e is None:
+            return False
+        p = self.char
+        (t, n, left), (s, m, right) = self.products[(c, e)], self.products[(e, c)]
+        rows = [_bilinear(p, n, left, u, v) + _bilinear(p, m, right, v, u)
+                for v in basis_vectors(self.dims[self.number[e]])]
+        return in_span(p, rows, self.identities[t] + self.identities[s])
+
+    def units(self, c) -> "_Search":
+        """The search for the units of component c, as members in the
+        order all_vectors lists them; one per index and component."""
+        if c not in self._searches:
+            vectors = all_vectors(self.char, self.dims[self.number[c]])
+            self._searches[c] = _Search((*c, v) for v in vectors if self.is_unit(c, v))
+        return self._searches[c]
 
     def split(self, member) -> tuple:
         """(component number, vector) of a member."""
@@ -746,6 +774,24 @@ class AlgebraIndex:
                     gens.append((*key, v))
                     have = self.close(have, [(c, v)])
         return "⟨" + ",".join(render(g) for g in gens) + "⟩"
+
+
+class _Search:
+    """The hits of a lazy search, kept as they are found: first reads up
+    to the first hit, all to the end."""
+
+    def __init__(self, hits: Iterable):
+        self._rest, self._found = iter(hits), []
+
+    def first(self):
+        if not self._found:
+            self._found.extend(itertools.islice(self._rest, 1))
+        return self._found[0] if self._found else None
+
+    @functools.cached_property
+    def all(self) -> tuple:
+        self._found.extend(self._rest)
+        return tuple(self._found)
 
 
 def close_multiplicative(gens: Iterable, product, twists=lambda m: ()) -> frozenset:
@@ -885,14 +931,15 @@ def prime_spectrum(primes: Sequence, name):
 
 
 def ring_index(ring: MultigradedRing) -> AlgebraIndex:
-    """Index of a ring; its component keys are the one-tuples (degree,)."""
+    """Index of a ring; its component keys are the one-tuples (degree,),
+    and its one identity is the one at degree zero."""
     dims = {(x,): d for x, d in ring.dims.items()}
     products = {
-        ((x,), (y,)): ((ring.group.add(x, y),), table)
-        for (x, y), table in ring.products.items()
-        if ring.dims[x] and ring.dims[y]
+        ((x,), (y,)): ((ring.group.add(x, y),),
+                       ring.products.get((x, y)) if ring.dims[x] and ring.dims[y] else None)
+        for x in ring.dims for y in ring.dims
     }
-    return AlgebraIndex(ring.char, dims, products)
+    return AlgebraIndex(ring.char, dims, products, identities=[((ring.group.zero,), ring.one)])
 
 
 def ring_ideals(ring: MultigradedRing) -> IdealLattice:
@@ -913,27 +960,16 @@ def ideal_name_ring(ring: MultigradedRing, ideal: Ideal) -> str:
 
 
 def homogeneous_units(ring: MultigradedRing) -> list:
-    """Homogeneous elements with a two-sided inverse.
+    """Nonzero homogeneous elements with a two-sided inverse, by degree.
 
-    An inverse v of u in degree x has degree -x and solves the linear
-    system uv = 1, vu = 1: one exists exactly when 1 ‖ 1 lies in the span
-    of u e ‖ e u over a basis e of degree -x.  The zero ring has none by
-    convention: its one element is both 0 and 1, but it is never listed
-    as a unit.  The test takes the one to be nonzero, as it is on every
-    other ring that passes validate_multigraded: a zero one fails there
-    at identity_fails_on.
+    The zero ring has none by convention: its one element is both 0 and 1,
+    but it is never listed as a unit.  Zero is a unit of no other ring that
+    passes validate_multigraded: a zero one fails there at
+    identity_fails_on.
     """
     if ring.is_zero_ring():
         return []
-    return [u for u in ring.homogeneous_elements() if _has_inverse(ring, u)]
-
-
-def _has_inverse(ring: MultigradedRing, u) -> bool:
-    """Whether the homogeneous element u has a two-sided inverse."""
-    x = ring.group.neg(u[0])
-    basis = [(x, f) for f in basis_vectors(ring.dims[x])]
-    rows = [mg_mul(ring, u, e)[1] + mg_mul(ring, e, u)[1] for e in basis]
-    return in_span(ring.char, rows, ring.one + ring.one)
+    return [u for x in ring.group.elements() for u in ring.index.units((x,)).all if any(u[1])]
 
 
 def mult_system_ring(ring: MultigradedRing, gens: Iterable = ()) -> frozenset:

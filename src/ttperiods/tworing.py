@@ -20,8 +20,6 @@ exhaustive enumeration over the finite tables.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +38,6 @@ from .multigraded import (
     all_vectors,
     basis_vectors,
     close_multiplicative,
-    in_span,
     is_ring_prime,
     matrix_invertible,
     mg_mul,
@@ -137,94 +134,53 @@ def compose(R2: TwoRingDatum, g, f):
     b2, c, v = g
     if b != b2:
         raise BadShapes(f"cannot compose {R2.render(g)} after {R2.render(f)}")
-    found = R2.index.multiply((a, b), (b, c), u, v)
-    return (a, c, found[1] if found else vec_zero(R2.hom_dim(a, c)))
+    return (a, c, R2.index.multiply((a, b), (b, c), u, v)[1])
 
 
 def tensor(R2: TwoRingDatum, f, g):
     """Tensor product of two morphisms."""
     a, b, u = f
     c, d, v = g
-    found = R2.index.tensor((a, b), (c, d), u, v)
-    if found is None:
-        src = R2.tensor_obj[(a, c)]
-        dst = R2.tensor_obj[(b, d)]
-        return (src, dst, vec_zero(R2.hom_dim(src, dst)))
-    (src, dst), vec = found
+    (src, dst), vec = R2.index.tensor((a, b), (c, d), u, v)
     return (src, dst, vec)
 
 
 def two_ring_index(R2: TwoRingDatum) -> AlgebraIndex:
     """Index of a 2-ring: components are hom spaces keyed (src, dst), the
-    product is composition, and an ideal also absorbs the tensor with
-    every object's identity on either side."""
+    product is composition, every object quadruple whose tensor objects
+    exist has a tensor, and an ideal also absorbs the tensor with every
+    object's identity on either side.  Its units are the isomorphisms."""
     objs = R2.objects
     dims = {(a, b): R2.hom_dim(a, b) for a in objs for b in objs}
     products = {
-        ((a, b), (b, c)): ((a, c), R2.compose_tables.get((a, b, c)))
+        ((a, b), (b, c)): ((a, c), R2.compose_tables.get((a, b, c))
+                           if dims[(a, b)] and dims[(b, c)] else None)
         for a in objs for b in objs for c in objs
-        if dims[(a, b)] and dims[(b, c)]
     }
-    tensors = {}
-    for (a, b, c, d), table in R2.tensor_tables.items():
-        t = (R2.tensor_obj.get((a, c)), R2.tensor_obj.get((b, d)))
-        if dims.get((a, b)) and dims.get((c, d)) and t in dims:
-            tensors[(a, b, c, d)] = (t, table)
-    twists = [((g, g), R2.identities.get(g, ())) for g in objs]
-    return AlgebraIndex(R2.char, dims, products, tensors, twists)
-
-
-class _Search:
-    """The hits of a lazy search, kept as they are found: first reads up
-    to the first hit, all to the end."""
-
-    def __init__(self, hits: Iterable):
-        self._rest, self._found = iter(hits), []
-
-    def first(self):
-        if not self._found:
-            self._found.extend(itertools.islice(self._rest, 1))
-        return self._found[0] if self._found else None
-
-    @functools.cached_property
-    def all(self) -> tuple:
-        self._found.extend(self._rest)
-        return tuple(self._found)
-
-
-def _iso_search(R2: TwoRingDatum, a, b) -> _Search:
-    """The search for invertible morphisms from a to b in enumeration
-    order, one per datum and pair, so no hom set is tested twice.
-
-    An inverse g of f solves the linear system g f = 1, f g = 1: one
-    exists exactly when 1_a ‖ 1_b lies in the span of g f ‖ f g over a
-    basis g of Hom(b, a).
-    """
-    key = ("isos", a, b)
-    if key not in R2._cache:
-        ida, idb = R2.identities[a], R2.identities[b]
-        basis = [(b, a, g) for g in basis_vectors(R2.hom_dim(b, a))]
-        shaped = len(ida) == R2.hom_dim(a, a) and len(idb) == R2.hom_dim(b, b)
-        homs = R2.homs(a, b, include_zero=True) if shaped else ()
-        R2._cache[key] = _Search(f for f in homs if in_span(
-            R2.char, [compose(R2, g, f)[2] + compose(R2, f, g)[2] for g in basis], ida + idb))
-    return R2._cache[key]
+    tensors = {
+        (a, b, c, d): (t, R2.tensor_tables.get((a, b, c, d))
+                       if dims[(a, b)] and dims[(c, d)] else None)
+        for a, b in dims for c, d in dims
+        if (t := (R2.tensor_obj.get((a, c)), R2.tensor_obj.get((b, d)))) in dims
+    }
+    identities = [((g, g), R2.identities.get(g, ())) for g in objs]
+    return AlgebraIndex(R2.char, dims, products, tensors, identities)
 
 
 def isomorphisms(R2: TwoRingDatum, a, b) -> tuple:
     """All invertible morphisms from a to b, in enumeration order."""
-    return _iso_search(R2, a, b).all
+    return R2.index.units((a, b)).all
 
 
 def has_iso(R2: TwoRingDatum, a, b) -> bool:
     """Whether a and b are isomorphic; the search stops at the first hit."""
-    return _iso_search(R2, a, b).first() is not None
+    return R2.index.units((a, b)).first() is not None
 
 
 def _first_iso(R2: TwoRingDatum, a, b, target: str):
     """The first isomorphism from a to b; ShapeMismatch naming the target
     when there is none."""
-    found = _iso_search(R2, a, b).first()
+    found = R2.index.units((a, b)).first()
     if found is None:
         raise ShapeMismatch(f"no isomorphism from {a!r} to {target}")
     return found

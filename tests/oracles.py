@@ -40,7 +40,10 @@ poset of named sets under inclusion through
 FiniteSpectralModel.from_inclusion_masks, has no caller in the library.
 heller_period finds the period of the trivial module of a group with a
 normal p-complement K (p_complement) by minimal projective resolutions
-over F_p[G/K], reading no catalog.  The group
+over F_p[G/K], reading no catalog.  oracle_quillen_components lists the
+ranks of the classes of maximal elementary abelian p-subgroups, which by
+Quillen's stratification are the dimensions variety_components reads off
+a cohomology variety's minimal patterns.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
 GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
@@ -1714,6 +1717,37 @@ def heller_period(G: FiniteGroup, p: int) -> "int | None":
         if len(module) == 1:
             return step
     return None
+
+
+# -- Quillen stratification ----------------------------------------------
+#
+# The irreducible components of the variety of H*(G; F_p) correspond to the
+# G-classes of maximal elementary abelian p-subgroups E, and the component
+# of E has dimension rank E (Quillen, "The spectrum of an equivariant
+# cohomology ring I, II", Ann. of Math. 1971).
+
+
+def oracle_quillen_components(G: FiniteGroup, p: int) -> list:
+    """The ranks of the G-classes of maximal elementary abelian
+    p-subgroups, sorted, read from GroupIndex.p_classes(p): a class is kept
+    when its representative lies properly in no elementary abelian member
+    of any class."""
+    ix = G.index
+    elementary = [c for c in ix.p_classes(p)
+                  if ix.is_abelian(c.sub) and all(ix.orders[x] in (1, p) for x in c.sub.elems)]
+    members = [H for c in elementary for H in c.members]
+    return sorted(
+        round(math.log(c.order, p)) for c in elementary
+        if not any(c.sub.mask & H.mask == c.sub.mask and H.order > c.order for H in members))
+
+
+def variety_components(model) -> list:
+    """The dimensions of the components of a pattern model's variety,
+    sorted: one per minimal pattern, the number of non-invertible
+    generators outside it."""
+    width, masks = len(model.ring.free_names()), list(model.masks.values())
+    return sorted(width - bin(m).count("1") for m in masks
+                  if not any(n != m and n & m == n for n in masks))
 
 
 def oracle_artin_tower(p: int, N: int) -> TowerReport:

@@ -190,6 +190,22 @@ class TestRing:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("action, generator, relation", [
+        # Read as x^0, the relation x^-1 = 0 said 1 = 0, and periods
+        # exited 0 with an empty spectrum.
+        ("periods", {"name": "x", "degree": 1}, [{"x": -1}]),
+        # Read as u^0, u^-1 + 1 + u was 2 + u, and validate exited 1 with
+        # inhomogeneous.
+        ("validate", {"name": "u", "degree": 2, "invertible": True}, [{"u": -1}, {}, {"u": 1}]),
+    ], ids=["x^-1 = 0", "u^-1 + 1 + u = 0"])
+    def test_negative_exponent_is_refused(self, capsys, tmp_path, action, generator, relation):
+        obj = {"char": 3, "generators": [generator],
+               "relations": [[{"coeff": 1, "monomial": m} for m in relation]]}
+        path = write_json(tmp_path, "negative.json", obj)
+        code, out, err = run(capsys, "ring", action, "--input", path)
+        assert (code, out) == (2, "")
+        assert f"negative exponent -1 on generator {generator['name']!r}" in err
+
     def test_validate_rejects_dot(self, capsys, d8_ring_file):
         code, _, err = run(
             capsys, "ring", "validate", "--input", d8_ring_file, "--format", "dot"
@@ -305,6 +321,17 @@ class TestGroup:
         model = json.loads(out)["result"]["model"]
         assert model["periods"] == {"⟨⟩": 2, "⟨y1⟩": 2, "⟨y2⟩": 2}
         assert model["pattern"] == {"⟨⟩": [], "⟨y1⟩": ["y1"], "⟨y2⟩": ["y2"]}
+
+    def test_c3_by_c8_is_not_read_as_q24(self, capsys, tmp_path):
+        # C3 ⋊ C8 has one involution and an element of order 12, as Q24
+        # does, but only 2 elements of order 4.  Keyed as Q24 it read period
+        # 4 at p=2; its Sylow 2-subgroup is C8, so the period is 2, which
+        # the catalog cannot give.
+        obj = {"degree": 11, "generators": [[[1, 2, 3]], [[2, 3], [4, 5, 6, 7, 8, 9, 10, 11]]]}
+        path = write_json(tmp_path, "c3_by_c8.json", obj)
+        code, out, err = run(capsys, "group", "stmod", "--group", path, "--prime", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("GroupNotInCatalog: unidentified isomorphism type (order 24)")
 
     @pytest.mark.parametrize(
         "action,group,prime",

@@ -54,7 +54,14 @@ from ttperiods.spectra import (
 )
 
 from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
-from oracles import heller_period, oracle_artin_tower, p_complement, reference_dperm_strata
+from oracles import (
+    heller_period,
+    oracle_artin_tower,
+    oracle_quillen_components,
+    p_complement,
+    reference_dperm_strata,
+    variety_components,
+)
 from test_graded import assert_masks_match_patterns
 from test_groups import CATALOG_24
 
@@ -319,6 +326,39 @@ class TestHellerPeriods:
         assert p_complement(symmetric(3), 2) is not None
         with pytest.raises(ValueError):
             heller_period(symmetric(3), 3)
+
+
+class TestQuillenComponents:
+    """Every catalog variety against Quillen's stratification: one
+    component per class of maximal elementary abelian p-subgroups, of
+    dimension its rank.  The varieties are entered by hand; the classes are
+    read from the group."""
+
+    def test_catalog_varieties_match_the_elementary_abelian_subgroups(self):
+        # Each catalog group at each prime dividing its order where the
+        # catalog answers (44 pairs), and at every such prime the Weyl group
+        # of each p-subgroup class wherever the catalog answers for it (250
+        # classes, 197 of them the strata of the pairs dperm answers).
+        pairs, strata = [], []
+        for G in CATALOG_24:
+            for p in _prime_factors(G.order):
+                cases = [(pairs, None, G)]
+                cases += [(strata, cls.order, weyl_group(G, cls.sub)) for cls in G.index.p_classes(p)]
+                for found, label, W in cases:
+                    try:
+                        model, _ = rep_period_map(W.key or W, p)
+                    except GroupNotInCatalog:
+                        continue
+                    found.append((G.name, p, label, variety_components(model),
+                                  oracle_quillen_components(W, p)))
+        assert [c for c in pairs + strata if c[3] != c[4]] == []
+        assert (len(pairs), len(strata)) == (44, 250)
+        assert ("D8", 2, None, [2, 2], [2, 2]) in pairs
+
+    def test_d8_has_two_components_of_dimension_two(self):
+        # The two classes of Klein four-groups; Q8's one C2 is a line.
+        assert oracle_quillen_components(dihedral(8), 2) == [2, 2]
+        assert variety_components(rep_period_map(quaternion(8), 2)[0]) == [1]
 
 
 class TestStmodPeriodMap:

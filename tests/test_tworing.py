@@ -239,10 +239,10 @@ class TestKernelWork:
         # that validation asks about makes 375 span tests.
         R2 = two_ring_from_multigraded(unit_ring(5, 3, 2))
         tests = []
-        real = tworing.in_span
-        monkeypatch.setattr(tworing, "in_span", lambda *a: tests.append(1) or real(*a))
+        real = multigraded.in_span
+        monkeypatch.setattr(multigraded, "in_span", lambda *a: tests.append(1) or real(*a))
         assert validate_two_ring(R2).ok
-        searched = [key[1:] for key in R2._cache if key[0] == "isos"]
+        searched = list(R2.index._searches)
         assert len(searched) == 3
         # One test per morphism up to and including the first isomorphism.
         firsts = [list(R2.homs(a, b, include_zero=True)).index(oracle_isomorphisms(R2, a, b)[0])
@@ -252,8 +252,8 @@ class TestKernelWork:
     def test_a_hom_set_is_searched_once(self, monkeypatch):
         R2 = build_two_ring("laurent_f3_z4")
         tests = []
-        real = tworing.in_span
-        monkeypatch.setattr(tworing, "in_span", lambda *a: tests.append(1) or real(*a))
+        real = multigraded.in_span
+        monkeypatch.setattr(multigraded, "in_span", lambda *a: tests.append(1) or real(*a))
         assert tworing.has_iso(R2, "0", "1")
         assert len(tests) == 2  # 0, then t, an isomorphism
         assert isomorphisms(R2, "0", "1") == oracle_isomorphisms(R2, "0", "1")
@@ -562,6 +562,17 @@ class TestInvertibilityMatchesTheSearch:
     @given(mutated_data(two_ring=False))
     def test_homogeneous_units(self, ring):
         assert homogeneous_units(ring) == reference_units(ring)
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_ring_units_are_the_isomorphisms_from_the_unit(self, name):
+        # The 2-ring built from a ring has Hom(0, x) = R_x, so the units in
+        # degree x are the nonzero isomorphisms from the unit object to x.
+        ring = build_ring(name)
+        R2 = two_ring_from_multigraded(ring)
+        units = homogeneous_units(ring)
+        for x in ring.group.elements():
+            isos = isomorphisms(R2, R2.unit, tworing.object_name(ring.group, x))
+            assert [u for u in units if u[0] == x] == [(x, f[2]) for f in isos if any(f[2])]
 
 
 class TestValidateNegatives:

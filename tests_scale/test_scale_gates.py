@@ -16,6 +16,7 @@ from oracles import (
     oracle_lattice,
     oracle_localization_agreement,
     oracle_validate_two_ring,
+    reference_units,
     two_ring_name_key,
 )
 from test_limits import minimal_open_table, sections_on, unit_ring
@@ -23,10 +24,10 @@ from test_tworing import edited, misread, verdict
 from ttperiods.comparison import central_localization, homeo_onto_image, is_ample
 from ttperiods.diagnostics import LIMITS
 from ttperiods.graded import enumerate_patterns, make_ring, spech_to_obj
+from ttperiods.multigraded import homogeneous_units
 from ttperiods.spaces import FiniteSpectralModel
 from ttperiods.spectra import artin_tower
 from ttperiods.tworing import (
-    _iso_search,
     has_iso,
     ideal_correspondence,
     ideal_name_two,
@@ -90,12 +91,33 @@ def test_isomorphism_search_at_max_objects_and_max_component_size(args, first_re
             want = oracle_isomorphisms(R2, a, b)
             if first_read == "list":
                 isos = isomorphisms(R2, a, b)
-            found, first = has_iso(R2, a, b), _iso_search(R2, a, b).first()
+            found, first = has_iso(R2, a, b), R2.index.units((a, b)).first()
             if first_read == "has_iso":
                 isos = isomorphisms(R2, a, b)
             if (isos, found, first) != (want, bool(want), want[0] if want else None):
                 wrong.append((a, b))
     assert wrong == []
+
+
+@pytest.mark.parametrize("args", [(5, 3, 2), (2, 1, 12)], ids=["Z2 over F5, dim 3", "Z12 over F2"])
+@pytest.mark.parametrize("first_read", ["first", "list"])
+def test_ring_unit_search_at_max_objects_and_max_component_size(args, first_read):
+    # The ring side of the search above, on the rings themselves, each built
+    # afresh for its order of reading: every degree's first unit before the
+    # list, or the list before the first units.  The list must equal the
+    # search that tries every inverse, and each first unit its first entry
+    # in that degree.
+    ring = unit_ring(*args)
+    want = reference_units(ring)
+    firsts = {}
+    if first_read == "list":
+        units = homogeneous_units(ring)
+    for x in ring.group.elements():
+        firsts[x] = ring.index.units((x,)).first()
+    if first_read == "first":
+        units = homogeneous_units(ring)
+    assert units == want
+    assert firsts == {x: next((u for u in want if u[0] == x), None) for x in ring.group.elements()}
 
 
 @pytest.mark.parametrize("args", [(5, 3, 2), (2, 1, 12)], ids=["Z2 over F5, dim 3", "Z12 over F2"])
