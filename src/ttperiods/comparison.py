@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, require_within
 from .graded import GradedRingPresentation, PrimePattern, local_period
 from .spaces import FiniteSpectralModel, _values, divides
 
@@ -58,12 +58,6 @@ class SectionTable:
         diag = validate_section_table(self)
         if not diag:
             raise ComparisonError(f"invalid section table: {diag.describe()}")
-
-    def section(self, name: str) -> Section:
-        for s in self.sections:
-            if s.name == name:
-                return s
-        raise ComparisonError(f"unknown section {name!r}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.sections)
@@ -281,10 +275,10 @@ def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
             raise ComparisonError(f"unsupported format {obj.get('format')!r}")
         bundles = {str(b): json_int(d) for b, d in obj["bundles"].items()}
         sections = [
-            (row["name"], row["bundle"], json_int(row["degree"]), tuple(row["locus"]))
-            for row in obj["sections"]
+            (row["name"], row["bundle"], json_int(row["degree"]), tuple(json_list(row["locus"])))
+            for row in json_list(obj["sections"])
         ]
-        products = [tuple(entry) for entry in obj.get("products", [])]
+        products = [tuple(json_list(entry)) for entry in json_list(obj.get("products", []))]
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ComparisonError(f"malformed section table: {exc}") from exc
     for entry in products:

@@ -75,6 +75,14 @@ def json_flag(value: Any) -> bool:
     return value
 
 
+def json_list(value: Any) -> list:
+    """value, if it is a JSON array; a string or an object raises
+    TypeError, never read as its characters or its keys."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not an array")
+    return value
+
+
 @dataclass(frozen=True)
 class Diagnosis:
     """Outcome of a structural check.

@@ -77,7 +77,10 @@ class AbelianGroup:
 
         In a finite group this is automatically a subgroup.
         """
-        return close_multiplicative([self.zero, *map(self.canon, gens)], self.add)
+        steps, found = [self.canon(g) for g in gens], [self.zero]
+        for a in found:  # found grows as the loop runs
+            found += {self.add(a, g) for g in steps}.difference(found)
+        return frozenset(found)
 
 
 # -- vectors over the prime field -------------------------------------
@@ -140,14 +143,11 @@ class MultigradedRing:
     products: dict
     tau: dict
     one: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def index(self) -> "AlgebraIndex":
         """Structure constants on numbered bases, built on first use."""
-        if "index" not in self._cache:
-            self._cache["index"] = ring_index(self)
-        return self._cache["index"]
+        return ring_index(self)
 
     def is_zero_ring(self) -> bool:
         return all(d == 0 for d in self.dims.values())
@@ -418,7 +418,7 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
 # ideals is already an ideal, so a join needs no closure.  Order, names,
 # primality and containment are read off the rows; members are listed
 # only to name a failure.  Multiplicative systems of both kinds are
-# closed here too, by close_multiplicative.
+# closed here too, by close_system, from seeds the caller chooses.
 
 
 def _structure_terms(table) -> tuple:
@@ -550,7 +550,7 @@ class AlgebraIndex:
     basis i of c times basis j of e (in a 2-ring: basis i of c, then basis
     j of e) inside component t, and table is None, no terms, where a
     factor is zero.  A 2-ring also gives tensors, its tensor tables in the
-    same form keyed by c + e.  identities lists the identities (key,
+    same form keyed by (c, e).  identities lists the identities (key,
     vector): the one of a ring, the identity of each object of a 2-ring,
     by whose tensor on either side every ideal is closed.
 
@@ -560,7 +560,7 @@ class AlgebraIndex:
     one vector per line (first nonzero coordinate 1).  inverses maps c to
     the e whose products with c, in both orders, land on identities of
     the right shape.  close and join work on the rows of ideals, is_unit
-    on vectors, the other methods on Ideals.
+    on vectors, close_system on members, the other methods on Ideals.
     """
 
     def __init__(self, char: int, dims: Mapping, products: Mapping,
@@ -599,8 +599,8 @@ class AlgebraIndex:
             for c, d in zip(self.keys, self.dims):
                 basis = basis_vectors(d)
                 for entry, rows in (
-                    (self.tensors.get((*g, *c)), [(ident, e) for e in basis]),
-                    (self.tensors.get((*c, *g)), [(e, ident) for e in basis]),
+                    (self.tensors.get((g, c)), [(ident, e) for e in basis]),
+                    (self.tensors.get((c, g)), [(e, ident) for e in basis]),
                 ):
                     if entry is not None and d:
                         t, n, terms = entry
@@ -626,7 +626,7 @@ class AlgebraIndex:
     def tensor(self, c, e, u, v):
         """Tensor of u in component c and v in component e, as (target
         key, vector)."""
-        return self._evaluate(self.tensors[(*c, *e)], u, v)
+        return self._evaluate(self.tensors[(c, e)], u, v)
 
     def _evaluate(self, entry, u, v):
         t, n, terms = entry
@@ -653,6 +653,31 @@ class AlgebraIndex:
             vectors = all_vectors(self.char, self.dims[self.number[c]])
             self._searches[c] = _Search((*c, v) for v in vectors if self.is_unit(c, v))
         return self._searches[c]
+
+    def close_system(self, seeds: Iterable) -> frozenset:
+        """Smallest set of members containing seeds and closed under the
+        products and the tensors with identities on either side (a ring's
+        index has no tensors).  Each member is taken from the worklist
+        once and multiplied, in both orders, with every member found
+        before it and with itself, so no ordered pair is multiplied twice.
+        A seed in no component of the index raises KeyError."""
+        members = list(dict.fromkeys(seeds))
+        if unknown := [m for m in members if m[:-1] not in self.number]:
+            raise KeyError(unknown[0][:-1])
+        seen = set(members)
+        ones = [(*g, v) for g, v in self.identities.items()]
+        for i, m in enumerate(members):
+            steps = [(self.products, m, b) for b in members[:i + 1]]
+            steps += [(self.products, a, m) for a in members[:i]]
+            steps += [(self.tensors, g, m) for g in ones] + [(self.tensors, m, g) for g in ones]
+            for table, a, b in steps:
+                if (entry := table.get((a[:-1], b[:-1]))) is not None:
+                    t, n, terms = entry
+                    c = (*t, _bilinear(self.char, n, terms, a[-1], b[-1]))
+                    if c not in seen:
+                        seen.add(c)
+                        members.append(c)
+        return frozenset(members)
 
     def split(self, member) -> tuple:
         """(component number, vector) of a member."""
@@ -792,28 +817,6 @@ class _Search:
     def all(self) -> tuple:
         self._found.extend(self._rest)
         return tuple(self._found)
-
-
-def close_multiplicative(gens: Iterable, product, twists=lambda m: ()) -> frozenset:
-    """Smallest set containing gens and closed under product and twists.
-
-    product(a, b) is the product of two members, or None where they do
-    not multiply; twists(m) lists the members reached from m by one unary
-    step.  Each member is taken from the worklist once and combined, in
-    both orders, with every member found before it and with itself, so
-    no pair is multiplied twice.
-    """
-    members = list(dict.fromkeys(gens))
-    seen = set(members)
-    for i, m in enumerate(members):
-        found = [product(m, other) for other in members[: i + 1]]
-        found += [product(other, m) for other in members[:i]]
-        found += twists(m)
-        for c in found:
-            if c is not None and c not in seen:
-                seen.add(c)
-                members.append(c)
-    return frozenset(members)
 
 
 class FractionQuotient:
@@ -974,8 +977,8 @@ def homogeneous_units(ring: MultigradedRing) -> list:
 
 def mult_system_ring(ring: MultigradedRing, gens: Iterable = ()) -> frozenset:
     """Close the generators and all homogeneous units under products."""
-    members = homogeneous_units(ring) + [(tuple(x), tuple(v)) for x, v in gens]
-    return close_multiplicative(members, lambda a, b: mg_mul(ring, a, b))
+    seeds = homogeneous_units(ring) + [(tuple(x), tuple(v)) for x, v in gens]
+    return ring.index.close_system(seeds)
 
 
 def ring_fractions(ring: MultigradedRing, system: frozenset) -> dict:

@@ -20,8 +20,9 @@ exhaustive enumeration over the finite tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, first_failure, require_within
 from .multigraded import (
@@ -37,7 +38,6 @@ from .multigraded import (
     _reduce,
     all_vectors,
     basis_vectors,
-    close_multiplicative,
     is_ring_prime,
     matrix_invertible,
     mg_mul,
@@ -69,8 +69,8 @@ class ShapeMismatch(UsageError):
 # basis i of Hom(a, b) and j of Hom(c, d) to the vector of their tensor
 # inside Hom(a tensor c, b tensor d).  A table is a tuple of rows, and
 # one tuple may serve several keys.  The tables are read into the
-# datum's AlgebraIndex (kept in _cache) on first use; a copy made with
-# dataclasses.replace starts with an empty cache of its own.
+# datum's AlgebraIndex, a cached property, on first use; a copy made with
+# dataclasses.replace builds an index of its own.
 
 
 @dataclass
@@ -89,14 +89,11 @@ class TwoRingDatum:
     tensor_tables: dict
     identities: dict
     symmetry: dict
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def index(self) -> AlgebraIndex:
         """Structure constants on numbered bases, built on first use."""
-        if "index" not in self._cache:
-            self._cache["index"] = two_ring_index(self)
-        return self._cache["index"]
+        return two_ring_index(self)
 
     def hom_dim(self, a, b) -> int:
         return self.dims.get((a, b), 0)
@@ -158,8 +155,8 @@ def two_ring_index(R2: TwoRingDatum) -> AlgebraIndex:
         for a in objs for b in objs for c in objs
     }
     tensors = {
-        (a, b, c, d): (t, R2.tensor_tables.get((a, b, c, d))
-                       if dims[(a, b)] and dims[(c, d)] else None)
+        ((a, b), (c, d)): (t, R2.tensor_tables.get((a, b, c, d))
+                           if dims[(a, b)] and dims[(c, d)] else None)
         for a, b in dims for c, d in dims
         if (t := (R2.tensor_obj.get((a, c)), R2.tensor_obj.get((b, d)))) in dims
     }
@@ -708,42 +705,13 @@ def ideal_correspondence(T: Tightening, R2: TwoRingDatum) -> Diagnosis:
 def mult_closure_two(R2: TwoRingDatum, gens: Iterable = ()) -> frozenset:
     """Smallest morphism class with all isomorphisms, closed under
     composition and twists by every object."""
-    members = [f for a in R2.objects for b in R2.objects for f in isomorphisms(R2, a, b)]
-    members += [tuple(m) for m in gens]
-    identities = [R2.identity(o) for o in R2.objects]
-
-    def twists(f):
-        return [tensor(R2, i, f) for i in identities] + [tensor(R2, f, i) for i in identities]
-
-    return close_multiplicative(
-        members, lambda f, g: compose(R2, g, f) if g[0] == f[1] else None, twists
-    )
+    seeds = [f for a in R2.objects for b in R2.objects for f in isomorphisms(R2, a, b)]
+    return R2.index.close_system(seeds + [tuple(m) for m in gens])
 
 
-class _BuiltOnRead(Mapping):
-    """A mapping over fixed keys whose value at a key is build(key),
-    formed the first time that key is read."""
-
-    def __init__(self, keys: Iterable, build):
-        self._values = dict.fromkeys(keys)
-        self._build = build
-
-    def __getitem__(self, key):
-        value = self._values[key]
-        if value is None:
-            value = self._values[key] = self._build(key)
-        return value
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def span_quotients(R2: TwoRingDatum, system: frozenset) -> Mapping:
+def span_quotients(R2: TwoRingDatum, system: frozenset) -> Callable:
     """The span classes of every component at a closed multiplicative
-    system, as one FractionQuotient per component (a, b).
+    system: a function from a component (a, b) to its FractionQuotient.
 
     The spans into (a, b) have the members s: k -> a of the system as
     denominators and Hom(k, b) as numerators, and (s, f) ~ (s u, f u)
@@ -752,8 +720,8 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> Mapping:
     so the class of a span is a morphism of the fraction 2-ring.
     The size limit and the common dilations of every source object are
     checked here; a component's quotient, and each f -> f u table it
-    reads, is formed the first time the component is looked up, so a
-    caller that reads only the unit-sourced homs forms only those.
+    reads, is formed the first time the component is asked for, and kept,
+    so a caller that reads only the unit-sourced homs forms only those.
     """
     counts = {a: sum(R2.char ** R2.hom_dim(a, b) for b in R2.objects) for a in R2.objects}
     require_within("MAX_SPANS", sum(counts[s[0]] for s in system))
@@ -773,15 +741,12 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> Mapping:
                     raise RingShapeError(
                         f"no common dilation for {R2.render(t)} and {R2.render(s)}")
 
-    tables: dict = {}
-
+    @functools.cache
     def times(u, b):
         # f -> f u depends on u and the target of f alone.
-        if (u, b) not in tables:
-            tables[(u, b)] = [compose(R2, (u[1], b, f), u)[2]
-                              for f in basis_vectors(R2.hom_dim(u[1], b))]
-        return tables[(u, b)]
+        return [compose(R2, (u[1], b, f), u)[2] for f in basis_vectors(R2.hom_dim(u[1], b))]
 
+    @functools.cache
     def quotient(comp):
         a, b = comp
         return FractionQuotient(
@@ -790,18 +755,18 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> Mapping:
             [(s, su, times(u, b)) for s, u, su in dilations if s[1] == a],
         )
 
-    return _BuiltOnRead(((a, b) for a in R2.objects for b in R2.objects), quotient)
+    return quotient
 
 
-def span_class(quotients: Mapping, span) -> tuple:
+def span_class(quotients: Callable, span) -> tuple:
     """Coordinates of the class of the span (s, f) in the basis of its
     component's quotient."""
     s, f = span
-    return quotients[(s[1], f[1])].class_of(s, f[2])
+    return quotients((s[1], f[1])).class_of(s, f[2])
 
 
-def _basis_spans(quotients: Mapping, comp) -> list:
-    return [(s, (s[0], comp[1], f)) for s, f in quotients[comp].basis]
+def _basis_spans(quotients: Callable, comp) -> list:
+    return [(s, (s[0], comp[1], f)) for s, f in quotients(comp).basis]
 
 
 def _span_compose(R2: TwoRingDatum, system: frozenset, first, second):
@@ -839,10 +804,9 @@ def localize(R2: TwoRingDatum, S: Iterable) -> tuple[frozenset, TwoRingDatum]:
             raise BadShapes(f"system generator {(a, b, vec)!r} is not a morphism of {R2.name}")
     system = mult_closure_two(R2, S)
     quotients = span_quotients(R2, system)
-    dims = {comp: q.dim for comp, q in quotients.items()}
-    basis = {comp: _basis_spans(quotients, comp) for comp in quotients}
-
     objects = R2.objects
+    dims = {(a, b): quotients((a, b)).dim for a in objects for b in objects}
+    basis = {comp: _basis_spans(quotients, comp) for comp in dims}
     compose_tables = {
         (a, b, c): tuple(tuple(span_class(quotients, _span_compose(R2, system, first, second))
                                for second in basis[(b, c)]) for first in basis[(a, b)])
@@ -932,16 +896,13 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     # What does not depend on the numerator is formed once per (numerator
     # degree, denominator) block, at the block's first fraction, so a
     # block's failure fires at its first fraction in scan order.
-    identifiers: dict = {}
-
+    @functools.cache
     def identifier(y, s):
-        if (y, s) not in identifiers:
-            identifiers[(y, s)] = _fraction_identifier(T, R2, e_gen, spans, y, s)
-        return identifiers[(y, s)]
+        return _fraction_identifier(T, R2, e_gen, spans, y, s)
 
     for x in ring.group.elements():
         gx = T.representatives[T.projection[x]]
-        width = spans[(R2.unit, gx)].dim
+        width = spans((R2.unit, gx)).dim
 
         def combine(coeffs, vectors):
             return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % p for k in range(width))
@@ -967,7 +928,7 @@ def localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diag
     return PASS
 
 
-def _fraction_identifier(T: Tightening, R2: TwoRingDatum, system: frozenset, spans: Mapping,
+def _fraction_identifier(T: Tightening, R2: TwoRingDatum, system: frozenset, spans: Callable,
                          y, den):
     """The tightened identification on the ring fractions with numerator
     degree y and denominator den: a function from a numerator vector to
@@ -992,7 +953,7 @@ def _fraction_identifier(T: Tightening, R2: TwoRingDatum, system: frozenset, spa
     frame = None if r_end == gx else _first_iso(R2, r_end, gx, repr(gx))
     if s_leg not in system:
         raise RingShapeError("identified denominator left the system")
-    quotient = spans[(s_leg[1], gx)]
+    quotient = spans((s_leg[1], gx))
 
     def identify(vec):
         r_leg = tensor(R2, twist, phi_apply(T, R2, (y, vec)))

@@ -1317,10 +1317,10 @@ def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -
             # The comparison is linear, so it is injective when the images
             # of a basis are independent.
             images = [span_class(full_spans, (s, (s[0], b, f)))
-                      for s, f in res_spans[(a, b)].basis]
+                      for s, f in res_spans((a, b)).basis]
             if rank(R2.char, images) != len(images):
                 return failure("restricted_localization_not_injective", a, b)
-            sub_count, full_count = (R2.char ** q[(a, b)].dim for q in (res_spans, full_spans))
+            sub_count, full_count = (R2.char ** q((a, b)).dim for q in (res_spans, full_spans))
             if sub_count != full_count:
                 return failure("restricted_localization_dims", a, b, sub_count, full_count)
     return PASS
@@ -1387,7 +1387,7 @@ def oracle_identify_fraction(T: Tightening, R2: TwoRingDatum, system: frozenset,
         r_leg = compose(R2, isos[0][0], r_leg)
     if s_leg not in system:
         raise RingShapeError("identified denominator left the system")
-    return span_class(spans, (s_leg, r_leg))
+    return span_class(spans.__getitem__, (s_leg, r_leg))
 
 
 def oracle_localization_agreement(T: Tightening, R2: TwoRingDatum, S: Iterable) -> Diagnosis:

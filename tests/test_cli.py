@@ -847,6 +847,48 @@ class TestUsage:
         assert out == ""
         assert "malformed" in err
 
+    # Per array field of the model and section-table readers, a string or an
+    # object in its place, which iterating would read as its characters or
+    # its keys: each edit alone reads as the array form would.
+    NON_ARRAYS = {
+        "model points": ("space", [(("points",), "gs")]),
+        "model specializes": ("space", [(("specializes",), {"gs": 0})]),
+        "model edge": ("space", [(("specializes", 0), "gs")]),
+        "table sections": ("sections", [(("sections",), {}), (("products",), [])]),
+        "table locus": ("sections", [(("sections", 0, "locus"), "gs")]),
+        "table products": ("sections", [(("products",), {"tuv": 0})]),
+        "table product entry": ("sections", [(("products", 0), "tuv")]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_ARRAYS))
+    def test_non_array_is_malformed(self, capsys, tmp_path, case):
+        # The chain g -> s, and t u = v for sections on all of it.
+        sections = [("t", "L1", 1), ("u", "L1", 1), ("v", "L2", 2)]
+        ring = make_ring(2, [(name, degree) for name, _, degree in sections])
+        docs = {
+            "space": {"points": ["g", "s"], "specializes": [["g", "s"]]},
+            "sections": {
+                "format": 1,
+                "bundles": {"L1": 1, "L2": 2},
+                "sections": [{"name": name, "bundle": bundle, "degree": degree, "locus": ["g", "s"]}
+                             for name, bundle, degree in sections],
+                "products": [["t", "u", "v"]],
+            },
+        }
+        files = {stem: write_json(tmp_path, f"{stem}.json", doc) for stem, doc in docs.items()}
+        argv = ("compare", "--space", files["space"], "--sections", files["sections"],
+                "--ring", write_json(tmp_path, "ring.json", ring_to_obj(ring)))
+        assert run(capsys, *argv)[0] == 0
+        name, edits = self.NON_ARRAYS[case]
+        doc = docs[name]
+        for at, value in edits:
+            doc = _replaced(doc, at, value)
+        write_json(tmp_path, f"{name}.json", doc)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
     def test_non_integer_period_is_a_usage_error(self, capsys, tmp_path):
         paths = {p.stem: str(p) for p in write_section_files(tmp_path)}
         space = json.loads(Path(paths["stmod_d8_space"]).read_text(encoding="utf-8"))

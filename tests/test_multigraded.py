@@ -12,7 +12,6 @@ from ttperiods.multigraded import (
     AbelianGroup,
     RingShapeError,
     all_vectors,
-    close_multiplicative,
     homogeneous_units,
     ideal_name_ring,
     in_span,
@@ -458,18 +457,30 @@ class TestSystemsAndFractions:
         for e in ring.homogeneous_elements():
             assert mult_system_ring(ring, [e]) == reference_closure([*units, e], mul)
 
-    def test_closure_multiplies_each_ordered_pair_once(self):
-        ring = build_ring("laurent_f3_z4")
-        calls = []
+    def test_closure_multiplies_each_ordered_pair_once(self, monkeypatch):
+        index = build_ring("laurent_f3_z4").index
+        looked, applied = [], []
 
-        def product(a, b):
-            calls.append((a, b))
-            return mg_mul(ring, a, b)
+        class Lookups(dict):
+            def get(self, key):
+                looked.append(key)
+                return super().get(key)
 
+        real = multigraded._bilinear
+        monkeypatch.setattr(index, "products", Lookups(index.products))
+        monkeypatch.setattr(multigraded, "_bilinear",
+                            lambda p, n, terms, u, v: applied.append((u, v)) or real(p, n, terms, u, v))
         # t1 and -1 generate the eight elements +-t^k.
-        system = close_multiplicative([((1,), (1,)), ((0,), (2,))], product)
+        system = index.close_system([((1,), (1,)), ((0,), (2,))])
         assert len(system) == 8
-        assert sorted(calls) == sorted(itertools.product(system, repeat=2))
+        # A ring has a product for every pair and no twists, so each read of
+        # the products table is applied to the vectors of the pair it reads.
+        pairs = [((*c, u), (*e, v)) for (c, e), (u, v) in zip(looked, applied, strict=True)]
+        assert sorted(pairs) == sorted(itertools.product(system, repeat=2))
+
+    def test_a_generator_of_no_degree_is_refused(self):
+        with pytest.raises(KeyError):
+            mult_system_ring(build_ring("laurent_f2_z4"), [((5,), (1,))])
 
     def test_system_closes_units(self):
         ring = build_ring("laurent_f2_z4")

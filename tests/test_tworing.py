@@ -234,6 +234,27 @@ class TestKernelWork:
         # One closure per principal ideal, that is per line; none per join.
         assert len(closes) == sum(len(lines) for lines in R2.index.lines)
 
+    def test_closure_looks_up_each_ordered_pair_once(self, monkeypatch):
+        R2 = build_two_ring("laurent_f2_z4")
+        index = R2.index
+        looked = []
+
+        class Lookups(dict):
+            def get(self, key):
+                looked.append(key)
+                return super().get(key)
+
+        monkeypatch.setattr(index, "products", Lookups(index.products))
+        system = mult_closure_two(R2)
+        # One nonzero morphism per hom set, so a component pair names a
+        # pair of members; pairs that do not compose are looked up too.
+        assert len(system) == len({m[:-1] for m in system}) == 16
+        assert sorted(looked) == sorted((f[:-1], g[:-1]) for f in system for g in system)
+
+    def test_a_generator_of_no_hom_set_is_refused(self):
+        with pytest.raises(KeyError):
+            mult_closure_two(build_two_ring("laurent_f2_z4"), [("9", "0", (1,))])
+
     def test_validation_stops_at_the_first_isomorphism(self, monkeypatch):
         # F_5^3 hom components: listing every morphism of the three hom sets
         # that validation asks about makes 375 span tests.
@@ -581,7 +602,7 @@ class TestValidateNegatives:
         assert validate_two_ring(R2).ok
         tables = edited(R2.compose_tables, {("0", "0", "0"): (((0,),),)})
         bad = dataclasses.replace(R2, compose_tables=tables)
-        assert bad._cache is not R2._cache
+        assert bad.index is not R2.index
         assert validate_two_ring(bad).describe() == "FAIL(composition_not_unital: '1')"
 
     def test_broken_associativity(self):
