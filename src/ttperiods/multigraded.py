@@ -105,8 +105,9 @@ def vec_scale(p: int, c: int, u: Sequence[int]) -> tuple[int, ...]:
 def all_vectors(p: int, dim: int):
     return itertools.product(range(p), repeat=dim)
 
-def basis_vectors(dim: int) -> list:
-    return [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+@functools.cache
+def basis_vectors(dim: int) -> tuple:
+    return tuple(tuple(int(k == i) for k in range(dim)) for i in range(dim))
 
 
 def render_combo(names: Sequence[str], vec: Sequence[int]) -> str:
@@ -422,21 +423,29 @@ def validate_multigraded(ring: MultigradedRing) -> Diagnosis:
 
 
 def _structure_terms(table) -> tuple:
-    """The nonzero entries (i, j, w) of a structure-constant table."""
-    return tuple(
-        (i, j, w) for i, row in enumerate(table or ()) for j, w in enumerate(row) if any(w)
-    )
+    """The nonzero structure constants of a table by target coordinate: a
+    pair (k, terms) per coordinate k where some entry w is nonzero, terms
+    listing the (i, j, w[k]) with w[k] nonzero."""
+    found: dict = {}
+    for i, row in enumerate(table or ()):
+        for j, w in enumerate(row):
+            for k, c in enumerate(w):
+                if c:
+                    found.setdefault(k, []).append((i, j, c))
+    return tuple((k, tuple(terms)) for k, terms in sorted(found.items()))
 
 
 def _bilinear(p: int, n: int, terms, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """The sum of u_i v_j w over the terms (i, j, w), a vector of length n."""
+    """The vector of length n whose coordinate k is the sum of u_i v_j c
+    over the terms (i, j, c) of k in _structure_terms, and zero where k
+    has none, so the work follows the nonzero structure constants."""
     out = [0] * n
-    for i, j, w in terms:
-        c = u[i] * v[j]
-        if c:
-            for k in range(n):
-                out[k] += c * w[k]
-    return tuple(c % p for c in out)
+    for k, column in terms:
+        total = 0
+        for i, j, c in column:
+            total += u[i] * v[j] * c
+        out[k] = total % p
+    return tuple(out)
 
 
 def _apply(p: int, v, matrix) -> tuple[int, ...]:
@@ -621,15 +630,13 @@ class AlgebraIndex:
     def multiply(self, c, e, u, v):
         """Product of u in component c and v in component e, as (target
         key, vector)."""
-        return self._evaluate(self.products[(c, e)], u, v)
+        t, n, terms = self.products[(c, e)]
+        return t, _bilinear(self.char, n, terms, u, v)
 
     def tensor(self, c, e, u, v):
         """Tensor of u in component c and v in component e, as (target
         key, vector)."""
-        return self._evaluate(self.tensors[(c, e)], u, v)
-
-    def _evaluate(self, entry, u, v):
-        t, n, terms = entry
+        t, n, terms = self.tensors[(c, e)]
         return t, _bilinear(self.char, n, terms, u, v)
 
     def is_unit(self, c, u) -> bool:
@@ -660,10 +667,14 @@ class AlgebraIndex:
         index has no tensors).  Each member is taken from the worklist
         once and multiplied, in both orders, with every member found
         before it and with itself, so no ordered pair is multiplied twice.
-        A seed in no component of the index raises KeyError."""
+        A seed that is not a member (its component unknown, its vector of
+        the wrong length or with an entry outside 0..p-1) is refused."""
         members = list(dict.fromkeys(seeds))
-        if unknown := [m for m in members if m[:-1] not in self.number]:
-            raise KeyError(unknown[0][:-1])
+        for m in members:
+            c = self.number.get(m[:-1])
+            if (c is None or len(m[-1]) != self.dims[c]
+                    or not all(0 <= a < self.char for a in m[-1])):
+                raise RingShapeError(f"system generator {m!r} is not a member")
         seen = set(members)
         ones = [(*g, v) for g, v in self.identities.items()]
         for i, m in enumerate(members):
@@ -831,7 +842,9 @@ class FractionQuotient:
     linear in f, so the relations e_s(f) - e_su(f u) over basis f span
     them all; the classes are the quotient by that span, a filtered
     colimit of vector spaces, whose elements are the classes of single
-    fractions, and relations is its reduced echelon basis.  basis lists
+    fractions, and relations is its reduced echelon basis.  A relation
+    is nonzero in two blocks at most, and is reduced only through the
+    rows at its own nonzero coordinates.  basis lists
     the fractions (s, f) scanned first whose classes are independent of
     those before, and a class is given by its coordinates in that basis,
     dim of them.
@@ -847,21 +860,39 @@ class FractionQuotient:
             self.offsets[s] = (n, d)
             n += d
         self.length = n
-        relations: tuple = ()
-        for s, su, rows in self.dilations:
-            if len(relations) == n:
+        # Each row is kept by its pivot as {column: entry} off the pivot,
+        # where it is 1, and is zero at every other pivot, so a relation
+        # is reduced by the rows at its coordinates, scaled by its entries.
+        rows: dict = {}
+        for s, su, images in self.dilations:
+            if len(rows) == n:
                 break
             i0, _ = self.offsets[s]
-            j0, d = self.offsets[su]
-            for i, row in enumerate(rows):
-                v = [0] * n
-                v[j0:j0 + d] = [-c % p for c in row]
-                v[i0 + i] = (v[i0 + i] + 1) % p
-                v = _reduce(p, relations, tuple(v))
-                if any(v):
-                    relations = _insert(p, relations, v)
-        self.relations = relations
-        self.dim = n - len(relations)
+            j0, _ = self.offsets[su]
+            for i, image in enumerate(images):
+                v = {j0 + k: -c for k, c in enumerate(image) if c}
+                v[i0 + i] = v.get(i0 + i, 0) + 1
+                out: dict = {}
+                for k, c in v.items():
+                    if k in rows:
+                        for col, b in rows[k].items():
+                            out[col] = out.get(col, 0) - c * b
+                    else:
+                        out[k] = out.get(k, 0) + c
+                out = {k: c % p for k, c in out.items() if c % p}
+                if out:
+                    piv = min(out)
+                    inv = pow(out.pop(piv), p - 2, p)
+                    new = {k: c * inv % p for k, c in out.items()}
+                    # The new row's pivot is cleared from the rows that hold it.
+                    for row in rows.values():
+                        if c := row.pop(piv, 0):
+                            for col, b in new.items():
+                                row[col] = (row.get(col, 0) - c * b) % p
+                    rows[piv] = new
+        self.relations = tuple((piv, tuple(rows[piv].get(k, int(k == piv)) for k in range(n)))
+                               for piv in sorted(rows))
+        self.dim = n - len(rows)
         # Fractions are scanned in order of denominator, then numerator;
         # the lexicographically least vector outside a subspace is the
         # basis vector of largest index outside it, so each block is
@@ -869,7 +900,7 @@ class FractionQuotient:
         # relations tagged with its own unit vector, so reducing a fraction
         # against them leaves minus its coordinates in the tag.
         self.basis: list = []
-        self._tagged = tuple((piv, row + (0,) * self.dim) for piv, row in relations)
+        self._tagged = tuple((piv, row + (0,) * self.dim) for piv, row in self.relations)
         tags = basis_vectors(self.dim)
         for s, d in self.blocks:
             for f in reversed(basis_vectors(d)):

@@ -730,8 +730,10 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> Callable:
                  for u in R2.homs(m, s[0], include_zero=True)
                  if (su := compose(R2, s, u)) in system]
     reach: dict = {}
-    for s, _, su in dilations:
+    by_target: dict = {a: [] for a in R2.objects}
+    for s, u, su in dilations:
         reach.setdefault(s, set()).add(su)
+        by_target[s[1]].append((s, u, su))
     denominators = {a: [s for s in sorted(system) if s[1] == a] for a in R2.objects}
     for dens in denominators.values():
         # Spans are added through a common dilation of their denominators.
@@ -752,7 +754,7 @@ def span_quotients(R2: TwoRingDatum, system: frozenset) -> Callable:
         return FractionQuotient(
             R2.char,
             [(s, R2.hom_dim(s[0], b)) for s in denominators[a]],
-            [(s, su, times(u, b)) for s, u, su in dilations if s[1] == a],
+            [(s, su, times(u, b)) for s, u, su in by_target[a]],
         )
 
     return quotient

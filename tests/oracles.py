@@ -25,6 +25,9 @@ member set into the library's Ideal.  oracle_span_quotients and
 oracle_localization_agreement are the localization check before a span
 quotient was formed on first read: every quotient up front, and each
 fraction identified from scratch by oracle_identify_fraction.
+oracle_fraction_relations is FractionQuotient's relation basis before
+each relation was reduced only through the rows at its own coordinates:
+every relation a dense row, reduced against every echelon row.
 oracle_check_period_map is the period-map check before openness was
 decided once per period value: a scan of each sublevel set, kept as the
 second route to the openness that monotonicity implies.
@@ -1324,6 +1327,34 @@ def restriction_localization_check(R2: TwoRingDatum, M: Iterable, S: Iterable) -
             if sub_count != full_count:
                 return failure("restricted_localization_dims", a, b, sub_count, full_count)
     return PASS
+
+
+# -- fraction relations, dense --------------------------------------
+
+
+def oracle_fraction_relations(p: int, blocks, dilations) -> tuple:
+    """The reduced echelon basis of the relations e_s(f) - e_su(f u) of
+    FractionQuotient(p, blocks, dilations), as (pivot, row) pairs in pivot
+    order: each relation a full-length row, reduced by _reduce against
+    every row found before it and added by _insert."""
+    offsets, n = {}, 0
+    for s, d in blocks:
+        offsets[s] = (n, d)
+        n += d
+    relations: tuple = ()
+    for s, su, rows in dilations:
+        if len(relations) == n:
+            break
+        i0, _ = offsets[s]
+        j0, d = offsets[su]
+        for i, row in enumerate(rows):
+            v = [0] * n
+            v[j0:j0 + d] = [-c % p for c in row]
+            v[i0 + i] = (v[i0 + i] + 1) % p
+            v = _reduce(p, relations, tuple(v))
+            if any(v):
+                relations = _insert(p, relations, v)
+    return relations
 
 
 # -- localization, every quotient formed up front --------------------

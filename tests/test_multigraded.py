@@ -29,7 +29,7 @@ from ttperiods.multigraded import (
 from ttperiods.tworing_catalog import RING_NAMES, build_ring
 
 from oracles import equivalence_classes, ideal_generated_ring, ideal_of_members, oracle_members
-from oracles import oracle_ring_ideals, oracle_ring_prime
+from oracles import oracle_fraction_relations, oracle_ring_ideals, oracle_ring_prime
 from oracles import oracle_validate_multigraded, reference_units
 from oracles import partition, reference_fraction_classes, ring_primes, spech_multigraded, square_zero
 
@@ -479,8 +479,15 @@ class TestSystemsAndFractions:
         assert sorted(pairs) == sorted(itertools.product(system, repeat=2))
 
     def test_a_generator_of_no_degree_is_refused(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(RingShapeError, match=r"\(\(5,\), \(1,\)\)"):
             mult_system_ring(build_ring("laurent_f2_z4"), [((5,), (1,))])
+
+    @pytest.mark.parametrize("gen", [((1,), (1, 0)), ((1,), (3,)), ((1,), (-1,))],
+                             ids=["too long", "entry 3", "entry -1"])
+    def test_a_generator_that_is_no_element_is_refused(self, gen):
+        with pytest.raises(RingShapeError) as info:
+            mult_system_ring(build_ring("laurent_f3_z4"), [gen])
+        assert repr(gen) in str(info.value)
 
     def test_system_closes_units(self):
         ring = build_ring("laurent_f2_z4")
@@ -539,6 +546,57 @@ def test_fraction_classes_match_the_union_find(ring):
 
         fractions = [(r, s) for s in system for r in numerators]
         assert partition(class_of, fractions) == set(reference_fraction_classes(ring, system)), gens
+
+
+@st.composite
+def fraction_data(draw):
+    """FractionQuotient inputs over F_p: blocks of dimension 0 to 3, and
+    dilations between them, s -> s and repeated pairs among them, whose
+    image rows may be zero."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    blocks = [(f"s{k}", d) for k, d in enumerate(dims)]
+    pairs = draw(st.lists(st.tuples(*[st.sampled_from(range(len(dims)))] * 2), max_size=8))
+    dilations = []
+    for a, b in pairs:
+        row = st.one_of(st.just((0,) * dims[b]), st.tuples(*[st.integers(0, p - 1)] * dims[b]))
+        rows = draw(st.lists(row, min_size=dims[a], max_size=dims[a]))
+        dilations.append((blocks[a][0], blocks[b][0], rows))
+    return p, blocks, dilations
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_data())
+def test_fraction_relations_match_the_dense_reduction(data):
+    p, blocks, dilations = data
+    q = multigraded.FractionQuotient(p, blocks, dilations)
+    assert q.relations == oracle_fraction_relations(p, blocks, dilations)
+    assert q.dim == sum(d for _, d in blocks) - len(q.relations)
+
+
+@st.composite
+def structure_tables(draw):
+    """A structure-constant table of a rows by b columns of vectors of
+    length n over F_p (None, all zero or random), and u, v to multiply."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    a, b, n = (draw(st.integers(0, 3)) for _ in range(3))
+    entries = st.tuples(*[st.integers(0, p - 1)] * n)
+    table = draw(st.one_of(
+        st.just(None),
+        st.just(((((0,) * n,) * b),) * a),
+        st.tuples(*[st.tuples(*[entries] * b)] * a),
+    ))
+    u, v = draw(st.tuples(*[st.integers(0, p - 1)] * a)), draw(st.tuples(*[st.integers(0, p - 1)] * b))
+    return p, n, table, u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_tables())
+def test_bilinear_matches_the_dense_sum(data):
+    p, n, table, u, v = data
+    want = tuple(sum(u[i] * v[j] * table[i][j][k] for i in range(len(u)) for j in range(len(v))) % p
+                 if table else 0 for k in range(n))
+    assert multigraded._bilinear(p, n, multigraded._structure_terms(table), u, v) == want
 
 
 class TestEquivalenceClasses:

@@ -252,8 +252,15 @@ class TestKernelWork:
         assert sorted(looked) == sorted((f[:-1], g[:-1]) for f in system for g in system)
 
     def test_a_generator_of_no_hom_set_is_refused(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(RingShapeError, match=r"\('9', '0', \(1,\)\)"):
             mult_closure_two(build_two_ring("laurent_f2_z4"), [("9", "0", (1,))])
+
+    @pytest.mark.parametrize("gen", [("0", "1", (1, 0)), ("0", "1", (3,)), ("0", "1", (-1,))],
+                             ids=["too long", "entry 3", "entry -1"])
+    def test_a_generator_that_is_no_morphism_is_refused(self, gen):
+        with pytest.raises(RingShapeError) as info:
+            mult_closure_two(build_two_ring("laurent_f3_z4"), [gen])
+        assert repr(gen) in str(info.value)
 
     def test_validation_stops_at_the_first_isomorphism(self, monkeypatch):
         # F_5^3 hom components: listing every morphism of the three hom sets
@@ -1568,6 +1575,14 @@ class TestLocalizationAgreement:
         T, R2 = build_tightening(name)
         assert localization_agreement(T, R2, []).ok
         assert calls == {"mult_closure_two": 1, "_span_compose": 0}
+
+    @pytest.mark.parametrize("gen", [((1,), (1, 0)), ((5,), (1,)), ((1,), (2,))],
+                             ids=["too long", "no degree", "entry outside F_2"])
+    def test_a_ring_side_generator_that_is_no_element_is_refused(self, gen):
+        # None names an element of the ring, so none may reach a verdict.
+        T, R2 = build_tightening("identity_laurent_f2_z4")
+        with pytest.raises(RingShapeError, match="system generator"):
+            localization_agreement(T, R2, [gen])
 
     def test_inverting_the_nilpotent_on_both_sides(self):
         T, R2 = build_tightening("identity_nilpotent_f2_z2")

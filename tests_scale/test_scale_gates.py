@@ -1,6 +1,7 @@
 """Each library engine against its oracle at the limit it is declared for."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracles import (
     oracle_artin_tower,
     oracle_central_loc_pullback,
     oracle_enumerate_patterns,
+    oracle_fraction_relations,
     oracle_homeo_onto_image,
     oracle_ideal_correspondence,
     oracle_ideal_name,
@@ -17,6 +19,7 @@ from oracles import (
     oracle_localization_agreement,
     oracle_validate_two_ring,
     reference_units,
+    square_zero,
     two_ring_name_key,
 )
 from test_limits import minimal_open_table, sections_on, unit_ring
@@ -24,7 +27,7 @@ from test_tworing import edited, misread, verdict
 from ttperiods.comparison import central_localization, homeo_onto_image, is_ample
 from ttperiods.diagnostics import LIMITS
 from ttperiods.graded import enumerate_patterns, make_ring, spech_to_obj
-from ttperiods.multigraded import homogeneous_units
+from ttperiods.multigraded import homogeneous_units, mult_system_ring, ring_fractions
 from ttperiods.spaces import FiniteSpectralModel
 from ttperiods.spectra import artin_tower
 from ttperiods.tworing import (
@@ -33,6 +36,8 @@ from ttperiods.tworing import (
     ideal_name_two,
     isomorphisms,
     localization_agreement,
+    mult_closure_two,
+    span_quotients,
     two_ring_from_multigraded,
     validate_two_ring,
 )
@@ -163,6 +168,33 @@ def test_localization_agreement_at_scale():
         for name, t in tightenings.items()
     }
     assert {name: v for name, v in verdicts.items() if v[0] != v[1]} == {}
+
+
+def relations_differ(quotient) -> bool:
+    """Whether a FractionQuotient's relations differ from the dense
+    reduction of its dilations."""
+    want = oracle_fraction_relations(quotient.p, quotient.blocks, quotient.dilations)
+    return quotient.relations != want
+
+
+def test_fraction_relations_at_max_spans():
+    # The relations reduced through the rows at their own coordinates
+    # against the dense reduction, on all 100 span quotients of the
+    # MAX_SPANS probe: the Z/10 Laurent 2-ring over F_5 at the closure of
+    # the empty system, 40 denominators and 1 600 relation rows a quotient.
+    R2 = two_ring_from_multigraded(unit_ring(5, 1, 10))
+    quotients = span_quotients(R2, mult_closure_two(R2))
+    comps = list(itertools.product(R2.objects, repeat=2))
+    assert [comp for comp in comps if relations_differ(quotients(comp))] == []
+
+
+def test_fraction_relations_at_max_fraction_pairs():
+    # The same on every degree of the ring fractions of the
+    # MAX_FRACTION_PAIRS probe, the square-zero Z/64 ring over F_5 at its
+    # units.
+    ring = square_zero(5, [1] + [3] * 39 + [1] * 24)
+    quotients = ring_fractions(ring, mult_system_ring(ring))
+    assert [x for x, q in quotients.items() if relations_differ(q)] == []
 
 
 RELATIONS = [
