@@ -208,7 +208,8 @@ class GroupIndex:
     hands out, the Sub of every permutation set that require verified as a
     subgroup (a set that fails is never stored, and subgroup() checks
     closure on every call), the Sylow p-subgroup that
-    sylow found per subgroup mask and p, per conjugacy class the classes
+    sylow found per subgroup mask and p, and the tuple of its conjugates'
+    masks that sylow_masks read from orbit, per conjugacy class the classes
     that orbit and conjugate_masks found, each under the mask of every
     member, the subgroup lattice and its classes, the classes of
     p-subgroups per prime, the Weyl group and the identify key per
@@ -257,6 +258,7 @@ class GroupIndex:
         self._frozen: dict[int, frozenset[Perm]] = {}
         self._subs: dict[frozenset, Sub] = {}
         self._sylows: dict[tuple[int, int], Sub] = {}
+        self._sylow_masks: dict[tuple[int, int], tuple[int, ...]] = {}
         self._orbits: dict[int, dict[int, Sub]] = {}
         self._swept: dict[int, frozenset[int]] = {}
         self._lattice: "list[Sub] | None" = None
@@ -325,13 +327,17 @@ class GroupIndex:
         return sub
 
     def resolve(self, H: "frozenset[Perm] | Sub") -> Sub:
-        """H as a Sub: a Sub passes through, a frozenset require has checked
-        is one dict hit (by identity for the sets frozen hands out), and
-        anything else goes through require."""
-        if isinstance(H, Sub):
-            return H
-        sub = self._subs.get(H) if isinstance(H, frozenset) else None
-        return sub if sub is not None else self.require(H)
+        """H as a Sub.  A frozenset require has checked is one dict hit (by
+        identity for the sets frozen hands out); only on a miss is H tested
+        for being a Sub, which passes through.  Anything else, unhashable
+        input such as a list or set included, goes through require."""
+        try:
+            sub = self._subs.get(H)
+        except TypeError:
+            return self.require(H)
+        if sub is None:
+            sub = H if isinstance(H, Sub) else self.require(H)
+        return sub
 
     # -- closures --
 
@@ -503,6 +509,14 @@ class GroupIndex:
         if p not in self._primes:
             require_prime(p)
             self._primes.add(p)
+
+    def sylow_masks(self, H: Sub, p: int) -> tuple[int, ...]:
+        """The masks of the conjugates of sylow(H, p), one tuple per
+        subgroup mask and p for the index's lifetime."""
+        masks = self._sylow_masks.get((H.mask, p))
+        if masks is None:
+            masks = self._sylow_masks[H.mask, p] = tuple(self.orbit(self.sylow(H, p)))
+        return masks
 
     def sylow(self, H: Sub, p: int) -> Sub:
         """A Sylow p-subgroup of H, grown greedily over H's p-elements in
@@ -761,26 +775,38 @@ def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
 def p_subconjugate_sylow(
     G: FiniteGroup, H: "frozenset[Perm] | Sub", Hp: "frozenset[Perm] | Sub", p: int
 ) -> bool:
-    """Some conjugate of a Sylow p-subgroup of H lies in the second group."""
+    """Some conjugate of a Sylow p-subgroup of H lies in the second group.
+
+    Reads the index's kept tuple of those conjugates' masks, one dict hit
+    per (subgroup, p) after the first call, and tests each against the
+    second group's mask; no verdict is kept."""
     ix = G.index
-    ix.check_prime(p)
+    if p not in ix._primes:
+        ix.check_prime(p)
     sub, target = ix.resolve(H), ix.resolve(Hp).mask
-    return any(not C & ~target for C in ix.orbit(ix.sylow(sub, p)))
+    for C in ix._sylow_masks.get((sub.mask, p)) or ix.sylow_masks(sub, p):
+        if not C & ~target:
+            return True
+    return False
 
 
 def p_subconjugate_mackey(
     G: FiniteGroup, H: "frozenset[Perm] | Sub", Hp: "frozenset[Perm] | Sub", p: int
 ) -> bool:
-    """Some double-coset intersection has index in H prime to p."""
+    """Some double-coset intersection has index in H prime to p.
+
+    Reads the index's kept set of the second group's conjugate masks, from
+    the conjugation-table sweep, and tests each; no verdict is kept."""
     ix = G.index
-    ix.check_prime(p)
+    if p not in ix._primes:
+        ix.check_prime(p)
     sub, other = ix.resolve(H), ix.resolve(Hp)
     # H meets g Hp g^-1 in the bits its mask shares with that conjugate's.
-    order, mask = sub.order, sub.mask
-    return any(
-        (order // (mask & C).bit_count()) % p
-        for C in ix.conjugate_masks(other)
-    )
+    order, mask = len(sub.elems), sub.mask
+    for C in ix.conjugate_masks(other):
+        if (order // (mask & C).bit_count()) % p:
+            return True
+    return False
 
 
 def p_subconjugate(

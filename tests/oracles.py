@@ -43,13 +43,16 @@ poset of named sets under inclusion through
 FiniteSpectralModel.from_inclusion_masks, has no caller in the library.
 heller_period finds the period of the trivial module of a group with a
 normal p-complement K (p_complement) by minimal projective resolutions
-over F_p[G/K], reading no catalog.  oracle_quillen_components lists the
+over F_p[G/K], reading no catalog; a G of p-rank two or more gets None
+before anything is resolved.  oracle_quillen_components lists the
 ranks of the classes of maximal elementary abelian p-subgroups, which by
 Quillen's stratification are the dimensions variety_components reads off
 a cohomology variety's minimal patterns.  The group
 oracles compose permutation tuples and close them by breadth-first
 search, without the multiplication table, bitmasks or cached classes of
-GroupIndex; p_equivalence_classes, the blocks of the p-subconjugacy order
+GroupIndex; oracle_p_subconjugate is the third route to the
+p-subconjugacy order, beside the library's Sylow and Mackey routes, and
+p_equivalence_classes, the blocks of that order
 over the whole lattice, is checked against the classes GroupIndex.p_classes
 finds.  Only viable for tiny instances.
 square_zero builds the small rings with few units that several test files
@@ -70,6 +73,7 @@ localization, base-free charts of a section table and openness of its image
 in an ambient pattern model.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -424,6 +428,28 @@ def mulclose(gens):
 def conjugate_subgroup(g, H):
     gi = groups.inverse(g)
     return frozenset(groups.compose(g, groups.compose(h, gi)) for h in H)
+
+
+@functools.cache
+def _oracle_sylow_conjugates(G, H, p):
+    """The conjugates in G of a Sylow p-subgroup of H, grown greedily over
+    H's p-elements in sorted order; kept per (G, H, p), so the pairs of one
+    lattice do not grow the same subgroup again."""
+    gens = []
+    P = frozenset({groups.identity(G.degree)})
+    for x in sorted(H):
+        if x not in P and groups.p_part(perm_order(x), p) == perm_order(x):
+            Q = mulclose(gens + [x])
+            if groups.p_part(len(Q), p) == len(Q):
+                gens, P = gens + [x], Q
+    return frozenset(conjugate_subgroup(g, P) for g in G.elements)
+
+
+def oracle_p_subconjugate(G, H, K, p):
+    """Some G-conjugate of a Sylow p-subgroup of H lies in K, on
+    permutations alone: no GroupIndex, table or bitmask."""
+    K = frozenset(K)
+    return any(C <= K for C in _oracle_sylow_conjugates(G, frozenset(H), p))
 
 
 def is_dedekind(G):
@@ -1701,13 +1727,18 @@ def p_complement(G: FiniteGroup, p: int) -> "frozenset | None":
 def heller_period(G: FiniteGroup, p: int) -> "int | None":
     """The least n > 0 with Omega^n(k) of dimension one, for a group G with
     a normal p-complement K over F_p (K = 1 for a p-group), by minimal
-    projective resolutions over F_p[G/K] on the table of the cosets of K;
-    None when no n up to 4 at p = 2, or 2(p - 1) at odd p, gives one.  For
-    a Sylow p-subgroup of p-rank one this is the period of stmod's one
-    point.  A G with no normal p-complement raises ValueError."""
+    projective resolutions over F_p[G/K] on the table of the cosets of K.
+    For a Sylow p-subgroup of p-rank one this is the period of stmod's one
+    point, at most 4 at p = 2 and 2(p - 1) at odd p; a p-rank-one G that
+    finds no n within that bound raises ValueError.  A G of p-rank two or
+    more has no period: None, read from GroupIndex.p_classes before
+    anything is resolved.  A G with no normal p-complement raises
+    ValueError."""
     K = p_complement(G, p)
     if K is None:
         raise ValueError(f"{G.name} has no normal {p}-complement")
+    if p_rank(G, p) >= 2:
+        return None
     cosets = sorted({min(groups.compose(g, k) for k in K) for g in G.elements})
     n = len(cosets)
     where = {g: i for i, c in enumerate(cosets) for g in (groups.compose(c, k) for k in K)}
@@ -1743,11 +1774,12 @@ def heller_period(G: FiniteGroup, p: int) -> "int | None":
         return [row[width:] for piv, row in rows if piv >= width]
 
     module = [(1,) * n]  # the norm element spans the trivial module
-    for step in range(1, (4 if p == 2 else 2 * (p - 1)) + 1):
+    bound = 4 if p == 2 else 2 * (p - 1)
+    for step in range(1, bound + 1):
         module = omega(module)
         if len(module) == 1:
             return step
-    return None
+    raise ValueError(f"{G.name} has {p}-rank one, yet Omega^n(k) is not k for any n <= {bound}")
 
 
 # -- Quillen stratification ----------------------------------------------
@@ -1758,14 +1790,25 @@ def heller_period(G: FiniteGroup, p: int) -> "int | None":
 # cohomology ring I, II", Ann. of Math. 1971).
 
 
+def elementary_abelian_classes(G: FiniteGroup, p: int) -> list:
+    """The classes in GroupIndex.p_classes(p) whose members are elementary
+    abelian."""
+    ix = G.index
+    return [c for c in ix.p_classes(p)
+            if ix.is_abelian(c.sub) and all(ix.orders[x] in (1, p) for x in c.sub.elems)]
+
+
+def p_rank(G: FiniteGroup, p: int) -> int:
+    """The largest rank of an elementary abelian p-subgroup of G."""
+    return max(round(math.log(c.order, p)) for c in elementary_abelian_classes(G, p))
+
+
 def oracle_quillen_components(G: FiniteGroup, p: int) -> list:
     """The ranks of the G-classes of maximal elementary abelian
     p-subgroups, sorted, read from GroupIndex.p_classes(p): a class is kept
     when its representative lies properly in no elementary abelian member
     of any class."""
-    ix = G.index
-    elementary = [c for c in ix.p_classes(p)
-                  if ix.is_abelian(c.sub) and all(ix.orders[x] in (1, p) for x in c.sub.elems)]
+    elementary = elementary_abelian_classes(G, p)
     members = [H for c in elementary for H in c.members]
     return sorted(
         round(math.log(c.order, p)) for c in elementary

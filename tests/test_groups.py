@@ -1,6 +1,7 @@
 """Permutation-group machinery and the p-subconjugacy order."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -42,6 +43,7 @@ from oracles import (
     conjugate_subgroup,
     is_dedekind,
     mulclose,
+    oracle_p_subconjugate,
     p_equivalence_classes,
     perm_order,
     small_generators,
@@ -595,6 +597,31 @@ PINNED_VERDICT_DIGESTS = {
 CATALOG_24 = _catalog_order_24()
 
 
+def relabel(G, seed):
+    """The same group with its points renamed by a seeded permutation."""
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    sigma = tuple(sigma)
+    gens = [compose(sigma, compose(g, inverse(sigma))) for g in G.generators]
+    return FiniteGroup(G.degree, gens, name=f"{G.name}~{seed}")
+
+
+def route_oracle_mismatches(G):
+    """Every (p, H, K) over all subgroup pairs, at each prime dividing the
+    order, where the Sylow or the Mackey route differs from
+    oracle_p_subconjugate."""
+    subs = subgroups(G)
+    out = []
+    for p in _prime_factors(G.order):
+        for H in subs:
+            for K in subs:
+                want = oracle_p_subconjugate(G, H, K, p)
+                got = (p_subconjugate_sylow(G, H, K, p), p_subconjugate_mackey(G, H, K, p))
+                if got != (want, want):
+                    out.append((p, sorted(H), sorted(K), got, want))
+    return out
+
+
 class TestPinnedKernel:
     def test_catalog_names_are_pinned(self):
         assert [G.name for G in CATALOG_24] == list(PINNED_LATTICES)
@@ -748,3 +775,58 @@ class TestWorkCount:
         for _ in range(2):
             with pytest.raises(NotSubgroup):
                 p_subconjugate_sylow(G, bad, G.elements, 2)
+
+
+def _s4_times_c2():
+    return FiniteGroup(6, [cyc(6, [1, 2]), cyc(6, [1, 2, 3, 4]), cyc(6, [5, 6])], name="S4xC2")
+
+
+# S4 on its four points is all of Sym(4), so its relabelling differs from
+# S4 only in its generators; D8 and Q16 are moved to other element sets.
+ORACLE_GROUPS = (
+    CATALOG_24
+    + [relabel(G, seed) for G in (dihedral(8), quaternion(16)) for seed in (1, 3)]
+    + [relabel(symmetric(4), 1)]
+    + [elementary_abelian(2, 5), dihedral(48), _s4_times_c2()]
+)
+
+
+class TestRoutesAgainstTheOracle:
+    """Both subconjugacy routes against a third one on permutations, which
+    builds no GroupIndex: every subgroup pair at every prime dividing the
+    order."""
+
+    @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+    def test_routes_equal_the_oracle(self, G):
+        assert route_oracle_mismatches(G) == []
+
+    def test_lattice_sizes(self):
+        sizes = {G.name: len(subgroups(G)) for G in ORACLE_GROUPS[-3:]}
+        assert sizes == {"C2^5": 374, "D48": 68, "S4xC2": 98}
+        assert all(relabel(G, 1).elements != G.elements for G in (dihedral(8), quaternion(16)))
+
+
+class TestResolve:
+    """GroupIndex.resolve as the routes see it: one verdict however the
+    subgroup is given, and refusals in the order the routes promise."""
+
+    @pytest.mark.parametrize("route", [p_subconjugate_sylow, p_subconjugate_mackey])
+    def test_every_form_of_a_subgroup_gives_one_verdict(self, route):
+        G = symmetric(4)
+        subs = subgroups(G)
+        for H in subs:
+            forms = [H, frozenset(sorted(H)), set(H), sorted(H), G.index.require(H)]
+            for K in subs:
+                assert len({route(G, form, K, 2) for form in forms}) == 1, (sorted(H), sorted(K))
+                assert len({route(G, K, form, 2) for form in forms}) == 1, (sorted(K), sorted(H))
+
+    @pytest.mark.parametrize("route", [p_subconjugate_sylow, p_subconjugate_mackey])
+    def test_refusals(self, route):
+        G = symmetric(4)
+        bad = [identity(4), cyc(4, [1, 2]), cyc(4, [3, 4]), cyc(4, [1, 3])]
+        with pytest.raises(NotSubgroup):
+            route(G, bad, G.elements, 2)
+        with pytest.raises(NotSubgroup):
+            route(G, G.elements, bad, 2)
+        with pytest.raises(GroupError, match="^4 is not prime$"):
+            route(G, bad, G.elements, 4)

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-import random
+import time
 
 import pytest
 
@@ -30,7 +30,6 @@ from ttperiods.groups import (
     elementary_abelian,
     identify,
     identity,
-    inverse,
     name_for_key,
     quaternion,
     subgroups,
@@ -54,6 +53,7 @@ from ttperiods.spectra import (
 )
 
 from builders import build_dperm_d8, build_dperm_q8, build_ratm_r, build_stmod_d8
+import oracles
 from oracles import (
     heller_period,
     oracle_artin_tower,
@@ -63,7 +63,7 @@ from oracles import (
     variety_components,
 )
 from test_graded import assert_masks_match_patterns
-from test_groups import CATALOG_24
+from test_groups import CATALOG_24, relabel
 
 
 class TestCatalog:
@@ -299,6 +299,23 @@ class TestHellerPeriods:
 
     def test_p_rank_two_does_not_return_within_the_bound(self):
         assert heller_period(dihedral(8), 2) is None
+
+    def test_p_rank_is_read_before_resolving(self):
+        # C5 x C25 at 5: resolving over its 125-dimensional group algebra
+        # up to the bound took more than 30 s.
+        a = tuple([1, 2, 3, 4, 0] + list(range(5, 30)))
+        b = tuple(list(range(5)) + [5 + (i + 1) % 25 for i in range(25)])
+        G = FiniteGroup(30, [a, b], name="C5xC25")
+        start = time.perf_counter()
+        assert heller_period(G, 5) is None
+        assert time.perf_counter() - start < 2
+
+    def test_p_rank_one_past_the_bound_raises(self, monkeypatch):
+        # Read as p-rank one, D8 finds no period within the bound: that is
+        # an error, not a refusal.
+        monkeypatch.setattr(oracles, "p_rank", lambda G, p: 1)
+        with pytest.raises(ValueError, match="2-rank one"):
+            heller_period(dihedral(8), 2)
 
     # Every catalog group of order at most 24, and Q28 and Q36, at every
     # prime dividing the order where stmod answers with one point and the
@@ -603,15 +620,6 @@ class TestOneIdentifyPerCall:
             assert W.key == real(W), W.name
 
 
-def _relabel(G, seed):
-    """The same group with its points renamed by a seeded permutation."""
-    sigma = list(range(G.degree))
-    random.Random(seed).shuffle(sigma)
-    sigma = tuple(sigma)
-    gens = [compose(sigma, compose(g, inverse(sigma))) for g in G.generators]
-    return FiniteGroup(G.degree, gens, name=f"{G.name}~{seed}")
-
-
 # Seeds whose permutation moves the group's elements (seed 2 fixes D8's).
 # In the two relabelled dihedral groups of order 12 and 24, the Sylow search
 # meets the classes of 2-subgroups in another order than their least
@@ -621,7 +629,7 @@ RELABEL_CASES = [
     for G in (dihedral(8), quaternion(8), elementary_abelian(2, 3), quaternion(16))
     for seed in (1, 3, 4)
 ] + [(dihedral(12), 3), (dihedral(24), 1)]
-RELABELLED = [_relabel(G, seed) for G, seed in RELABEL_CASES]
+RELABELLED = [relabel(G, seed) for G, seed in RELABEL_CASES]
 
 
 def _members(cls):

@@ -22,11 +22,13 @@ from oracles import (
     square_zero,
     two_ring_name_key,
 )
+from test_groups import route_oracle_mismatches
 from test_limits import minimal_open_table, sections_on, unit_ring
 from test_tworing import edited, misread, verdict
 from ttperiods.comparison import central_localization, homeo_onto_image, is_ample
 from ttperiods.diagnostics import LIMITS
 from ttperiods.graded import enumerate_patterns, make_ring, spech_to_obj
+from ttperiods.groups import dihedral, elementary_abelian, quaternion, subgroups
 from ttperiods.multigraded import homogeneous_units, mult_system_ring, ring_fractions
 from ttperiods.spaces import FiniteSpectralModel
 from ttperiods.spectra import artin_tower
@@ -288,3 +290,17 @@ def test_removed_checks_hold_central_localization(kind):
         if not diag or central_localization(table, [s.name]) != region:
             bad.append(s.name)
     assert bad == []
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(lambda: dihedral(108), 128), (lambda: quaternion(64), 37), (lambda: elementary_abelian(3, 3), 28)],
+    ids=["D108", "Q64", "C3^3"],
+)
+def test_subconjugacy_routes_at_scale(build, size):
+    # Both routes against oracle_p_subconjugate on every subgroup pair, at
+    # every prime dividing the order.  D108's lattice is the
+    # MAX_SUBGROUP_LOOKUPS probe (D128's is refused).
+    G = build()
+    assert len(subgroups(G)) == size
+    assert route_oracle_mismatches(G) == []
