@@ -3,20 +3,19 @@
 The cross-stratum topology of the assembled spectra (doubled points and
 the edges tying strata together) is input data taken from published
 figures, not something the engine derives.  The records are frozen as
-JSON files next to the override table of dperm strata the engine can only
-bound; the test suite rebuilds each record from the engine and the figure
-edges and diffs it against the shipped file.  Every load re-validates the
+JSON files; the test suite rebuilds each record from the engine (whose
+stated dperm values are spectra.STATED_DPERM) and the figure edges and
+diffs it against the shipped file.  Every load re-validates the
 record with check_period_map, so a corrupted file can never masquerade as
 a verified space.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from importlib import resources
 
-from .diagnostics import UsageError, json_int
+from .diagnostics import UsageError
 from .spaces import (
     FiniteSpectralModel,
     ModelError,
@@ -31,12 +30,9 @@ __all__ = [
     "load_figure_record",
     "certify_figure",
     "load_figure_dataset",
-    "dperm_overrides",
 ]
 
 DATASET_NAMES = ("stmod_d8", "dperm_q8", "dperm_d8", "ratm_r")
-
-OVERRIDES_FILE = "dperm_overrides.json"
 
 
 class UnknownDataset(UsageError, KeyError):
@@ -76,24 +72,4 @@ def certify_figure(name: str, rec: dict) -> tuple[FiniteSpectralModel, PeriodAss
 def load_figure_dataset(name: str) -> tuple[FiniteSpectralModel, PeriodAssignment]:
     """Shipped model plus periods, re-certified on every load."""
     return certify_figure(name, load_figure_record(name))
-
-
-def dperm_overrides(group_name: "str | None", p: int) -> dict[str, int]:
-    """Shipped period values for strata the engine can only bound.
-
-    Keyed by group name and prime; unknown combinations give {} so the
-    assembly falls back to reporting divisor bounds.
-    """
-    if group_name is None:
-        return {}
-    raw = _override_table().get(group_name, {}).get(str(p), {})
-    return {point: json_int(v) for point, v in raw.items()}
-
-
-@functools.cache
-def _override_table() -> dict:
-    """The shipped override table, read and parsed once per process; callers
-    only read it.  A missing file is a broken install and raises."""
-    text = _data_dir().joinpath(OVERRIDES_FILE).read_text(encoding="utf-8")
-    return json.loads(text).get("overrides", {})
 

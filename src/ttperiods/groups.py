@@ -887,7 +887,7 @@ def elementary_abelian(p: int, r: int) -> FiniteGroup:
 
 def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 4:
-        raise GroupError("symmetric groups only up to degree 4")
+        raise GroupError(f"symmetric groups of degree 1 to 4 only, not {n}")
     if n == 1:
         return FiniteGroup(1, [], name="S1")
     swap = tuple([1, 0] + list(range(2, n)))

@@ -8,7 +8,7 @@ Three layers of assembly over the cohomology catalog:
 * the stratification of the derived-permutation-module spectrum, one
   stratum per conjugacy class of p-subgroups, with period labels that are
   exact for normal subgroups and explicit divisor bounds otherwise unless
-  a shipped override supplies the value;
+  STATED_DPERM supplies the value;
 * towers of cyclic p-groups modelling the Galois groups of finite fields,
   with eventual periods certified per matched point.
 """
@@ -89,6 +89,13 @@ def stmod_period_map(
 # default.  Keyed by (catalog key, prime).
 STATED_STMOD: dict[tuple, tuple[dict[str, int], int]] = {
     (("M11",), 3): ({"⟨⟩": 4, "⟨a,b⟩": 16}, 4),
+}
+
+# Stated periods of non-normal dperm points, which the engine can only
+# bound.  Keyed by (catalog key, prime), then by what isomorphisms keep:
+# (key of the stratum's subgroup, key of its Weyl group, pattern point).
+STATED_DPERM: dict[tuple, dict[tuple, int]] = {
+    (("dihedral", 8), 2): {(("abelian", (2,)), ("abelian", (2,)), "⟨⟩"): 1},
 }
 
 
@@ -203,22 +210,19 @@ class DPermAssembly:
         }
 
 
-def dperm_period_map(
-    G: FiniteGroup, p: int, overrides: "Mapping[str, int] | None" = None
-) -> DPermAssembly:
+def dperm_period_map(G: FiniteGroup, p: int) -> DPermAssembly:
     """Global period labels over all strata.
 
     Closed points get 0.  Normal strata inherit their Weyl group's values
-    exactly.  Non-normal strata take a shipped override when one exists
-    (tagged paper-dataset); otherwise the Weyl value is only an upper
-    divisor bound and is tagged as such, never asserted as the period.
+    exactly.  A non-normal point takes its STATED_DPERM value when its
+    (subgroup key, Weyl key, pattern point) has one (tagged paper-dataset);
+    otherwise the Weyl value is only an upper divisor bound and is tagged
+    as such, never asserted as the period.
     """
     require_prime(p)
-    group_name = name_for_key(identify(G))
-    if overrides is None:
-        from .datasets import dperm_overrides
-
-        overrides = dperm_overrides(group_name, p)
+    key = identify(G)
+    group_name = name_for_key(key)
+    stated = STATED_DPERM.get((key, p), {})
     strata = dperm_strata(G, p)
     points = []
     edges = []
@@ -228,6 +232,7 @@ def dperm_period_map(
     for s in strata:
         for a, b in s.variety.space.cover_pairs():
             edges.append((s.point_name(a), s.point_name(b)))
+        H = G.index.identify(s.subgroup_class.sub)
         for q in s.variety.space.points:
             name = s.point_name(q)
             points.append(name)
@@ -238,8 +243,8 @@ def dperm_period_map(
             elif s.normal:
                 values[name] = s.rep_periods[q]
                 tags[name] = TAG_COMPUTED
-            elif name in overrides:
-                values[name] = overrides[name]
+            elif (H, s.weyl.key, q) in stated:
+                values[name] = stated[H, s.weyl.key, q]
                 tags[name] = TAG_DATASET
             else:
                 values[name] = s.rep_periods[q]

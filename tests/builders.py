@@ -2,7 +2,7 @@
 
 Each figure builder reassembles its record from the engine plus the frozen
 figure edges, and the tests diff it against the shipped JSON file.  The
-override values of the D8 record come from the shipped override table.
+stated values of the D8 record come from spectra.STATED_DPERM.
 stmod_d8_fixture is the generator-only section table over the D8 projective
 model; write_all writes it as the demo files of the compare command.
 """
@@ -10,7 +10,6 @@ model; write_all writes it as the demo files of the compare command.
 from pathlib import Path
 
 from ttperiods.comparison import make_table, table_to_obj
-from ttperiods.datasets import dperm_overrides
 from ttperiods.graded import enumerate_patterns, ring_to_obj
 from ttperiods.groups import dihedral, quaternion
 from ttperiods.sections_catalog import ComparisonFixture, _d8_presentation, _local_periods
@@ -72,7 +71,7 @@ def build_stmod_d8() -> dict:
 
 
 def build_dperm_q8() -> dict:
-    asm = dperm_period_map(quaternion(8), 2, overrides={})
+    asm = dperm_period_map(quaternion(8), 2)
     witness_edges = [("C2:⟨⟩", "C2:⟨x1+x2⟩"), ("C2:⟨x1+x2⟩", "m(C2)")]
     cross_edges = [
         ("1:⟨⟩", "m(C2)"),
@@ -90,7 +89,7 @@ def build_dperm_q8() -> dict:
 
 
 def build_dperm_d8() -> dict:
-    asm = dperm_period_map(dihedral(8), 2, overrides=dperm_overrides("D8", 2))
+    asm = dperm_period_map(dihedral(8), 2)
     witness_edges = [("C2c:⟨⟩", "C2c:⟨x1+x2⟩"), ("C2c:⟨x1+x2⟩", "m(C2c)")]
     cross_edges = [
         ("1:⟨α0,β⟩", "m(C2a)"),

@@ -313,6 +313,20 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["result"]["group"] == "D8"
 
+    def test_relabelled_d8_keeps_stated_tags(self, capsys, tmp_path):
+        # D8 on six points: the rotations fix 1 and 2, which the reflections
+        # swap, so the central C2 has the least member and is labelled C2a.
+        # Both non-normal C2 classes still take the stated value.
+        obj = {"degree": 6, "generators": [[[3, 4, 5, 6]], [[1, 2], [4, 6]]]}
+        path = write_json(tmp_path, "d8_relabelled.json", obj)
+        code, out, _ = run(capsys, "group", "dperm", "--group", path, "--prime", "2")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["group"] == "D8"
+        tags = result["tags"]
+        assert {t for q, t in tags.items() if q.startswith("C2a:")} == {"computed"}
+        assert tags["C2b:⟨⟩"] == tags["C2c:⟨⟩"] == "paper-dataset"
+
     def test_c4_squared_answers_not_read_as_elementary(self, capsys, tmp_path):
         obj = {"degree": 8, "generators": [[[1, 2, 3, 4]], [[5, 6, 7, 8]]]}
         path = write_json(tmp_path, "c4xc4.json", obj)

@@ -91,8 +91,9 @@ class TestConstructors:
     def test_bad_parameters(self):
         with pytest.raises(GroupError):
             quaternion(14)
-        with pytest.raises(GroupError):
-            symmetric(5)
+        for n in (0, 5):
+            with pytest.raises(GroupError, match=f"degree 1 to 4 only, not {n}"):
+                symmetric(n)
         with pytest.raises(GroupError):
             elementary_abelian(4, 2)
 

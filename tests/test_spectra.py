@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import string
 import time
+from collections import Counter
 
 import pytest
 
-from ttperiods import datasets, spectra
+from ttperiods import spectra
 from ttperiods.cohomology import (
     CatalogEntry,
     GroupNotInCatalog,
@@ -16,7 +18,6 @@ from ttperiods.cohomology import (
 from ttperiods.datasets import (
     DATASET_NAMES,
     UnknownDataset,
-    dperm_overrides,
     load_figure_dataset,
     load_figure_record,
 )
@@ -488,7 +489,7 @@ class TestDPermStrata:
     def test_stratum_count_matches_class_count(self):
         for G, p in [(quaternion(8), 2), (dihedral(8), 2), (cyclic(6), 2), (cyclic(6), 3)]:
             strata = dperm_strata(G, p)
-            asm = dperm_period_map(G, p, overrides=dperm_overrides(G.name, p))
+            asm = dperm_period_map(G, p)
             assert len(asm.closed_points) == len(strata)
 
 
@@ -513,11 +514,18 @@ class TestDPermPeriodMap:
             assert asm.periods[q] == 1
             assert asm.tags[q] == TAG_DATASET
 
-    def test_d8_without_override_reports_bound(self):
-        asm = dperm_period_map(dihedral(8), 2, overrides={})
+    def test_d8_without_override_reports_bound(self, monkeypatch):
+        monkeypatch.setattr(spectra, "STATED_DPERM", {})
+        asm = dperm_period_map(dihedral(8), 2)
         for q in ("C2a:⟨⟩", "C2b:⟨⟩"):
             assert asm.periods[q] == 1
             assert asm.tags[q] == TAG_BOUND
+
+    def test_no_stated_value_outside_the_table(self):
+        for key, p in [(("dihedral", 8), 3), (("quaternion", 8), 2), (None, 2)]:
+            assert (key, p) not in spectra.STATED_DPERM
+        for G, p in [(dihedral(8), 3), (quaternion(8), 2)]:
+            assert TAG_DATASET not in dperm_period_map(G, p).tags.values()
 
     def test_trivial_group_single_closed_point(self):
         asm = dperm_period_map(cyclic(1), 2)
@@ -526,12 +534,12 @@ class TestDPermPeriodMap:
 
     def test_assembly_is_period_map(self):
         for G, p in [(quaternion(8), 2), (dihedral(8), 2), (cyclic(8), 2), (cyclic(6), 3)]:
-            asm = dperm_period_map(G, p, overrides=dperm_overrides(G.name, p))
+            asm = dperm_period_map(G, p)
             assert check_period_map(asm.space, asm.periods)
 
     def test_p_group_zero_exactly_on_closed(self):
         for G in (quaternion(8), dihedral(8), cyclic(4), elementary_abelian(2, 2)):
-            asm = dperm_period_map(G, 2, overrides=dperm_overrides(G.name, 2))
+            asm = dperm_period_map(G, 2)
             for q in asm.space.points:
                 if q in asm.closed_points:
                     assert asm.periods[q] == 0
@@ -553,7 +561,7 @@ class TestDPermPeriodMap:
         # one subgroup name (C2^4 has 35 subgroups C2^2).
         for G, p in [(quaternion(8), 2), (dihedral(8), 2), (elementary_abelian(2, 4), 2),
                      (cyclic(6), 3)]:
-            asm = dperm_period_map(G, p, overrides=dperm_overrides(G.name, p))
+            asm = dperm_period_map(G, p)
             named = sorted(q for pts in asm.stratum_points().values() for q in pts)
             assert named == sorted(asm.space.points)
 
@@ -667,6 +675,57 @@ class TestDPermSecondRoute:
             except WeylNotInCatalog:
                 continue
             assert _stratum_rows(strata) == want, p
+
+
+def stratum_profiles(asm):
+    """Each stratum as its subgroup's name and its points' (pattern point,
+    period, tag), counted: two assemblies with equal counts are equal up to
+    a bijection of stratum labels that keeps every point's period and tag."""
+    return Counter(
+        (s.label.rstrip(string.ascii_lowercase), tuple(
+            (q, asm.periods[s.point_name(q)], asm.tags[s.point_name(q)])
+            for q in s.variety.space.points))
+        for s in asm.strata
+    )
+
+
+class TestStatedDPerm:
+    """STATED_DPERM is matched by structure, so relabelling moves no value."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("G", CATALOG_24, ids=lambda G: G.name)
+    def test_relabelled_assembly_matches_up_to_labels(self, G, seed):
+        R = relabel(G, seed)
+        for p in _prime_factors(G.order):
+            try:
+                want = dperm_period_map(G, p)
+            except GroupNotInCatalog as exc:
+                with pytest.raises(type(exc)):
+                    dperm_period_map(R, p)
+                continue
+            got = dperm_period_map(R, p)
+            assert got.group_name == want.group_name
+            assert stratum_profiles(got) == stratum_profiles(want), p
+
+    def test_every_entry_matches_a_non_normal_stratum(self):
+        by_key = {identify(G): G for G in CATALOG_24}
+        for (key, p), entries in spectra.STATED_DPERM.items():
+            asm = dperm_period_map(by_key[key], p)
+            matched = set()
+            for s in asm.strata:
+                if s.normal:
+                    continue
+                H = s.subgroup_class.index.identify(s.subgroup_class.sub)
+                for q in s.variety.space.points:
+                    value = entries.get((H, s.weyl.key, q))
+                    if q == s.irrelevant or value is None:
+                        continue
+                    matched.add((H, s.weyl.key, q))
+                    name = s.point_name(q)
+                    assert (asm.periods[name], asm.tags[name]) == (value, TAG_DATASET)
+                    # The stated period divides the Weyl group's, its bound.
+                    assert s.rep_periods[q] % value == 0, name
+            assert matched == set(entries), (key, p)
 
 
 class TestDPermWorkCount:
@@ -903,26 +962,3 @@ class TestDatasets:
             rec = load_figure_record(name)
             grouped = sorted(q for pts in rec["strata"].values() for q in pts)
             assert grouped == sorted(rec["points"])
-
-    def test_overrides_lookup(self):
-        assert dperm_overrides("D8", 2) == {"C2a:⟨⟩": 1, "C2b:⟨⟩": 1}
-        assert dperm_overrides("D8", 3) == {}
-        assert dperm_overrides("Q8", 2) == {}
-        assert dperm_overrides(None, 2) == {}
-
-    def test_overrides_mutated_by_a_caller_stay_shipped(self):
-        got = dperm_overrides("D8", 2)
-        got["C2a:⟨⟩"] = 7
-        got["C4:⟨⟩"] = 3
-        assert dperm_overrides("D8", 2) == {"C2a:⟨⟩": 1, "C2b:⟨⟩": 1}
-
-    def test_missing_override_file_raises(self, monkeypatch, tmp_path):
-        # A package without its shipped table is broken: D8's values must
-        # not quietly turn into divisor bounds.
-        monkeypatch.setattr(datasets, "_data_dir", lambda: tmp_path)
-        datasets._override_table.cache_clear()
-        try:
-            with pytest.raises(FileNotFoundError):
-                dperm_overrides("D8", 2)
-        finally:
-            datasets._override_table.cache_clear()

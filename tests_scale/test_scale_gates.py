@@ -22,6 +22,13 @@ from oracles import (
     square_zero,
     two_ring_name_key,
 )
+from test_corpus import (
+    REFUSED,
+    corpus_outcomes,
+    metacyclic,
+    metacyclic_presentations,
+    refusal_counts,
+)
 from test_groups import route_oracle_mismatches
 from test_limits import minimal_open_table, sections_on, unit_ring
 from test_tworing import edited, misread, verdict
@@ -304,3 +311,23 @@ def test_subconjugacy_routes_at_scale(build, size):
     G = build()
     assert len(subgroups(G)) == size
     assert route_oracle_mismatches(G) == []
+
+
+METACYCLIC_48 = metacyclic_presentations(24, 48)
+
+
+@pytest.mark.parametrize("mnr", METACYCLIC_48, ids=lambda c: metacyclic(*c).name)
+def test_metacyclic_routes_agree_to_order_48(mnr):
+    corpus_outcomes(*mnr)
+
+
+def test_metacyclic_corpus_coverage_to_order_48():
+    assert len(METACYCLIC_48) == 131
+    assert refusal_counts(METACYCLIC_48) == {
+        ("stmod", "answered"): 140,
+        ("stmod", REFUSED): 134,
+        ("dperm", "answered"): 137,
+        ("dperm", REFUSED): 137,
+        ("heller", "equal"): 111,
+        ("heller", REFUSED): 51,
+    }
