@@ -18,6 +18,7 @@ containment and Mackey index) that are always cross-checked.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -113,9 +114,11 @@ class FiniteGroup:
     """Permutation group on {0..degree-1}, closed on construction.
 
     ``name`` is a display name and ``key`` the catalog key of the
-    isomorphism type, each set by whoever built the group and knows it
-    (weyl_group reads W's key from the parent's table and sets both);
-    ``key`` stays None otherwise.
+    isomorphism type, each set by whoever built the group and knows it;
+    ``key`` stays None otherwise.  weyl_group builds W with _known instead,
+    which takes W's order and key from the parent's table and defers the
+    closure: W's generators are walked once, when ``elements`` or ``index``
+    is first read, and the other reads what that walk made.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm], name: "str | None" = None):
@@ -130,12 +133,34 @@ class FiniteGroup:
         self.name = name
         self.key: "tuple | None" = None
         self._walk = _closure_walk(gens or [identity(degree)])
-        self.elements = frozenset(self._walk[0])
+        self._elements: "frozenset[Perm] | None" = frozenset(self._walk[0])
+        self.order = len(self._elements)
         self._index: "GroupIndex | None" = None
 
+    @classmethod
+    def _known(cls, degree: int, generators: tuple, order: int, key: "tuple | None") -> "FiniteGroup":
+        """A group of the given order and catalog key, its generators
+        trusted and not yet closed."""
+        G = cls.__new__(cls)
+        G.degree = degree
+        G.generators = generators
+        G.name = name_for_key(key)
+        G.key = key
+        G._walk = None
+        G._elements = None
+        G.order = order
+        G._index = None
+        return G
+
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> frozenset[Perm]:
+        if self._elements is None:
+            if self._index is None:
+                self._walk = _closure_walk(self.generators or [identity(self.degree)])
+                self._elements = frozenset(self._walk[0])
+            else:
+                self._elements = frozenset(self._index.perms)
+        return self._elements
 
     @property
     def index(self) -> "GroupIndex":
@@ -198,8 +223,9 @@ class GroupIndex:
 
     Elements are numbered 0..n-1 in sorted order, so the identity is 0 and
     the least permutation of a set is its least number.  table[a][b] is the
-    number of a after b; inv and orders are per element; cyclic lists one
-    Sub per cyclic subgroup, generated by its least generator.  The table is
+    number of a after b; inv, orders and cyc_mask (the mask of the cyclic
+    subgroup the element generates) are per element; cyclic lists one Sub
+    per cyclic subgroup, generated by its least generator.  The table is
     filled along the breadth-first tree of the generators from the products
     the group's closure walk already made, so it composes nothing itself.
 
@@ -218,7 +244,7 @@ class GroupIndex:
 
     def __init__(self, G: FiniteGroup):
         # The closure walk has no other reader: release it with the index
-        # built.  A group that released it unindexed (weyl_group) walks again.
+        # built.  A group not yet closed (weyl_group's W) is walked here.
         walk, steps = G._walk or _closure_walk(G.generators or [identity(G.degree)])
         G._walk = None
         perms = sorted(walk)
@@ -253,7 +279,7 @@ class GroupIndex:
         self.gens = tuple(gens)
         self.table = list(zip(*cols))
         self.inv = [row.index(0) for row in self.table]
-        self.orders, self.cyclic = self._cyclic_subgroups()
+        self.orders, self.cyc_mask, self.cyclic = self._cyclic_subgroups()
         self._conj: "list | None" = None
         self._frozen: dict[int, frozenset[Perm]] = {}
         self._subs: dict[frozenset, Sub] = {}
@@ -272,9 +298,14 @@ class GroupIndex:
     def n(self) -> int:
         return len(self.perms)
 
-    def _cyclic_subgroups(self) -> tuple[list[int], list[Sub]]:
+    def _cyclic_subgroups(self) -> tuple[list[int], list[int], list[Sub]]:
+        """Per element its order and the mask of the cyclic subgroup it
+        generates, and one Sub per cyclic subgroup.  Each subgroup's powers
+        x, x^2, ..., x^m = 1 of its least generator give them all: x^k
+        generates the subgroup of x^gcd(k, m)."""
         n, table = self.n, self.table
         orders = [1] * n
+        cyc_mask = [1] * n
         covered = [False] * n
         covered[0] = True
         cyclic = []
@@ -286,13 +317,15 @@ class GroupIndex:
                 y = table[y][x]
                 powers.append(y)
             m = len(powers)
+            masks = {d: _mask(powers[d - 1 :: d]) for d in range(1, m + 1) if m % d == 0}
             for k, z in enumerate(powers, 1):
                 d = math.gcd(k, m)
                 orders[z] = m // d
+                cyc_mask[z] = masks[d]
                 if d == 1:
                     covered[z] = True
-            cyclic.append(Sub(_mask(powers), tuple(powers), (x,)))
-        return orders, cyclic
+            cyclic.append(Sub(masks[1], tuple(powers), (x,)))
+        return orders, cyc_mask, cyclic
 
     # -- conversion at the permutation boundary --
 
@@ -495,9 +528,10 @@ class GroupIndex:
         """The conjugacy classes of p-subgroups, once per prime.  Every
         p-subgroup is conjugate into the stored Sylow p-subgroup P (Sylow's
         theorem), so only P's lattice is searched, and conjugation fuses
-        it."""
+        it.  A number that is not prime is refused on every call."""
         found = self._p_classes.get(p)
         if found is None:
+            self.check_prime(p)
             P = self.sylow(self.whole(), p)
             found = self._fuse(self.subgroups() if P.order == self.n else self._search(P))
             self._p_classes[p] = found
@@ -550,21 +584,21 @@ class GroupIndex:
         orders of its elements) once per subgroup mask."""
         key = self._keys.get(sub.mask, False)
         if key is False:
-            orders = [self.orders[x] for x in sub.elems]
+            orders = Counter(map(self.orders.__getitem__, sub.elems))
             key = self._keys[sub.mask] = _structure_key(orders, self.is_abelian(sub))
         return key
 
 
-def _structure_key(orders: list[int], abelian: bool) -> "tuple | None":
-    """Catalog key of a group whose elements have the given orders: an
+def _structure_key(orders: Counter, abelian: bool) -> "tuple | None":
+    """Catalog key of a group with orders[k] elements of order k: an
     abelian group, the trivial one included, keys by its invariant factors."""
     if abelian:
         return ("abelian", _abelian_invariants(orders))
-    n = len(orders)
+    n = orders.total()
     # One involution and a cyclic subgroup of index 2: dicyclic exactly when
     # the n/2 elements outside it have order 4, two more lying inside if 8 | n.
-    if orders.count(2) == 1 and n % 4 == 0 and n >= 8 and n // 2 in orders:
-        if orders.count(4) == n // 2 + (2 if n % 8 == 0 else 0):
+    if orders[2] == 1 and n % 4 == 0 and n >= 8 and orders[n // 2]:
+        if orders[4] == n // 2 + (2 if n % 8 == 0 else 0):
             return ("quaternion", n)
     if n == 8:
         return ("dihedral", 8)
@@ -616,11 +650,12 @@ def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
     """N_G(H)/H acting on the left cosets of H inside the normalizer.
 
     Cosets are numbered by their least element.  W is generated by the
-    images of a greedy generating set of N modulo H.  W.key and W.name are
-    read from G's table as identify reads a subgroup's: xH has the order of
-    the least power of x in H, and W is abelian when the lifts of its
-    generators commute modulo H.  W is formed once per subgroup mask, and
-    the group's index keeps it.
+    images of a greedy generating set of N modulo H.  W's order, key and
+    name are read from G's table as identify reads a subgroup's: xH has
+    order |<x>| / |<x> ∩ H|, one AND of masks and a popcount, and W is
+    abelian when the lifts of its generators commute modulo H.  W is not
+    closed here (FiniteGroup._known); it is formed once per subgroup mask,
+    and the group's index keeps it.
     """
     ix = G.index
     sub = ix.resolve(H)
@@ -645,25 +680,15 @@ def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
             row = table[x]
             lifts.append(x)
             gens.append(tuple(coset_of[row[r]] for r in reps))
-    orders = []
-    for x in reps:
-        k, y = 1, x
-        while not mask >> y & 1:
-            k, y = k + 1, table[y][x]
-        orders.append(k)
+    orders, cyc_mask = ix.orders, ix.cyc_mask
     abelian = all(
         coset_of[table[a][b]] == coset_of[table[b][a]]
         for i, a in enumerate(lifts) for b in lifts[i + 1 :]
     )
-    W = FiniteGroup(len(reps), gens)
-    W.key = _structure_key(orders, abelian)
-    W.name = name_for_key(W.key)
-    if W.key is not None:
-        # Named from G's table, W is seldom indexed, while G's index keeps
-        # it: drop its closure walk, which GroupIndex walks again if asked.
-        # An unnamed W is identified, and so indexed, by its callers.
-        W._walk = None
-    ix._weyls[sub.mask] = W
+    key = _structure_key(
+        Counter(orders[x] // (cyc_mask[x] & mask).bit_count() for x in reps), abelian
+    )
+    W = ix._weyls[sub.mask] = FiniteGroup._known(len(reps), tuple(gens), len(reps), key)
     return W
 
 
@@ -692,17 +717,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _abelian_invariants(orders: list[int]) -> tuple[int, ...]:
-    """Invariant factor chain d1 | d2 | ... of an abelian group whose
-    elements have the given orders."""
+def _abelian_invariants(orders: Counter) -> tuple[int, ...]:
+    """Invariant factor chain d1 | d2 | ... of an abelian group with
+    orders[k] elements of order k."""
     primary: dict[int, list[int]] = {}
-    for p in _prime_factors(len(orders)):
+    for p in _prime_factors(orders.total()):
         # Count the elements with x^(p^j) = 1; the p-adic valuations of the
         # counts are the partial sums of the conjugate partition.
         valuations = [0]
         j = 1
         while True:
-            c = sum(1 for o in orders if p**j % o == 0)
+            c = sum(k for o, k in orders.items() if p**j % o == 0)
             v = 0
             while c % p == 0:
                 c //= p
@@ -763,11 +788,17 @@ def require_prime(p: int) -> None:
 
 
 def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
-    """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow."""
+    """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow.
+    A set of permutations that is not a group raises NotSubgroup."""
     require_prime(p)
     if not isinstance(H, FiniteGroup):
         els = sorted(H)
-        H = FiniteGroup(len(els[0]), els)
+        if not els:
+            raise NotSubgroup(els)
+        G = FiniteGroup(len(els[0]), els)
+        if G.elements != frozenset(els):
+            raise NotSubgroup(els[:3])
+        H = G
     ix = H.index
     return ix.frozen(ix.sylow(ix.whole(), p))
 

@@ -76,6 +76,7 @@ in an ambient pattern model.
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -482,10 +483,16 @@ def reference_p_subgroup_classes(G, p):
     return classes
 
 
+def reference_normalizer(G, H):
+    """The elements g of G with g H g^-1 = H, sorted, each conjugation
+    made on permutations."""
+    return [g for g in sorted(G.elements) if conjugate_subgroup(g, H) == H]
+
+
 def reference_weyl_key(G, H):
-    """identify of N_G(H)/H, acting on the left cosets of H in a normalizer
-    found by conjugating H with every element."""
-    N = [g for g in sorted(G.elements) if conjugate_subgroup(g, H) == H]
+    """identify of N_G(H)/H, acting on the left cosets of H in
+    reference_normalizer."""
+    N = reference_normalizer(G, H)
     cosets = sorted({frozenset(groups.compose(n, h) for h in H) for n in N}, key=sorted)
     where = {x: i for i, c in enumerate(cosets) for x in c}
     gens = [tuple(where[groups.compose(n, min(c))] for c in cosets) for n in N]
@@ -789,7 +796,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     ix = G.index
     if not ix.is_abelian(ix.whole()):
         raise GroupError("abelian invariants of a nonabelian group")
-    return _abelian_invariants(ix.orders)
+    return _abelian_invariants(Counter(ix.orders))
 
 
 # -- multigraded rings -------------------------------------------------

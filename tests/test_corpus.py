@@ -3,8 +3,10 @@
 Each group is checked at every prime dividing its order.  stmod's period
 equals the Heller period of tests/oracles.py wherever both give one, every
 refusal is GroupNotInCatalog and names the key it refuses or "unidentified
-isomorphism type", and dperm reads the same up to stratum labels on seeded
-relabellings.  Orders up to 24 are here; tests_scale takes orders 25 to 48.
+isomorphism type", dperm reads the same up to stratum labels on seeded
+relabellings, and every Weyl group of a p-subgroup has the order, elements
+and key of the oracle's.  Orders up to 24 are here; tests_scale takes
+orders 25 to 48.
 """
 
 import functools
@@ -14,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import heller_period, p_complement
+from oracles import heller_period, p_complement, reference_normalizer, reference_weyl_key
 from test_groups import relabel
 from test_spectra import stratum_profiles
 from ttperiods import spectra
@@ -102,6 +104,30 @@ def corpus_outcomes(m: int, n: int, r: int) -> tuple:
     return tuple(out)
 
 
+def weyl_route_mismatches(G: FiniteGroup, p: int) -> list:
+    """The classes of p-subgroups, by representative, whose Weyl group
+    disagrees with the second route, on a fresh copy of G: W's order must
+    be |N_G(H)|/|H| for the oracle normalizer, W's elements, read before
+    anything closes W, those of a FiniteGroup walked from W's generators,
+    and W's key reference_weyl_key's."""
+    fresh = FiniteGroup(G.degree, G.generators)
+    bad = []
+    for cls in fresh.index.p_classes(p):
+        H = cls.representative
+        W = weyl_group(fresh, cls.sub)
+        unclosed = W._elements is None and W._index is None
+        got = (unclosed, W.order, W.elements, W.key)
+        want = (
+            True,
+            len(reference_normalizer(G, H)) // len(H),
+            FiniteGroup(W.degree, W.generators).elements,
+            reference_weyl_key(G, H),
+        )
+        if got != want:
+            bad.append(sorted(H))
+    return bad
+
+
 def refusal_counts(presentations) -> Counter:
     """(op, "answered" or REFUSED) counted over every (group, prime) pair,
     and ("heller", outcome) for the pairs with a Heller period: "equal" where
@@ -122,6 +148,13 @@ METACYCLIC_24 = metacyclic_presentations(0, 24)
 @pytest.mark.parametrize("mnr", METACYCLIC_24, ids=lambda c: metacyclic(*c).name)
 def test_metacyclic_routes_agree(mnr):
     corpus_outcomes(*mnr)
+
+
+@pytest.mark.parametrize("mnr", METACYCLIC_24, ids=lambda c: metacyclic(*c).name)
+def test_metacyclic_weyl_groups_match_the_oracle(mnr):
+    G = metacyclic(*mnr)
+    for p in _prime_factors(G.order):
+        assert weyl_route_mismatches(G, p) == [], p
 
 
 def test_metacyclic_corpus_coverage():

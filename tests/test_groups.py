@@ -36,7 +36,7 @@ from ttperiods.groups import (
     weyl_group,
     _prime_factors,
 )
-from ttperiods.spectra import artin_tower
+from ttperiods.spectra import artin_tower, dperm_strata
 
 from oracles import (
     abelian_invariants,
@@ -180,26 +180,44 @@ class TestWeylGroups:
         with pytest.raises(NotSubgroup):
             weyl_group(G, frozenset({cyc(3, [1, 2])}))
 
-    def test_kept_weyl_groups_hold_no_walk(self):
-        # The parent's index keeps every W.  A W named from the parent's
-        # table drops its closure walk at once; its index, built on first
-        # use, walks the generators again.  An unnamed W is identified, and
-        # so indexed, as rep_period_map does, which drops the walk too.
+    def test_kept_weyl_groups_hold_no_walk(self, monkeypatch):
+        # The parent's index keeps every W, built unclosed: its order and key
+        # come from the parent's table.  W's generators are walked once, by
+        # whichever of its elements and its index is read first, and the
+        # other reads what that walk made.  A named W has its elements read
+        # first here; an unnamed W is identified, and so indexed, first, as
+        # rep_period_map does.
+        walks = [0]
+        walk = groups._closure_walk
+
+        def counted(gens):
+            walks[0] += 1
+            return walk(gens)
+
         G = symmetric(4)
+        classes = subgroup_classes(G)
+        monkeypatch.setattr(groups, "_closure_walk", counted)
         named = 0
-        for c in subgroup_classes(G):
+        for c in classes:
+            walks[0] = 0
             W = weyl_group(G, c.representative)
+            assert walks == [0]
+            assert W._walk is None and W._elements is None and W._index is None
             if W.key is not None:
                 named += 1
-                assert W._walk is None and W._index is None
-            key = identify(W)
-            assert W._walk is None
+                elements = W.elements
+                key = identify(W)
+            else:
+                key = identify(W)
+                elements = W.elements
+            assert walks == [1] and W._walk is None
+            assert W.elements is elements and len(elements) == W.order
             assert weyl_group(G, c.representative) is W
             fresh = FiniteGroup(W.degree, W.generators)
-            assert W.index.perms == fresh.index.perms == sorted(W.elements)
+            assert W.index.perms == fresh.index.perms == sorted(elements)
             assert W.index.table == fresh.index.table
             assert key == identify(fresh) == (W.key or key)
-        assert 0 < named < len(subgroup_classes(G))
+        assert 0 < named < len(classes)
 
 
 class TestSylow:
@@ -216,6 +234,25 @@ class TestSylow:
     def test_s4_sylow_orders(self):
         assert len(sylow(symmetric(4), 2)) == 8
         assert len(sylow(symmetric(4), 3)) == 3
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    @pytest.mark.parametrize("build", [lambda: cyclic(4), lambda: dihedral(8)], ids=["C4", "D8"])
+    def test_p_subgroup_classes_refuse_a_non_prime(self, build, p):
+        # At p = 1 the Sylow search never ended, and at p = 0 it divided by
+        # zero; a number that is not prime is refused, on every call.
+        G = build()
+        for call in (G.index.p_classes, lambda q: dperm_strata(G, q)):
+            for _ in range(2):
+                with pytest.raises(GroupError, match=f"^{p} is not prime$"):
+                    call(p)
+
+    def test_a_set_that_is_not_a_group_is_refused(self):
+        # The empty set, a set without the identity and a set not closed
+        # under composition; a set that is a group is its own ambient group.
+        for H in (set(), {(1, 0, 2)}, {identity(3), cyc(3, [1, 2, 3])}):
+            with pytest.raises(NotSubgroup):
+                sylow(frozenset(H), 2)
+        assert sylow(frozenset({identity(3), cyc(3, [1, 2])}), 2) == {identity(3), cyc(3, [1, 2])}
 
 
 class TestPSubconjugate:
@@ -740,10 +777,21 @@ class TestWorkCount:
             count[0] += 1
             return original(p, q)
 
+        walks = [0]
+        walk = groups_module._closure_walk
+
+        def counted_walk(gens):
+            walks[0] += 1
+            return walk(gens)
+
         monkeypatch.setattr(groups_module, "compose", counted)
+        monkeypatch.setattr(groups_module, "_closure_walk", counted_walk)
         rep = artin_tower(5, 3)
         assert dict(rep.chain_periods.values)["s3"] == 2
-        assert 0 < count[0] < 600
+        # One walk per level, C1, C5, C25 and C125, each one composition per
+        # element (C1 has no generator but the identity); no Weyl group is
+        # walked.
+        assert (count[0], walks[0]) == (5 + 25 + 125, 4)
 
     def test_each_subgroup_resolved_once(self, monkeypatch):
         from ttperiods.groups import GroupIndex

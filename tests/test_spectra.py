@@ -737,8 +737,11 @@ class TestDPermWorkCount:
     ], ids=lambda x: getattr(x, "name", str(x)))
     def test_second_dperm_searches_and_builds_nothing(self, monkeypatch, G, p):
         G = FiniteGroup(G.degree, G.generators, name=G.name)
+        # A group is built by FiniteGroup.__init__, or by FiniteGroup._known
+        # (weyl_group's W); both count.
         counts = {"extend": 0, "groups": 0}
         extend, init = GroupIndex.extend, FiniteGroup.__init__
+        known = FiniteGroup._known.__func__
 
         def counted_extend(self, H, x):
             counts["extend"] += 1
@@ -748,8 +751,13 @@ class TestDPermWorkCount:
             counts["groups"] += 1
             init(self, *args, **kwargs)
 
+        def counted_known(cls, *args, **kwargs):
+            counts["groups"] += 1
+            return known(cls, *args, **kwargs)
+
         monkeypatch.setattr(GroupIndex, "extend", counted_extend)
         monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
+        monkeypatch.setattr(FiniteGroup, "_known", classmethod(counted_known))
         first = dperm_period_map(G, p)
         assert counts["extend"] > 0 and counts["groups"] > 0
         counts.update(extend=0, groups=0)

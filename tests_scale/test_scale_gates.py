@@ -28,6 +28,7 @@ from test_corpus import (
     metacyclic,
     metacyclic_presentations,
     refusal_counts,
+    weyl_route_mismatches,
 )
 from test_groups import route_oracle_mismatches
 from test_limits import minimal_open_table, sections_on, unit_ring
@@ -35,7 +36,7 @@ from test_tworing import edited, misread, verdict
 from ttperiods.comparison import central_localization, homeo_onto_image, is_ample
 from ttperiods.diagnostics import LIMITS
 from ttperiods.graded import enumerate_patterns, make_ring, spech_to_obj
-from ttperiods.groups import dihedral, elementary_abelian, quaternion, subgroups
+from ttperiods.groups import cyclic, dihedral, elementary_abelian, quaternion, subgroups
 from ttperiods.multigraded import homogeneous_units, mult_system_ring, ring_fractions
 from ttperiods.spaces import FiniteSpectralModel
 from ttperiods.spectra import artin_tower
@@ -311,6 +312,24 @@ def test_subconjugacy_routes_at_scale(build, size):
     G = build()
     assert len(subgroups(G)) == size
     assert route_oracle_mismatches(G) == []
+
+
+@pytest.mark.parametrize(
+    "build, p",
+    [
+        (lambda: cyclic(243), 3),
+        (lambda: cyclic(125), 5),
+        (lambda: dihedral(108), 2),
+        (lambda: dihedral(108), 3),
+    ],
+    ids=["C243-p3", "C125-p5", "D108-p2", "D108-p3"],
+)
+def test_weyl_groups_at_the_group_order_limit(build, p):
+    # The Weyl group of every class of p-subgroups against the oracle: its
+    # order, its elements against a walk of its generators, and its key.
+    # C243 and C125 are Artin tower levels; D108's lattice is the
+    # MAX_SUBGROUP_LOOKUPS probe above.
+    assert weyl_route_mismatches(build(), p) == []
 
 
 METACYCLIC_48 = metacyclic_presentations(24, 48)
