@@ -49,11 +49,11 @@ class CatalogEntry:
         return enumerate_patterns(self.presentation, self.witnesses)
 
 
-def catalog_key(group: "FiniteGroup | str | tuple") -> "tuple | None":
-    """The catalog key of a group, name or key; None for a group whose
-    isomorphism type identify does not recognize."""
+def catalog_key(group: "FiniteGroup | str | tuple") -> tuple:
+    """The catalog key of a group, name or key; ("unidentified", order) for
+    a group whose isomorphism type identify does not recognize."""
     if isinstance(group, FiniteGroup):
-        return identify(group)
+        return identify(group) or ("unidentified", group.order)
     if isinstance(group, str):
         return (group,)
     return tuple(group)
@@ -66,7 +66,7 @@ def _key_order(key: tuple) -> int:
         kind, data = key
         if kind == "abelian":
             return math.prod(data)
-        if kind == "dihedral" or kind == "quaternion":
+        if kind in ("dihedral", "quaternion", "unidentified"):
             return data
     raise GroupNotInCatalog(f"unknown catalog key {key!r}")
 
@@ -74,24 +74,19 @@ def _key_order(key: tuple) -> int:
 def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
     require_prime(p)
-    return _entry(group, catalog_key(group), p)
+    return _entry(catalog_key(group), p)
 
 
-def _entry(group: "FiniteGroup | str | tuple", key: "tuple | None", p: int) -> CatalogEntry:
-    if key is None:
-        # Unknown isomorphism type: still fine when p is coprime to the
-        # order, because then the reduced cohomology is just the field.
-        if group.order % p != 0:
-            field = make_ring(p, [])
-            return CatalogEntry(("unidentified", group.order), group.order, p, field, None)
-        raise GroupNotInCatalog(
-            f"unidentified isomorphism type (order {group.order}) at p={p}"
-        )
+def _entry(key: tuple, p: int) -> CatalogEntry:
+    """The entry of a catalog key at p.  A p' group, of unidentified type
+    too, has the field as its reduced cohomology."""
     order = _key_order(key)
     kind = key[0]
     wits = None
     if order % p != 0:
         ring = make_ring(p, [])
+    elif kind == "unidentified":
+        raise GroupNotInCatalog(f"unidentified isomorphism type (order {order}) at p={p}")
     elif kind == "abelian":
         sylow = [q for q in (p_part(d, p) for d in key[1]) if q > 1]
         gens = [("x", 1) if q == 2 else ("y", 2) for q in sylow]
@@ -146,9 +141,9 @@ def rep_period_map(
     key = catalog_key(group)
     found = _VARIETIES.get((key, p))
     if found is None:
-        entry = _entry(group, key, p)
+        entry = _entry(key, p)
         model = entry.spech()
         found = model, PeriodAssignment(point_periods(entry.presentation, model))
-        if key is not None:
+        if key[0] != "unidentified":
             _VARIETIES[key, p] = found
     return found

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .diagnostics import UsageError, json_int, require_within
+from .diagnostics import UsageError, json_int, json_list, require_within
 from .spaces import is_prime
 
 Perm = tuple[int, ...]
@@ -113,12 +113,8 @@ def perm_to_cycles(p: Perm) -> list[list[int]]:
 class FiniteGroup:
     """Permutation group on {0..degree-1}, closed on construction.
 
-    ``name`` is a display name and ``key`` the catalog key of the
-    isomorphism type, each set by whoever built the group and knows it;
-    ``key`` stays None otherwise.  weyl_group builds W with _known instead,
-    which takes W's order and key from the parent's table and defers the
-    closure: W's generators are walked once, when ``elements`` or ``index``
-    is first read, and the other reads what that walk made.
+    ``name`` is a display name, set by whoever built the group and knows
+    its isomorphism type; identify reads the type from the group itself.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm], name: "str | None" = None):
@@ -131,36 +127,10 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        self.key: "tuple | None" = None
         self._walk = _closure_walk(gens or [identity(degree)])
-        self._elements: "frozenset[Perm] | None" = frozenset(self._walk[0])
-        self.order = len(self._elements)
+        self.elements = frozenset(self._walk[0])
+        self.order = len(self.elements)
         self._index: "GroupIndex | None" = None
-
-    @classmethod
-    def _known(cls, degree: int, generators: tuple, order: int, key: "tuple | None") -> "FiniteGroup":
-        """A group of the given order and catalog key, its generators
-        trusted and not yet closed."""
-        G = cls.__new__(cls)
-        G.degree = degree
-        G.generators = generators
-        G.name = name_for_key(key)
-        G.key = key
-        G._walk = None
-        G._elements = None
-        G.order = order
-        G._index = None
-        return G
-
-    @property
-    def elements(self) -> frozenset[Perm]:
-        if self._elements is None:
-            if self._index is None:
-                self._walk = _closure_walk(self.generators or [identity(self.degree)])
-                self._elements = frozenset(self._walk[0])
-            else:
-                self._elements = frozenset(self._index.perms)
-        return self._elements
 
     @property
     def index(self) -> "GroupIndex":
@@ -238,14 +208,13 @@ class GroupIndex:
     masks that sylow_masks read from orbit, per conjugacy class the classes
     that orbit and conjugate_masks found, each under the mask of every
     member, the subgroup lattice and its classes, the classes of
-    p-subgroups per prime, the Weyl group and the identify key per
-    subgroup mask, and the primes check_prime has accepted.
+    p-subgroups per prime, the Weyl group's order and key and the identify
+    key per subgroup mask, and the primes check_prime has accepted.
     """
 
     def __init__(self, G: FiniteGroup):
-        # The closure walk has no other reader: release it with the index
-        # built.  A group not yet closed (weyl_group's W) is walked here.
-        walk, steps = G._walk or _closure_walk(G.generators or [identity(G.degree)])
+        # The closure walk has no other reader: release it with the index built.
+        walk, steps = G._walk
         G._walk = None
         perms = sorted(walk)
         n = len(perms)
@@ -290,7 +259,7 @@ class GroupIndex:
         self._lattice: "list[Sub] | None" = None
         self._classes: "list[SubgroupClass] | None" = None
         self._p_classes: dict[int, list[SubgroupClass]] = {}
-        self._weyls: dict[int, FiniteGroup] = {}
+        self._weyls: dict[int, WeylGroup] = {}
         self._keys: dict[int, "tuple | None"] = {}
         self._primes: set[int] = set()
 
@@ -646,49 +615,46 @@ def normalizer(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> frozenset[Perm]:
     return frozenset(perms[g] for g in ix.normalizer(ix.resolve(H)))
 
 
-def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> FiniteGroup:
-    """N_G(H)/H acting on the left cosets of H inside the normalizer.
+class WeylGroup(NamedTuple):
+    """N_G(H)/H as the dperm strata read it: its order, its catalog key
+    (None when unrecognized) and that key's display name."""
 
-    Cosets are numbered by their least element.  W is generated by the
-    images of a greedy generating set of N modulo H.  W's order, key and
-    name are read from G's table as identify reads a subgroup's: xH has
-    order |<x>| / |<x> ∩ H|, one AND of masks and a popcount, and W is
-    abelian when the lifts of its generators commute modulo H.  W is not
-    closed here (FiniteGroup._known); it is formed once per subgroup mask,
-    and the group's index keeps it.
+    order: int
+    key: "tuple | None"
+    name: "str | None"
+
+
+def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> WeylGroup:
+    """N_G(H)/H, read from G's table once per subgroup mask; the group's
+    index keeps it.
+
+    H is normal in N, so the coset xH has order |<x>| / |<x> ∩ H|, one AND
+    of masks and a popcount, for every x in it: counting over N counts each
+    coset |H| times.  W is abelian when each pair of a greedy generating set
+    of N modulo H commutes modulo H.  No group is built.
     """
     ix = G.index
     sub = ix.resolve(H)
     W = ix._weyls.get(sub.mask)
     if W is not None:
         return W
-    table, mask = ix.table, sub.mask
+    table, inv, mask = ix.table, ix.inv, sub.mask
     N = ix.normalizer(sub)
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in N:
-        if x not in coset_of:
-            row = table[x]
-            for h in sub.elems:
-                coset_of[row[h]] = len(reps)
-            reps.append(x)
-    lifts, gens = [], []
+    lifts = []
     grown = sub
     for x in N:
         if x not in grown:
             grown = ix.extend(grown, x)
-            row = table[x]
             lifts.append(x)
-            gens.append(tuple(coset_of[row[r]] for r in reps))
-    orders, cyc_mask = ix.orders, ix.cyc_mask
+    # (ab)^-1 (ba) lies in H exactly when aH and bH commute.
     abelian = all(
-        coset_of[table[a][b]] == coset_of[table[b][a]]
+        mask >> table[inv[table[a][b]]][table[b][a]] & 1
         for i, a in enumerate(lifts) for b in lifts[i + 1 :]
     )
-    key = _structure_key(
-        Counter(orders[x] // (cyc_mask[x] & mask).bit_count() for x in reps), abelian
-    )
-    W = ix._weyls[sub.mask] = FiniteGroup._known(len(reps), tuple(gens), len(reps), key)
+    orders, cyc_mask, h = ix.orders, ix.cyc_mask, len(sub.elems)
+    counts = Counter(orders[x] // (cyc_mask[x] & mask).bit_count() for x in N)
+    key = _structure_key(Counter({k: c // h for k, c in counts.items()}), abelian)
+    W = ix._weyls[sub.mask] = WeylGroup(len(N) // h, key, name_for_key(key))
     return W
 
 
@@ -939,13 +905,20 @@ def group_to_obj(G: FiniteGroup) -> dict:
 
 
 def group_from_obj(obj: Mapping) -> FiniteGroup:
+    """The group a JSON object names: generators as arrays of cycles, each
+    an array of integers, and an optional string name."""
     try:
         degree = json_int(obj["degree"])
         require_within("MAX_DEGREE", degree)
         gens = [
-            perm_from_cycles(degree, [[json_int(a) for a in cycle] for cycle in cycles])
-            for cycles in obj["generators"]
+            perm_from_cycles(
+                degree, [[json_int(a) for a in json_list(cycle)] for cycle in json_list(cycles)]
+            )
+            for cycles in json_list(obj["generators"])
         ]
+        name = obj.get("name")
+        if name is not None and type(name) is not str:
+            raise TypeError(f"{name!r} is not a string")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GroupError(f"malformed group object: {exc}") from exc
-    return FiniteGroup(degree, gens, name=obj.get("name"))
+    return FiniteGroup(degree, gens, name=name)

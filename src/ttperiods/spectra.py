@@ -31,6 +31,7 @@ from .groups import (
     GroupIndex,
     Sub,
     SubgroupClass,
+    WeylGroup,
     identify,
     name_for_key,
     p_part,
@@ -110,8 +111,6 @@ def stmod_discrepancies(
     instead of being silently adopted or dropped.
     """
     key = catalog_key(group)
-    if key is None:
-        return {}
     stated = STATED_STMOD.get((key, p))
     if stated is None:
         return {}
@@ -130,9 +129,12 @@ def stmod_discrepancies(
 
 @dataclass(frozen=True)
 class DPermStratum:
+    """One class of p-subgroups H: its Weyl group's order and catalog key,
+    and that key's extended variety and periods."""
+
     label: str
     subgroup_class: SubgroupClass
-    weyl: FiniteGroup
+    weyl: WeylGroup
     variety: SpechModel
     rep_periods: PeriodAssignment
     normal: bool
@@ -167,7 +169,8 @@ def _stratum_labels(ix: GroupIndex, classes: list[SubgroupClass]) -> list[str]:
 
 def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
     """One stratum per conjugacy class of p-subgroups, read from the
-    classes, Weyl groups and table the group's index keeps."""
+    classes, Weyl groups and table the group's index keeps.  A Weyl group
+    of unrecognized type goes to the catalog as ("unidentified", order)."""
     ix = G.index
     classes = ix.p_classes(p)
     labels = _stratum_labels(ix, classes)
@@ -175,8 +178,7 @@ def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
     for cls, label in zip(classes, labels):
         W = weyl_group(G, cls.sub)
         try:
-            # The key weyl_group found; an unidentified W goes by itself.
-            variety, rep = rep_period_map(W.key or W, p)
+            variety, rep = rep_period_map(W.key or ("unidentified", W.order), p)
         except GroupNotInCatalog as exc:
             raise WeylNotInCatalog(f"stratum {label}: {exc}") from exc
         strata.append(

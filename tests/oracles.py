@@ -489,14 +489,19 @@ def reference_normalizer(G, H):
     return [g for g in sorted(G.elements) if conjugate_subgroup(g, H) == H]
 
 
-def reference_weyl_key(G, H):
-    """identify of N_G(H)/H, acting on the left cosets of H in
-    reference_normalizer."""
+def reference_weyl_group(G, H):
+    """N_G(H)/H as a permutation group: each element of reference_normalizer
+    acting on the left cosets of H inside it."""
     N = reference_normalizer(G, H)
     cosets = sorted({frozenset(groups.compose(n, h) for h in H) for n in N}, key=sorted)
     where = {x: i for i, c in enumerate(cosets) for x in c}
     gens = [tuple(where[groups.compose(n, min(c))] for c in cosets) for n in N]
-    return identify(FiniteGroup(len(cosets), gens))
+    return FiniteGroup(len(cosets), gens)
+
+
+def reference_weyl_key(G, H):
+    """identify of reference_weyl_group."""
+    return identify(reference_weyl_group(G, H))
 
 
 def reference_dperm_strata(G, p):

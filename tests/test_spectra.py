@@ -61,6 +61,8 @@ from oracles import (
     oracle_quillen_components,
     p_complement,
     reference_dperm_strata,
+    reference_weyl_group,
+    reference_weyl_key,
     variety_components,
 )
 from test_graded import assert_masks_match_patterns
@@ -360,15 +362,20 @@ class TestQuillenComponents:
         pairs, strata = [], []
         for G in CATALOG_24:
             for p in _prime_factors(G.order):
-                cases = [(pairs, None, G)]
-                cases += [(strata, cls.order, weyl_group(G, cls.sub)) for cls in G.index.p_classes(p)]
-                for found, label, W in cases:
+                # The catalog reads the library's Weyl key; the oracle's
+                # Weyl group, built on cosets, gives the components.
+                cases = [(pairs, None, G, G)]
+                for cls in G.index.p_classes(p):
+                    W = weyl_group(G, cls.sub)
+                    cases.append((strata, cls.order, W.key or ("unidentified", W.order),
+                                  reference_weyl_group(G, cls.representative)))
+                for found, label, group, built in cases:
                     try:
-                        model, _ = rep_period_map(W.key or W, p)
+                        model, _ = rep_period_map(group, p)
                     except GroupNotInCatalog:
                         continue
                     found.append((G.name, p, label, variety_components(model),
-                                  oracle_quillen_components(W, p)))
+                                  oracle_quillen_components(built, p)))
         assert [c for c in pairs + strata if c[3] != c[4]] == []
         assert (len(pairs), len(strata)) == (44, 250)
         assert ("D8", 2, None, [2, 2], [2, 2]) in pairs
@@ -550,7 +557,7 @@ class TestDPermPeriodMap:
         for G in (quaternion(8), cyclic(8), elementary_abelian(2, 2)):
             asm = dperm_period_map(G, 2)
             for s in asm.strata:
-                _, stper = stmod_period_map(s.weyl, 2)
+                _, stper = stmod_period_map(s.weyl.key, 2)
                 for q in s.variety.space.points:
                     if q == s.irrelevant:
                         continue
@@ -608,6 +615,7 @@ class TestOneIdentifyPerCall:
     def test_each_weyl_group_once(self, monkeypatch):
         from ttperiods import cohomology, groups, spectra
 
+        G = dihedral(8)
         seen = []
         real = groups.identify
 
@@ -617,15 +625,15 @@ class TestOneIdentifyPerCall:
 
         for module in (groups, cohomology, spectra):
             monkeypatch.setattr(module, "identify", counted)
-        asm = dperm_period_map(dihedral(8), 2)
-        weyls = [s.weyl for s in asm.strata]
-        assert len(weyls) == 8
-        for W in weyls:
-            assert W.name is not None
-            # weyl_group reads W's key from D8's table once, so nothing
-            # identifies W as a group of its own; the key is still right.
-            assert not any(H is W for H in seen), W.name
-            assert W.key == real(W), W.name
+        asm = dperm_period_map(G, 2)
+        # weyl_group reads each W's key from D8's table, so G is the only
+        # group identified; the keys are still the oracle's.
+        assert len(seen) == 1 and seen[0] is G
+        assert len(asm.strata) == 8
+        for s in asm.strata:
+            assert s.weyl.name is not None
+            H = s.subgroup_class.representative
+            assert s.weyl.key == reference_weyl_key(G, H), s.label
 
 
 # Seeds whose permutation moves the group's elements (seed 2 fixes D8's).
@@ -729,7 +737,8 @@ class TestStatedDPerm:
 
 
 class TestDPermWorkCount:
-    """A second assembly on the same group reads what the index kept."""
+    """A second assembly on the same group reads what the index kept, and
+    neither assembly builds a group besides G."""
 
     @pytest.mark.parametrize("G,p", [
         (dihedral(8), 2), (quaternion(16), 2), (elementary_abelian(2, 4), 2),
@@ -737,11 +746,8 @@ class TestDPermWorkCount:
     ], ids=lambda x: getattr(x, "name", str(x)))
     def test_second_dperm_searches_and_builds_nothing(self, monkeypatch, G, p):
         G = FiniteGroup(G.degree, G.generators, name=G.name)
-        # A group is built by FiniteGroup.__init__, or by FiniteGroup._known
-        # (weyl_group's W); both count.
         counts = {"extend": 0, "groups": 0}
         extend, init = GroupIndex.extend, FiniteGroup.__init__
-        known = FiniteGroup._known.__func__
 
         def counted_extend(self, H, x):
             counts["extend"] += 1
@@ -751,15 +757,11 @@ class TestDPermWorkCount:
             counts["groups"] += 1
             init(self, *args, **kwargs)
 
-        def counted_known(cls, *args, **kwargs):
-            counts["groups"] += 1
-            return known(cls, *args, **kwargs)
-
         monkeypatch.setattr(GroupIndex, "extend", counted_extend)
         monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
-        monkeypatch.setattr(FiniteGroup, "_known", classmethod(counted_known))
         first = dperm_period_map(G, p)
-        assert counts["extend"] > 0 and counts["groups"] > 0
+        # No group beyond G is built, the Weyl groups included.
+        assert counts["extend"] > 0 and counts["groups"] == 0
         counts.update(extend=0, groups=0)
         second = dperm_period_map(G, p)
         assert counts == {"extend": 0, "groups": 0}

@@ -326,7 +326,7 @@ def test_subconjugacy_routes_at_scale(build, size):
 )
 def test_weyl_groups_at_the_group_order_limit(build, p):
     # The Weyl group of every class of p-subgroups against the oracle: its
-    # order, its elements against a walk of its generators, and its key.
+    # order and its key.
     # C243 and C125 are Artin tower levels; D108's lattice is the
     # MAX_SUBGROUP_LOOKUPS probe above.
     assert weyl_route_mismatches(build(), p) == []
