@@ -25,7 +25,7 @@ from .graded import (
     make_ring,
     point_periods,
 )
-from .groups import FiniteGroup, identify, p_part, require_prime
+from .groups import FiniteGroup, WeylGroup, identify, p_part, require_prime
 from .spaces import PeriodAssignment
 
 
@@ -49,11 +49,14 @@ class CatalogEntry:
         return enumerate_patterns(self.presentation, self.witnesses)
 
 
-def catalog_key(group: "FiniteGroup | str | tuple") -> tuple:
-    """The catalog key of a group, name or key; ("unidentified", order) for
-    a group whose isomorphism type identify does not recognize."""
+def catalog_key(group: "FiniteGroup | WeylGroup | str | tuple") -> tuple:
+    """The catalog key of a group, Weyl group, name or key; ("unidentified",
+    order) for a group whose isomorphism type identify does not recognize."""
     if isinstance(group, FiniteGroup):
         return identify(group) or ("unidentified", group.order)
+    # Before the tuple branch: the record is a tuple too.
+    if isinstance(group, WeylGroup):
+        return group.key or ("unidentified", group.order)
     if isinstance(group, str):
         return (group,)
     return tuple(group)
@@ -71,7 +74,7 @@ def _key_order(key: tuple) -> int:
     raise GroupNotInCatalog(f"unknown catalog key {key!r}")
 
 
-def cohomology_entry(group: "FiniteGroup | str | tuple", p: int) -> CatalogEntry:
+def cohomology_entry(group: "FiniteGroup | WeylGroup | str | tuple", p: int) -> CatalogEntry:
     """The reduced cohomology presentation of the group at the prime p."""
     require_prime(p)
     return _entry(catalog_key(group), p)
@@ -128,7 +131,7 @@ _VARIETIES: dict[tuple[tuple, int], "tuple[SpechModel, PeriodAssignment]"] = {}
 
 
 def rep_period_map(
-    group: "FiniteGroup | str | tuple", p: int
+    group: "FiniteGroup | WeylGroup | str | tuple", p: int
 ) -> tuple[SpechModel, PeriodAssignment]:
     """Extended variety of the group's reduced cohomology, with periods.
 

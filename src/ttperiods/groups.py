@@ -8,9 +8,12 @@ use (elements numbered in sorted order, a multiplication table, subgroups as
 int bitmasks), and every function converts at its boundary; the functions
 that take a subgroup also take a Sub of the group's index, which callers
 already holding one (the dperm assembly) pass to skip the conversion.
-identify reads a catalog key from the table: ("abelian", invariant factors)
-for every abelian group, the trivial one included, ("quaternion", n) or
-("dihedral", 8) for the nonabelian types it recognizes, and None otherwise.
+A group and its Weyl groups are both sections N/H of the table, H normal
+in N, read by one routine (GroupIndex.section): identify is the section G/1
+and weyl_group the section N_G(H)/H.  A section's catalog key is
+("abelian", invariant factors) for every abelian group, the trivial one
+included, ("quaternion", n) or ("dihedral", 8) for the nonabelian types it
+recognizes, and None otherwise.
 The p-subconjugacy order ships with two independent criteria (Sylow
 containment and Mackey index) that are always cross-checked.
 """
@@ -208,8 +211,9 @@ class GroupIndex:
     masks that sylow_masks read from orbit, per conjugacy class the classes
     that orbit and conjugate_masks found, each under the mask of every
     member, the subgroup lattice and its classes, the classes of
-    p-subgroups per prime, the Weyl group's order and key and the identify
-    key per subgroup mask, and the primes check_prime has accepted.
+    p-subgroups per prime, per subgroup mask H the section N(H)/H that
+    weyl_group read and the key of the section H/1 that identify read, and
+    the primes check_prime has accepted.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -540,21 +544,37 @@ class GroupIndex:
 
     # -- structure read from the table --
 
-    def is_abelian(self, sub: Sub) -> bool:
-        """The subgroup's generators commute pairwise."""
-        table, gens = self.table, sub.gens
-        return all(
-            table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
+    def section(self, elems: Sequence[int], lifts: Sequence[int], H: Sub) -> "WeylGroup":
+        """The section elems/H, for H normal in the subgroup on elems and
+        lifts that generate it modulo H, read from the table.
+
+        H is normal, so the coset xH has order |<x>| / |<x> ∩ H|, one AND of
+        masks and a popcount, for every x in it: counting over the elements
+        counts each coset |H| times.  The section is abelian when each pair
+        of lifts commutes modulo H.
+        """
+        table, inv, mask, h = self.table, self.inv, H.mask, len(H.elems)
+        # (ab)^-1 (ba) lies in H exactly when aH and bH commute.
+        abelian = all(
+            mask >> table[inv[table[a][b]]][table[b][a]] & 1
+            for i, a in enumerate(lifts) for b in lifts[i + 1 :]
         )
+        orders = self.orders
+        if h == 1:
+            counts = Counter(map(orders.__getitem__, elems))
+        else:
+            cyc_mask = self.cyc_mask
+            counts = Counter(orders[x] // (cyc_mask[x] & mask).bit_count() for x in elems)
+            counts = Counter({k: c // h for k, c in counts.items()})
+        key = _structure_key(counts, abelian)
+        return WeylGroup(len(elems) // h, key, name_for_key(key))
 
     def identify(self, sub: Sub) -> "tuple | None":
         """Catalog key of the subgroup's isomorphism type, or None when
-        unrecognized, read from the table (generator commutation and the
-        orders of its elements) once per subgroup mask."""
+        unrecognized: the section sub/1, read once per subgroup mask."""
         key = self._keys.get(sub.mask, False)
         if key is False:
-            orders = Counter(map(self.orders.__getitem__, sub.elems))
-            key = self._keys[sub.mask] = _structure_key(orders, self.is_abelian(sub))
+            key = self._keys[sub.mask] = self.section(sub.elems, sub.gens, self.trivial()).key
         return key
 
 
@@ -609,15 +629,10 @@ def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
     return list(G.index.classes())
 
 
-def normalizer(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> frozenset[Perm]:
-    ix = G.index
-    perms = ix.perms
-    return frozenset(perms[g] for g in ix.normalizer(ix.resolve(H)))
-
-
 class WeylGroup(NamedTuple):
-    """N_G(H)/H as the dperm strata read it: its order, its catalog key
-    (None when unrecognized) and that key's display name."""
+    """A section N/H as identify and the dperm strata read it, N_G(H)/H for
+    a Weyl group: its order, its catalog key (None when unrecognized) and
+    that key's display name."""
 
     order: int
     key: "tuple | None"
@@ -625,36 +640,21 @@ class WeylGroup(NamedTuple):
 
 
 def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> WeylGroup:
-    """N_G(H)/H, read from G's table once per subgroup mask; the group's
-    index keeps it.
-
-    H is normal in N, so the coset xH has order |<x>| / |<x> ∩ H|, one AND
-    of masks and a popcount, for every x in it: counting over N counts each
-    coset |H| times.  W is abelian when each pair of a greedy generating set
-    of N modulo H commutes modulo H.  No group is built.
-    """
+    """The section N_G(H)/H, read from G's table once per subgroup mask;
+    the group's index keeps it.  Its lifts are a greedy generating set of
+    N modulo H.  No group is built."""
     ix = G.index
     sub = ix.resolve(H)
     W = ix._weyls.get(sub.mask)
-    if W is not None:
-        return W
-    table, inv, mask = ix.table, ix.inv, sub.mask
-    N = ix.normalizer(sub)
-    lifts = []
-    grown = sub
-    for x in N:
-        if x not in grown:
-            grown = ix.extend(grown, x)
-            lifts.append(x)
-    # (ab)^-1 (ba) lies in H exactly when aH and bH commute.
-    abelian = all(
-        mask >> table[inv[table[a][b]]][table[b][a]] & 1
-        for i, a in enumerate(lifts) for b in lifts[i + 1 :]
-    )
-    orders, cyc_mask, h = ix.orders, ix.cyc_mask, len(sub.elems)
-    counts = Counter(orders[x] // (cyc_mask[x] & mask).bit_count() for x in N)
-    key = _structure_key(Counter({k: c // h for k, c in counts.items()}), abelian)
-    W = ix._weyls[sub.mask] = WeylGroup(len(N) // h, key, name_for_key(key))
+    if W is None:
+        N = ix.normalizer(sub)
+        lifts = []
+        grown = sub
+        for x in N:
+            if x not in grown:
+                grown = ix.extend(grown, x)
+                lifts.append(x)
+        W = ix._weyls[sub.mask] = ix.section(N, lifts, sub)
     return W
 
 
@@ -694,6 +694,8 @@ def _abelian_invariants(orders: Counter) -> tuple[int, ...]:
         j = 1
         while True:
             c = sum(k for o, k in orders.items() if p**j % o == 0)
+            if not c:
+                raise RuntimeError(f"order counts {dict(orders)} are not a group's")
             v = 0
             while c % p == 0:
                 c //= p
@@ -751,22 +753,6 @@ def require_prime(p: int) -> None:
     """Refuse a modulus that is not prime, naming it."""
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-
-
-def sylow(H: "frozenset[Perm] | FiniteGroup", p: int) -> frozenset[Perm]:
-    """A Sylow p-subgroup, grown greedily; maximal p-subgroups are Sylow.
-    A set of permutations that is not a group raises NotSubgroup."""
-    require_prime(p)
-    if not isinstance(H, FiniteGroup):
-        els = sorted(H)
-        if not els:
-            raise NotSubgroup(els)
-        G = FiniteGroup(len(els[0]), els)
-        if G.elements != frozenset(els):
-            raise NotSubgroup(els[:3])
-        H = G
-    ix = H.index
-    return ix.frozen(ix.sylow(ix.whole(), p))
 
 
 def p_subconjugate_sylow(

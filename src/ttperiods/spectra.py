@@ -169,8 +169,8 @@ def _stratum_labels(ix: GroupIndex, classes: list[SubgroupClass]) -> list[str]:
 
 def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
     """One stratum per conjugacy class of p-subgroups, read from the
-    classes, Weyl groups and table the group's index keeps.  A Weyl group
-    of unrecognized type goes to the catalog as ("unidentified", order)."""
+    classes, Weyl groups and table the group's index keeps; the catalog
+    keys each Weyl group."""
     ix = G.index
     classes = ix.p_classes(p)
     labels = _stratum_labels(ix, classes)
@@ -178,7 +178,7 @@ def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
     for cls, label in zip(classes, labels):
         W = weyl_group(G, cls.sub)
         try:
-            variety, rep = rep_period_map(W.key or ("unidentified", W.order), p)
+            variety, rep = rep_period_map(W, p)
         except GroupNotInCatalog as exc:
             raise WeylNotInCatalog(f"stratum {label}: {exc}") from exc
         strata.append(

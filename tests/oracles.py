@@ -796,12 +796,17 @@ def is_alexandrov_open(ds) -> bool:
     )
 
 
+def commute(perms) -> bool:
+    """The permutations commute pairwise, composed as permutations."""
+    return all(groups.compose(a, b) == groups.compose(b, a)
+               for a, b in itertools.combinations(perms, 2))
+
+
 def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     """Invariant factor chain d1 | d2 | ... for an abelian group."""
-    ix = G.index
-    if not ix.is_abelian(ix.whole()):
+    if not commute(G.generators):
         raise GroupError("abelian invariants of a nonabelian group")
-    return _abelian_invariants(Counter(ix.orders))
+    return _abelian_invariants(Counter(G.index.orders))
 
 
 # -- multigraded rings -------------------------------------------------
@@ -1807,7 +1812,8 @@ def elementary_abelian_classes(G: FiniteGroup, p: int) -> list:
     abelian."""
     ix = G.index
     return [c for c in ix.p_classes(p)
-            if ix.is_abelian(c.sub) and all(ix.orders[x] in (1, p) for x in c.sub.elems)]
+            if commute([ix.perms[x] for x in c.sub.gens])
+            and all(ix.orders[x] in (1, p) for x in c.sub.elems)]
 
 
 def p_rank(G: FiniteGroup, p: int) -> int:
