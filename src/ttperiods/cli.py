@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnosis, UsageError, json_int, require_within
+from .diagnostics import Diagnosis, UsageError, json_int, json_list, require_within
 from .spaces import (
     TAG_COMPUTED,
     dumps_canonical,
@@ -281,8 +281,10 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
     obj, digest = _load_json_source(spec)
     inputs[spec] = digest
     try:
-        gens = tuple((row["src"], row["dst"], tuple(json_int(x) for x in row["vec"]))
-                     for row in obj["generators"])
+        gens = tuple(
+            (row["src"], row["dst"], tuple(json_int(x) for x in json_list(row["vec"])))
+            for row in json_list(obj["generators"])
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system: {exc}") from exc
     if not all(isinstance(a, str) and isinstance(b, str) for a, b, _ in gens):

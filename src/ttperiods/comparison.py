@@ -64,18 +64,12 @@ class SectionTable:
 
 
 def make_table(space, bundles, sections, products=()) -> SectionTable:
-    secs = []
-    for item in sections:
-        if isinstance(item, Section):
-            secs.append(item)
-        else:
-            name, bundle, degree, locus = item
-            secs.append(Section(name, bundle, int(degree), frozenset(locus)))
-    if isinstance(products, Mapping):
-        prods = {tuple(k): v for k, v in products.items()}
-    else:
-        prods = {(a, b): ab for a, b, ab in products}
-    return SectionTable(space, dict(bundles), tuple(secs), prods)
+    """A table from (name, bundle, degree, locus) rows and (a, b, ab) products."""
+    secs = tuple(
+        Section(name, bundle, int(degree), frozenset(locus))
+        for name, bundle, degree, locus in sections
+    )
+    return SectionTable(space, dict(bundles), secs, {(a, b): ab for a, b, ab in products})
 
 
 def validate_section_table(table: SectionTable) -> Diagnosis:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, json_list, require_within
 from .spaces import ALL, FiniteSpectralModel, divides, is_prime
 
 
@@ -65,18 +65,11 @@ Relation = tuple[Term, ...]
 
 
 @dataclass(frozen=True)
-class TauTable:
-    """Finite transposition table: degree pair -> unit scalar."""
-
-    entries: Mapping[tuple[int, int], int]
-
-
-@dataclass(frozen=True)
 class GradedRingPresentation:
     char: int
     generators: tuple[Generator, ...]
     relations: tuple[Relation, ...] = ()
-    constraint: "str | TauTable" = "koszul"
+    constraint: str = "koszul"  # the sign rule: "koszul" or "trivial"
 
     def generator(self, name: str) -> Generator:
         for g in self.generators:
@@ -106,7 +99,7 @@ def make_ring(
     char: int,
     generators: Sequence[tuple],
     relations: Sequence[Sequence[tuple[int, Mapping[str, int]]]] = (),
-    constraint: "str | TauTable" = "koszul",
+    constraint: str = "koszul",
 ) -> GradedRingPresentation:
     """Convenience constructor with coefficient canonicalization.
 
@@ -138,7 +131,7 @@ def make_ring(
 
 
 def validate_presentation(ring: GradedRingPresentation) -> Diagnosis:
-    """Homogeneity, transposition axioms, and the odd-unit constraint."""
+    """Homogeneity, a known sign constraint, and the odd-unit rule."""
     names = ring.names()
     if len(set(names)) != len(names):
         return failure("duplicate-generator", names)
@@ -156,25 +149,7 @@ def validate_presentation(ring: GradedRingPresentation) -> Diagnosis:
             degs.add(ring.term_degree(term))
         if len(degs) > 1:
             return failure("inhomogeneous", rel)
-    if isinstance(ring.constraint, TauTable):
-        tau = dict(ring.constraint.entries)
-        for (a, b), u in tau.items():
-            if ring.char and u % ring.char == 0:
-                return failure("tau-not-unit", (a, b))
-            if u == 0:
-                return failure("tau-not-unit", (a, b))
-            if (b, a) in tau and tau[(b, a)] != u:
-                return failure("tau-not-symmetric", (a, b))
-        for (a, b), u in tau.items():
-            for (c, d), v in tau.items():
-                if d == b and (a + c, b) in tau:
-                    lhs = tau[(a + c, b)]
-                    rhs = u * v
-                    if ring.char:
-                        lhs, rhs = lhs % ring.char, rhs % ring.char
-                    if lhs != rhs:
-                        return failure("tau-not-bilinear", (a, c, b))
-    elif ring.constraint not in ("koszul", "trivial"):
+    if ring.constraint not in ("koszul", "trivial"):
         return failure("unknown-constraint", ring.constraint)
     if ring.constraint == "koszul":
         # An invertible element of odd degree forces 2 = 0 under the
@@ -438,8 +413,6 @@ def oracle_local_period(
 # -- serialization -----------------------------------------------------
 
 def ring_to_obj(ring: GradedRingPresentation) -> dict:
-    if isinstance(ring.constraint, TauTable):
-        raise GradedError("tau tables have no JSON form; use koszul or trivial")
     return {
         "char": ring.char,
         "constraint": ring.constraint,
@@ -468,18 +441,19 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
                 json_flag(g.get("invertible", False)),
                 json_flag(g.get("nilpotent", False)),
             )
-            for g in obj["generators"]
+            for g in json_list(obj["generators"])
         ]
         if not all(isinstance(g[0], str) for g in gens):
             raise GradedError("malformed ring object: a generator name is not a string")
         rels = [
             [(json_int(t["coeff"]), {n: json_int(e) for n, e in t["monomial"].items()})
-             for t in rel]
-            for rel in obj.get("relations", [])
+             for t in json_list(rel)]
+            for rel in json_list(obj.get("relations", []))
         ]
-        return make_ring(
-            json_int(obj["char"]), gens, rels, obj.get("constraint", "koszul")
-        )
+        constraint = obj.get("constraint", "koszul")
+        if not isinstance(constraint, str):
+            raise GradedError("malformed ring object: the constraint is not a string")
+        return make_ring(json_int(obj["char"]), gens, rels, constraint)
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise GradedError(f"malformed ring object: {exc}") from exc
 

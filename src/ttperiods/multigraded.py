@@ -60,9 +60,6 @@ class AbelianGroup:
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
 
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
     def sub(self, a, b) -> tuple[int, ...]:
         return tuple((x - y) % n for x, y, n in zip(a, b, self.orders))
 
@@ -984,10 +981,6 @@ def ring_ideals(ring: MultigradedRing) -> IdealLattice:
 def is_ring_prime(ring: MultigradedRing, ideal: Ideal) -> bool:
     """Proper, and rs inside forces r or s inside (homogeneous pairs)."""
     return ring.index.is_prime(ideal)
-
-
-def ideal_name_ring(ring: MultigradedRing, ideal: Ideal) -> str:
-    return ring.index.name(ideal, None, ring.render)
 
 
 # -- multiplicative systems and fractions -----------------------------

@@ -173,6 +173,13 @@ class FiniteSpectralModel:
 
     # -- name <-> mask boundary ----------------------------------------
 
+    def _at(self, p: str) -> int:
+        """Number of a point; ModelError on an unknown name."""
+        i = self._index.get(p)
+        if i is None:
+            raise ModelError(f"unknown point {p!r}")
+        return i
+
     def _mask(self, subset: Iterable[str]) -> int:
         """Mask of a subset of points; ModelError on an unknown name."""
         index = self._index
@@ -191,26 +198,23 @@ class FiniteSpectralModel:
     # -- order ---------------------------------------------------------
 
     def specializes(self, p: str, q: str) -> bool:
-        j = self._index.get(q)
-        return j is not None and bool(self._down[self._index[p]] >> j & 1)
+        return bool(self._down[self._at(p)] >> self._at(q) & 1)
 
     def specializations(self, p: str) -> frozenset[str]:
         """All q with p -> q, i.e. the closure of {p}."""
-        return self._names(self._down[self._index[p]])
+        return self._names(self._down[self._at(p)])
+
+    def _spread(self, masks: Sequence[int], subset: Iterable[str]) -> frozenset[str]:
+        out = 0
+        for p in subset:
+            out |= masks[self._at(p)]
+        return self._names(out)
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
-        down, index = self._down, self._index
-        out = 0
-        for p in subset:
-            out |= down[index[p]]
-        return self._names(out)
+        return self._spread(self._down, subset)
 
     def generalization_closure(self, subset: Iterable[str]) -> frozenset[str]:
-        up, index = self._up, self._index
-        out = 0
-        for p in subset:
-            out |= up[index[p]]
-        return self._names(out)
+        return self._spread(self._up, subset)
 
     def is_open(self, subset: Iterable[str]) -> bool:
         sub = self._mask(subset)
@@ -390,37 +394,6 @@ def check_period_map(model: FiniteSpectralModel, per) -> Diagnosis:
         j = next(_bits(model._down[i] & ~allowed[labels[i]]))
         return failure("not-monotone", model.points[i], model.points[j])
     return PASS
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """A fiber {per = d} together with its locally-closed certificate."""
-
-    members: frozenset[str]
-    locally_closed: bool
-    open_part: frozenset[str]
-    closed_part: frozenset[str]
-
-
-def strata(model: FiniteSpectralModel, per, d: int) -> Stratum:
-    """The fiber {p : per(p) = d}, certified locally closed.
-
-    A subset is locally closed iff it equals the intersection of its
-    generalization closure (an open) with its closure (a closed set).
-    """
-    diag = check_period_map(model, per)
-    if not diag:
-        raise ModelError(f"period map invalid: {diag.describe()}")
-    vals = _values(per)
-    members = frozenset(p for p in model.points if vals[p] == d)
-    open_part = model.generalization_closure(members)
-    closed_part = model.closure(members)
-    return Stratum(
-        members=members,
-        locally_closed=(open_part & closed_part) == members,
-        open_part=open_part,
-        closed_part=closed_part,
-    )
 
 
 def restrict_to_open(

@@ -21,7 +21,7 @@ from typing import Mapping
 from .cohomology import (
     GroupNotInCatalog,
     WeylNotInCatalog,
-    catalog_key,
+    catalog_section,
     rep_period_map,
 )
 from .diagnostics import Diagnosis, PASS, UsageError, failure
@@ -67,7 +67,7 @@ def _irrelevant_point(model: SpechModel) -> str:
 
 
 def stmod_period_map(
-    group: "FiniteGroup | str | tuple", p: int
+    group: "FiniteGroup | WeylGroup | str", p: int
 ) -> tuple[SpechModel, PeriodAssignment]:
     """rep_period_map with the irrelevant closed point removed."""
     model, per = rep_period_map(group, p)
@@ -101,7 +101,7 @@ STATED_DPERM: dict[tuple, dict[tuple, int]] = {
 
 
 def stmod_discrepancies(
-    group: "FiniteGroup | str | tuple", p: int
+    group: "FiniteGroup | WeylGroup | str", p: int
 ) -> dict[str, tuple[int, int]]:
     """Derived values clashing with the blanket part of a stated table.
 
@@ -110,12 +110,12 @@ def stmod_discrepancies(
     disagree, and each one maps to (derived, stated) in the result
     instead of being silently adopted or dropped.
     """
-    key = catalog_key(group)
-    stated = STATED_STMOD.get((key, p))
+    W = catalog_section(group)
+    stated = STATED_STMOD.get((W.key, p))
     if stated is None:
         return {}
     named, default = stated
-    model, per = stmod_period_map(key, p)
+    model, per = stmod_period_map(W, p)
     out = {}
     for q in model.space.points:
         want = named.get(q, default)

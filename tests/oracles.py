@@ -111,7 +111,6 @@ from ttperiods.multigraded import (
     _reduce,
     all_vectors,
     basis_vectors,
-    ideal_name_ring,
     in_span,
     is_ring_prime,
     make_multigraded,
@@ -330,7 +329,7 @@ def reference_units(ring):
     one = (ring.group.zero, ring.one)
     out = []
     for u in ring.homogeneous_elements():
-        x = ring.group.neg(u[0])
+        x = ring.group.sub(ring.group.zero, u[0])
         for v in all_vectors(ring.char, ring.dims[x]):
             if mg_mul(ring, u, (x, v)) == one and mg_mul(ring, (x, v), u) == one:
                 out.append(u)
@@ -823,7 +822,7 @@ def ring_primes(ring: MultigradedRing) -> list:
 def spech_multigraded(ring: MultigradedRing):
     """Homogeneous prime spectrum as a finite spectral model, plus the
     point-name-to-ideal mapping."""
-    return prime_spectrum(ring_primes(ring), lambda i: ideal_name_ring(ring, i))
+    return prime_spectrum(ring_primes(ring), lambda i: ring.index.name(i, None, ring.render))
 
 
 # -- the ideal engine without stop rules -------------------------------

@@ -81,6 +81,7 @@ class TestRing:
         "char-not-prime": ring_to_obj(make_ring(4, [("x", 2)])),
         "duplicate-generator": ring_to_obj(make_ring(2, [("x", 1), ("y", 1), ("x", 1)])),
         "odd-period": ring_to_obj(make_ring(3, [("u", 1, True), ("y", 2)])),
+        "unknown-constraint": {**ring_to_obj(make_ring(2, [("x", 1)])), "constraint": "super"},
         "inhomogeneous": {
             **ring_to_obj(make_ring(2, [("x", 1), ("y", 2)], [[(1, {"x": 1}), (1, {"y": 1})]])),
             "witnesses": [[[], "witness"], [["x", "y"], "witness"]],
@@ -103,6 +104,22 @@ class TestRing:
         )
         assert code == 0
         assert out.startswith('digraph "d8"')
+
+    @pytest.mark.parametrize("argv, name", [
+        (("group", "stmod", "--group", "D8", "--prime", "2"), "stmod_D8_2"),
+        (("group", "stmod", "--group", "1", "--prime", "2"), "stmod_1_2"),
+        (("tworing", "spc", "--input", "laurent_f2_z2"), "spc_laurent_f2_z2"),
+    ], ids=["stmod D8", "stmod 1", "tworing spc"])
+    def test_stmod_and_spc_dot(self, capsys, argv, name):
+        # One node per point of the JSON report, under the command's name.
+        code, out, _ = run(capsys, *argv, "--format", "dot")
+        assert code == 0
+        assert out.startswith(f'digraph "{name}" {{\n')
+        nodes = {line.split('"')[1] for line in out.splitlines()
+                 if line.startswith('  "') and " -> " not in line}
+        code, report, _ = run(capsys, *argv)
+        assert code == 0
+        assert nodes == set(json.loads(report)["result"]["model"]["points"])
 
     def test_witnesses_required_for_non_monomial(self, capsys, tmp_path):
         ring = make_ring(
@@ -207,11 +224,16 @@ class TestRing:
         assert (code, out) == (2, "")
         assert f"negative exponent -1 on generator {generator['name']!r}" in err
 
-    def test_validate_rejects_dot(self, capsys, d8_ring_file):
-        code, _, err = run(
-            capsys, "ring", "validate", "--input", d8_ring_file, "--format", "dot"
-        )
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ("ring", "validate", "--input", None),
+        ("tworing", "ideals", "--input", "laurent_f2_z2"),
+        ("tworing", "localize", "--input", "laurent_f2_z2"),
+    ], ids=["ring validate", "tworing ideals", "tworing localize"])
+    def test_validate_rejects_dot(self, capsys, d8_ring_file, argv):
+        argv = tuple(d8_ring_file if a is None else a for a in argv)
+        code, out, err = run(capsys, *argv, "--format", "dot")
+        assert (code, out) == (2, "")
+        assert err == f"input error: {argv[1]} has no dot form\n"
 
     def test_deterministic_output(self, capsys, d8_ring_file):
         _, first, _ = run(capsys, "ring", "periods", "--input", d8_ring_file)
@@ -834,7 +856,8 @@ class TestUsage:
         assert "malformed" in err
 
     # Per reader, a value in an integer or flag position that JSON does not
-    # type as one: a float (2.0 too), a boolean or a string is never coerced.
+    # type as one: a float (2.0 too), a boolean or a string is never coerced;
+    # nor is anything but a string read as a ring's constraint.
     LOOKALIKES = {
         "ring degree 2.7": ("d8_ring", ("generators", 2, "degree"), 2.7),
         "ring degree 2.0": ("d8_ring", ("generators", 2, "degree"), 2.0),
@@ -843,6 +866,9 @@ class TestUsage:
         "ring exponent 1.0": ("d8_ring", ("relations", 0, 0, "monomial", "α0"), 1.0),
         "ring flag string": ("d8_ring", ("generators", 0, "invertible"), "no"),
         "ring flag integer": ("d8_ring", ("generators", 0, "nilpotent"), 0),
+        "ring constraint 5": ("d8_ring", ("constraint",), 5),
+        "ring constraint object": ("d8_ring", ("constraint",), {}),
+        "ring constraint array": ("d8_ring", ("constraint",), ["koszul"]),
         "period 1.0": ("stmod_d8_space", ("periods", "⟨α0⟩"), 1.0),
         "period true": ("stmod_d8_space", ("periods", "⟨α0⟩"), True),
         "bundle degree 1.0": ("stmod_d8_sections", ("bundles", "L1"), 1.0),
@@ -876,9 +902,10 @@ class TestUsage:
         assert out == ""
         assert "malformed" in err
 
-    # Per array field of the model and section-table readers, a string or an
-    # object in its place, which iterating would read as its characters or
-    # its keys: each edit alone reads as the array form would.
+    # Per array field of the model, section-table, ring and system readers,
+    # a string or an object in its place, which iterating would read as its
+    # characters or its keys: each edit alone reads as the array form would,
+    # save that an empty system vector is no morphism.
     NON_ARRAYS = {
         "model points": ("space", [(("points",), "gs")]),
         "model specializes": ("space", [(("specializes",), {"gs": 0})]),
@@ -887,6 +914,15 @@ class TestUsage:
         "table locus": ("sections", [(("sections", 0, "locus"), "gs")]),
         "table products": ("sections", [(("products",), {"tuv": 0})]),
         "table product entry": ("sections", [(("products", 0), "tuv")]),
+        "ring generators": ("ring", [(("generators",), {})]),
+        "ring generators text": ("ring", [(("generators",), "")]),
+        "ring relations": ("ring", [(("relations",), {})]),
+        "ring relations text": ("ring", [(("relations",), "")]),
+        "ring relation": ("ring", [(("relations",), [{}])]),
+        "ring relation text": ("ring", [(("relations",), [""])]),
+        "system generators": ("system", [(("generators",), {})]),
+        "system generators text": ("system", [(("generators",), "")]),
+        "system vec": ("system", [(("generators", 0, "vec"), "")]),
     }
 
     @pytest.mark.parametrize("case", sorted(NON_ARRAYS))
@@ -903,12 +939,20 @@ class TestUsage:
                              for name, bundle, degree in sections],
                 "products": [["t", "u", "v"]],
             },
+            "ring": ring_to_obj(ring),
+            "system": {"generators": [{"src": "0", "dst": "1", "vec": [1]}]},
         }
         files = {stem: write_json(tmp_path, f"{stem}.json", doc) for stem, doc in docs.items()}
-        argv = ("compare", "--space", files["space"], "--sections", files["sections"],
-                "--ring", write_json(tmp_path, "ring.json", ring_to_obj(ring)))
-        assert run(capsys, *argv)[0] == 0
+        commands = {
+            "ring": ("ring", "periods", "--input", files["ring"]),
+            "system": ("tworing", "localize", "--input", "laurent_f2_z2",
+                       "--system", files["system"]),
+        }
+        compare = ("compare", "--space", files["space"], "--sections", files["sections"],
+                   "--ring", files["ring"])
         name, edits = self.NON_ARRAYS[case]
+        argv = commands.get(name, compare)
+        assert run(capsys, *argv)[0] == 0
         doc = docs[name]
         for at, value in edits:
             doc = _replaced(doc, at, value)

@@ -19,7 +19,6 @@ from ttperiods.graded import (
     NonMonomialWithoutWitnesses,
     PrimePattern,
     SpechModel,
-    TauTable,
     enumerate_patterns,
     local_period,
     make_ring,
@@ -105,25 +104,6 @@ class TestValidatePresentation:
 
     def test_composite_char_rejected(self):
         assert validate_presentation(make_ring(6, [("x", 1)])).reason == "char-not-prime"
-
-    def test_tau_table_accepted(self):
-        tau = TauTable({(1, 1): -1, (1, 2): 1, (2, 1): 1, (2, 2): 1})
-        ring = make_ring(3, [("x", 1), ("y", 2)], constraint=tau)
-        assert validate_presentation(ring).ok
-
-    def test_asymmetric_tau_rejected(self):
-        tau = TauTable({(1, 2): 1, (2, 1): -1})
-        ring = make_ring(3, [("x", 1), ("y", 2)], constraint=tau)
-        assert validate_presentation(ring).reason == "tau-not-symmetric"
-
-    def test_non_bilinear_tau_rejected(self):
-        tau = TauTable({(1, 1): -1, (2, 1): -1, (1, 2): -1})
-        ring = make_ring(3, [("x", 1)], constraint=tau)
-        assert validate_presentation(ring).reason == "tau-not-bilinear"
-
-    def test_zero_tau_value_rejected(self):
-        ring = make_ring(3, [("x", 1)], constraint=TauTable({(1, 1): 3}))
-        assert validate_presentation(ring).reason == "tau-not-unit"
 
     def test_formally_cancelling_relation_is_dropped(self):
         ring = make_ring(2, [("x", 1)], [[(1, {"x": 1}), (1, {"x": 1})]])
@@ -396,11 +376,6 @@ class TestSerialization:
     def test_malformed_object_rejected(self):
         with pytest.raises(GradedError):
             ring_from_obj({"generators": [{"degree": 1}]})
-
-    def test_tau_table_not_serializable(self):
-        ring = make_ring(3, [("x", 2)], constraint=TauTable({(2, 2): 1}))
-        with pytest.raises(GradedError):
-            ring_to_obj(ring)
 
 
 # -- randomized properties ---------------------------------------------

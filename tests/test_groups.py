@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from ttperiods import groups
-from ttperiods.cohomology import catalog_key, cohomology_entry
+from ttperiods.cohomology import catalog_section, rep_period_map
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.groups import (
     FiniteGroup,
@@ -190,12 +190,14 @@ class TestWeylGroups:
             assert W.order == G.order == reference_weyl_group(G, trivial).order
             assert W.key == identify(G)
 
-    def test_the_catalog_keys_the_record(self):
-        # A record is a tuple too; it keys by its key, or by its order when
-        # its type is unrecognized.
+    def test_the_catalog_reads_the_record(self):
+        # The catalog reads a Weyl group's record as it is, and a group as
+        # the same record of its order and key: S4/1 is S4, unrecognized.
         G = symmetric(4)
-        assert catalog_key(weyl_group(G, frozenset({identity(4)}))) == ("unidentified", 24)
-        assert catalog_key(weyl_group(G, G.elements)) == ("abelian", ())
+        trivial = weyl_group(G, frozenset({identity(4)}))
+        for W in (trivial, weyl_group(G, G.elements)):
+            assert catalog_section(W) is W
+        assert catalog_section(G) == trivial == (24, None, None)
 
     def test_not_a_subgroup(self):
         G = symmetric(3)
@@ -378,7 +380,7 @@ class TestIdentify:
         assert abelian_invariants(G) == (4, 4)
         assert identify(G) == ("abelian", (4, 4))
         assert name_for_key(identify(G)) == "C4xC4"
-        gens = cohomology_entry(G, 2).presentation.generators
+        gens = rep_period_map(G, 2)[0].ring.generators
         assert [(g.name, g.degree) for g in gens] == [("y1", 2), ("y2", 2)]
 
     def test_unidentified_returns_none(self):

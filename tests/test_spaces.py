@@ -20,7 +20,6 @@ from ttperiods.spaces import (
     model_from_obj,
     model_to_obj,
     restrict_to_open,
-    strata,
     tower_period,
 )
 
@@ -81,6 +80,20 @@ class TestModel:
     def test_unknown_point_rejected(self):
         with pytest.raises(ModelError):
             FiniteSpectralModel(["a"], [("a", "b")])
+
+    @pytest.mark.parametrize("ask", [
+        lambda m: m.specializes("z", "a"),
+        lambda m: m.specializes("a", "z"),
+        lambda m: m.specializations("z"),
+        lambda m: m.closure({"a", "z"}),
+        lambda m: m.generalization_closure({"z"}),
+        lambda m: m.is_open({"z"}),
+        lambda m: m.restrict({"a", "z"}),
+    ], ids=["specializes-from", "specializes-to", "specializations", "closure",
+            "generalization-closure", "is-open", "restrict"])
+    def test_unknown_point_in_an_accessor_is_a_model_error(self, ask):
+        with pytest.raises(ModelError, match="unknown point"):
+            ask(chain("a", "b"))
 
     def test_transitive_closure(self):
         m = chain("a", "b", "c")
@@ -205,29 +218,6 @@ class TestCheckPeriodMap:
         assert diag.reason == "not-monotone"
 
 
-class TestStrata:
-    def test_fiber_and_local_closedness(self):
-        m = FiniteSpectralModel(
-            ["a0", "a1", "cross", "t0", "t1"],
-            [("a0", "cross"), ("a1", "cross"), ("a0", "t0"), ("a1", "t1")],
-        )
-        per = {"a0": 1, "a1": 1, "cross": 2, "t0": 1, "t1": 1}
-        s = strata(m, per, 2)
-        assert s.members == {"cross"}
-        assert s.locally_closed
-
-    def test_absent_value_gives_empty(self):
-        m = chain("a", "b")
-        s = strata(m, {"a": 1, "b": 1}, 5)
-        assert s.members == frozenset()
-        assert s.locally_closed
-
-    def test_invalid_assignment_rejected(self):
-        m = chain("p", "q")
-        with pytest.raises(ModelError):
-            strata(m, {"p": 2, "q": 1}, 2)
-
-
 class TestRestrictToOpen:
     def test_whole_space_identity(self):
         m = chain("a", "b")
@@ -330,14 +320,6 @@ def test_sublevel_monotone_in_d(mv, d):
             small = {p for p in model.points if divides(vals[p], dd)}
             big = {p for p in model.points if divides(vals[p], d)}
             assert small <= big
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_model_and_periods())
-def test_strata_locally_closed(mv):
-    model, vals = mv
-    for d in set(vals.values()):
-        assert strata(model, vals, d).locally_closed
 
 
 # -- the frozenset order the bitmask kernel replaced, kept as its oracle ---

@@ -9,12 +9,7 @@ from collections import Counter
 import pytest
 
 from ttperiods import spectra
-from ttperiods.cohomology import (
-    CatalogEntry,
-    GroupNotInCatalog,
-    WeylNotInCatalog,
-    cohomology_entry,
-)
+from ttperiods.cohomology import GroupNotInCatalog, WeylNotInCatalog
 from ttperiods.datasets import (
     DATASET_NAMES,
     UnknownDataset,
@@ -87,60 +82,51 @@ class TestCatalog:
 
     @pytest.mark.parametrize("group,p", CASES)
     def test_entries_validate(self, group, p):
-        entry = cohomology_entry(group, p)
-        assert isinstance(entry, CatalogEntry)
-        assert entry.presentation.char == p
-        assert validate_presentation(entry.presentation)
+        ring = rep_period_map(group, p)[0].ring
+        assert ring.char == p
+        assert validate_presentation(ring)
 
     def test_coprime_order_is_field(self):
-        entry = cohomology_entry(cyclic(3), 2)
-        assert entry.presentation.generators == ()
+        assert rep_period_map(cyclic(3), 2)[0].ring.generators == ()
 
     def test_c2_is_polynomial_degree_one(self):
-        entry = cohomology_entry(cyclic(2), 2)
-        (gen,) = entry.presentation.generators
+        (gen,) = rep_period_map(cyclic(2), 2)[0].ring.generators
         assert (gen.name, gen.degree) == ("x", 1)
 
     def test_c4_is_polynomial_degree_two(self):
-        entry = cohomology_entry(cyclic(4), 2)
-        (gen,) = entry.presentation.generators
+        (gen,) = rep_period_map(cyclic(4), 2)[0].ring.generators
         assert (gen.name, gen.degree) == ("y", 2)
 
     def test_odd_cyclic_degree_two(self):
-        entry = cohomology_entry(cyclic(9), 3)
-        (gen,) = entry.presentation.generators
+        (gen,) = rep_period_map(cyclic(9), 3)[0].ring.generators
         assert gen.degree == 2
 
     def test_quaternion_degree_four(self):
-        entry = cohomology_entry(quaternion(8), 2)
-        (gen,) = entry.presentation.generators
+        (gen,) = rep_period_map(quaternion(8), 2)[0].ring.generators
         assert (gen.name, gen.degree) == ("e", 4)
 
     def test_rank_three_names(self):
-        entry = cohomology_entry(elementary_abelian(2, 3), 2)
-        assert [g.name for g in entry.presentation.generators] == ["x1", "x2", "x3"]
-        assert all(g.degree == 1 for g in entry.presentation.generators)
+        gens = rep_period_map(elementary_abelian(2, 3), 2)[0].ring.generators
+        assert [g.name for g in gens] == ["x1", "x2", "x3"]
+        assert all(g.degree == 1 for g in gens)
 
     def test_odd_elementary_degree_two(self):
-        entry = cohomology_entry(elementary_abelian(3, 2), 3)
-        assert all(g.degree == 2 for g in entry.presentation.generators)
+        gens = rep_period_map(elementary_abelian(3, 2), 3)[0].ring.generators
+        assert all(g.degree == 2 for g in gens)
 
     def test_dihedral_has_relation(self):
-        entry = cohomology_entry(dihedral(8), 2)
-        assert len(entry.presentation.relations) == 1
+        assert len(rep_period_map(dihedral(8), 2)[0].ring.relations) == 1
 
     def test_sporadic_witnesses_cover_five_points(self):
-        entry = cohomology_entry("M11", 3)
-        assert len(entry.spech().space.points) == 5
+        assert len(rep_period_map("M11", 3)[0].space.points) == 5
 
     def test_unknown_group_raises(self):
         with pytest.raises(GroupNotInCatalog):
-            cohomology_entry(symmetric(4), 2)
+            rep_period_map(symmetric(4), 2)
 
     def test_unidentified_coprime_falls_back_to_field(self):
-        entry = cohomology_entry(symmetric(3), 5)
-        assert entry.key == ("unidentified", 6)
-        assert entry.presentation.generators == ()
+        assert identify(symmetric(3)) is None
+        assert rep_period_map(symmetric(3), 5)[0].ring.generators == ()
 
 
 def _partitions(n, most=None):
@@ -229,7 +215,7 @@ class TestAbelianSecondRoute:
         assert name_for_key(identify(G)) == _invariant_name(factors)
         for p in _prime_factors(G.order):
             sylow = [q for q in factors if q % p == 0]
-            gens = cohomology_entry(G, p).presentation.generators
+            gens = rep_period_map(G, p)[0].ring.generators
             assert sorted(g.degree for g in gens) == sorted(1 if q == 2 else 2 for q in sylow)
             p_torsion = sum(_power(x, p) == identity(G.degree) for x in G.elements)
             r = 0
@@ -270,15 +256,14 @@ class TestRepPeriodMap:
         for G in CATALOG_24:
             for p in _prime_factors(G.order):
                 try:
-                    entry = cohomology_entry(G, p)
+                    model, _ = rep_period_map(G, p)
                 except GroupNotInCatalog:
                     continue
                 answered += 1
-                model = entry.spech()
-                table = point_periods(entry.presentation, model)
+                table = point_periods(model.ring, model)
                 assert list(table) == list(model.space.points)
                 for q in model.space.points:
-                    assert table[q] == local_period(entry.presentation, model.patterns[q]), (G.name, p, q)
+                    assert table[q] == local_period(model.ring, model.patterns[q]), (G.name, p, q)
         assert answered == 44
 
 
@@ -367,7 +352,7 @@ class TestQuillenComponents:
                 cases = [(pairs, None, G, G)]
                 for cls in G.index.p_classes(p):
                     W = weyl_group(G, cls.sub)
-                    cases.append((strata, cls.order, W.key or ("unidentified", W.order),
+                    cases.append((strata, cls.order, W,
                                   reference_weyl_group(G, cls.representative)))
                 for found, label, group, built in cases:
                     try:
@@ -557,7 +542,7 @@ class TestDPermPeriodMap:
         for G in (quaternion(8), cyclic(8), elementary_abelian(2, 2)):
             asm = dperm_period_map(G, 2)
             for s in asm.strata:
-                _, stper = stmod_period_map(s.weyl.key, 2)
+                _, stper = stmod_period_map(s.weyl, 2)
                 for q in s.variety.space.points:
                     if q == s.irrelevant:
                         continue
@@ -594,9 +579,9 @@ class TestOneIdentifyPerCall:
     @pytest.mark.parametrize(
         "G,p", [(dihedral(8), 2), (symmetric(3), 5), (quaternion(8), 2)]
     )
-    def test_cohomology_entry(self, monkeypatch, G, p):
+    def test_rep_period_map(self, monkeypatch, G, p):
         calls = self._count(monkeypatch, G)
-        cohomology_entry(G, p)
+        rep_period_map(G, p)
         assert len(calls) == 1
 
     def test_dperm_period_map(self, monkeypatch):

@@ -16,7 +16,6 @@ from ttperiods.multigraded import (
     AlgebraIndex,
     RingShapeError,
     homogeneous_units,
-    ideal_name_ring,
     is_ring_prime,
     make_multigraded,
     mult_system_ring,
@@ -423,7 +422,7 @@ def closure_data(draw):
         return (index, lambda ideal: ideal_name_two(datum, ideal),
                 lambda ideal: oracle_ideal_name(index, ideal, key, datum.render),
                 lambda ideal: oracle_two_ring_prime(datum, ideal))
-    return (index, lambda ideal: ideal_name_ring(datum, ideal),
+    return (index, lambda ideal: index.name(ideal, None, datum.render),
             lambda ideal: oracle_ideal_name(index, ideal, None, datum.render),
             lambda ideal: oracle_ring_prime(datum, ideal))
 
@@ -1120,7 +1119,7 @@ class TestPinnedIdealNames:
         got = lattice_names(
             ring_ideals(ring),
             lambda i: is_ring_prime(ring, i),
-            lambda i: ideal_name_ring(ring, i),
+            lambda i: ring.index.name(i, None, ring.render),
         )
         assert got == PINNED_IDEAL_NAMES[name]
 
