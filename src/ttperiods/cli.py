@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnosis, UsageError, json_int, json_list, require_within
+from .diagnostics import Diagnosis, UsageError, json_int, json_list, json_object, require_within
 from .spaces import (
     TAG_COMPUTED,
     dumps_canonical,
@@ -283,7 +283,7 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
     try:
         gens = tuple(
             (row["src"], row["dst"], tuple(json_int(x) for x in json_list(row["vec"])))
-            for row in json_list(obj["generators"])
+            for row in map(json_object, json_list(json_object(obj)["generators"]))
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, require_within
 from .graded import GradedRingPresentation, PrimePattern, local_period
 from .spaces import FiniteSpectralModel, _values, divides
 
@@ -265,12 +265,12 @@ def table_to_obj(table: SectionTable) -> dict:
 
 def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
     try:
-        if obj.get("format") != 1:
+        if json_object(obj).get("format") != 1:
             raise ComparisonError(f"unsupported format {obj.get('format')!r}")
-        bundles = {str(b): json_int(d) for b, d in obj["bundles"].items()}
+        bundles = {str(b): json_int(d) for b, d in json_object(obj["bundles"]).items()}
         sections = [
             (row["name"], row["bundle"], json_int(row["degree"]), tuple(json_list(row["locus"])))
-            for row in json_list(obj["sections"])
+            for row in map(json_object, json_list(obj["sections"]))
         ]
         products = [tuple(json_list(entry)) for entry in json_list(obj.get("products", []))]
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:

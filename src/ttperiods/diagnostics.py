@@ -1,7 +1,8 @@
 """Shared diagnosis value for validators that report rather than raise, the
 base class of the errors that mean the input was unusable, LIMITS,
 first_failure, which names the failure of an axiom checked on generators,
-and the one rule by which every JSON reader reads integers and flags."""
+and the one rule by which every JSON reader reads integers, flags, arrays
+and objects."""
 
 from __future__ import annotations
 
@@ -80,6 +81,14 @@ def json_list(value: Any) -> list:
     TypeError, never read as its characters or its keys."""
     if type(value) is not list:
         raise TypeError(f"{value!r} is not an array")
+    return value
+
+
+def json_object(value: Any) -> dict:
+    """value, if it is a JSON object; an array, a string, a number or null
+    raises TypeError, never indexed by a field name."""
+    if type(value) is not dict:
+        raise TypeError(f"{value!r} is not an object")
     return value
 
 

@@ -20,12 +20,13 @@ containment and Mackey index) that are always cross-checked.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .diagnostics import UsageError, json_int, json_list, require_within
+from .diagnostics import UsageError, json_int, json_list, json_object, require_within
 from .spaces import is_prime
 
 Perm = tuple[int, ...]
@@ -170,9 +171,6 @@ class Sub:
         self.elems = elems
         self.gens = gens
 
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
     @property
     def order(self) -> int:
         return len(self.elems)
@@ -196,9 +194,12 @@ class GroupIndex:
 
     Elements are numbered 0..n-1 in sorted order, so the identity is 0 and
     the least permutation of a set is its least number.  table[a][b] is the
-    number of a after b; inv, orders and cyc_mask (the mask of the cyclic
-    subgroup the element generates) are per element; cyclic lists one Sub
-    per cyclic subgroup, generated by its least generator.  The table is
+    number of a after b; inv and orders are per element.  cyclic holds each
+    cyclic subgroup C, generated by its least generator, beside phi(|C|),
+    its number of generators: whether an element lies in a subgroup,
+    normalizes one or has a given order modulo a normal one is the same
+    for all generators of C, so normalizer, section and sylow read one
+    element per cyclic subgroup.  The table is
     filled along the breadth-first tree of the generators from the products
     the group's closure walk already made, so it composes nothing itself.
 
@@ -248,11 +249,12 @@ class GroupIndex:
             rg = right[g]
             cols[b] = [rg[v] for v in cols[x]]
         self.perms = perms
+        self.n = n
         self.pos = pos
         self.gens = tuple(gens)
         self.table = list(zip(*cols))
         self.inv = [row.index(0) for row in self.table]
-        self.orders, self.cyc_mask, self.cyclic = self._cyclic_subgroups()
+        self.orders, self.cyclic = self._cyclic_subgroups()
         self._conj: "list | None" = None
         self._frozen: dict[int, frozenset[Perm]] = {}
         self._subs: dict[frozenset, Sub] = {}
@@ -267,18 +269,12 @@ class GroupIndex:
         self._keys: dict[int, "tuple | None"] = {}
         self._primes: set[int] = set()
 
-    @property
-    def n(self) -> int:
-        return len(self.perms)
-
-    def _cyclic_subgroups(self) -> tuple[list[int], list[int], list[Sub]]:
-        """Per element its order and the mask of the cyclic subgroup it
-        generates, and one Sub per cyclic subgroup.  Each subgroup's powers
-        x, x^2, ..., x^m = 1 of its least generator give them all: x^k
-        generates the subgroup of x^gcd(k, m)."""
+    def _cyclic_subgroups(self) -> tuple[list[int], list[tuple[Sub, int]]]:
+        """Per element its order, and each nontrivial cyclic subgroup with phi
+        of its order: the powers x, ..., x^m = 1 of its least generator x,
+        where x^k has order m / gcd(k, m) and generates it when that is m."""
         n, table = self.n, self.table
         orders = [1] * n
-        cyc_mask = [1] * n
         covered = [False] * n
         covered[0] = True
         cyclic = []
@@ -289,16 +285,16 @@ class GroupIndex:
             while y:
                 y = table[y][x]
                 powers.append(y)
-            m = len(powers)
-            masks = {d: _mask(powers[d - 1 :: d]) for d in range(1, m + 1) if m % d == 0}
+            m = phi = len(powers)
             for k, z in enumerate(powers, 1):
                 d = math.gcd(k, m)
                 orders[z] = m // d
-                cyc_mask[z] = masks[d]
                 if d == 1:
                     covered[z] = True
-            cyclic.append(Sub(masks[1], tuple(powers), (x,)))
-        return orders, cyc_mask, cyclic
+                else:
+                    phi -= 1
+            cyclic.append((Sub(_mask(powers), tuple(powers), (x,)), phi))
+        return orders, cyclic
 
     # -- conversion at the permutation boundary --
 
@@ -435,15 +431,17 @@ class GroupIndex:
             self._swept.update(dict.fromkeys(found, found))
         return found
 
-    def normalizer(self, H: Sub) -> list[int]:
-        """Elements g with g H g^-1 = H; checking H's generators suffices."""
-        table, inv, mask = self.table, self.inv, H.mask
-        out = []
-        for g in range(self.n):
-            row, gi = table[g], inv[g]
-            if all(mask >> table[row[h]][gi] & 1 for h in H.gens):
-                out.append(g)
-        return out
+    def normalizer(self, H: Sub) -> int:
+        """The mask of N(H), the g with g H g^-1 = H on H's generators: the
+        union of the cyclic subgroups whose least generator is such a g,
+        skipping those inside the union already."""
+        table, inv, mask, gens = self.table, self.inv, H.mask, H.gens
+        N = 1
+        for c, _ in self.cyclic:
+            g = c.gens[0]
+            if not N >> g & 1 and all(mask >> table[table[g][h]][inv[g]] & 1 for h in gens):
+                N |= c.mask
+        return N
 
     def _search(self, K: Sub) -> list[Sub]:
         """Every subgroup of K, by (order, sorted elements): each one is a
@@ -451,7 +449,7 @@ class GroupIndex:
         at a time reaches them all.  The table lookups, counted as the order
         of every extension, are bounded by MAX_SUBGROUP_LOOKUPS, checked
         after each subgroup's extensions."""
-        cyclic = [c for c in self.cyclic if not c.mask & ~K.mask]
+        cyclic = [c for c, _ in self.cyclic if not c.mask & ~K.mask]
         found = {1: self.trivial()}
         for c in cyclic:
             found.setdefault(c.mask, c)
@@ -526,32 +524,35 @@ class GroupIndex:
         return masks
 
     def sylow(self, H: Sub, p: int) -> Sub:
-        """A Sylow p-subgroup of H, grown greedily over H's p-elements in
-        increasing order; maximal p-subgroups are Sylow.  One search per
-        subgroup and prime."""
+        """A Sylow p-subgroup of H, grown greedily by the cyclic p-subgroups
+        of H in the order of their least generators until its order is the
+        p-part of |H|.  One search per subgroup and prime."""
         P = self._sylows.get((H.mask, p))
         if P is None:
-            orders = self.orders
-            P = self.trivial()
-            for x in sorted(H.elems):
-                if x in P or p_part(orders[x], p) != orders[x]:
-                    continue
-                Q = self.extend(P, x)
-                if p_part(Q.order, p) == Q.order:
-                    P = Q
+            P, mask, full = self.trivial(), H.mask, p_part(len(H.elems), p)
+            for c, _ in self.cyclic:
+                if len(P.elems) == full:
+                    break
+                x, m = c.gens[0], len(c.elems)
+                if mask >> x & 1 and not P.mask >> x & 1 and p_part(m, p) == m:
+                    Q = self.extend(P, x)
+                    if p_part(Q.order, p) == Q.order:
+                        P = Q
             self._sylows[H.mask, p] = P
         return P
 
     # -- structure read from the table --
 
-    def section(self, elems: Sequence[int], lifts: Sequence[int], H: Sub) -> "WeylGroup":
-        """The section elems/H, for H normal in the subgroup on elems and
-        lifts that generate it modulo H, read from the table.
+    def section(self, N: int, lifts: Sequence[int], H: Sub) -> "WeylGroup":
+        """The section N/H, for N the mask of a subgroup, H normal in it and
+        lifts that generate it modulo H, read from the table one cyclic
+        subgroup at a time.
 
-        H is normal, so the coset xH has order |<x>| / |<x> ∩ H|, one AND of
-        masks and a popcount, for every x in it: counting over the elements
-        counts each coset |H| times.  The section is abelian when each pair
-        of lifts commutes modulo H.
+        H is normal, so the coset xH has order |<x>| / |<x> ∩ H|, the same
+        for the phi(|<x>|) generators of <x>, which each cyclic subgroup in
+        N adds to the count of that order; over N each coset counts |H|
+        times.  The section is abelian when each pair of lifts commutes
+        modulo H.
         """
         table, inv, mask, h = self.table, self.inv, H.mask, len(H.elems)
         # (ab)^-1 (ba) lies in H exactly when aH and bH commute.
@@ -559,28 +560,29 @@ class GroupIndex:
             mask >> table[inv[table[a][b]]][table[b][a]] & 1
             for i, a in enumerate(lifts) for b in lifts[i + 1 :]
         )
-        orders = self.orders
-        if h == 1:
-            counts = Counter(map(orders.__getitem__, elems))
-        else:
-            cyc_mask = self.cyc_mask
-            counts = Counter(orders[x] // (cyc_mask[x] & mask).bit_count() for x in elems)
-            counts = Counter({k: c // h for k, c in counts.items()})
-        key = _structure_key(counts, abelian)
-        return WeylGroup(len(elems) // h, key, name_for_key(key))
+        counts = Counter({1: 1})
+        for c, phi in self.cyclic:
+            if N >> c.gens[0] & 1:
+                counts[len(c.elems) // (c.mask & mask).bit_count()] += phi
+        key = _structure_key(tuple(sorted((k, v // h) for k, v in counts.items())), abelian)
+        return WeylGroup(N.bit_count() // h, key, name_for_key(key))
 
     def identify(self, sub: Sub) -> "tuple | None":
         """Catalog key of the subgroup's isomorphism type, or None when
         unrecognized: the section sub/1, read once per subgroup mask."""
         key = self._keys.get(sub.mask, False)
         if key is False:
-            key = self._keys[sub.mask] = self.section(sub.elems, sub.gens, self.trivial()).key
+            key = self._keys[sub.mask] = self.section(sub.mask, sub.gens, self.trivial()).key
         return key
 
 
-def _structure_key(orders: Counter, abelian: bool) -> "tuple | None":
-    """Catalog key of a group with orders[k] elements of order k: an
-    abelian group, the trivial one included, keys by its invariant factors."""
+@functools.lru_cache(maxsize=256)
+def _structure_key(counts: tuple[tuple[int, int], ...], abelian: bool) -> "tuple | None":
+    """Catalog key of a group with c elements of order k for each (k, c) in
+    sorted counts: an abelian group, the trivial one included, keys by its
+    invariant factors.  Sections repeat few counts (a tower to C64 reads
+    56 sections of 7 types), so a bounded number of keys is kept."""
+    orders = Counter(dict(counts))
     if abelian:
         return ("abelian", _abelian_invariants(orders))
     n = orders.total()
@@ -641,17 +643,17 @@ class WeylGroup(NamedTuple):
 
 def weyl_group(G: FiniteGroup, H: "frozenset[Perm] | Sub") -> WeylGroup:
     """The section N_G(H)/H, read from G's table once per subgroup mask;
-    the group's index keeps it.  Its lifts are a greedy generating set of
-    N modulo H.  No group is built."""
+    the group's index keeps it.  Its lifts generate N modulo H: the least
+    generators of N's cyclic subgroups that each enlarge the subgroup grown
+    from H.  No group is built."""
     ix = G.index
     sub = ix.resolve(H)
     W = ix._weyls.get(sub.mask)
     if W is None:
-        N = ix.normalizer(sub)
-        lifts = []
-        grown = sub
-        for x in N:
-            if x not in grown:
+        N, lifts, grown = ix.normalizer(sub), [], sub
+        for c, _ in ix.cyclic:
+            x = c.gens[0]
+            if N >> x & 1 and not grown.mask >> x & 1:
                 grown = ix.extend(grown, x)
                 lifts.append(x)
         W = ix._weyls[sub.mask] = ix.section(N, lifts, sub)
@@ -704,9 +706,7 @@ def _abelian_invariants(orders: Counter) -> tuple[int, ...]:
             if valuations[-1] == valuations[-2]:
                 break
             j += 1
-        conj = [
-            valuations[k] - valuations[k - 1] for k in range(1, len(valuations))
-        ]
+        conj = [valuations[k] - valuations[k - 1] for k in range(1, len(valuations))]
         parts = []
         for k in range(1, (conj[0] if conj else 0) + 1):
             parts.append(sum(1 for m in conj if m >= k))
@@ -894,7 +894,7 @@ def group_from_obj(obj: Mapping) -> FiniteGroup:
     """The group a JSON object names: generators as arrays of cycles, each
     an array of integers, and an optional string name."""
     try:
-        degree = json_int(obj["degree"])
+        degree = json_int(json_object(obj)["degree"])
         require_within("MAX_DEGREE", degree)
         gens = [
             perm_from_cycles(

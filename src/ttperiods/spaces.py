@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, require_within
 
 # Sentinel for "every nonnegative integer", the one infinite open we need.
 ALL = "all"
@@ -449,7 +449,7 @@ def model_to_obj(model: FiniteSpectralModel, per=None) -> dict:
 
 def model_from_obj(obj: Mapping) -> tuple[FiniteSpectralModel, PeriodAssignment | None]:
     try:
-        points = list(json_list(obj["points"]))
+        points = list(json_list(json_object(obj)["points"]))
         edges = [tuple(json_list(e)) for e in json_list(obj.get("specializes", []))]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model object: {exc}") from exc

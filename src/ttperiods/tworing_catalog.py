@@ -10,7 +10,7 @@ how user-supplied 2-rings come in and how reports print them.
 
 from __future__ import annotations
 
-from .diagnostics import require_within
+from .diagnostics import json_object, require_within
 from .multigraded import AbelianGroup, MultigradedRing, RingShapeError, check_components
 from .multigraded import make_multigraded
 from .tworing import Tightening, TwoRingDatum, two_ring_from_multigraded
@@ -306,8 +306,10 @@ TWO_RING_SCHEMA = {
 
 
 def _check_fields(obj) -> None:
-    if not isinstance(obj, dict):
-        raise RingShapeError("malformed 2-ring record: not a JSON object")
+    try:
+        json_object(obj)
+    except TypeError as exc:
+        raise RingShapeError(f"malformed 2-ring record: {exc}") from exc
     extra = sorted(obj.keys() - TWO_RING_SCHEMA.keys())
     if extra:
         raise RingShapeError(f"malformed 2-ring record: unexpected fields {extra}")

@@ -54,7 +54,13 @@ GroupIndex; oracle_p_subconjugate is the third route to the
 p-subconjugacy order, beside the library's Sylow and Mackey routes, and
 p_equivalence_classes, the blocks of that order
 over the whole lattice, is checked against the classes GroupIndex.p_classes
-finds.  Only viable for tiny instances.
+finds.  Only viable for tiny instances.  element_normalizer, element_lifts
+and element_section do use GroupIndex's table and masks: they are
+GroupIndex.normalizer, weyl_group's lifts and GroupIndex.section before
+they read one element per cyclic subgroup, so every element is tested,
+and for the section each <x> is walked power by power on the table.
+section_mismatches compares them with the index on a list of subgroups
+and checks each Sylow subgroup the index finds.
 square_zero builds the small rings with few units that several test files
 share.  oracle_isomorphisms is isomorphisms before it became a search that
 has_iso stops at the first hit: every morphism tested, each call afresh.
@@ -522,6 +528,76 @@ def reference_dperm_strata(G, p):
         key = reference_weyl_key(G, c[0])
         rows.append((c[0], frozenset(c), label, key, name_for_key(key), len(c) == 1))
     return rows
+
+
+def element_normalizer(ix, H):
+    """The mask of the elements g with g H g^-1 = H, each element tested on
+    H's generators."""
+    table, inv, N = ix.table, ix.inv, 0
+    for g in range(ix.n):
+        row, gi = table[g], inv[g]
+        if all(H.mask >> table[row[h]][gi] & 1 for h in H.gens):
+            N |= 1 << g
+    return N
+
+
+def element_lifts(ix, N, H):
+    """Generators of the subgroup on the mask N modulo H: each element of N,
+    in increasing order, that is not in the subgroup grown from H so far."""
+    lifts, grown = [], H
+    for x in range(ix.n):
+        if N >> x & 1 and not grown.mask >> x & 1:
+            grown = ix.extend(grown, x)
+            lifts.append(x)
+    return lifts
+
+
+def element_section(ix, N, lifts, H):
+    """The section N/H as GroupIndex.section reads it, counted one element
+    of N at a time: xH has order |<x>| / |<x> ∩ H|, with <x> walked on the
+    table, and each coset counts |H| times."""
+    table, inv, mask = ix.table, ix.inv, H.mask
+    abelian = all(mask >> table[inv[table[a][b]]][table[b][a]] & 1
+                  for a, b in itertools.combinations(lifts, 2))
+    counts = Counter()
+    for x in range(ix.n):
+        if N >> x & 1:
+            powers, y = {0}, x
+            while y:
+                powers.add(y)
+                y = table[y][x]
+            counts[len(powers) // sum(mask >> z & 1 for z in powers)] += 1
+    h = len(H.elems)
+    # The unkept key function, so no cached key answers for this route.
+    key = groups._structure_key.__wrapped__(
+        tuple(sorted((k, c // h) for k, c in counts.items())), abelian)
+    return groups.WeylGroup(N.bit_count() // h, key, name_for_key(key))
+
+
+def section_mismatches(G, subs):
+    """Each Sub of subs, of G's index, where the index's normalizer, the
+    sections sub/1 and N_G(sub)/sub or identify differ from the element
+    scans above, and each (sub, p), for every prime p up to |G|, where
+    sylow(sub, p) is not a p-subgroup of sub of order p_part(|sub|, p),
+    closed up on permutations from its generators."""
+    ix, bad = G.index, []
+    trivial = ix.trivial()
+    primes = [q for q in range(2, max(G.order, 2) + 1) if is_prime(q)]
+    for H in subs:
+        N = element_normalizer(ix, H)
+        whole = element_section(ix, H.mask, H.gens, trivial)
+        W = element_section(ix, N, element_lifts(ix, N, H), H)
+        got = (ix.normalizer(H), ix.section(H.mask, H.gens, trivial), ix.identify(H),
+               groups.weyl_group(G, H))
+        if got != (N, whole, whole.key, W):
+            bad.append((sorted(H.elems), got, (N, whole, whole.key, W)))
+        for p in primes:
+            P = ix.sylow(H, p)
+            closed = mulclose([ix.perms[x] for x in P.gens] or [ix.perms[0]])
+            if (P.mask & ~H.mask or len(P.elems) != groups.p_part(len(H.elems), p)
+                    or closed != frozenset(ix.perms[x] for x in P.elems)):
+                bad.append((sorted(H.elems), p, sorted(P.elems)))
+    return bad
 
 
 def p_equivalence_classes(G, p):

@@ -925,9 +925,13 @@ class TestUsage:
         "system vec": ("system", [(("generators", 0, "vec"), "")]),
     }
 
-    @pytest.mark.parametrize("case", sorted(NON_ARRAYS))
-    def test_non_array_is_malformed(self, capsys, tmp_path, case):
-        # The chain g -> s, and t u = v for sections on all of it.
+    @staticmethod
+    def edited_reader_input(capsys, tmp_path, name, edits):
+        """Run the command that reads document name, one of a valid document
+        per JSON reader, which must exit 0; then apply the edits, each (path,
+        value), and run it again.  The documents: the chain g -> s, t u = v
+        for sections on all of it, a ring on t, u and v, a system, C4 and a
+        2-ring."""
         sections = [("t", "L1", 1), ("u", "L1", 1), ("v", "L2", 2)]
         ring = make_ring(2, [(name, degree) for name, _, degree in sections])
         docs = {
@@ -941,26 +945,60 @@ class TestUsage:
             },
             "ring": ring_to_obj(ring),
             "system": {"generators": [{"src": "0", "dst": "1", "vec": [1]}]},
+            "group": {"degree": 4, "generators": [[[1, 2, 3, 4]]]},
+            "two_ring": two_ring_to_obj(build_two_ring("laurent_f2_z2")),
         }
         files = {stem: write_json(tmp_path, f"{stem}.json", doc) for stem, doc in docs.items()}
         commands = {
             "ring": ("ring", "periods", "--input", files["ring"]),
             "system": ("tworing", "localize", "--input", "laurent_f2_z2",
                        "--system", files["system"]),
+            "group": ("group", "stmod", "--prime", "2", "--group", files["group"]),
+            "two_ring": ("tworing", "ideals", "--input", files["two_ring"]),
         }
         compare = ("compare", "--space", files["space"], "--sections", files["sections"],
                    "--ring", files["ring"])
-        name, edits = self.NON_ARRAYS[case]
         argv = commands.get(name, compare)
         assert run(capsys, *argv)[0] == 0
         doc = docs[name]
         for at, value in edits:
             doc = _replaced(doc, at, value)
         write_json(tmp_path, f"{name}.json", doc)
-        code, out, err = run(capsys, *argv)
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("case", sorted(NON_ARRAYS))
+    def test_non_array_is_malformed(self, capsys, tmp_path, case):
+        code, out, err = self.edited_reader_input(capsys, tmp_path, *self.NON_ARRAYS[case])
         assert code == 2
         assert out == ""
         assert "malformed" in err
+
+    # Per position where a reader reads a JSON object, an array, a string, a
+    # number or null in its place: each is refused by name, never indexed
+    # by a field name into a message of Python's own.
+    NON_OBJECTS = {
+        "group": ("group", lambda v: [((), v)]),
+        "ring": ("ring", lambda v: [((), v)]),
+        "ring generator": ("ring", lambda v: [(("generators", 0), v)]),
+        "ring term": ("ring", lambda v: [(("relations",), [[v]])]),
+        "ring monomial": ("ring", lambda v: [(("relations",), [[{"coeff": 1, "monomial": v}]])]),
+        "model": ("space", lambda v: [((), v)]),
+        "table": ("sections", lambda v: [((), v)]),
+        "table bundles": ("sections", lambda v: [(("bundles",), v)]),
+        "table section": ("sections", lambda v: [(("sections", 0), v)]),
+        "system": ("system", lambda v: [((), v)]),
+        "system generator": ("system", lambda v: [(("generators", 0), v)]),
+        "2-ring": ("two_ring", lambda v: [((), v)]),
+    }
+
+    @pytest.mark.parametrize("value", [[1, 2], "x", 5, None], ids=["array", "string", "number", "null"])
+    @pytest.mark.parametrize("case", sorted(NON_OBJECTS))
+    def test_non_object_is_malformed(self, capsys, tmp_path, case, value):
+        name, edits = self.NON_OBJECTS[case]
+        code, out, err = self.edited_reader_input(capsys, tmp_path, name, edits(value))
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err and f"{value!r} is not an object" in err, err
 
     def test_non_integer_period_is_a_usage_error(self, capsys, tmp_path):
         paths = {p.stem: str(p) for p in write_section_files(tmp_path)}

@@ -16,10 +16,18 @@ from collections import Counter
 
 import pytest
 
-from oracles import heller_period, p_complement, reference_normalizer, reference_weyl_key
-from test_groups import relabel
+from oracles import (
+    abelian_invariants,
+    commute,
+    heller_period,
+    p_complement,
+    reference_normalizer,
+    reference_weyl_key,
+    section_mismatches,
+)
+from test_groups import CATALOG_24, relabel
 from test_spectra import stratum_profiles
-from ttperiods import spectra
+from ttperiods import groups, spectra
 from ttperiods.cohomology import GroupNotInCatalog
 from ttperiods.groups import FiniteGroup, _prime_factors, identify, weyl_group
 from ttperiods.spectra import dperm_period_map, stmod_period_map
@@ -148,6 +156,26 @@ def test_metacyclic_weyl_groups_match_the_oracle(mnr):
     G = metacyclic(*mnr)
     for p in _prime_factors(G.order):
         assert weyl_route_mismatches(G, p) == [], p
+
+
+@pytest.mark.parametrize("mnr", METACYCLIC_24, ids=lambda c: metacyclic(*c).name)
+def test_metacyclic_cyclic_reads_match_the_element_scans(mnr):
+    for G in (metacyclic(*mnr), relabel(metacyclic(*mnr), 7)):
+        assert section_mismatches(G, [c.sub for c in G.index.classes()]) == []
+
+
+def test_structure_keys_kept_or_cleared_equal_the_oracle():
+    # Fresh copies, so that no index's kept key answers in place of the
+    # section; the first pass reads an empty cache, the later ones hit it.
+    abelian = [G for G in CATALOG_24 + [metacyclic(*mnr) for mnr in METACYCLIC_24]
+               if commute(G.generators)]
+    want = [("abelian", abelian_invariants(G)) for G in abelian]
+    groups._structure_key.cache_clear()
+    for _ in range(3):
+        assert [identify(FiniteGroup(G.degree, G.generators)) for G in abelian] == want
+    info = groups._structure_key.cache_info()
+    assert isinstance(info.maxsize, int) and 0 < info.currsize <= info.maxsize
+    assert info.hits >= 2 * len(abelian)
 
 
 def test_metacyclic_corpus_coverage():

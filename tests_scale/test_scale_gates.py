@@ -19,6 +19,7 @@ from oracles import (
     oracle_localization_agreement,
     oracle_validate_two_ring,
     reference_units,
+    section_mismatches,
     square_zero,
     two_ring_name_key,
 )
@@ -330,6 +331,28 @@ def test_weyl_groups_at_the_group_order_limit(build, p):
     # C243 and C125 are Artin tower levels; D108's lattice is the
     # MAX_SUBGROUP_LOOKUPS probe above.
     assert weyl_route_mismatches(build(), p) == []
+
+
+@pytest.mark.parametrize(
+    "build, p",
+    [
+        (lambda: cyclic(512), None),
+        (lambda: cyclic(729), None),
+        (lambda: cyclic(625), None),
+        (lambda: cyclic(343), None),
+        (lambda: quaternion(728), 2),
+        (lambda: dihedral(108), 2),
+        (lambda: dihedral(108), 3),
+    ],
+    ids=["C512", "C729", "C625", "C343", "Q728-p2", "D108-p2", "D108-p3"],
+)
+def test_cyclic_reads_at_the_group_order_limit(build, p):
+    # normalizer, both sections and sylow against the element scans: every
+    # subgroup of the cyclic groups, each a level of an Artin tower, and
+    # every class of p-subgroups, which dperm reads, of Q728 and D108.
+    G = build()
+    classes = G.index.classes() if p is None else G.index.p_classes(p)
+    assert section_mismatches(G, [c.sub for c in classes]) == []
 
 
 METACYCLIC_48 = metacyclic_presentations(24, 48)
