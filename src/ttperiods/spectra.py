@@ -10,11 +10,13 @@ Three layers of assembly over the cohomology catalog:
   exact for normal subgroups and explicit divisor bounds otherwise unless
   STATED_DPERM supplies the value;
 * towers of cyclic p-groups modelling the Galois groups of finite fields,
-  with eventual periods certified per matched point.
+  with eventual periods certified per matched point, read from each
+  level's record, kept per (p, n) in a bounded keep and holding no group.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -24,7 +26,7 @@ from .cohomology import (
     catalog_section,
     rep_period_map,
 )
-from .diagnostics import Diagnosis, PASS, UsageError, failure
+from .diagnostics import Diagnosis, PASS, UsageError, failure, require_within
 from .graded import SpechModel
 from .groups import (
     FiniteGroup,
@@ -32,6 +34,7 @@ from .groups import (
     Sub,
     SubgroupClass,
     WeylGroup,
+    cyclic,
     identify,
     name_for_key,
     p_part,
@@ -43,7 +46,6 @@ from .groups import (
 from .spaces import (
     TAG_COMPUTED,
     FiniteSpectralModel,
-    ModelError,
     PeriodAssignment,
     check_period_map,
     restrict_to_open,
@@ -63,7 +65,7 @@ def _irrelevant_point(model: SpechModel) -> str:
     for point, mask in model.masks.items():
         if mask == full:
             return point
-    raise ModelError("extended variety without its irrelevant point")
+    raise RuntimeError("extended variety without its irrelevant point")
 
 
 def stmod_period_map(
@@ -255,11 +257,11 @@ def dperm_period_map(G: FiniteGroup, p: int) -> DPermAssembly:
     per = PeriodAssignment(values)
     diag = check_period_map(space, per)
     if not diag:
-        raise ModelError(f"assembled labels are not a period map: {diag.describe()}")
+        raise RuntimeError(f"assembled labels are not a period map: {diag.describe()}")
     if p_part(G.order, p) == G.order:
         for name, v in values.items():
             if name not in closed and v == 0:
-                raise ModelError(f"non-closed point {name} not periodic in a p-group")
+                raise RuntimeError(f"non-closed point {name} not periodic in a p-group")
     return DPermAssembly(
         group_name=group_name or f"order{G.order}",
         prime=p,
@@ -312,10 +314,20 @@ class TowerReport:
     chain_periods: PeriodAssignment
 
 
-def _cyclic_tower_levels(p: int, N: int) -> list[DPermAssembly]:
-    from .groups import cyclic
-
-    return [dperm_period_map(cyclic(p**n), p) for n in range(N + 1)]
+@functools.lru_cache(maxsize=256)
+def _tower_level(p: int, n: int) -> tuple[tuple[str, int, "int | None"], ...]:
+    """What artin_tower reads of the level C_{p^n}, per subgroup order p^k
+    in increasing k: its Weyl group's name and the periods of its closed
+    point and of its one non-closed point (None without one).  Plain tuples,
+    so the group, table and assembly are freed; a raising build is not kept."""
+    assembly = dperm_period_map(cyclic(p**n), p)
+    per, level = assembly.periods, []
+    # A cyclic group has one subgroup of each order dividing it.
+    for s in sorted(assembly.strata, key=lambda s: s.subgroup_class.order):
+        opened = [per[s.point_name(q)] for q in s.variety.space.points if q != s.irrelevant]
+        (proj,) = opened or [None]
+        level.append((s.weyl.name or "?", per[s.point_name(s.irrelevant)], proj))
+    return tuple(level)
 
 
 def artin_tower(p: int, N: int) -> TowerReport:
@@ -326,49 +338,37 @@ def artin_tower(p: int, N: int) -> TowerReport:
     Weyl group grows through the whole tower.  Every matched sequence is
     certified by the eventual-value check before it is reported.  The chain
     is a period map by construction: each split point specializes only to
-    closed points, whose period 0 every period divides.
+    closed points, whose period 0 every period divides.  Levels are kept
+    per (p, n) as _tower_level's records; the report is built afresh from
+    them on every call, once MAX_GROUP_ORDER admits each level's order.
     """
     require_prime(p)
     if not 0 <= N <= 6:
         raise TowerHeightValueError("tower height must be between 0 and 6")
-    levels = _cyclic_tower_levels(p, N)
+    for n in range(N + 1):
+        require_within("MAX_GROUP_ORDER", p**n)
+    levels = [_tower_level(p, n) for n in range(N + 1)]
     strata: list[TowerStratum] = []
     for j in range(N + 1):
-        weyls, proj_seq, closed_seq = [], [], []
-        for n in range(j, N + 1):
-            assembly = levels[n]
-            # A cyclic group has one subgroup of each order dividing it.
-            s = next(s for s in assembly.strata if s.subgroup_class.order == p ** (n - j))
-            weyls.append(s.weyl.name or "?")
-            closed_seq.append(assembly.periods[s.point_name(s.irrelevant)])
-            non_closed = [
-                q for q in s.variety.space.points if q != s.irrelevant
-            ]
-            if non_closed:
-                (q,) = non_closed
-                proj_seq.append(assembly.periods[s.point_name(q)])
+        # Level n's subgroup of index p^j has order p^(n-j).
+        weyls, closed_seq, proj_seq = zip(*(levels[n][n - j] for n in range(j, N + 1)))
+        proj_seq = tuple(v for v in proj_seq if v is not None)
         strata.append(
             TowerStratum(
                 index=p**j,
-                weyl_names=tuple(weyls),
-                proj_sequence=tuple(proj_seq),
+                weyl_names=weyls,
+                proj_sequence=proj_seq,
                 proj_eventual=tower_period(proj_seq) if proj_seq else None,
-                closed_sequence=tuple(closed_seq),
+                closed_sequence=closed_seq,
             )
         )
-    limit_weyls, limit_seq = [], []
-    for n in range(1, N + 1):
-        assembly = levels[n]
-        s = next(s for s in assembly.strata if s.subgroup_class.order == 1)
-        limit_weyls.append(s.weyl.name or "?")
-        (q,) = [q for q in s.variety.space.points if q != s.irrelevant]
-        limit_seq.append(assembly.periods[s.point_name(q)])
-    if limit_seq:
+    if N:
+        limit_weyls, _, limit_seq = zip(*(levels[n][0] for n in range(1, N + 1)))
         strata.append(
             TowerStratum(
                 index=None,
-                weyl_names=tuple(limit_weyls),
-                proj_sequence=tuple(limit_seq),
+                weyl_names=limit_weyls,
+                proj_sequence=limit_seq,
                 proj_eventual=tower_period(limit_seq),
                 closed_sequence=(),
             )

@@ -147,8 +147,8 @@ from ttperiods.spectra import (
     TowerHeightValueError,
     TowerReport,
     TowerStratum,
-    _cyclic_tower_levels,
     _label_suffix,
+    dperm_period_map,
 )
 from ttperiods.tworing import (
     BadShapes,
@@ -1920,11 +1920,12 @@ def variety_components(model) -> list:
 def oracle_artin_tower(p: int, N: int) -> TowerReport:
     """artin_tower with its checks that each level has one subgroup of each
     order, that closed points stay non-periodic, and that the chain is a
-    period map."""
+    period map; every level is built afresh on each call."""
     groups.require_prime(p)
     if not 0 <= N <= 6:
         raise TowerHeightValueError("tower height must be between 0 and 6")
-    levels = _cyclic_tower_levels(p, N)
+    # Its own levels, so it shares no kept record with the route it checks.
+    levels = [dperm_period_map(groups.cyclic(p**n), p) for n in range(N + 1)]
     strata: list[TowerStratum] = []
     for j in range(N + 1):
         weyls, proj_seq, closed_seq = [], [], []

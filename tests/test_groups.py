@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from ttperiods import groups
+from ttperiods import groups, spectra
 from ttperiods.cohomology import catalog_section, rep_period_map
 from ttperiods.diagnostics import LIMITS, SizeBound
 from ttperiods.groups import (
@@ -775,6 +775,8 @@ class TestWorkCount:
 
         monkeypatch.setattr(groups_module, "compose", counted)
         monkeypatch.setattr(groups_module, "_closure_walk", counted_walk)
+        # Levels are kept once built; start cold, so every level is built here.
+        spectra._tower_level.cache_clear()
         rep = artin_tower(5, 3)
         assert dict(rep.chain_periods.values)["s3"] == 2
         # One walk per level, C1, C5, C25 and C125, each one composition per

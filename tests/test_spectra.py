@@ -1,5 +1,6 @@
 """Group spectra assembly: catalog, strata, towers, shipped figures."""
 
+import dataclasses
 import itertools
 import math
 import string
@@ -558,6 +559,39 @@ class TestDPermPeriodMap:
             assert named == sorted(asm.space.points)
 
 
+class TestInternalChecks:
+    """Checks that guard library data, not input, raise RuntimeError: a
+    broken stated table or kept variety is a library bug, not a usage error."""
+
+    def test_assembled_labels_not_a_period_map(self, monkeypatch):
+        from ttperiods import cohomology
+        from ttperiods.spaces import PeriodAssignment
+
+        G = elementary_abelian(2, 2)
+        model, per = rep_period_map(G, 2)
+        # The generic point specializes to ⟨x1⟩, so its period must divide 1.
+        broken = PeriodAssignment({**per.values, "⟨⟩": 2})
+        monkeypatch.setitem(cohomology._VARIETIES, (identify(G), 2), (model, broken))
+        with pytest.raises(RuntimeError, match="^assembled labels are not a period map: "):
+            dperm_period_map(G, 2)
+
+    def test_non_closed_point_not_periodic(self, monkeypatch):
+        c2 = ("abelian", (2,))
+        monkeypatch.setitem(spectra.STATED_DPERM, (("dihedral", 8), 2), {(c2, c2, "⟨⟩"): 0})
+        with pytest.raises(RuntimeError, match="^non-closed point C2a:⟨⟩ not periodic in a p-group$"):
+            dperm_period_map(dihedral(8), 2)
+
+    def test_variety_without_its_irrelevant_point(self, monkeypatch):
+        from ttperiods import cohomology
+
+        G = cyclic(4)
+        model, per = rep_period_map(G, 2)
+        broken = dataclasses.replace(model, masks={q: 0 for q in model.masks})
+        monkeypatch.setitem(cohomology._VARIETIES, (identify(G), 2), (broken, per))
+        with pytest.raises(RuntimeError, match="^extended variety without its irrelevant point$"):
+            stmod_period_map(G, 2)
+
+
 class TestOneIdentifyPerCall:
     """Each entry point identifies its own group once and passes the key on."""
 
@@ -882,6 +916,95 @@ class TestArtinTower:
         # The oracle also checks subgroup orders, closed periods and that
         # the chain is a period map; it raises if any of them fails.
         assert artin_tower(p, depth) == oracle_artin_tower(p, depth)
+
+    def test_any_call_order_matches_the_oracle(self):
+        # Cold, then at decreasing depths, at interleaved primes and
+        # repeated: kept levels must not change any report.
+        spectra._tower_level.cache_clear()
+        calls = [(3, 6), (3, 4), (3, 2), (2, 6), (5, 1), (2, 3), (5, 4), (7, 2),
+                 (2, 5), (7, 3), (3, 6), (2, 0), (5, 4), (7, 1), (2, 6)]
+        for p, depth in calls:
+            assert artin_tower(p, depth) == oracle_artin_tower(p, depth), (p, depth)
+
+    def test_kept_level_never_changes_a_refusal(self, monkeypatch):
+        from ttperiods.diagnostics import LIMITS, SizeBound
+
+        artin_tower(5, 3)
+        row = LIMITS["MAX_GROUP_ORDER"]._replace(value=100)
+        monkeypatch.setitem(LIMITS, "MAX_GROUP_ORDER", row)
+        with pytest.raises(SizeBound) as info:
+            artin_tower(5, 3)
+        assert str(info.value) == f"MAX_GROUP_ORDER = 100: {row.what} is 125"
+
+    def test_refused_level_is_named_on_the_command_line(self, capsys):
+        from ttperiods.cli import main
+
+        artin_tower(11, 2)
+        assert main(["tower", "--prime", "11", "--depth", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "SizeBound: MAX_GROUP_ORDER = 729: the order of a permutation group is 1331\n"
+
+
+def _count_walks(monkeypatch) -> list:
+    """A one-entry list counting the group closure walks from now on."""
+    import ttperiods.groups as groups_module
+
+    walks = [0]
+    walk = groups_module._closure_walk
+
+    def counted_walk(gens):
+        walks[0] += 1
+        return walk(gens)
+
+    monkeypatch.setattr(groups_module, "_closure_walk", counted_walk)
+    return walks
+
+
+class TestTowerLevels:
+    """Each level C_{p^n} is built once per (p, n) and kept as a record."""
+
+    def test_a_deeper_tower_builds_only_its_new_level(self, monkeypatch):
+        spectra._tower_level.cache_clear()
+        artin_tower(5, 2)
+        walks = _count_walks(monkeypatch)
+        assert dict(artin_tower(5, 3).chain_periods.values)["s3"] == 2
+        assert walks == [1]
+        artin_tower(5, 3)
+        assert walks == [1]
+
+    def test_the_keep_holds_no_group(self):
+        import gc
+
+        def live():
+            gc.collect()
+            return sum(isinstance(o, (FiniteGroup, GroupIndex)) for o in gc.get_objects())
+
+        before = live()
+        rep = artin_tower(19, 2)
+        assert rep.chain_periods["s2"] == 2
+        assert live() <= before
+
+    def test_the_keep_is_bounded(self):
+        maxsize = spectra._tower_level.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < math.inf
+
+    def test_a_level_whose_check_raises_is_not_kept(self, monkeypatch):
+        from ttperiods import cohomology
+
+        p = 13
+        spectra._tower_level.cache_clear()
+        model, per = rep_period_map(cyclic(p), p)
+        broken = dataclasses.replace(model, masks={q: 0 for q in model.masks})
+        with monkeypatch.context() as m:
+            m.setitem(cohomology._VARIETIES, (identify(cyclic(p)), p), (broken, per))
+            with pytest.raises(RuntimeError, match="without its irrelevant point"):
+                artin_tower(p, 1)
+        # C1 was kept before C13 raised; only C13 is built again.
+        walks = _count_walks(monkeypatch)
+        rep = artin_tower(p, 1)
+        assert walks == [1]
+        assert rep == oracle_artin_tower(p, 1)
 
 
 class TestDatasets:
