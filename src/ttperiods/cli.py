@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnosis, UsageError, json_int, json_list, json_object, require_within
+from .diagnostics import Diagnosis, UsageError, json_int, json_list, json_object, json_str, require_within
 from .spaces import (
     TAG_COMPUTED,
     dumps_canonical,
@@ -104,15 +104,16 @@ def _stem(spec: str, fallback: str) -> str:
 def _parse_witnesses(obj):
     from .graded import PrimePattern
 
-    if not isinstance(obj, dict) or "witnesses" not in obj:
+    if "witnesses" not in obj:
         return None
-    witnesses = obj["witnesses"]
     # Each entry is [[generator names], tag], all strings, never coerced.
-    if not (isinstance(witnesses, list) and all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], list) and isinstance(e[1], str)
-        and all(isinstance(n, str) for n in e[0]) for e in witnesses
-    )):
-        raise InputError("malformed witnesses: each must be [[generator names], tag], all strings")
+    try:
+        witnesses = [
+            (tuple(map(json_str, json_list(names))), json_str(tag))
+            for names, tag in map(json_list, json_list(obj["witnesses"]))
+        ]
+    except (TypeError, ValueError) as exc:
+        raise InputError("malformed witnesses: each must be [[generator names], tag], all strings") from exc
     return [(PrimePattern.of(*names), cert) for names, cert in witnesses]
 
 
@@ -282,13 +283,11 @@ def _parse_system(spec: "str | None", inputs: dict) -> tuple:
     inputs[spec] = digest
     try:
         gens = tuple(
-            (row["src"], row["dst"], tuple(json_int(x) for x in json_list(row["vec"])))
+            (json_str(row["src"]), json_str(row["dst"]), tuple(json_int(x) for x in json_list(row["vec"])))
             for row in map(json_object, json_list(json_object(obj)["generators"]))
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system: {exc}") from exc
-    if not all(isinstance(a, str) and isinstance(b, str) for a, b, _ in gens):
-        raise InputError("malformed system: src and dst must be strings")
     return gens
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, json_str
+from .diagnostics import require_within
 from .graded import GradedRingPresentation, PrimePattern, local_period
 from .spaces import FiniteSpectralModel, _values, divides
 
@@ -265,20 +266,18 @@ def table_to_obj(table: SectionTable) -> dict:
 
 def table_from_obj(obj: Mapping, space: FiniteSpectralModel) -> SectionTable:
     try:
-        if json_object(obj).get("format") != 1:
-            raise ComparisonError(f"unsupported format {obj.get('format')!r}")
+        if json_int(json_object(obj)["format"]) != 1:
+            raise ComparisonError(f"unsupported format {obj['format']!r}")
         bundles = {str(b): json_int(d) for b, d in json_object(obj["bundles"]).items()}
         sections = [
-            (row["name"], row["bundle"], json_int(row["degree"]), tuple(json_list(row["locus"])))
+            (json_str(row["name"]), json_str(row["bundle"]), json_int(row["degree"]),
+             tuple(map(json_str, json_list(row["locus"]))))
             for row in map(json_object, json_list(obj["sections"]))
         ]
-        products = [tuple(json_list(entry)) for entry in json_list(obj.get("products", []))]
+        products = [tuple(map(json_str, json_list(e))) for e in json_list(obj.get("products", []))]
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ComparisonError(f"malformed section table: {exc}") from exc
     for entry in products:
         if len(entry) != 3:
             raise ComparisonError(f"malformed product entry {entry!r}")
-    named = [x for name, bundle, _, locus in sections for x in (name, bundle, *locus)]
-    if not all(isinstance(x, str) for x in named + [x for e in products for x in e]):
-        raise ComparisonError("malformed section table: a name or point is not a string")
     return make_table(space, bundles, sections, products)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .diagnostics import UsageError
+from .diagnostics import UsageError, json_int, json_object, json_str
 from .spaces import (
     FiniteSpectralModel,
     ModelError,
@@ -44,16 +44,23 @@ def _data_dir():
 
 
 def load_figure_record(name: str) -> dict:
-    """Raw JSON record of a shipped figure, schema-checked but unvalidated."""
+    """Raw JSON record of a shipped figure: an object of format 1 that names
+    itself and has points, edges and periods, which it does not yet check."""
     if name not in DATASET_NAMES:
         raise UnknownDataset(name)
     text = _data_dir().joinpath(f"{name}.json").read_text(encoding="utf-8")
-    rec = json.loads(text)
-    for field in ("format", "name", "points", "specializes", "periods"):
+    try:
+        rec = json_object(json.loads(text))
+        fmt, declared = json_int(rec["format"]), json_str(rec["name"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"dataset {name}: malformed record: {exc}") from exc
+    for field in ("points", "specializes", "periods"):
         if field not in rec:
             raise ModelError(f"dataset {name}: missing field {field!r}")
-    if rec["name"] != name:
-        raise ModelError(f"dataset file {name} declares name {rec['name']!r}")
+    if fmt != 1:
+        raise ModelError(f"dataset {name}: unsupported format {fmt}")
+    if declared != name:
+        raise ModelError(f"dataset file {name} declares name {declared!r}")
     return rec
 
 

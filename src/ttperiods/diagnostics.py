@@ -1,8 +1,8 @@
 """Shared diagnosis value for validators that report rather than raise, the
 base class of the errors that mean the input was unusable, LIMITS,
 first_failure, which names the failure of an axiom checked on generators,
-and the one rule by which every JSON reader reads integers, flags, arrays
-and objects."""
+and the one rule by which every JSON reader reads integers, flags,
+strings, arrays and objects, so that no reader checks a type by hand."""
 
 from __future__ import annotations
 
@@ -73,6 +73,14 @@ def json_flag(value: Any) -> bool:
     """value, if it is a JSON boolean; anything else raises TypeError."""
     if type(value) is not bool:
         raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
+def json_str(value: Any) -> str:
+    """value, if it is a JSON string; a number, null, an array or an object
+    raises TypeError, never converted to its text."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
     return value
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, json_list, json_object, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, json_list, json_object, json_str
+from .diagnostics import require_within
 from .spaces import ALL, FiniteSpectralModel, divides, is_prime
 
 
@@ -436,24 +437,20 @@ def ring_from_obj(obj: Mapping) -> GradedRingPresentation:
     try:
         gens = [
             (
-                g["name"],
+                json_str(g["name"]),
                 json_int(g["degree"]),
                 json_flag(g.get("invertible", False)),
                 json_flag(g.get("nilpotent", False)),
             )
             for g in map(json_object, json_list(json_object(obj)["generators"]))
         ]
-        if not all(isinstance(g[0], str) for g in gens):
-            raise GradedError("malformed ring object: a generator name is not a string")
         rels = [
             [(json_int(t["coeff"]),
               {n: json_int(e) for n, e in json_object(t["monomial"]).items()})
              for t in map(json_object, json_list(rel))]
             for rel in json_list(obj.get("relations", []))
         ]
-        constraint = obj.get("constraint", "koszul")
-        if not isinstance(constraint, str):
-            raise GradedError("malformed ring object: the constraint is not a string")
+        constraint = json_str(obj.get("constraint", "koszul"))
         return make_ring(json_int(obj["char"]), gens, rels, constraint)
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise GradedError(f"malformed ring object: {exc}") from exc

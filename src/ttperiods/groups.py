@@ -26,7 +26,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .diagnostics import UsageError, json_int, json_list, json_object, require_within
+from .diagnostics import UsageError, json_int, json_list, json_object, json_str, require_within
 from .spaces import is_prime
 
 Perm = tuple[int, ...]
@@ -902,9 +902,7 @@ def group_from_obj(obj: Mapping) -> FiniteGroup:
             )
             for cycles in json_list(obj["generators"])
         ]
-        name = obj.get("name")
-        if name is not None and type(name) is not str:
-            raise TypeError(f"{name!r} is not a string")
+        name = json_str(obj["name"]) if "name" in obj else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GroupError(f"malformed group object: {exc}") from exc
     return FiniteGroup(degree, gens, name=name)

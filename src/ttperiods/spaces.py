@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, require_within
+from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, json_str
+from .diagnostics import require_within
 
 # Sentinel for "every nonnegative integer", the one infinite open we need.
 ALL = "all"
@@ -449,24 +450,20 @@ def model_to_obj(model: FiniteSpectralModel, per=None) -> dict:
 
 def model_from_obj(obj: Mapping) -> tuple[FiniteSpectralModel, PeriodAssignment | None]:
     try:
-        points = list(json_list(json_object(obj)["points"]))
-        edges = [tuple(json_list(e)) for e in json_list(obj.get("specializes", []))]
+        points = [json_str(x) for x in json_list(json_object(obj)["points"])]
+        edges = [tuple(map(json_str, json_list(e))) for e in json_list(obj.get("specializes", []))]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model object: {exc}") from exc
-    if not all(isinstance(x, str) for x in points):
-        raise ModelError("malformed model object: a point is not a string")
-    if not all(len(e) == 2 and all(isinstance(x, str) for x in e) for e in edges):
+    if not all(len(e) == 2 for e in edges):
         raise ModelError("malformed model object: an edge is not a pair of points")
     model = FiniteSpectralModel(points, edges)
     per = None
     if "periods" in obj:
-        raw = obj["periods"]
-        if not isinstance(raw, Mapping):
-            raise ModelError("malformed periods: not an object")
-        missing = set(model.points) - set(raw)
-        if missing:
-            raise MissingLabel(sorted(missing)[0])
         try:
+            raw = json_object(obj["periods"])
+            missing = set(model.points) - set(raw)
+            if missing:
+                raise MissingLabel(sorted(missing)[0])
             per = PeriodAssignment({p: json_int(raw[p]) for p in model.points})
         except (TypeError, ValueError) as exc:
             raise ModelError(f"malformed periods: {exc}") from exc

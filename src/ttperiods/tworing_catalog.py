@@ -4,13 +4,15 @@ The catalog holds small graded rings over prime fields, the tabulated
 2-rings built from them, and tightening data connecting the two sides.
 Every instance is built from code by the builders below; nothing is
 stored on disk.  The JSON record format (two_ring_to_obj and
-two_ring_from_obj, checked field by field against TWO_RING_SCHEMA) is
-how user-supplied 2-rings come in and how reports print them.
+two_ring_from_obj) is how user-supplied 2-rings come in and how reports
+print them.  two_ring_from_obj reads a record in one pass, each value
+through the diagnostics readers, strings included, and builds the datum
+in the same walk.
 """
 
 from __future__ import annotations
 
-from .diagnostics import json_object, require_within
+from .diagnostics import json_int, json_list, json_object, json_str, require_within
 from .multigraded import AbelianGroup, MultigradedRing, RingShapeError, check_components
 from .multigraded import make_multigraded
 from .tworing import Tightening, TwoRingDatum, two_ring_from_multigraded
@@ -22,7 +24,6 @@ __all__ = [
     "build_ring",
     "build_two_ring",
     "build_tightening",
-    "TWO_RING_SCHEMA",
     "two_ring_to_obj",
     "two_ring_from_obj",
 ]
@@ -262,64 +263,6 @@ def build_tightening(name: str) -> tuple[Tightening, TwoRingDatum]:
 
 # -- JSON serialization -----------------------------------------------
 
-# Checks on the JSON values of a 2-ring record.  Integers are JSON
-# integers: a float such as 2.0 or a boolean is refused, never coerced.
-
-
-def _int(least: int):
-    return lambda v: type(v) is int and v >= least
-
-
-def _str(least: int = 0):
-    return lambda v: isinstance(v, str) and len(v) >= least
-
-
-def _list(ok, least: int = 0):
-    return lambda v: isinstance(v, list) and len(v) >= least and all(ok(x) for x in v)
-
-
-def _map(ok):
-    return lambda v: isinstance(v, dict) and all(ok(x) for x in v.values())
-
-
-_VEC = _list(_int(0))
-_MATRIX = _list(_list(_VEC))
-
-# Every field of a record, each with the check its value must pass.
-TWO_RING_SCHEMA = {
-    "format": lambda v: type(v) is int and v == 1,
-    "name": _str(1),
-    "group_orders": _list(_int(1), 1),
-    "char": _int(2),
-    "objects": _list(_str(1), 1),
-    "labels": _map(_VEC),
-    "unit": _str(),
-    "support": _list(_VEC),
-    "dims": _map(_int(0)),
-    "basis_names": _map(_list(_str())),
-    "compose": _map(_MATRIX),
-    "tensor_obj": _map(_str()),
-    "tensor": _map(_MATRIX),
-    "identities": _map(_VEC),
-    "symmetry": _map(_VEC),
-}
-
-
-def _check_fields(obj) -> None:
-    try:
-        json_object(obj)
-    except TypeError as exc:
-        raise RingShapeError(f"malformed 2-ring record: {exc}") from exc
-    extra = sorted(obj.keys() - TWO_RING_SCHEMA.keys())
-    if extra:
-        raise RingShapeError(f"malformed 2-ring record: unexpected fields {extra}")
-    for key, ok in TWO_RING_SCHEMA.items():
-        if key not in obj:
-            raise RingShapeError(f"malformed 2-ring record: missing field {key!r}")
-        if not ok(obj[key]):
-            raise RingShapeError(f"malformed 2-ring record: bad value for {key!r}")
-
-
 def two_ring_to_obj(R2: TwoRingDatum) -> dict:
     return {
         "format": 1,
@@ -354,124 +297,151 @@ def two_ring_to_obj(R2: TwoRingDatum) -> dict:
     }
 
 
-def _split(key: str, sep: str, parts: int, what: str) -> tuple:
-    bits = key.split(sep)
-    if len(bits) != parts:
-        raise RingShapeError(f"bad {what} key {key!r}")
-    return tuple(bits)
+# The fields of a 2-ring record, each read once by two_ring_from_obj.
+_FIELDS = frozenset((
+    "format", "name", "group_orders", "char", "objects", "labels", "unit", "support",
+    "dims", "basis_names", "compose", "tensor_obj", "tensor", "identities", "symmetry",
+))
 
 
-def two_ring_from_obj(obj: dict) -> TwoRingDatum:
-    """Check the fields of a parsed JSON object and build the datum.
+def _at_least(least: int, value) -> int:
+    """value, if it is a JSON integer at least least."""
+    if json_int(value) < least:
+        raise ValueError(f"{value} is less than {least}")
+    return value
 
-    Shape errors (RingShapeError) and sizes past LIMITS (SizeBound) are
-    refused before any algebra runs; the axioms are validate_two_ring's.
+
+def _filled(value):
+    """value, a string or an array, if it is not empty."""
+    if not value:
+        raise ValueError(f"{value!r} is empty")
+    return value
+
+
+def _vector(value) -> tuple[int, ...]:
+    return tuple(_at_least(0, x) for x in json_list(value))
+
+
+def two_ring_from_obj(obj) -> TwoRingDatum:
+    """Read a parsed JSON 2-ring record and build the datum in one walk.
+
+    Each field is read once, through the diagnostics readers: a malformed
+    value raises RingShapeError "malformed 2-ring record: <field>: ...".
+    MAX_OBJECTS is checked as soon as the objects are read and the
+    component sizes as soon as the dims are, before any table is walked
+    (both raise SizeBound).  The axioms are validate_two_ring's.
     """
-    _check_fields(obj)
-    require_within("MAX_OBJECTS", len(obj["objects"]))
-    check_components(obj["char"], obj["dims"].values())
-    group = AbelianGroup(tuple(obj["group_orders"]))
-    objects = tuple(obj["objects"])
-    oset = set(objects)
-    if len(oset) != len(objects):
-        raise RingShapeError("duplicate object names")
-    if set(obj["labels"]) != oset or set(obj["identities"]) != oset:
-        raise RingShapeError("labels and identities must cover the objects")
-    if obj["unit"] not in oset:
-        raise RingShapeError("unknown unit object")
-    labels = {o: group.canon(tuple(v)) for o, v in obj["labels"].items()}
-    support = frozenset(group.canon(tuple(v)) for v in obj["support"])
+    try:
+        fields = json_object(obj).keys()
+    except TypeError as exc:
+        raise RingShapeError(f"malformed 2-ring record: {exc}") from exc
+    if fields != _FIELDS:
+        raise RingShapeError(
+            f"malformed 2-ring record: missing fields {sorted(_FIELDS - fields)}, "
+            f"unexpected fields {sorted(fields - _FIELDS)}"
+        )
 
-    dims = {}
-    for key, d in obj["dims"].items():
-        a, b = _split(key, "->", 2, "dims")
-        if a not in oset or b not in oset:
-            raise RingShapeError(f"dims key {key!r} names unknown objects")
-        dims[(a, b)] = d
+    def read(field, reader):
+        try:
+            return reader(obj[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RingShapeError(f"malformed 2-ring record: {field}: {exc}") from exc
+
+    def read_objects(value):
+        names = tuple(_filled(json_str(o)) for o in _filled(json_list(value)))
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate object names")
+        return names
+
+    def known(name):
+        if name not in oset:
+            raise ValueError(f"unknown object {name!r}")
+        return name
+
+    def keyed(value, shape):
+        """(objects, key, entry) for each entry of a JSON object whose keys
+        name objects: shape [2] reads "a->b", [3] "a->b->c", [1, 1] "a|b"
+        and [2, 2] "a->b|c->d"."""
+        for key, entry in json_object(value).items():
+            parts = [half.split("->") for half in key.split("|")]
+            if [len(part) for part in parts] != shape:
+                raise ValueError(f"bad key {key!r}")
+            names = tuple(name for part in parts for name in part)
+            if not oset.issuperset(names):
+                raise ValueError(f"key {key!r} names unknown objects")
+            yield names, key, entry
+
+    def per_object(value):
+        entries = json_object(value)
+        if entries.keys() != oset:
+            raise ValueError("the keys are not the objects")
+        return entries
+
+    def per_pair(entries):
+        missing = next(((a, b) for a in objects for b in objects if (a, b) not in entries), None)
+        if missing:
+            raise ValueError(f"no entry for the pair {missing}")
+        return entries
+
+    def vector(value, width):
+        v = _vector(value)
+        if len(v) != width:
+            raise ValueError(f"{list(v)} does not have {width} entries")
+        return tuple(x % char for x in v)
+
+    def table(key, value, rows, cols, width):
+        if len(json_list(value)) != rows or any(len(json_list(r)) != cols for r in value):
+            raise ValueError(f"table {key!r} has the wrong shape")
+        return tuple(tuple(vector(v, width) for v in row) for row in value)
+
+    def read_basis_names(value):
+        names = {ab: tuple(map(json_str, json_list(ns))) for ab, _, ns in keyed(value, [2])}
+        for comp, d in dims.items():
+            if len(names.setdefault(comp, ())) != d:
+                raise ValueError(f"the names of {comp} do not match its dimension {d}")
+        return names
+
+    fmt = read("format", json_int)
+    if fmt != 1:
+        raise RingShapeError(f"malformed 2-ring record: format: unsupported format {fmt}")
+    name = read("name", lambda v: _filled(json_str(v)))
+    group = AbelianGroup(read("group_orders", lambda v: tuple(_at_least(1, n) for n in _filled(json_list(v)))))
+    char = read("char", lambda v: _at_least(2, v))
+    objects = read("objects", read_objects)
+    require_within("MAX_OBJECTS", len(objects))
+    oset = set(objects)
+    labels = read("labels", lambda v: {o: group.canon(_vector(x)) for o, x in per_object(v).items()})
+    unit = read("unit", lambda v: known(json_str(v)))
+    support = read("support", lambda v: frozenset(group.canon(_vector(x)) for x in json_list(v)))
+    dims = read("dims", lambda v: {ab: _at_least(0, d) for ab, _, d in keyed(v, [2])})
+    check_components(char, dims.values())
     for a in objects:
         for b in objects:
             dims.setdefault((a, b), 0)
-
-    basis_names = {}
-    for key, ns in obj["basis_names"].items():
-        a, b = _split(key, "->", 2, "basis_names")
-        if a not in oset or b not in oset:
-            raise RingShapeError(f"basis_names key {key!r} names unknown objects")
-        basis_names[(a, b)] = tuple(ns)
-    for comp, d in dims.items():
-        names = basis_names.setdefault(comp, ())
-        if len(names) != d:
-            raise RingShapeError(f"basis names for {comp} do not match its dimension")
-
-    def mod(v):
-        return tuple(x % obj["char"] for x in v)
-
-    def read_table(table, rows, cols, width, key):
-        if len(table) != rows or any(len(r) != cols for r in table):
-            raise RingShapeError(f"table {key!r} has the wrong shape")
-        if any(len(v) != width for r in table for v in r):
-            raise RingShapeError(f"table {key!r} has a wrong-width vector")
-        return tuple(tuple(mod(v) for v in row) for row in table)
-
-    compose_tables = {}
-    for key, table in obj["compose"].items():
-        a, b, c = _split(key, "->", 3, "compose")
-        if {a, b, c} - oset:
-            raise RingShapeError(f"compose key {key!r} names unknown objects")
-        compose_tables[(a, b, c)] = read_table(table, dims[(a, b)], dims[(b, c)], dims[(a, c)], key)
-
-    tensor_obj = {}
-    for key, t in obj["tensor_obj"].items():
-        a, b = _split(key, "|", 2, "tensor_obj")
-        if a not in oset or b not in oset or t not in oset:
-            raise RingShapeError(f"tensor_obj entry {key!r} names unknown objects")
-        tensor_obj[(a, b)] = t
-    for a in objects:
-        for b in objects:
-            if (a, b) not in tensor_obj:
-                raise RingShapeError(f"tensor_obj misses the pair ({a!r}, {b!r})")
-
-    tensor_tables = {}
-    for key, table in obj["tensor"].items():
-        left, right = _split(key, "|", 2, "tensor")
-        a, b = _split(left, "->", 2, "tensor")
-        c, d = _split(right, "->", 2, "tensor")
-        if {a, b, c, d} - oset:
-            raise RingShapeError(f"tensor key {key!r} names unknown objects")
-        src = tensor_obj[(a, c)]
-        dst = tensor_obj[(b, d)]
-        tensor_tables[(a, b, c, d)] = read_table(
-            table, dims[(a, b)], dims[(c, d)], dims[(src, dst)], key
-        )
-
-    identities = {}
-    for o, v in obj["identities"].items():
-        if len(v) != dims[(o, o)]:
-            raise RingShapeError(f"identity of {o!r} has the wrong shape")
-        identities[o] = mod(v)
-
-    symmetry = {}
-    for key, v in obj["symmetry"].items():
-        a, b = _split(key, "|", 2, "symmetry")
-        if a not in oset or b not in oset:
-            raise RingShapeError(f"symmetry key {key!r} names unknown objects")
-        ab = tensor_obj[(a, b)]
-        ba = tensor_obj[(b, a)]
-        if len(v) != dims[(ab, ba)]:
-            raise RingShapeError(f"symmetry entry {key!r} has the wrong shape")
-        symmetry[(a, b)] = mod(v)
-    for a in objects:
-        for b in objects:
-            if (a, b) not in symmetry:
-                raise RingShapeError(f"symmetry misses the pair ({a!r}, {b!r})")
+    basis_names = read("basis_names", read_basis_names)
+    compose_tables = read("compose", lambda v: {
+        (a, b, c): table(key, t, dims[a, b], dims[b, c], dims[a, c])
+        for (a, b, c), key, t in keyed(v, [3])
+    })
+    tensor_obj = read("tensor_obj", lambda v: per_pair({
+        ab: known(json_str(t)) for ab, _, t in keyed(v, [1, 1])
+    }))
+    tensor_tables = read("tensor", lambda v: {
+        (a, b, c, d): table(key, t, dims[a, b], dims[c, d], dims[tensor_obj[a, c], tensor_obj[b, d]])
+        for (a, b, c, d), key, t in keyed(v, [2, 2])
+    })
+    identities = read("identities", lambda v: {o: vector(x, dims[o, o]) for o, x in per_object(v).items()})
+    symmetry = read("symmetry", lambda v: per_pair({
+        (a, b): vector(x, dims[tensor_obj[a, b], tensor_obj[b, a]]) for (a, b), _, x in keyed(v, [1, 1])
+    }))
 
     return TwoRingDatum(
-        name=obj["name"],
+        name=name,
         group=group,
-        char=obj["char"],
+        char=char,
         objects=objects,
         labels=labels,
-        unit=obj["unit"],
+        unit=unit,
         support=support,
         dims=dims,
         basis_names=basis_names,

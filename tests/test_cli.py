@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -749,6 +750,31 @@ class TestFigure:
         code, _, err = run(capsys, "figure", "nope")
         assert code == 2
 
+    # A shipped record read from a data directory holding a bad stmod_d8.json.
+    BAD_RECORDS = {
+        "format 7": (lambda rec: {**rec, "format": 7}, "unsupported format 7"),
+        "format true": (lambda rec: {**rec, "format": True}, "True is not an integer"),
+        "format 1.0": (lambda rec: {**rec, "format": 1.0}, "1.0 is not an integer"),
+        "no format": (lambda rec: {k: v for k, v in rec.items() if k != "format"}, "'format'"),
+        "name 8": (lambda rec: {**rec, "name": 8}, "8 is not a string"),
+        "a number": (lambda rec: 5, "5 is not an object"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_bad_shipped_record_is_refused(self, capsys, monkeypatch, tmp_path, case):
+        from ttperiods import datasets
+        from ttperiods.spaces import ModelError
+
+        edit, message = self.BAD_RECORDS[case]
+        rec = datasets.load_figure_record("stmod_d8")
+        write_json(tmp_path, "stmod_d8.json", edit(rec))
+        monkeypatch.setattr(datasets, "_data_dir", lambda: tmp_path)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            datasets.load_figure_record("stmod_d8")
+        code, out, err = run(capsys, "figure", "stmod_d8")
+        assert (code, out) == (2, "")
+        assert message in err
+
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_record_that_is_no_period_map_is_refused(self, capsys, monkeypatch, fmt):
         from ttperiods import datasets
@@ -873,6 +899,8 @@ class TestUsage:
         "period true": ("stmod_d8_space", ("periods", "⟨α0⟩"), True),
         "bundle degree 1.0": ("stmod_d8_sections", ("bundles", "L1"), 1.0),
         "section degree true": ("stmod_d8_sections", ("sections", 0, "degree"), True),
+        "table format true": ("stmod_d8_sections", ("format",), True),
+        "table format 1.0": ("stmod_d8_sections", ("format",), 1.0),
         "group degree 4.0": ("group", ("degree",), 4.0),
         "cycle entry true": ("group", ("generators", 0, 0, 0), True),
         "cycle entry 2.0": ("group", ("generators", 0, 0, 1), 2.0),
@@ -999,6 +1027,37 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "malformed" in err and f"{value!r} is not an object" in err, err
+
+    # Per position where a reader reads a JSON string, a number, null, an
+    # array or an object in its place: each is refused by name, never
+    # converted to its text.
+    NON_STRINGS = {
+        "ring generator name": ("ring", ("generators", 0, "name")),
+        "ring constraint": ("ring", ("constraint",)),
+        "group name": ("group", ("name",)),
+        "model point": ("space", ("points", 0)),
+        "model edge end": ("space", ("specializes", 0, 1)),
+        "table section name": ("sections", ("sections", 0, "name")),
+        "table bundle": ("sections", ("sections", 0, "bundle")),
+        "table locus point": ("sections", ("sections", 0, "locus", 0)),
+        "table product entry": ("sections", ("products", 0, 2)),
+        "system src": ("system", ("generators", 0, "src")),
+        "system dst": ("system", ("generators", 0, "dst")),
+        "2-ring name": ("two_ring", ("name",)),
+        "2-ring object": ("two_ring", ("objects", 1)),
+        "2-ring unit": ("two_ring", ("unit",)),
+        "2-ring basis name": ("two_ring", ("basis_names", "0->1", 0)),
+        "2-ring tensor_obj target": ("two_ring", ("tensor_obj", "0|1")),
+    }
+
+    @pytest.mark.parametrize("value", [5, None, ["x"], {"x": "y"}], ids=["number", "null", "array", "object"])
+    @pytest.mark.parametrize("case", sorted(NON_STRINGS))
+    def test_non_string_is_malformed(self, capsys, tmp_path, case, value):
+        name, at = self.NON_STRINGS[case]
+        code, out, err = self.edited_reader_input(capsys, tmp_path, name, [(at, value)])
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err and f"{value!r} is not a string" in err, err
 
     def test_non_integer_period_is_a_usage_error(self, capsys, tmp_path):
         paths = {p.stem: str(p) for p in write_section_files(tmp_path)}

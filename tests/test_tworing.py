@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st, target
 
 from ttperiods import multigraded, tworing
-from ttperiods.diagnostics import SizeBound
+from ttperiods.diagnostics import LIMITS, SizeBound
 
 from ttperiods.multigraded import (
     AbelianGroup,
@@ -55,7 +56,6 @@ from ttperiods.tworing_catalog import (
     RING_NAMES,
     TIGHTENING_NAMES,
     TWO_RING_NAMES,
-    TWO_RING_SCHEMA,
     build_ring,
     build_tightening,
     build_two_ring,
@@ -852,8 +852,8 @@ class TestValidationMatchesTheScan:
         assert verdict(validate_tightening, bad, R2) == verdict(oracle_validate_tightening, bad, R2)
 
 
-# One violation per field rule of TWO_RING_SCHEMA: (field, entry key or
-# None for the whole field, bad value).
+# One violation per field of a 2-ring record: (field, entry key or None
+# for the whole field, bad value).
 FIELD_VIOLATIONS = [
     ("format", None, 2),
     ("name", None, ""),
@@ -968,12 +968,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, key, bad", FIELD_VIOLATIONS, ids=[c[0] for c in FIELD_VIOLATIONS])
     def test_field_rule_violation_rejected(self, field, key, bad):
-        with pytest.raises(RingShapeError, match="malformed"):
+        with pytest.raises(RingShapeError, match=f"^malformed 2-ring record: {field}: "):
             two_ring_from_obj(laurent_record_with(field, key, bad))
 
     @pytest.mark.parametrize("field, key, bad", INTEGER_LOOKALIKES)
     def test_integral_float_or_bool_rejected(self, field, key, bad):
-        with pytest.raises(RingShapeError, match="malformed"):
+        with pytest.raises(RingShapeError, match=f"^malformed 2-ring record: {field}: .* is not an integer"):
             two_ring_from_obj(laurent_record_with(field, key, bad))
 
     def test_non_object_record_rejected(self):
@@ -982,8 +982,18 @@ class TestSerialization:
 
     def test_every_field_has_a_rule(self):
         obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
-        assert set(TWO_RING_SCHEMA) == set(obj)
+        for field in obj:
+            rest = {k: v for k, v in obj.items() if k != field}
+            with pytest.raises(RingShapeError, match=re.escape(f"missing fields [{field!r}]")):
+                two_ring_from_obj(rest)
         assert {c[0] for c in FIELD_VIOLATIONS} == set(obj)
+
+    def test_object_count_is_refused_before_any_table(self):
+        obj = two_ring_to_obj(build_two_ring("laurent_f2_z2"))
+        obj["objects"] += [f"x{i}" for i in range(LIMITS["MAX_OBJECTS"].value - 1)]
+        obj["compose"]["0->0->0"] = [[[1.5]]]
+        with pytest.raises(SizeBound, match="MAX_OBJECTS"):
+            two_ring_from_obj(obj)
 
 
 class TestIdealsAndSpectrum:
