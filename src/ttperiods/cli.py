@@ -11,7 +11,6 @@ only those.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -48,6 +47,8 @@ _MODULE_ERRORS = (UsageError,)
 
 def _read_source(spec: str) -> tuple[str, str]:
     """Text and sha256 of a file path, or of stdin for '-'."""
+    import hashlib  # here and in _digest_of, so commands that take no digest never load it
+
     if spec == "-":
         text = sys.stdin.read()
     else:
@@ -67,13 +68,16 @@ def _load_json_source(spec: str) -> tuple[object, str]:
 
 
 def _digest_of(obj) -> str:
+    import hashlib
+
     return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
 
 
 def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, (list, tuple)):
+    # Exact types: a record is a tuple too, and prints as its repr.
+    if type(value) in (list, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted((_jsonable(v) for v in value), key=str)

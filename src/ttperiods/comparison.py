@@ -10,9 +10,8 @@ the open subspace where chosen sections are invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, json_str
 from .diagnostics import require_within
@@ -24,8 +23,7 @@ class ComparisonError(UsageError):
     pass
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """One section with its invertibility locus."""
 
     name: str
@@ -34,7 +32,6 @@ class Section:
     locus: frozenset[str]
 
 
-@dataclass(frozen=True)
 class SectionTable:
     """Finite support datum: a space, graded bundles, sections with loci.
 
@@ -47,13 +44,10 @@ class SectionTable:
     kept in _cache the first time they are read.
     """
 
-    space: FiniteSpectralModel
-    bundles: Mapping[str, int]
-    sections: tuple[Section, ...]
-    products: Mapping[tuple[str, str], str]
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, space: FiniteSpectralModel, bundles: Mapping[str, int],
+                 sections: tuple[Section, ...], products: Mapping[tuple[str, str], str]):
+        self.space, self.bundles, self.sections, self.products = space, bundles, sections, products
+        self._cache: dict = {}
         require_within("MAX_POINTS", len(self.space.points))
         require_within("MAX_SECTIONS", len(self.sections))
         diag = validate_section_table(self)

@@ -13,7 +13,6 @@ a verified space.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .diagnostics import UsageError, json_int, json_object, json_str
 from .spaces import (
@@ -40,6 +39,10 @@ class UnknownDataset(UsageError, KeyError):
 
 
 def _data_dir():
+    # Imported here: from Python 3.12 on importlib.resources loads inspect,
+    # which no command that reads no shipped record should pay for.
+    from importlib import resources
+
     return resources.files("ttperiods").joinpath("data")
 
 

@@ -1,12 +1,16 @@
 """Shared diagnosis value for validators that report rather than raise, the
 base class of the errors that mean the input was unusable, LIMITS,
 first_failure, which names the failure of an axiom checked on generators,
-and the one rule by which every JSON reader reads integers, flags,
-strings, arrays and objects, so that no reader checks a type by hand."""
+the one rule by which every JSON reader reads integers, flags, strings,
+arrays and objects, so that no reader checks a type by hand, and Record,
+the base of the records that keep a cached property.
+
+Records are NamedTuples or plain classes: a record library that generates
+its classes' methods at import, and loads inspect to do so, would add to
+the start-up time of every command."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple
 
 
@@ -100,8 +104,7 @@ def json_object(value: Any) -> dict:
     return value
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(NamedTuple):
     """Outcome of a structural check.
 
     ok:     whether every checked condition held.
@@ -128,6 +131,26 @@ PASS = Diagnosis(True)
 
 def failure(reason: str, *detail: Any) -> Diagnosis:
     return Diagnosis(False, reason, tuple(detail))
+
+
+class Record:
+    """Base of the records that keep a cached property in their __dict__,
+    which a NamedTuple has not.  _fields lists the parameters of the
+    subclass's __init__ in order, and _replace(**changes) builds a new
+    record through __init__, so its cached properties start empty, as a
+    NamedTuple's _replace does."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _replace(self, **changes):
+        unknown = changes.keys() - self._fields
+        if unknown:
+            raise ValueError(f"got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(**{name: changes.get(name, getattr(self, name)) for name in self._fields})
 
 
 def first_failure(fast: Iterable, exhaustive: Callable[[], Iterable]) -> Diagnosis:

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, json_flag, json_int, json_list, json_object, json_str
-from .diagnostics import require_within
+from .diagnostics import Record, require_within
 from .spaces import ALL, FiniteSpectralModel, divides, is_prime
 
 
@@ -43,16 +42,23 @@ class BoundTooSmall(GradedError):
     """The brute-force degree bound admits no qualifying monomial."""
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    degree: int
-    invertible: bool = False
-    nilpotent: bool = False
+    """A plain class, not a NamedTuple: local_period reads a generator's
+    fields once per point, and slots read faster than tuple fields."""
+
+    __slots__ = ("name", "degree", "invertible", "nilpotent")
+
+    def __init__(self, name: str, degree: int, invertible: bool = False, nilpotent: bool = False):
+        self.name, self.degree, self.invertible, self.nilpotent = name, degree, invertible, nilpotent
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Generator):
+            return NotImplemented
+        return ((self.name, self.degree, self.invertible, self.nilpotent)
+                == (other.name, other.degree, other.invertible, other.nilpotent))
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """coeff * product of generators with positive exponents."""
 
     coeff: int
@@ -65,8 +71,7 @@ class Term:
 Relation = tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class GradedRingPresentation:
+class GradedRingPresentation(NamedTuple):
     char: int
     generators: tuple[Generator, ...]
     relations: tuple[Relation, ...] = ()
@@ -161,8 +166,7 @@ def validate_presentation(ring: GradedRingPresentation) -> Diagnosis:
     return PASS
 
 
-@dataclass(frozen=True)
-class PrimePattern:
+class PrimePattern(NamedTuple):
     """Trace of a homogeneous prime on the generators."""
 
     contains: frozenset[str]
@@ -210,8 +214,7 @@ def _mask_decoder(free: Sequence[str]):
     return lambda mask: sum((t[mask >> 12 * k & 4095] for k, t in enumerate(tables)), ())
 
 
-@dataclass(frozen=True)
-class SpechModel:
+class SpechModel(Record):
     """Finite poset of named pattern points over one presentation.
 
     masks is the one record of each point's pattern: a mask with one bit
@@ -219,10 +222,9 @@ class SpechModel:
     a view of the same sets as PrimePattern objects, built on first read.
     """
 
-    ring: GradedRingPresentation
-    space: FiniteSpectralModel
-    certified: Mapping[str, str]
-    masks: Mapping[str, int]
+    def __init__(self, ring: GradedRingPresentation, space: FiniteSpectralModel,
+                 certified: Mapping[str, str], masks: Mapping[str, int]):
+        self.ring, self.space, self.certified, self.masks = ring, space, certified, masks
 
     @cached_property
     def patterns(self) -> Mapping[str, PrimePattern]:
@@ -308,9 +310,9 @@ def enumerate_patterns(
 
 def local_period(ring: GradedRingPresentation, pattern: PrimePattern) -> int:
     """gcd of generator degrees outside the pattern; gcd of nothing is 0."""
-    g = 0
+    contains, g = pattern.contains, 0  # a local: a NamedTuple field reads slower
     for gen in ring.generators:
-        if gen.name not in pattern.contains and gen.degree != 0:
+        if gen.name not in contains and gen.degree != 0:
             g = math.gcd(g, abs(gen.degree))
     return g
 

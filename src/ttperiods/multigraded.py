@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, first_failure
-from .diagnostics import require_within
+from .diagnostics import Record, require_within
 from .spaces import FiniteSpectralModel, is_prime
 
 
@@ -31,15 +30,20 @@ class RingShapeError(UsageError):
 # -- the grading group ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
     """Finite abelian group presented as a product of cyclic factors."""
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        if not self.orders or any(n < 1 for n in self.orders):
+    def __init__(self, orders: tuple[int, ...]):
+        if not orders or any(n < 1 for n in orders):
             raise RingShapeError("cyclic factor orders must be positive")
+        self.orders = orders
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AbelianGroup):
+            return NotImplemented
+        return self.orders == other.orders
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -120,8 +124,7 @@ def render_combo(names: Sequence[str], vec: Sequence[int]) -> str:
 # -- the ring ---------------------------------------------------------
 
 
-@dataclass
-class MultigradedRing:
+class MultigradedRing(Record):
     """Tabulated graded-commutative ring over a prime field.
 
     dims, basis_names and tau are total over the group; products carries
@@ -130,17 +133,14 @@ class MultigradedRing:
     (basis_i of R_x) * (basis_j of R_y) inside R_{x+y}.  one is the
     multiplicative identity inside the degree-zero component, the empty
     vector for the zero ring.  The tables are read into an AlgebraIndex
-    on first use, so a ring's tables are changed only before that.
+    on first use; a ring with other tables is a copy made by _replace,
+    which builds an index of its own.
     """
 
-    name: str
-    group: AbelianGroup
-    char: int
-    dims: dict
-    basis_names: dict
-    products: dict
-    tau: dict
-    one: tuple[int, ...]
+    def __init__(self, name: str, group: AbelianGroup, char: int, dims: dict,
+                 basis_names: dict, products: dict, tau: dict, one: tuple[int, ...]):
+        self.name, self.group, self.char, self.dims = name, group, char, dims
+        self.basis_names, self.products, self.tau, self.one = basis_names, products, tau, one
 
     @functools.cached_property
     def index(self) -> "AlgebraIndex":
@@ -530,13 +530,23 @@ def matrix_invertible(p: int, rows: Sequence[Sequence[int]]) -> bool:
     return all(len(r) == n for r in rows) and rank(p, rows) == n
 
 
-@dataclass(frozen=True)
 class Ideal:
     """An ideal of an AlgebraIndex as one reduced echelon basis of (pivot,
-    row) pairs per component number; <= and < are containment."""
+    row) pairs per component number; equality and hashing read the rows
+    alone, and <= and < are containment."""
 
-    rows: tuple
-    char: int = field(compare=False)
+    __slots__ = ("rows", "char")
+
+    def __init__(self, rows: tuple, char: int):
+        self.rows, self.char = rows, char
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ideal):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     def __le__(self, other: "Ideal") -> bool:
         return all(len(a) <= len(b) and not any(any(_reduce(self.char, b, v)) for _, v in a)
@@ -922,12 +932,14 @@ class FractionQuotient:
         return tuple(-c % self.p for c in v[self.length:])
 
 
-@dataclass(frozen=True)
 class IdealLattice:
     """All ideals of a finite tabulated ring or 2-ring, as Ideals in
     lattice order; joins, covers and maximal elements follow from <=."""
 
-    ideals: tuple
+    __slots__ = ("ideals",)
+
+    def __init__(self, ideals: tuple):
+        self.ideals = ideals
 
     def __iter__(self):
         return iter(self.ideals)

@@ -11,7 +11,7 @@ under data/sections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .comparison import SectionTable, make_table
 from .diagnostics import UsageError
@@ -35,8 +35,7 @@ class UnknownFixture(UsageError, KeyError):
     """No comparison fixture has the given name."""
 
 
-@dataclass(frozen=True)
-class ComparisonFixture:
+class ComparisonFixture(NamedTuple):
     name: str
     table: SectionTable
     ample: bool

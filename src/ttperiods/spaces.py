@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnosis, PASS, UsageError, failure, json_int, json_list, json_object, json_str
@@ -341,14 +340,21 @@ def _close(names: Sequence[str], succ: list[set[int]]) -> tuple[list[int], list[
 TAG_COMPUTED = "computed"
 
 
-@dataclass(frozen=True)
 class PeriodAssignment:
     """Period per point; 0 means non-periodic."""
 
-    values: Mapping[str, int]
+    __slots__ = ("values",)
+
+    def __init__(self, values: Mapping[str, int]):
+        self.values = values
 
     def __getitem__(self, point: str) -> int:
         return self.values[point]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodAssignment):
+            return NotImplemented
+        return self.values == other.values
 
 
 def _values(per) -> dict[str, int]:

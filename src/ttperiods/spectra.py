@@ -17,8 +17,7 @@ Three layers of assembly over the cohomology catalog:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cohomology import (
     GroupNotInCatalog,
@@ -129,8 +128,7 @@ def stmod_discrepancies(
     return out
 
 
-@dataclass(frozen=True)
-class DPermStratum:
+class DPermStratum(NamedTuple):
     """One class of p-subgroups H: its Weyl group's order and catalog key,
     and that key's extended variety and periods."""
 
@@ -197,8 +195,7 @@ def dperm_strata(G: FiniteGroup, p: int) -> list[DPermStratum]:
     return strata
 
 
-@dataclass(frozen=True)
-class DPermAssembly:
+class DPermAssembly(NamedTuple):
     group_name: str
     prime: int
     strata: tuple[DPermStratum, ...]
@@ -296,8 +293,7 @@ def very_closed_point_check(G: FiniteGroup, p: int) -> Diagnosis:
 
 # -- towers of cyclic p-groups -----------------------------------------
 
-@dataclass(frozen=True)
-class TowerStratum:
+class TowerStratum(NamedTuple):
     index: "int | None"  # p-power index; None for the order-matched limit
     weyl_names: tuple[str, ...]
     proj_sequence: tuple[int, ...]
@@ -305,8 +301,7 @@ class TowerStratum:
     closed_sequence: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     prime: int
     height: int
     strata: tuple[TowerStratum, ...]

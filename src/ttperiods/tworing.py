@@ -21,10 +21,9 @@ exhaustive enumeration over the finite tables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .diagnostics import Diagnosis, PASS, UsageError, failure, first_failure, require_within
+from .diagnostics import Diagnosis, PASS, Record, UsageError, failure, first_failure, require_within
 from .multigraded import (
     AbelianGroup,
     AlgebraIndex,
@@ -70,25 +69,18 @@ class ShapeMismatch(UsageError):
 # inside Hom(a tensor c, b tensor d).  A table is a tuple of rows, and
 # one tuple may serve several keys.  The tables are read into the
 # datum's AlgebraIndex, a cached property, on first use; a copy made with
-# dataclasses.replace builds an index of its own.
+# _replace builds an index of its own.
 
 
-@dataclass
-class TwoRingDatum:
-    name: str
-    group: AbelianGroup
-    char: int
-    objects: tuple
-    labels: dict
-    unit: str
-    support: frozenset
-    dims: dict
-    basis_names: dict
-    compose_tables: dict
-    tensor_obj: dict
-    tensor_tables: dict
-    identities: dict
-    symmetry: dict
+class TwoRingDatum(Record):
+    def __init__(self, name: str, group: AbelianGroup, char: int, objects: tuple,
+                 labels: dict, unit: str, support: frozenset, dims: dict,
+                 basis_names: dict, compose_tables: dict, tensor_obj: dict,
+                 tensor_tables: dict, identities: dict, symmetry: dict):
+        self.name, self.group, self.char, self.objects = name, group, char, objects
+        self.labels, self.unit, self.support, self.dims = labels, unit, support, dims
+        self.basis_names, self.compose_tables, self.tensor_obj = basis_names, compose_tables, tensor_obj
+        self.tensor_tables, self.identities, self.symmetry = tensor_tables, identities, symmetry
 
     @functools.cached_property
     def index(self) -> AlgebraIndex:
@@ -500,8 +492,7 @@ def spc(R2: TwoRingDatum) -> FiniteSpectralModel:
 # -- tightenings ------------------------------------------------------
 
 
-@dataclass
-class Tightening:
+class Tightening(NamedTuple):
     """A graded ring presented as the unit-sourced homs of a 2-ring.
 
     projection maps ring degrees onto object labels; representatives

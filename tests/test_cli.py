@@ -89,6 +89,55 @@ class TestRing:
         },
     }
 
+    # A relation in a diagnosis detail is an array of its terms, each term
+    # printed as its repr; the reports are pinned byte for byte.
+    PINNED_VALIDATE = {
+        "inhomogeneous": (
+            make_ring(2, [("x", 1), ("y", 2)], [[(1, {"x": 1}), (1, {"y": 1})]]),
+            "2364ac827895546d1e4b77ff57112bd258627a80942ec811ec7a7b9239f56d9b",
+            """        [
+          "Term(coeff=1, monomial=(('x', 1),))",
+          "Term(coeff=1, monomial=(('y', 1),))"
+        ]""",
+        ),
+        "unknown-generator": (
+            make_ring(2, [("x", 1)], [[(1, {"x": 2, "z": 1})]]),
+            "0c210d734e691f1447eaaabb8172f532759a4387de5ed5fa3c1801f41554a6f1",
+            """        [
+          "Term(coeff=1, monomial=(('x', 2), ('z', 1)))"
+        ]""",
+        ),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(PINNED_VALIDATE))
+    def test_validate_report_is_pinned(self, capsys, monkeypatch, reason):
+        ring, digest, relation = self.PINNED_VALIDATE[reason]
+        monkeypatch.setattr("sys.stdin", io.StringIO(dumps_canonical(ring_to_obj(ring))))
+        code, out, _ = run(capsys, "ring", "validate", "--input", "-")
+        assert code == 1
+        assert out == f"""{{
+  "command": [
+    "ttperiods",
+    "ring",
+    "validate",
+    "--input",
+    "-"
+  ],
+  "inputs": {{
+    "-": "{digest}"
+  }},
+  "result": {{
+    "diagnosis": {{
+      "detail": [
+{relation}
+      ],
+      "ok": false,
+      "reason": "{reason}"
+    }}
+  }}
+}}
+"""
+
     @pytest.mark.parametrize("reason", sorted(INVALID_RINGS))
     def test_patterns_and_periods_validate_first(self, capsys, tmp_path, reason):
         path = write_json(tmp_path, "bad.json", self.INVALID_RINGS[reason])
@@ -828,6 +877,41 @@ class TestUsage:
         assert not layers & {"groups", "graded"}
         assert cli.TWO_RING_NAMES == tworing_catalog.TWO_RING_NAMES
         assert cli.TIGHTENING_NAMES == tworing_catalog.TIGHTENING_NAMES
+
+    def test_startup_loads_no_record_library_and_no_idle_hashlib(self):
+        """Importing every module loads neither dataclasses nor inspect, and a
+        command that takes no digest does not load hashlib either: each is
+        start-up time that no command needs.  The child keeps what its bare
+        interpreter had loaded, so modules a site hook preloads do not count."""
+        src = str(Path(ttperiods.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = (
+            "import contextlib, importlib, io, json, sys\n"
+            "bare = set(sys.modules)\n"
+            "names, argv = json.loads(sys.argv[1])\n"
+            "for name in names:\n"
+            "    importlib.import_module('ttperiods.' + name)\n"
+            "if argv:\n"
+            "    from ttperiods.cli import main\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - bare)))\n"
+        )
+
+        def added(names, argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, json.dumps([names, argv])],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return set(json.loads(proc.stdout))
+
+        every = [info.name for info in pkgutil.iter_modules(ttperiods.__path__)]
+        assert {"cli", "datasets", "diagnostics", "sections_catalog", "tworing"} <= set(every)
+        assert not added(every, []) & {"dataclasses", "inspect"}
+        for argv in (["group", "dperm", "--group", "D8", "--prime", "2"],
+                     ["tower", "--prime", "2", "--depth", "2"]):
+            assert not added([], argv) & {"dataclasses", "inspect", "hashlib", "_hashlib"}, argv
 
     def test_every_package_error_is_a_usage_error(self):
         """Each error class the package defines exits 2, never as a traceback."""

@@ -1,6 +1,5 @@
 """Group-graded tabulated rings: validation, ideals, primes, fractions."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -150,15 +149,14 @@ class TestMakeMultigraded:
 
 class TestValidateMultigraded:
     def test_composite_characteristic_fails(self):
-        ring = build_ring("laurent_f2_z2")
-        ring.char = 4
+        ring = ring_with("laurent_f2_z2", char=4)
         assert validate_multigraded(ring).reason == "char_not_prime"
 
     def test_broken_associativity_detected(self):
         ring = build_ring("laurent_f2_z4")
         tables = dict(ring.products)
         tables[((1,), (2,))] = (((0,),),)  # t1*t2 = 0 clashes with t1*t1*t1
-        ring.products = tables
+        ring = ring._replace(products=tables)
         assert validate_multigraded(ring).reason == "not_associative"
 
     def test_asymmetric_transposition_detected(self):
@@ -166,7 +164,7 @@ class TestValidateMultigraded:
         ring = rank_two_signed()
         tau = dict(ring.tau)
         tau[((1, 0), (0, 1))] = (1,)
-        ring.tau = tau
+        ring = ring._replace(tau=tau)
         diag = validate_multigraded(ring)
         assert not diag.ok
         assert diag.reason in ("transposition_not_symmetric", "commutation_fails")
@@ -177,7 +175,7 @@ class TestValidateMultigraded:
         for y in ring.group.elements():
             tau[((1,), y)] = (0,)
             tau[(y, (1,))] = (0,)
-        ring.tau = tau
+        ring = ring._replace(tau=tau)
         assert validate_multigraded(ring).reason == "transposition_not_unit"
 
     @pytest.mark.parametrize("name", RING_NAMES)
@@ -195,14 +193,14 @@ class TestValidateMultigraded:
         tables = {k: [list(r) for r in v] for k, v in ring.products.items()}
         # e*u and u*e must agree in char 2; break one side only.
         tables[((0,), (1,))][1][0] = (1, 0)
-        ring.products = {k: tuple(tuple(r) for r in v) for k, v in tables.items()}
+        ring = ring._replace(products={k: tuple(tuple(r) for r in v) for k, v in tables.items()})
         diag = validate_multigraded(ring)
         assert not diag.ok
 
 
 def ring_with(name, **fields):
     """A catalog ring with fields replaced before its index is built."""
-    return dataclasses.replace(build_ring(name), **fields)
+    return build_ring(name)._replace(**fields)
 
 
 def edited(mapping, changes):

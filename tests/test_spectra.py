@@ -1,6 +1,5 @@
 """Group spectra assembly: catalog, strata, towers, shipped figures."""
 
-import dataclasses
 import itertools
 import math
 import string
@@ -586,7 +585,7 @@ class TestInternalChecks:
 
         G = cyclic(4)
         model, per = rep_period_map(G, 2)
-        broken = dataclasses.replace(model, masks={q: 0 for q in model.masks})
+        broken = model._replace(masks={q: 0 for q in model.masks})
         monkeypatch.setitem(cohomology._VARIETIES, (identify(G), 2), (broken, per))
         with pytest.raises(RuntimeError, match="^extended variety without its irrelevant point$"):
             stmod_period_map(G, 2)
@@ -995,7 +994,7 @@ class TestTowerLevels:
         p = 13
         spectra._tower_level.cache_clear()
         model, per = rep_period_map(cyclic(p), p)
-        broken = dataclasses.replace(model, masks={q: 0 for q in model.masks})
+        broken = model._replace(masks={q: 0 for q in model.masks})
         with monkeypatch.context() as m:
             m.setitem(cohomology._VARIETIES, (identify(cyclic(p)), p), (broken, per))
             with pytest.raises(RuntimeError, match="without its irrelevant point"):

@@ -1,6 +1,5 @@
 """Tabulated 2-rings: axioms, ideals, tightenings, fractions, restriction."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -133,11 +132,11 @@ class TestConstruction:
         ring, extra = CONSTRUCTION_INPUTS[case]()
         got = two_ring_from_multigraded(ring, extra_objects=extra)
         want = oracle_two_ring_from_multigraded(ring, extra_objects=extra)
-        for f in dataclasses.fields(TwoRingDatum):
-            value, expected = getattr(got, f.name), getattr(want, f.name)
-            assert value == expected, f.name
+        for name in TwoRingDatum._fields:
+            value, expected = getattr(got, name), getattr(want, name)
+            assert value == expected, name
             if isinstance(value, dict):
-                assert list(value) == list(expected), f.name
+                assert list(value) == list(expected), name
 
     def test_catalog_two_rings_validate(self):
         for name in TWO_RING_NAMES:
@@ -329,8 +328,7 @@ class TestKernelWork:
         assert len(calls) <= 288
         # An index whose every entry holds its own copy of its table forms
         # the terms once per entry, and must come out the same.
-        own = dataclasses.replace(
-            R2,
+        own = R2._replace(
             compose_tables={k: tuple([*t]) for k, t in R2.compose_tables.items()},
             tensor_tables={k: tuple([*t]) for k, t in R2.tensor_tables.items()})
         calls.clear()
@@ -406,8 +404,8 @@ def mutated_data(draw, two_ring=None):
             j = draw(st.integers(0, len(rows[i]) - 1))
             rows[i][j] = tuple(draw(st.lists(st.integers(0, datum.char - 1),
                                              min_size=len(rows[i][j]), max_size=len(rows[i][j]))))
-            datum = dataclasses.replace(
-                datum, **{field: {**getattr(datum, field), key: tuple(map(tuple, rows))}})
+            datum = datum._replace(
+                **{field: {**getattr(datum, field), key: tuple(map(tuple, rows))}})
     return datum
 
 
@@ -607,7 +605,7 @@ class TestValidateNegatives:
         R2 = build_two_ring("laurent_f2_z2")
         assert validate_two_ring(R2).ok
         tables = edited(R2.compose_tables, {("0", "0", "0"): (((0,),),)})
-        bad = dataclasses.replace(R2, compose_tables=tables)
+        bad = R2._replace(compose_tables=tables)
         assert bad.index is not R2.index
         assert validate_two_ring(bad).describe() == "FAIL(composition_not_unital: '1')"
 
@@ -615,7 +613,7 @@ class TestValidateNegatives:
         R2 = build_two_ring("laurent_f2_z2")
         tables = dict(R2.compose_tables)
         tables[("0", "1", "0")] = (((0,),),)
-        bad = dataclasses.replace(R2, compose_tables=tables)
+        bad = R2._replace(compose_tables=tables)
         diag = validate_two_ring(bad)
         assert not diag.ok
         assert diag.reason in ("composition_not_associative", "interchange_fails",
@@ -625,26 +623,26 @@ class TestValidateNegatives:
         R2 = build_two_ring("laurent_f2_z2")
         ids = dict(R2.identities)
         ids["1"] = (0,)
-        bad = dataclasses.replace(R2, identities=ids)
+        bad = R2._replace(identities=ids)
         assert validate_two_ring(bad).reason == "composition_not_unital"
 
     def test_broken_symmetry(self):
         R2 = build_two_ring("koszul_f3_z2")
         sym = dict(R2.symmetry)
         sym[("1", "1")] = (1,)
-        bad = dataclasses.replace(R2, symmetry=sym)
+        bad = R2._replace(symmetry=sym)
         diag = validate_two_ring(bad)
         assert not diag.ok
         assert diag.reason.startswith("symmetry")
 
     def test_support_must_cover_components(self):
         R2 = build_two_ring("laurent_f2_z2")
-        bad = dataclasses.replace(R2, support=frozenset({(0,)}))
+        bad = R2._replace(support=frozenset({(0,)}))
         assert validate_two_ring(bad).reason == "component_outside_support"
 
     def test_composite_char(self):
         R2 = build_two_ring("laurent_f2_z2")
-        bad = dataclasses.replace(R2, char=6)
+        bad = R2._replace(char=6)
         assert validate_two_ring(bad).reason == "characteristic_not_prime"
 
 
@@ -659,7 +657,7 @@ def two_ring_with(name, **fields):
     the new value or to a function of the old one."""
     R2 = build_two_ring(name)
     new = {k: v(getattr(R2, k)) if callable(v) else v for k, v in fields.items()}
-    return dataclasses.replace(R2, **new)
+    return R2._replace(**new)
 
 
 def two_unit_objects(z_tensor):
@@ -751,7 +749,7 @@ def one_entry_changed(R2, data):
     j = data.draw(st.integers(0, len(rows[i]) - 1), label="j")
     n = len(rows[i][j])
     rows[i][j] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * n), label="vec")
-    return dataclasses.replace(R2, **{field: edited(tables, {key: tuple(map(tuple, rows))})})
+    return R2._replace(**{field: edited(tables, {key: tuple(map(tuple, rows))})})
 
 
 def identification_redrawn(T, R2, data):
@@ -760,7 +758,7 @@ def identification_redrawn(T, R2, data):
     n = len(T.phi[x][0])
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, R2.char - 1)] * n),
                               min_size=len(T.phi[x]), max_size=len(T.phi[x])), label="rows")
-    return dataclasses.replace(T, phi=edited(T.phi, {x: tuple(rows)}))
+    return T._replace(phi=edited(T.phi, {x: tuple(rows)}))
 
 
 def verdict(validate, *args):
@@ -827,7 +825,7 @@ class TestValidationMatchesTheScan:
         tables = {(a, b, c, d): table if c == d else tuple(
                       tuple(tuple(2 * v % 3 for v in w) for w in row) for row in table)
                   for (a, b, c, d), table in R2.tensor_tables.items()}
-        bad = dataclasses.replace(R2, tensor_tables=tables)
+        bad = R2._replace(tensor_tables=tables)
         diag = validate_two_ring(bad)
         assert diag.reason == "interchange_fails"
         assert diag.describe() == oracle_validate_two_ring(bad).describe()
@@ -1070,7 +1068,7 @@ class TestIdealsAndSpectrum:
         R2 = build_two_ring("laurent_f2_z2")
         dims = dict(R2.dims)
         dims[("0", "0")] = 4
-        bad = dataclasses.replace(R2, dims=dims)
+        bad = R2._replace(dims=dims)
         with pytest.raises(SizeBound):
             homogeneous_ideals(bad)
 
@@ -1239,7 +1237,7 @@ class TestExchangeLemma:
             k: tuple(tuple(tuple(v) for v in row) for row in rows)
             for k, rows in tables.items()
         }
-        bad = dataclasses.replace(R2, compose_tables=bad_tables)
+        bad = R2._replace(compose_tables=bad_tables)
         assert not validate_two_ring(bad).ok
         results = set()
         for a in bad.homs("0", "1", include_zero=True):
@@ -1281,7 +1279,7 @@ class TestTightenings:
         T, R2 = build_tightening("folded_laurent_f2_z4")
         proj = dict(T.projection)
         proj[(2,)] = (1,)
-        bad = dataclasses.replace(T, projection=proj)
+        bad = T._replace(projection=proj)
         with pytest.raises(ShapeMismatch, match="homomorphism"):
             validate_tightening(bad, R2)
 
@@ -1291,7 +1289,7 @@ class TestTightenings:
         reps[(0,)] = "0"
         reps2 = dict(reps)
         reps2[(0,)] = "1"
-        bad = dataclasses.replace(T, representatives=reps2)
+        bad = T._replace(representatives=reps2)
         with pytest.raises(ShapeMismatch):
             validate_tightening(bad, R2)
 
@@ -1299,7 +1297,7 @@ class TestTightenings:
         T, R2 = build_tightening("identity_laurent_f2_z2")
         phi = dict(T.phi)
         phi[(1,)] = ((0,),)
-        bad = dataclasses.replace(T, phi=phi)
+        bad = T._replace(phi=phi)
         with pytest.raises(ShapeMismatch, match="bijective"):
             validate_tightening(bad, R2)
 
@@ -1307,15 +1305,13 @@ class TestTightenings:
         T, R2 = build_tightening("identity_laurent_f2_z2")
         phi = dict(T.phi)
         del phi[(1,)]
-        bad = dataclasses.replace(T, phi=phi)
+        bad = T._replace(phi=phi)
         with pytest.raises(ShapeMismatch):
             validate_tightening(bad, R2)
 
     def test_invalid_ring_propagates(self):
         T, R2 = build_tightening("identity_laurent_f2_z2")
-        ring = build_ring("laurent_f2_z2")
-        ring.char = 4
-        bad = dataclasses.replace(T, ring=ring)
+        bad = T._replace(ring=build_ring("laurent_f2_z2")._replace(char=4))
         assert validate_tightening(bad, R2).reason == "char_not_prime"
 
 
@@ -1649,7 +1645,7 @@ class TestLocalizationMatchesTheOracle:
         rows = list(T.phi[x])
         i = data.draw(st.integers(0, len(rows) - 1), label="i")
         rows[i] = data.draw(st.tuples(*[st.integers(0, R2.char - 1)] * len(rows[i])), label="row")
-        bad = dataclasses.replace(T, phi=edited(T.phi, {x: tuple(rows)}))
+        bad = T._replace(phi=edited(T.phi, {x: tuple(rows)}))
         S = data.draw(st.sampled_from(agreement_systems(T)), label="S")
         assert (verdict(localization_agreement, bad, R2, S)
                 == verdict(oracle_localization_agreement, bad, R2, S))
@@ -1680,8 +1676,8 @@ class TestLocalizationMatchesTheOracle:
         T, R2 = build_tightening(name)
         rows = [list(row) for row in getattr(R2, field)[key]]
         rows[i][j] = vec
-        bad = dataclasses.replace(
-            R2, **{field: edited(getattr(R2, field), {key: tuple(map(tuple, rows))})})
+        bad = R2._replace(
+            **{field: edited(getattr(R2, field), {key: tuple(map(tuple, rows))})})
         diag = localization_agreement(T, bad, [])
         assert diag.reason == reason
         assert diag.describe() == oracle_localization_agreement(T, bad, []).describe()
@@ -1693,7 +1689,7 @@ class TestLocalizationMatchesTheOracle:
         # identifier raises, as it did when every numerator was identified.
         ring = make_multigraded("odd_zero", (2,), 2, components={0: ("1",)})
         T, R2 = misread(ring, ring)
-        bad = dataclasses.replace(R2, tensor_obj=edited(R2.tensor_obj, {("0", "1"): "0"}))
+        bad = R2._replace(tensor_obj=edited(R2.tensor_obj, {("0", "1"): "0"}))
         want = "ShapeMismatch: no isomorphism from '0' to '1'"
         assert verdict(localization_agreement, T, bad, []) == want
         assert verdict(oracle_localization_agreement, T, bad, []) == want
@@ -1702,7 +1698,7 @@ class TestLocalizationMatchesTheOracle:
         # Doubling the degree-one identification keeps both tightening
         # axioms, which hold up to translates, but not the dilations.
         T, R2 = build_tightening("identity_laurent_f3_z4")
-        bad = dataclasses.replace(T, phi=edited(T.phi, {(1,): ((2,),)}))
+        bad = T._replace(phi=edited(T.phi, {(1,): ((2,),)}))
         assert validate_tightening(bad, R2).ok
         diag = localization_agreement(bad, R2, [])
         assert diag.describe() == "FAIL(identification_not_well_defined: (1,))"

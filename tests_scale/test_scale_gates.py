@@ -1,6 +1,5 @@
 """Each library engine against its oracle at the limit it is declared for."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -60,7 +59,7 @@ def test_two_ring_validation_at_max_objects():
     # basis morphisms, which takes tens of seconds at 12 objects.  Its
     # verdict must equal validate_two_ring's on the Z/12 Laurent 2-ring over
     # F_2 as built, with a composition table changed, and with a tensor
-    # table changed.  The changed copies, made with dataclasses.replace, are
+    # table changed.  The changed copies, made with _replace, are
     # validated after the datum as built, so each must read its own tables,
     # not the cache the datum as built filled.
     R2 = two_ring_from_multigraded(unit_ring(2, 1, 12))
@@ -68,8 +67,8 @@ def test_two_ring_validation_at_max_objects():
     tensor_tables = {**R2.tensor_tables, ("0", "1", "0", "1"): (((0,),),)}
     data = {
         "as built": R2,
-        "composition changed": dataclasses.replace(R2, compose_tables=compose_tables),
-        "tensor changed": dataclasses.replace(R2, tensor_tables=tensor_tables),
+        "composition changed": R2._replace(compose_tables=compose_tables),
+        "tensor changed": R2._replace(tensor_tables=tensor_tables),
     }
     verdicts = {
         name: (validate_two_ring(datum).describe(), oracle_validate_two_ring(datum).describe())
@@ -149,7 +148,7 @@ def test_ideal_correspondence_at_max_objects_and_max_component_size(args):
     singular = rows[:1] + rows[:1] + rows[2:] if len(rows) > 1 else (tuple(0 for _ in rows[0]),)
     tightenings = {
         "identity": T,
-        "singular": dataclasses.replace(T, phi=edited(T.phi, {x: singular})),
+        "singular": T._replace(phi=edited(T.phi, {x: singular})),
     }
     verdicts = {
         name: (verdict(ideal_correspondence, t, R2), verdict(oracle_ideal_correspondence, t, R2))
@@ -171,7 +170,7 @@ def test_localization_agreement_at_scale():
     T, R2 = misread(ring, ring)
     tightenings = {
         "as built": T,
-        "degree 3 doubled": dataclasses.replace(T, phi=edited(T.phi, {(3,): ((2,),)})),
+        "degree 3 doubled": T._replace(phi=edited(T.phi, {(3,): ((2,),)})),
     }
     verdicts = {
         name: (verdict(localization_agreement, t, R2, []),
